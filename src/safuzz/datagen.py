@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class Dataset:
     def class_counts(self) -> dict[str, int]:
         counts = np.bincount(self.labels, minlength=3)
         return {s.label: int(counts[s]) for s in Signal if counts[s] > 0}
-
-    def samples(self) -> Iterator[LabeledSample]:
-        for row, lab in zip(self.features, self.labels):
-            yield LabeledSample(features=row, label=Signal(int(lab)))
 
 
 # ---------------------------------------------------------------------------

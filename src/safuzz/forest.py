@@ -5,6 +5,14 @@ histograms at the leaves) so models serialize to a documented JSON layout and
 reload bit-identically. Training is deterministic under a fixed seed:
 bootstrap samples and per-split feature subsets come from per-tree RNG
 streams spawned from the master seed.
+
+Each Forest compiles its trees once, at construction, into one flat view that
+every prediction walks. It holds internal nodes only, as typed columns
+`feature`, `threshold`, `left` and `right` indexed by a forest-wide node
+number. A child `< 0` is a leaf and encodes its majority class k as `~k`;
+`roots` holds each tree's root, itself `~k` for a single-leaf tree. The walk
+compares Python floats, whose `<=` matches numpy float64 exactly (NaN goes
+right).
 """
 
 from __future__ import annotations
@@ -12,9 +20,10 @@ from __future__ import annotations
 import json
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +32,8 @@ from safuzz.errors import FileFormatError, TrainingError, UsageError
 
 N_CLASSES = 3
 MODEL_FORMAT_VERSION = 1
+TREE_COLUMNS = (("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
+                ("right", np.int32), ("counts", np.int64))
 
 
 @dataclass
@@ -38,25 +49,24 @@ class DecisionTree:
     right: np.ndarray  # int32
     counts: np.ndarray  # (n_nodes, N_CLASSES) int64
 
-    def leaf_for(self, x: np.ndarray) -> int:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-        return i
 
-    def predict_class(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.counts[self.leaf_for(x)]))
-
-    def predict_class_batch(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.zeros(xs.shape[0], dtype=np.int64)
-        active = self.feature[idx] >= 0
-        while active.any():
-            cur = idx[active]
-            feat = self.feature[cur]
-            go_left = xs[active, feat] <= self.threshold[cur]
-            idx[active] = np.where(go_left, self.left[cur], self.right[cur])
-            active = self.feature[idx] >= 0
-        return np.argmax(self.counts[idx], axis=1)
+def _compile(trees: Sequence[DecisionTree]) -> tuple:
+    """(feature, threshold, left, right, roots); index columns are int32 "i"."""
+    if not trees:
+        return array("i"), array("d"), array("i"), array("i"), []
+    col = {name: np.concatenate([getattr(t, name) for t in trees]) for name, _ in TREE_COLUMNS}
+    internal = col["feature"] >= 0
+    # forest-wide number of each internal node, ~majority class of each leaf
+    slot = np.where(internal, np.cumsum(internal) - 1,
+                    ~np.argmax(col["counts"], axis=1)).astype(np.int32)
+    sizes = [len(t.feature) for t in trees]
+    starts = np.cumsum(sizes) - sizes  # each tree's node 0 in the concatenated columns
+    base = np.repeat(starts, sizes)[internal]
+    return (array("i", col["feature"][internal].astype(np.int32).tobytes()),
+            array("d", col["threshold"][internal].astype(np.float64).tobytes()),
+            array("i", slot[col["left"][internal] + base].tobytes()),
+            array("i", slot[col["right"][internal] + base].tobytes()),
+            slot[starts].tolist())
 
 
 @dataclass
@@ -69,6 +79,10 @@ class Forest:
     scaling: dict = field(default_factory=lambda: {"scale": 1.0, "offset": 0.0,
                                                    "zero_epsilon": None})
     classes: tuple[str, ...] = ("NoChange", "Decrease", "Increase")
+    flat: tuple = field(init=False, repr=False, compare=False)  # see the module docstring
+
+    def __post_init__(self):
+        self.flat = _compile(self.trees)
 
 
 def _gini_children(prefix: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -211,34 +225,34 @@ def train_forest(
     return forest, metrics
 
 
-def _votes(forest: Forest, features: np.ndarray) -> np.ndarray:
-    votes = np.zeros(N_CLASSES, dtype=np.int64)
-    for tree in forest.trees:
-        votes[tree.predict_class(features)] += 1
-    return votes
+def _vote(forest: Forest, x: list) -> int:
+    """Majority vote of the trees' leaf classes; the first maximum wins."""
+    feature, threshold, left, right, roots = forest.flat
+    votes = [0] * N_CLASSES
+    for i in roots:
+        while i >= 0:
+            i = left[i] if x[feature[i]] <= threshold[i] else right[i]
+        votes[~i] += 1
+    return votes.index(max(votes))
 
 
 def predict(forest: Forest, features: np.ndarray) -> Signal:
     """Majority vote over tree leaf-histogram argmaxes.
 
     Ties break by the fixed class order NoChange > Decrease > Increase
-    (np.argmax returns the first maximum, and Signal values are ordered so).
+    (the first maximum wins, and Signal values are ordered so).
     """
     features = np.asarray(features, dtype=np.float64).reshape(-1)
     if features.size != forest.feature_len:
         raise UsageError(
             f"feature length {features.size} does not match forest ({forest.feature_len})"
         )
-    return Signal(int(np.argmax(_votes(forest, features))))
+    return Signal(_vote(forest, features.tolist()))
 
 
 def predict_batch(forest: Forest, features: np.ndarray) -> np.ndarray:
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    votes = np.zeros((features.shape[0], N_CLASSES), dtype=np.int64)
-    rows = np.arange(features.shape[0])
-    for tree in forest.trees:
-        votes[rows, tree.predict_class_batch(features)] += 1
-    return np.argmax(votes, axis=1)
+    rows = np.asarray(features, dtype=np.float64).tolist()
+    return np.fromiter((_vote(forest, x) for x in rows), dtype=np.int64, count=len(rows))
 
 
 def evaluate_f1_arrays(forest: Forest, xs: np.ndarray, ys: np.ndarray) -> dict:
@@ -280,16 +294,8 @@ def model_save(forest: Forest, path) -> None:
         "seed": forest.seed,
         "classes": list(forest.classes),
         "scaling": forest.scaling,
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "counts": tree.counts.tolist(),
-            }
-            for tree in forest.trees
-        ],
+        "trees": [{name: getattr(tree, name).tolist() for name, _ in TREE_COLUMNS}
+                  for tree in forest.trees],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
@@ -305,16 +311,9 @@ def model_load(path) -> Forest:
             f"model format_version {doc.get('format_version')!r} unsupported"
         )
     try:
-        trees = [
-            DecisionTree(
-                feature=np.asarray(t["feature"], dtype=np.int32),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int32),
-                right=np.asarray(t["right"], dtype=np.int32),
-                counts=np.asarray(t["counts"], dtype=np.int64),
-            )
-            for t in doc["trees"]
-        ]
+        trees = [DecisionTree(**{name: np.asarray(t[name], dtype=dtype)
+                                 for name, dtype in TREE_COLUMNS})
+                 for t in doc["trees"]]
         forest = Forest(
             trees=trees,
             kernel=doc["kernel"],

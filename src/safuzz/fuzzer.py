@@ -28,7 +28,6 @@ from safuzz.tensor import Precision, Tensor
 
 log = logging.getLogger(__name__)
 
-HISTORY_LIMIT = 32
 DEFAULT_INPUT_RANGE = (-10.0, 10.0)
 
 
@@ -56,13 +55,6 @@ class Bounds:
     @staticmethod
     def unconstrained(shape: tuple[int, ...]) -> "Bounds":
         return Bounds(lower=np.full(shape, -np.inf), upper=np.full(shape, np.inf))
-
-
-@dataclass
-class HistoryEntry:
-    snapshot: dict[str, np.ndarray]
-    signal: Signal
-    outcome: Optional[bool] = None  # oracle pass/fail when validated
 
 
 @dataclass(frozen=True)
@@ -280,7 +272,6 @@ def fuzz_site(
 
     values = _initial_inputs(graph, rng)
     bounds = {d.id: Bounds.unconstrained(tuple(d.shape)) for d in graph.inputs}
-    history: list[HistoryEntry] = []
 
     while True:
         if result.iterations >= config.max_iters:
@@ -306,8 +297,6 @@ def fuzz_site(
             except EvaluationError as exc:
                 result.diagnostics.append(f"validation failed: {exc}")
                 break
-            if history:
-                history[-1].outcome = verdict.passed
             if not verdict.passed:
                 result.status = "Found"
                 result.verdict = verdict
@@ -324,14 +313,10 @@ def fuzz_site(
         deltas = propagate_signal(graph, site, tape, signal, config.rate,
                                   config.grad_floor)
         if config.use_history:
-            snapshot = {k: v.copy() for k, v in values.items()}
             for decl in graph.inputs:
                 values[decl.id] = constrain_update(
                     values[decl.id], deltas[decl.id], bounds[decl.id], signal
                 )
-            history.append(HistoryEntry(snapshot=snapshot, signal=signal))
-            if len(history) > HISTORY_LIMIT:
-                history.pop(0)
         else:
             for decl in graph.inputs:
                 values[decl.id] = values[decl.id] + deltas[decl.id]

@@ -104,9 +104,6 @@ class Graph:
                 return n
         raise KeyError(node_id)
 
-    def input_ids(self) -> list[str]:
-        return [d.id for d in self.inputs]
-
     def shape_of(self, node_id: str) -> Optional[tuple[int, ...]]:
         return self.shapes[node_id]
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -630,12 +631,21 @@ def _name_rng(name: str, salt: str = "") -> np.random.Generator:
     return np.random.default_rng(zlib.crc32((name + ":" + salt).encode()))
 
 
+def _frozen(value):
+    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
+
+
 @lru_cache(maxsize=None)
-def default_params(name: str, shape: tuple[int, ...]) -> dict:
+def default_params(name: str, shape: tuple[int, ...]) -> Mapping:
     """Fixed parameter bundle used when a call site does not supply one.
 
-    Cached per (name, shape); treat the returned dict as read-only.
+    Cached per (name, shape), so it is read-only: a mapping proxy whose
+    array-valued entries are nested tuples.
     """
+    return MappingProxyType({k: _frozen(v) for k, v in _param_bundle(name, shape).items()})
+
+
+def _param_bundle(name: str, shape: tuple[int, ...]) -> dict:
     if name == "linear":
         n = shape[-1]
         rng = _name_rng(name, "weight")

@@ -187,7 +187,7 @@ def default_registry() -> Registry:
 
 def resolved_params(spec: KernelSpec, shape: tuple[int, ...]) -> dict:
     """Static registry params merged over shape-dependent deterministic defaults."""
-    return {**default_params(spec.name, tuple(shape)), **spec.params}
+    return default_params(spec.name, tuple(shape)) | spec.params  # | on the proxy builds a new dict
 
 
 def kernel_eval(

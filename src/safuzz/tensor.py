@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -84,14 +83,3 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, precision={self.precision.value}, data={self.data.tolist()})"
-
-
-def uniform_tensor(
-    rng: np.random.Generator,
-    shape: Sequence[int],
-    lo: float,
-    hi: float,
-    precision: Precision = Precision.DOUBLE,
-) -> Tensor:
-    values = rng.uniform(lo, hi, size=tuple(shape))
-    return Tensor(values.astype(precision.dtype))

@@ -14,6 +14,7 @@ from safuzz.forest import (
     model_load,
     model_save,
     predict,
+    predict_batch,
     train_forest,
 )
 
@@ -48,6 +49,28 @@ def leaf_tree(counts):
 
 def forest_of(trees):
     return Forest(trees=trees, kernel="exp", shape=(3, 3), feature_len=9, seed=0)
+
+
+def split_tree(threshold):
+    """Root tests feature 0 against threshold: Decrease at left, Increase at right."""
+    return DecisionTree(
+        feature=np.array([0, -1, -1], dtype=np.int32),
+        threshold=np.array([threshold, 0.0, 0.0]),
+        left=np.array([1, -1, -1], dtype=np.int32),
+        right=np.array([2, -1, -1], dtype=np.int32),
+        counts=np.array([[0, 5, 5], [0, 5, 0], [0, 0, 5]], dtype=np.int64),
+    )
+
+
+def reference_vote(forest, x):
+    """Walk each DecisionTree's own arrays; first maximum of the votes wins."""
+    votes = np.zeros(3, dtype=np.int64)
+    for tree in forest.trees:
+        i = 0
+        while tree.feature[i] >= 0:
+            i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+        votes[np.argmax(tree.counts[i])] += 1
+    return int(np.argmax(votes))
 
 
 class TestTraining:
@@ -104,6 +127,64 @@ class TestPredict:
         forest = forest_of([leaf_tree([1, 0, 0])])
         with pytest.raises(UsageError):
             predict(forest, np.zeros(4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308])
+    @pytest.mark.parametrize("threshold", [0.0, np.inf, -np.inf, 1e308])
+    def test_non_finite_features_route_like_numpy(self, value, threshold):
+        forest = forest_of([split_tree(threshold)])
+        x = np.full(9, value)
+        expected = Signal.DECREASE if np.float64(value) <= threshold else Signal.INCREASE
+        assert predict(forest, x) is expected
+        assert predict_batch(forest, x[None, :]).tolist() == [int(expected)]
+
+    def test_single_leaf_tree_batch(self):
+        forest = forest_of([leaf_tree([0, 3, 1])])
+        assert predict_batch(forest, np.zeros((4, 9))).tolist() == [1] * 4
+
+    def test_right_child_not_next_to_left(self):
+        # root -> left 3, right 1; node 1 splits again into 4 (left) and 2
+        tree = DecisionTree(
+            feature=np.array([0, 1, -1, -1, -1], dtype=np.int32),
+            threshold=np.array([0.0, 5.0, 0.0, 0.0, 0.0]),
+            left=np.array([3, 4, -1, -1, -1], dtype=np.int32),
+            right=np.array([1, 2, -1, -1, -1], dtype=np.int32),
+            counts=np.array([[1, 1, 1], [1, 1, 0], [0, 4, 0], [0, 0, 4], [4, 0, 0]],
+                            dtype=np.int64),
+        )
+        forest = forest_of([leaf_tree([0, 1, 0]), tree, tree])
+        xs = np.zeros((3, 9))
+        xs[0, 0] = -1.0  # node 3: Increase
+        xs[1, :2] = [1.0, 5.0]  # node 4: NoChange
+        xs[2, :2] = [1.0, 6.0]  # node 2: Decrease
+        want = [Signal.INCREASE, Signal.NO_CHANGE, Signal.DECREASE]
+        assert [predict(forest, x) for x in xs] == want
+        assert predict_batch(forest, xs).tolist() == [int(s) for s in want]
+
+    @pytest.mark.parametrize("classes, winner", [
+        ((0, 1), Signal.NO_CHANGE),
+        ((0, 2), Signal.NO_CHANGE),
+        ((1, 2), Signal.DECREASE),
+        ((0, 1, 2), Signal.NO_CHANGE),
+        ((2, 1, 0), Signal.NO_CHANGE),
+        ((2, 2, 1, 1, 0), Signal.DECREASE),
+    ])
+    def test_ties_break_nochange_decrease_increase(self, classes, winner):
+        forest = forest_of([leaf_tree(np.eye(3, dtype=int)[c] * 5) for c in classes])
+        assert predict(forest, np.zeros(9)) is winner
+        assert predict_batch(forest, np.zeros((1, 9))).tolist() == [int(winner)]
+
+    def test_single_batch_and_reference_walk_agree(self, tmp_path):
+        forest, _ = train_forest(threshold_dataset(), tree_count=20, seed=42)
+        path = tmp_path / "model.json"
+        model_save(forest, path)
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-4, 4, size=(200, 9))
+        xs[:5] = np.array([np.nan, np.inf, -np.inf, 1e30, -1e30])[:, None]
+        xs[5:10, ::2] = np.nan
+        for model in (forest, model_load(path)):
+            batch = predict_batch(model, xs)
+            for x, b in zip(xs, batch):
+                assert int(predict(model, x)) == b == reference_vote(model, x)
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=9, max_size=9))
     @settings(max_examples=50, deadline=None)

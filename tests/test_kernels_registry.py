@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from safuzz.errors import CapabilityError, RegistryError
-from safuzz.kernels import cosine_reference, unit_operands
+from safuzz.kernels import cosine_reference, default_params, unit_operands
 from safuzz.registry import (
     default_registry,
     kernel_eval,
@@ -135,6 +135,29 @@ class TestKernelEval:
             b = rng.standard_normal(9) * rng.uniform(1e-3, 1e3)
             val = float(cosine_reference(a, b))
             assert -1 - 1e-6 <= val <= 1 + 1e-6
+
+
+class TestDefaultParams:
+    def test_cached_bundle_cannot_be_poisoned(self):
+        first = default_params("linear", (3,))
+        weight = np.asarray(first["weight"])
+        with pytest.raises(TypeError):
+            first["weight"] = [[0.0] * 3] * 3
+        with pytest.raises(TypeError):
+            first["weight"][0][0] = 99.0
+        with pytest.raises(TypeError):
+            first["bias"][0] = 99.0
+        second = default_params("linear", (3,))
+        assert np.array_equal(np.asarray(second["weight"]), weight)
+        assert second["bias"] == first["bias"]
+
+    def test_frozen_params_evaluate_like_lists(self):
+        x = Tensor.of([0.5, -1.0, 2.0])
+        frozen = default_params("linear", (3,))
+        as_lists = {k: np.asarray(v).tolist() for k, v in frozen.items()}
+        out = kernel_eval("linear", [x], Precision.DOUBLE)
+        assert np.array_equal(out.data,
+                              kernel_eval("linear", [x], Precision.DOUBLE, params=as_lists).data)
 
 
 class TestSafeConditions:
