@@ -65,9 +65,9 @@ def forward_eval(
         return tape
     for node in graph.nodes:
         op = op_def(node.op)  # CapabilityError for registry-only ops
-        args = [tape.values[ref] for ref in node.inputs]
+        args = [tape.values[ref][None] for ref in node.inputs]
         try:
-            out = apply_forward(op, node.params, args, dtype)
+            out = apply_forward(op, node.params, args, dtype)[0, ...]
         except (ValueError, IndexError) as exc:
             raise EvaluationError(node.id, str(exc)) from exc
         expected = graph.shape_of(node.id)

@@ -77,7 +77,8 @@ def _cmd_gen_data(args) -> int:
     dataset = build_dataset(args.function, config)
     dataset_save(dataset, args.out)
     counts = dataset.class_counts()
-    print(f"{args.function}: {len(dataset)} samples, classes {counts} -> {args.out}")
+    print(f"{args.function}: {len(dataset)} of {config.target_size} samples, "
+          f"classes {counts} -> {args.out}")
     return 0
 
 

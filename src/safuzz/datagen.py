@@ -5,15 +5,26 @@ mutated step-wise (exponential, random, or sinusoidal step schedules, in both
 directions) until the oracle outcome flips. Each flip turns the trajectory
 into labeled samples: passing points are labeled with the direction that led
 to failure, failing points with "no change". Classes are balanced by
-down-sampling before a dataset ships.
+down-sampling before a dataset ships; running out of the generation budget
+short of the target size is logged as a warning.
+
+A trajectory is judged as one stack: all of its step budget's points are
+built at once (a running sum of the signed steps, or a clipped step per row
+under pixel bounds), one oracle call judges every row, and the trajectory is
+cut at its first flip. The points and verdicts equal those of mutating and
+judging one step at a time. The random schedule draws its whole budget from
+the generator up front; after a flip the generator is rewound and redraws
+only the steps taken, so every later draw is unchanged.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import logging
 import math
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,10 +35,12 @@ from safuzz.errors import (
     GenerationFailure,
     UsageError,
 )
-from safuzz.kernels import unit_operands
-from safuzz.oracles import OracleVerdict, run_oracles
+from safuzz.kernels import unit_operand_rows
+from safuzz.oracles import oracle_rows
 from safuzz.registry import Registry, default_registry
 from safuzz.tensor import Tensor
+
+log = logging.getLogger(__name__)
 
 FEATURE_LENGTHS = (9, 196, 784)
 
@@ -136,21 +149,58 @@ def generate_base_inputs(config: GenerationConfig, rng: np.random.Generator,
     return out
 
 
+@lru_cache(maxsize=64)
+def _schedule(method: str, rate: float, first: int, count: int) -> np.ndarray:
+    """exp(rate * k), or |sin(rate * k)|, for k = first, first + 1, ...
+
+    Shared between calls, so read-only. An exponential schedule ends before
+    its first step that overflows a double.
+    """
+    ks = range(first, first + count)
+    if method == "exponential":
+        sizes = []
+        try:
+            for k in ks:
+                sizes.append(math.exp(rate * k))
+        except OverflowError:
+            pass
+    else:
+        sizes = [abs(math.sin(rate * k)) for k in ks]
+    out = np.array(sizes, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+def step_sizes(mconfig: MutationConfig, rng: np.random.Generator, count: int,
+               first: int = 1) -> np.ndarray:
+    """Sizes of mutation steps first, first + 1, ..., count of them.
+
+    The random schedule draws one uniform [0, 1) sample per step from rng.
+    An exponential schedule ends before its first step that overflows a
+    double, so fewer than count sizes can come back.
+    """
+    if mconfig.method == "random":
+        return rng.uniform(0.0, 1.0, size=count) * mconfig.rate
+    sizes = _schedule(mconfig.method, mconfig.rate, first, count)
+    if mconfig.method == "exponential":
+        return sizes
+    return sizes * (mconfig.scale if mconfig.scale is not None else 1.0)
+
+
+def _overflow(step_index: int) -> OverflowError:
+    return OverflowError(f"exponential mutation step {step_index} overflows a double")
+
+
 def mutate_step(x: Tensor, step_index: int, mconfig: MutationConfig,
                 rng: np.random.Generator,
                 pixel_bounds: Optional[tuple[float, float]] = None) -> Tensor:
     if step_index < 1:
         raise UsageError("step_index starts at 1")
-    if mconfig.method == "exponential":
-        step = math.exp(mconfig.rate * step_index)
-    elif mconfig.method == "random":
-        step = float(rng.uniform(0.0, 1.0)) * mconfig.rate
-    else:
-        step = abs(math.sin(mconfig.rate * step_index)) * (
-            mconfig.scale if mconfig.scale is not None else 1.0
-        )
+    size = step_sizes(mconfig, rng, 1, first=step_index)
+    if not size.size:
+        raise _overflow(step_index)
     sign = 1.0 if mconfig.direction == "up" else -1.0
-    values = x.data.astype(np.float64) + sign * step
+    values = x.data.astype(np.float64) + sign * size[0]
     if pixel_bounds is not None:
         values = np.clip(values, *pixel_bounds)
     return Tensor(values)
@@ -164,70 +214,80 @@ def run_trajectory(kernel: str, base: Tensor, mconfig: MutationConfig,
                    rng: np.random.Generator,
                    registry: Optional[Registry] = None,
                    pixel_bounds: Optional[tuple[float, float]] = None,
-                   ) -> list[tuple[Tensor, OracleVerdict]]:
-    """Mutate until the oracle outcome flips or the step budget runs out."""
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Mutate until the oracle outcome flips or the step budget runs out.
+
+    Returns the points visited, base first, stacked as (n, *shape) float64,
+    and whether each passed the kernel's oracles; when the outcome flips,
+    the last point is the first whose outcome differs from the base's.
+    """
     reg = registry or default_registry()
+    rewind = rng.bit_generator.state if mconfig.method == "random" else None
+    steps = step_sizes(mconfig, rng, mconfig.max_steps)
+    if mconfig.direction == "down":
+        steps = -steps
 
-    def judge(x: Tensor) -> OracleVerdict:
-        return run_oracles(kernel, unit_operands(kernel, x), reg)
+    start = base.data.astype(np.float64)
+    points = np.empty((len(steps) + 1,) + start.shape)
+    points[0] = start
+    if pixel_bounds is None:
+        points[1:] = steps.reshape((-1,) + (1,) * start.ndim)
+        points = np.cumsum(points, axis=0)  # sequential adds: x_k = x_{k-1} + step_k
+    else:
+        for k, step in enumerate(steps, 1):
+            points[k] = np.clip(points[k - 1] + step, *pixel_bounds)
 
-    points = [(base, judge(base))]
-    base_passed = points[0][1].passed
-    x = base
-    for k in range(1, mconfig.max_steps + 1):
-        x = mutate_step(x, k, mconfig, rng, pixel_bounds)
-        verdict = judge(x)
-        points.append((x, verdict))
-        if verdict.passed != base_passed:
-            break
-    return points
-
-
-def _infer_direction(trajectory: Sequence[tuple[Tensor, OracleVerdict]]) -> Optional[str]:
-    first = trajectory[0][0].elements.astype(np.float64)
-    for x, _ in trajectory[1:]:
-        delta = float(np.sum(x.elements.astype(np.float64) - first))
-        if delta > 0:
-            return "up"
-        if delta < 0:
-            return "down"
-    return None
+    passed = oracle_rows(kernel, unit_operand_rows(kernel, points), reg).passed
+    flips = np.flatnonzero(passed != passed[0])
+    end = int(flips[0]) + 1 if flips.size else len(points)
+    if end == len(points) and len(steps) < mconfig.max_steps:
+        raise _overflow(end)  # the walk reached the overflowing step
+    if rewind is not None and end < len(points):
+        rng.bit_generator.state = rewind
+        rng.uniform(0.0, 1.0, size=end - 1)
+    return points[:end], passed[:end]
 
 
-def derive_labels(trajectory: Sequence[tuple[Tensor, OracleVerdict]]
-                  ) -> list[LabeledSample]:
-    """Turn a flipped trajectory into labeled samples.
+def _infer_direction(points: np.ndarray) -> Optional[str]:
+    rows = points.reshape(len(points), -1)
+    deltas = (rows[1:] - rows[0]).sum(axis=1)
+    moved = np.flatnonzero((deltas > 0) | (deltas < 0))  # a NaN delta moves nowhere
+    if not moved.size:
+        return None
+    return "up" if deltas[moved[0]] > 0 else "down"
+
+
+def derive_labels(points: np.ndarray, passed: np.ndarray) -> list[LabeledSample]:
+    """Turn a flipped trajectory, given as run_trajectory returns it, into
+    labeled samples.
 
     Passing points are labeled with the mutation direction that triggered the
     failure; failing points are labeled no-change. When the mutation moved
     fail -> success, the successful endpoint gets the reverse direction.
     An unflipped trajectory produces no samples (the caller retries).
     """
-    if len(trajectory) < 2:
+    if len(points) < 2:
         raise UsageError("a trajectory needs at least two points")
-    base_passed = trajectory[0][1].passed
-    flip = None
-    for i, (_, verdict) in enumerate(trajectory):
-        if verdict.passed != base_passed:
-            flip = i
-            break
-    if flip is None:
+    flips = np.flatnonzero(passed != passed[0])
+    if not flips.size:
         return []
-    direction = _infer_direction(trajectory[: flip + 1])
+    flip = int(flips[0])
+    direction = _infer_direction(points[: flip + 1])
     if direction is None:
         return []
+    base_passed = bool(passed[0])
     toward = Signal.INCREASE if direction == "up" else Signal.DECREASE
     reverse = Signal.DECREASE if direction == "up" else Signal.INCREASE
+    feats = points[: flip + 1].reshape(flip + 1, -1).astype(np.float64)
     samples = []
-    for i, (x, verdict) in enumerate(trajectory[: flip + 1]):
-        feats = x.elements.astype(np.float64).copy()
-        if not verdict.passed:
-            samples.append(LabeledSample(feats, Signal.NO_CHANGE))
+    for row, ok in zip(feats, passed[: flip + 1].tolist()):
+        if not ok:
+            samples.append(LabeledSample(row, Signal.NO_CHANGE))
         elif base_passed:
-            samples.append(LabeledSample(feats, toward))
+            samples.append(LabeledSample(row, toward))
         else:
-            # i == flip: the input that escaped the failure region
-            samples.append(LabeledSample(feats, reverse))
+            # the flip: the input that escaped the failure region
+            samples.append(LabeledSample(row, reverse))
     return samples
 
 
@@ -250,7 +310,8 @@ def featurize(x: Tensor, feature_len: int) -> np.ndarray:
 
 def apply_scaling(features: np.ndarray, scaling: dict) -> np.ndarray:
     """Replay a dataset's recorded preprocessing on a feature vector/matrix."""
-    out = features * float(scaling.get("scale", 1.0)) + float(scaling.get("offset", 0.0))
+    out = features * float(scaling.get("scale", 1.0))
+    out += float(scaling.get("offset", 0.0))  # in place: one array the size of features
     zero_eps = scaling.get("zero_epsilon")
     if zero_eps:
         out = np.where(out == 0.0, float(zero_eps), out)
@@ -347,12 +408,14 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
             if mc.method == "sinusoidal" and mc.scale is None:
                 amp = float(np.max(np.abs(base.elements))) or 1.0
                 mc = MutationConfig(mc.method, mc.rate, mc.max_steps, mc.direction, amp)
-            trajectory = run_trajectory(kernel, base, mc, rng, reg, gconfig.pixel_bounds)
-            samples = derive_labels(trajectory) if len(trajectory) >= 2 else []
-            if samples:
-                flips_seen += 1
+            points, passed = run_trajectory(kernel, base, mc, rng, reg, gconfig.pixel_bounds)
+            samples = derive_labels(points, passed)
+            if not samples:
+                continue
+            flips_seen += 1
+            # one block per trajectory: a view per sample would cost more than its row
+            feats_acc.append(np.stack([s.features for s in samples]))
             for s in samples:
-                feats_acc.append(s.features)
                 labels_acc.append(int(s.label))
                 counts[int(s.label)] = counts.get(int(s.label), 0) + 1
 
@@ -375,14 +438,11 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
 
     if not labels_acc:
         raise GenerationFailure(kernel, "no labeled samples produced")
-    features = np.asarray(feats_acc, dtype=np.float64)
-    labels = np.asarray(labels_acc, dtype=np.int8)
-
     dataset = Dataset(
         kernel=kernel,
         shape=tuple(gconfig.shape),
-        features=features,
-        labels=labels,
+        features=np.concatenate(feats_acc),
+        labels=np.asarray(labels_acc, dtype=np.int8),
         config={
             "n_base": gconfig.n_base,
             "regions": [list(r) for r in regions],
@@ -393,6 +453,7 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
             "target_size": gconfig.target_size,
         },
     )
+    feats_acc.clear()  # copied into the dataset; peak memory is a few copies of it
     zero_eps = spec.generation.zero_epsilon if spec.generation else None
     dataset = preprocess_scale(dataset, epsilon=zero_eps)
     balanced_feats, balanced_labels = _balance(dataset.features, dataset.labels,
@@ -406,6 +467,10 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
             f"class counts {final_counts} below the 100-sample floor after "
             f"exhausting the generation budget",
         )
+    if _balanced_total(counts) < gconfig.target_size:
+        # the budget ran out; balancing's rounding alone loses < 1 sample per class
+        log.warning("%s: generation budget exhausted at %d of the %d samples targeted",
+                    kernel, len(dataset), gconfig.target_size)
     return dataset
 
 

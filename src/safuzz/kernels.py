@@ -5,8 +5,14 @@ triggering those fragilities is the point. Forwards preserve the dtype they
 are handed (float32 or float64) so single-precision rounding is real, never
 simulated. Gradients (vector-Jacobian products) always run in float64.
 
-Reductions (softmax, mean, cosine similarity, ...) operate over all elements
-of their operand, treating the tensor as one flat vector.
+Forwards and the stable counterparts take a leading batch axis: each operand
+is a stack shaped (B, *shape), one row per sample, and the result is stacked
+the same way. A row's result does not depend on the other rows, and bit for
+bit equals the same computation on that sample alone. Reductions (softmax,
+mean, cosine similarity, ...) run over all non-batch axes of a row, treating
+each sample as one flat vector. An operand whose batch axis has length 1
+broadcasts against the others (a fixed unit-test operand). Gradients stay
+per sample, without a batch axis.
 """
 
 from __future__ import annotations
@@ -19,16 +25,13 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from safuzz.errors import CapabilityError, OracleUnavailable
+from safuzz.errors import CapabilityError
 from safuzz.tensor import Precision, Tensor
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1)
-
-
-def _scalar(value, dtype) -> np.ndarray:
-    return np.asarray(value, dtype=dtype)
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Each sample of a stack as one flat row: (B, *shape) -> (B, size)."""
+    return a.reshape(len(a), -1)
 
 
 def _param_array(params: dict, key: str, dtype) -> np.ndarray:
@@ -52,11 +55,11 @@ def _fw_scale(params, a):
 
 
 def _fw_constant(params, *_):
-    return np.asarray(params["value"])
+    return np.asarray(params["value"])[None]
 
 
 def _fw_reshape(params, a):
-    return a.reshape(tuple(params["shape"]))
+    return a.reshape((len(a),) + tuple(params["shape"]))
 
 
 def _fw_exp(params, a):
@@ -123,21 +126,21 @@ def _fw_sinh(params, a):
 
 
 def _fw_softmax(params, a):
-    e = np.exp(_flat(a))
-    return (e / e.sum()).reshape(a.shape)
+    e = np.exp(_rows(a))
+    return (e / e.sum(axis=1, keepdims=True)).reshape(a.shape)
 
 
 def _fw_logsoftmax(params, a):
-    e = np.exp(_flat(a))
-    return np.log(e / e.sum()).reshape(a.shape)
+    e = np.exp(_rows(a))
+    return np.log(e / e.sum(axis=1, keepdims=True)).reshape(a.shape)
 
 
 def _fw_mean(params, a):
-    return _scalar(_flat(a).mean(), a.dtype)
+    return _rows(a).mean(axis=1)
 
 
 def _fw_sum(params, a):
-    return _scalar(_flat(a).sum(), a.dtype)
+    return _rows(a).sum(axis=1)
 
 
 def _fw_div(params, a, b):
@@ -151,79 +154,102 @@ def _fw_matmul(params, a, b):
 def _fw_linear(params, a):
     w = _param_array(params, "weight", a.dtype)
     b = _param_array(params, "bias", a.dtype)
+    if a.ndim == 2:
+        # a vector sample stays a vector-matrix product (the same BLAS call
+        # as for one sample); a (B, n) @ (n, n) product would round differently
+        return np.matmul(a[:, None, :], w)[:, 0, :] + b
     return a @ w + b
 
 
 def _fw_conv2d(params, a):
     k = _param_array(params, "kernel", a.dtype)
     kh, kw = k.shape
-    oh, ow = a.shape[0] - kh + 1, a.shape[1] - kw + 1
-    out = np.zeros((oh, ow), dtype=a.dtype)
+    oh, ow = a.shape[1] - kh + 1, a.shape[2] - kw + 1
+    out = np.zeros((len(a), oh, ow), dtype=a.dtype)
     for i in range(kh):
         for j in range(kw):
-            out += k[i, j] * a[i : i + oh, j : j + ow]
+            out += k[i, j] * a[:, i : i + oh, j : j + ow]
     return out
 
 
 def _fw_cross_entropy(params, a):
     t = _param_array(params, "target", a.dtype)
-    return _scalar(-(_flat(t) * np.log(_flat(a))).sum(), a.dtype)
+    return -(t.reshape(-1) * np.log(_rows(a))).sum(axis=1)
 
 
 def _fw_cosine(params, a, b):
     # clamped variant: norms below eps are replaced by eps (the unstable
     # behaviour this kernel exists to expose)
     eps = a.dtype.type(params.get("eps", 1e-8))
-    af, bf = _flat(a), _flat(b)
-    na = np.sqrt((af * af).sum())
-    nb = np.sqrt((bf * bf).sum())
+    af, bf = _rows(a), _rows(b)
+    na = np.sqrt((af * af).sum(axis=1))
+    nb = np.sqrt((bf * bf).sum(axis=1))
     denom = np.maximum(na, eps) * np.maximum(nb, eps)
-    return _scalar((af * bf).sum() / denom, a.dtype)
+    return (af * bf).sum(axis=1) / denom
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of matching rows of two (B, n) stacks, as one BLAS dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def cosine_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unclamped cosine similarity with high-precision norms (float64)."""
-    af = _flat(a).astype(np.float64)
-    bf = _flat(b).astype(np.float64)
-    return np.asarray((af @ bf) / (np.linalg.norm(af) * np.linalg.norm(bf)))
+    af = _rows(a).astype(np.float64)
+    bf = _rows(b).astype(np.float64)
+    na = np.sqrt(_row_dot(af, af))
+    nb = np.sqrt(_row_dot(bf, bf))
+    return _row_dot(af, bf) / (na * nb)
 
 
 def _fw_remainder(params, a):
     return np.remainder(a, a.dtype.type(params.get("modulus", 53.0)))
 
 
+def _swap_pivot_rows(m: np.ndarray, col: int) -> np.ndarray:
+    """Partial pivoting on a stack of matrices: move each matrix's largest
+    |entry| at or below the diagonal of column col into row col. Returns the
+    mask of matrices whose rows were swapped."""
+    rows = np.arange(len(m))
+    piv = col + np.argmax(np.abs(m[:, col:, col]), axis=1)
+    top = m[:, col].copy()
+    m[:, col] = m[rows, piv]
+    m[rows, piv] = top
+    return piv != col
+
+
 def gauss_inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse by Gaussian elimination with partial pivoting.
+    """Matrix inverse by Gaussian elimination with partial pivoting, per
+    matrix of a (B, n, n) stack.
 
     Near-singular input silently produces inf/nan rows instead of raising;
     instability here is data for the oracles.
     """
-    n = a.shape[0]
-    aug = np.concatenate([a.copy(), np.eye(n, dtype=a.dtype)], axis=1)
+    n = a.shape[1]
+    eye = np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape)
+    aug = np.concatenate([a, eye], axis=2)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] / aug[col, col]
+        _swap_pivot_rows(aug, col)
+        aug[:, col] = aug[:, col] / aug[:, col, col, None]
         for r in range(n):
             if r != col:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
-    return np.ascontiguousarray(aug[:, n:])
+                aug[:, r] = aug[:, r] - aug[:, r, col, None] * aug[:, col]
+    return np.ascontiguousarray(aug[:, :, n:])
 
 
 def gauss_determinant(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
+    """Determinant by Gaussian elimination with partial pivoting, per matrix
+    of a (B, n, n) stack."""
+    n = a.shape[1]
     m = a.copy()
-    det = a.dtype.type(1.0)
+    det = np.ones(len(a), dtype=a.dtype)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            det = -det
-        det = det * m[col, col]
+        det = np.where(_swap_pivot_rows(m, col), -det, det)
+        det = det * m[:, col, col]
         for r in range(col + 1, n):
-            m[r, col:] = m[r, col:] - (m[r, col] / m[col, col]) * m[col, col:]
-    return np.asarray(det, dtype=a.dtype)
+            factor = m[:, r, col] / m[:, col, col]
+            m[:, r, col:] = m[:, r, col:] - factor[:, None] * m[:, col, col:]
+    return det
 
 
 def _fw_inverse(params, a):
@@ -239,55 +265,63 @@ def _fw_determinant(params, a):
 # ---------------------------------------------------------------------------
 
 def stable_softmax(a: np.ndarray) -> np.ndarray:
-    f = _flat(a)
-    e = np.exp(f - f.max())
-    return (e / e.sum()).reshape(a.shape)
+    f = _rows(a)
+    e = np.exp(f - f.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)).reshape(a.shape)
 
 
 def stable_logsoftmax(a: np.ndarray) -> np.ndarray:
-    f = _flat(a)
-    shifted = f - f.max()
-    return (shifted - np.log(np.exp(shifted).sum())).reshape(a.shape)
+    f = _rows(a)
+    shifted = f - f.max(axis=1, keepdims=True)
+    return (shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))).reshape(a.shape)
 
 
 def stable_softplus(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, a.dtype.type(0.0)) + np.log1p(np.exp(-np.abs(a)))
 
 
-def cholesky_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky.
+def _spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a (B, n, n) stack, in float64, and the mask
+    of the matrices inside the symmetric positive-definite domain.
 
-    Raises OracleUnavailable when the input is outside the SPD domain.
+    A matrix is inside when it is finite, symmetric to a relative tolerance
+    of 1e-8 and positive definite; the factor of a matrix outside is NaN.
+    Outside the domain the stable counterparts cannot judge, so the oracles
+    skip those rows.
     """
     a = a.astype(np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise OracleUnavailable("square matrix required")
-    if not np.all(np.isfinite(a)) or not np.allclose(a, a.T, rtol=1e-8, atol=0.0):
-        raise OracleUnavailable("symmetric matrix required")
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise OracleUnavailable("matrix is not positive definite") from exc
-    n = a.shape[0]
+    low = np.full(a.shape, np.nan)
+    at = a.swapaxes(1, 2)
+    with np.errstate(invalid="ignore"):
+        inside = (np.isfinite(a).all(axis=(1, 2))
+                  & (np.abs(a - at) <= 1e-8 * np.abs(at)).all(axis=(1, 2)))
+    for i in np.flatnonzero(inside):
+        try:
+            low[i] = np.linalg.cholesky(a[i])
+        except np.linalg.LinAlgError:
+            inside[i] = False
+    return low, inside
+
+
+def cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each matrix of a (B, n, n) stack via Cholesky, and the
+    domain mask of _spd_cholesky; matrices outside the domain give NaN."""
+    low, inside = _spd_cholesky(a)
+    n = low.shape[-1]
     linv = np.zeros_like(low)
     for i in range(n):
-        linv[i, i] = 1.0 / low[i, i]
+        linv[:, i, i] = 1.0 / low[:, i, i]
         for j in range(i):
-            linv[i, j] = -(low[i, j:i] @ linv[j:i, j]) / low[i, i]
-    return linv.T @ linv
+            linv[:, i, j] = -_row_dot(low[:, i, j:i], linv[:, j:i, j]) / low[:, i, i]
+    return np.matmul(linv.swapaxes(1, 2), linv), inside
 
 
-def cholesky_determinant(a: np.ndarray) -> np.ndarray:
-    a = a.astype(np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise OracleUnavailable("square matrix required")
-    if not np.all(np.isfinite(a)) or not np.allclose(a, a.T, rtol=1e-8, atol=0.0):
-        raise OracleUnavailable("symmetric matrix required")
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise OracleUnavailable("matrix is not positive definite") from exc
-    return np.asarray(np.prod(np.diag(low)) ** 2)
+def cholesky_determinant(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinant of each matrix of a (B, n, n) stack via Cholesky, and the
+    domain mask of _spd_cholesky; matrices outside the domain give NaN."""
+    low, inside = _spd_cholesky(a)
+    # float_power rounds like the scalar `**` of a single product
+    return np.float_power(np.prod(np.diagonal(low, axis1=1, axis2=2), axis=1), 2), inside
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +418,14 @@ def _vjp_sinh(params, g, xs, y):
 
 
 def _vjp_softmax(params, g, xs, y):
-    s = _flat(stable_softmax(xs[0]))
-    gf = _flat(g)
+    s = stable_softmax(xs[0][None]).reshape(-1)
+    gf = g.reshape(-1)
     return ((s * (gf - (gf * s).sum())).reshape(xs[0].shape),)
 
 
 def _vjp_logsoftmax(params, g, xs, y):
-    s = _flat(stable_softmax(xs[0]))
-    gf = _flat(g)
+    s = stable_softmax(xs[0][None]).reshape(-1)
+    gf = g.reshape(-1)
     return ((gf - s * gf.sum()).reshape(xs[0].shape),)
 
 
@@ -438,7 +472,7 @@ def _vjp_cross_entropy(params, g, xs, y):
 
 def _vjp_cosine(params, g, xs, y):
     eps = float(params.get("eps", 1e-8))
-    a, b = _flat(xs[0]), _flat(xs[1])
+    a, b = xs[0].reshape(-1), xs[1].reshape(-1)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     ca, cb = max(na, eps), max(nb, eps)
     denom = ca * cb
@@ -457,13 +491,13 @@ def _vjp_remainder(params, g, xs, y):
 
 
 def _vjp_inverse(params, g, xs, y):
-    inv = gauss_inverse(xs[0])
+    inv = gauss_inverse(xs[0][None])[0]
     return (-inv.T @ g @ inv.T,)
 
 
 def _vjp_determinant(params, g, xs, y):
-    det = gauss_determinant(xs[0])
-    inv = gauss_inverse(xs[0])
+    det = gauss_determinant(xs[0][None])[0]
+    inv = gauss_inverse(xs[0][None])[0]
     return (float(g) * float(det) * inv.T,)
 
 
@@ -618,6 +652,9 @@ def op_def(name: str) -> OpDef:
 
 
 def apply_forward(op: OpDef, params: dict, args: Sequence[np.ndarray], dtype) -> np.ndarray:
+    """The one way to run a forward: operands of dtype stacked as
+    (B, *shape), result stacked the same way. Floating-point faults are data
+    here, not warnings."""
     with np.errstate(all="ignore"):
         out = op.forward(params or {}, *args)
     return np.asarray(out, dtype=dtype)
@@ -681,14 +718,21 @@ def _unit_aux(name: str, shape: tuple[int, ...], precision: Precision) -> Tensor
     raise CapabilityError(f"no unit-test operand binding for '{name}'")
 
 
-def unit_operands(name: str, x: Tensor) -> list[Tensor]:
-    """Bind the mutable unit-test tensor into the kernel's operand list.
+def unit_operand_rows(name: str, xs: np.ndarray) -> list[np.ndarray]:
+    """Bind a (B, *shape) stack of mutable unit-test tensors into the
+    kernel's stacked operand list.
 
-    The primary operand is x itself; auxiliary operands are fixed, seeded
-    per kernel name so unit testing is reproducible.
+    The primary operand is the stack itself; auxiliary operands are fixed,
+    seeded per kernel name so unit testing is reproducible, and join as one
+    row that broadcasts against the stack.
     """
     op = op_def(name)
     if op.arity == 1:
-        return [x]
-    aux = _unit_aux(name, x.shape, x.precision)
-    return [aux, x] if op.primary == 1 else [x, aux]
+        return [xs]
+    aux = _unit_aux(name, xs.shape[1:], Precision.of_dtype(xs.dtype)).data[None]
+    return [aux, xs] if op.primary == 1 else [xs, aux]
+
+
+def unit_operands(name: str, x: Tensor) -> list[Tensor]:
+    """unit_operand_rows for one unit-test tensor."""
+    return [Tensor(a[0]) for a in unit_operand_rows(name, x.data[None])]

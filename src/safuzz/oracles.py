@@ -9,8 +9,10 @@ Six families decide whether a kernel execution failed:
 5. consistency with an independent reference implementation,
 6. re-execution at increased floating-point width.
 
-run_oracles applies a kernel's bound oracles in registry order and returns
-the first failure.
+Every check runs over a stack of executions, one row per sample, and judges
+each row on its own. oracle_rows applies a kernel's bound oracles in registry
+order and reports, for each row, the first failing oracle and its detail;
+run_oracles judges a single execution as a stack of one.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from safuzz.errors import CapabilityError, OracleUnavailable
 from safuzz.kernels import (
+    KERNEL_OPS,
+    apply_forward,
     cholesky_determinant,
     cholesky_inverse,
     cosine_reference,
@@ -68,173 +73,207 @@ class OracleVerdict:
 PASS = OracleVerdict(passed=True)
 
 
-def _eval_kernel(name: str, inputs: Sequence[Tensor], precision: Precision,
-                 params: dict) -> np.ndarray:
-    op = op_def(name)
-    dtype = precision.dtype
-    with np.errstate(all="ignore"):
-        args = [t.data.astype(dtype) for t in inputs]
-        out = op.forward(params, *args)
-    return np.asarray(out, dtype=dtype)
+class _CheckRows(NamedTuple):
+    """One oracle's outcome over a stack of executions.
+
+    passed marks the rows the oracle does not fail; judged, when set, marks
+    the rows inside the oracle's domain (None: every row), and a row outside
+    it passes. describe(row) renders the detail of a failed row.
+    """
+
+    failure_class: FailureClass
+    passed: np.ndarray
+    describe: Callable[[int], str]
+    judged: Optional[np.ndarray] = None
+
+    def verdict(self, row: int) -> OracleVerdict:
+        if self.passed[row]:
+            return PASS
+        return OracleVerdict(False, self.failure_class, self.describe(row))
+
+
+def _cast(inputs: Sequence[np.ndarray], dtype) -> Sequence[np.ndarray]:
+    for x in inputs:
+        if x.dtype != dtype:
+            break
+    else:
+        return inputs
+    with np.errstate(all="ignore"):  # a value beyond float32 range becomes inf: data
+        return [x.astype(dtype) for x in inputs]
 
 
 def _first_true(mask: np.ndarray) -> int:
-    return int(np.argmax(mask.reshape(-1)))
+    return int(np.argmax(mask))
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).reshape(len(a), -1)
 
 
 def _compare(a: np.ndarray, b: np.ndarray, tolerance: float,
-             relative: bool = False) -> Optional[str]:
-    """Return a mismatch description, or None when a and b agree.
+             relative: bool = False) -> tuple[np.ndarray, Callable[[int], str]]:
+    """The rows where two stacks agree, and the description of the first
+    mismatch in a row where they do not.
 
     Non-finite values agree only when both sides are NaN or infinities of the
-    same sign; otherwise they count as a mismatch regardless of tolerance.
+    same sign; otherwise they count as a mismatch regardless of tolerance,
+    and are reported before any finite difference beyond tolerance. For a
+    finite, non-negative tolerance that is: an element agrees when its
+    difference is within tolerance (never true of a difference involving
+    inf or NaN), or both sides are equal or both NaN.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    both_nan = np.isnan(a) & np.isnan(b)
-    both_inf = np.isinf(a) & np.isinf(b) & (np.sign(a) == np.sign(b))
-    finite = np.isfinite(a) & np.isfinite(b)
-    bad_nonfinite = ~finite & ~(both_nan | both_inf)
-    if bad_nonfinite.any():
-        i = _first_true(bad_nonfinite)
-        return f"element {i}: {a[i]!r} vs {b[i]!r}"
+    a, b = _as_rows(a), _as_rows(b)
     with np.errstate(all="ignore"):
         diff = np.abs(a - b)
         if relative:
             diff = diff / np.maximum(1.0, np.abs(b))
-    exceeded = finite & (diff > tolerance)
-    if exceeded.any():
-        i = _first_true(exceeded)
-        return f"element {i}: {a[i]!r} vs {b[i]!r} (delta {diff[i]:.3e} > {tolerance:.1e})"
-    return None
+        agree = (diff <= tolerance) | (a == b) | (np.isnan(a) & np.isnan(b))
+
+    def describe(row: int) -> str:
+        off = ~agree[row]
+        finite = np.isfinite(a[row]) & np.isfinite(b[row])
+        off_nonfinite = off & ~finite
+        i = _first_true(off_nonfinite if np.count_nonzero(off_nonfinite) else off)
+        detail = f"element {i}: {a[row, i]!r} vs {b[row, i]!r}"
+        if finite[i]:
+            detail += f" (delta {diff[row, i]:.3e} > {tolerance:.1e})"
+        return detail
+
+    return agree.all(axis=1), describe
 
 
 # ---------------------------------------------------------------------------
 # oracle type 1: NaN/inf detection
 # ---------------------------------------------------------------------------
 
+def _nan_inf_rows(output: np.ndarray) -> _CheckRows:
+    values = output.reshape(len(output), -1)
+
+    def describe(row: int) -> str:
+        i = _first_true(~np.isfinite(values[row]))
+        return f"element {i} is {values[row, i]!r}"
+
+    return _CheckRows(FailureClass.NAN_OR_INF, np.isfinite(values).all(axis=1), describe)
+
+
 def check_nan_inf(output: Tensor) -> OracleVerdict:
-    values = output.elements
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = _first_true(bad)
-        return OracleVerdict(False, FailureClass.NAN_OR_INF,
-                             f"element {i} is {values[i]!r}")
-    return PASS
+    return _nan_inf_rows(output.data[None]).verdict(0)
 
 
 # ---------------------------------------------------------------------------
 # oracle type 2: out-of-range check
 # ---------------------------------------------------------------------------
 
-def check_range(output: Tensor, lo: float, hi: float) -> OracleVerdict:
+def _range_rows(output: np.ndarray, lo: float, hi: float) -> _CheckRows:
     if not lo < hi:
         raise ValueError("range oracle requires lo < hi")
-    values = output.elements.astype(np.float64)
-    bad = ~((values >= lo) & (values <= hi))  # NaN also lands here
-    if bad.any():
-        i = _first_true(bad)
-        return OracleVerdict(False, FailureClass.OUT_OF_RANGE,
-                             f"element {i} = {values[i]!r} outside [{lo}, {hi}]")
-    return PASS
+    values = _as_rows(output)
+    inside = (values >= lo) & (values <= hi)  # NaN lands outside
+
+    def describe(row: int) -> str:
+        i = _first_true(~inside[row])
+        return f"element {i} = {values[row, i]!r} outside [{lo}, {hi}]"
+
+    return _CheckRows(FailureClass.OUT_OF_RANGE, inside.all(axis=1), describe)
+
+
+def check_range(output: Tensor, lo: float, hi: float) -> OracleVerdict:
+    return _range_rows(output.data[None], lo, hi).verdict(0)
 
 
 # ---------------------------------------------------------------------------
 # oracle type 3: math formula rewriting
 # ---------------------------------------------------------------------------
 
-def _rw_logsoftmax(arrays):
-    x = arrays[0]
-    e = np.exp(x.reshape(-1))
-    return np.log(e / e.sum()).reshape(x.shape)
+def _packed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # each row packs (x, m, y) as its first three elements
+    rows = x.reshape(len(x), -1)
+    return rows[:, 0], rows[:, 1], rows[:, 2]
 
 
-def _rw_logsoftmax_stable(arrays):
-    return stable_logsoftmax(arrays[0])
-
-
-def _rw_softplus(arrays):
-    x = arrays[0]
-    return np.log(x.dtype.type(1.0) + np.exp(x))
-
-
-def _rw_softplus_stable(arrays):
-    return stable_softplus(arrays[0])
-
-
-def _rw_sqrt_ratio(arrays):
-    x = arrays[0]
+def _rw_sqrt_ratio(x):
     return x / (np.sqrt(x) * np.sqrt(x))
 
 
-def _rw_sqrt_ratio_stable(arrays):
-    x = arrays[0]
+def _rw_sqrt_ratio_stable(x):
     return x / np.sqrt(x * x)
 
 
-def _rw_shifted_log(arrays):
-    # operand packs (x, m, y) as a 3-element tensor
-    x, m, y = arrays[0].reshape(-1)[:3]
-    return np.asarray(x - (m + np.log(y)), dtype=arrays[0].dtype)
+def _rw_shifted_log(x):
+    v, m, y = _packed(x)
+    return v - (m + np.log(y))
 
 
-def _rw_shifted_log_stable(arrays):
-    x, m, y = arrays[0].reshape(-1)[:3]
-    return np.asarray((x - m) - np.log(y), dtype=arrays[0].dtype)
+def _rw_shifted_log_stable(x):
+    v, m, y = _packed(x)
+    return (v - m) - np.log(y)
 
 
+# name -> (original form, rewritten stable form), each over a stacked operand;
+# a kernel's original form is its own forward
 REWRITES: dict[str, tuple[Callable, Callable]] = {
-    "logSoftmax": (_rw_logsoftmax, _rw_logsoftmax_stable),
-    "SoftPlus": (_rw_softplus, _rw_softplus_stable),
+    "logSoftmax": (partial(KERNEL_OPS["logSoftmax"].forward, {}), stable_logsoftmax),
+    "SoftPlus": (partial(KERNEL_OPS["SoftPlus"].forward, {}), stable_softplus),
     "sqrt_ratio": (_rw_sqrt_ratio, _rw_sqrt_ratio_stable),
     "shifted_log_diff": (_rw_shifted_log, _rw_shifted_log_stable),
 }
 
 
-def check_rewrite(name: str, inputs: Sequence[Tensor], tolerance: float = 1e-6,
-                  precision: Precision = Precision.SINGLE) -> OracleVerdict:
+def _rewrite_rows(name: str, x: np.ndarray, tolerance: float, dtype) -> _CheckRows:
     if name not in REWRITES:
         raise CapabilityError(f"no rewritten stable form registered for '{name}'")
     original, rewritten = REWRITES[name]
-    arrays = [t.data.astype(precision.dtype) for t in inputs]
+    (x,) = _cast([x], dtype)
     with np.errstate(all="ignore"):
-        a = original(arrays)
-        b = rewritten(arrays)
-    mismatch = _compare(a, b, tolerance)
-    if mismatch:
-        return OracleVerdict(False, FailureClass.REWRITE_MISMATCH, mismatch)
-    return PASS
+        a = original(x)
+        b = rewritten(x)
+    return _CheckRows(FailureClass.REWRITE_MISMATCH, *_compare(a, b, tolerance))
+
+
+def check_rewrite(name: str, inputs: Sequence[Tensor], tolerance: float = 1e-6,
+                  precision: Precision = Precision.SINGLE) -> OracleVerdict:
+    return _rewrite_rows(name, inputs[0].data[None], tolerance, precision.dtype).verdict(0)
 
 
 # ---------------------------------------------------------------------------
 # oracle type 4: stable algorithm implementation
 # ---------------------------------------------------------------------------
 
+# name -> (unstable algorithm, stable counterpart returning (values, domain mask))
 STABLE_ALGORITHMS: dict[str, tuple[Callable, Callable]] = {
     "inverse": (gauss_inverse, cholesky_inverse),
     "determinant": (gauss_determinant, cholesky_determinant),
 }
 
 
-def check_stable_algorithm(name: str, inputs: Sequence[Tensor],
-                           tolerance: float = 1e-6) -> OracleVerdict:
+def _stable_algorithm_rows(name: str, x: np.ndarray, tolerance: float) -> _CheckRows:
     """Compare the unstable algorithm with its stable counterpart, both in
     double precision so the difference isolates the algorithm, not rounding.
-
-    Raises OracleUnavailable when the stable counterpart's domain (SPD
-    matrices for Cholesky) is violated.
+    Rows outside the stable counterpart's domain (SPD matrices for Cholesky)
+    are not judged.
     """
     if name not in STABLE_ALGORITHMS:
         raise CapabilityError(f"no stable counterpart registered for '{name}'")
     unstable, stable = STABLE_ALGORITHMS[name]
-    arrays = [t.data.astype(np.float64) for t in inputs]
-    b = stable(arrays[0])  # raises OracleUnavailable outside its domain
+    x = x.astype(np.float64)
+    if x.ndim != 3 or x.shape[1] != x.shape[2]:  # neither algorithm takes it
+        judged = np.zeros(len(x), dtype=bool)
+        return _CheckRows(FailureClass.STABLE_ALGO_MISMATCH, ~judged, str, judged)
     with np.errstate(all="ignore"):
-        a = unstable(arrays[0])
-    mismatch = _compare(a, b, tolerance)
-    if mismatch:
-        return OracleVerdict(False, FailureClass.STABLE_ALGO_MISMATCH, mismatch)
-    return PASS
+        b, inside = stable(x)
+        a = unstable(x)
+    agree, describe = _compare(a, b, tolerance)
+    return _CheckRows(FailureClass.STABLE_ALGO_MISMATCH, agree | ~inside, describe, inside)
+
+
+def check_stable_algorithm(name: str, inputs: Sequence[Tensor],
+                           tolerance: float = 1e-6) -> OracleVerdict:
+    """Raises OracleUnavailable when the input lies outside the stable
+    counterpart's domain."""
+    rows = _stable_algorithm_rows(name, inputs[0].data[None], tolerance)
+    if not rows.judged[0]:
+        raise OracleUnavailable("matrix outside the symmetric positive-definite domain")
+    return rows.verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +285,26 @@ REFERENCES: dict[str, Callable] = {
 }
 
 
-def check_reference_consistency(name: str, inputs: Sequence[Tensor],
-                                tolerance: float = 1e-6,
-                                registry: Optional[Registry] = None) -> OracleVerdict:
+def _reference_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
+                    tolerance: float) -> _CheckRows:
     """Compare the kernel with its independent reference, both in double
     precision: when no unstable branch (e.g. norm clamping) engages, the two
     agree exactly, so tolerance only absorbs representational noise.
     """
     if name not in REFERENCES:
         raise CapabilityError(f"no reference implementation registered for '{name}'")
-    reg = registry or default_registry()
-    spec = reg.get(name)
-    params = resolved_params(spec, inputs[spec.primary_operand].shape)
-    a = _eval_kernel(name, inputs, Precision.DOUBLE, params)
+    wide = _cast(inputs, np.float64)
+    a = apply_forward(op_def(name), params, wide, np.float64)
     with np.errstate(all="ignore"):
-        b = REFERENCES[name](*[t.data.astype(np.float64) for t in inputs])
-    mismatch = _compare(a, b, tolerance)
-    if mismatch:
-        return OracleVerdict(False, FailureClass.REFERENCE_MISMATCH, mismatch)
-    return PASS
+        b = REFERENCES[name](*wide)
+    return _CheckRows(FailureClass.REFERENCE_MISMATCH, *_compare(a, b, tolerance))
+
+
+def check_reference_consistency(name: str, inputs: Sequence[Tensor],
+                                tolerance: float = 1e-6,
+                                registry: Optional[Registry] = None) -> OracleVerdict:
+    params = _params_of(name, inputs, registry)
+    return _reference_rows(name, params, _stacked(inputs), tolerance).verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,72 +314,123 @@ def check_reference_consistency(name: str, inputs: Sequence[Tensor],
 INTEGER_VALUED = {"remainder"}
 
 
+def _width_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
+                tolerance: float) -> _CheckRows:
+    op = op_def(name)
+    single = apply_forward(op, params, _cast(inputs, np.float32), np.float32)
+    double = apply_forward(op, params, _cast(inputs, np.float64), np.float64)
+    if name in INTEGER_VALUED:
+        # round the wide result to the comparison scale before differencing
+        found = _compare(single, double.astype(np.float32), tolerance)
+    else:
+        found = _compare(single, double, tolerance, relative=True)
+    return _CheckRows(FailureClass.WIDTH_MISMATCH, *found)
+
+
 def check_increased_width(name: str, inputs: Sequence[Tensor],
                           tolerance: float = 1e-6,
                           registry: Optional[Registry] = None) -> OracleVerdict:
-    reg = registry or default_registry()
-    spec = reg.get(name)
-    params = resolved_params(spec, inputs[spec.primary_operand].shape)
-    single = _eval_kernel(name, inputs, Precision.SINGLE, params)
-    double = _eval_kernel(name, inputs, Precision.DOUBLE, params)
-    if name in INTEGER_VALUED:
-        # round the wide result to the comparison scale before differencing
-        rounded = double.astype(np.float32).astype(np.float64)
-        mismatch = _compare(single.astype(np.float64), rounded, tolerance)
-    else:
-        mismatch = _compare(single.astype(np.float64), double.astype(np.float64),
-                            tolerance, relative=True)
-    if mismatch:
-        return OracleVerdict(False, FailureClass.WIDTH_MISMATCH, mismatch)
-    return PASS
+    params = _params_of(name, inputs, registry)
+    return _width_rows(name, params, _stacked(inputs), tolerance).verdict(0)
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def run_oracles(name: str, inputs: Sequence[Tensor],
-                registry: Optional[Registry] = None,
-                wide_inputs: Optional[Sequence[Tensor]] = None) -> OracleVerdict:
-    """Run the kernel's bound oracles in registry order; first Fail wins.
+def _stacked(inputs: Sequence[Tensor]) -> list[np.ndarray]:
+    return [t.data[None] for t in inputs]
 
-    inputs are the operands as the execution under test produced them; the
-    increased-width oracle instead uses wide_inputs, the operands as a
-    double-precision shadow execution carries them (they default to inputs,
-    which is exact when inputs are already double). Oracle-unavailable
-    entries are skipped (and logged); if every binding is unavailable there
-    is nothing to judge and that is a capability error.
+
+def _params_of(name: str, inputs: Sequence[Tensor], registry: Optional[Registry]) -> dict:
+    spec = (registry or default_registry()).get(name)
+    return resolved_params(spec, inputs[spec.primary_operand].shape)
+
+
+class OracleRows(NamedTuple):
+    """Verdicts of a kernel's oracles over a stack of executions, by row."""
+
+    checks: tuple[_CheckRows, ...]  # each oracle that ran, in registry order
+
+    @property
+    def passed(self) -> np.ndarray:
+        passed = self.checks[0].passed
+        for check in self.checks[1:]:
+            passed = passed & check.passed
+        return passed
+
+    def verdict(self, row: int) -> OracleVerdict:
+        for check in self.checks:
+            if not check.passed[row]:
+                return check.verdict(row)
+        return PASS
+
+
+def oracle_rows(name: str, inputs: Sequence[np.ndarray],
+                registry: Optional[Registry] = None,
+                wide_inputs: Optional[Sequence[np.ndarray]] = None) -> OracleRows:
+    """Run the kernel's bound oracles in registry order over a stack of
+    executions; in each row the first Fail wins.
+
+    inputs are the operands stacked as (B, *shape), one row per execution,
+    as the executions under test produced them; an operand with a single
+    row broadcasts against the others. The increased-width oracle instead
+    uses wide_inputs, the operands as a double-precision shadow execution
+    carries them (they default to inputs, which is exact when inputs are
+    already double). A row outside an oracle's domain skips that oracle
+    (logged); a row that no oracle can judge is a capability error. Once
+    every row has failed, the remaining oracles do not run.
     """
     reg = registry or default_registry()
     spec = reg.get(name)
     if not spec.implemented:
         raise CapabilityError(f"kernel '{name}' is not implemented")
-    params = resolved_params(spec, inputs[spec.primary_operand].shape)
-    wide = inputs if wide_inputs is None else wide_inputs
-    single_out: Optional[Tensor] = None
-    ran_any = False
+    params = resolved_params(spec, inputs[spec.primary_operand].shape[1:])
+    checks = []
+    passing = None  # rows no oracle has failed so far
+    every_row_judged = False
+    single_out = None
     for binding in spec.oracle_bindings:
-        try:
-            if binding.type in (1, 2) and single_out is None:
-                single_out = Tensor(_eval_kernel(name, inputs, Precision.SINGLE, params))
-            if binding.type == 1:
-                verdict = check_nan_inf(single_out)
-            elif binding.type == 2:
-                verdict = check_range(single_out, binding.lo, binding.hi)
-            elif binding.type == 3:
-                verdict = check_rewrite(name, inputs, binding.tolerance)
-            elif binding.type == 4:
-                verdict = check_stable_algorithm(name, inputs, binding.tolerance)
-            elif binding.type == 5:
-                verdict = check_reference_consistency(name, inputs, binding.tolerance, reg)
-            else:
-                verdict = check_increased_width(name, wide, binding.tolerance, reg)
-        except OracleUnavailable as exc:
-            log.debug("oracle %d unavailable for %s: %s", binding.type, name, exc)
-            continue
-        ran_any = True
-        if not verdict.passed:
-            return verdict
-    if not ran_any:
+        if checks:
+            passing = checks[-1].passed if passing is None else passing & checks[-1].passed
+            if not np.count_nonzero(passing):  # cheaper than passing.any()
+                break
+        kind = binding.type
+        if kind <= 2 and single_out is None:
+            single_out = apply_forward(op_def(name), params, _cast(inputs, np.float32),
+                                       np.float32)
+        if kind == 1:
+            rows = _nan_inf_rows(single_out)
+        elif kind == 2:
+            rows = _range_rows(single_out, binding.lo, binding.hi)
+        elif kind == 3:
+            rows = _rewrite_rows(name, inputs[0], binding.tolerance, np.float32)
+        elif kind == 4:
+            rows = _stable_algorithm_rows(name, inputs[0], binding.tolerance)
+        elif kind == 5:
+            rows = _reference_rows(name, params, inputs, binding.tolerance)
+        else:
+            rows = _width_rows(name, params, inputs if wide_inputs is None else wide_inputs,
+                               binding.tolerance)
+        checks.append(rows)
+        if rows.judged is None:
+            every_row_judged = True
+        elif not rows.judged.all():
+            log.debug("oracle %d unavailable for %s on %d of %d rows", kind, name,
+                      np.count_nonzero(~rows.judged), len(rows.judged))
+    if not every_row_judged and not np.logical_or.reduce([c.judged for c in checks]).all():
         raise CapabilityError(f"no applicable oracle for '{name}' on this input")
-    return PASS
+    return OracleRows(tuple(checks))
+
+
+def run_oracles(name: str, inputs: Sequence[Tensor],
+                registry: Optional[Registry] = None,
+                wide_inputs: Optional[Sequence[Tensor]] = None) -> OracleVerdict:
+    """Judge one kernel execution: oracle_rows over a stack of one.
+
+    inputs are the operands as the execution under test produced them,
+    wide_inputs those of its double-precision shadow execution (default:
+    inputs).
+    """
+    wide = None if wide_inputs is None else _stacked(wide_inputs)
+    return oracle_rows(name, _stacked(inputs), registry, wide).verdict(0)

@@ -210,9 +210,9 @@ def kernel_eval(
     if params is None:
         params = resolved_params(spec, inputs[op.primary].shape)
     dtype = precision.dtype
-    args = [t.data.astype(dtype) for t in inputs]
+    args = [t.data.astype(dtype)[None] for t in inputs]
     try:
-        out = apply_forward(op, params, args, dtype)
+        out = apply_forward(op, params, args, dtype)[0, ...]
     except (ValueError, IndexError) as exc:
         raise CapabilityError(f"kernel '{name}': {exc}") from exc
     return Tensor(out)

@@ -1,5 +1,6 @@
 """Training-data generation: trajectories, labels, balancing, persistence."""
 
+import logging
 import math
 
 import numpy as np
@@ -26,17 +27,14 @@ from safuzz.datagen import (
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
 from safuzz.kernels import unit_operands
 from safuzz.oracles import run_oracles
+from safuzz.registry import default_registry
 from safuzz.tensor import Tensor
 
 
-def fake_verdict(passed):
-    from safuzz.oracles import PASS, FailureClass, OracleVerdict
-
-    return PASS if passed else OracleVerdict(False, FailureClass.NAN_OR_INF, "x")
-
-
-def point(value, passed):
-    return (Tensor.of([float(value)]), fake_verdict(passed))
+def trajectory(*points):
+    """(value, passed) pairs as the arrays run_trajectory returns."""
+    values, passed = zip(*points)
+    return np.array(values, dtype=np.float64).reshape(-1, 1), np.array(passed)
 
 
 class TestBaseInputs:
@@ -94,18 +92,18 @@ class TestMutateStep:
 class TestDeriveLabels:
     def test_fail_to_success_reverses_direction(self):
         # base 10 fails, one up-step to 30 passes -> (30, Decrease), (10, NoChange)
-        samples = derive_labels([point(10, False), point(30, True)])
+        samples = derive_labels(*trajectory((10, False), (30, True)))
         got = {(s.features[0], s.label) for s in samples}
         assert got == {(10.0, Signal.NO_CHANGE), (30.0, Signal.DECREASE)}
 
     def test_success_to_fail_keeps_direction(self):
-        samples = derive_labels([point(-1, True), point(5, False)])
+        samples = derive_labels(*trajectory((-1, True), (5, False)))
         got = {(s.features[0], s.label) for s in samples}
         assert got == {(-1.0, Signal.INCREASE), (5.0, Signal.NO_CHANGE)}
 
     def test_multi_step_trajectory(self):
         samples = derive_labels(
-            [point(10, True), point(20, True), point(30, True), point(40, False)]
+            *trajectory((10, True), (20, True), (30, True), (40, False))
         )
         got = {(s.features[0], s.label) for s in samples}
         # every passing point carries the mutation direction
@@ -115,26 +113,27 @@ class TestDeriveLabels:
 
     def test_fail_to_success_multi_step(self):
         samples = derive_labels(
-            [point(100, False), point(130, False), point(160, True)]
+            *trajectory((100, False), (130, False), (160, True))
         )
         got = {(s.features[0], s.label) for s in samples}
         assert got == {(100.0, Signal.NO_CHANGE), (130.0, Signal.NO_CHANGE),
                        (160.0, Signal.DECREASE)}
 
     def test_no_flip_is_empty(self):
-        assert derive_labels([point(1, True), point(2, True)]) == []
+        assert derive_labels(*trajectory((1, True), (2, True))) == []
 
     def test_short_trajectory_rejected(self):
         with pytest.raises(UsageError):
-            derive_labels([point(1, True)])
+            derive_labels(*trajectory((1, True)))
 
     @given(st.lists(st.booleans(), min_size=2, max_size=12),
            st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_never_both_directions_for_one_value(self, outcomes, up):
         step = 1.0 if up else -1.0
-        trajectory = [point(i * step, passed) for i, passed in enumerate(outcomes)]
-        samples = derive_labels(trajectory)
+        samples = derive_labels(
+            *trajectory(*[(i * step, passed) for i, passed in enumerate(outcomes)])
+        )
         by_value = {}
         for s in samples:
             by_value.setdefault(s.features[0], set()).add(s.label)
@@ -226,6 +225,21 @@ class TestBuildDataset:
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
 
+    def test_shortfall_logged_as_warning(self, caplog):
+        # remainder's rare flips exhaust the label budget at 395 samples
+        config = GenerationConfig(seed=1, n_base=100, target_size=600)
+        with caplog.at_level(logging.WARNING, logger="safuzz.datagen"):
+            ds = build_dataset("remainder", config)
+        assert len(ds) == 395
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert [r.getMessage() for r in warnings] == [
+            "remainder: generation budget exhausted at 395 of the 600 samples targeted"]
+
+    def test_no_warning_when_target_reached(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="safuzz.datagen"):
+            build_dataset("exp", GenerationConfig(seed=3, **self.SMALL))
+        assert not caplog.records
+
     def test_nochange_labels_replay_as_failures(self):
         ds = build_dataset("exp", GenerationConfig(seed=3, **self.SMALL))
         scaling = ds.scaling
@@ -236,14 +250,85 @@ class TestBuildDataset:
             assert not run_oracles("exp", unit_operands("exp", x)).passed
 
 
+def walk_step_by_step(kernel, base, mc, rng, pixel_bounds=None):
+    """Reference trajectory: one mutation step at a time, each point judged
+    alone, stopping at the first flip."""
+    sign = 1.0 if mc.direction == "up" else -1.0
+    x = base.data.astype(np.float64)
+
+    def judge(values):
+        return run_oracles(kernel, unit_operands(kernel, Tensor(values))).passed
+
+    points, passed = [x], [judge(x)]
+    for k in range(1, mc.max_steps + 1):
+        if mc.method == "exponential":
+            step = math.exp(mc.rate * k)
+        elif mc.method == "random":
+            step = float(rng.uniform(0.0, 1.0)) * mc.rate
+        else:
+            step = abs(math.sin(mc.rate * k)) * (mc.scale if mc.scale is not None else 1.0)
+        x = x + sign * step
+        if pixel_bounds is not None:
+            x = np.clip(x, *pixel_bounds)
+        points.append(x)
+        passed.append(judge(x))
+        if passed[-1] != passed[0]:
+            break
+    return np.stack(points), np.array(passed)
+
+
+def trajectory_bases(kernel):
+    spec = default_registry().get(kernel)
+    rng = np.random.default_rng(11)
+    bases = [rng.uniform(lo, hi, size=(3, 3)) for lo, hi in spec.generation.regions]
+    bases += [np.full((3, 3), s) for s in spec.generation.failure_seeds]
+    return [Tensor(b) for b in bases]
+
+
 class TestTrajectories:
     def test_trajectory_stops_at_flip(self):
         mc = MutationConfig("exponential", rate=1.0, max_steps=50, direction="up")
-        points = run_trajectory("exp", Tensor.of(np.full((3, 3), 80.0)), mc,
-                                np.random.default_rng(0))
-        assert points[0][1].passed
-        assert not points[-1][1].passed
-        assert all(v.passed for _, v in points[:-1])
+        _, passed = run_trajectory("exp", Tensor.of(np.full((3, 3), 80.0)), mc,
+                                   np.random.default_rng(0))
+        assert passed[0]
+        assert not passed[-1]
+        assert passed[:-1].all()
+
+    @pytest.mark.parametrize("pixel_bounds", [None, (0.0, 255.0)])
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("method", ["exponential", "random", "sinusoidal"])
+    @pytest.mark.parametrize("kernel", ["exp", "Softmax", "CosineSimilarity", "remainder",
+                                        "logSoftmax", "inverse", "Div"])
+    def test_matches_step_by_step_walk(self, kernel, method, direction, pixel_bounds):
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for base in trajectory_bases(kernel):
+            amp = float(np.max(np.abs(base.elements))) or 1.0
+            for rate, scale in ((1.0, None), (2.5, amp)):
+                mc = MutationConfig(method, rate, 30, direction, scale)
+                points, passed = run_trajectory(kernel, base, mc, rng,
+                                                pixel_bounds=pixel_bounds)
+                ref_points, ref_passed = walk_step_by_step(kernel, base, mc, ref_rng,
+                                                           pixel_bounds)
+                assert points.shape == ref_points.shape
+                assert points.tobytes() == ref_points.tobytes()
+                assert passed.tolist() == ref_passed.tolist()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_unreached_overflowing_step_does_not_raise(self):
+        # exp(10 * 71) overflows a double, but the walk flips at step 1
+        mc = MutationConfig("exponential", rate=10.0, max_steps=100, direction="up")
+        points, passed = run_trajectory("exp", Tensor.of(np.full((3, 3), 80.0)), mc,
+                                        np.random.default_rng(0))
+        assert len(points) == 2 and passed.tolist() == [True, False]
+
+    def test_reached_overflowing_step_raises(self):
+        # exp never fails going down, so the walk reaches the overflowing step
+        mc = MutationConfig("exponential", rate=10.0, max_steps=100, direction="down")
+        base = Tensor.of(np.full((3, 3), -80.0))
+        with pytest.raises(OverflowError):
+            walk_step_by_step("exp", base, mc, np.random.default_rng(0))
+        with pytest.raises(OverflowError):
+            run_trajectory("exp", base, mc, np.random.default_rng(0))
 
 
 class TestPersistence:

@@ -114,8 +114,9 @@ class TestKernelEval:
         assert out.item() == pytest.approx(0.8399, abs=1e-3)
 
     def test_cosine_reference_variant_fig1(self):
-        ref = cosine_reference(np.asarray(FIG1_Y), np.asarray(FIG1_X))
-        assert float(ref) == pytest.approx(0.91036362, abs=5e-4)
+        ref = cosine_reference(np.asarray([FIG1_Y]), np.asarray([FIG1_X]))
+        assert ref.shape == (1,)
+        assert float(ref[0]) == pytest.approx(0.91036362, abs=5e-4)
 
     def test_fig1_y_matches_published_norm(self):
         assert np.linalg.norm(FIG1_Y) == pytest.approx(9.2263e-9, rel=1e-9)
@@ -133,7 +134,7 @@ class TestKernelEval:
         for _ in range(200):
             a = rng.standard_normal(9) * rng.uniform(1e-3, 1e3)
             b = rng.standard_normal(9) * rng.uniform(1e-3, 1e3)
-            val = float(cosine_reference(a, b))
+            val = float(cosine_reference(a[None], b[None])[0])
             assert -1 - 1e-6 <= val <= 1 + 1e-6
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safuzz.errors import CapabilityError, OracleUnavailable
-from safuzz.kernels import unit_operands
+from safuzz.kernels import unit_operand_rows, unit_operands
 from safuzz.oracles import (
     FailureClass,
     OracleVerdict,
@@ -16,6 +16,7 @@ from safuzz.oracles import (
     check_reference_consistency,
     check_rewrite,
     check_stable_algorithm,
+    oracle_rows,
     run_oracles,
 )
 from safuzz.registry import default_registry, kernel_eval
@@ -105,6 +106,10 @@ class TestStableAlgorithm:
     def test_non_spd_is_unavailable(self):
         with pytest.raises(OracleUnavailable):
             check_stable_algorithm("inverse", [Tensor.of([[0.0, 1.0], [1.0, 0.0]])])
+
+    def test_non_square_is_unavailable(self):
+        with pytest.raises(OracleUnavailable):
+            check_stable_algorithm("inverse", [Tensor.of([[1.0, 2.0, 3.0]])])
 
     def test_determinant_pass_on_well_conditioned(self):
         rng = np.random.default_rng(2)
@@ -217,3 +222,54 @@ class TestRunOracles:
         for _ in range(1000):
             x = Tensor(rng.uniform(lo, hi, size=(3,)))
             assert run_oracles(kernel, unit_operands(kernel, x)).passed
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-310, 5e-324]
+
+
+def row_stack(kernel):
+    """Region samples, failure seeds and special-value rows for one kernel."""
+    spec = default_registry().get(kernel)
+    rng = np.random.default_rng(4)
+    rows = [rng.uniform(lo, hi, size=(3, 3)) for lo, hi in spec.generation.regions * 4]
+    rows += [np.full((3, 3), s) for s in spec.generation.failure_seeds]
+    for v in SPECIAL_VALUES:
+        rows.append(np.full((3, 3), v))
+        one = rng.uniform(-2.0, 2.0, size=(3, 3))
+        one[1, 2] = v
+        rows.append(one)
+    if kernel in ("inverse", "determinant"):
+        for _ in range(12):  # SPD, singular PSD and asymmetric rows
+            a = rng.standard_normal((3, 3))
+            rows += [a @ a.T + np.eye(3), a @ a.T * 1e-8, a]
+        rows += [np.diag([1.0, 1e-12, 1.0]), np.eye(3)]
+    return np.stack(rows)
+
+
+class TestOracleRows:
+    @pytest.mark.parametrize("kernel", default_registry().implemented_names())
+    def test_rows_judged_as_each_row_alone(self, kernel):
+        xs = row_stack(kernel)
+        stacked = oracle_rows(kernel, unit_operand_rows(kernel, xs))
+        verdicts = [run_oracles(kernel, unit_operands(kernel, Tensor(x))) for x in xs]
+        assert [stacked.verdict(i) for i in range(len(xs))] == verdicts
+        assert stacked.passed.tolist() == [v.passed for v in verdicts]
+
+    @pytest.mark.parametrize("kernel", ["remainder", "CosineSimilarity", "Softmax", "Div"])
+    def test_wide_rows_judged_as_each_row_alone(self, kernel):
+        # single-precision operands with a double shadow, as the fuzzer passes them
+        wide = unit_operand_rows(kernel, row_stack(kernel))
+        narrow = [x.astype(np.float32) for x in wide]
+        stacked = oracle_rows(kernel, narrow, wide_inputs=wide)
+        n = max(len(x) for x in wide)
+        for i in range(n):
+            alone = [Tensor(x[min(i, len(x) - 1)]) for x in narrow]
+            alone_wide = [Tensor(x[min(i, len(x) - 1)]) for x in wide]
+            assert stacked.verdict(i) == run_oracles(kernel, alone, wide_inputs=alone_wide)
+
+    def test_spd_mix_skips_only_rows_outside_the_domain(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 3))
+        xs = np.stack([a @ a.T + np.eye(3), a])  # SPD, then asymmetric
+        checks = oracle_rows("inverse", [xs]).checks
+        assert checks[1].judged.tolist() == [True, False]

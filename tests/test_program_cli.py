@@ -184,6 +184,13 @@ class TestCli:
         doc = json.loads(report.read_text())
         assert doc["totals"]["bugs_found"] >= 1
 
+    def test_gen_data_prints_shortfall(self, tmp_path, capsys):
+        # remainder's rare flips leave this run at 395 of 600 samples
+        code = cli_dispatch(["gen-data", "--function", "remainder", "--samples", "600",
+                             "--seed", "1", "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        assert "remainder: 395 of 600 samples" in capsys.readouterr().out
+
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SAF_SEED", "123")
         data = tmp_path / "log.csv"
