@@ -22,7 +22,7 @@ from safuzz.datagen import (
     dataset_save,
 )
 from safuzz.errors import SafuzzError
-from safuzz.forest import model_load, model_save, train_forest
+from safuzz.forest import describe_scores, model_load, model_save, train_forest
 from safuzz.fuzzer import FuzzConfig, fuzz_program, scan_for_unstable
 from safuzz.program import ProgramSpec, program_parse
 from safuzz.registry import default_registry
@@ -91,7 +91,7 @@ def _cmd_train(args) -> int:
     )
     model_save(forest, args.out)
     print(
-        f"{dataset.kernel}: macro-F1 {metrics['macro_f1']:.4f}, "
+        f"{dataset.kernel}: {describe_scores(metrics)}, "
         f"training time {metrics['train_time_seconds'] / 60.0:.3f} min -> {args.out}"
     )
     return 0

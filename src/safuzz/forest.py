@@ -6,6 +6,17 @@ reload bit-identically. Training is deterministic under a fixed seed:
 bootstrap samples and per-split feature subsets come from per-tree RNG
 streams spawned from the master seed.
 
+Growth is presorted CART (as in SLIQ): each tree argsorts every feature once,
+stably, and each node carries an (F, m) block of its row ids in (value, row
+id) order per feature. A split marks its left rows in one boolean array and
+gathers both children's blocks through it, which keeps that order, so every
+block equals a stable argsort of the node's rows. A node scores its k
+candidate features as one (k, m - 1) array of weighted Gini impurities with
+the float64 operations of a per-feature loop, class sums added left to right
+like numpy's three-element sum. Trees are therefore bit-identical to sorting
+at every node: the first best position wins per feature, and the first drawn
+feature wins a tie between features.
+
 Each Forest compiles its trees once, at construction, into one flat view that
 every prediction walks. It holds internal nodes only, as typed columns
 `feature`, `threshold`, `left` and `right` indexed by a forest-wide node
@@ -33,7 +44,8 @@ from safuzz.errors import FileFormatError, TrainingError, UsageError
 N_CLASSES = 3
 MODEL_FORMAT_VERSION = 1
 TREE_COLUMNS = (("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
-                ("right", np.int32), ("counts", np.int64))
+                ("right", np.int32), ("counts", np.int32))
+TREE_KEYS = frozenset(name for name, _ in TREE_COLUMNS)
 
 
 @dataclass
@@ -47,7 +59,7 @@ class DecisionTree:
     threshold: np.ndarray  # float64
     left: np.ndarray  # int32
     right: np.ndarray  # int32
-    counts: np.ndarray  # (n_nodes, N_CLASSES) int64
+    counts: np.ndarray  # (n_nodes, N_CLASSES) int32
 
 
 def _compile(trees: Sequence[DecisionTree]) -> tuple:
@@ -85,91 +97,82 @@ class Forest:
         self.flat = _compile(self.trees)
 
 
-def _gini_children(prefix: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Weighted Gini impurity of each candidate split position.
-
-    prefix[i] holds left-side class counts when splitting after sorted row i.
-    """
-    n = total.sum()
-    n_left = prefix.sum(axis=1)
-    n_right = n - n_left
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gini_l = 1.0 - ((prefix / np.maximum(n_left, 1)[:, None]) ** 2).sum(axis=1)
-        right = total[None, :] - prefix
-        gini_r = 1.0 - ((right / np.maximum(n_right, 1)[:, None]) ** 2).sum(axis=1)
-    return (n_left * gini_l + n_right * gini_r) / n
-
-
 def _grow_tree(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
                n_candidates: int) -> DecisionTree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[np.ndarray] = []
+    """Grow one tree depth first (left child first); see the module docstring."""
+    n, n_features = xs.shape
+    k = min(n_candidates, n_features)
+    xt = np.ascontiguousarray(xs.T).ravel()  # feature f, row r at f * n + r
+    steps = np.arange(1.0, n)  # rows left of each split position
+    classes = np.arange(N_CLASSES)[:, None, None]
+    go_left = np.zeros(n, dtype=bool)  # set at a node's rows before each read
+    feature: list[int] = [-1]
+    threshold: list[float] = [0.0]
+    left: list[int] = [-1]
+    right: list[int] = [-1]
+    counts: list = [None]
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(np.zeros(N_CLASSES, dtype=np.int64))
-        return len(feature) - 1
-
-    root = new_node()
-    stack: list[tuple[int, np.ndarray]] = [(root, np.arange(xs.shape[0]))]
-    n_features = xs.shape[1]
-
+    # (node, (F, m) row ids sorted per feature, class histogram)
+    stack = [(0, np.ascontiguousarray(np.argsort(xs, axis=0, kind="stable").T),
+              np.bincount(ys, minlength=N_CLASSES).tolist())]
     while stack:
-        node, idx = stack.pop()
-        y_node = ys[idx]
-        hist = np.bincount(y_node, minlength=N_CLASSES).astype(np.int64)
+        node, s, hist = stack.pop()
         counts[node] = hist
-        if idx.size < 2 or (hist > 0).sum() < 2:
+        m = s.shape[1]
+        if m < 2 or sum(h > 0 for h in hist) < 2:
             continue
-        node_gini = 1.0 - ((hist / idx.size) ** 2).sum()
-        cand = rng.choice(n_features, size=min(n_candidates, n_features), replace=False)
-        best = (node_gini - 1e-12, -1, 0.0)  # (gini, feature, threshold)
-        for f in cand:
-            vals = xs[idx, f]
-            order = np.argsort(vals, kind="stable")
-            vs = vals[order]
-            # candidate cuts only between distinct neighbours
-            cuts = np.flatnonzero(vs[:-1] < vs[1:])
-            if cuts.size == 0:
-                continue
-            onehot = np.zeros((idx.size, N_CLASSES), dtype=np.int64)
-            onehot[np.arange(idx.size), y_node[order]] = 1
-            prefix = np.cumsum(onehot, axis=0)[cuts]
-            weighted = _gini_children(prefix, hist)
-            j = int(np.argmin(weighted))
-            if weighted[j] < best[0]:
-                cut = cuts[j]
-                thr = 0.5 * (vs[cut] + vs[cut + 1])
-                if not np.isfinite(thr):  # midpoint of huge magnitudes can overflow
-                    thr = vs[cut]
-                best = (float(weighted[j]), int(f), float(thr))
-        if best[1] < 0:
+        node_gini = 1.0 - sum(h / m * (h / m) for h in hist)
+        cand = rng.choice(n_features, size=k, replace=False)
+        rows = s[cand]
+        vs = xt.take(rows + (cand * n)[:, None])  # (k, m) sorted values
+        # class counts left (sides[0]) and right (sides[1]) of each position
+        n_left, n_right = steps[:m - 1], steps[m - 2::-1]
+        sides = np.empty((2, N_CLASSES, k, m - 1))
+        np.cumsum(ys.take(rows[:, :-1]) == classes, axis=2, dtype=np.float64, out=sides[0])
+        np.subtract(np.array(hist, dtype=np.float64)[:, None, None], sides[0], out=sides[1])
+        sides[0] /= n_left
+        sides[1] /= n_right
+        sides *= sides
+        gini = 1.0 - (sides[:, 0] + sides[:, 1] + sides[:, 2])
+        weighted = (n_left * gini[0] + n_right * gini[1]) / m
+        # cut only between distinct neighbours; `>=` would let a NaN neighbour in
+        np.copyto(weighted, np.inf, where=~(vs[:, :-1] < vs[:, 1:]))
+        at = weighted.argmin(axis=1)
+        best, c, cut = node_gini - 1e-12, -1, 0
+        for i, (w, j) in enumerate(zip(weighted[np.arange(k), at].tolist(), at.tolist())):
+            if w < best:  # strict: the earliest drawn candidate wins a tie
+                best, c, cut = w, i, j
+        if c < 0:
             continue
-        f, thr = best[1], best[2]
-        go_left = xs[idx, f] <= thr
-        if not go_left.any() or go_left.all():
+        lo, hi = float(vs[c, cut]), float(vs[c, cut + 1])
+        thr = 0.5 * (lo + hi)
+        if not math.isfinite(thr):  # midpoint of huge magnitudes can overflow
+            thr = lo
+        go_left[rows[c]] = vs[c] <= thr
+        mask = go_left[s]
+        n_go = int(np.count_nonzero(mask[0]))
+        if n_go == 0 or n_go == m:
             continue
-        feature[node] = f
+        feature[node] = int(cand[c])
         threshold[node] = thr
-        left_id = new_node()
-        right_id = new_node()
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((right_id, idx[~go_left]))
-        stack.append((left_id, idx[go_left]))
+        left[node], right[node] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        counts += [None, None]
+        s_left = s[mask].reshape(n_features, n_go)
+        hist_left = np.bincount(ys.take(s_left[0]), minlength=N_CLASSES).tolist()
+        stack.append((right[node], s[~mask].reshape(n_features, m - n_go),
+                      [h - hl for h, hl in zip(hist, hist_left)]))
+        stack.append((left[node], s_left, hist_left))
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
-        counts=np.asarray(counts, dtype=np.int64),
+        counts=np.asarray(counts, dtype=np.int32),
     )
 
 
@@ -256,9 +259,12 @@ def predict_batch(forest: Forest, features: np.ndarray) -> np.ndarray:
 
 
 def evaluate_f1_arrays(forest: Forest, xs: np.ndarray, ys: np.ndarray) -> dict:
+    """Per-class scores, macro_f1 over all three classes (an absent class
+    scores 0) and macro_f1_present over the classes present in ys."""
     preds = predict_batch(forest, xs)
     per_class = {}
     f1s = []
+    present = []
     for cls in Signal:
         tp = int(((preds == cls) & (ys == cls)).sum())
         fp = int(((preds == cls) & (ys != cls)).sum())
@@ -267,8 +273,20 @@ def evaluate_f1_arrays(forest: Forest, xs: np.ndarray, ys: np.ndarray) -> dict:
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class[cls.label] = {"precision": precision, "recall": recall, "f1": f1}
-        f1s.append(f1)  # absent classes contribute 0
-    return {"per_class": per_class, "macro_f1": float(np.mean(f1s))}
+        f1s.append(f1)
+        if tp + fn:
+            present.append(f1)
+    return {"per_class": per_class, "macro_f1": float(np.mean(f1s)),
+            "macro_f1_present": float(np.mean(present)) if present else 0.0}
+
+
+def describe_scores(scores: dict) -> str:
+    """One line of held-out scores, e.g. for the `train` command's output."""
+    if "macro_f1" not in scores:
+        return "no held-out samples"
+    per_class = ", ".join(f"{label} {s['f1']:.4f}" for label, s in scores["per_class"].items())
+    return (f"macro-F1 {scores['macro_f1']:.4f}, over present classes "
+            f"{scores['macro_f1_present']:.4f} (F1 {per_class})")
 
 
 def evaluate_f1(forest: Forest, samples: Sequence[LabeledSample]) -> dict:
@@ -285,8 +303,18 @@ def evaluate_f1(forest: Forest, samples: Sequence[LabeledSample]) -> dict:
 # persistence
 # ---------------------------------------------------------------------------
 
+def _tree_from_json(obj: dict):
+    """json.loads `object_hook`: a tree's lists become arrays once it is parsed."""
+    if not TREE_KEYS <= obj.keys():
+        return obj
+    return DecisionTree(**{name: np.asarray(obj[name], dtype=dtype)
+                           for name, dtype in TREE_COLUMNS})
+
+
 def model_save(forest: Forest, path) -> None:
-    doc = {
+    """Write the model as sorted-key JSON. Trees are encoded one at a time, so
+    only one tree's columns exist as Python lists at once."""
+    head = json.dumps({
         "format_version": MODEL_FORMAT_VERSION,
         "kernel": forest.kernel,
         "shape": list(forest.shape),
@@ -294,26 +322,32 @@ def model_save(forest: Forest, path) -> None:
         "seed": forest.seed,
         "classes": list(forest.classes),
         "scaling": forest.scaling,
-        "trees": [{name: getattr(tree, name).tolist() for name, _ in TREE_COLUMNS}
-                  for tree in forest.trees],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+        "trees": [],
+    }, sort_keys=True)
+    assert head.endswith('"trees": []}')  # "trees" sorts last
+    with open(path, "w") as out:
+        out.write(head[:-2])
+        for i, tree in enumerate(forest.trees):
+            out.write(", " if i else "")
+            out.write(json.dumps({name: getattr(tree, name).tolist() for name in TREE_KEYS},
+                                 sort_keys=True))
+        out.write("]}")
 
 
 def model_load(path) -> Forest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(path.read_text(), object_hook=_tree_from_json)
+    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise FileFormatError(f"cannot load model {path}: {exc}") from exc
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise FileFormatError(
             f"model format_version {doc.get('format_version')!r} unsupported"
         )
     try:
-        trees = [DecisionTree(**{name: np.asarray(t[name], dtype=dtype)
-                                 for name, dtype in TREE_COLUMNS})
-                 for t in doc["trees"]]
+        trees = list(doc["trees"])
+        if not all(isinstance(t, DecisionTree) for t in trees):
+            raise TypeError("every tree needs the columns " + ", ".join(sorted(TREE_KEYS)))
         forest = Forest(
             trees=trees,
             kernel=doc["kernel"],

@@ -65,8 +65,6 @@ class FuzzConfig:
     grad_floor: float = 1e-6
     max_resets: int = 50
     max_iters: int = 5000  # deterministic budget; wall timeout stays the backstop
-    use_history: bool = True
-    featurize_raw: bool = False
 
     def __post_init__(self):
         if self.timeout <= 0 or self.grad_floor <= 0:
@@ -245,12 +243,9 @@ def _tensors(graph: Graph, values: dict[str, np.ndarray]) -> list[Tensor]:
     return [Tensor(values[d.id]) for d in graph.inputs]
 
 
-def _site_features(tape, site: UnstableSite, forest: Forest, raw: bool) -> np.ndarray:
+def _site_features(tape, site: UnstableSite, forest: Forest) -> np.ndarray:
     entry = Tensor(tape.values[site.entry_node].astype(np.float64))
-    feats = featurize(entry, forest.feature_len)
-    if not raw:
-        feats = apply_scaling(feats, forest.scaling)
-    return feats
+    return apply_scaling(featurize(entry, forest.feature_len), forest.scaling)
 
 
 def fuzz_site(
@@ -287,7 +282,7 @@ def fuzz_site(
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
-        feats = _site_features(tape, site, forest, config.featurize_raw)
+        feats = _site_features(tape, site, forest)
         signal = predict(forest, feats)
         result.sa_queries += 1
 
@@ -312,14 +307,10 @@ def fuzz_site(
 
         deltas = propagate_signal(graph, site, tape, signal, config.rate,
                                   config.grad_floor)
-        if config.use_history:
-            for decl in graph.inputs:
-                values[decl.id] = constrain_update(
-                    values[decl.id], deltas[decl.id], bounds[decl.id], signal
-                )
-        else:
-            for decl in graph.inputs:
-                values[decl.id] = values[decl.id] + deltas[decl.id]
+        for decl in graph.inputs:
+            values[decl.id] = constrain_update(
+                values[decl.id], deltas[decl.id], bounds[decl.id], signal
+            )
         _clamp_declared(graph, values)
 
     result.wall_time = time.perf_counter() - start

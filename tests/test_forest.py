@@ -1,15 +1,21 @@
 """Decision-forest soft assertions: training, prediction, persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safuzz import forest as forest_module
 from safuzz.datagen import Dataset, LabeledSample, Signal
 from safuzz.errors import FileFormatError, TrainingError, UsageError
 from safuzz.forest import (
+    N_CLASSES,
+    TREE_COLUMNS,
     DecisionTree,
     Forest,
+    _grow_tree,
     evaluate_f1,
     model_load,
     model_save,
@@ -17,6 +23,8 @@ from safuzz.forest import (
     predict_batch,
     train_forest,
 )
+
+FIXTURE_MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "models"
 
 
 def make_dataset(features, labels, kernel="exp"):
@@ -73,6 +81,124 @@ def reference_vote(forest, x):
     return int(np.argmax(votes))
 
 
+def _reference_gini_children(prefix, total):
+    n = total.sum()
+    n_left = prefix.sum(axis=1)
+    n_right = n - n_left
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gini_l = 1.0 - ((prefix / np.maximum(n_left, 1)[:, None]) ** 2).sum(axis=1)
+        right = total[None, :] - prefix
+        gini_r = 1.0 - ((right / np.maximum(n_right, 1)[:, None]) ** 2).sum(axis=1)
+    return (n_left * gini_l + n_right * gini_r) / n
+
+
+def _reference_grow_tree(xs, ys, rng, n_candidates):
+    """Per-node CART growth: one stable argsort and one one-hot cumulative sum
+    per node and candidate feature. `_grow_tree` must give the same tree."""
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append(np.zeros(N_CLASSES, dtype=np.int64))
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(xs.shape[0]))]
+    n_features = xs.shape[1]
+    while stack:
+        node, idx = stack.pop()
+        y_node = ys[idx]
+        hist = np.bincount(y_node, minlength=N_CLASSES).astype(np.int64)
+        counts[node] = hist
+        if idx.size < 2 or (hist > 0).sum() < 2:
+            continue
+        node_gini = 1.0 - ((hist / idx.size) ** 2).sum()
+        cand = rng.choice(n_features, size=min(n_candidates, n_features), replace=False)
+        best = (node_gini - 1e-12, -1, 0.0)
+        for f in cand:
+            vals = xs[idx, f]
+            order = np.argsort(vals, kind="stable")
+            vs = vals[order]
+            cuts = np.flatnonzero(vs[:-1] < vs[1:])
+            if cuts.size == 0:
+                continue
+            onehot = np.zeros((idx.size, N_CLASSES), dtype=np.int64)
+            onehot[np.arange(idx.size), y_node[order]] = 1
+            prefix = np.cumsum(onehot, axis=0)[cuts]
+            weighted = _reference_gini_children(prefix, hist)
+            j = int(np.argmin(weighted))
+            if weighted[j] < best[0]:
+                cut = cuts[j]
+                thr = 0.5 * (vs[cut] + vs[cut + 1])
+                if not np.isfinite(thr):
+                    thr = vs[cut]
+                best = (float(weighted[j]), int(f), float(thr))
+        if best[1] < 0:
+            continue
+        f, thr = best[1], best[2]
+        go_left = xs[idx, f] <= thr
+        if not go_left.any() or go_left.all():
+            continue
+        feature[node] = f
+        threshold[node] = thr
+        left_id = new_node()
+        right_id = new_node()
+        left[node] = left_id
+        right[node] = right_id
+        stack.append((right_id, idx[~go_left]))
+        stack.append((left_id, idx[go_left]))
+
+    return DecisionTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        counts=np.asarray(counts, dtype=np.int32),
+    )
+
+
+def assert_same_tree(tree, want):
+    for name, dtype in TREE_COLUMNS:
+        column = getattr(tree, name)
+        assert column.dtype == dtype, name
+        assert column.tobytes() == getattr(want, name).tobytes(), name
+
+
+def grow_both(xs, ys, n_candidates, seed):
+    """Grow with `_grow_tree` and the reference from equal generators."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_grow_tree(xs, ys, ref_rng, n_candidates)
+    tree = _grow_tree(xs, ys, rng, n_candidates)
+    assert_same_tree(tree, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return tree
+
+
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, 1e308, -1e308, 1.5e308, -1.5e308, -0.0)
+
+
+@st.composite
+def growth_cases(draw):
+    """(xs, ys, n_candidates, seed): grid values with ties, special values,
+    constant features and one to three classes."""
+    n = draw(st.integers(2, 200))
+    n_features = draw(st.integers(1, 6))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 8))
+    xs = (data.integers(0, levels, size=(n, n_features)) - levels // 2).astype(np.float64)
+    special = data.random((n, n_features)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    xs[special] = data.choice(SPECIAL_VALUES, size=int(special.sum()))
+    for f in np.flatnonzero(data.random(n_features) < 0.2):
+        xs[:, f] = xs[0, f]
+    classes = data.choice(N_CLASSES, size=draw(st.integers(1, N_CLASSES)), replace=False)
+    ys = data.choice(classes, size=n).astype(np.int64)
+    return xs, ys, draw(st.integers(1, n_features)), draw(st.integers(0, 1000))
+
+
 class TestTraining:
     def test_separable_three_class_dataset_is_perfect(self):
         forest, metrics = train_forest(threshold_dataset(), tree_count=20, seed=42)
@@ -107,6 +233,51 @@ class TestTraining:
                                   test_split=0.3)
         assert metrics["train_time_seconds"] > 0
         assert metrics["test_size"] == 180
+
+
+class TestPresortedGrowth:
+    """`_grow_tree` against the per-node reference, column bytes and RNG state."""
+
+    @given(growth_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, case):
+        grow_both(*case)
+
+    def test_nan_neighbour_is_no_cut(self):
+        # a `>=` cut mask would cut between 2.0 and NaN and split off the NaN rows
+        xs = np.array([[1.0], [2.0], [np.nan], [np.nan], [2.0], [1.0]])
+        ys = np.array([0, 0, 2, 2, 0, 1])
+        tree = grow_both(xs, ys, 1, 0)
+        assert tree.threshold[0] == 1.5
+
+    def test_signed_zero_order_sets_overflowed_threshold(self):
+        # zeros and +inf: the midpoint overflows, so the threshold is the last
+        # zero in (value, row id) order, here -0.0; an unstable sort may pick +0.0
+        for seed in range(20):
+            xs = np.random.default_rng(seed).choice([0.0, -0.0, np.inf], size=300)
+            xs[np.flatnonzero(xs == 0)[-1]] = -0.0
+            ys = np.where(np.isinf(xs), 2, 0)
+            tree = grow_both(xs[:, None], ys, 1, seed)
+            assert np.signbit(tree.threshold[0])
+
+    def test_equal_candidates_keep_the_first_drawn(self):
+        # identical columns score alike: the first drawn candidate must win
+        xs = np.repeat(np.arange(12.0)[:, None], 3, axis=1)
+        ys = np.array([0] * 5 + [1] * 7)
+        for seed in range(6):
+            tree = grow_both(xs, ys, 3, seed)
+            first = np.random.default_rng(seed).choice(3, size=3, replace=False)[0]
+            assert tree.feature[0] == first
+
+    def test_train_forest_matches_reference(self, monkeypatch):
+        ds = threshold_dataset(n=300)
+        ds.features[::7, 2] = np.nan
+        forest, _ = train_forest(ds, tree_count=8, seed=11)
+        monkeypatch.setattr(forest_module, "_grow_tree", _reference_grow_tree)
+        want, _ = train_forest(ds, tree_count=8, seed=11)
+        assert len(forest.trees) == len(want.trees) == 8
+        for tree, ref in zip(forest.trees, want.trees):
+            assert_same_tree(tree, ref)
 
 
 class TestPredict:
@@ -218,6 +389,16 @@ class TestEvaluateF1:
         assert scores["per_class"]["Increase"]["f1"] == 0.0
         assert scores["macro_f1"] <= 1 / 3 + 1e-9
 
+    def test_present_classes_ignore_an_absent_class(self):
+        # no Decrease rows: the absent class holds macro_f1 at or below 2/3
+        ds = threshold_dataset()
+        keep = ds.labels != int(Signal.DECREASE)
+        ds = make_dataset(ds.features[keep], ds.labels[keep])
+        _, metrics = train_forest(ds, tree_count=10, seed=42)
+        assert metrics["per_class"]["Decrease"]["f1"] == 0.0
+        assert metrics["macro_f1"] <= 2 / 3 + 1e-9
+        assert metrics["macro_f1_present"] == pytest.approx(1.0)
+
     def test_empty_samples_rejected(self):
         with pytest.raises(UsageError):
             evaluate_f1(forest_of([leaf_tree([1, 0, 0])]), [])
@@ -249,8 +430,28 @@ class TestPersistence:
         with pytest.raises(FileFormatError):
             model_load(path)
 
+    @pytest.mark.parametrize("tree", [
+        '{"feature": [-1]}',  # columns missing
+        '{"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], '
+        '"counts": [[1, 2], [3]]}',  # ragged counts
+    ])
+    def test_corrupt_tree_rejected(self, tmp_path, tree):
+        path = tmp_path / "model.json"
+        path.write_text('{"format_version": 1, "trees": [%s]}' % tree)
+        with pytest.raises(FileFormatError):
+            model_load(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format_version": 42}')
         with pytest.raises(FileFormatError, match="format_version"):
             model_load(path)
+
+
+    @pytest.mark.parametrize("path", sorted(FIXTURE_MODELS.glob("*.json")), ids=lambda p: p.stem)
+    def test_fixture_model_round_trip_is_byte_identical(self, path, tmp_path):
+        model = model_load(path)
+        assert all(tree.counts.dtype == np.int32 for tree in model.trees)
+        out = tmp_path / path.name
+        model_save(model, out)
+        assert out.read_bytes() == path.read_bytes()

@@ -168,6 +168,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "macro-F1" in out and "min" in out
+        # exp has no Decrease samples: per-class F1 and the present-class mean show it
+        assert "over present classes" in out and "Decrease 0.0000" in out
 
         program = write_program(tmp_path, {
             "format_version": 1, "name": "exp_demo",
@@ -183,6 +185,15 @@ class TestCli:
         assert code == 1  # bugs found
         doc = json.loads(report.read_text())
         assert doc["totals"]["bugs_found"] >= 1
+
+    def test_train_without_held_out_samples(self, tmp_path, capsys):
+        data = tmp_path / "exp.csv"
+        assert cli_dispatch(["gen-data", "--function", "exp", "--shape", "3x3",
+                             "--samples", "300", "--seed", "5", "--out", str(data)]) == 0
+        code = cli_dispatch(["train", "--dataset", str(data), "--trees", "3",
+                             "--test-split", "0", "--out", str(tmp_path / "exp.json")])
+        assert code == 0
+        assert "exp: no held-out samples" in capsys.readouterr().out
 
     def test_gen_data_prints_shortfall(self, tmp_path, capsys):
         # remainder's rare flips leave this run at 395 of 600 samples
