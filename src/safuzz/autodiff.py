@@ -1,7 +1,9 @@
 """Dual-precision graph evaluation and reverse-mode differentiation.
 
 forward_eval runs a graph in the requested precision and records every node
-value on a Tape. backward replays the tape in reverse, always accumulating
+value on a Tape; extend_tape carries an existing tape further down the graph,
+so a caller that stopped early can reach a later node without evaluating the
+prefix again. backward replays the tape in reverse, always accumulating
 adjoints in float64 regardless of the forward precision; the mutation step
 divides by these gradients, and single-precision adjoints would put noise in
 the search direction. finite_diff_grad is the independent oracle used to
@@ -23,7 +25,11 @@ from safuzz.tensor import Precision, Tensor
 
 @dataclass
 class Tape:
-    """Per-node forward values of one evaluation; single-use."""
+    """Per-node forward values of one evaluation of one set of inputs.
+
+    A tape may be extended to later nodes (extend_tape), never rewritten: a
+    value, once recorded, stays the value of that node for these inputs.
+    """
 
     graph: Graph
     precision: Precision
@@ -61,11 +67,22 @@ def forward_eval(
                 decl.id, f"input shape {tensor.shape} does not match declared {decl.shape}"
             )
         tape.values[decl.id] = tensor.data.astype(dtype)
+    return extend_tape(tape, stop_at)
+
+
+def extend_tape(tape: Tape, stop_at: Optional[str] = None) -> Tape:
+    """Evaluate the nodes not yet on the tape, up to stop_at (or the whole graph).
+
+    Nodes already on the tape keep their values; the tape is returned.
+    """
     if stop_at is not None and stop_at in tape.values:
         return tape
+    graph, values, dtype = tape.graph, tape.values, tape.precision.dtype
     for node in graph.nodes:
+        if node.id in values:
+            continue
         op = op_def(node.op)  # CapabilityError for registry-only ops
-        args = [tape.values[ref][None] for ref in node.inputs]
+        args = [values[ref][None] for ref in node.inputs]
         try:
             out = apply_forward(op, node.params, args, dtype)[0, ...]
         except (ValueError, IndexError) as exc:
@@ -75,7 +92,7 @@ def forward_eval(
             raise EvaluationError(
                 node.id, f"produced shape {out.shape}, expected {expected}"
             )
-        tape.values[node.id] = out
+        values[node.id] = out
         if node.id == stop_at:
             return tape
     if stop_at is not None:

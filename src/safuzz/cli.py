@@ -172,7 +172,8 @@ def _cmd_bench(args) -> int:
             print(f"seed {seed} {spec.name}: {status} "
                   f"(expected {spec.expected_failure_class or 'none'})")
     totals = report.totals()
-    print(f"total bugs: {totals['bugs_found']}, "
+    print(f"total bugs: {totals['bugs_found']} "
+          f"({totals['bugs_found_by_search']} by search), "
           f"average time: {totals['average_time_seconds']:.4f}s")
     if args.out:
         report_emit(report, args.out)

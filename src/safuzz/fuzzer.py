@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.autodiff import backward, forward_eval
+from safuzz.autodiff import Tape, backward, extend_tape, forward_eval
 from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import Forest, predict
@@ -29,6 +29,7 @@ from safuzz.tensor import Precision, Tensor
 log = logging.getLogger(__name__)
 
 DEFAULT_INPUT_RANGE = (-10.0, 10.0)
+WIDTH_ORACLE = 6  # the increased-width oracle, the only reader of the double shadow
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,11 @@ class FuzzResult:
     @property
     def found(self) -> bool:
         return self.status == "Found"
+
+    @property
+    def found_at_init(self) -> bool:
+        """Found on the initial input, before any search step."""
+        return self.found and self.iterations == 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +210,30 @@ def validate_failure(
     site: UnstableSite,
     inputs: Sequence[Tensor],
     registry: Optional[Registry] = None,
+    tape: Optional[Tape] = None,
 ) -> OracleVerdict:
     """Execute through the site and judge the kernel with its bound oracles.
 
-    Operands come from the native single-precision execution; a double
-    shadow execution supplies the operands the increased-width oracle
-    compares against.
+    Operands come from the native single-precision execution. A caller that
+    already holds a single-precision tape of these inputs passes it as tape;
+    it is extended to the site instead of evaluating the prefix again.
+    Without one, a new tape is evaluated. A double shadow execution supplies
+    the operands the increased-width oracle compares against; it runs only
+    when that oracle is bound to the kernel, since no other oracle reads it.
     """
     reg = registry or default_registry()
-    tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.node_id)
+    if tape is None:
+        tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.node_id)
+    elif tape.precision is not Precision.SINGLE:
+        raise UsageError("validation extends single-precision tapes only")
+    else:
+        extend_tape(tape, site.node_id)
     node = graph.node(site.node_id)
     operands = [tape.value(ref) for ref in node.inputs]
-    wide_tape = forward_eval(graph, inputs, Precision.DOUBLE, stop_at=site.node_id)
-    wide = [wide_tape.value(ref) for ref in node.inputs]
+    wide = None
+    if any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings):
+        wide_tape = forward_eval(graph, inputs, Precision.DOUBLE, stop_at=site.node_id)
+        wide = [wide_tape.value(ref) for ref in node.inputs]
     return run_oracles(site.kernel, operands, reg, wide_inputs=wide)
 
 
@@ -276,9 +293,9 @@ def fuzz_site(
             result.diagnostics.append("wall-clock timeout")
             break
         result.iterations += 1
+        inputs = _tensors(graph, values)
         try:
-            tape = forward_eval(graph, _tensors(graph, values), Precision.SINGLE,
-                                stop_at=site.entry_node)
+            tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.entry_node)
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
@@ -288,7 +305,7 @@ def fuzz_site(
 
         if signal is Signal.NO_CHANGE:
             try:
-                verdict = validate_failure(graph, site, _tensors(graph, values), reg)
+                verdict = validate_failure(graph, site, inputs, reg, tape=tape)
             except EvaluationError as exc:
                 result.diagnostics.append(f"validation failed: {exc}")
                 break
@@ -326,7 +343,8 @@ def random_fuzz_site(
 ) -> FuzzResult:
     """Baseline: identical mutation magnitudes, uniformly random directions,
     no assertion guidance and no history constraints; the oracle is consulted
-    every iteration.
+    every iteration. One single-precision forward to the site per iteration
+    serves both the validation and the back-propagation.
     """
     reg = registry or default_registry()
     result = FuzzResult(site=site, status="Exhausted")
@@ -340,8 +358,10 @@ def random_fuzz_site(
             result.diagnostics.append("wall-clock timeout")
             break
         result.iterations += 1
+        inputs = _tensors(graph, values)
         try:
-            verdict = validate_failure(graph, site, _tensors(graph, values), reg)
+            tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.node_id)
+            verdict = validate_failure(graph, site, inputs, reg, tape=tape)
         except EvaluationError as exc:
             result.diagnostics.append(f"validation failed: {exc}")
             break
@@ -349,12 +369,6 @@ def random_fuzz_site(
             result.status = "Found"
             result.verdict = verdict
             result.failing_input = {k: v.tolist() for k, v in values.items()}
-            break
-        try:
-            tape = forward_eval(graph, _tensors(graph, values), Precision.SINGLE,
-                                stop_at=site.entry_node)
-        except EvaluationError as exc:
-            result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
         signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
         deltas = propagate_signal(graph, site, tape, signal, config.rate,

@@ -42,7 +42,9 @@ class Report:
     def totals(self) -> dict:
         found = [r for p in self.programs for r in p.results if r.found]
         avg = sum(r.wall_time for r in found) / len(found) if found else 0.0
-        return {"bugs_found": len(found), "average_time_seconds": avg}
+        return {"bugs_found": len(found),
+                "bugs_found_by_search": sum(not r.found_at_init for r in found),
+                "average_time_seconds": avg}
 
 
 def _result_dict(result: FuzzResult) -> dict:
@@ -50,6 +52,7 @@ def _result_dict(result: FuzzResult) -> dict:
         "node": result.site.node_id,
         "kernel": result.site.kernel,
         "status": result.status,
+        "found_at_init": result.found_at_init,
         "failure_class": (result.verdict.failure_class.value
                           if result.verdict and result.verdict.failure_class else None),
         "detail": result.verdict.detail if result.verdict else "",

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_RANK = 4
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 class Precision(enum.Enum):
@@ -39,9 +40,9 @@ class Tensor:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
-        arr = np.array(arr, dtype=dtype, order="C", copy=True)
+        arr = np.array(self.data, order="C", copy=True)
+        if arr.dtype != _F32 and arr.dtype != _F64:
+            arr = arr.astype(np.float64)
         if arr.ndim > MAX_RANK:
             raise ValueError(f"rank {arr.ndim} exceeds maximum {MAX_RANK}")
         arr.flags.writeable = False

@@ -5,28 +5,40 @@ tree per kernel) so no training is needed; the acceptance suite exercises the
 real trained models.
 """
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from safuzz.autodiff import forward_eval
+from safuzz.corpus import corpus_manifest
 from safuzz.datagen import Signal
-from safuzz.errors import UsageError
-from safuzz.forest import DecisionTree, Forest
+from safuzz.errors import EvaluationError, UsageError
+from safuzz.forest import DecisionTree, Forest, model_load, predict
 from safuzz.fuzzer import (
     Bounds,
     FuzzConfig,
+    FuzzResult,
+    _clamp_declared,
+    _initial_inputs,
+    _site_features,
+    _tensors,
     constrain_update,
     fuzz_program,
     fuzz_site,
     propagate_signal,
     random_fuzz_site,
     scan_for_unstable,
+    select_forest,
     validate_failure,
 )
 from safuzz.graph import Graph, InputDecl, Node
-from safuzz.oracles import FailureClass
+from safuzz.oracles import FailureClass, run_oracles
 from safuzz.registry import default_registry
 from safuzz.tensor import Precision, Tensor
+
+FIXTURE_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "models"
 
 
 def band_tree(lo, hi, inside=Signal.NO_CHANGE, below=Signal.INCREASE,
@@ -312,3 +324,227 @@ class TestFuzzProgram:
                                       FuzzConfig(seed=0, max_iters=10))
         assert results == []
         assert any("no trained model" in d for d in diags)
+
+
+# ---------------------------------------------------------------------------
+# one forward per iteration: tape reuse and the double-shadow rule
+# ---------------------------------------------------------------------------
+
+def _corpus_sites():
+    reg = default_registry()
+    for spec in corpus_manifest(reg):
+        graph = spec.to_graph(reg)
+        for site in scan_for_unstable(graph, reg).sites:
+            yield pytest.param(spec, graph, site, id=f"{spec.name}-{site.node_id}")
+
+
+def _failing_inputs(graph, site):
+    """The first of a few extreme inputs that fails validation at the site."""
+    for value in (1.0, 0.0, 1e30, -1e30, 1e-30, 3e38):
+        inputs = [Tensor(np.full(d.shape, value)) for d in graph.inputs]
+        if not validate_failure(graph, site, inputs).passed:
+            return inputs
+    raise AssertionError(f"no extreme input fails at {site.node_id}")
+
+
+class TestTapeReuse:
+    @pytest.mark.parametrize("spec,graph,site", list(_corpus_sites()))
+    def test_tape_gives_the_verdict_of_a_fresh_evaluation(self, spec, graph, site):
+        cases = [_tensors(graph, _initial_inputs(graph, np.random.default_rng(seed)))
+                 for seed in range(5)]
+        cases.append(_failing_inputs(graph, site))
+        for inputs in cases:
+            # verdicts compare passed, failure_class and detail
+            fresh = validate_failure(graph, site, inputs)
+            assert fresh == _reference_validate_failure(graph, site, inputs)
+            for stop in (site.entry_node, site.node_id):
+                tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=stop)
+                reused = validate_failure(graph, site, inputs, tape=tape)
+                assert reused == fresh, (spec.name, stop)
+                assert tape.has(site.node_id)
+        assert not fresh.passed  # the last case fails at every site
+
+    def test_double_tape_rejected(self):
+        g = exp_graph()
+        site = scan_for_unstable(g).sites[0]
+        inputs = [Tensor.of(np.ones((3, 3)))]
+        tape = forward_eval(g, inputs, Precision.DOUBLE, stop_at=site.entry_node)
+        with pytest.raises(UsageError):
+            validate_failure(g, site, inputs, tape=tape)
+
+    def test_remainder_needs_the_double_shadow(self):
+        reg = default_registry()
+        spec = next(s for s in corpus_manifest(reg) if s.name == "remainder_width_loss")
+        g = spec.to_graph(reg)
+        site = scan_for_unstable(g, reg).sites[0]
+        inputs = [Tensor.of([1234.5678901, 1234.5678901, 1234.5678901])]
+        # judged on the single-precision operands alone the input passes
+        tape = forward_eval(g, inputs, Precision.SINGLE, stop_at=site.node_id)
+        assert run_oracles(site.kernel, [tape.value("x")], reg).passed
+        for tape in (None, forward_eval(g, inputs, Precision.SINGLE, stop_at="x")):
+            verdict = validate_failure(g, site, inputs, reg, tape=tape)
+            assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
+
+
+# The search loops as they were before validation reused the iteration's
+# tape: three forwards per random iteration, a fresh prefix per validation.
+# The loops under test must reproduce them exactly.
+
+def _reference_validate_failure(graph, site, inputs, registry=None):
+    reg = registry or default_registry()
+    tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.node_id)
+    node = graph.node(site.node_id)
+    operands = [tape.value(ref) for ref in node.inputs]
+    wide_tape = forward_eval(graph, inputs, Precision.DOUBLE, stop_at=site.node_id)
+    wide = [wide_tape.value(ref) for ref in node.inputs]
+    return run_oracles(site.kernel, operands, reg, wide_inputs=wide)
+
+
+def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
+    reg = registry or default_registry()
+    result = FuzzResult(site=site, status="Exhausted")
+    start = time.perf_counter()
+
+    values = _initial_inputs(graph, rng)
+    bounds = {d.id: Bounds.unconstrained(tuple(d.shape)) for d in graph.inputs}
+
+    while True:
+        if result.iterations >= config.max_iters:
+            result.diagnostics.append("iteration budget exhausted")
+            break
+        if time.perf_counter() - start > config.timeout:
+            result.diagnostics.append("wall-clock timeout")
+            break
+        result.iterations += 1
+        try:
+            tape = forward_eval(graph, _tensors(graph, values), Precision.SINGLE,
+                                stop_at=site.entry_node)
+        except EvaluationError as exc:
+            result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
+            break
+        feats = _site_features(tape, site, forest)
+        signal = predict(forest, feats)
+        result.sa_queries += 1
+
+        if signal is Signal.NO_CHANGE:
+            try:
+                verdict = _reference_validate_failure(graph, site,
+                                                      _tensors(graph, values), reg)
+            except EvaluationError as exc:
+                result.diagnostics.append(f"validation failed: {exc}")
+                break
+            if not verdict.passed:
+                result.status = "Found"
+                result.verdict = verdict
+                result.failing_input = {k: v.tolist() for k, v in values.items()}
+                break
+            result.resets += 1
+            if result.resets > config.max_resets:
+                result.diagnostics.append("reset budget exhausted")
+                break
+            values = _initial_inputs(graph, rng)
+            continue
+
+        deltas = propagate_signal(graph, site, tape, signal, config.rate,
+                                  config.grad_floor)
+        for decl in graph.inputs:
+            values[decl.id] = constrain_update(
+                values[decl.id], deltas[decl.id], bounds[decl.id], signal
+            )
+        _clamp_declared(graph, values)
+
+    result.wall_time = time.perf_counter() - start
+    return result
+
+
+def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
+    reg = registry or default_registry()
+    result = FuzzResult(site=site, status="Exhausted")
+    start = time.perf_counter()
+    values = _initial_inputs(graph, rng)
+    while True:
+        if result.iterations >= config.max_iters:
+            result.diagnostics.append("iteration budget exhausted")
+            break
+        if time.perf_counter() - start > config.timeout:
+            result.diagnostics.append("wall-clock timeout")
+            break
+        result.iterations += 1
+        try:
+            verdict = _reference_validate_failure(graph, site, _tensors(graph, values), reg)
+        except EvaluationError as exc:
+            result.diagnostics.append(f"validation failed: {exc}")
+            break
+        if not verdict.passed:
+            result.status = "Found"
+            result.verdict = verdict
+            result.failing_input = {k: v.tolist() for k, v in values.items()}
+            break
+        try:
+            tape = forward_eval(graph, _tensors(graph, values), Precision.SINGLE,
+                                stop_at=site.entry_node)
+        except EvaluationError as exc:
+            result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
+            break
+        signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
+        deltas = propagate_signal(graph, site, tape, signal, config.rate,
+                                  config.grad_floor)
+        for decl in graph.inputs:
+            values[decl.id] = values[decl.id] + deltas[decl.id]
+        _clamp_declared(graph, values)
+    result.wall_time = time.perf_counter() - start
+    return result
+
+
+def _outcome(result):
+    """Every FuzzResult field but wall_time; repr keeps NaN inputs comparable."""
+    return repr({k: v for k, v in vars(result).items() if k != "wall_time"})
+
+
+class TestLoopsMatchReference:
+    SEEDS = (0, 1, 2)
+
+    # the corpus sites mostly sit on a program input or a linear prefix, where
+    # the gradient does not depend on the tape; here the exp entry is x * x
+    SQUARE_EXP = Graph([InputDecl("x", (3, 3), bounds=(-3.0, 3.0))],
+                       [Node("a", "square", ("x",)), Node("y", "exp", ("a",))], "y")
+
+    def _runs(self):
+        reg = default_registry()
+        programs = [(spec.name, spec.to_graph(reg), spec.rate or 1.0)
+                    for spec in corpus_manifest(reg)]
+        programs.append(("square_exp", self.SQUARE_EXP, 1.0))
+        for name, graph, rate in programs:
+            for seed in self.SEEDS:
+                config = FuzzConfig(rate=rate, seed=seed, max_iters=300)
+                for index, site in enumerate(scan_for_unstable(graph, reg).sites):
+                    yield name, graph, site, config, index, reg
+
+    @staticmethod
+    def _rngs(seed, index):
+        return [np.random.default_rng(np.random.SeedSequence([seed, index]))
+                for _ in range(2)]
+
+    def test_random_fuzz_site(self):
+        found = 0
+        for name, graph, site, config, index, reg in self._runs():
+            rng, ref_rng = self._rngs(config.seed, index)
+            result = random_fuzz_site(graph, site, config, rng, reg)
+            expected = _reference_random_fuzz_site(graph, site, config, ref_rng, reg)
+            assert _outcome(result) == _outcome(expected), (name, config.seed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            found += result.found
+        assert found > 0
+
+    def test_fuzz_site(self):
+        models = [model_load(p) for p in sorted(FIXTURE_MODELS.glob("*.json"))]
+        found = 0
+        for name, graph, site, config, index, reg in self._runs():
+            forest = select_forest(models, site)
+            rng, ref_rng = self._rngs(config.seed, index)
+            result = fuzz_site(graph, site, forest, config, rng, reg)
+            expected = _reference_fuzz_site(graph, site, forest, config, ref_rng, reg)
+            assert _outcome(result) == _outcome(expected), (name, config.seed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            found += result.found
+        assert found > 0

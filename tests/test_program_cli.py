@@ -1,6 +1,7 @@
 """Program files, corpus manifest, reports and the command-line surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from safuzz.fuzzer import FuzzResult, UnstableSite, scan_for_unstable
 from safuzz.oracles import FailureClass, OracleVerdict
 from safuzz.program import program_parse, program_to_dict
 from safuzz.report import ProgramReport, Report, report_emit, strip_time_fields
+
+
+FIXTURE_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "models"
 
 
 def write_program(tmp_path, doc, name="prog.json"):
@@ -117,7 +121,8 @@ class TestReport:
     def test_empty_run_zero_totals(self, tmp_path):
         doc = report_emit(Report(registry_version="v", config={}),
                           tmp_path / "r.json")
-        assert doc["totals"] == {"bugs_found": 0, "average_time_seconds": 0.0}
+        assert doc["totals"] == {"bugs_found": 0, "bugs_found_by_search": 0,
+                                 "average_time_seconds": 0.0}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "r.json"
@@ -132,6 +137,35 @@ class TestReport:
         doc = {"timestamp": "t", "wall_time_seconds": 1.0,
                "nested": [{"average_time_seconds": 2.0, "keep": 1}], "keep": 2}
         assert strip_time_fields(doc) == {"nested": [{"keep": 1}], "keep": 2}
+
+
+class TestFoundAtInit:
+    SITE = UnstableSite("y", "exp", "x", (1,))
+    FAIL = OracleVerdict(False, FailureClass.NAN_OR_INF, "inf")
+
+    def test_only_a_find_on_the_first_iteration(self):
+        assert FuzzResult(self.SITE, "Found", verdict=self.FAIL, iterations=1).found_at_init
+        assert not FuzzResult(self.SITE, "Found", verdict=self.FAIL,
+                              iterations=2).found_at_init
+        assert not FuzzResult(self.SITE, "Exhausted", iterations=1).found_at_init
+
+    def test_bench_separates_init_from_search(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert cli_dispatch(["bench", "--models", str(FIXTURE_MODELS), "--seeds", "0",
+                             "--max-iters", "2000", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        sites = {p["program"]: p["sites"] for p in doc["programs"]}
+        l2 = sites["l2_norm_overflow"]
+        assert [(s["status"], s["iterations"], s["found_at_init"]) for s in l2] == \
+            [("Found", 1, True)] * 3
+        exp = sites["exp_overflow"][0]
+        assert (exp["status"], exp["iterations"], exp["found_at_init"]) == ("Found", 82, False)
+        found = [s for group in sites.values() for s in group if s["status"] == "Found"]
+        by_search = sum(not s["found_at_init"] for s in found)
+        assert 0 < by_search < len(found)
+        assert doc["totals"]["bugs_found"] == len(found)
+        assert doc["totals"]["bugs_found_by_search"] == by_search
+        assert f"total bugs: {len(found)} ({by_search} by search)," in capsys.readouterr().out
 
 
 class TestCli:
