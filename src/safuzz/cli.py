@@ -39,13 +39,17 @@ def _env_seed(default: int = 0) -> int:
         raise SafuzzError(f"SAF_SEED must be an integer, got {raw!r}") from None
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, sep: str, what: str, example: str) -> list[int]:
     try:
-        shape = tuple(int(p) for p in text.lower().split("x"))
+        return [int(p) for p in text.split(sep)]
     except ValueError:
-        raise SafuzzError(f"cannot parse shape {text!r}; use forms like 3x3") from None
-    if not shape:
-        raise SafuzzError("shape must have at least one dimension")
+        raise SafuzzError(f"cannot parse {what} {text!r}; use forms like {example}") from None
+
+
+def _parse_shape(text: str) -> tuple[int, ...]:
+    shape = tuple(_parse_ints(text.lower(), "x", "shape", "3x3"))
+    if min(shape) < 1:
+        raise SafuzzError(f"shape {text!r} has a dimension below 1")
     return shape
 
 
@@ -149,7 +153,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_bench(args) -> int:
     reg = default_registry()
     models = _load_models(args.models)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [_env_seed()]
+    seeds = _parse_ints(args.seeds, ",", "seed list", "0,1,2") if args.seeds else [_env_seed()]
     programs = corpus_manifest(reg)
     report = Report(
         registry_version=reg.version,

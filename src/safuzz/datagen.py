@@ -23,7 +23,7 @@ import enum
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -189,21 +189,6 @@ def step_sizes(mconfig: MutationConfig, rng: np.random.Generator, count: int,
 
 def _overflow(step_index: int) -> OverflowError:
     return OverflowError(f"exponential mutation step {step_index} overflows a double")
-
-
-def mutate_step(x: Tensor, step_index: int, mconfig: MutationConfig,
-                rng: np.random.Generator,
-                pixel_bounds: Optional[tuple[float, float]] = None) -> Tensor:
-    if step_index < 1:
-        raise UsageError("step_index starts at 1")
-    size = step_sizes(mconfig, rng, 1, first=step_index)
-    if not size.size:
-        raise _overflow(step_index)
-    sign = 1.0 if mconfig.direction == "up" else -1.0
-    values = x.data.astype(np.float64) + sign * size[0]
-    if pixel_bounds is not None:
-        values = np.clip(values, *pixel_bounds)
-    return Tensor(values)
 
 
 # ---------------------------------------------------------------------------

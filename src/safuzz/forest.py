@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from safuzz.datagen import Dataset, LabeledSample, Signal
+from safuzz.datagen import Dataset, Signal
 from safuzz.errors import FileFormatError, TrainingError, UsageError
 
 N_CLASSES = 3
@@ -62,18 +62,34 @@ class DecisionTree:
     counts: np.ndarray  # (n_nodes, N_CLASSES) int32
 
 
-def _compile(trees: Sequence[DecisionTree]) -> tuple:
-    """(feature, threshold, left, right, roots); index columns are int32 "i"."""
+def _compile(trees: Sequence[DecisionTree], feature_len: int) -> tuple:
+    """(feature, threshold, left, right, roots); index columns are int32 "i".
+
+    Raises ValueError for a tree the walk could not finish or would index
+    past: each internal node's children must come after it in its tree (so
+    no cycle), and its feature must lie inside the feature vector.
+    """
     if not trees:
         return array("i"), array("d"), array("i"), array("i"), []
+    sizes = [len(t.feature) for t in trees]
+    if min(sizes) < 1 or any(len(getattr(t, name)) != n
+                             for t, n in zip(trees, sizes) for name in TREE_KEYS):
+        raise ValueError("tree columns must be non-empty and of equal length")
     col = {name: np.concatenate([getattr(t, name) for t in trees]) for name, _ in TREE_COLUMNS}
+    if col["counts"].shape[1:] != (N_CLASSES,):
+        raise ValueError(f"every node needs {N_CLASSES} class counts")
     internal = col["feature"] >= 0
+    starts = np.cumsum(sizes) - sizes  # each tree's node 0 in the concatenated columns
+    base = np.repeat(starts, sizes)[internal]
+    node, size = np.flatnonzero(internal) - base, np.repeat(sizes, sizes)[internal]
+    for child in (col["left"][internal], col["right"][internal]):
+        if not ((node < child) & (child < size)).all():
+            raise ValueError("a child index precedes its node or lies outside its tree")
+    if not (col["feature"][internal] < feature_len).all():
+        raise ValueError(f"a split feature lies outside the {feature_len} features")
     # forest-wide number of each internal node, ~majority class of each leaf
     slot = np.where(internal, np.cumsum(internal) - 1,
                     ~np.argmax(col["counts"], axis=1)).astype(np.int32)
-    sizes = [len(t.feature) for t in trees]
-    starts = np.cumsum(sizes) - sizes  # each tree's node 0 in the concatenated columns
-    base = np.repeat(starts, sizes)[internal]
     return (array("i", col["feature"][internal].astype(np.int32).tobytes()),
             array("d", col["threshold"][internal].astype(np.float64).tobytes()),
             array("i", slot[col["left"][internal] + base].tobytes()),
@@ -94,7 +110,7 @@ class Forest:
     flat: tuple = field(init=False, repr=False, compare=False)  # see the module docstring
 
     def __post_init__(self):
-        self.flat = _compile(self.trees)
+        self.flat = _compile(self.trees, self.feature_len)
 
 
 def _grow_tree(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
@@ -187,6 +203,8 @@ def train_forest(
     Hyperparameters beyond count/seed are pinned: sqrt(feature_len) candidate
     features per split, unlimited depth, minimum leaf size 1.
     """
+    if not 0 <= test_split < 1 or tree_count < 1:
+        raise UsageError("test_split must lie in [0, 1) and tree_count be at least 1")
     if len(dataset) == 0:
         raise TrainingError("dataset is empty")
     labels_present = np.unique(dataset.labels)
@@ -197,10 +215,8 @@ def train_forest(
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ys))
-    n_test = int(round(len(ys) * test_split))
+    n_test = min(int(round(len(ys) * test_split)), len(ys) - 1)  # keep a training row
     test_idx, train_idx = order[:n_test], order[n_test:]
-    if train_idx.size == 0:
-        train_idx = order
     x_train, y_train = xs[train_idx], ys[train_idx]
 
     n_candidates = max(1, int(math.sqrt(dataset.feature_len)))
@@ -289,16 +305,6 @@ def describe_scores(scores: dict) -> str:
             f"{scores['macro_f1_present']:.4f} (F1 {per_class})")
 
 
-def evaluate_f1(forest: Forest, samples: Sequence[LabeledSample]) -> dict:
-    """Per-class precision/recall/F1 plus macro average over all classes."""
-    samples = list(samples)
-    if not samples:
-        raise UsageError("evaluate_f1 requires at least one sample")
-    xs = np.asarray([s.features for s in samples], dtype=np.float64)
-    ys = np.asarray([int(s.label) for s in samples], dtype=np.int64)
-    return evaluate_f1_arrays(forest, xs, ys)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -338,7 +344,8 @@ def model_load(path) -> Forest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(), object_hook=_tree_from_json)
-    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; an index beyond int32 is an OverflowError
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"cannot load model {path}: {exc}") from exc
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise FileFormatError(

@@ -21,7 +21,8 @@ from safuzz.autodiff import Tape, backward, extend_tape, forward_eval
 from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import Forest, predict
-from safuzz.graph import Graph, InputDecl
+from safuzz.graph import Graph
+from safuzz.kernels import op_def
 from safuzz.oracles import OracleVerdict, run_oracles
 from safuzz.registry import Registry, default_registry
 from safuzz.tensor import Precision, Tensor
@@ -68,8 +69,10 @@ class FuzzConfig:
     max_iters: int = 5000  # deterministic budget; wall timeout stays the backstop
 
     def __post_init__(self):
-        if self.timeout <= 0 or self.grad_floor <= 0:
-            raise UsageError("timeout and grad_floor must be positive")
+        if self.timeout <= 0 or self.grad_floor <= 0 or not self.rate > 0:
+            raise UsageError("timeout, rate and grad_floor must be positive")
+        if self.max_iters < 1:
+            raise UsageError("max_iters must be at least 1")
 
 
 @dataclass
@@ -117,8 +120,7 @@ def scan_for_unstable(graph: Graph, registry: Optional[Registry] = None) -> Scan
                 "but has no soft assertion available"
             )
             continue
-        primary = min(spec.primary_operand, len(node.inputs) - 1)
-        entry = node.inputs[primary]
+        entry = node.inputs[op_def(node.op).primary]
         sites.append(
             UnstableSite(
                 node_id=node.id,

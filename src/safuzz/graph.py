@@ -106,17 +106,3 @@ class Graph:
 
     def shape_of(self, node_id: str) -> Optional[tuple[int, ...]]:
         return self.shapes[node_id]
-
-
-def chain(ops: list[tuple[str, str, dict]], input_shape, bounds=None, name_prefix="x") -> Graph:
-    """Build a single-input pipeline graph; convenient in tests.
-
-    ops: list of (node_id, op_name, params); each node consumes the previous.
-    """
-    decl = InputDecl(id=name_prefix, shape=tuple(input_shape), bounds=bounds)
-    nodes = []
-    prev = decl.id
-    for node_id, op_name, params in ops:
-        nodes.append(Node(id=node_id, op=op_name, inputs=(prev,), params=params))
-        prev = node_id
-    return Graph([decl], nodes, prev)

@@ -731,8 +731,3 @@ def unit_operand_rows(name: str, xs: np.ndarray) -> list[np.ndarray]:
         return [xs]
     aux = _unit_aux(name, xs.shape[1:], Precision.of_dtype(xs.dtype)).data[None]
     return [aux, xs] if op.primary == 1 else [xs, aux]
-
-
-def unit_operands(name: str, x: Tensor) -> list[Tensor]:
-    """unit_operand_rows for one unit-test tensor."""
-    return [Tensor(a[0]) for a in unit_operand_rows(name, x.data[None])]

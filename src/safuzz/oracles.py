@@ -9,10 +9,12 @@ Six families decide whether a kernel execution failed:
 5. consistency with an independent reference implementation,
 6. re-execution at increased floating-point width.
 
-Every check runs over a stack of executions, one row per sample, and judges
-each row on its own. oracle_rows applies a kernel's bound oracles in registry
-order and reports, for each row, the first failing oracle and its detail;
-run_oracles judges a single execution as a stack of one.
+A kernel's registry entry binds it to some of these families. The module
+has two entry points: oracle_rows runs a kernel's bound oracles in registry
+order over a stack of executions, one row per sample, and reports for each
+row the first failing oracle and its detail; run_oracles judges a single
+execution as a stack of one. The families themselves are internal row
+checks with no entry point of their own.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from safuzz.errors import CapabilityError, OracleUnavailable
+from safuzz.errors import CapabilityError
 from safuzz.kernels import (
     KERNEL_OPS,
     apply_forward,
@@ -39,7 +41,7 @@ from safuzz.kernels import (
     stable_softplus,
 )
 from safuzz.registry import Registry, default_registry, resolved_params
-from safuzz.tensor import Precision, Tensor
+from safuzz.tensor import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -156,10 +158,6 @@ def _nan_inf_rows(output: np.ndarray) -> _CheckRows:
     return _CheckRows(FailureClass.NAN_OR_INF, np.isfinite(values).all(axis=1), describe)
 
 
-def check_nan_inf(output: Tensor) -> OracleVerdict:
-    return _nan_inf_rows(output.data[None]).verdict(0)
-
-
 # ---------------------------------------------------------------------------
 # oracle type 2: out-of-range check
 # ---------------------------------------------------------------------------
@@ -177,45 +175,15 @@ def _range_rows(output: np.ndarray, lo: float, hi: float) -> _CheckRows:
     return _CheckRows(FailureClass.OUT_OF_RANGE, inside.all(axis=1), describe)
 
 
-def check_range(output: Tensor, lo: float, hi: float) -> OracleVerdict:
-    return _range_rows(output.data[None], lo, hi).verdict(0)
-
-
 # ---------------------------------------------------------------------------
 # oracle type 3: math formula rewriting
 # ---------------------------------------------------------------------------
-
-def _packed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # each row packs (x, m, y) as its first three elements
-    rows = x.reshape(len(x), -1)
-    return rows[:, 0], rows[:, 1], rows[:, 2]
-
-
-def _rw_sqrt_ratio(x):
-    return x / (np.sqrt(x) * np.sqrt(x))
-
-
-def _rw_sqrt_ratio_stable(x):
-    return x / np.sqrt(x * x)
-
-
-def _rw_shifted_log(x):
-    v, m, y = _packed(x)
-    return v - (m + np.log(y))
-
-
-def _rw_shifted_log_stable(x):
-    v, m, y = _packed(x)
-    return (v - m) - np.log(y)
-
 
 # name -> (original form, rewritten stable form), each over a stacked operand;
 # a kernel's original form is its own forward
 REWRITES: dict[str, tuple[Callable, Callable]] = {
     "logSoftmax": (partial(KERNEL_OPS["logSoftmax"].forward, {}), stable_logsoftmax),
     "SoftPlus": (partial(KERNEL_OPS["SoftPlus"].forward, {}), stable_softplus),
-    "sqrt_ratio": (_rw_sqrt_ratio, _rw_sqrt_ratio_stable),
-    "shifted_log_diff": (_rw_shifted_log, _rw_shifted_log_stable),
 }
 
 
@@ -228,11 +196,6 @@ def _rewrite_rows(name: str, x: np.ndarray, tolerance: float, dtype) -> _CheckRo
         a = original(x)
         b = rewritten(x)
     return _CheckRows(FailureClass.REWRITE_MISMATCH, *_compare(a, b, tolerance))
-
-
-def check_rewrite(name: str, inputs: Sequence[Tensor], tolerance: float = 1e-6,
-                  precision: Precision = Precision.SINGLE) -> OracleVerdict:
-    return _rewrite_rows(name, inputs[0].data[None], tolerance, precision.dtype).verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +229,6 @@ def _stable_algorithm_rows(name: str, x: np.ndarray, tolerance: float) -> _Check
     return _CheckRows(FailureClass.STABLE_ALGO_MISMATCH, agree | ~inside, describe, inside)
 
 
-def check_stable_algorithm(name: str, inputs: Sequence[Tensor],
-                           tolerance: float = 1e-6) -> OracleVerdict:
-    """Raises OracleUnavailable when the input lies outside the stable
-    counterpart's domain."""
-    rows = _stable_algorithm_rows(name, inputs[0].data[None], tolerance)
-    if not rows.judged[0]:
-        raise OracleUnavailable("matrix outside the symmetric positive-definite domain")
-    return rows.verdict(0)
-
 
 # ---------------------------------------------------------------------------
 # oracle type 5: consistency against an independent reference
@@ -300,12 +254,6 @@ def _reference_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
     return _CheckRows(FailureClass.REFERENCE_MISMATCH, *_compare(a, b, tolerance))
 
 
-def check_reference_consistency(name: str, inputs: Sequence[Tensor],
-                                tolerance: float = 1e-6,
-                                registry: Optional[Registry] = None) -> OracleVerdict:
-    params = _params_of(name, inputs, registry)
-    return _reference_rows(name, params, _stacked(inputs), tolerance).verdict(0)
-
 
 # ---------------------------------------------------------------------------
 # oracle type 6: increased floating-point width
@@ -327,12 +275,6 @@ def _width_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
     return _CheckRows(FailureClass.WIDTH_MISMATCH, *found)
 
 
-def check_increased_width(name: str, inputs: Sequence[Tensor],
-                          tolerance: float = 1e-6,
-                          registry: Optional[Registry] = None) -> OracleVerdict:
-    params = _params_of(name, inputs, registry)
-    return _width_rows(name, params, _stacked(inputs), tolerance).verdict(0)
-
 
 # ---------------------------------------------------------------------------
 # dispatcher
@@ -341,10 +283,6 @@ def check_increased_width(name: str, inputs: Sequence[Tensor],
 def _stacked(inputs: Sequence[Tensor]) -> list[np.ndarray]:
     return [t.data[None] for t in inputs]
 
-
-def _params_of(name: str, inputs: Sequence[Tensor], registry: Optional[Registry]) -> dict:
-    spec = (registry or default_registry()).get(name)
-    return resolved_params(spec, inputs[spec.primary_operand].shape)
 
 
 class OracleRows(NamedTuple):
@@ -385,7 +323,7 @@ def oracle_rows(name: str, inputs: Sequence[np.ndarray],
     spec = reg.get(name)
     if not spec.implemented:
         raise CapabilityError(f"kernel '{name}' is not implemented")
-    params = resolved_params(spec, inputs[spec.primary_operand].shape[1:])
+    params = resolved_params(spec, inputs[op_def(name).primary].shape[1:])
     checks = []
     passing = None  # rows no oracle has failed so far
     every_row_judged = False

@@ -92,30 +92,3 @@ def program_parse(path, registry: Optional[Registry] = None) -> ProgramSpec:
     except (OSError, json.JSONDecodeError) as exc:
         raise GraphParseError(f"cannot read program file {path}: {exc}") from exc
     return program_from_dict(doc, registry)
-
-
-def program_to_dict(spec: ProgramSpec) -> dict:
-    return {
-        "format_version": PROGRAM_FORMAT_VERSION,
-        "name": spec.name,
-        "inputs": [
-            {
-                "id": d.id,
-                "shape": list(d.shape),
-                **({"bounds": list(d.bounds)} if d.bounds else {}),
-                **({"clamp": True} if d.clamp else {}),
-            }
-            for d in spec.inputs
-        ],
-        "nodes": [
-            {
-                "id": n.id,
-                "op": n.op,
-                **({"inputs": list(n.inputs)} if n.inputs else {}),
-                **({"params": n.params} if n.params else {}),
-            }
-            for n in spec.nodes
-        ],
-        "output": spec.output,
-        "metadata": spec.metadata,
-    }

@@ -5,6 +5,11 @@ The shipped registry carries 61 entries. The 25 "core" entries and 3
 have a forward, a gradient, and at least one bound oracle. The remaining
 "metadata" entries record name, category and oracle tags only, so scanning
 can still flag them with a no-assertion-available diagnostic.
+
+An entry holds what only the registry knows: tier, oracle bindings, static
+params and generation hints. A kernel's arity and the operand its soft
+assertion inspects belong to the op table (kernels.op_def). Entries carry no
+hand-written safe condition: the bound oracles define where a kernel fails.
 """
 
 from __future__ import annotations
@@ -13,18 +18,10 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from safuzz.errors import CapabilityError, RegistryError
-from safuzz.kernels import (
-    KERNEL_OPS,
-    apply_forward,
-    default_params,
-    op_def,
-)
-from safuzz.tensor import Precision, Tensor
+from safuzz.kernels import KERNEL_OPS, default_params
 
 DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_REGISTRY_PATH = DATA_DIR / "registry.json"
@@ -41,20 +38,6 @@ class OracleBinding:
 
 
 @dataclass(frozen=True)
-class SafeCondition:
-    lo: Optional[float]
-    hi: Optional[float]
-
-    def holds(self, values: np.ndarray) -> bool:
-        ok = np.ones(values.shape, dtype=bool)
-        if self.lo is not None:
-            ok &= values >= self.lo
-        if self.hi is not None:
-            ok &= values <= self.hi
-        return bool(ok.all())
-
-
-@dataclass(frozen=True)
 class GenerationHints:
     regions: tuple[tuple[float, float], ...]
     failure_seeds: tuple[float, ...] = ()
@@ -67,12 +50,9 @@ class KernelSpec:
     category: str
     tier: str  # core | extended | metadata
     implemented: bool
-    arity: int
-    safe_condition: Optional[SafeCondition]
     oracle_bindings: tuple[OracleBinding, ...]
     params: dict = field(default_factory=dict)
     generation: Optional[GenerationHints] = None
-    primary_operand: int = 0
 
 
 @dataclass(frozen=True)
@@ -87,9 +67,6 @@ class Registry:
         if name not in self.entries:
             raise CapabilityError(f"kernel '{name}' is not in the registry")
         return self.entries[name]
-
-    def implemented_names(self) -> list[str]:
-        return [n for n, e in self.entries.items() if e.implemented]
 
     def core_names(self) -> list[str]:
         return [n for n, e in self.entries.items() if e.tier == "core"]
@@ -121,8 +98,6 @@ def _parse_entry(raw: dict) -> KernelSpec:
         category = raw["category"]
         tier = raw.get("tier", "core" if implemented else "metadata")
         bindings = tuple(_parse_binding(b, name) for b in raw["oracle_bindings"])
-        cond = raw.get("safe_condition")
-        safe = SafeCondition(lo=cond.get("lo"), hi=cond.get("hi")) if cond else None
         gen_raw = raw.get("generation")
         gen = None
         if gen_raw:
@@ -136,12 +111,9 @@ def _parse_entry(raw: dict) -> KernelSpec:
             category=category,
             tier=tier,
             implemented=implemented,
-            arity=int(raw.get("arity", 1)),
-            safe_condition=safe,
             oracle_bindings=bindings,
             params=dict(raw.get("params", {})),
             generation=gen,
-            primary_operand=int(raw.get("primary_operand", 0)),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RegistryError(f"entry '{name}': malformed field ({exc})") from exc
@@ -189,39 +161,3 @@ def resolved_params(spec: KernelSpec, shape: tuple[int, ...]) -> dict:
     """Static registry params merged over shape-dependent deterministic defaults."""
     return default_params(spec.name, tuple(shape)) | spec.params  # | on the proxy builds a new dict
 
-
-def kernel_eval(
-    name: str,
-    inputs: Sequence[Tensor],
-    precision: Precision = Precision.SINGLE,
-    registry: Optional[Registry] = None,
-    params: Optional[dict] = None,
-) -> Tensor:
-    """Dispatch a single kernel over explicit operand tensors."""
-    reg = registry or default_registry()
-    spec = reg.get(name)
-    if not spec.implemented:
-        raise CapabilityError(f"kernel '{name}' is registered but not implemented")
-    op = op_def(name)
-    if len(inputs) != op.arity:
-        raise CapabilityError(
-            f"kernel '{name}' takes {op.arity} operand(s), got {len(inputs)}"
-        )
-    if params is None:
-        params = resolved_params(spec, inputs[op.primary].shape)
-    dtype = precision.dtype
-    args = [t.data.astype(dtype)[None] for t in inputs]
-    try:
-        out = apply_forward(op, params, args, dtype)[0, ...]
-    except (ValueError, IndexError) as exc:
-        raise CapabilityError(f"kernel '{name}': {exc}") from exc
-    return Tensor(out)
-
-
-def safe_condition_check(name: str, tensor: Tensor, registry: Optional[Registry] = None) -> bool:
-    """True iff every element satisfies the kernel's recorded safe condition."""
-    reg = registry or default_registry()
-    spec = reg.get(name)
-    if spec.safe_condition is None:
-        raise CapabilityError(f"kernel '{name}' has no recorded safe condition")
-    return spec.safe_condition.holds(tensor.data.astype(np.float64))

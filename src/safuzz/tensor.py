@@ -74,11 +74,6 @@ class Tensor:
             return self
         return Tensor(self.data.astype(precision.dtype))
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError("item() requires a single-element tensor")
-        return float(self.elements[0])
-
     def tolist(self):
         return self.data.tolist()
 

@@ -20,12 +20,12 @@ from safuzz.datagen import (
     derive_labels,
     featurize,
     generate_base_inputs,
-    mutate_step,
     preprocess_scale,
     run_trajectory,
+    step_sizes,
 )
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
-from safuzz.kernels import unit_operands
+from safuzz.kernels import unit_operand_rows
 from safuzz.oracles import run_oracles
 from safuzz.registry import default_registry
 from safuzz.tensor import Tensor
@@ -60,33 +60,31 @@ class TestBaseInputs:
 
 
 class TestMutateStep:
+    """Step sizes, and the steps run_trajectory takes with them."""
+
     def test_exponential_formula(self):
         mc = MutationConfig("exponential", rate=1.0, direction="up")
-        out = mutate_step(Tensor.of([10.0]), 1, mc, np.random.default_rng(0))
-        assert out.elements[0] == pytest.approx(10.0 + math.e)
+        sizes = step_sizes(mc, np.random.default_rng(0), 1)
+        assert sizes.tolist() == pytest.approx([math.e])
 
     def test_sinusoidal_unit_peak(self):
         mc = MutationConfig("sinusoidal", rate=math.pi / 2, direction="up", scale=1.0)
-        out = mutate_step(Tensor.of([10.0]), 1, mc, np.random.default_rng(0))
-        assert out.elements[0] == pytest.approx(11.0)
+        sizes = step_sizes(mc, np.random.default_rng(0), 1)
+        assert sizes.tolist() == pytest.approx([1.0])
 
     def test_random_step_bounded_by_rate(self):
-        mc = MutationConfig("random", rate=2.0, direction="down")
-        rng = np.random.default_rng(0)
-        for k in range(1, 20):
-            out = mutate_step(Tensor.of([0.0]), k, mc, rng)
-            assert -2.0 <= out.elements[0] <= 0.0
+        mc = MutationConfig("random", rate=2.0)
+        sizes = step_sizes(mc, np.random.default_rng(0), 19)
+        assert len(sizes) == 19
+        assert ((sizes >= 0.0) & (sizes <= 2.0)).all()
 
     def test_pixel_bounds_reclamped(self):
-        mc = MutationConfig("exponential", rate=2.0, direction="up")
-        out = mutate_step(Tensor.of([250.0]), 3, mc, np.random.default_rng(0),
-                          pixel_bounds=(0.0, 255.0))
-        assert out.elements[0] <= 255.0
-
-    def test_step_index_starts_at_one(self):
-        mc = MutationConfig("exponential", rate=1.0)
-        with pytest.raises(UsageError):
-            mutate_step(Tensor.of([0.0]), 0, mc, np.random.default_rng(0))
+        # exp fails from the base on, so the walk never flips and takes every step
+        mc = MutationConfig("exponential", rate=2.0, max_steps=3, direction="up")
+        points, _ = run_trajectory("exp", Tensor.of([250.0]), mc,
+                                   np.random.default_rng(0), pixel_bounds=(0.0, 255.0))
+        assert len(points) == 4
+        assert (points <= 255.0).all()
 
 
 class TestDeriveLabels:
@@ -247,7 +245,7 @@ class TestBuildDataset:
         for row in rows:
             raw = (row - scaling["offset"]) / scaling["scale"]
             x = Tensor(raw.reshape(ds.shape))
-            assert not run_oracles("exp", unit_operands("exp", x)).passed
+            assert not run_oracles("exp", [x]).passed
 
 
 def walk_step_by_step(kernel, base, mc, rng, pixel_bounds=None):
@@ -257,7 +255,8 @@ def walk_step_by_step(kernel, base, mc, rng, pixel_bounds=None):
     x = base.data.astype(np.float64)
 
     def judge(values):
-        return run_oracles(kernel, unit_operands(kernel, Tensor(values))).passed
+        operands = [Tensor(a[0]) for a in unit_operand_rows(kernel, values[None])]
+        return run_oracles(kernel, operands).passed
 
     points, passed = [x], [judge(x)]
     for k in range(1, mc.max_steps + 1):

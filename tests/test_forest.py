@@ -1,5 +1,6 @@
 """Decision-forest soft assertions: training, prediction, persistence."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safuzz import forest as forest_module
-from safuzz.datagen import Dataset, LabeledSample, Signal
+from safuzz.datagen import Dataset, Signal
 from safuzz.errors import FileFormatError, TrainingError, UsageError
 from safuzz.forest import (
     N_CLASSES,
@@ -16,7 +17,7 @@ from safuzz.forest import (
     DecisionTree,
     Forest,
     _grow_tree,
-    evaluate_f1,
+    evaluate_f1_arrays,
     model_load,
     model_save,
     predict,
@@ -234,6 +235,19 @@ class TestTraining:
         assert metrics["train_time_seconds"] > 0
         assert metrics["test_size"] == 180
 
+    @pytest.mark.parametrize("bad", [{"test_split": -0.1}, {"test_split": 1.0},
+                                     {"test_split": 1.5}, {"tree_count": 0}],
+                             ids=["negative_split", "split_of_one", "split_above_one",
+                                  "no_trees"])
+    def test_bad_split_or_tree_count_rejected(self, bad):
+        with pytest.raises(UsageError):
+            train_forest(threshold_dataset(n=60), **bad)
+
+    def test_split_rounding_to_every_row_still_holds_rows_out(self):
+        # 0.999 of 60 rows rounds to all 60; scoring must not reuse training rows
+        _, metrics = train_forest(threshold_dataset(n=60), tree_count=2, test_split=0.999)
+        assert (metrics["train_size"], metrics["test_size"]) == (1, 59)
+
 
 class TestPresortedGrowth:
     """`_grow_tree` against the per-node reference, column bytes and RNG state."""
@@ -369,23 +383,21 @@ class TestEvaluateF1:
     def test_perfect_predictions(self):
         forest, _ = train_forest(threshold_dataset(), tree_count=20, seed=42)
         fresh = threshold_dataset(seed=3)
-        samples = [LabeledSample(f, Signal(int(l)))
-                   for f, l in zip(fresh.features, fresh.labels)]
-        assert evaluate_f1(forest, samples)["macro_f1"] == pytest.approx(1.0)
+        scores = evaluate_f1_arrays(forest, fresh.features, fresh.labels)
+        assert scores["macro_f1"] == pytest.approx(1.0)
 
     def test_single_class_predictor_on_balanced_data(self):
         # all predictions one class on balanced 3-class data:
         # that class scores F1 = 2*(1/3)/(1 + 1/3) = 0.5, others 0
         forest = forest_of([leaf_tree([5, 0, 0])])
-        samples = [LabeledSample(np.zeros(9), s) for s in Signal for _ in range(10)]
-        scores = evaluate_f1(forest, samples)
+        ys = np.repeat([int(s) for s in Signal], 10)
+        scores = evaluate_f1_arrays(forest, np.zeros((len(ys), 9)), ys)
         assert scores["macro_f1"] == pytest.approx(1 / 6, abs=1e-9)
 
     def test_absent_class_contributes_zero(self):
         forest, _ = train_forest(threshold_dataset(), tree_count=10, seed=42)
-        samples = [LabeledSample(np.full(9, -3.0), Signal.DECREASE)
-                   for _ in range(5)]
-        scores = evaluate_f1(forest, samples)
+        ys = np.full(5, int(Signal.DECREASE))
+        scores = evaluate_f1_arrays(forest, np.full((5, 9), -3.0), ys)
         assert scores["per_class"]["Increase"]["f1"] == 0.0
         assert scores["macro_f1"] <= 1 / 3 + 1e-9
 
@@ -398,10 +410,6 @@ class TestEvaluateF1:
         assert metrics["per_class"]["Decrease"]["f1"] == 0.0
         assert metrics["macro_f1"] <= 2 / 3 + 1e-9
         assert metrics["macro_f1_present"] == pytest.approx(1.0)
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(UsageError):
-            evaluate_f1(forest_of([leaf_tree([1, 0, 0])]), [])
 
 
 class TestPersistence:
@@ -439,6 +447,35 @@ class TestPersistence:
         path = tmp_path / "model.json"
         path.write_text('{"format_version": 1, "trees": [%s]}' % tree)
         with pytest.raises(FileFormatError):
+            model_load(path)
+
+    @pytest.mark.parametrize("case, message", [
+        ("cycle", "child"),
+        ("child_outside_tree", "child"),
+        ("child_beyond_int32", "cannot load"),
+        ("feature_outside_vector", "feature"),
+        ("short_column", "equal length"),
+    ])
+    def test_structurally_invalid_tree_rejected(self, tmp_path, case, message):
+        # a copy of a fixture model with one internal node of its first tree
+        # broken: loading refuses it, where predicting would hang or crash
+        doc = json.loads((FIXTURE_MODELS / "exp.json").read_text())
+        assert doc["feature_len"] == 9
+        tree = doc["trees"][0]
+        i = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+        if case == "cycle":  # the node is its own child: the walk never ends
+            tree["left"][i] = tree["right"][i] = i
+        elif case == "child_outside_tree":
+            tree["left"][i] = 10 ** 6
+        elif case == "child_beyond_int32":
+            tree["left"][i] = 10 ** 10
+        elif case == "feature_outside_vector":
+            tree["feature"][i] = 50
+        else:
+            del tree["threshold"][i]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=message):
             model_load(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

@@ -264,6 +264,14 @@ class TestFuzzSite:
             fuzz_site(g, site, LOG_FOREST, FuzzConfig(seed=0),
                       np.random.default_rng(0))
 
+    @pytest.mark.parametrize("field", [{"rate": 0.0}, {"rate": -1.0},
+                                       {"rate": float("nan")}, {"max_iters": 0}],
+                             ids=["zero_rate", "negative_rate", "nan_rate", "no_iterations"])
+    def test_config_rejects_steps_that_cannot_search(self, field):
+        # a negative rate inverts every signal, a zero rate never moves the input
+        with pytest.raises(UsageError):
+            FuzzConfig(**field)
+
     def test_reproducible_iteration_counts(self):
         g = exp_graph()
         site = scan_for_unstable(g).sites[0]

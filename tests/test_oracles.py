@@ -1,29 +1,41 @@
-"""The six oracle families and the dispatcher."""
+"""The six oracle families and the dispatcher.
+
+Each family is reached through oracle_rows or run_oracles: on a shipped
+kernel that binds it, or through a test registry that binds it alone.
+"""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safuzz.errors import CapabilityError, OracleUnavailable
-from safuzz.kernels import unit_operand_rows, unit_operands
-from safuzz.oracles import (
-    FailureClass,
-    OracleVerdict,
-    check_increased_width,
-    check_nan_inf,
-    check_range,
-    check_reference_consistency,
-    check_rewrite,
-    check_stable_algorithm,
-    oracle_rows,
-    run_oracles,
-)
-from safuzz.registry import default_registry, kernel_eval
-from safuzz.tensor import Precision, Tensor
+from safuzz.errors import CapabilityError
+from safuzz.kernels import apply_forward, op_def, unit_operand_rows
+from safuzz.oracles import FailureClass, OracleVerdict, oracle_rows, run_oracles
+from safuzz.registry import OracleBinding, Registry, default_registry, resolved_params
+from safuzz.tensor import Tensor
 
 FIG1_X = [2606.66824394, 2477.72226966, 3251.84008903]
 FIG1_Y = [2.39482538431398614e-09, 7.39647891389834008e-09, 4.96805019548943425e-09]
+IMPLEMENTED = [n for n, e in default_registry().entries.items() if e.implemented]
+
+
+def bound(kernel, *bindings):
+    """A registry whose one entry binds a shipped kernel to the given oracles."""
+    spec = replace(default_registry().get(kernel), oracle_bindings=tuple(bindings))
+    return Registry({kernel: spec}, "test")
+
+
+def unit_operands(kernel, x):
+    """The unit-test operands of one tensor: unit_operand_rows on a stack of one."""
+    return [Tensor(a[0]) for a in unit_operand_rows(kernel, x.data[None])]
+
+
+def forward(kernel, x, dtype):
+    params = resolved_params(default_registry().get(kernel), x.shape)
+    return apply_forward(op_def(kernel), params, [x.data.astype(dtype)[None]], dtype)[0]
 
 
 class TestVerdictInvariants:
@@ -38,132 +50,123 @@ class TestVerdictInvariants:
 
 class TestNanInf:
     def test_log_zero_fails(self):
-        out = kernel_eval("log", [Tensor.of([0.0])], Precision.SINGLE)
-        verdict = check_nan_inf(out)
+        verdict = run_oracles("log", [Tensor.of([0.0])])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.NAN_OR_INF
 
     def test_softmax_passes(self):
-        out = kernel_eval("Softmax", [Tensor.of([0.0, 0.0, 0.0])], Precision.SINGLE)
-        assert check_nan_inf(out).passed
+        assert run_oracles("Softmax", [Tensor.of([0.0, 0.0, 0.0])]).passed
 
     def test_subnormal_reciprocal_overflows_single(self):
-        out = kernel_eval("Div", [Tensor.of([1.0]), Tensor.of([1e-45])],
-                          Precision.SINGLE)
-        verdict = check_nan_inf(out)
+        verdict = run_oracles("Div", [Tensor.of([1.0]), Tensor.of([1e-45])])
         assert not verdict.passed and verdict.failure_class is FailureClass.NAN_OR_INF
 
 
 class TestRange:
+    UNIT = bound("mean", OracleBinding(2, lo=-1.0, hi=1.0))
+
     def test_cosine_above_one_fails(self):
-        verdict = check_range(Tensor.of([1.0000002]), -1.0, 1.0)
+        verdict = run_oracles("mean", [Tensor.of([1.0000002])], self.UNIT)
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.OUT_OF_RANGE
 
     def test_bounded_trig_value_passes(self):
-        assert check_range(Tensor.of([0.5]), -1.0, 1.0).passed
+        assert run_oracles("mean", [Tensor.of([0.5])], self.UNIT).passed
 
     def test_closed_interval_boundary_passes(self):
-        assert check_range(Tensor.of([-1.0]), -1.0, 1.0).passed
+        assert run_oracles("mean", [Tensor.of([-1.0])], self.UNIT).passed
 
     def test_nan_counts_as_out_of_range(self):
-        assert not check_range(Tensor.of([np.nan]), -1.0, 1.0).passed
+        assert not run_oracles("mean", [Tensor.of([np.nan])], self.UNIT).passed
 
 
 class TestRewrite:
-    def test_sqrt_ratio_exact_at_one(self):
-        assert check_rewrite("sqrt_ratio", [Tensor.of([1.0])]).passed
-
-    def test_shifted_log_large_magnitude_fails(self):
-        # frozen sweep result: x = 1e9+100, shift 1e9, y = 1.001 loses the
-        # log term entirely inside the absorbed sum (float32 spacing 64)
-        verdict = check_rewrite("shifted_log_diff",
-                                [Tensor.of([1e9 + 100.0, 1e9, 1.001])])
+    def test_logsoftmax_overflow_fails(self):
+        # the shipped entry's NaN/inf oracle would fail this row first
+        verdict = run_oracles("logSoftmax", [Tensor.of([1000.0, 0.0, 0.0])],
+                              bound("logSoftmax", OracleBinding(3)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REWRITE_MISMATCH
 
-    def test_logsoftmax_overflow_fails(self):
-        verdict = check_rewrite("logSoftmax", [Tensor.of([1000.0, 0.0, 0.0])])
-        assert not verdict.passed
-
     def test_missing_rewrite_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            check_rewrite("mean", [Tensor.of([1.0])])
+            run_oracles("mean", [Tensor.of([1.0])], bound("mean", OracleBinding(3)))
 
 
 class TestStableAlgorithm:
     def test_identity_inverse_passes(self):
-        assert check_stable_algorithm("inverse", [Tensor.of(np.eye(3))]).passed
+        assert run_oracles("inverse", [Tensor.of(np.eye(3))]).passed
 
     def test_spd_diagonal_matches_cholesky(self):
         # both elimination orders are exact on a diagonal SPD matrix, so the
         # frozen expected verdict (computed in double on both paths) is Pass
-        verdict = check_stable_algorithm(
-            "inverse", [Tensor.of(np.diag([1.0, 1e-12, 1.0]))]
-        )
+        verdict = run_oracles("inverse", [Tensor.of(np.diag([1.0, 1e-12, 1.0]))])
         assert verdict.passed
 
     def test_non_spd_is_unavailable(self):
-        with pytest.raises(OracleUnavailable):
-            check_stable_algorithm("inverse", [Tensor.of([[0.0, 1.0], [1.0, 0.0]])])
+        checks = oracle_rows("inverse", [np.array([[[0.0, 1.0], [1.0, 0.0]]])]).checks
+        assert checks[1].failure_class is FailureClass.STABLE_ALGO_MISMATCH
+        assert checks[1].judged.tolist() == [False]
 
     def test_non_square_is_unavailable(self):
-        with pytest.raises(OracleUnavailable):
-            check_stable_algorithm("inverse", [Tensor.of([[1.0, 2.0, 3.0]])])
+        checks = oracle_rows("inverse", [np.array([[[1.0, 2.0, 3.0]]])]).checks
+        assert checks[1].failure_class is FailureClass.STABLE_ALGO_MISMATCH
+        assert checks[1].judged.tolist() == [False]
 
     def test_determinant_pass_on_well_conditioned(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 3))
         spd = a @ a.T + 3 * np.eye(3)
-        assert check_stable_algorithm("determinant", [Tensor.of(spd)]).passed
+        assert run_oracles("determinant", [Tensor.of(spd)]).passed
 
 
 class TestReferenceConsistency:
     def test_fig1_vectors_fail(self):
-        verdict = check_reference_consistency(
-            "CosineSimilarity", [Tensor.of(FIG1_Y), Tensor.of(FIG1_X)]
-        )
+        verdict = run_oracles("CosineSimilarity", [Tensor.of(FIG1_Y), Tensor.of(FIG1_X)],
+                              bound("CosineSimilarity", OracleBinding(5)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
     def test_self_similarity_passes(self):
         t = Tensor.of([1.0, 2.0, 3.0])
-        assert check_reference_consistency("CosineSimilarity", [t, t]).passed
+        assert run_oracles("CosineSimilarity", [t, t]).passed
 
     def test_unclamped_norms_always_agree(self):
         rng = np.random.default_rng(0)
+        rows = []
         for _ in range(1000):
             a = rng.standard_normal(9)
             a *= rng.uniform(1e-3, 10) / np.linalg.norm(a)
             b = rng.standard_normal(9)
             b *= rng.uniform(1e-3, 10) / np.linalg.norm(b)
-            assert check_reference_consistency(
-                "CosineSimilarity", [Tensor.of(a), Tensor.of(b)]
-            ).passed
+            rows.append((a, b))
+        a, b = (np.stack(side) for side in zip(*rows))
+        checks = oracle_rows("CosineSimilarity", [a, b]).checks
+        assert checks[2].failure_class is FailureClass.REFERENCE_MISMATCH
+        assert checks[2].passed.all()
 
     def test_missing_reference_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            check_reference_consistency("mean", [Tensor.of([1.0])])
+            run_oracles("mean", [Tensor.of([1.0])], bound("mean", OracleBinding(5)))
 
 
 class TestIncreasedWidth:
     def test_remainder_width_bug_exact(self):
-        verdict = check_increased_width("remainder", [Tensor.of([1933053808.0])])
+        x = Tensor.of([1933053808.0])
+        verdict = run_oracles("remainder", [x])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
         # the exact single/double values behind the mismatch
-        single = kernel_eval("remainder", [Tensor.of([1933053808.0])], Precision.SINGLE)
-        double = kernel_eval("remainder", [Tensor.of([1933053808.0])], Precision.DOUBLE)
-        assert single.elements[0] == 35.0
-        assert double.elements[0] == 19.0
+        assert forward("remainder", x, np.float32)[0] == 35.0
+        assert forward("remainder", x, np.float64)[0] == 19.0
 
     def test_small_remainder_agrees(self):
-        assert check_increased_width("remainder", [Tensor.of([10.0])]).passed
+        assert run_oracles("remainder", [Tensor.of([10.0])]).passed
 
     def test_matmul_overflow_vs_finite_double(self):
         a = Tensor.of(np.full((3, 3), 1.1e19))
         b = Tensor.of(np.full((3, 3), 1.2e19))
-        verdict = check_increased_width("matmul", [a, b])
+        verdict = run_oracles("matmul", [a, b], bound("matmul", OracleBinding(6)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
 
@@ -177,8 +180,14 @@ class TestIncreasedWidth:
         # Pass at tolerance t implies Pass at every larger tolerance
         t2 = t1 * (1.0 + factor)
         x = [Tensor.of([value])]
-        if check_increased_width("remainder", x, tolerance=t1).passed:
-            assert check_increased_width("remainder", x, tolerance=t2).passed
+        at = {t: bound("remainder", OracleBinding(6, tolerance=t)) for t in (t1, t2)}
+        if run_oracles("remainder", x, at[t1]).passed:
+            assert run_oracles("remainder", x, at[t2]).passed
+
+
+# input ranges known safe in single precision: exp up to log(FLT_MAX) ~ 88.72,
+# ELU from -103.972, below which exp(x) rounds to zero
+SAFE_REGIONS = {"exp": (-200.0, 88.72), "ELU": (-103.972, 3.4e38)}
 
 
 class TestRunOracles:
@@ -214,10 +223,7 @@ class TestRunOracles:
 
     @pytest.mark.parametrize("kernel", ["exp", "ELU"])
     def test_safe_region_inputs_always_pass(self, kernel):
-        reg = default_registry()
-        cond = reg.get(kernel).safe_condition
-        lo = cond.lo if cond.lo is not None else -200.0
-        hi = min(cond.hi, 3.4e38)
+        lo, hi = SAFE_REGIONS[kernel]
         rng = np.random.default_rng(9)
         for _ in range(1000):
             x = Tensor(rng.uniform(lo, hi, size=(3,)))
@@ -247,7 +253,7 @@ def row_stack(kernel):
 
 
 class TestOracleRows:
-    @pytest.mark.parametrize("kernel", default_registry().implemented_names())
+    @pytest.mark.parametrize("kernel", IMPLEMENTED)
     def test_rows_judged_as_each_row_alone(self, kernel):
         xs = row_stack(kernel)
         stacked = oracle_rows(kernel, unit_operand_rows(kernel, xs))

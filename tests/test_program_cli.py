@@ -11,11 +11,12 @@ from safuzz.corpus import corpus_manifest
 from safuzz.errors import GraphParseError
 from safuzz.fuzzer import FuzzResult, UnstableSite, scan_for_unstable
 from safuzz.oracles import FailureClass, OracleVerdict
-from safuzz.program import program_parse, program_to_dict
+from safuzz.program import program_parse
 from safuzz.report import ProgramReport, Report, report_emit, strip_time_fields
 
 
-FIXTURE_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "models"
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+FIXTURE_MODELS = FIXTURES / "models"
 
 
 def write_program(tmp_path, doc, name="prog.json"):
@@ -63,12 +64,6 @@ class TestProgramParse:
         doc["nodes"] = [{"id": "y", "op": "add", "inputs": ["x", "w"]}]
         with pytest.raises(GraphParseError, match="'y'"):
             program_parse(write_program(tmp_path, doc))
-
-    def test_round_trip(self, tmp_path):
-        spec = program_parse(write_program(tmp_path, MINIMAL))
-        again = program_to_dict(spec)
-        assert again["name"] == "minimal"
-        assert again["nodes"] == MINIMAL["nodes"]
 
 
 class TestCorpus:
@@ -179,6 +174,25 @@ class TestCli:
 
     def test_unknown_command_exits_2(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-data", "--function", "exp", "--shape", "3x-1"], "dimension below 1"),
+        (["gen-data", "--function", "exp", "--shape", "3x0"], "dimension below 1"),
+        (["gen-data", "--function", "exp", "--shape", "3xa"], "cannot parse shape"),
+        (["bench", "--models", str(FIXTURE_MODELS), "--seeds", "1,,2"],
+         "cannot parse seed list"),
+        (["train", "--dataset", str(FIXTURES / "datasets" / "square.csv"),
+          "--test-split", "1.5"], "test_split"),
+        (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--rate", "-1"], "rate"),
+    ], ids=["negative_dim", "zero_dim", "not_a_number", "empty_seed", "split_above_one",
+            "negative_rate"])
+    def test_bad_values_exit_2_with_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        write_program(tmp_path, MINIMAL)
+        assert cli_dispatch([*argv, "--out", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out.json").exists()
 
     def test_scan_prints_sites(self, tmp_path, capsys):
         path = write_program(tmp_path, MINIMAL)

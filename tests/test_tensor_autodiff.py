@@ -5,9 +5,19 @@ import pytest
 
 from safuzz.autodiff import backward, finite_diff_grad, forward_eval
 from safuzz.errors import EvaluationError, GraphParseError, OracleUnavailable, UsageError
-from safuzz.graph import Graph, InputDecl, Node, chain
+from safuzz.graph import Graph, InputDecl, Node
 from safuzz.kernels import default_params
 from safuzz.tensor import Precision, Tensor
+
+
+def chain(ops, input_shape, bounds=None):
+    """A single-input pipeline graph: each (node_id, op, params) consumes the
+    previous node."""
+    nodes, prev = [], "x"
+    for node_id, op, params in ops:
+        nodes.append(Node(id=node_id, op=op, inputs=(prev,), params=params))
+        prev = node_id
+    return Graph([InputDecl(id="x", shape=tuple(input_shape), bounds=bounds)], nodes, prev)
 
 
 def single_op(op, shape=(1,), params=None, bounds=None):
