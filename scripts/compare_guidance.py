@@ -3,7 +3,9 @@
 
 Runs every buggy corpus program under both strategies for a set of seeds and
 prints median iterations-to-found per program (exhausted runs count as the
-iteration budget).
+iteration budget). A program whose site has no model is skipped with one
+line. A models directory that is missing or holds no model, and an
+out-of-range value, exit with 2 and an error line.
 """
 
 import argparse
@@ -15,8 +17,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from safuzz.cli import load_models
 from safuzz.corpus import corpus_manifest
-from safuzz.forest import model_load
+from safuzz.errors import SafuzzError
 from safuzz.fuzzer import (
     FuzzConfig,
     fuzz_site,
@@ -27,24 +30,21 @@ from safuzz.fuzzer import (
 from safuzz.registry import default_registry
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--models", default="build/models")
-    parser.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    parser.add_argument("--max-iters", type=int, default=5000)
-    parser.add_argument("--timeout", type=float, default=60.0)
-    args = parser.parse_args()
-
+def compare(args) -> None:
     reg = default_registry()
-    models = [model_load(p) for p in sorted(Path(args.models).glob("*.json"))]
+    models = load_models(args.models)
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    wins = 0
+    wins = compared = 0
     programs = [p for p in corpus_manifest(reg) if p.expected_failure_class]
     for spec in programs:
         graph = spec.to_graph(reg)
         site = scan_for_unstable(graph, reg).sites[0]
         forest = select_forest(models, site)
+        if forest is None:
+            print(f"{spec.name:28s} site '{site.node_id}' ({site.kernel}): "
+                  "no trained model; skipped")
+            continue
         guided, baseline = [], []
         for seed in seeds:
             config = FuzzConfig(timeout=args.timeout, rate=spec.rate or 1.0,
@@ -57,9 +57,24 @@ def main() -> int:
             baseline.append(res.iterations if res.found else args.max_iters)
         g, b = statistics.median(guided), statistics.median(baseline)
         wins += int(g <= b)
+        compared += 1
         print(f"{spec.name:28s} guided={g:7.1f} random={b:7.1f} "
               f"{'<=' if g <= b else '>'}")
-    print(f"guided wins or ties on {wins}/{len(programs)} programs")
+    print(f"guided wins or ties on {wins}/{compared} programs")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--models", default="build/models")
+    parser.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
+    parser.add_argument("--max-iters", type=int, default=5000)
+    parser.add_argument("--timeout", type=float, default=60.0)
+    args = parser.parse_args()
+    try:
+        compare(args)
+    except SafuzzError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -9,6 +9,6 @@ a fuzzer over computation-graph programs.
 
 __version__ = "0.1.0"
 
-from safuzz.tensor import Precision, Tensor
+from safuzz.tensor import Tensor
 
-__all__ = ["Precision", "Tensor", "__version__"]
+__all__ = ["Tensor", "__version__"]

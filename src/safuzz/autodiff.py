@@ -1,13 +1,15 @@
-"""Dual-precision graph evaluation and reverse-mode differentiation.
+"""Graph evaluation in single or double precision, and reverse-mode
+differentiation.
 
-forward_eval runs a graph in the requested precision and records every node
-value on a Tape; extend_tape carries an existing tape further down the graph,
-so a caller that stopped early can reach a later node without evaluating the
-prefix again. backward replays the tape in reverse, always accumulating
-adjoints in float64 regardless of the forward precision; the mutation step
-divides by these gradients, and single-precision adjoints would put noise in
-the search direction. finite_diff_grad is the independent oracle used to
-cross-check backward.
+Every value is a numpy array whose dtype, float32 or float64, is its
+precision. forward_eval runs a graph in the requested dtype and records every
+node value on a Tape; extend_tape carries an existing tape further down the
+graph, so a caller that stopped early can reach a later node without
+evaluating the prefix again. backward replays the tape in reverse, always
+accumulating adjoints in float64 regardless of the forward dtype; the
+mutation step divides by these gradients, and single-precision adjoints
+would put noise in the search direction. finite_diff_grad is the independent
+oracle used to cross-check backward.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from safuzz.errors import EvaluationError, OracleUnavailable, UsageError
 from safuzz.graph import Graph
 from safuzz.kernels import apply_forward, op_def
-from safuzz.tensor import Precision, Tensor
 
 
 @dataclass
@@ -28,30 +29,27 @@ class Tape:
     """Per-node forward values of one evaluation of one set of inputs.
 
     A tape may be extended to later nodes (extend_tape), never rewritten: a
-    value, once recorded, stays the value of that node for these inputs.
+    value, once recorded, stays the value of that node for these inputs, and
+    is read-only.
     """
 
     graph: Graph
-    precision: Precision
+    dtype: np.dtype
     values: dict[str, np.ndarray] = field(default_factory=dict)
 
     def has(self, node_id: str) -> bool:
         return node_id in self.values
 
-    def value(self, node_id: str) -> Tensor:
-        if node_id not in self.values:
-            raise UsageError(f"node '{node_id}' is not on the tape")
-        return Tensor(self.values[node_id])
-
 
 def forward_eval(
     graph: Graph,
-    inputs: Sequence[Tensor],
-    precision: Precision = Precision.SINGLE,
+    inputs: Sequence[np.ndarray],
+    dtype=np.float32,
     stop_at: Optional[str] = None,
 ) -> Tape:
-    """Evaluate the graph up to stop_at (or the whole graph).
+    """Evaluate the graph in dtype up to stop_at (or the whole graph).
 
+    Each input is array-like; the tape records a copy cast to dtype.
     NaN/inf propagate silently; failing executions must still reach the
     oracle check point.
     """
@@ -59,14 +57,15 @@ def forward_eval(
         raise EvaluationError(
             "<inputs>", f"expected {len(graph.inputs)} input tensor(s), got {len(inputs)}"
         )
-    tape = Tape(graph=graph, precision=precision)
-    dtype = precision.dtype
-    for decl, tensor in zip(graph.inputs, inputs):
-        if tuple(tensor.shape) != tuple(decl.shape):
+    tape = Tape(graph=graph, dtype=np.dtype(dtype))
+    for decl, value in zip(graph.inputs, inputs):
+        value = np.array(value, dtype=dtype)
+        if value.shape != tuple(decl.shape):
             raise EvaluationError(
-                decl.id, f"input shape {tensor.shape} does not match declared {decl.shape}"
+                decl.id, f"input shape {value.shape} does not match declared {decl.shape}"
             )
-        tape.values[decl.id] = tensor.data.astype(dtype)
+        value.flags.writeable = False
+        tape.values[decl.id] = value
     return extend_tape(tape, stop_at)
 
 
@@ -77,7 +76,7 @@ def extend_tape(tape: Tape, stop_at: Optional[str] = None) -> Tape:
     """
     if stop_at is not None and stop_at in tape.values:
         return tape
-    graph, values, dtype = tape.graph, tape.values, tape.precision.dtype
+    graph, values, dtype = tape.graph, tape.values, tape.dtype
     for node in graph.nodes:
         if node.id in values:
             continue
@@ -92,6 +91,7 @@ def extend_tape(tape: Tape, stop_at: Optional[str] = None) -> Tape:
             raise EvaluationError(
                 node.id, f"produced shape {out.shape}, expected {expected}"
             )
+        out.flags.writeable = False
         values[node.id] = out
         if node.id == stop_at:
             return tape
@@ -104,13 +104,17 @@ def backward(
     graph: Graph,
     tape: Tape,
     seed_node: str,
-    seed_adjoint: Tensor,
-) -> list[Tensor]:
-    """Reverse accumulation of d(seed_node . seed_adjoint) / d(each input)."""
+    seed_adjoint: np.ndarray,
+) -> list[np.ndarray]:
+    """Reverse accumulation of d(seed_node . seed_adjoint) / d(each input).
+
+    Returns one float64 array per graph input. The seed is copied, so no
+    result aliases the caller's array.
+    """
     if not tape.has(seed_node):
         raise UsageError(f"seed node '{seed_node}' is not on the tape")
     seed_value = tape.values[seed_node]
-    adjoint = seed_adjoint.data.astype(np.float64)
+    adjoint = np.array(seed_adjoint, dtype=np.float64)
     if adjoint.shape != seed_value.shape:
         raise UsageError(
             f"seed adjoint shape {adjoint.shape} does not match node value "
@@ -145,38 +149,38 @@ def backward(
         grad = adjoints.get(decl.id)
         if grad is None:
             grad = np.zeros(decl.shape, dtype=np.float64)
-        out.append(Tensor(grad))
+        out.append(grad)
     return out
 
 
 def finite_diff_grad(
     graph: Graph,
-    inputs: Sequence[Tensor],
+    inputs: Sequence[np.ndarray],
     seed_node: str,
     h: float = 1e-5,
-    seed_adjoint: Optional[Tensor] = None,
-) -> list[Tensor]:
-    """Central-difference gradient oracle; double precision only."""
-    for tensor in inputs:
-        if tensor.precision is not Precision.DOUBLE:
-            raise UsageError("finite differences require double-precision inputs")
+    seed_adjoint: Optional[np.ndarray] = None,
+) -> list[np.ndarray]:
+    """Central-difference gradient oracle; float64 inputs only."""
+    if any(np.asarray(x).dtype != np.float64 for x in inputs):
+        raise UsageError("finite differences require double-precision inputs")
 
-    def objective(tensors: list[Tensor]) -> float:
-        tape = forward_eval(graph, tensors, Precision.DOUBLE, stop_at=seed_node)
+    def objective(probe: list[np.ndarray]) -> float:
+        tape = forward_eval(graph, probe, np.float64, stop_at=seed_node)
         value = tape.values[seed_node]
         weight = (
-            seed_adjoint.data.astype(np.float64)
+            np.asarray(seed_adjoint, dtype=np.float64)
             if seed_adjoint is not None
             else np.ones_like(value, dtype=np.float64)
         )
-        total = float((value.astype(np.float64) * weight).sum())
+        total = float((value * weight).sum())
         if not np.isfinite(total):
             raise OracleUnavailable("non-finite value in perturbed evaluation")
         return total
 
     grads = []
-    for which, tensor in enumerate(inputs):
-        base = tensor.data.astype(np.float64)
+    for which in range(len(inputs)):
+        probe = list(inputs)
+        base = probe[which] = np.array(inputs[which], dtype=np.float64)
         grad = np.zeros_like(base)
         flat = grad.reshape(-1)
         bflat = base.reshape(-1)
@@ -184,12 +188,7 @@ def finite_diff_grad(
             orig = bflat[i]
             for sign in (+1.0, -1.0):
                 bflat[i] = orig + sign * h
-                probe = [
-                    Tensor(base) if j == which else t.astype(Precision.DOUBLE)
-                    for j, t in enumerate(inputs)
-                ]
-                val = objective(probe)
-                flat[i] += sign * val
+                flat[i] += sign * objective(probe)
             bflat[i] = orig
-        grads.append(Tensor(grad / (2.0 * h)))
+        grads.append(grad / (2.0 * h))
     return grads

@@ -47,13 +47,10 @@ def _parse_ints(text: str, sep: str, what: str, example: str) -> list[int]:
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    shape = tuple(_parse_ints(text.lower(), "x", "shape", "3x3"))
-    if min(shape) < 1:
-        raise SafuzzError(f"shape {text!r} has a dimension below 1")
-    return shape
+    return tuple(_parse_ints(text.lower(), "x", "shape", "3x3"))
 
 
-def _load_models(models_dir: str):
+def load_models(models_dir: str):
     path = Path(models_dir)
     if not path.is_dir():
         raise SafuzzError(f"models directory {models_dir!r} does not exist")
@@ -123,7 +120,7 @@ def _program_config(spec: ProgramSpec, args, seed: int) -> FuzzConfig:
 def _cmd_fuzz(args) -> int:
     reg = default_registry()
     spec = program_parse(args.program, reg)
-    models = _load_models(args.models)
+    models = load_models(args.models)
     seed = args.seed if args.seed is not None else _env_seed()
     config = _program_config(spec, args, seed)
     results, diagnostics = fuzz_program(spec.to_graph(reg), reg, models, config)
@@ -152,7 +149,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_bench(args) -> int:
     reg = default_registry()
-    models = _load_models(args.models)
+    models = load_models(args.models)
     seeds = _parse_ints(args.seeds, ",", "seed list", "0,1,2") if args.seeds else [_env_seed()]
     programs = corpus_manifest(reg)
     report = Report(

@@ -38,7 +38,6 @@ from safuzz.errors import (
 from safuzz.kernels import unit_operand_rows
 from safuzz.oracles import oracle_rows
 from safuzz.registry import Registry, default_registry
-from safuzz.tensor import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +45,9 @@ FEATURE_LENGTHS = (9, 196, 784)
 
 # kernels undefined at exactly zero; zero features get an epsilon shift
 ZERO_UNDEFINED = ("log", "rSqrt", "reciprocal")
+
+BASE_RATES = (1.0, 2.5)  # the rates of the default mutation schedules
+MAX_WAVES = 300  # rounds of base inputs build_dataset draws before it stops
 
 
 class Signal(enum.IntEnum):
@@ -82,7 +84,7 @@ class MutationConfig:
             raise UsageError(f"unknown mutation method {self.method!r}")
         if self.direction not in ("up", "down"):
             raise UsageError(f"unknown direction {self.direction!r}")
-        if self.rate <= 0 or self.max_steps < 1:
+        if not self.rate > 0 or self.max_steps < 1:
             raise UsageError("rate must be positive and max_steps >= 1")
 
 
@@ -97,10 +99,14 @@ class GenerationConfig:
     target_size: int = 40_000
 
     def __post_init__(self):
-        if self.n_base < 1:
-            raise UsageError("n_base must be >= 1")
+        if min(self.n_base, self.mutations_per_base, self.target_size) < 1:
+            raise UsageError("n_base, mutations_per_base and target_size must be >= 1")
+        if min(self.shape, default=1) < 1:
+            raise UsageError(f"shape {self.shape} has a dimension below 1")
         if self.regions is not None and len(self.regions) == 0:
             raise UsageError("regions must be non-empty")
+        if self.pixel_bounds is not None and not self.pixel_bounds[0] < self.pixel_bounds[1]:
+            raise UsageError(f"pixel_bounds {self.pixel_bounds} must satisfy lo < hi")
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ class Dataset:
 
 def generate_base_inputs(config: GenerationConfig, rng: np.random.Generator,
                          regions: Optional[Sequence[tuple[float, float]]] = None,
-                         ) -> list[Tensor]:
+                         ) -> list[np.ndarray]:
     regions = tuple(regions if regions is not None else (config.regions or ((-100.0, 100.0),)))
     out = []
     for i in range(config.n_base):
@@ -145,18 +151,18 @@ def generate_base_inputs(config: GenerationConfig, rng: np.random.Generator,
         values = rng.uniform(lo, hi, size=config.shape)
         if config.pixel_bounds is not None:
             values = np.clip(values, *config.pixel_bounds)
-        out.append(Tensor(values))
+        out.append(values)
     return out
 
 
 @lru_cache(maxsize=64)
-def _schedule(method: str, rate: float, first: int, count: int) -> np.ndarray:
-    """exp(rate * k), or |sin(rate * k)|, for k = first, first + 1, ...
+def _schedule(method: str, rate: float, count: int) -> np.ndarray:
+    """exp(rate * k), or |sin(rate * k)|, for k = 1, 2, ..., count.
 
     Shared between calls, so read-only. An exponential schedule ends before
     its first step that overflows a double.
     """
-    ks = range(first, first + count)
+    ks = range(1, count + 1)
     if method == "exponential":
         sizes = []
         try:
@@ -171,9 +177,8 @@ def _schedule(method: str, rate: float, first: int, count: int) -> np.ndarray:
     return out
 
 
-def step_sizes(mconfig: MutationConfig, rng: np.random.Generator, count: int,
-               first: int = 1) -> np.ndarray:
-    """Sizes of mutation steps first, first + 1, ..., count of them.
+def step_sizes(mconfig: MutationConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Sizes of mutation steps 1, 2, ..., count.
 
     The random schedule draws one uniform [0, 1) sample per step from rng.
     An exponential schedule ends before its first step that overflows a
@@ -181,7 +186,7 @@ def step_sizes(mconfig: MutationConfig, rng: np.random.Generator, count: int,
     """
     if mconfig.method == "random":
         return rng.uniform(0.0, 1.0, size=count) * mconfig.rate
-    sizes = _schedule(mconfig.method, mconfig.rate, first, count)
+    sizes = _schedule(mconfig.method, mconfig.rate, count)
     if mconfig.method == "exponential":
         return sizes
     return sizes * (mconfig.scale if mconfig.scale is not None else 1.0)
@@ -195,7 +200,7 @@ def _overflow(step_index: int) -> OverflowError:
 # trajectories and labels
 # ---------------------------------------------------------------------------
 
-def run_trajectory(kernel: str, base: Tensor, mconfig: MutationConfig,
+def run_trajectory(kernel: str, base: np.ndarray, mconfig: MutationConfig,
                    rng: np.random.Generator,
                    registry: Optional[Registry] = None,
                    pixel_bounds: Optional[tuple[float, float]] = None,
@@ -212,7 +217,7 @@ def run_trajectory(kernel: str, base: Tensor, mconfig: MutationConfig,
     if mconfig.direction == "down":
         steps = -steps
 
-    start = base.data.astype(np.float64)
+    start = np.asarray(base, dtype=np.float64)
     points = np.empty((len(steps) + 1,) + start.shape)
     points[0] = start
     if pixel_bounds is None:
@@ -280,15 +285,16 @@ def derive_labels(points: np.ndarray, passed: np.ndarray) -> list[LabeledSample]
 # featurization and preprocessing
 # ---------------------------------------------------------------------------
 
-def featurize(x: Tensor, feature_len: int) -> np.ndarray:
-    """Flatten when sizes match, otherwise emit equally spaced quantiles."""
+def featurize(x: np.ndarray, feature_len: int) -> np.ndarray:
+    """Flatten to a new float64 vector when sizes match, otherwise emit
+    equally spaced quantiles."""
     if feature_len not in FEATURE_LENGTHS:
         raise UsageError(f"feature_len must be one of {FEATURE_LENGTHS}")
-    values = x.elements.astype(np.float64)
+    values = np.array(x, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise UsageError("cannot featurize an empty tensor")
     if values.size == feature_len:
-        return values.copy()
+        return values
     with np.errstate(all="ignore"):  # quantile interpolation with inf values
         return np.quantile(values, np.linspace(0.0, 1.0, feature_len))
 
@@ -303,15 +309,14 @@ def apply_scaling(features: np.ndarray, scaling: dict) -> np.ndarray:
     return out
 
 
-def preprocess_scale(dataset: Dataset, epsilon: Optional[float] = None,
-                     scale: float = 1.0, offset: float = 0.0) -> Dataset:
-    """Apply the per-kernel affine scale and epsilon shift of exact zeros.
+def preprocess_scale(dataset: Dataset, epsilon: Optional[float] = None) -> Dataset:
+    """Apply the epsilon shift of exact zeros for kernels undefined at zero.
 
-    The parameters are recorded in the dataset metadata so fuzz-time
-    featurization can replay them bit-identically.
+    The scaling, an identity affine scale plus that shift, is recorded in the
+    dataset metadata so fuzz-time featurization can replay it bit-identically.
     """
     zero_eps = epsilon if dataset.kernel in ZERO_UNDEFINED else None
-    scaling = {"scale": float(scale), "offset": float(offset), "zero_epsilon": zero_eps}
+    scaling = {"scale": 1.0, "offset": 0.0, "zero_epsilon": zero_eps}
     features = apply_scaling(dataset.features, scaling)
     return Dataset(kernel=dataset.kernel, shape=dataset.shape, features=features,
                    labels=dataset.labels.copy(), config=dict(dataset.config),
@@ -322,12 +327,11 @@ def preprocess_scale(dataset: Dataset, epsilon: Optional[float] = None,
 # dataset assembly
 # ---------------------------------------------------------------------------
 
-def default_mutation_configs(max_steps: int, base_rates: Sequence[float] = (1.0, 2.5),
-                             ) -> list[MutationConfig]:
+def default_mutation_configs(max_steps: int) -> list[MutationConfig]:
     configs = []
     for method in ("exponential", "random", "sinusoidal"):
         for direction in ("up", "down"):
-            for rate in base_rates:
+            for rate in BASE_RATES:
                 configs.append(MutationConfig(method=method, rate=rate,
                                               max_steps=max_steps, direction=direction))
     return configs
@@ -365,8 +369,7 @@ def _balanced_total(counts: dict[int, int]) -> int:
 def build_dataset(kernel: str, gconfig: GenerationConfig,
                   mconfigs: Optional[Sequence[MutationConfig]] = None,
                   rng: Optional[np.random.Generator] = None,
-                  registry: Optional[Registry] = None,
-                  max_waves: int = 300) -> Dataset:
+                  registry: Optional[Registry] = None) -> Dataset:
     """Generate, label, preprocess and balance a dataset for one kernel."""
     reg = registry or default_registry()
     spec = reg.get(kernel)
@@ -387,11 +390,11 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
     counts: dict[int, int] = {}
     flips_seen = 0
 
-    def run_base(base: Tensor):
+    def run_base(base: np.ndarray):
         nonlocal flips_seen
         for mc in base_configs:
             if mc.method == "sinusoidal" and mc.scale is None:
-                amp = float(np.max(np.abs(base.elements))) or 1.0
+                amp = float(np.max(np.abs(base))) or 1.0
                 mc = MutationConfig(mc.method, mc.rate, mc.max_steps, mc.direction, amp)
             points, passed = run_trajectory(kernel, base, mc, rng, reg, gconfig.pixel_bounds)
             samples = derive_labels(points, passed)
@@ -405,10 +408,10 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
                 counts[int(s.label)] = counts.get(int(s.label), 0) + 1
 
     seeds_injected = False
-    for wave in range(max_waves):
+    for wave in range(MAX_WAVES):
         if not seeds_injected and spec.generation is not None:
             for seed_value in spec.generation.failure_seeds:
-                run_base(Tensor(np.full(gconfig.shape, seed_value, dtype=np.float64)))
+                run_base(np.full(gconfig.shape, seed_value, dtype=np.float64))
             seeds_injected = True
         for base in generate_base_inputs(gconfig, rng, regions):
             run_base(base)

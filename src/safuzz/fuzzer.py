@@ -25,12 +25,13 @@ from safuzz.graph import Graph
 from safuzz.kernels import op_def
 from safuzz.oracles import OracleVerdict, run_oracles
 from safuzz.registry import Registry, default_registry
-from safuzz.tensor import Precision, Tensor
 
 log = logging.getLogger(__name__)
 
 DEFAULT_INPUT_RANGE = (-10.0, 10.0)
 WIDTH_ORACLE = 6  # the increased-width oracle, the only reader of the double shadow
+GRAD_FLOOR = 1e-6  # smallest gradient magnitude a mutation step divides by
+MAX_RESETS = 50  # mispredictions fuzz_site tolerates before giving up
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,11 @@ class FuzzConfig:
     timeout: float = 1800.0
     rate: float = 1.0
     seed: int = 0
-    grad_floor: float = 1e-6
-    max_resets: int = 50
     max_iters: int = 5000  # deterministic budget; wall timeout stays the backstop
 
     def __post_init__(self):
-        if self.timeout <= 0 or self.grad_floor <= 0 or not self.rate > 0:
-            raise UsageError("timeout, rate and grad_floor must be positive")
+        if self.timeout <= 0 or not self.rate > 0:
+            raise UsageError("timeout and rate must be positive")
         if self.max_iters < 1:
             raise UsageError("max_iters must be at least 1")
 
@@ -142,23 +141,20 @@ def propagate_signal(
     tape,
     signal: Signal,
     rate: float,
-    grad_floor: float = 1e-6,
 ) -> dict[str, np.ndarray]:
     """Input adjustment per element: (signal sign * rate) / clamped gradient.
 
     The gradient is of the sum of the site-entry elements with respect to
-    each program input; clamping keeps |g| >= grad_floor with sign(0) := +1.
+    each program input; clamping keeps |g| >= GRAD_FLOOR with sign(0) := +1.
     """
     if signal is Signal.NO_CHANGE:
         raise UsageError("no-change signals do not propagate")
-    entry_value = tape.values[site.entry_node]
-    seed = Tensor(np.ones(entry_value.shape, dtype=np.float64))
+    seed = np.ones(tape.values[site.entry_node].shape)
     grads = backward(graph, tape, site.entry_node, seed)
     s = 1.0 if signal is Signal.INCREASE else -1.0
     deltas: dict[str, np.ndarray] = {}
-    for decl, grad in zip(graph.inputs, grads):
-        g = grad.data
-        clamped = np.where(g < 0, -1.0, 1.0) * np.maximum(np.abs(g), grad_floor)
+    for decl, g in zip(graph.inputs, grads):
+        clamped = np.where(g < 0, -1.0, 1.0) * np.maximum(np.abs(g), GRAD_FLOOR)
         deltas[decl.id] = (s * rate) / clamped
     return deltas
 
@@ -210,32 +206,33 @@ def constrain_update(
 def validate_failure(
     graph: Graph,
     site: UnstableSite,
-    inputs: Sequence[Tensor],
+    inputs: Sequence[np.ndarray],
     registry: Optional[Registry] = None,
     tape: Optional[Tape] = None,
 ) -> OracleVerdict:
     """Execute through the site and judge the kernel with its bound oracles.
 
-    Operands come from the native single-precision execution. A caller that
-    already holds a single-precision tape of these inputs passes it as tape;
-    it is extended to the site instead of evaluating the prefix again.
-    Without one, a new tape is evaluated. A double shadow execution supplies
-    the operands the increased-width oracle compares against; it runs only
-    when that oracle is bound to the kernel, since no other oracle reads it.
+    inputs are the program inputs, one array-like per graph input.
+    Operands come from the native float32 execution. A caller that already
+    holds a float32 tape of these inputs passes it as tape; it is extended
+    to the site instead of evaluating the prefix again. Without one, a new
+    tape is evaluated. A float64 shadow execution supplies the operands the
+    increased-width oracle compares against; it runs only when that oracle
+    is bound to the kernel, since no other oracle reads it.
     """
     reg = registry or default_registry()
     if tape is None:
-        tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.node_id)
-    elif tape.precision is not Precision.SINGLE:
+        tape = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
+    elif tape.dtype != np.float32:
         raise UsageError("validation extends single-precision tapes only")
     else:
         extend_tape(tape, site.node_id)
     node = graph.node(site.node_id)
-    operands = [tape.value(ref) for ref in node.inputs]
+    operands = [tape.values[ref] for ref in node.inputs]
     wide = None
     if any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings):
-        wide_tape = forward_eval(graph, inputs, Precision.DOUBLE, stop_at=site.node_id)
-        wide = [wide_tape.value(ref) for ref in node.inputs]
+        wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
+        wide = [wide_tape.values[ref] for ref in node.inputs]
     return run_oracles(site.kernel, operands, reg, wide_inputs=wide)
 
 
@@ -258,13 +255,9 @@ def _clamp_declared(graph: Graph, values: dict[str, np.ndarray]) -> None:
                     out=values[decl.id])
 
 
-def _tensors(graph: Graph, values: dict[str, np.ndarray]) -> list[Tensor]:
-    return [Tensor(values[d.id]) for d in graph.inputs]
-
-
 def _site_features(tape, site: UnstableSite, forest: Forest) -> np.ndarray:
-    entry = Tensor(tape.values[site.entry_node].astype(np.float64))
-    return apply_scaling(featurize(entry, forest.feature_len), forest.scaling)
+    features = featurize(tape.values[site.entry_node], forest.feature_len)
+    return apply_scaling(features, forest.scaling)
 
 
 def fuzz_site(
@@ -295,9 +288,9 @@ def fuzz_site(
             result.diagnostics.append("wall-clock timeout")
             break
         result.iterations += 1
-        inputs = _tensors(graph, values)
+        inputs = [values[d.id] for d in graph.inputs]
         try:
-            tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.entry_node)
+            tape = forward_eval(graph, inputs, np.float32, stop_at=site.entry_node)
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
@@ -318,14 +311,13 @@ def fuzz_site(
                 break
             # misprediction: reset with a fresh initial input
             result.resets += 1
-            if result.resets > config.max_resets:
+            if result.resets > MAX_RESETS:
                 result.diagnostics.append("reset budget exhausted")
                 break
             values = _initial_inputs(graph, rng)
             continue
 
-        deltas = propagate_signal(graph, site, tape, signal, config.rate,
-                                  config.grad_floor)
+        deltas = propagate_signal(graph, site, tape, signal, config.rate)
         for decl in graph.inputs:
             values[decl.id] = constrain_update(
                 values[decl.id], deltas[decl.id], bounds[decl.id], signal
@@ -360,9 +352,9 @@ def random_fuzz_site(
             result.diagnostics.append("wall-clock timeout")
             break
         result.iterations += 1
-        inputs = _tensors(graph, values)
+        inputs = [values[d.id] for d in graph.inputs]
         try:
-            tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.node_id)
+            tape = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
             verdict = validate_failure(graph, site, inputs, reg, tape=tape)
         except EvaluationError as exc:
             result.diagnostics.append(f"validation failed: {exc}")
@@ -373,8 +365,7 @@ def random_fuzz_site(
             result.failing_input = {k: v.tolist() for k, v in values.items()}
             break
         signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
-        deltas = propagate_signal(graph, site, tape, signal, config.rate,
-                                  config.grad_floor)
+        deltas = propagate_signal(graph, site, tape, signal, config.rate)
         for decl in graph.inputs:
             values[decl.id] = values[decl.id] + deltas[decl.id]
         _clamp_declared(graph, values)

@@ -26,7 +26,6 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from safuzz.errors import CapabilityError
-from safuzz.tensor import Precision, Tensor
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -707,15 +706,19 @@ def _param_bundle(name: str, shape: tuple[int, ...]) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _unit_aux(name: str, shape: tuple[int, ...], precision: Precision) -> Tensor:
+def _unit_aux(name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """Shared between calls, so read-only."""
     if name == "Div":
-        return Tensor.of(np.ones(shape), precision)
-    if name == "matmul":
+        aux = np.ones(shape, dtype=dtype)
+    elif name == "matmul":
         n = shape[-1]
-        return Tensor.of(_name_rng(name, "operand").standard_normal((n, n)), precision)
-    if name == "CosineSimilarity":
-        return Tensor.of(_name_rng(name, "operand").standard_normal(shape), precision)
-    raise CapabilityError(f"no unit-test operand binding for '{name}'")
+        aux = _name_rng(name, "operand").standard_normal((n, n)).astype(dtype)
+    elif name == "CosineSimilarity":
+        aux = _name_rng(name, "operand").standard_normal(shape).astype(dtype)
+    else:
+        raise CapabilityError(f"no unit-test operand binding for '{name}'")
+    aux.flags.writeable = False
+    return aux
 
 
 def unit_operand_rows(name: str, xs: np.ndarray) -> list[np.ndarray]:
@@ -729,5 +732,5 @@ def unit_operand_rows(name: str, xs: np.ndarray) -> list[np.ndarray]:
     op = op_def(name)
     if op.arity == 1:
         return [xs]
-    aux = _unit_aux(name, xs.shape[1:], Precision.of_dtype(xs.dtype)).data[None]
+    aux = _unit_aux(name, xs.shape[1:], xs.dtype)[None]
     return [aux, xs] if op.primary == 1 else [xs, aux]

@@ -41,7 +41,6 @@ from safuzz.kernels import (
     stable_softplus,
 )
 from safuzz.registry import Registry, default_registry, resolved_params
-from safuzz.tensor import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -280,8 +279,8 @@ def _width_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def _stacked(inputs: Sequence[Tensor]) -> list[np.ndarray]:
-    return [t.data[None] for t in inputs]
+def _stacked(inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    return [x[None] for x in inputs]
 
 
 
@@ -361,9 +360,9 @@ def oracle_rows(name: str, inputs: Sequence[np.ndarray],
     return OracleRows(tuple(checks))
 
 
-def run_oracles(name: str, inputs: Sequence[Tensor],
+def run_oracles(name: str, inputs: Sequence[np.ndarray],
                 registry: Optional[Registry] = None,
-                wide_inputs: Optional[Sequence[Tensor]] = None) -> OracleVerdict:
+                wide_inputs: Optional[Sequence[np.ndarray]] = None) -> OracleVerdict:
     """Judge one kernel execution: oracle_rows over a stack of one.
 
     inputs are the operands as the execution under test produced them,

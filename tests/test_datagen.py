@@ -28,13 +28,29 @@ from safuzz.errors import FileFormatError, GenerationFailure, UsageError
 from safuzz.kernels import unit_operand_rows
 from safuzz.oracles import run_oracles
 from safuzz.registry import default_registry
-from safuzz.tensor import Tensor
 
 
 def trajectory(*points):
     """(value, passed) pairs as the arrays run_trajectory returns."""
     values, passed = zip(*points)
     return np.array(values, dtype=np.float64).reshape(-1, 1), np.array(passed)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_base=0), dict(regions=()), dict(shape=(3, 0)), dict(shape=(-1,)),
+        dict(pixel_bounds=(5.0, 1.0)), dict(pixel_bounds=(1.0, float("nan"))),
+        dict(target_size=0), dict(mutations_per_base=0),
+    ], ids=["n_base", "regions", "zero_dim", "negative_dim", "pixel_bounds_reversed",
+            "pixel_bounds_nan", "target_size", "mutations_per_base"])
+    def test_out_of_range_generation_config_rejected(self, kwargs):
+        with pytest.raises(UsageError):
+            GenerationConfig(**kwargs)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_non_positive_mutation_rate_rejected(self, rate):
+        with pytest.raises(UsageError):
+            MutationConfig("random", rate=rate)
 
 
 class TestBaseInputs:
@@ -44,9 +60,9 @@ class TestBaseInputs:
         rng = np.random.default_rng(0)
         bases = generate_base_inputs(config, rng)
         assert len(bases) == 3
-        assert (bases[0].elements < 0).all()
-        assert ((bases[1].elements >= 0) & (bases[1].elements < 100)).all()
-        assert (bases[2].elements >= 100).all()
+        assert (bases[0] < 0).all()
+        assert ((bases[1] >= 0) & (bases[1] < 100)).all()
+        assert (bases[2] >= 100).all()
 
     def test_default_count_is_100(self):
         config = GenerationConfig(regions=((-1, 1),), shape=(1,))
@@ -56,7 +72,7 @@ class TestBaseInputs:
         config = GenerationConfig(n_base=10, regions=((-500, 500),), shape=(3,),
                                   pixel_bounds=(0.0, 255.0))
         for base in generate_base_inputs(config, np.random.default_rng(0)):
-            assert (base.elements >= 0).all() and (base.elements <= 255).all()
+            assert (base >= 0).all() and (base <= 255).all()
 
 
 class TestMutateStep:
@@ -81,7 +97,7 @@ class TestMutateStep:
     def test_pixel_bounds_reclamped(self):
         # exp fails from the base on, so the walk never flips and takes every step
         mc = MutationConfig("exponential", rate=2.0, max_steps=3, direction="up")
-        points, _ = run_trajectory("exp", Tensor.of([250.0]), mc,
+        points, _ = run_trajectory("exp", np.array([250.0]), mc,
                                    np.random.default_rng(0), pixel_bounds=(0.0, 255.0))
         assert len(points) == 4
         assert (points <= 255.0).all()
@@ -141,33 +157,36 @@ class TestDeriveLabels:
 
 class TestFeaturize:
     def test_flatten_when_sizes_match(self):
-        t = Tensor.of(np.arange(9.0).reshape(3, 3))
-        assert featurize(t, 9).tolist() == list(np.arange(9.0))
+        t = np.arange(9.0, dtype=np.float32).reshape(3, 3)
+        feats = featurize(t, 9)
+        assert feats.dtype == np.float64 and feats.tolist() == list(np.arange(9.0))
+        feats[0] = -1.0  # a new vector, not a view of the input
+        assert t[0, 0] == 0.0
 
     def test_quantiles_for_larger_tensors(self):
-        t = Tensor.of(np.arange(784.0).reshape(28, 28))
+        t = np.arange(784.0).reshape(28, 28)
         feats = featurize(t, 9)
         assert feats[0] == 0.0 and feats[-1] == 783.0
         assert len(feats) == 9
 
     def test_constant_tensor_constant_vector(self):
-        t = Tensor.of(np.full((28, 28), 3.5))
+        t = np.full((28, 28), 3.5)
         assert (featurize(t, 9) == 3.5).all()
 
     def test_empty_tensor_rejected(self):
         with pytest.raises(UsageError):
-            featurize(Tensor.of([]), 9)
+            featurize(np.array([]), 9)
 
     def test_unknown_feature_len_rejected(self):
         with pytest.raises(UsageError):
-            featurize(Tensor.of([1.0]), 7)
+            featurize(np.array([1.0]), 7)
 
     @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=2,
                     max_size=30).filter(lambda v: len(v) != 9))
     @settings(max_examples=80, deadline=None)
     def test_quantile_endpoints_are_min_max(self, values):
         # applies to the quantile path only; matching sizes flatten unsorted
-        feats = featurize(Tensor.of(values), 9)
+        feats = featurize(np.array(values), 9)
         assert feats[0] == min(values)
         assert feats[-1] == max(values)
         assert (np.diff(feats) >= 0).all()
@@ -191,11 +210,18 @@ class TestPreprocessScale:
         assert (out.features == self._dataset().features).all()
 
     def test_replay_is_bit_identical(self):
-        ds = preprocess_scale(self._dataset("log"), epsilon=1e-8, scale=2.0,
-                              offset=0.5)
+        ds = preprocess_scale(self._dataset("log"), epsilon=1e-8)
         raw = self._dataset("log").features
         replayed = apply_scaling(raw, ds.scaling)
         assert replayed.tobytes() == ds.features.tobytes()
+
+    def test_replay_applies_a_recorded_affine_scale(self):
+        # a dataset or model file may record any scale and offset
+        raw = self._dataset("log").features
+        scaling = {"scale": 2.0, "offset": -2.0, "zero_epsilon": 1e-8}
+        want = np.where(raw * 2.0 - 2.0 == 0.0, 1e-8, raw * 2.0 - 2.0)
+        assert (want == 1e-8).any()
+        assert apply_scaling(raw, scaling).tobytes() == want.tobytes()
 
 
 class TestBuildDataset:
@@ -244,7 +270,7 @@ class TestBuildDataset:
         rows = ds.features[ds.labels == int(Signal.NO_CHANGE)][:50]
         for row in rows:
             raw = (row - scaling["offset"]) / scaling["scale"]
-            x = Tensor(raw.reshape(ds.shape))
+            x = raw.reshape(ds.shape)
             assert not run_oracles("exp", [x]).passed
 
 
@@ -252,10 +278,10 @@ def walk_step_by_step(kernel, base, mc, rng, pixel_bounds=None):
     """Reference trajectory: one mutation step at a time, each point judged
     alone, stopping at the first flip."""
     sign = 1.0 if mc.direction == "up" else -1.0
-    x = base.data.astype(np.float64)
+    x = base
 
     def judge(values):
-        operands = [Tensor(a[0]) for a in unit_operand_rows(kernel, values[None])]
+        operands = [a[0] for a in unit_operand_rows(kernel, values[None])]
         return run_oracles(kernel, operands).passed
 
     points, passed = [x], [judge(x)]
@@ -281,13 +307,13 @@ def trajectory_bases(kernel):
     rng = np.random.default_rng(11)
     bases = [rng.uniform(lo, hi, size=(3, 3)) for lo, hi in spec.generation.regions]
     bases += [np.full((3, 3), s) for s in spec.generation.failure_seeds]
-    return [Tensor(b) for b in bases]
+    return bases
 
 
 class TestTrajectories:
     def test_trajectory_stops_at_flip(self):
         mc = MutationConfig("exponential", rate=1.0, max_steps=50, direction="up")
-        _, passed = run_trajectory("exp", Tensor.of(np.full((3, 3), 80.0)), mc,
+        _, passed = run_trajectory("exp", np.full((3, 3), 80.0), mc,
                                    np.random.default_rng(0))
         assert passed[0]
         assert not passed[-1]
@@ -301,7 +327,7 @@ class TestTrajectories:
     def test_matches_step_by_step_walk(self, kernel, method, direction, pixel_bounds):
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         for base in trajectory_bases(kernel):
-            amp = float(np.max(np.abs(base.elements))) or 1.0
+            amp = float(np.max(np.abs(base))) or 1.0
             for rate, scale in ((1.0, None), (2.5, amp)):
                 mc = MutationConfig(method, rate, 30, direction, scale)
                 points, passed = run_trajectory(kernel, base, mc, rng,
@@ -316,14 +342,14 @@ class TestTrajectories:
     def test_unreached_overflowing_step_does_not_raise(self):
         # exp(10 * 71) overflows a double, but the walk flips at step 1
         mc = MutationConfig("exponential", rate=10.0, max_steps=100, direction="up")
-        points, passed = run_trajectory("exp", Tensor.of(np.full((3, 3), 80.0)), mc,
+        points, passed = run_trajectory("exp", np.full((3, 3), 80.0), mc,
                                         np.random.default_rng(0))
         assert len(points) == 2 and passed.tolist() == [True, False]
 
     def test_reached_overflowing_step_raises(self):
         # exp never fails going down, so the walk reaches the overflowing step
         mc = MutationConfig("exponential", rate=10.0, max_steps=100, direction="down")
-        base = Tensor.of(np.full((3, 3), -80.0))
+        base = np.full((3, 3), -80.0)
         with pytest.raises(OverflowError):
             walk_step_by_step("exp", base, mc, np.random.default_rng(0))
         with pytest.raises(OverflowError):

@@ -19,11 +19,11 @@ from safuzz.forest import DecisionTree, Forest, model_load, predict
 from safuzz.fuzzer import (
     Bounds,
     FuzzConfig,
+    MAX_RESETS,
     FuzzResult,
     _clamp_declared,
     _initial_inputs,
     _site_features,
-    _tensors,
     constrain_update,
     fuzz_program,
     fuzz_site,
@@ -36,7 +36,6 @@ from safuzz.fuzzer import (
 from safuzz.graph import Graph, InputDecl, Node
 from safuzz.oracles import FailureClass, run_oracles
 from safuzz.registry import default_registry
-from safuzz.tensor import Precision, Tensor
 
 FIXTURE_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "models"
 
@@ -121,8 +120,7 @@ class TestPropagateSignal:
                   [Node("e", "scale", ("x",), {"factor": factor}),
                    Node("y", "exp", ("e",))], "y")
         site = scan_for_unstable(g).sites[0]
-        tape = forward_eval(g, [Tensor.of([1.0])], Precision.SINGLE,
-                            stop_at=site.entry_node)
+        tape = forward_eval(g, [np.array([1.0])], np.float32, stop_at=site.entry_node)
         return g, site, tape
 
     def test_positive_gradient(self):
@@ -137,8 +135,7 @@ class TestPropagateSignal:
 
     def test_zero_gradient_clamped(self):
         g, site, tape = self._tape_and_site(0.0)
-        delta = propagate_signal(g, site, tape, Signal.INCREASE, rate=1.0,
-                                 grad_floor=1e-6)
+        delta = propagate_signal(g, site, tape, Signal.INCREASE, rate=1.0)
         assert delta["x"].tolist() == [1e6]
 
     def test_no_change_rejected(self):
@@ -196,14 +193,14 @@ class TestValidateFailure:
     def test_exp_entry_89(self):
         g = exp_graph()
         site = scan_for_unstable(g).sites[0]
-        verdict = validate_failure(g, site, [Tensor.of(np.full((3, 3), 89.0))])
+        verdict = validate_failure(g, site, [np.full((3, 3), 89.0)])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.NAN_OR_INF
 
     def test_log_entry_one_passes(self):
         g = Graph([InputDecl("x", (1,))], [Node("y", "log", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
-        assert validate_failure(g, site, [Tensor.of([1.0])]).passed
+        assert validate_failure(g, site, [np.array([1.0])]).passed
 
     def test_cosine_fig1_values(self):
         g = Graph(
@@ -216,7 +213,7 @@ class TestValidateFailure:
         site = scan_for_unstable(g).sites[0]
         fig1_y = [2.39482538431398614e-09, 7.39647891389834008e-09,
                   4.96805019548943425e-09]
-        verdict = validate_failure(g, site, [Tensor.of(fig1_y)])
+        verdict = validate_failure(g, site, [np.array(fig1_y)])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
@@ -230,8 +227,8 @@ class TestFuzzSite:
         assert result.found
         entry = np.asarray(result.failing_input["x"])
         assert entry.max() > 88.72
-        out = forward_eval(g, [Tensor(entry)], Precision.SINGLE).value("y")
-        assert np.isposinf(out.elements).any()
+        out = forward_eval(g, [entry], np.float32).values["y"]
+        assert np.isposinf(out).any()
 
     def test_log_found_below_zero(self):
         g = Graph([InputDecl("x", (3, 3), bounds=(4.0, 6.0))],
@@ -242,7 +239,7 @@ class TestFuzzSite:
         assert result.found
         assert result.verdict.failure_class is FailureClass.NAN_OR_INF
         # replaying the stored input reproduces the verdict
-        replay = validate_failure(g, site, [Tensor.of(result.failing_input["x"])])
+        replay = validate_failure(g, site, [np.array(result.failing_input["x"])])
         assert replay.failure_class is result.verdict.failure_class
 
     def test_clamped_safe_program_exhausts(self):
@@ -346,10 +343,14 @@ def _corpus_sites():
             yield pytest.param(spec, graph, site, id=f"{spec.name}-{site.node_id}")
 
 
+def _inputs(graph, values):
+    return [values[d.id] for d in graph.inputs]
+
+
 def _failing_inputs(graph, site):
     """The first of a few extreme inputs that fails validation at the site."""
     for value in (1.0, 0.0, 1e30, -1e30, 1e-30, 3e38):
-        inputs = [Tensor(np.full(d.shape, value)) for d in graph.inputs]
+        inputs = [np.full(d.shape, value) for d in graph.inputs]
         if not validate_failure(graph, site, inputs).passed:
             return inputs
     raise AssertionError(f"no extreme input fails at {site.node_id}")
@@ -358,7 +359,7 @@ def _failing_inputs(graph, site):
 class TestTapeReuse:
     @pytest.mark.parametrize("spec,graph,site", list(_corpus_sites()))
     def test_tape_gives_the_verdict_of_a_fresh_evaluation(self, spec, graph, site):
-        cases = [_tensors(graph, _initial_inputs(graph, np.random.default_rng(seed)))
+        cases = [_inputs(graph, _initial_inputs(graph, np.random.default_rng(seed)))
                  for seed in range(5)]
         cases.append(_failing_inputs(graph, site))
         for inputs in cases:
@@ -366,7 +367,7 @@ class TestTapeReuse:
             fresh = validate_failure(graph, site, inputs)
             assert fresh == _reference_validate_failure(graph, site, inputs)
             for stop in (site.entry_node, site.node_id):
-                tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=stop)
+                tape = forward_eval(graph, inputs, np.float32, stop_at=stop)
                 reused = validate_failure(graph, site, inputs, tape=tape)
                 assert reused == fresh, (spec.name, stop)
                 assert tape.has(site.node_id)
@@ -375,8 +376,8 @@ class TestTapeReuse:
     def test_double_tape_rejected(self):
         g = exp_graph()
         site = scan_for_unstable(g).sites[0]
-        inputs = [Tensor.of(np.ones((3, 3)))]
-        tape = forward_eval(g, inputs, Precision.DOUBLE, stop_at=site.entry_node)
+        inputs = [np.ones((3, 3))]
+        tape = forward_eval(g, inputs, np.float64, stop_at=site.entry_node)
         with pytest.raises(UsageError):
             validate_failure(g, site, inputs, tape=tape)
 
@@ -385,11 +386,11 @@ class TestTapeReuse:
         spec = next(s for s in corpus_manifest(reg) if s.name == "remainder_width_loss")
         g = spec.to_graph(reg)
         site = scan_for_unstable(g, reg).sites[0]
-        inputs = [Tensor.of([1234.5678901, 1234.5678901, 1234.5678901])]
+        inputs = [np.array([1234.5678901, 1234.5678901, 1234.5678901])]
         # judged on the single-precision operands alone the input passes
-        tape = forward_eval(g, inputs, Precision.SINGLE, stop_at=site.node_id)
-        assert run_oracles(site.kernel, [tape.value("x")], reg).passed
-        for tape in (None, forward_eval(g, inputs, Precision.SINGLE, stop_at="x")):
+        tape = forward_eval(g, inputs, np.float32, stop_at=site.node_id)
+        assert run_oracles(site.kernel, [tape.values["x"]], reg).passed
+        for tape in (None, forward_eval(g, inputs, np.float32, stop_at="x")):
             verdict = validate_failure(g, site, inputs, reg, tape=tape)
             assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
 
@@ -400,11 +401,11 @@ class TestTapeReuse:
 
 def _reference_validate_failure(graph, site, inputs, registry=None):
     reg = registry or default_registry()
-    tape = forward_eval(graph, inputs, Precision.SINGLE, stop_at=site.node_id)
+    tape = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
     node = graph.node(site.node_id)
-    operands = [tape.value(ref) for ref in node.inputs]
-    wide_tape = forward_eval(graph, inputs, Precision.DOUBLE, stop_at=site.node_id)
-    wide = [wide_tape.value(ref) for ref in node.inputs]
+    operands = [tape.values[ref] for ref in node.inputs]
+    wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
+    wide = [wide_tape.values[ref] for ref in node.inputs]
     return run_oracles(site.kernel, operands, reg, wide_inputs=wide)
 
 
@@ -425,7 +426,7 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
             break
         result.iterations += 1
         try:
-            tape = forward_eval(graph, _tensors(graph, values), Precision.SINGLE,
+            tape = forward_eval(graph, _inputs(graph, values), np.float32,
                                 stop_at=site.entry_node)
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
@@ -437,7 +438,7 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
         if signal is Signal.NO_CHANGE:
             try:
                 verdict = _reference_validate_failure(graph, site,
-                                                      _tensors(graph, values), reg)
+                                                      _inputs(graph, values), reg)
             except EvaluationError as exc:
                 result.diagnostics.append(f"validation failed: {exc}")
                 break
@@ -447,14 +448,13 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
                 result.failing_input = {k: v.tolist() for k, v in values.items()}
                 break
             result.resets += 1
-            if result.resets > config.max_resets:
+            if result.resets > MAX_RESETS:
                 result.diagnostics.append("reset budget exhausted")
                 break
             values = _initial_inputs(graph, rng)
             continue
 
-        deltas = propagate_signal(graph, site, tape, signal, config.rate,
-                                  config.grad_floor)
+        deltas = propagate_signal(graph, site, tape, signal, config.rate)
         for decl in graph.inputs:
             values[decl.id] = constrain_update(
                 values[decl.id], deltas[decl.id], bounds[decl.id], signal
@@ -479,7 +479,7 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
             break
         result.iterations += 1
         try:
-            verdict = _reference_validate_failure(graph, site, _tensors(graph, values), reg)
+            verdict = _reference_validate_failure(graph, site, _inputs(graph, values), reg)
         except EvaluationError as exc:
             result.diagnostics.append(f"validation failed: {exc}")
             break
@@ -489,14 +489,13 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
             result.failing_input = {k: v.tolist() for k, v in values.items()}
             break
         try:
-            tape = forward_eval(graph, _tensors(graph, values), Precision.SINGLE,
+            tape = forward_eval(graph, _inputs(graph, values), np.float32,
                                 stop_at=site.entry_node)
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
         signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
-        deltas = propagate_signal(graph, site, tape, signal, config.rate,
-                                  config.grad_floor)
+        deltas = propagate_signal(graph, site, tape, signal, config.rate)
         for decl in graph.inputs:
             values[decl.id] = values[decl.id] + deltas[decl.id]
         _clamp_declared(graph, values)

@@ -15,7 +15,6 @@ from safuzz.kernels import (
 )
 from safuzz.oracles import run_oracles
 from safuzz.registry import default_registry, registry_load, resolved_params
-from safuzz.tensor import Tensor
 
 TABLE_KERNELS = [
     "Softmax", "log", "sigmoid", "exp", "logSoftmax", "sqrt", "tanh", "ReLU",
@@ -182,8 +181,8 @@ class TestSafeConditions:
     """The oracles, not a recorded condition, decide where a kernel fails."""
 
     def test_exp_boundary(self):
-        assert run_oracles("exp", [Tensor.of([88.0])]).passed
-        assert not run_oracles("exp", [Tensor.of([89.0])]).passed
+        assert run_oracles("exp", [np.array([88.0])]).passed
+        assert not run_oracles("exp", [np.array([89.0])]).passed
 
     @pytest.mark.parametrize("kernel", ["exp", "ELU"])
     def test_safe_region_produces_finite_single_outputs(self, kernel):

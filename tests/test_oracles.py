@@ -15,7 +15,6 @@ from safuzz.errors import CapabilityError
 from safuzz.kernels import apply_forward, op_def, unit_operand_rows
 from safuzz.oracles import FailureClass, OracleVerdict, oracle_rows, run_oracles
 from safuzz.registry import OracleBinding, Registry, default_registry, resolved_params
-from safuzz.tensor import Tensor
 
 FIG1_X = [2606.66824394, 2477.72226966, 3251.84008903]
 FIG1_Y = [2.39482538431398614e-09, 7.39647891389834008e-09, 4.96805019548943425e-09]
@@ -30,12 +29,12 @@ def bound(kernel, *bindings):
 
 def unit_operands(kernel, x):
     """The unit-test operands of one tensor: unit_operand_rows on a stack of one."""
-    return [Tensor(a[0]) for a in unit_operand_rows(kernel, x.data[None])]
+    return [a[0] for a in unit_operand_rows(kernel, x[None])]
 
 
 def forward(kernel, x, dtype):
     params = resolved_params(default_registry().get(kernel), x.shape)
-    return apply_forward(op_def(kernel), params, [x.data.astype(dtype)[None]], dtype)[0]
+    return apply_forward(op_def(kernel), params, [x.astype(dtype)[None]], dtype)[0]
 
 
 class TestVerdictInvariants:
@@ -50,15 +49,15 @@ class TestVerdictInvariants:
 
 class TestNanInf:
     def test_log_zero_fails(self):
-        verdict = run_oracles("log", [Tensor.of([0.0])])
+        verdict = run_oracles("log", [np.array([0.0])])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.NAN_OR_INF
 
     def test_softmax_passes(self):
-        assert run_oracles("Softmax", [Tensor.of([0.0, 0.0, 0.0])]).passed
+        assert run_oracles("Softmax", [np.array([0.0, 0.0, 0.0])]).passed
 
     def test_subnormal_reciprocal_overflows_single(self):
-        verdict = run_oracles("Div", [Tensor.of([1.0]), Tensor.of([1e-45])])
+        verdict = run_oracles("Div", [np.array([1.0]), np.array([1e-45])])
         assert not verdict.passed and verdict.failure_class is FailureClass.NAN_OR_INF
 
 
@@ -66,41 +65,41 @@ class TestRange:
     UNIT = bound("mean", OracleBinding(2, lo=-1.0, hi=1.0))
 
     def test_cosine_above_one_fails(self):
-        verdict = run_oracles("mean", [Tensor.of([1.0000002])], self.UNIT)
+        verdict = run_oracles("mean", [np.array([1.0000002])], self.UNIT)
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.OUT_OF_RANGE
 
     def test_bounded_trig_value_passes(self):
-        assert run_oracles("mean", [Tensor.of([0.5])], self.UNIT).passed
+        assert run_oracles("mean", [np.array([0.5])], self.UNIT).passed
 
     def test_closed_interval_boundary_passes(self):
-        assert run_oracles("mean", [Tensor.of([-1.0])], self.UNIT).passed
+        assert run_oracles("mean", [np.array([-1.0])], self.UNIT).passed
 
     def test_nan_counts_as_out_of_range(self):
-        assert not run_oracles("mean", [Tensor.of([np.nan])], self.UNIT).passed
+        assert not run_oracles("mean", [np.array([np.nan])], self.UNIT).passed
 
 
 class TestRewrite:
     def test_logsoftmax_overflow_fails(self):
         # the shipped entry's NaN/inf oracle would fail this row first
-        verdict = run_oracles("logSoftmax", [Tensor.of([1000.0, 0.0, 0.0])],
+        verdict = run_oracles("logSoftmax", [np.array([1000.0, 0.0, 0.0])],
                               bound("logSoftmax", OracleBinding(3)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REWRITE_MISMATCH
 
     def test_missing_rewrite_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("mean", [Tensor.of([1.0])], bound("mean", OracleBinding(3)))
+            run_oracles("mean", [np.array([1.0])], bound("mean", OracleBinding(3)))
 
 
 class TestStableAlgorithm:
     def test_identity_inverse_passes(self):
-        assert run_oracles("inverse", [Tensor.of(np.eye(3))]).passed
+        assert run_oracles("inverse", [np.eye(3)]).passed
 
     def test_spd_diagonal_matches_cholesky(self):
         # both elimination orders are exact on a diagonal SPD matrix, so the
         # frozen expected verdict (computed in double on both paths) is Pass
-        verdict = run_oracles("inverse", [Tensor.of(np.diag([1.0, 1e-12, 1.0]))])
+        verdict = run_oracles("inverse", [np.diag([1.0, 1e-12, 1.0])])
         assert verdict.passed
 
     def test_non_spd_is_unavailable(self):
@@ -117,18 +116,18 @@ class TestStableAlgorithm:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 3))
         spd = a @ a.T + 3 * np.eye(3)
-        assert run_oracles("determinant", [Tensor.of(spd)]).passed
+        assert run_oracles("determinant", [spd]).passed
 
 
 class TestReferenceConsistency:
     def test_fig1_vectors_fail(self):
-        verdict = run_oracles("CosineSimilarity", [Tensor.of(FIG1_Y), Tensor.of(FIG1_X)],
+        verdict = run_oracles("CosineSimilarity", [np.array(FIG1_Y), np.array(FIG1_X)],
                               bound("CosineSimilarity", OracleBinding(5)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
     def test_self_similarity_passes(self):
-        t = Tensor.of([1.0, 2.0, 3.0])
+        t = np.array([1.0, 2.0, 3.0])
         assert run_oracles("CosineSimilarity", [t, t]).passed
 
     def test_unclamped_norms_always_agree(self):
@@ -147,12 +146,12 @@ class TestReferenceConsistency:
 
     def test_missing_reference_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("mean", [Tensor.of([1.0])], bound("mean", OracleBinding(5)))
+            run_oracles("mean", [np.array([1.0])], bound("mean", OracleBinding(5)))
 
 
 class TestIncreasedWidth:
     def test_remainder_width_bug_exact(self):
-        x = Tensor.of([1933053808.0])
+        x = np.array([1933053808.0])
         verdict = run_oracles("remainder", [x])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
@@ -161,11 +160,11 @@ class TestIncreasedWidth:
         assert forward("remainder", x, np.float64)[0] == 19.0
 
     def test_small_remainder_agrees(self):
-        assert run_oracles("remainder", [Tensor.of([10.0])]).passed
+        assert run_oracles("remainder", [np.array([10.0])]).passed
 
     def test_matmul_overflow_vs_finite_double(self):
-        a = Tensor.of(np.full((3, 3), 1.1e19))
-        b = Tensor.of(np.full((3, 3), 1.2e19))
+        a = np.full((3, 3), 1.1e19)
+        b = np.full((3, 3), 1.2e19)
         verdict = run_oracles("matmul", [a, b], bound("matmul", OracleBinding(6)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
@@ -179,7 +178,7 @@ class TestIncreasedWidth:
     def test_tolerance_monotonicity(self, value, t1, factor):
         # Pass at tolerance t implies Pass at every larger tolerance
         t2 = t1 * (1.0 + factor)
-        x = [Tensor.of([value])]
+        x = [np.array([value])]
         at = {t: bound("remainder", OracleBinding(6, tolerance=t)) for t in (t1, t2)}
         if run_oracles("remainder", x, at[t1]).passed:
             assert run_oracles("remainder", x, at[t2]).passed
@@ -192,31 +191,31 @@ SAFE_REGIONS = {"exp": (-200.0, 88.72), "ELU": (-103.972, 3.4e38)}
 
 class TestRunOracles:
     def test_exp_overflow(self):
-        verdict = run_oracles("exp", [Tensor.of([89.0])])
+        verdict = run_oracles("exp", [np.array([89.0])])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.NAN_OR_INF
 
     def test_mean_passes(self):
-        assert run_oracles("mean", [Tensor.of([1.0, 2.0, 3.0])]).passed
+        assert run_oracles("mean", [np.array([1.0, 2.0, 3.0])]).passed
 
     def test_cosine_fig1_reference_mismatch(self):
         verdict = run_oracles("CosineSimilarity",
-                              [Tensor.of(FIG1_Y), Tensor.of(FIG1_X)])
+                              [np.array(FIG1_Y), np.array(FIG1_X)])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
     def test_unimplemented_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("SVD", [Tensor.of([[1.0]])])
+            run_oracles("SVD", [np.array([[1.0]])])
 
     def test_inputs_never_mutated(self):
-        t = Tensor.of([1933053808.0])
-        before = t.data.tobytes()
+        t = np.array([1933053808.0])
+        before = t.tobytes()
         run_oracles("remainder", [t])
-        assert t.data.tobytes() == before
+        assert t.tobytes() == before
 
     def test_deterministic(self):
-        t = [Tensor.of(np.linspace(-5, 5, 9))]
+        t = [np.linspace(-5, 5, 9)]
         v1 = run_oracles("Softmax", t)
         v2 = run_oracles("Softmax", t)
         assert v1 == v2
@@ -226,7 +225,7 @@ class TestRunOracles:
         lo, hi = SAFE_REGIONS[kernel]
         rng = np.random.default_rng(9)
         for _ in range(1000):
-            x = Tensor(rng.uniform(lo, hi, size=(3,)))
+            x = rng.uniform(lo, hi, size=(3,))
             assert run_oracles(kernel, unit_operands(kernel, x)).passed
 
 
@@ -257,7 +256,7 @@ class TestOracleRows:
     def test_rows_judged_as_each_row_alone(self, kernel):
         xs = row_stack(kernel)
         stacked = oracle_rows(kernel, unit_operand_rows(kernel, xs))
-        verdicts = [run_oracles(kernel, unit_operands(kernel, Tensor(x))) for x in xs]
+        verdicts = [run_oracles(kernel, unit_operands(kernel, x)) for x in xs]
         assert [stacked.verdict(i) for i in range(len(xs))] == verdicts
         assert stacked.passed.tolist() == [v.passed for v in verdicts]
 
@@ -269,8 +268,8 @@ class TestOracleRows:
         stacked = oracle_rows(kernel, narrow, wide_inputs=wide)
         n = max(len(x) for x in wide)
         for i in range(n):
-            alone = [Tensor(x[min(i, len(x) - 1)]) for x in narrow]
-            alone_wide = [Tensor(x[min(i, len(x) - 1)]) for x in wide]
+            alone = [x[min(i, len(x) - 1)] for x in narrow]
+            alone_wide = [x[min(i, len(x) - 1)] for x in wide]
             assert stacked.verdict(i) == run_oracles(kernel, alone, wide_inputs=alone_wide)
 
     def test_spd_mix_skips_only_rows_outside_the_domain(self):

@@ -1,6 +1,9 @@
-"""Program files, corpus manifest, reports and the command-line surface."""
+"""Program files, corpus manifest, reports, the command-line surface and
+the end-to-end scripts."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -265,3 +268,34 @@ class TestCli:
                              "--seed", "9", "--out", str(data)]) == 0
         header = json.loads(data.read_text().splitlines()[0])
         assert header["config"]["seed"] == 9
+
+
+def _compare_guidance_main():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_guidance.py"
+    spec = importlib.util.spec_from_file_location("compare_guidance", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+class TestCompareGuidance:
+    def test_program_without_a_model_is_skipped(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "exp.json").write_bytes((FIXTURE_MODELS / "exp.json").read_bytes())
+        monkeypatch.setattr(sys, "argv", ["compare_guidance.py", "--models", str(tmp_path),
+                                          "--seeds", "0", "--max-iters", "20"])
+        assert _compare_guidance_main()() == 0
+        out = capsys.readouterr().out
+        assert "softmax_logit_blowup         site 'y' (Softmax): no trained model; skipped" in out
+        assert "guided wins or ties on 1/1 programs" in out
+
+    @pytest.mark.parametrize("args, message", [
+        (["--models", "missing"], "does not exist"),
+        (["--models", "."], "no model files"),
+        (["--models", str(FIXTURE_MODELS), "--max-iters", "0"], "max_iters"),
+    ], ids=["missing_dir", "empty_dir", "zero_iters"])
+    def test_usage_errors_exit_2(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["compare_guidance.py", *args])
+        assert _compare_guidance_main()() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

@@ -1,13 +1,15 @@
-"""Tensor, graph evaluation and reverse-mode differentiation."""
+"""The outside value type, graph evaluation and reverse-mode differentiation."""
 
 import numpy as np
 import pytest
 
-from safuzz.autodiff import backward, finite_diff_grad, forward_eval
+from safuzz.autodiff import backward, extend_tape, finite_diff_grad, forward_eval
 from safuzz.errors import EvaluationError, GraphParseError, OracleUnavailable, UsageError
+from safuzz.fuzzer import scan_for_unstable, validate_failure
 from safuzz.graph import Graph, InputDecl, Node
 from safuzz.kernels import default_params
-from safuzz.tensor import Precision, Tensor
+from safuzz.oracles import FailureClass
+from safuzz.tensor import Tensor
 
 
 def chain(ops, input_shape, bounds=None):
@@ -27,102 +29,124 @@ def single_op(op, shape=(1,), params=None, bounds=None):
 
 
 class TestTensor:
-    def test_shape_and_elements(self):
-        t = Tensor.of([[1.0, 2.0], [3.0, 4.0]])
-        assert t.shape == (2, 2)
-        assert t.elements.tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert t.precision is Precision.DOUBLE
-
     def test_nan_inf_are_data(self):
-        t = Tensor.of([np.nan, np.inf, -np.inf])
-        assert np.isnan(t.elements[0])
-        assert np.isinf(t.elements[1])
+        t = Tensor(np.array([np.nan, np.inf, -np.inf]))
+        assert np.isnan(t.data[0])
+        assert np.isinf(t.data[1])
 
     def test_rank_limit(self):
         with pytest.raises(ValueError):
             Tensor(np.zeros((2, 2, 2, 2, 2)))
 
     def test_immutable(self):
-        t = Tensor.of([1.0])
+        t = Tensor(np.array([1.0]))
         with pytest.raises(ValueError):
             t.data[0] = 2.0
 
-    def test_precision_cast(self):
-        t = Tensor.of([1.5], Precision.SINGLE)
-        assert t.precision is Precision.SINGLE
-        assert t.astype(Precision.DOUBLE).precision is Precision.DOUBLE
+    def test_numpy_reads_a_copy(self):
+        t = Tensor(np.array([1.5, 2.5]))
+        x = np.array(t, dtype=np.float32)
+        assert x.dtype == np.float32 and x.tolist() == [1.5, 2.5]
+        x[0] = 0.0
+        assert t.data.tolist() == [1.5, 2.5]
+
+    def test_validate_failure_accepts_a_tensor(self):
+        # how a caller outside the package re-validates a failing input
+        g = single_op("exp")
+        site = scan_for_unstable(g).sites[0]
+        hit = validate_failure(g, site, [Tensor(np.asarray([89.0], dtype=np.float64))])
+        assert hit.failure_class is FailureClass.NAN_OR_INF
+        assert validate_failure(g, site, [Tensor(np.asarray([1.0]))]).passed
 
 
 class TestForwardEval:
     def test_scale_linear(self):
         g = single_op("scale", (3,), {"factor": 2.0})
-        tape = forward_eval(g, [Tensor.of([1.0, 2.0, 3.0])], Precision.DOUBLE)
-        assert tape.value("y").tolist() == [2.0, 4.0, 6.0]
+        tape = forward_eval(g, [np.array([1.0, 2.0, 3.0])], np.float64)
+        assert tape.values["y"].tolist() == [2.0, 4.0, 6.0]
 
     def test_exp_overflows_in_single(self):
         g = single_op("exp")
-        tape = forward_eval(g, [Tensor.of([89.0])], Precision.SINGLE)
-        assert np.isposinf(tape.value("y").elements[0])
+        tape = forward_eval(g, [np.array([89.0])], np.float32)
+        assert np.isposinf(tape.values["y"][0])
 
     def test_exp_finite_in_double(self):
         # high-precision oracle: e^89 = 4.4896128e38
         g = single_op("exp")
-        tape = forward_eval(g, [Tensor.of([89.0])], Precision.DOUBLE)
-        assert tape.value("y").elements[0] == pytest.approx(4.4896128191743455e38)
+        tape = forward_eval(g, [np.array([89.0])], np.float64)
+        assert tape.values["y"][0] == pytest.approx(4.4896128191743455e38)
 
     def test_shape_mismatch_names_input(self):
         g = single_op("exp", (3,))
         with pytest.raises(EvaluationError, match="x"):
-            forward_eval(g, [Tensor.of([1.0, 2.0])], Precision.DOUBLE)
+            forward_eval(g, [np.array([1.0, 2.0])], np.float64)
 
     def test_stop_at_skips_downstream(self):
         g = chain([("a", "scale", {"factor": 2.0}), ("b", "exp", {})], (1,))
-        tape = forward_eval(g, [Tensor.of([1.0])], Precision.DOUBLE, stop_at="a")
+        tape = forward_eval(g, [np.array([1.0])], np.float64, stop_at="a")
         assert tape.has("a") and not tape.has("b")
 
     def test_unknown_stop_node(self):
         g = single_op("exp")
         with pytest.raises(UsageError):
-            forward_eval(g, [Tensor.of([1.0])], Precision.DOUBLE, stop_at="nope")
+            forward_eval(g, [np.array([1.0])], np.float64, stop_at="nope")
 
     def test_deterministic_bits(self):
         g = chain([("a", "Softmax", {}), ("b", "log", {})], (4,))
-        x = [Tensor.of([0.3, -1.2, 5.0, 0.01])]
-        t1 = forward_eval(g, x, Precision.SINGLE).value("b").elements
-        t2 = forward_eval(g, x, Precision.SINGLE).value("b").elements
+        x = [np.array([0.3, -1.2, 5.0, 0.01])]
+        t1 = forward_eval(g, x, np.float32).values["b"]
+        t2 = forward_eval(g, x, np.float32).values["b"]
         assert t1.tobytes() == t2.tobytes()
+
+    def test_recorded_values_are_read_only_copies(self):
+        g = chain([("a", "scale", {"factor": 2.0}), ("b", "exp", {})], (1,))
+        x = np.array([1.0])
+        tape = forward_eval(g, [x], np.float64, stop_at="a")
+        x[0] = 5.0
+        assert tape.values["x"].tolist() == [1.0]
+        extend_tape(tape)
+        for node_id in ("x", "a", "b"):
+            with pytest.raises(ValueError):
+                tape.values[node_id][0] = 0.0
 
 
 class TestBackward:
     def test_scale_constant_derivative(self):
         g = single_op("scale", (1,), {"factor": 3.0})
-        tape = forward_eval(g, [Tensor.of([5.0])], Precision.DOUBLE)
-        grads = backward(g, tape, "y", Tensor.of([1.0]))
+        tape = forward_eval(g, [np.array([5.0])], np.float64)
+        grads = backward(g, tape, "y", np.array([1.0]))
         assert grads[0].tolist() == [3.0]
 
     def test_square_derivative(self):
         g = single_op("square")
-        tape = forward_eval(g, [Tensor.of([2.0])], Precision.DOUBLE)
-        assert backward(g, tape, "y", Tensor.of([1.0]))[0].tolist() == [4.0]
+        tape = forward_eval(g, [np.array([2.0])], np.float64)
+        assert backward(g, tape, "y", np.array([1.0]))[0].tolist() == [4.0]
 
     def test_exp_derivative_matches_central_difference(self):
         g = single_op("exp")
-        tape = forward_eval(g, [Tensor.of([1.5])], Precision.DOUBLE)
-        grad = backward(g, tape, "y", Tensor.of([1.0]))[0].elements[0]
+        tape = forward_eval(g, [np.array([1.5])], np.float64)
+        grad = backward(g, tape, "y", np.array([1.0]))[0][0]
         assert grad == pytest.approx(4.4816890703, abs=1e-6)
 
     def test_seed_not_on_tape(self):
         g = chain([("a", "scale", {"factor": 2.0}), ("b", "exp", {})], (1,))
-        tape = forward_eval(g, [Tensor.of([1.0])], Precision.DOUBLE, stop_at="a")
+        tape = forward_eval(g, [np.array([1.0])], np.float64, stop_at="a")
         with pytest.raises(UsageError):
-            backward(g, tape, "b", Tensor.of([1.0]))
+            backward(g, tape, "b", np.array([1.0]))
+
+    def test_result_does_not_alias_the_seed(self):
+        g = single_op("exp")
+        tape = forward_eval(g, [np.array([1.0])], np.float64)
+        seed = np.array([1.0])
+        grad = backward(g, tape, "x", seed)[0]
+        seed[0] = 7.0
+        assert grad.tolist() == [1.0]
 
     def test_adjoints_always_double(self):
         g = single_op("exp", (2,))
-        tape = forward_eval(g, [Tensor.of([0.5, 1.0], Precision.SINGLE)],
-                            Precision.SINGLE)
-        grads = backward(g, tape, "y", Tensor.of([1.0, 1.0]))
-        assert grads[0].precision is Precision.DOUBLE
+        tape = forward_eval(g, [np.array([0.5, 1.0], dtype=np.float32)], np.float32)
+        grads = backward(g, tape, "y", np.array([1.0, 1.0]))
+        assert grads[0].dtype == np.float64
 
     def test_fanout_accumulates(self):
         # y = x*2 + x*3 -> dy/dx = 5
@@ -135,35 +159,35 @@ class TestBackward:
             ],
             "y",
         )
-        tape = forward_eval(g, [Tensor.of([1.0])], Precision.DOUBLE)
-        assert backward(g, tape, "y", Tensor.of([1.0]))[0].tolist() == [5.0]
+        tape = forward_eval(g, [np.array([1.0])], np.float64)
+        assert backward(g, tape, "y", np.array([1.0]))[0].tolist() == [5.0]
 
 
 class TestFiniteDiff:
     def test_scale(self):
         g = single_op("scale", (2,), {"factor": 3.0})
-        grads = finite_diff_grad(g, [Tensor.of([1.0, -4.0])], "y")
-        assert np.allclose(grads[0].data, [3.0, 3.0], atol=1e-7)
+        grads = finite_diff_grad(g, [np.array([1.0, -4.0])], "y")
+        assert np.allclose(grads[0], [3.0, 3.0], atol=1e-7)
 
     def test_square(self):
         g = single_op("square")
-        grads = finite_diff_grad(g, [Tensor.of([2.0])], "y")
-        assert grads[0].elements[0] == pytest.approx(4.0, abs=1e-6)
+        grads = finite_diff_grad(g, [np.array([2.0])], "y")
+        assert grads[0][0] == pytest.approx(4.0, abs=1e-6)
 
     def test_sigmoid_quarter_slope_at_zero(self):
         g = single_op("sigmoid")
-        grads = finite_diff_grad(g, [Tensor.of([0.0])], "y")
-        assert grads[0].elements[0] == pytest.approx(0.25, abs=1e-8)
+        grads = finite_diff_grad(g, [np.array([0.0])], "y")
+        assert grads[0][0] == pytest.approx(0.25, abs=1e-8)
 
     def test_requires_double(self):
         g = single_op("exp")
         with pytest.raises(UsageError):
-            finite_diff_grad(g, [Tensor.of([1.0], Precision.SINGLE)], "y")
+            finite_diff_grad(g, [np.array([1.0], dtype=np.float32)], "y")
 
     def test_nonfinite_probe_unavailable(self):
         g = single_op("log")
         with pytest.raises(OracleUnavailable):
-            finite_diff_grad(g, [Tensor.of([0.0])], "y")
+            finite_diff_grad(g, [np.array([0.0])], "y")
 
 
 # per-kernel sampling ranges inside the stable region (module invariant check;
@@ -190,12 +214,12 @@ def test_gradient_matches_finite_difference(kernel):
     g = single_op(kernel, (3, 3))
     rng = np.random.default_rng(11)
     for _ in range(5):
-        x = Tensor(rng.uniform(lo, hi, size=(3, 3)))
-        tape = forward_eval(g, [x], Precision.DOUBLE)
+        x = rng.uniform(lo, hi, size=(3, 3))
+        tape = forward_eval(g, [x], np.float64)
         # non-uniform adjoint exercises the full vector-Jacobian product
-        seed = Tensor(rng.uniform(0.5, 1.5, size=tape.value("y").shape))
-        bw = backward(g, tape, "y", seed)[0].data
-        fd = finite_diff_grad(g, [x], "y", seed_adjoint=seed)[0].data
+        seed = rng.uniform(0.5, 1.5, size=tape.values["y"].shape)
+        bw = backward(g, tape, "y", seed)[0]
+        fd = finite_diff_grad(g, [x], "y", seed_adjoint=seed)[0]
         assert relative_error(bw, fd).max() < 1e-4
 
 
@@ -209,31 +233,31 @@ def test_binary_gradient_matches_finite_difference(kernel):
     )
     rng = np.random.default_rng(13)
     for _ in range(5):
-        ts = [Tensor(rng.uniform(lo, hi, size=(3, 3))) for _ in range(2)]
-        tape = forward_eval(g, ts, Precision.DOUBLE)
-        seed = Tensor(rng.uniform(0.5, 1.5, size=tape.value("y").shape))
+        ts = [rng.uniform(lo, hi, size=(3, 3)) for _ in range(2)]
+        tape = forward_eval(g, ts, np.float64)
+        seed = rng.uniform(0.5, 1.5, size=tape.values["y"].shape)
         bw = backward(g, tape, "y", seed)
         fd = finite_diff_grad(g, ts, "y", seed_adjoint=seed)
         for got, want in zip(bw, fd):
-            assert relative_error(got.data, want.data).max() < 1e-4
+            assert relative_error(got, want).max() < 1e-4
 
 
 def test_extended_kernel_gradients():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((3, 3))
-    spd = Tensor(a @ a.T + 3 * np.eye(3))
+    spd = a @ a.T + 3 * np.eye(3)
     for kernel in ("inverse", "determinant"):
         g = single_op(kernel, (3, 3))
-        tape = forward_eval(g, [spd], Precision.DOUBLE)
-        seed = Tensor(np.ones(tape.value("y").shape))
-        bw = backward(g, tape, "y", seed)[0].data
-        fd = finite_diff_grad(g, [spd], "y")[0].data
+        tape = forward_eval(g, [spd], np.float64)
+        seed = np.ones(tape.values["y"].shape)
+        bw = backward(g, tape, "y", seed)[0]
+        fd = finite_diff_grad(g, [spd], "y")[0]
         assert relative_error(bw, fd).max() < 1e-4
     g = single_op("remainder", (3,), {"modulus": 53.0})
-    x = Tensor(rng.uniform(60, 90, size=(3,)))
-    tape = forward_eval(g, [x], Precision.DOUBLE)
-    bw = backward(g, tape, "y", Tensor.of([1.0, 1.0, 1.0]))[0].data
-    fd = finite_diff_grad(g, [x], "y")[0].data
+    x = rng.uniform(60, 90, size=(3,))
+    tape = forward_eval(g, [x], np.float64)
+    bw = backward(g, tape, "y", np.array([1.0, 1.0, 1.0]))[0]
+    fd = finite_diff_grad(g, [x], "y")[0]
     assert relative_error(bw, fd).max() < 1e-4
 
 
@@ -254,10 +278,10 @@ def test_single_double_agreement_at_moderate_inputs(kernel):
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(lo, hi, size=(3, 3))
-        ys = forward_eval(g, [Tensor(x.astype(np.float32))], Precision.SINGLE)
-        yd = forward_eval(g, [Tensor(x)], Precision.DOUBLE)
-        s = ys.value("y").elements.astype(np.float64)
-        d = yd.value("y").elements
+        ys = forward_eval(g, [x.astype(np.float32)], np.float32)
+        yd = forward_eval(g, [x], np.float64)
+        s = ys.values["y"].astype(np.float64)
+        d = yd.values["y"]
         finite = np.isfinite(s) & np.isfinite(d)
         err = relative_error(s[finite], d[finite])
         assert err.size == 0 or err.max() < 1e-4
