@@ -4,8 +4,8 @@
 Runs every buggy corpus program under both strategies for a set of seeds and
 prints median iterations-to-found per program (exhausted runs count as the
 iteration budget). A program whose site has no model is skipped with one
-line. A models directory that is missing or holds no model, and an
-out-of-range value, exit with 2 and an error line.
+line. A models directory that is missing or holds no model, a malformed
+seed list and an out-of-range value exit with 2 and an error line.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from safuzz.cli import load_models
+from safuzz.cli import load_models, parse_ints
 from safuzz.corpus import corpus_manifest
 from safuzz.errors import SafuzzError
 from safuzz.fuzzer import (
@@ -33,7 +33,7 @@ from safuzz.registry import default_registry
 def compare(args) -> None:
     reg = default_registry()
     models = load_models(args.models)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = parse_ints(args.seeds, ",", "seed list", "0,1,2")
 
     wins = compared = 0
     programs = [p for p in corpus_manifest(reg) if p.expected_failure_class]

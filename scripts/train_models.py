@@ -4,7 +4,8 @@
 Writes <out>/datasets/<kernel>.csv and <out>/models/<kernel>.json plus a
 summary table (macro-F1 over all and over present classes, per-class F1 and
 training time per kernel). Intended as the one-shot preparation step before
-`safuzz fuzz` / `safuzz bench`.
+`safuzz fuzz` / `safuzz bench`. An out-of-range value or an unknown kernel
+exits with 2 and an error line.
 """
 
 import argparse
@@ -16,20 +17,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from safuzz.corpus import corpus_kernels
 from safuzz.datagen import GenerationConfig, build_dataset, dataset_save
+from safuzz.errors import SafuzzError
 from safuzz.forest import describe_scores, model_save, train_forest
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="build", help="output root directory")
-    parser.add_argument("--kernels", default=None,
-                        help="comma-separated kernel names (default: corpus kernels)")
-    parser.add_argument("--samples", type=int, default=40_000)
-    parser.add_argument("--trees", type=int, default=100)
-    parser.add_argument("--data-seed", type=int, default=7)
-    parser.add_argument("--train-seed", type=int, default=42)
-    args = parser.parse_args()
-
+def train(args) -> None:
     kernels = (args.kernels.split(",") if args.kernels else corpus_kernels())
     out = Path(args.out)
     (out / "datasets").mkdir(parents=True, exist_ok=True)
@@ -53,6 +45,23 @@ def main() -> int:
 
     avg, avg_present = (sum(col) / len(rows) for col in zip(*rows))
     print(f"{'average':18s} macro-F1={avg:.4f} over present classes={avg_present:.4f}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="build", help="output root directory")
+    parser.add_argument("--kernels", default=None,
+                        help="comma-separated kernel names (default: corpus kernels)")
+    parser.add_argument("--samples", type=int, default=40_000)
+    parser.add_argument("--trees", type=int, default=100)
+    parser.add_argument("--data-seed", type=int, default=7)
+    parser.add_argument("--train-seed", type=int, default=42)
+    args = parser.parse_args()
+    try:
+        train(args)
+    except SafuzzError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

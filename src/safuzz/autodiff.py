@@ -121,6 +121,7 @@ def backward(
             f"shape {seed_value.shape}"
         )
     adjoints: dict[str, np.ndarray] = {seed_node: adjoint}
+    wide: dict[str, np.ndarray] = {}  # tape values the VJPs read, each cast once
 
     seed_index = -1
     for i, node in enumerate(graph.nodes):
@@ -134,10 +135,11 @@ def backward(
         if op.vjp is None:
             continue
         g = adjoints[node.id]
-        xs = [tape.values[ref].astype(np.float64) for ref in node.inputs]
-        y = tape.values[node.id].astype(np.float64)
+        for ref in node.inputs:
+            if ref not in wide:
+                wide[ref] = tape.values[ref].astype(np.float64)
         with np.errstate(all="ignore"):
-            grads = op.vjp(node.params, g, xs, y)
+            grads = op.vjp(node.params, g, [wide[ref] for ref in node.inputs])
         for ref, grad in zip(node.inputs, grads):
             grad = np.asarray(grad, dtype=np.float64)
             if ref in adjoints:

@@ -39,7 +39,7 @@ def _env_seed(default: int = 0) -> int:
         raise SafuzzError(f"SAF_SEED must be an integer, got {raw!r}") from None
 
 
-def _parse_ints(text: str, sep: str, what: str, example: str) -> list[int]:
+def parse_ints(text: str, sep: str, what: str, example: str) -> list[int]:
     try:
         return [int(p) for p in text.split(sep)]
     except ValueError:
@@ -47,7 +47,7 @@ def _parse_ints(text: str, sep: str, what: str, example: str) -> list[int]:
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    return tuple(_parse_ints(text.lower(), "x", "shape", "3x3"))
+    return tuple(parse_ints(text.lower(), "x", "shape", "3x3"))
 
 
 def load_models(models_dir: str):
@@ -150,7 +150,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_bench(args) -> int:
     reg = default_registry()
     models = load_models(args.models)
-    seeds = _parse_ints(args.seeds, ",", "seed list", "0,1,2") if args.seeds else [_env_seed()]
+    seeds = parse_ints(args.seeds, ",", "seed list", "0,1,2") if args.seeds else [_env_seed()]
     programs = corpus_manifest(reg)
     report = Report(
         registry_version=reg.version,

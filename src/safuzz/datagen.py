@@ -35,16 +35,13 @@ from safuzz.errors import (
     GenerationFailure,
     UsageError,
 )
-from safuzz.kernels import unit_operand_rows
+from safuzz.kernels import default_params, op_def, unit_operand_rows
 from safuzz.oracles import oracle_rows
 from safuzz.registry import Registry, default_registry
 
 log = logging.getLogger(__name__)
 
 FEATURE_LENGTHS = (9, 196, 784)
-
-# kernels undefined at exactly zero; zero features get an epsilon shift
-ZERO_UNDEFINED = ("log", "rSqrt", "reciprocal")
 
 BASE_RATES = (1.0, 2.5)  # the rates of the default mutation schedules
 MAX_WAVES = 300  # rounds of base inputs build_dataset draws before it stops
@@ -227,7 +224,8 @@ def run_trajectory(kernel: str, base: np.ndarray, mconfig: MutationConfig,
         for k, step in enumerate(steps, 1):
             points[k] = np.clip(points[k - 1] + step, *pixel_bounds)
 
-    passed = oracle_rows(kernel, unit_operand_rows(kernel, points), reg).passed
+    params = default_params(kernel, start.shape)
+    passed = oracle_rows(kernel, params, unit_operand_rows(kernel, points), reg).passed
     flips = np.flatnonzero(passed != passed[0])
     end = int(flips[0]) + 1 if flips.size else len(points)
     if end == len(points) and len(steps) < mconfig.max_steps:
@@ -310,13 +308,12 @@ def apply_scaling(features: np.ndarray, scaling: dict) -> np.ndarray:
 
 
 def preprocess_scale(dataset: Dataset, epsilon: Optional[float] = None) -> Dataset:
-    """Apply the epsilon shift of exact zeros for kernels undefined at zero.
+    """Replace exact zeros by epsilon (kernels undefined at zero; None: no shift).
 
     The scaling, an identity affine scale plus that shift, is recorded in the
     dataset metadata so fuzz-time featurization can replay it bit-identically.
     """
-    zero_eps = epsilon if dataset.kernel in ZERO_UNDEFINED else None
-    scaling = {"scale": 1.0, "offset": 0.0, "zero_epsilon": zero_eps}
+    scaling = {"scale": 1.0, "offset": 0.0, "zero_epsilon": epsilon}
     features = apply_scaling(dataset.features, scaling)
     return Dataset(kernel=dataset.kernel, shape=dataset.shape, features=features,
                    labels=dataset.labels.copy(), config=dict(dataset.config),
@@ -375,6 +372,12 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
     spec = reg.get(kernel)
     if not spec.implemented:
         raise GenerationFailure(kernel, "kernel is not implemented")
+    shape = tuple(gconfig.shape)
+    try:  # the unit-test operands must fit the kernel's shape rule
+        op_def(kernel).shape_rule(default_params(kernel, shape), *(
+            x.shape[1:] for x in unit_operand_rows(kernel, np.zeros((1,) + shape))))
+    except (ValueError, IndexError) as exc:  # IndexError: no last axis to size params by
+        raise UsageError(f"kernel '{kernel}' does not take shape {shape}: {exc}") from None
     rng = rng if rng is not None else np.random.default_rng(gconfig.seed)
     regions = gconfig.regions
     if regions is None and spec.generation is not None:

@@ -68,7 +68,7 @@ class FuzzConfig:
     max_iters: int = 5000  # deterministic budget; wall timeout stays the backstop
 
     def __post_init__(self):
-        if self.timeout <= 0 or not self.rate > 0:
+        if not self.timeout > 0 or not self.rate > 0:
             raise UsageError("timeout and rate must be positive")
         if self.max_iters < 1:
             raise UsageError("max_iters must be at least 1")
@@ -213,10 +213,11 @@ def validate_failure(
     """Execute through the site and judge the kernel with its bound oracles.
 
     inputs are the program inputs, one array-like per graph input.
-    Operands come from the native float32 execution. A caller that already
-    holds a float32 tape of these inputs passes it as tape; it is extended
-    to the site instead of evaluating the prefix again. Without one, a new
-    tape is evaluated. A float64 shadow execution supplies the operands the
+    Operands come from the native float32 execution, and the oracles judge
+    the kernel with the node's own params. A caller that already holds a
+    float32 tape of these inputs passes it as tape; it is extended to the
+    site instead of evaluating the prefix again. Without one, a new tape is
+    evaluated. A float64 shadow execution supplies the operands the
     increased-width oracle compares against; it runs only when that oracle
     is bound to the kernel, since no other oracle reads it.
     """
@@ -233,7 +234,7 @@ def validate_failure(
     if any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings):
         wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
         wide = [wide_tape.values[ref] for ref in node.inputs]
-    return run_oracles(site.kernel, operands, reg, wide_inputs=wide)
+    return run_oracles(site.kernel, node.params, operands, reg, wide_inputs=wide)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ triggering those fragilities is the point. Forwards preserve the dtype they
 are handed (float32 or float64) so single-precision rounding is real, never
 simulated. Gradients (vector-Jacobian products) always run in float64.
 
+The op table (OpDef) holds every fact about a kernel that code reads: arity,
+forward, shape rule, gradient, the operand its soft assertion inspects, and
+the counterpart that oracle types 3-5 compare the forward with (a stable
+rewrite, a stable algorithm or an independent reference). Shape rules read
+and check the params they need, so a malformed node fails when its graph is
+built; each optional scalar param has its default in one place.
+
 Forwards and the stable counterparts take a leading batch axis: each operand
 is a stack shaped (B, *shape), one row per sample, and the result is stacked
 the same way. A row's result does not depend on the other rows, and bit for
@@ -33,8 +40,31 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1)
 
 
-def _param_array(params: dict, key: str, dtype) -> np.ndarray:
-    return np.asarray(params[key], dtype=dtype)
+def _param_array(params: Mapping, key: str, dtype=np.float64) -> np.ndarray:
+    """A required array param; a missing or non-numeric one is a ValueError."""
+    value = params.get(key)
+    if value is None:
+        raise ValueError(f"missing param '{key}'")
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"param '{key}' is not numeric: {value!r}") from None
+
+
+# the optional scalar params (pow, remainder, CosineSimilarity) and the value
+# a node that omits one runs with; scale's factor is required
+_SCALAR_DEFAULTS = {"exponent": 3.0, "modulus": 53.0, "eps": 1e-8}
+
+
+def _param_number(params: Mapping, key: str) -> float:
+    """A scalar param as a float; a missing required one or a non-number is
+    a ValueError."""
+    value = params.get(key, _SCALAR_DEFAULTS.get(key))
+    if value is None:
+        raise ValueError(f"missing param '{key}'")
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"param '{key}' must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +80,7 @@ def _fw_sub(params, a, b):
 
 
 def _fw_scale(params, a):
-    return a * a.dtype.type(params["factor"])
+    return a * a.dtype.type(_param_number(params, "factor"))
 
 
 def _fw_constant(params, *_):
@@ -86,7 +116,7 @@ def _fw_square(params, a):
 
 
 def _fw_pow(params, a):
-    return a ** a.dtype.type(params.get("exponent", 3.0))
+    return a ** a.dtype.type(_param_number(params, "exponent"))
 
 
 def _fw_sigmoid(params, a):
@@ -179,7 +209,7 @@ def _fw_cross_entropy(params, a):
 def _fw_cosine(params, a, b):
     # clamped variant: norms below eps are replaced by eps (the unstable
     # behaviour this kernel exists to expose)
-    eps = a.dtype.type(params.get("eps", 1e-8))
+    eps = a.dtype.type(_param_number(params, "eps"))
     af, bf = _rows(a), _rows(b)
     na = np.sqrt((af * af).sum(axis=1))
     nb = np.sqrt((bf * bf).sum(axis=1))
@@ -202,7 +232,7 @@ def cosine_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fw_remainder(params, a):
-    return np.remainder(a, a.dtype.type(params.get("modulus", 53.0)))
+    return np.remainder(a, a.dtype.type(_param_number(params, "modulus")))
 
 
 def _swap_pivot_rows(m: np.ndarray, col: int) -> np.ndarray:
@@ -289,6 +319,8 @@ def _spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     skip those rows.
     """
     a = a.astype(np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:  # not square: no factor, no row inside
+        return np.full((len(a),) + a.shape[-1:] * 2, np.nan), np.zeros(len(a), dtype=bool)
     low = np.full(a.shape, np.nan)
     at = a.swapaxes(1, 2)
     with np.errstate(invalid="ignore"):
@@ -336,125 +368,125 @@ def _stable_sigmoid64(x):
     return out
 
 
-def _vjp_add(params, g, xs, y):
+def _vjp_add(params, g, xs):
     return g, g
 
 
-def _vjp_sub(params, g, xs, y):
+def _vjp_sub(params, g, xs):
     return g, -g
 
 
-def _vjp_scale(params, g, xs, y):
-    return (g * float(params["factor"]),)
+def _vjp_scale(params, g, xs):
+    return (g * _param_number(params, "factor"),)
 
 
-def _vjp_reshape(params, g, xs, y):
+def _vjp_reshape(params, g, xs):
     return (g.reshape(xs[0].shape),)
 
 
-def _vjp_exp(params, g, xs, y):
+def _vjp_exp(params, g, xs):
     return (g * np.exp(xs[0]),)
 
 
-def _vjp_log(params, g, xs, y):
+def _vjp_log(params, g, xs):
     return (g / xs[0],)
 
 
-def _vjp_sqrt(params, g, xs, y):
+def _vjp_sqrt(params, g, xs):
     return (g / (2.0 * np.sqrt(xs[0])),)
 
 
-def _vjp_rsqrt(params, g, xs, y):
+def _vjp_rsqrt(params, g, xs):
     return (-0.5 * g * xs[0] ** -1.5,)
 
 
-def _vjp_reciprocal(params, g, xs, y):
+def _vjp_reciprocal(params, g, xs):
     return (-g / (xs[0] * xs[0]),)
 
 
-def _vjp_square(params, g, xs, y):
+def _vjp_square(params, g, xs):
     return (2.0 * xs[0] * g,)
 
 
-def _vjp_pow(params, g, xs, y):
-    k = float(params.get("exponent", 3.0))
+def _vjp_pow(params, g, xs):
+    k = _param_number(params, "exponent")
     return (k * xs[0] ** (k - 1.0) * g,)
 
 
-def _vjp_sigmoid(params, g, xs, y):
+def _vjp_sigmoid(params, g, xs):
     s = _stable_sigmoid64(xs[0])
     return (g * s * (1.0 - s),)
 
 
-def _vjp_tanh(params, g, xs, y):
+def _vjp_tanh(params, g, xs):
     t = np.tanh(xs[0])
     return (g * (1.0 - t * t),)
 
 
-def _vjp_softplus(params, g, xs, y):
+def _vjp_softplus(params, g, xs):
     return (g * _stable_sigmoid64(xs[0]),)
 
 
-def _vjp_elu(params, g, xs, y):
+def _vjp_elu(params, g, xs):
     return (np.where(xs[0] > 0, g, g * np.exp(xs[0])),)
 
 
-def _vjp_relu(params, g, xs, y):
+def _vjp_relu(params, g, xs):
     # subgradient 0 at the kink
     return (g * (xs[0] > 0),)
 
 
-def _vjp_acos(params, g, xs, y):
+def _vjp_acos(params, g, xs):
     return (-g / np.sqrt(1.0 - xs[0] * xs[0]),)
 
 
-def _vjp_cosh(params, g, xs, y):
+def _vjp_cosh(params, g, xs):
     return (g * np.sinh(xs[0]),)
 
 
-def _vjp_sinh(params, g, xs, y):
+def _vjp_sinh(params, g, xs):
     return (g * np.cosh(xs[0]),)
 
 
-def _vjp_softmax(params, g, xs, y):
+def _vjp_softmax(params, g, xs):
     s = stable_softmax(xs[0][None]).reshape(-1)
     gf = g.reshape(-1)
     return ((s * (gf - (gf * s).sum())).reshape(xs[0].shape),)
 
 
-def _vjp_logsoftmax(params, g, xs, y):
+def _vjp_logsoftmax(params, g, xs):
     s = stable_softmax(xs[0][None]).reshape(-1)
     gf = g.reshape(-1)
     return ((gf - s * gf.sum()).reshape(xs[0].shape),)
 
 
-def _vjp_mean(params, g, xs, y):
+def _vjp_mean(params, g, xs):
     return (np.full(xs[0].shape, float(g) / xs[0].size),)
 
 
-def _vjp_sum(params, g, xs, y):
+def _vjp_sum(params, g, xs):
     return (np.full(xs[0].shape, float(g)),)
 
 
-def _vjp_div(params, g, xs, y):
+def _vjp_div(params, g, xs):
     a, b = xs
     return g / b, -g * a / (b * b)
 
 
-def _vjp_matmul(params, g, xs, y):
+def _vjp_matmul(params, g, xs):
     a, b = xs
     return g @ b.T, a.T @ g
 
 
-def _vjp_linear(params, g, xs, y):
-    w = np.asarray(params["weight"], dtype=np.float64)
+def _vjp_linear(params, g, xs):
+    w = _param_array(params, "weight")
     if xs[0].ndim == 1:
         return (w @ g,)
     return (g @ w.T,)
 
 
-def _vjp_conv2d(params, g, xs, y):
-    k = np.asarray(params["kernel"], dtype=np.float64)
+def _vjp_conv2d(params, g, xs):
+    k = _param_array(params, "kernel")
     kh, kw = k.shape
     oh, ow = g.shape
     gx = np.zeros_like(xs[0])
@@ -464,13 +496,13 @@ def _vjp_conv2d(params, g, xs, y):
     return (gx,)
 
 
-def _vjp_cross_entropy(params, g, xs, y):
-    t = np.asarray(params["target"], dtype=np.float64)
+def _vjp_cross_entropy(params, g, xs):
+    t = _param_array(params, "target")
     return (-float(g) * t / xs[0],)
 
 
-def _vjp_cosine(params, g, xs, y):
-    eps = float(params.get("eps", 1e-8))
+def _vjp_cosine(params, g, xs):
+    eps = _param_number(params, "eps")
     a, b = xs[0].reshape(-1), xs[1].reshape(-1)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     ca, cb = max(na, eps), max(nb, eps)
@@ -485,16 +517,16 @@ def _vjp_cosine(params, g, xs, y):
     return (float(g) * ga).reshape(xs[0].shape), (float(g) * gb).reshape(xs[1].shape)
 
 
-def _vjp_remainder(params, g, xs, y):
+def _vjp_remainder(params, g, xs):
     return (g.copy(),)
 
 
-def _vjp_inverse(params, g, xs, y):
+def _vjp_inverse(params, g, xs):
     inv = gauss_inverse(xs[0][None])[0]
     return (-inv.T @ g @ inv.T,)
 
 
-def _vjp_determinant(params, g, xs, y):
+def _vjp_determinant(params, g, xs):
     det = gauss_determinant(xs[0][None])[0]
     inv = gauss_inverse(xs[0][None])[0]
     return (float(g) * float(det) * inv.T,)
@@ -514,12 +546,23 @@ def _elementwise(params, sa):
     return sa
 
 
+def _elementwise_reading(key: str) -> Callable:
+    """The shape rule of an elementwise op that takes the scalar param key."""
+    def rule(params, sa):
+        _param_number(params, key)
+        return sa
+    return rule
+
+
 def _shape_constant(params):
-    return np.asarray(params["value"]).shape
+    return _param_array(params, "value").shape
 
 
 def _shape_reshape(params, sa):
-    target = tuple(params["shape"])
+    target = params.get("shape")
+    if not isinstance(target, (list, tuple)) or any(type(d) is not int for d in target):
+        raise ValueError(f"param 'shape' must be a list of ints, got {target!r}")
+    target = tuple(target)
     if int(np.prod(sa)) != int(np.prod(target)):
         raise ValueError(f"cannot reshape {sa} to {target}")
     return target
@@ -530,6 +573,7 @@ def _shape_scalar(params, *shapes):
 
 
 def _shape_cosine(params, sa, sb):
+    _param_number(params, "eps")
     if int(np.prod(sa)) != int(np.prod(sb)):
         raise ValueError(f"operand sizes {sa} and {sb} differ")
     return ()
@@ -542,18 +586,20 @@ def _shape_matmul(params, sa, sb):
 
 
 def _shape_linear(params, sa):
-    w = np.asarray(params["weight"])
+    if len(sa) not in (1, 2):
+        raise ValueError(f"linear expects rank 1 or 2 input, got {sa}")
+    w = _param_array(params, "weight")
     if w.ndim != 2 or sa[-1] != w.shape[0]:
         raise ValueError(f"linear weight {w.shape} does not accept input {sa}")
-    if len(sa) == 1:
-        return (w.shape[1],)
-    if len(sa) == 2:
-        return (sa[0], w.shape[1])
-    raise ValueError(f"linear expects rank 1 or 2 input, got {sa}")
+    out = tuple(sa[:-1]) + (w.shape[1],)
+    bias = _param_array(params, "bias").shape
+    if np.broadcast_shapes(bias, out) != out:  # raises when they do not broadcast
+        raise ValueError(f"linear bias {bias} does not fit output {out}")
+    return out
 
 
 def _shape_conv2d(params, sa):
-    k = np.asarray(params["kernel"])
+    k = _param_array(params, "kernel")
     if len(sa) != 2 or k.ndim != 2:
         raise ValueError("conv2d expects a 2-d image and a 2-d kernel")
     if sa[0] < k.shape[0] or sa[1] < k.shape[1]:
@@ -562,7 +608,7 @@ def _shape_conv2d(params, sa):
 
 
 def _shape_cross_entropy(params, sa):
-    t = np.asarray(params["target"])
+    t = _param_array(params, "target")
     if t.shape != tuple(sa):
         raise ValueError(f"target shape {t.shape} differs from input {sa}")
     return ()
@@ -591,53 +637,58 @@ class OpDef:
     shape_rule: Callable
     vjp: Optional[Callable]
     primary: int = 0  # operand whose values the soft assertion inspects
-
-
-def _op(name, arity, forward, shape_rule, vjp, primary=0):
-    return OpDef(name, arity, forward, shape_rule, vjp, primary)
+    # the form oracle types 3-5 compare the forward with, on the same operands;
+    # it returns the values, or the values and the mask of rows in its domain
+    counterpart: Optional[Callable] = None
 
 
 HELPER_OPS = {
-    "add": _op("add", 2, _fw_add, _same_shape_binary, _vjp_add),
-    "sub": _op("sub", 2, _fw_sub, _same_shape_binary, _vjp_sub),
-    "scale": _op("scale", 1, _fw_scale, _elementwise, _vjp_scale),
-    "constant": _op("constant", 0, _fw_constant, _shape_constant, None),
-    "reshape": _op("reshape", 1, _fw_reshape, _shape_reshape, _vjp_reshape),
+    "add": OpDef("add", 2, _fw_add, _same_shape_binary, _vjp_add),
+    "sub": OpDef("sub", 2, _fw_sub, _same_shape_binary, _vjp_sub),
+    "scale": OpDef("scale", 1, _fw_scale, _elementwise_reading("factor"), _vjp_scale),
+    "constant": OpDef("constant", 0, _fw_constant, _shape_constant, None),
+    "reshape": OpDef("reshape", 1, _fw_reshape, _shape_reshape, _vjp_reshape),
 }
 
 KERNEL_OPS = {
-    "Softmax": _op("Softmax", 1, _fw_softmax, _elementwise, _vjp_softmax),
-    "log": _op("log", 1, _fw_log, _elementwise, _vjp_log),
-    "sigmoid": _op("sigmoid", 1, _fw_sigmoid, _elementwise, _vjp_sigmoid),
-    "exp": _op("exp", 1, _fw_exp, _elementwise, _vjp_exp),
-    "logSoftmax": _op("logSoftmax", 1, _fw_logsoftmax, _elementwise, _vjp_logsoftmax),
-    "sqrt": _op("sqrt", 1, _fw_sqrt, _elementwise, _vjp_sqrt),
-    "tanh": _op("tanh", 1, _fw_tanh, _elementwise, _vjp_tanh),
-    "ReLU": _op("ReLU", 1, _fw_relu, _elementwise, _vjp_relu),
-    "ELU": _op("ELU", 1, _fw_elu, _elementwise, _vjp_elu),
-    "SoftPlus": _op("SoftPlus", 1, _fw_softplus, _elementwise, _vjp_softplus),
-    "rSqrt": _op("rSqrt", 1, _fw_rsqrt, _elementwise, _vjp_rsqrt),
-    "Div": _op("Div", 2, _fw_div, _same_shape_binary, _vjp_div, primary=1),
-    "linear": _op("linear", 1, _fw_linear, _shape_linear, _vjp_linear),
-    "matmul": _op("matmul", 2, _fw_matmul, _shape_matmul, _vjp_matmul),
-    "mean": _op("mean", 1, _fw_mean, _shape_scalar, _vjp_mean),
-    "reciprocal": _op("reciprocal", 1, _fw_reciprocal, _elementwise, _vjp_reciprocal),
-    "CosineSimilarity": _op(
-        "CosineSimilarity", 2, _fw_cosine, _shape_cosine, _vjp_cosine
-    ),
-    "acos": _op("acos", 1, _fw_acos, _elementwise, _vjp_acos),
-    "cosh": _op("cosh", 1, _fw_cosh, _elementwise, _vjp_cosh),
-    "sinh": _op("sinh", 1, _fw_sinh, _elementwise, _vjp_sinh),
-    "square": _op("square", 1, _fw_square, _elementwise, _vjp_square),
-    "pow": _op("pow", 1, _fw_pow, _elementwise, _vjp_pow),
-    "sum": _op("sum", 1, _fw_sum, _shape_scalar, _vjp_sum),
-    "CrossEntropy": _op(
+    "Softmax": OpDef("Softmax", 1, _fw_softmax, _elementwise, _vjp_softmax),
+    "log": OpDef("log", 1, _fw_log, _elementwise, _vjp_log),
+    "sigmoid": OpDef("sigmoid", 1, _fw_sigmoid, _elementwise, _vjp_sigmoid),
+    "exp": OpDef("exp", 1, _fw_exp, _elementwise, _vjp_exp),
+    "logSoftmax": OpDef("logSoftmax", 1, _fw_logsoftmax, _elementwise, _vjp_logsoftmax,
+                        counterpart=stable_logsoftmax),
+    "sqrt": OpDef("sqrt", 1, _fw_sqrt, _elementwise, _vjp_sqrt),
+    "tanh": OpDef("tanh", 1, _fw_tanh, _elementwise, _vjp_tanh),
+    "ReLU": OpDef("ReLU", 1, _fw_relu, _elementwise, _vjp_relu),
+    "ELU": OpDef("ELU", 1, _fw_elu, _elementwise, _vjp_elu),
+    "SoftPlus": OpDef("SoftPlus", 1, _fw_softplus, _elementwise, _vjp_softplus,
+                      counterpart=stable_softplus),
+    "rSqrt": OpDef("rSqrt", 1, _fw_rsqrt, _elementwise, _vjp_rsqrt),
+    "Div": OpDef("Div", 2, _fw_div, _same_shape_binary, _vjp_div, primary=1),
+    "linear": OpDef("linear", 1, _fw_linear, _shape_linear, _vjp_linear),
+    "matmul": OpDef("matmul", 2, _fw_matmul, _shape_matmul, _vjp_matmul),
+    "mean": OpDef("mean", 1, _fw_mean, _shape_scalar, _vjp_mean),
+    "reciprocal": OpDef("reciprocal", 1, _fw_reciprocal, _elementwise, _vjp_reciprocal),
+    "CosineSimilarity": OpDef(
+        "CosineSimilarity", 2, _fw_cosine, _shape_cosine, _vjp_cosine,
+        counterpart=cosine_reference),
+    "acos": OpDef("acos", 1, _fw_acos, _elementwise, _vjp_acos),
+    "cosh": OpDef("cosh", 1, _fw_cosh, _elementwise, _vjp_cosh),
+    "sinh": OpDef("sinh", 1, _fw_sinh, _elementwise, _vjp_sinh),
+    "square": OpDef("square", 1, _fw_square, _elementwise, _vjp_square),
+    "pow": OpDef("pow", 1, _fw_pow, _elementwise_reading("exponent"), _vjp_pow),
+    "sum": OpDef("sum", 1, _fw_sum, _shape_scalar, _vjp_sum),
+    "CrossEntropy": OpDef(
         "CrossEntropy", 1, _fw_cross_entropy, _shape_cross_entropy, _vjp_cross_entropy
     ),
-    "Conv2d": _op("Conv2d", 1, _fw_conv2d, _shape_conv2d, _vjp_conv2d),
-    "inverse": _op("inverse", 1, _fw_inverse, _shape_square_matrix, _vjp_inverse),
-    "determinant": _op("determinant", 1, _fw_determinant, _shape_det, _vjp_determinant),
-    "remainder": _op("remainder", 1, _fw_remainder, _elementwise, _vjp_remainder),
+    "Conv2d": OpDef("Conv2d", 1, _fw_conv2d, _shape_conv2d, _vjp_conv2d),
+    "inverse": OpDef("inverse", 1, _fw_inverse, _shape_square_matrix, _vjp_inverse,
+                     counterpart=cholesky_inverse),
+    "determinant": OpDef("determinant", 1, _fw_determinant, _shape_det, _vjp_determinant,
+                         counterpart=cholesky_determinant),
+    "remainder": OpDef(
+        "remainder", 1, _fw_remainder, _elementwise_reading("modulus"), _vjp_remainder
+    ),
 }
 
 ALL_OPS = {**HELPER_OPS, **KERNEL_OPS}
@@ -696,12 +747,6 @@ def _param_bundle(name: str, shape: tuple[int, ...]) -> dict:
         rng = _name_rng(name, "target")
         raw = np.abs(rng.standard_normal(shape)) + 0.1
         return {"target": (raw / raw.sum()).tolist()}
-    if name == "pow":
-        return {"exponent": 3.0}
-    if name == "remainder":
-        return {"modulus": 53.0}
-    if name == "CosineSimilarity":
-        return {"eps": 1e-8}
     return {}
 
 

@@ -9,12 +9,20 @@ Six families decide whether a kernel execution failed:
 5. consistency with an independent reference implementation,
 6. re-execution at increased floating-point width.
 
+Types 3-5 are one check: the kernel's forward against the counterpart its
+op table row names (kernels.OpDef.counterpart), on the same operands. They
+differ only in the failure class and the precision: a rewrite runs in
+single precision, a stable algorithm and a reference in double. A
+counterpart with a domain marks the rows outside it, which it does not judge.
+
 A kernel's registry entry binds it to some of these families. The module
 has two entry points: oracle_rows runs a kernel's bound oracles in registry
 order over a stack of executions, one row per sample, and reports for each
 row the first failing oracle and its detail; run_oracles judges a single
-execution as a stack of one. The families themselves are internal row
-checks with no entry point of their own.
+execution as a stack of one. Both take the params the executions ran the
+kernel with, so a verdict judges the computation the program made. The
+families themselves are internal row checks with no entry point of their
+own.
 """
 
 from __future__ import annotations
@@ -22,25 +30,13 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from safuzz.errors import CapabilityError
-from safuzz.kernels import (
-    KERNEL_OPS,
-    apply_forward,
-    cholesky_determinant,
-    cholesky_inverse,
-    cosine_reference,
-    gauss_determinant,
-    gauss_inverse,
-    op_def,
-    stable_logsoftmax,
-    stable_softplus,
-)
-from safuzz.registry import Registry, default_registry, resolved_params
+from safuzz.kernels import OpDef, apply_forward, op_def
+from safuzz.registry import Registry, default_registry
 
 log = logging.getLogger(__name__)
 
@@ -175,83 +171,41 @@ def _range_rows(output: np.ndarray, lo: float, hi: float) -> _CheckRows:
 
 
 # ---------------------------------------------------------------------------
-# oracle type 3: math formula rewriting
+# oracle types 3-5: comparison with the kernel's counterpart
 # ---------------------------------------------------------------------------
 
-# name -> (original form, rewritten stable form), each over a stacked operand;
-# a kernel's original form is its own forward
-REWRITES: dict[str, tuple[Callable, Callable]] = {
-    "logSoftmax": (partial(KERNEL_OPS["logSoftmax"].forward, {}), stable_logsoftmax),
-    "SoftPlus": (partial(KERNEL_OPS["SoftPlus"].forward, {}), stable_softplus),
+# oracle type -> the class of its failures and the dtype both sides run in.
+# A rewrite (3) shares the kernel's single precision, so a mismatch isolates
+# the formula; a stable algorithm (4) and a reference (5) run in double, so it
+# isolates the algorithm, not rounding.
+COUNTERPART_CHECKS = {
+    3: (FailureClass.REWRITE_MISMATCH, np.float32),
+    4: (FailureClass.STABLE_ALGO_MISMATCH, np.float64),
+    5: (FailureClass.REFERENCE_MISMATCH, np.float64),
 }
 
 
-def _rewrite_rows(name: str, x: np.ndarray, tolerance: float, dtype) -> _CheckRows:
-    if name not in REWRITES:
-        raise CapabilityError(f"no rewritten stable form registered for '{name}'")
-    original, rewritten = REWRITES[name]
-    (x,) = _cast([x], dtype)
-    with np.errstate(all="ignore"):
-        a = original(x)
-        b = rewritten(x)
-    return _CheckRows(FailureClass.REWRITE_MISMATCH, *_compare(a, b, tolerance))
+def _counterpart_rows(kind: int, op: OpDef, params: Mapping,
+                      inputs: Sequence[np.ndarray], tolerance: float) -> _CheckRows:
+    """Compare the kernel's forward with op.counterpart on the same operands.
 
-
-# ---------------------------------------------------------------------------
-# oracle type 4: stable algorithm implementation
-# ---------------------------------------------------------------------------
-
-# name -> (unstable algorithm, stable counterpart returning (values, domain mask))
-STABLE_ALGORITHMS: dict[str, tuple[Callable, Callable]] = {
-    "inverse": (gauss_inverse, cholesky_inverse),
-    "determinant": (gauss_determinant, cholesky_determinant),
-}
-
-
-def _stable_algorithm_rows(name: str, x: np.ndarray, tolerance: float) -> _CheckRows:
-    """Compare the unstable algorithm with its stable counterpart, both in
-    double precision so the difference isolates the algorithm, not rounding.
-    Rows outside the stable counterpart's domain (SPD matrices for Cholesky)
-    are not judged.
+    A counterpart with a domain (Cholesky's SPD matrices) returns its mask
+    with the values; the rows outside it are not judged.
     """
-    if name not in STABLE_ALGORITHMS:
-        raise CapabilityError(f"no stable counterpart registered for '{name}'")
-    unstable, stable = STABLE_ALGORITHMS[name]
-    x = x.astype(np.float64)
-    if x.ndim != 3 or x.shape[1] != x.shape[2]:  # neither algorithm takes it
-        judged = np.zeros(len(x), dtype=bool)
-        return _CheckRows(FailureClass.STABLE_ALGO_MISMATCH, ~judged, str, judged)
+    failure_class, dtype = COUNTERPART_CHECKS[kind]
+    if op.counterpart is None:
+        raise CapabilityError(f"no counterpart registered for '{op.name}'")
+    inputs = _cast(inputs, dtype)
     with np.errstate(all="ignore"):
-        b, inside = stable(x)
-        a = unstable(x)
-    agree, describe = _compare(a, b, tolerance)
-    return _CheckRows(FailureClass.STABLE_ALGO_MISMATCH, agree | ~inside, describe, inside)
-
-
-
-# ---------------------------------------------------------------------------
-# oracle type 5: consistency against an independent reference
-# ---------------------------------------------------------------------------
-
-REFERENCES: dict[str, Callable] = {
-    "CosineSimilarity": cosine_reference,
-}
-
-
-def _reference_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
-                    tolerance: float) -> _CheckRows:
-    """Compare the kernel with its independent reference, both in double
-    precision: when no unstable branch (e.g. norm clamping) engages, the two
-    agree exactly, so tolerance only absorbs representational noise.
-    """
-    if name not in REFERENCES:
-        raise CapabilityError(f"no reference implementation registered for '{name}'")
-    wide = _cast(inputs, np.float64)
-    a = apply_forward(op_def(name), params, wide, np.float64)
-    with np.errstate(all="ignore"):
-        b = REFERENCES[name](*wide)
-    return _CheckRows(FailureClass.REFERENCE_MISMATCH, *_compare(a, b, tolerance))
-
+        b = op.counterpart(*inputs)
+    judged = None
+    if isinstance(b, tuple):
+        b, judged = b
+        if not judged.any():  # nothing to compare; the forward may not take the shape
+            return _CheckRows(failure_class, ~judged, str, judged)
+    agree, describe = _compare(apply_forward(op, params, inputs, dtype), b, tolerance)
+    return _CheckRows(failure_class, agree if judged is None else agree | ~judged,
+                      describe, judged)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +215,11 @@ def _reference_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
 INTEGER_VALUED = {"remainder"}
 
 
-def _width_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
+def _width_rows(op: OpDef, params: Mapping, inputs: Sequence[np.ndarray],
                 tolerance: float) -> _CheckRows:
-    op = op_def(name)
     single = apply_forward(op, params, _cast(inputs, np.float32), np.float32)
     double = apply_forward(op, params, _cast(inputs, np.float64), np.float64)
-    if name in INTEGER_VALUED:
+    if op.name in INTEGER_VALUED:
         # round the wide result to the comparison scale before differencing
         found = _compare(single, double.astype(np.float32), tolerance)
     else:
@@ -274,15 +227,9 @@ def _width_rows(name: str, params: dict, inputs: Sequence[np.ndarray],
     return _CheckRows(FailureClass.WIDTH_MISMATCH, *found)
 
 
-
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------
-
-def _stacked(inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    return [x[None] for x in inputs]
-
-
 
 class OracleRows(NamedTuple):
     """Verdicts of a kernel's oracles over a stack of executions, by row."""
@@ -303,15 +250,16 @@ class OracleRows(NamedTuple):
         return PASS
 
 
-def oracle_rows(name: str, inputs: Sequence[np.ndarray],
+def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
                 registry: Optional[Registry] = None,
                 wide_inputs: Optional[Sequence[np.ndarray]] = None) -> OracleRows:
     """Run the kernel's bound oracles in registry order over a stack of
     executions; in each row the first Fail wins.
 
-    inputs are the operands stacked as (B, *shape), one row per execution,
-    as the executions under test produced them; an operand with a single
-    row broadcasts against the others. The increased-width oracle instead
+    params are those the executions ran the kernel with. inputs are the
+    operands stacked as (B, *shape), one row per execution, as the
+    executions under test produced them; an operand with a single row
+    broadcasts against the others. The increased-width oracle instead
     uses wide_inputs, the operands as a double-precision shadow execution
     carries them (they default to inputs, which is exact when inputs are
     already double). A row outside an oracle's domain skips that oracle
@@ -322,7 +270,7 @@ def oracle_rows(name: str, inputs: Sequence[np.ndarray],
     spec = reg.get(name)
     if not spec.implemented:
         raise CapabilityError(f"kernel '{name}' is not implemented")
-    params = resolved_params(spec, inputs[op_def(name).primary].shape[1:])
+    op = op_def(name)
     checks = []
     passing = None  # rows no oracle has failed so far
     every_row_judged = False
@@ -334,21 +282,16 @@ def oracle_rows(name: str, inputs: Sequence[np.ndarray],
                 break
         kind = binding.type
         if kind <= 2 and single_out is None:
-            single_out = apply_forward(op_def(name), params, _cast(inputs, np.float32),
-                                       np.float32)
+            single_out = apply_forward(op, params, _cast(inputs, np.float32), np.float32)
         if kind == 1:
             rows = _nan_inf_rows(single_out)
         elif kind == 2:
             rows = _range_rows(single_out, binding.lo, binding.hi)
-        elif kind == 3:
-            rows = _rewrite_rows(name, inputs[0], binding.tolerance, np.float32)
-        elif kind == 4:
-            rows = _stable_algorithm_rows(name, inputs[0], binding.tolerance)
-        elif kind == 5:
-            rows = _reference_rows(name, params, inputs, binding.tolerance)
-        else:
-            rows = _width_rows(name, params, inputs if wide_inputs is None else wide_inputs,
+        elif kind == 6:
+            rows = _width_rows(op, params, inputs if wide_inputs is None else wide_inputs,
                                binding.tolerance)
+        else:
+            rows = _counterpart_rows(kind, op, params, inputs, binding.tolerance)
         checks.append(rows)
         if rows.judged is None:
             every_row_judged = True
@@ -360,14 +303,14 @@ def oracle_rows(name: str, inputs: Sequence[np.ndarray],
     return OracleRows(tuple(checks))
 
 
-def run_oracles(name: str, inputs: Sequence[np.ndarray],
+def run_oracles(name: str, params: Mapping, inputs: Sequence[np.ndarray],
                 registry: Optional[Registry] = None,
                 wide_inputs: Optional[Sequence[np.ndarray]] = None) -> OracleVerdict:
     """Judge one kernel execution: oracle_rows over a stack of one.
 
-    inputs are the operands as the execution under test produced them,
-    wide_inputs those of its double-precision shadow execution (default:
-    inputs).
+    params are those the execution ran the kernel with, inputs the operands
+    as the execution under test produced them, wide_inputs those of its
+    double-precision shadow execution (default: inputs).
     """
-    wide = None if wide_inputs is None else _stacked(wide_inputs)
-    return oracle_rows(name, _stacked(inputs), registry, wide).verdict(0)
+    wide = None if wide_inputs is None else [x[None] for x in wide_inputs]
+    return oracle_rows(name, params, [x[None] for x in inputs], registry, wide).verdict(0)

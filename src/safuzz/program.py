@@ -65,7 +65,7 @@ def _parse_node(raw: dict) -> Node:
             inputs=tuple(raw.get("inputs", [])),
             params=dict(raw.get("params", {})),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphParseError(f"malformed node {raw!r}: {exc}") from exc
 
 

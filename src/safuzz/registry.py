@@ -6,27 +6,33 @@ have a forward, a gradient, and at least one bound oracle. The remaining
 "metadata" entries record name, category and oracle tags only, so scanning
 can still flag them with a no-assertion-available diagnostic.
 
-An entry holds what only the registry knows: tier, oracle bindings, static
-params and generation hints. A kernel's arity and the operand its soft
-assertion inspects belong to the op table (kernels.op_def). Entries carry no
-hand-written safe condition: the bound oracles define where a kernel fails.
+An entry holds what only the registry knows: tier, category, oracle bindings
+and generation hints. Whether a kernel is executable, its arity, params,
+counterpart and the operand its soft assertion inspects belong to the op
+table (kernels.op_def), and loading checks that an entry agrees with it: the
+tier is metadata exactly when the op table has no such kernel, and an
+executable kernel bound to oracle type 3, 4 or 5 has a counterpart. Params
+come from the call site that runs a kernel, never from its entry. Entries
+carry no hand-written safe condition: the bound oracles define where a
+kernel fails.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 from safuzz.errors import CapabilityError, RegistryError
-from safuzz.kernels import KERNEL_OPS, default_params
+from safuzz.kernels import KERNEL_OPS
 
 DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_REGISTRY_PATH = DATA_DIR / "registry.json"
 
 ORACLE_TYPES = {1, 2, 3, 4, 5, 6}
+COUNTERPART_ORACLES = {3, 4, 5}  # the types that compare a kernel with its counterpart
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,13 @@ class KernelSpec:
     name: str
     category: str
     tier: str  # core | extended | metadata
-    implemented: bool
     oracle_bindings: tuple[OracleBinding, ...]
-    params: dict = field(default_factory=dict)
     generation: Optional[GenerationHints] = None
+
+    @property
+    def implemented(self) -> bool:
+        """Whether the op table has an executable kernel of this name."""
+        return self.name in KERNEL_OPS
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,8 @@ def _parse_entry(raw: dict) -> KernelSpec:
     if not name or not isinstance(name, str):
         raise RegistryError(f"entry with missing name: {raw!r}")
     try:
-        implemented = bool(raw["implemented"])
         category = raw["category"]
-        tier = raw.get("tier", "core" if implemented else "metadata")
+        tier = raw["tier"]
         bindings = tuple(_parse_binding(b, name) for b in raw["oracle_bindings"])
         gen_raw = raw.get("generation")
         gen = None
@@ -106,26 +114,23 @@ def _parse_entry(raw: dict) -> KernelSpec:
                 failure_seeds=tuple(float(s) for s in gen_raw.get("failure_seeds", [])),
                 zero_epsilon=gen_raw.get("zero_epsilon"),
             )
-        spec = KernelSpec(
-            name=name,
-            category=category,
-            tier=tier,
-            implemented=implemented,
-            oracle_bindings=bindings,
-            params=dict(raw.get("params", {})),
-            generation=gen,
-        )
+        spec = KernelSpec(name=name, category=category, tier=tier,
+                          oracle_bindings=bindings, generation=gen)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RegistryError(f"entry '{name}': malformed field ({exc})") from exc
+    if tier not in (("core", "extended") if spec.implemented else ("metadata",)):
+        raise RegistryError(f"entry '{name}': tier {tier!r} but the op table "
+                            f"{'has' if spec.implemented else 'has no'} such kernel")
     if spec.implemented:
-        if spec.name not in KERNEL_OPS:
-            raise RegistryError(
-                f"entry '{name}': marked implemented but has no executable kernel"
-            )
+        op = KERNEL_OPS[name]
         if not spec.oracle_bindings:
             raise RegistryError(f"entry '{name}': implemented kernel without oracle")
-        if KERNEL_OPS[spec.name].vjp is None:
+        if op.vjp is None:
             raise RegistryError(f"entry '{name}': implemented kernel without gradient")
+        for binding in spec.oracle_bindings:
+            if binding.type in COUNTERPART_ORACLES and op.counterpart is None:
+                raise RegistryError(f"entry '{name}': oracle type {binding.type} "
+                                    "needs a counterpart the kernel does not have")
     return spec
 
 
@@ -155,9 +160,4 @@ def default_registry() -> Registry:
     if len(reg.core_names()) != 25:
         raise RegistryError("shipped registry must mark exactly 25 core kernels")
     return reg
-
-
-def resolved_params(spec: KernelSpec, shape: tuple[int, ...]) -> dict:
-    """Static registry params merged over shape-dependent deterministic defaults."""
-    return default_params(spec.name, tuple(shape)) | spec.params  # | on the proxy builds a new dict
 

@@ -25,7 +25,7 @@ from safuzz.datagen import (
     step_sizes,
 )
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
-from safuzz.kernels import unit_operand_rows
+from safuzz.kernels import default_params, unit_operand_rows
 from safuzz.oracles import run_oracles
 from safuzz.registry import default_registry
 
@@ -204,8 +204,8 @@ class TestPreprocessScale:
         assert out.scaling["zero_epsilon"] == 1e-8
 
     def test_identity_scale_keeps_values(self):
-        out = preprocess_scale(self._dataset("exp"), epsilon=1e-8)
-        # exp is defined at zero; no epsilon shift applies
+        # without an epsilon (a kernel defined at zero) no shift applies
+        out = preprocess_scale(self._dataset("exp"))
         assert out.scaling["zero_epsilon"] is None
         assert (out.features == self._dataset().features).all()
 
@@ -232,8 +232,15 @@ class TestBuildDataset:
         counts = ds.class_counts()
         # exp's failure region is one-sided: increase and no-change only
         assert set(counts) == {"NoChange", "Increase"}
+        assert ds.scaling["zero_epsilon"] is None  # exp is defined at zero
         assert min(counts.values()) / max(counts.values()) >= 0.5
         assert min(counts.values()) / len(ds) >= 0.2
+
+    @pytest.mark.parametrize("kernel,shape", [("inverse", (3, 4)), ("linear", ()),
+                                              ("Conv2d", (3,)), ("matmul", (3,))])
+    def test_shape_the_kernel_does_not_take_is_usage_error(self, kernel, shape):
+        with pytest.raises(UsageError, match=f"kernel '{kernel}' does not take shape"):
+            build_dataset(kernel, GenerationConfig(shape=shape, **self.SMALL))
 
     def test_never_failing_kernel_reports_generation_failure(self):
         config = GenerationConfig(n_base=5, regions=((0.4, 0.6),), shape=(2,),
@@ -246,6 +253,7 @@ class TestBuildDataset:
     def test_deterministic_under_seed(self):
         a = build_dataset("log", GenerationConfig(seed=5, **self.SMALL))
         b = build_dataset("log", GenerationConfig(seed=5, **self.SMALL))
+        assert a.scaling["zero_epsilon"] == 1e-8  # the registry's hint for log
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
 
@@ -271,7 +279,7 @@ class TestBuildDataset:
         for row in rows:
             raw = (row - scaling["offset"]) / scaling["scale"]
             x = raw.reshape(ds.shape)
-            assert not run_oracles("exp", [x]).passed
+            assert not run_oracles("exp", {}, [x]).passed
 
 
 def walk_step_by_step(kernel, base, mc, rng, pixel_bounds=None):
@@ -282,7 +290,7 @@ def walk_step_by_step(kernel, base, mc, rng, pixel_bounds=None):
 
     def judge(values):
         operands = [a[0] for a in unit_operand_rows(kernel, values[None])]
-        return run_oracles(kernel, operands).passed
+        return run_oracles(kernel, default_params(kernel, values.shape), operands).passed
 
     points, passed = [x], [judge(x)]
     for k in range(1, mc.max_steps + 1):

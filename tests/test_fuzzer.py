@@ -217,6 +217,21 @@ class TestValidateFailure:
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
+    def test_pow_judged_with_its_own_exponent(self):
+        # x ** 2 at 1e13 is a finite 1e26 in single precision; x ** 3 would overflow
+        g = Graph([InputDecl("x", (1,))], [Node("y", "pow", ("x",), {"exponent": 2.0})], "y")
+        x = [np.array([1e13])]
+        assert np.isfinite(forward_eval(g, x).values["y"]).all()
+        assert validate_failure(g, scan_for_unstable(g).sites[0], x).passed
+
+    def test_linear_judged_with_its_own_weight(self):
+        # the node maps 3e38 to a finite 3e8; the seeded default weight overflows
+        params = {"weight": (1e-30 * np.eye(3)).tolist(), "bias": [0.0, 0.0, 0.0]}
+        g = Graph([InputDecl("x", (3,))], [Node("y", "linear", ("x",), params)], "y")
+        x = [np.full(3, 3e38)]
+        assert np.isfinite(forward_eval(g, x).values["y"]).all()
+        assert validate_failure(g, scan_for_unstable(g).sites[0], x).passed
+
 
 class TestFuzzSite:
     def test_exp_found_with_overflowing_entry(self):
@@ -262,8 +277,10 @@ class TestFuzzSite:
                       np.random.default_rng(0))
 
     @pytest.mark.parametrize("field", [{"rate": 0.0}, {"rate": -1.0},
-                                       {"rate": float("nan")}, {"max_iters": 0}],
-                             ids=["zero_rate", "negative_rate", "nan_rate", "no_iterations"])
+                                       {"rate": float("nan")}, {"max_iters": 0},
+                                       {"timeout": 0.0}, {"timeout": float("nan")}],
+                             ids=["zero_rate", "negative_rate", "nan_rate", "no_iterations",
+                                  "zero_timeout", "nan_timeout"])
     def test_config_rejects_steps_that_cannot_search(self, field):
         # a negative rate inverts every signal, a zero rate never moves the input
         with pytest.raises(UsageError):
@@ -389,7 +406,8 @@ class TestTapeReuse:
         inputs = [np.array([1234.5678901, 1234.5678901, 1234.5678901])]
         # judged on the single-precision operands alone the input passes
         tape = forward_eval(g, inputs, np.float32, stop_at=site.node_id)
-        assert run_oracles(site.kernel, [tape.values["x"]], reg).passed
+        assert run_oracles(site.kernel, g.node(site.node_id).params, [tape.values["x"]],
+                           reg).passed
         for tape in (None, forward_eval(g, inputs, np.float32, stop_at="x")):
             verdict = validate_failure(g, site, inputs, reg, tape=tape)
             assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
@@ -406,7 +424,7 @@ def _reference_validate_failure(graph, site, inputs, registry=None):
     operands = [tape.values[ref] for ref in node.inputs]
     wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
     wide = [wide_tape.values[ref] for ref in node.inputs]
-    return run_oracles(site.kernel, operands, reg, wide_inputs=wide)
+    return run_oracles(site.kernel, node.params, operands, reg, wide_inputs=wide)
 
 
 def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):

@@ -14,7 +14,7 @@ from safuzz.kernels import (
     unit_operand_rows,
 )
 from safuzz.oracles import run_oracles
-from safuzz.registry import default_registry, registry_load, resolved_params
+from safuzz.registry import DEFAULT_REGISTRY_PATH, default_registry, registry_load
 
 TABLE_KERNELS = [
     "Softmax", "log", "sigmoid", "exp", "logSoftmax", "sqrt", "tanh", "ReLU",
@@ -36,7 +36,7 @@ def forward(name, operands, dtype=np.float32, params=None):
     op = op_def(name)
     operands = [np.asarray(x, dtype=dtype) for x in operands]
     if params is None:
-        params = resolved_params(default_registry().get(name), operands[op.primary].shape)
+        params = default_params(name, operands[op.primary].shape)
     return apply_forward(op, params, [x[None] for x in operands], dtype)[0]
 
 
@@ -79,8 +79,7 @@ class TestRegistryLoad:
     def _entry(self, name="exp", **over):
         entry = {
             "name": name, "category": "elementwise", "tier": "core",
-            "implemented": True,
-            "oracle_bindings": [{"type": 1}], "params": {},
+            "oracle_bindings": [{"type": 1}],
             "generation": {"regions": [[-1, 1]], "failure_seeds": []},
         }
         entry.update(over)
@@ -100,6 +99,28 @@ class TestRegistryLoad:
         path = self._write(tmp_path, [self._entry(name="NotAKernel")])
         with pytest.raises(RegistryError, match="NotAKernel"):
             registry_load(path)
+
+    @pytest.mark.parametrize("name,tier", [("exp", "metadata"), ("NotAKernel", "extended"),
+                                           ("exp", "experimental")])
+    def test_tier_disagreeing_with_op_table_rejected(self, tmp_path, name, tier):
+        path = self._write(tmp_path, [self._entry(name=name, tier=tier)])
+        with pytest.raises(RegistryError, match=f"'{name}': tier '{tier}'"):
+            registry_load(path)
+
+    def test_metadata_entry_loads_and_is_not_implemented(self, tmp_path):
+        path = self._write(tmp_path, [self._entry(name="SVD", tier="metadata",
+                                                  oracle_bindings=[{"type": 5}])])
+        assert not registry_load(path).get("SVD").implemented
+
+    @pytest.mark.parametrize("otype", [3, 4, 5])
+    def test_counterpart_oracle_without_counterpart_rejected(self, tmp_path, otype):
+        path = self._write(tmp_path, [self._entry(oracle_bindings=[{"type": otype}])])
+        with pytest.raises(RegistryError, match=f"'exp': oracle type {otype} needs a counterpart"):
+            registry_load(path)
+
+    def test_shipped_file_restates_no_op_table_fact(self):
+        raw = json.loads(DEFAULT_REGISTRY_PATH.read_text())
+        assert not any({"implemented", "params"} & set(e) for e in raw["entries"])
 
     def test_malformed_entry_cites_name(self, tmp_path):
         path = self._write(tmp_path, [self._entry(oracle_bindings="oops")])
@@ -181,8 +202,8 @@ class TestSafeConditions:
     """The oracles, not a recorded condition, decide where a kernel fails."""
 
     def test_exp_boundary(self):
-        assert run_oracles("exp", [np.array([88.0])]).passed
-        assert not run_oracles("exp", [np.array([89.0])]).passed
+        assert run_oracles("exp", {}, [np.array([88.0])]).passed
+        assert not run_oracles("exp", {}, [np.array([89.0])]).passed
 
     @pytest.mark.parametrize("kernel", ["exp", "ELU"])
     def test_safe_region_produces_finite_single_outputs(self, kernel):

@@ -21,19 +21,21 @@ VARIANTS = ("float64", "float32_wide")
 if __name__ == "__main__":
     sys.path[:0] = [str(GOLDEN.parents[1]), str(GOLDEN.parents[2] / "src")]
 
-from safuzz.kernels import unit_operand_rows  # noqa: E402
+from safuzz.kernels import default_params, unit_operand_rows  # noqa: E402
 from safuzz.oracles import oracle_rows  # noqa: E402
 from test_oracles import IMPLEMENTED, row_stack  # noqa: E402
 
 
 def verdict_rows(kernel: str, variant: str) -> list[list]:
-    wide = unit_operand_rows(kernel, row_stack(kernel))
+    xs = row_stack(kernel)
+    params = default_params(kernel, xs.shape[1:])
+    wide = unit_operand_rows(kernel, xs)
     if variant == "float64":
-        rows = oracle_rows(kernel, wide)
+        rows = oracle_rows(kernel, params, wide)
     else:
         with np.errstate(over="ignore"):
             narrow = [x.astype(np.float32) for x in wide]
-        rows = oracle_rows(kernel, narrow, wide_inputs=wide)
+        rows = oracle_rows(kernel, params, narrow, wide_inputs=wide)
     n = max(len(x) for x in wide)
     verdicts = [rows.verdict(i) for i in range(n)]
     return [[v.passed, v.failure_class and v.failure_class.value, v.detail]

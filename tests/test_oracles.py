@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safuzz.errors import CapabilityError
-from safuzz.kernels import apply_forward, op_def, unit_operand_rows
+from safuzz.kernels import apply_forward, default_params, op_def, unit_operand_rows
 from safuzz.oracles import FailureClass, OracleVerdict, oracle_rows, run_oracles
-from safuzz.registry import OracleBinding, Registry, default_registry, resolved_params
+from safuzz.registry import OracleBinding, Registry, default_registry
 
 FIG1_X = [2606.66824394, 2477.72226966, 3251.84008903]
 FIG1_Y = [2.39482538431398614e-09, 7.39647891389834008e-09, 4.96805019548943425e-09]
@@ -33,7 +33,7 @@ def unit_operands(kernel, x):
 
 
 def forward(kernel, x, dtype):
-    params = resolved_params(default_registry().get(kernel), x.shape)
+    params = default_params(kernel, x.shape)
     return apply_forward(op_def(kernel), params, [x.astype(dtype)[None]], dtype)[0]
 
 
@@ -49,15 +49,15 @@ class TestVerdictInvariants:
 
 class TestNanInf:
     def test_log_zero_fails(self):
-        verdict = run_oracles("log", [np.array([0.0])])
+        verdict = run_oracles("log", {}, [np.array([0.0])])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.NAN_OR_INF
 
     def test_softmax_passes(self):
-        assert run_oracles("Softmax", [np.array([0.0, 0.0, 0.0])]).passed
+        assert run_oracles("Softmax", {}, [np.array([0.0, 0.0, 0.0])]).passed
 
     def test_subnormal_reciprocal_overflows_single(self):
-        verdict = run_oracles("Div", [np.array([1.0]), np.array([1e-45])])
+        verdict = run_oracles("Div", {}, [np.array([1.0]), np.array([1e-45])])
         assert not verdict.passed and verdict.failure_class is FailureClass.NAN_OR_INF
 
 
@@ -65,50 +65,50 @@ class TestRange:
     UNIT = bound("mean", OracleBinding(2, lo=-1.0, hi=1.0))
 
     def test_cosine_above_one_fails(self):
-        verdict = run_oracles("mean", [np.array([1.0000002])], self.UNIT)
+        verdict = run_oracles("mean", {}, [np.array([1.0000002])], self.UNIT)
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.OUT_OF_RANGE
 
     def test_bounded_trig_value_passes(self):
-        assert run_oracles("mean", [np.array([0.5])], self.UNIT).passed
+        assert run_oracles("mean", {}, [np.array([0.5])], self.UNIT).passed
 
     def test_closed_interval_boundary_passes(self):
-        assert run_oracles("mean", [np.array([-1.0])], self.UNIT).passed
+        assert run_oracles("mean", {}, [np.array([-1.0])], self.UNIT).passed
 
     def test_nan_counts_as_out_of_range(self):
-        assert not run_oracles("mean", [np.array([np.nan])], self.UNIT).passed
+        assert not run_oracles("mean", {}, [np.array([np.nan])], self.UNIT).passed
 
 
 class TestRewrite:
     def test_logsoftmax_overflow_fails(self):
         # the shipped entry's NaN/inf oracle would fail this row first
-        verdict = run_oracles("logSoftmax", [np.array([1000.0, 0.0, 0.0])],
+        verdict = run_oracles("logSoftmax", {}, [np.array([1000.0, 0.0, 0.0])],
                               bound("logSoftmax", OracleBinding(3)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REWRITE_MISMATCH
 
     def test_missing_rewrite_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("mean", [np.array([1.0])], bound("mean", OracleBinding(3)))
+            run_oracles("mean", {}, [np.array([1.0])], bound("mean", OracleBinding(3)))
 
 
 class TestStableAlgorithm:
     def test_identity_inverse_passes(self):
-        assert run_oracles("inverse", [np.eye(3)]).passed
+        assert run_oracles("inverse", {}, [np.eye(3)]).passed
 
     def test_spd_diagonal_matches_cholesky(self):
         # both elimination orders are exact on a diagonal SPD matrix, so the
         # frozen expected verdict (computed in double on both paths) is Pass
-        verdict = run_oracles("inverse", [np.diag([1.0, 1e-12, 1.0])])
+        verdict = run_oracles("inverse", {}, [np.diag([1.0, 1e-12, 1.0])])
         assert verdict.passed
 
     def test_non_spd_is_unavailable(self):
-        checks = oracle_rows("inverse", [np.array([[[0.0, 1.0], [1.0, 0.0]]])]).checks
+        checks = oracle_rows("inverse", {}, [np.array([[[0.0, 1.0], [1.0, 0.0]]])]).checks
         assert checks[1].failure_class is FailureClass.STABLE_ALGO_MISMATCH
         assert checks[1].judged.tolist() == [False]
 
     def test_non_square_is_unavailable(self):
-        checks = oracle_rows("inverse", [np.array([[[1.0, 2.0, 3.0]]])]).checks
+        checks = oracle_rows("inverse", {}, [np.array([[[1.0, 2.0, 3.0]]])]).checks
         assert checks[1].failure_class is FailureClass.STABLE_ALGO_MISMATCH
         assert checks[1].judged.tolist() == [False]
 
@@ -116,19 +116,19 @@ class TestStableAlgorithm:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 3))
         spd = a @ a.T + 3 * np.eye(3)
-        assert run_oracles("determinant", [spd]).passed
+        assert run_oracles("determinant", {}, [spd]).passed
 
 
 class TestReferenceConsistency:
     def test_fig1_vectors_fail(self):
-        verdict = run_oracles("CosineSimilarity", [np.array(FIG1_Y), np.array(FIG1_X)],
+        verdict = run_oracles("CosineSimilarity", {}, [np.array(FIG1_Y), np.array(FIG1_X)],
                               bound("CosineSimilarity", OracleBinding(5)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
     def test_self_similarity_passes(self):
         t = np.array([1.0, 2.0, 3.0])
-        assert run_oracles("CosineSimilarity", [t, t]).passed
+        assert run_oracles("CosineSimilarity", {}, [t, t]).passed
 
     def test_unclamped_norms_always_agree(self):
         rng = np.random.default_rng(0)
@@ -140,19 +140,19 @@ class TestReferenceConsistency:
             b *= rng.uniform(1e-3, 10) / np.linalg.norm(b)
             rows.append((a, b))
         a, b = (np.stack(side) for side in zip(*rows))
-        checks = oracle_rows("CosineSimilarity", [a, b]).checks
+        checks = oracle_rows("CosineSimilarity", {}, [a, b]).checks
         assert checks[2].failure_class is FailureClass.REFERENCE_MISMATCH
         assert checks[2].passed.all()
 
     def test_missing_reference_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("mean", [np.array([1.0])], bound("mean", OracleBinding(5)))
+            run_oracles("mean", {}, [np.array([1.0])], bound("mean", OracleBinding(5)))
 
 
 class TestIncreasedWidth:
     def test_remainder_width_bug_exact(self):
         x = np.array([1933053808.0])
-        verdict = run_oracles("remainder", [x])
+        verdict = run_oracles("remainder", {}, [x])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
         # the exact single/double values behind the mismatch
@@ -160,12 +160,12 @@ class TestIncreasedWidth:
         assert forward("remainder", x, np.float64)[0] == 19.0
 
     def test_small_remainder_agrees(self):
-        assert run_oracles("remainder", [np.array([10.0])]).passed
+        assert run_oracles("remainder", {}, [np.array([10.0])]).passed
 
     def test_matmul_overflow_vs_finite_double(self):
         a = np.full((3, 3), 1.1e19)
         b = np.full((3, 3), 1.2e19)
-        verdict = run_oracles("matmul", [a, b], bound("matmul", OracleBinding(6)))
+        verdict = run_oracles("matmul", {}, [a, b], bound("matmul", OracleBinding(6)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
 
@@ -180,8 +180,8 @@ class TestIncreasedWidth:
         t2 = t1 * (1.0 + factor)
         x = [np.array([value])]
         at = {t: bound("remainder", OracleBinding(6, tolerance=t)) for t in (t1, t2)}
-        if run_oracles("remainder", x, at[t1]).passed:
-            assert run_oracles("remainder", x, at[t2]).passed
+        if run_oracles("remainder", {}, x, at[t1]).passed:
+            assert run_oracles("remainder", {}, x, at[t2]).passed
 
 
 # input ranges known safe in single precision: exp up to log(FLT_MAX) ~ 88.72,
@@ -191,33 +191,33 @@ SAFE_REGIONS = {"exp": (-200.0, 88.72), "ELU": (-103.972, 3.4e38)}
 
 class TestRunOracles:
     def test_exp_overflow(self):
-        verdict = run_oracles("exp", [np.array([89.0])])
+        verdict = run_oracles("exp", {}, [np.array([89.0])])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.NAN_OR_INF
 
     def test_mean_passes(self):
-        assert run_oracles("mean", [np.array([1.0, 2.0, 3.0])]).passed
+        assert run_oracles("mean", {}, [np.array([1.0, 2.0, 3.0])]).passed
 
     def test_cosine_fig1_reference_mismatch(self):
-        verdict = run_oracles("CosineSimilarity",
+        verdict = run_oracles("CosineSimilarity", {},
                               [np.array(FIG1_Y), np.array(FIG1_X)])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
     def test_unimplemented_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("SVD", [np.array([[1.0]])])
+            run_oracles("SVD", {}, [np.array([[1.0]])])
 
     def test_inputs_never_mutated(self):
         t = np.array([1933053808.0])
         before = t.tobytes()
-        run_oracles("remainder", [t])
+        run_oracles("remainder", {}, [t])
         assert t.tobytes() == before
 
     def test_deterministic(self):
         t = [np.linspace(-5, 5, 9)]
-        v1 = run_oracles("Softmax", t)
-        v2 = run_oracles("Softmax", t)
+        v1 = run_oracles("Softmax", {}, t)
+        v2 = run_oracles("Softmax", {}, t)
         assert v1 == v2
 
     @pytest.mark.parametrize("kernel", ["exp", "ELU"])
@@ -226,7 +226,7 @@ class TestRunOracles:
         rng = np.random.default_rng(9)
         for _ in range(1000):
             x = rng.uniform(lo, hi, size=(3,))
-            assert run_oracles(kernel, unit_operands(kernel, x)).passed
+            assert run_oracles(kernel, {}, unit_operands(kernel, x)).passed
 
 
 SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-310, 5e-324]
@@ -255,8 +255,9 @@ class TestOracleRows:
     @pytest.mark.parametrize("kernel", IMPLEMENTED)
     def test_rows_judged_as_each_row_alone(self, kernel):
         xs = row_stack(kernel)
-        stacked = oracle_rows(kernel, unit_operand_rows(kernel, xs))
-        verdicts = [run_oracles(kernel, unit_operands(kernel, x)) for x in xs]
+        params = default_params(kernel, xs.shape[1:])
+        stacked = oracle_rows(kernel, params, unit_operand_rows(kernel, xs))
+        verdicts = [run_oracles(kernel, params, unit_operands(kernel, x)) for x in xs]
         assert [stacked.verdict(i) for i in range(len(xs))] == verdicts
         assert stacked.passed.tolist() == [v.passed for v in verdicts]
 
@@ -265,16 +266,16 @@ class TestOracleRows:
         # single-precision operands with a double shadow, as the fuzzer passes them
         wide = unit_operand_rows(kernel, row_stack(kernel))
         narrow = [x.astype(np.float32) for x in wide]
-        stacked = oracle_rows(kernel, narrow, wide_inputs=wide)
+        stacked = oracle_rows(kernel, {}, narrow, wide_inputs=wide)
         n = max(len(x) for x in wide)
         for i in range(n):
             alone = [x[min(i, len(x) - 1)] for x in narrow]
             alone_wide = [x[min(i, len(x) - 1)] for x in wide]
-            assert stacked.verdict(i) == run_oracles(kernel, alone, wide_inputs=alone_wide)
+            assert stacked.verdict(i) == run_oracles(kernel, {}, alone, wide_inputs=alone_wide)
 
     def test_spd_mix_skips_only_rows_outside_the_domain(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((3, 3))
         xs = np.stack([a @ a.T + np.eye(3), a])  # SPD, then asymmetric
-        checks = oracle_rows("inverse", [xs]).checks
+        checks = oracle_rows("inverse", {}, [xs]).checks
         assert checks[1].judged.tolist() == [True, False]

@@ -61,6 +61,32 @@ class TestProgramParse:
         with pytest.raises(GraphParseError, match="mystery"):
             program_parse(write_program(tmp_path, doc))
 
+    @pytest.mark.parametrize("node", [
+        {"id": "y", "op": "linear", "inputs": ["x"], "params": {"bias": [0.0, 0.0]}},
+        {"id": "y", "op": "linear", "inputs": ["x"], "params": {"weight": [[1, 0], [0, 1]]}},
+        {"id": "y", "op": "linear", "inputs": ["x"],
+         "params": {"weight": "eye", "bias": [0.0, 0.0]}},
+        {"id": "y", "op": "linear", "inputs": ["x"],
+         "params": {"weight": [[1, 0], [0, 1]], "bias": [0.0, 0.0, 0.0]}},
+        {"id": "y", "op": "constant", "inputs": []},
+        {"id": "y", "op": "reshape", "inputs": ["x"]},
+        {"id": "y", "op": "reshape", "inputs": ["x"], "params": {"shape": [2.0]}},
+        {"id": "y", "op": "scale", "inputs": ["x"]},
+        {"id": "y", "op": "scale", "inputs": ["x"], "params": {"factor": "two"}},
+        {"id": "y", "op": "pow", "inputs": ["x"], "params": {"exponent": [2.0]}},
+        {"id": "y", "op": "exp", "inputs": ["x"], "params": "none"},
+        {"id": "y", "op": "linear", "inputs": ["s"],
+         "params": {"weight": [[1.0]], "bias": [0.0]}},
+    ], ids=["linear_no_weight", "linear_no_bias", "linear_text_weight",
+            "linear_wide_bias", "constant_no_value", "reshape_no_shape",
+            "reshape_float_shape", "scale_no_factor", "scale_text_factor",
+            "pow_list_exponent", "params_not_a_mapping", "linear_rank_0_input"])
+    def test_missing_or_ill_typed_params_rejected(self, tmp_path, node):
+        inputs = [{"id": "x", "shape": [2]}, {"id": "s", "shape": []}]
+        doc = dict(MINIMAL, inputs=inputs, nodes=[node])
+        with pytest.raises(GraphParseError, match="'y'|malformed node"):
+            program_parse(write_program(tmp_path, doc))
+
     def test_shape_mismatch_points_at_node(self, tmp_path):
         doc = dict(MINIMAL)
         doc["inputs"] = [{"id": "x", "shape": [2]}, {"id": "w", "shape": [3]}]
@@ -187,8 +213,12 @@ class TestCli:
         (["train", "--dataset", str(FIXTURES / "datasets" / "square.csv"),
           "--test-split", "1.5"], "test_split"),
         (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--rate", "-1"], "rate"),
+        (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--timeout", "nan"],
+         "timeout"),
+        (["gen-data", "--function", "inverse", "--shape", "3x4"],
+         "kernel 'inverse' does not take shape (3, 4): square matrix required"),
     ], ids=["negative_dim", "zero_dim", "not_a_number", "empty_seed", "split_above_one",
-            "negative_rate"])
+            "negative_rate", "nan_timeout", "non_square_inverse"])
     def test_bad_values_exit_2_with_error(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         write_program(tmp_path, MINIMAL)
@@ -270,12 +300,24 @@ class TestCli:
         assert header["config"]["seed"] == 9
 
 
-def _compare_guidance_main():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_guidance.py"
-    spec = importlib.util.spec_from_file_location("compare_guidance", path)
+def _script_main(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.main
+
+
+class TestTrainModels:
+    @pytest.mark.parametrize("args, message", [
+        (["--kernels", "exp", "--samples", "0"], "target_size"),
+        (["--kernels", "SVD"], "not implemented"),
+    ], ids=["zero_samples", "metadata_kernel"])
+    def test_usage_errors_exit_2(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.setattr(sys, "argv", ["train_models.py", "--out", str(tmp_path), *args])
+        assert _script_main("train_models")() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestCompareGuidance:
@@ -283,7 +325,7 @@ class TestCompareGuidance:
         (tmp_path / "exp.json").write_bytes((FIXTURE_MODELS / "exp.json").read_bytes())
         monkeypatch.setattr(sys, "argv", ["compare_guidance.py", "--models", str(tmp_path),
                                           "--seeds", "0", "--max-iters", "20"])
-        assert _compare_guidance_main()() == 0
+        assert _script_main("compare_guidance")() == 0
         out = capsys.readouterr().out
         assert "softmax_logit_blowup         site 'y' (Softmax): no trained model; skipped" in out
         assert "guided wins or ties on 1/1 programs" in out
@@ -292,10 +334,11 @@ class TestCompareGuidance:
         (["--models", "missing"], "does not exist"),
         (["--models", "."], "no model files"),
         (["--models", str(FIXTURE_MODELS), "--max-iters", "0"], "max_iters"),
-    ], ids=["missing_dir", "empty_dir", "zero_iters"])
+        (["--models", str(FIXTURE_MODELS), "--seeds", "1,,2"], "cannot parse seed list"),
+    ], ids=["missing_dir", "empty_dir", "zero_iters", "empty_seed"])
     def test_usage_errors_exit_2(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["compare_guidance.py", *args])
-        assert _compare_guidance_main()() == 2
+        assert _script_main("compare_guidance")() == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
