@@ -3,9 +3,10 @@
 Fixture datasets and models are regenerated at perfbench/make_fixtures.py's
 seeds and sizes and compared byte for byte with the committed fixtures. The
 bench report over the corpus with the fixture models is compared with a
-committed golden report once its time fields are stripped. A change that
-alters any of these on purpose rebuilds the fixtures or the golden report,
-and says why.
+committed golden report once its time fields are stripped, and the random
+baseline's outcome at every corpus site at full budget with a committed
+golden of its own. A change that alters any of these on purpose rebuilds the
+fixtures or the golden, and says why.
 """
 
 import importlib.util
@@ -14,14 +15,21 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from safuzz.cli import cli_dispatch
+from safuzz.corpus import corpus_manifest
 from safuzz.datagen import GenerationConfig, build_dataset, dataset_save
 from safuzz.forest import model_save, train_forest
+from safuzz.fuzzer import FuzzConfig, random_fuzz_site, scan_for_unstable
+from safuzz.registry import default_registry
 from safuzz.report import strip_time_fields
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "perfbench" / "fixtures"
-GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "bench_report_fixture_models.json"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN_REPORT = DATA / "bench_report_fixture_models.json"
+GOLDEN_RANDOM = DATA / "random_baseline_corpus.json"
 
 # one model kernel per oracle type the fixtures cover: 1, 2, 5 and 6
 MODEL_KERNELS = ("exp", "Softmax", "CosineSimilarity", "remainder")
@@ -66,3 +74,32 @@ def test_bench_report_matches_golden(tmp_path, capsys):
     got = strip_time_fields(json.loads(out.read_text()))
     # compared as text: the report holds NaN inputs, which never compare equal
     assert json.dumps(got, indent=1, sort_keys=True) + "\n" == GOLDEN_REPORT.read_text()
+
+
+def random_baseline_outcomes(seeds=(0, 1, 2), max_iters=2000) -> dict:
+    """random_fuzz_site at every corpus site, seeded per (seed, site index)
+    as the bench driver seeds its sites, keyed by program@seed."""
+    reg = default_registry()
+    outcomes = {}
+    for spec in corpus_manifest(reg):
+        graph = spec.to_graph(reg)
+        for seed in seeds:
+            config = FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=max_iters)
+            sites = []
+            for index, site in enumerate(scan_for_unstable(graph, reg).sites):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+                r = random_fuzz_site(graph, site, config, rng, reg)
+                sites.append({
+                    "node": site.node_id, "status": r.status, "iterations": r.iterations,
+                    "failure_class": r.verdict.failure_class.value if r.found else None,
+                    "detail": r.verdict.detail if r.found else "",
+                    "failing_input": r.failing_input, "diagnostics": r.diagnostics,
+                })
+            outcomes[f"{spec.name}@{seed}"] = sites
+    return outcomes
+
+
+def test_random_baseline_matches_golden():
+    got = json.dumps(random_baseline_outcomes(), indent=1, sort_keys=True) + "\n"
+    # compared as text for the same reason as the bench report
+    assert got == GOLDEN_RANDOM.read_text()
