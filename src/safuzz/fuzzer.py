@@ -23,7 +23,7 @@ from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import Forest, predict
 from safuzz.graph import Graph
 from safuzz.kernels import op_def
-from safuzz.oracles import OracleVerdict, run_oracles
+from safuzz.oracles import OracleVerdict, oracle_rows, run_oracles
 from safuzz.registry import Registry, default_registry
 
 log = logging.getLogger(__name__)
@@ -32,6 +32,7 @@ DEFAULT_INPUT_RANGE = (-10.0, 10.0)
 WIDTH_ORACLE = 6  # the increased-width oracle, the only reader of the double shadow
 GRAD_FLOOR = 1e-6  # smallest gradient magnitude a mutation step divides by
 MAX_RESETS = 50  # mispredictions fuzz_site tolerates before giving up
+CHUNK_CAP = 64  # most iterations random_fuzz_site judges in one oracle call
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,11 @@ def constrain_update(
 # validation
 # ---------------------------------------------------------------------------
 
+def _needs_shadow(site: UnstableSite, reg: Registry) -> bool:
+    """Whether the site's oracles read a double-precision shadow execution."""
+    return any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings)
+
+
 def validate_failure(
     graph: Graph,
     site: UnstableSite,
@@ -231,7 +237,7 @@ def validate_failure(
     node = graph.node(site.node_id)
     operands = [tape.values[ref] for ref in node.inputs]
     wide = None
-    if any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings):
+    if _needs_shadow(site, reg):
         wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
         wide = [wide_tape.values[ref] for ref in node.inputs]
     return run_oracles(site.kernel, node.params, operands, reg, wide_inputs=wide)
@@ -337,39 +343,73 @@ def random_fuzz_site(
     registry: Optional[Registry] = None,
 ) -> FuzzResult:
     """Baseline: identical mutation magnitudes, uniformly random directions,
-    no assertion guidance and no history constraints; the oracle is consulted
-    every iteration. One single-precision forward to the site per iteration
-    serves both the validation and the back-propagation.
+    no assertion guidance and no history constraints; the oracles judge
+    every iteration.
+
+    The walk does not depend on a verdict until the first failure, so the
+    iterations run in chunks of 1, 2, 4, ... up to CHUNK_CAP, cut short by
+    the iteration budget. Each step of a chunk does one single-precision
+    forward to the site (plus the double shadow when the width oracle reads
+    it), draws its direction and back-propagates; then one oracle_rows call
+    judges every step of the chunk, and the first failing row is the find.
+    A find at row i rewinds the generator to the start of the chunk and
+    draws the i directions before it again, so the outcome and the
+    generator state are those of judging each iteration before the next.
+    A forward that fails ends the search once the steps before it are
+    judged. The wall-clock timeout is checked between chunks.
     """
     reg = registry or default_registry()
+    node = graph.node(site.node_id)
+    shadow = _needs_shadow(site, reg)
     result = FuzzResult(site=site, status="Exhausted")
     start = time.perf_counter()
     values = _initial_inputs(graph, rng)
-    while True:
+    size = 1
+    while not result.found:
         if result.iterations >= config.max_iters:
             result.diagnostics.append("iteration budget exhausted")
             break
         if time.perf_counter() - start > config.timeout:
             result.diagnostics.append("wall-clock timeout")
             break
-        result.iterations += 1
-        inputs = [values[d.id] for d in graph.inputs]
-        try:
-            tape = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
-            verdict = validate_failure(graph, site, inputs, reg, tape=tape)
-        except EvaluationError as exc:
-            result.diagnostics.append(f"validation failed: {exc}")
+        rewind = rng.bit_generator.state
+        steps, operands, wide, error = [], [], [], None
+        for _ in range(min(size, config.max_iters - result.iterations)):
+            inputs = [values[d.id] for d in graph.inputs]
+            try:
+                tape = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
+                if shadow:
+                    wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
+                    wide.append([wide_tape.values[ref] for ref in node.inputs])
+            except EvaluationError as exc:
+                error = exc
+                break
+            steps.append(values)
+            operands.append([tape.values[ref] for ref in node.inputs])
+            signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
+            deltas = propagate_signal(graph, site, tape, signal, config.rate)
+            # new arrays, so the clip in place leaves the judged steps' inputs intact
+            values = {d.id: values[d.id] + deltas[d.id] for d in graph.inputs}
+            _clamp_declared(graph, values)
+        if steps:
+            rows = oracle_rows(site.kernel, node.params,
+                               [np.stack(col) for col in zip(*operands)], reg,
+                               [np.stack(col) for col in zip(*wide)] if shadow else None)
+            failed = np.flatnonzero(~rows.passed)
+            if failed.size:
+                i = int(failed[0])
+                steps = steps[:i + 1]
+                result.status = "Found"
+                result.verdict = rows.verdict(i)
+                result.failing_input = {k: v.tolist() for k, v in steps[i].items()}
+                rng.bit_generator.state = rewind
+                rng.uniform(size=i)
+        result.iterations += len(steps)
+        if error is not None and not result.found:
+            result.iterations += 1
+            result.diagnostics.append(f"validation failed: {error}")
             break
-        if not verdict.passed:
-            result.status = "Found"
-            result.verdict = verdict
-            result.failing_input = {k: v.tolist() for k, v in values.items()}
-            break
-        signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
-        deltas = propagate_signal(graph, site, tape, signal, config.rate)
-        for decl in graph.inputs:
-            values[decl.id] = values[decl.id] + deltas[decl.id]
-        _clamp_declared(graph, values)
+        size = min(2 * size, CHUNK_CAP)
     result.wall_time = time.perf_counter() - start
     return result
 

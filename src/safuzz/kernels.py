@@ -640,6 +640,9 @@ class OpDef:
     # the form oracle types 3-5 compare the forward with, on the same operands;
     # it returns the values, or the values and the mask of rows in its domain
     counterpart: Optional[Callable] = None
+    # the width oracle (type 6) rounds the double result to float32 and
+    # compares absolutely, where it otherwise compares relatively
+    width_absolute: bool = False
 
 
 HELPER_OPS = {
@@ -686,9 +689,8 @@ KERNEL_OPS = {
                      counterpart=cholesky_inverse),
     "determinant": OpDef("determinant", 1, _fw_determinant, _shape_det, _vjp_determinant,
                          counterpart=cholesky_determinant),
-    "remainder": OpDef(
-        "remainder", 1, _fw_remainder, _elementwise_reading("modulus"), _vjp_remainder
-    ),
+    "remainder": OpDef("remainder", 1, _fw_remainder, _elementwise_reading("modulus"),
+                       _vjp_remainder, width_absolute=True),
 }
 
 ALL_OPS = {**HELPER_OPS, **KERNEL_OPS}

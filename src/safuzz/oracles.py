@@ -212,14 +212,11 @@ def _counterpart_rows(kind: int, op: OpDef, params: Mapping,
 # oracle type 6: increased floating-point width
 # ---------------------------------------------------------------------------
 
-INTEGER_VALUED = {"remainder"}
-
-
 def _width_rows(op: OpDef, params: Mapping, inputs: Sequence[np.ndarray],
                 tolerance: float) -> _CheckRows:
     single = apply_forward(op, params, _cast(inputs, np.float32), np.float32)
     double = apply_forward(op, params, _cast(inputs, np.float64), np.float64)
-    if op.name in INTEGER_VALUED:
+    if op.width_absolute:
         # round the wide result to the comparison scale before differencing
         found = _compare(single, double.astype(np.float32), tolerance)
     else:

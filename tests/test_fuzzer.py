@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from safuzz import autodiff
 from safuzz.autodiff import forward_eval
 from safuzz.corpus import corpus_manifest
 from safuzz.datagen import Signal
 from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import DecisionTree, Forest, model_load, predict
 from safuzz.fuzzer import (
+    CHUNK_CAP,
     Bounds,
     FuzzConfig,
     MAX_RESETS,
@@ -573,3 +575,84 @@ class TestLoopsMatchReference:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             found += result.found
         assert found > 0
+
+
+class TestRandomChunks:
+    """random_fuzz_site judges its iterations in chunks of 1, 2, 4, ... up to
+    CHUNK_CAP rows: iterations 1 | 2-3 | 4-7 | 8-15 | 16-31 | 32-63 | 64-127
+    | 128-191 | ... Outcome and generator state must not show the chunks."""
+
+    # a walk of steps +-1 from x0 in (-1, 2); log fails once x drops below 0
+    LOG_WALK = Graph([InputDecl("x", (1,), bounds=(-1.0, 2.0))],
+                     [Node("y", "log", ("x",))], "y")
+    CLEAN = Graph([InputDecl("x", (3, 3), bounds=(0.0, 1.0), clamp=True)],
+                  [Node("y", "sigmoid", ("x",))], "y")
+
+    @staticmethod
+    def _both(graph, config):
+        """The loop under test and the reference, each from its own generator."""
+        site = scan_for_unstable(graph).sites[0]
+        rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
+        result = random_fuzz_site(graph, site, config, rng)
+        expected = _reference_random_fuzz_site(graph, site, config, ref_rng)
+        assert _outcome(result) == _outcome(expected), config.seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, config.seed
+        return result
+
+    def test_finds_on_the_first_and_last_rows_of_chunks(self):
+        assert CHUNK_CAP == 64  # the chunk layout below
+        found_at = {self._both(self.LOG_WALK, FuzzConfig(seed=s, max_iters=200)).iterations
+                    for s in range(200)}
+        first_rows, last_rows = {1, 2, 4, 8, 16}, {1, 3, 7, 15, 31, 127}
+        assert first_rows | last_rows <= found_at
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 5, 100, 130])
+    def test_budget_ends_mid_chunk(self, max_iters):
+        result = self._both(self.CLEAN, FuzzConfig(seed=0, max_iters=max_iters))
+        assert result.status == "Exhausted" and result.iterations == max_iters
+        for seed in range(20):
+            self._both(self.LOG_WALK, FuzzConfig(seed=seed, max_iters=max_iters))
+
+    @staticmethod
+    def _faulty_forward(site, k):
+        """forward_eval whose k-th single-precision evaluation to the site
+        raises; each loop makes one such evaluation per iteration."""
+        calls = 0
+
+        def forward(graph, inputs, dtype=np.float32, stop_at=None):
+            nonlocal calls
+            if dtype == np.float32 and stop_at == site.node_id:
+                calls += 1
+                if calls == k:
+                    raise EvaluationError(site.node_id, "injected fault")
+            return autodiff.forward_eval(graph, inputs, dtype, stop_at)
+
+        return forward
+
+    def _both_faulty(self, monkeypatch, graph, config, k):
+        site = scan_for_unstable(graph).sites[0]
+        rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
+        with monkeypatch.context() as patch:
+            patch.setattr("safuzz.fuzzer.forward_eval", self._faulty_forward(site, k))
+            result = random_fuzz_site(graph, site, config, rng)
+        with monkeypatch.context() as patch:
+            patch.setitem(globals(), "forward_eval", self._faulty_forward(site, k))
+            expected = _reference_random_fuzz_site(graph, site, config, ref_rng)
+        assert _outcome(result) == _outcome(expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return result
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 7])
+    def test_fault_without_a_failing_row_before_it(self, monkeypatch, k):
+        config = FuzzConfig(seed=0, max_iters=50)
+        result = self._both_faulty(monkeypatch, self.CLEAN, config, k)
+        assert result.iterations == k
+        fault = EvaluationError("y", "injected fault")
+        assert result.diagnostics == [f"validation failed: {fault}"]
+
+    def test_fault_after_a_failing_row_in_its_chunk(self, monkeypatch):
+        # a find on the second row of the 4-7 chunk, a fault on its third
+        seed = next(s for s in range(200)
+                    if self._both(self.LOG_WALK, FuzzConfig(seed=s)).iterations == 5)
+        result = self._both_faulty(monkeypatch, self.LOG_WALK, FuzzConfig(seed=seed), 6)
+        assert result.found and result.iterations == 5

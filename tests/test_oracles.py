@@ -78,6 +78,25 @@ class TestRange:
     def test_nan_counts_as_out_of_range(self):
         assert not run_oracles("mean", {}, [np.array([np.nan])], self.UNIT).passed
 
+    # a vector's float32 cosine similarity with itself can round above 1;
+    # the shipped entry's NaN/inf oracle passes it, so its range oracle decides
+    SELF_PAIR = np.array([0.06369616873214544, 0.026978671376387032, 0.004097352393619469])
+
+    def test_cosine_self_similarity_rounds_out_of_range(self):
+        verdict = run_oracles("CosineSimilarity", {}, [self.SELF_PAIR, self.SELF_PAIR])
+        assert verdict.failure_class is FailureClass.OUT_OF_RANGE
+        assert verdict.detail.endswith("(1.0000001192092896) outside [-1.0, 1.0]")
+
+    def test_cosine_self_similarity_out_of_range_in_a_stack(self):
+        t = np.array([1.0, 2.0, 3.0])
+        a = np.stack([t, self.SELF_PAIR, np.full(3, np.nan)])
+        b = np.stack([t, self.SELF_PAIR, t])
+        rows = oracle_rows("CosineSimilarity", {}, [a, b])
+        alone = run_oracles("CosineSimilarity", {}, [self.SELF_PAIR, self.SELF_PAIR])
+        assert rows.verdict(1) == alone
+        assert [rows.verdict(i).failure_class for i in range(3)] == [
+            None, FailureClass.OUT_OF_RANGE, FailureClass.NAN_OR_INF]
+
 
 class TestRewrite:
     def test_logsoftmax_overflow_fails(self):

@@ -13,9 +13,8 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 import numpy as np
+import pytest
 
 from safuzz.cli import cli_dispatch
 from safuzz.corpus import corpus_manifest
@@ -78,7 +77,7 @@ def test_bench_report_matches_golden(tmp_path, capsys):
 
 def random_baseline_outcomes(seeds=(0, 1, 2), max_iters=2000) -> dict:
     """random_fuzz_site at every corpus site, seeded per (seed, site index)
-    as the bench driver seeds its sites, keyed by program@seed."""
+    as fuzz_program seeds its sites, keyed by program@seed."""
     reg = default_registry()
     outcomes = {}
     for spec in corpus_manifest(reg):
