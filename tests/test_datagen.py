@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safuzz.datagen import (
+    FEATURE_LENGTHS,
     Dataset,
     GenerationConfig,
     MutationConfig,
@@ -190,6 +191,41 @@ class TestFeaturize:
         assert feats[0] == min(values)
         assert feats[-1] == max(values)
         assert (np.diff(feats) >= 0).all()
+
+    @pytest.mark.parametrize("feature_len", FEATURE_LENGTHS)
+    def test_matches_numpy_quantile_bit_for_bit(self, feature_len):
+        rng = np.random.default_rng(feature_len)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        for size in [*range(1, 101), 784]:
+            finite = rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size=size)
+            sprinkled = finite.copy()
+            hit = rng.random(size) < 0.2
+            sprinkled[hit] = rng.choice(special, size=int(hit.sum()))
+            for values in (finite, finite.astype(np.float32), sprinkled,
+                           sprinkled.astype(np.float32),
+                           rng.choice([-0.0, 0.0, -1.0, 1.0], size=size),
+                           rng.choice([-0.0, 0.0, np.inf, -np.inf], size=size)):
+                want = _reference_featurize(values, feature_len)
+                assert featurize(values, feature_len).tobytes() == want.tobytes(), (size, values)
+
+    def test_overflowed_top_features_read_nan(self):
+        # numpy's linear interpolation computes inf * 0 and inf - inf: the
+        # median is exactly the element 2, yet it reads NaN
+        feats = featurize(np.array([1.0, 2.0, np.inf]), 9)
+        np.testing.assert_array_equal(
+            feats, [1.0, 1.25, 1.5, 1.75, np.nan, np.inf, np.nan, np.nan, np.nan])
+
+    def test_nan_makes_every_feature_nan(self):
+        assert np.isnan(featurize(np.array([1.0, np.nan, -np.inf, 2.0]), 9)).all()
+
+
+def _reference_featurize(values, feature_len):
+    """featurize as numpy's own linear quantiles."""
+    values = np.array(values, dtype=np.float64).reshape(-1)
+    if values.size == feature_len:
+        return values
+    with np.errstate(all="ignore"):
+        return np.quantile(values, np.linspace(0.0, 1.0, feature_len))
 
 
 class TestPreprocessScale:

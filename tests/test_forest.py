@@ -82,6 +82,13 @@ def reference_vote(forest, x):
     return int(np.argmax(votes))
 
 
+def list_columns(forest):
+    """Python lists of floats among the forest's attributes, as a list view
+    of the threshold column would be."""
+    return [col for value in vars(forest).values() if isinstance(value, tuple)
+            for col in value if isinstance(col, list) and col and isinstance(col[0], float)]
+
+
 def _reference_gini_children(prefix, total):
     n = total.sum()
     n_left = prefix.sum(axis=1)
@@ -370,6 +377,19 @@ class TestPredict:
             batch = predict_batch(model, xs)
             for x, b in zip(xs, batch):
                 assert int(predict(model, x)) == b == reference_vote(model, x)
+
+    def test_batch_only_forest_holds_no_list_view(self):
+        # a list view costs about 80 bytes per internal node; training keeps
+        # every forest it evaluates, so only predict may cache one
+        forest = model_load(FIXTURE_MODELS / "Softmax.json")
+        rng = np.random.default_rng(11)
+        xs = rng.normal(size=(60, forest.feature_len)) * 10.0 ** rng.integers(-3, 4, size=(60, 1))
+        xs[:3] = np.array([np.nan, np.inf, -np.inf])[:, None]
+        batch = predict_batch(forest, xs)
+        assert list_columns(forest) == []
+        predict(forest, xs[0])
+        for x, b in zip(xs, batch):
+            assert int(predict(forest, x)) == b == reference_vote(forest, x)
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=9, max_size=9))
     @settings(max_examples=50, deadline=None)

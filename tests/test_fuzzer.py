@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from safuzz import autodiff
+from safuzz import autodiff, fuzzer
 from safuzz.autodiff import forward_eval
 from safuzz.corpus import corpus_manifest
 from safuzz.datagen import Signal
@@ -22,6 +22,7 @@ from safuzz.fuzzer import (
     Bounds,
     FuzzConfig,
     MAX_RESETS,
+    GRAD_FLOOR,
     FuzzResult,
     _clamp_declared,
     _initial_inputs,
@@ -145,6 +146,18 @@ class TestPropagateSignal:
         with pytest.raises(UsageError):
             propagate_signal(g, site, tape, Signal.NO_CHANGE, rate=1.0)
 
+    def test_clamp_of_special_gradients_is_bit_identical(self, monkeypatch):
+        g = Graph([InputDecl("x", (9,))], [Node("y", "exp", ("x",))], "y")
+        site = scan_for_unstable(g).sites[0]
+        tape = forward_eval(g, [np.zeros(9)], np.float32, stop_at=site.entry_node)
+        grad = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9, 2.5, -0.25])
+        monkeypatch.setattr(fuzzer, "backward", lambda *args: [grad.copy()])
+        clamped = np.where(grad < 0, -1.0, 1.0) * np.maximum(np.abs(grad), GRAD_FLOOR)
+        for signal, s in ((Signal.INCREASE, 1.0), (Signal.DECREASE, -1.0)):
+            for rate in (1.0, 0.37):
+                delta = propagate_signal(g, site, tape, signal, rate)["x"]
+                assert delta.tobytes() == ((s * rate) / clamped).tobytes()
+
 
 class TestConstrainUpdate:
     def test_interval_midpoint(self):
@@ -189,6 +202,66 @@ class TestConstrainUpdate:
             was_reset = np.isneginf(bounds.lower) & np.isposinf(bounds.upper)
             assert (~widened | was_reset).all()
             prev_lo, prev_hi = bounds.lower.copy(), bounds.upper.copy()
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 3))))
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+
+        def draw(p_special=0.15):
+            v = rng.uniform(-5, 5, size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+            hit = rng.random(shape) < p_special
+            v[hit] = rng.choice(special, size=int(hit.sum()))
+            return v
+
+        lower, upper = draw(), draw()  # about half the elements contradict
+        lower[rng.random(shape) < 0.3] = -np.inf
+        upper[rng.random(shape) < 0.3] = np.inf
+        got_bounds = Bounds(lower.copy(), upper.copy())
+        want_bounds = Bounds(lower.copy(), upper.copy())
+        x = draw(0.05)
+        for _ in range(30):
+            signal = Signal(int(rng.integers(0, 3)))
+            delta = draw(0.05)
+            x_before = x.copy()
+            got = constrain_update(x, delta, got_bounds, signal)
+            want = _reference_constrain_update(x.copy(), delta.copy(), want_bounds, signal)
+            assert x.tobytes() == x_before.tobytes()
+            assert got.tobytes() == want.tobytes()
+            assert got_bounds.lower.tobytes() == want_bounds.lower.tobytes()
+            assert got_bounds.upper.tobytes() == want_bounds.upper.tobytes()
+            x = got
+
+
+def _reference_constrain_update(x, delta, bounds, signal):
+    """constrain_update as first written: every candidate rebuilt with np.where."""
+    if signal is Signal.INCREASE:
+        bounds.lower = np.maximum(bounds.lower, x)
+    elif signal is Signal.DECREASE:
+        bounds.upper = np.minimum(bounds.upper, x)
+    violated = bounds.lower > bounds.upper
+    if violated.any():
+        bounds.lower[violated] = -np.inf
+        bounds.upper[violated] = np.inf
+    with np.errstate(invalid="ignore"):
+        candidate = x + delta
+        lo_fin = np.isfinite(bounds.lower)
+        hi_fin = np.isfinite(bounds.upper)
+        both = lo_fin & hi_fin
+        candidate = np.where(both, 0.5 * (bounds.lower + bounds.upper), candidate)
+        lo_only = lo_fin & ~hi_fin
+        margin_lo = 1e-9 * np.maximum(1.0, np.abs(bounds.lower))
+        candidate = np.where(
+            lo_only & (candidate <= bounds.lower), bounds.lower + margin_lo, candidate
+        )
+        hi_only = hi_fin & ~lo_fin
+        margin_hi = 1e-9 * np.maximum(1.0, np.abs(bounds.upper))
+        candidate = np.where(
+            hi_only & (candidate >= bounds.upper), bounds.upper - margin_hi, candidate
+        )
+    return candidate
 
 
 class TestValidateFailure:
