@@ -283,9 +283,41 @@ def derive_labels(points: np.ndarray, passed: np.ndarray) -> list[LabeledSample]
 # featurization and preprocessing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _quantile_plan(size: int, feature_len: int) -> tuple:
+    """numpy's linear-quantile plan for `size` values and `feature_len`
+    equally spaced quantiles: partition points, the index pairs (a, b),
+    gamma, 1 - gamma, and where the lerp counts back from b."""
+    virtual = (size - 1) * np.linspace(0.0, 1.0, feature_len)
+    below = np.floor(virtual)
+    top = virtual >= size - 1  # both neighbours are the largest value
+    below[top] = -1
+    above = below + 1
+    above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = virtual - below
+    kth = np.unique(np.concatenate(([0, -1], below, above)))
+    plan = (kth, below, above, gamma, 1 - gamma, gamma >= 0.5)
+    for column in plan:
+        column.flags.writeable = False  # one plan serves every call
+    return plan
+
+
 def featurize(x: np.ndarray, feature_len: int) -> np.ndarray:
     """Flatten to a new float64 vector when sizes match, otherwise emit
-    equally spaced quantiles."""
+    feature_len equally spaced quantiles, byte for byte those of
+    np.quantile(values, np.linspace(0, 1, feature_len)).
+
+    That is numpy's linear method (Hyndman and Fan's type 7). Quantile q of
+    n sorted values sits at virtual index h = (n - 1) q; with a and b the
+    values at floor(h) and floor(h) + 1 and gamma = h - floor(h), it is
+    a + (b - a) gamma, or b - (b - a)(1 - gamma) where gamma >= 0.5. Where
+    h = n - 1, a and b are both the largest value and gamma is h + 1. A NaN
+    sorts last and makes every quantile that NaN. An infinite value also
+    gives NaN quantiles at and beside it (inf * 0, inf - inf). The values
+    are partitioned at numpy's own points, so equal values such as 0.0 and
+    -0.0 land where numpy puts them.
+    """
     if feature_len not in FEATURE_LENGTHS:
         raise UsageError(f"feature_len must be one of {FEATURE_LENGTHS}")
     values = np.array(x, dtype=np.float64).reshape(-1)
@@ -293,8 +325,16 @@ def featurize(x: np.ndarray, feature_len: int) -> np.ndarray:
         raise UsageError("cannot featurize an empty tensor")
     if values.size == feature_len:
         return values
-    with np.errstate(all="ignore"):  # quantile interpolation with inf values
-        return np.quantile(values, np.linspace(0.0, 1.0, feature_len))
+    kth, below, above, gamma, cogamma, from_b = _quantile_plan(values.size, feature_len)
+    values.partition(kth)
+    if math.isnan(values[-1]):
+        return np.full(feature_len, values[-1])
+    a, b = values[below], values[above]
+    with np.errstate(all="ignore"):  # interpolation next to inf values
+        diff = b - a
+        out = a + diff * gamma
+        np.subtract(b, diff * cogamma, out=out, where=from_b)
+    return out
 
 
 def apply_scaling(features: np.ndarray, scaling: dict) -> np.ndarray:

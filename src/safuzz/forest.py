@@ -17,13 +17,20 @@ like numpy's three-element sum. Trees are therefore bit-identical to sorting
 at every node: the first best position wins per feature, and the first drawn
 feature wins a tie between features.
 
-Each Forest compiles its trees once, at construction, into one flat view that
-every prediction walks. It holds internal nodes only, as typed columns
-`feature`, `threshold`, `left` and `right` indexed by a forest-wide node
-number. A child `< 0` is a leaf and encodes its majority class k as `~k`;
-`roots` holds each tree's root, itself `~k` for a single-leaf tree. The walk
-compares Python floats, whose `<=` matches numpy float64 exactly (NaN goes
-right).
+Each Forest compiles its trees once, at construction, into one flat view,
+`Forest.flat`. It holds internal nodes only, as compact typed columns
+(`array` "i" and "d") `feature`, `threshold`, `left` and `right` indexed by a
+forest-wide node number. A child `< 0` is a leaf and encodes its majority
+class k as `~k`; `roots` holds each tree's root, itself `~k` for a single-leaf
+tree. One walk, `_vote`, serves every prediction. It runs over Python lists of
+the same columns, because indexing an `array` boxes a new int or float at
+every step, and compares Python floats, whose `<=` matches numpy float64
+exactly (NaN goes right). `predict` builds that list view the first time it
+is called and keeps it on the forest (`Forest.walk`, about 80 bytes per
+internal node); `predict_batch` builds its own and drops it. The view is not
+built at construction: training keeps every forest it evaluates with
+`predict_batch`, and lists there would multiply the memory of each forest
+that is never queried one input at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -111,6 +119,16 @@ class Forest:
 
     def __post_init__(self):
         self.flat = _compile(self.trees, self.feature_len)
+
+    @cached_property
+    def walk(self) -> tuple:
+        """flat as Python lists, built at the first predict (module docstring)."""
+        return _as_lists(self.flat)
+
+
+def _as_lists(flat: tuple) -> tuple:
+    feature, threshold, left, right, roots = flat
+    return feature.tolist(), threshold.tolist(), left.tolist(), right.tolist(), roots
 
 
 def _grow_tree(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
@@ -244,9 +262,9 @@ def train_forest(
     return forest, metrics
 
 
-def _vote(forest: Forest, x: list) -> int:
+def _vote(walk: tuple, x: list) -> int:
     """Majority vote of the trees' leaf classes; the first maximum wins."""
-    feature, threshold, left, right, roots = forest.flat
+    feature, threshold, left, right, roots = walk
     votes = [0] * N_CLASSES
     for i in roots:
         while i >= 0:
@@ -266,12 +284,13 @@ def predict(forest: Forest, features: np.ndarray) -> Signal:
         raise UsageError(
             f"feature length {features.size} does not match forest ({forest.feature_len})"
         )
-    return Signal(_vote(forest, features.tolist()))
+    return Signal(_vote(forest.walk, features.tolist()))
 
 
 def predict_batch(forest: Forest, features: np.ndarray) -> np.ndarray:
+    walk = _as_lists(forest.flat)  # not cached: see the module docstring
     rows = np.asarray(features, dtype=np.float64).tolist()
-    return np.fromiter((_vote(forest, x) for x in rows), dtype=np.int64, count=len(rows))
+    return np.fromiter((_vote(walk, x) for x in rows), dtype=np.int64, count=len(rows))
 
 
 def evaluate_f1_arrays(forest: Forest, xs: np.ndarray, ys: np.ndarray) -> dict:

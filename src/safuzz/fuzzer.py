@@ -155,7 +155,8 @@ def propagate_signal(
     s = 1.0 if signal is Signal.INCREASE else -1.0
     deltas: dict[str, np.ndarray] = {}
     for decl, g in zip(graph.inputs, grads):
-        clamped = np.where(g < 0, -1.0, 1.0) * np.maximum(np.abs(g), GRAD_FLOOR)
+        clamped = np.maximum(np.abs(g), GRAD_FLOOR)
+        np.negative(clamped, out=clamped, where=g < 0)
         deltas[decl.id] = (s * rate) / clamped
     return deltas
 
@@ -177,26 +178,27 @@ def constrain_update(
         bounds.lower = np.maximum(bounds.lower, x)
     elif signal is Signal.DECREASE:
         bounds.upper = np.minimum(bounds.upper, x)
+    # np.count_nonzero tests a mask without ndarray.any's Python-level wrapper
     violated = bounds.lower > bounds.upper
-    if violated.any():
+    if np.count_nonzero(violated):
         bounds.lower[violated] = -np.inf
         bounds.upper[violated] = np.inf
+    lower, upper = bounds.lower, bounds.upper
     with np.errstate(invalid="ignore"):
         candidate = x + delta
-        lo_fin = np.isfinite(bounds.lower)
-        hi_fin = np.isfinite(bounds.upper)
+        lo_fin = np.isfinite(lower)
+        hi_fin = np.isfinite(upper)
         both = lo_fin & hi_fin
-        candidate = np.where(both, 0.5 * (bounds.lower + bounds.upper), candidate)
-        lo_only = lo_fin & ~hi_fin
-        margin_lo = 1e-9 * np.maximum(1.0, np.abs(bounds.lower))
-        candidate = np.where(
-            lo_only & (candidate <= bounds.lower), bounds.lower + margin_lo, candidate
-        )
-        hi_only = hi_fin & ~lo_fin
-        margin_hi = 1e-9 * np.maximum(1.0, np.abs(bounds.upper))
-        candidate = np.where(
-            hi_only & (candidate >= bounds.upper), bounds.upper - margin_hi, candidate
-        )
+        if np.count_nonzero(both):
+            np.copyto(candidate, 0.5 * (lower + upper), where=both)
+        lo_only = lo_fin > hi_fin
+        if np.count_nonzero(lo_only):
+            margin = 1e-9 * np.maximum(1.0, np.abs(lower))
+            np.copyto(candidate, lower + margin, where=lo_only & (candidate <= lower))
+        hi_only = hi_fin > lo_fin
+        if np.count_nonzero(hi_only):
+            margin = 1e-9 * np.maximum(1.0, np.abs(upper))
+            np.copyto(candidate, upper - margin, where=hi_only & (candidate >= upper))
     return candidate
 
 

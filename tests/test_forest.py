@@ -391,6 +391,13 @@ class TestPredict:
         for x, b in zip(xs, batch):
             assert int(predict(forest, x)) == b == reference_vote(forest, x)
 
+    def test_predict_caches_one_list_view(self):
+        forest = forest_of([split_tree(0.5), leaf_tree([0, 5, 0])])
+        predict(forest, np.zeros(9))
+        view = forest.walk
+        predict(forest, np.ones(9))
+        assert forest.walk is view and list_columns(forest) == [[0.5]]
+
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=9, max_size=9))
     @settings(max_examples=50, deadline=None)
     def test_predict_is_pure(self, values):
