@@ -128,26 +128,26 @@ def backward(
         if node.id == seed_node:
             seed_index = i
             break
-    reached = graph.nodes[: seed_index + 1]  # empty when the seed is an input
-    if reached:
-        with np.errstate(all="ignore"):  # entered once per call, not per node
-            for node in reversed(reached):
-                if node.id not in adjoints:
-                    continue
-                op = op_def(node.op)
-                if op.vjp is None:
-                    continue
-                g = adjoints[node.id]
-                for ref in node.inputs:
-                    if ref not in wide:
-                        wide[ref] = tape.values[ref].astype(np.float64)
-                grads = op.vjp(node.params, g, [wide[ref] for ref in node.inputs])
-                for ref, grad in zip(node.inputs, grads):
-                    grad = np.asarray(grad, dtype=np.float64)
-                    if ref in adjoints:
-                        adjoints[ref] = adjoints[ref] + grad
-                    else:
-                        adjoints[ref] = grad
+    # entered once per call, not per node; an inf - inf in the adjoint sums
+    # is gradient data like the VJPs' own faults
+    with np.errstate(all="ignore"):
+        for node in reversed(graph.nodes[: seed_index + 1]):
+            if node.id not in adjoints:
+                continue
+            op = op_def(node.op)
+            if op.vjp is None:
+                continue
+            g = adjoints[node.id]
+            for ref in node.inputs:
+                if ref not in wide:
+                    wide[ref] = tape.values[ref].astype(np.float64)
+            grads = op.vjp(node.params, g, [wide[ref] for ref in node.inputs])
+            for ref, grad in zip(node.inputs, grads):
+                grad = np.asarray(grad, dtype=np.float64)
+                if ref in adjoints:
+                    adjoints[ref] = adjoints[ref] + grad
+                else:
+                    adjoints[ref] = grad
     out = []
     for decl in graph.inputs:
         grad = adjoints.get(decl.id)

@@ -155,9 +155,8 @@ def propagate_signal(
     s = 1.0 if signal is Signal.INCREASE else -1.0
     deltas: dict[str, np.ndarray] = {}
     for decl, g in zip(graph.inputs, grads):
-        clamped = np.maximum(np.abs(g), GRAD_FLOOR)
-        np.negative(clamped, out=clamped, where=g < 0)
-        deltas[decl.id] = (s * rate) / clamped
+        m = np.maximum(np.abs(g), GRAD_FLOOR)
+        deltas[decl.id] = (s * rate) / np.where(g < 0, -m, m)
     return deltas
 
 
@@ -174,23 +173,24 @@ def constrain_update(
     bounds are finite and clamped strictly inside one-sided bounds; elements
     whose bounds contradict are reset to (-inf, +inf).
     """
-    if signal is Signal.INCREASE:
-        bounds.lower = np.maximum(bounds.lower, x)
-    elif signal is Signal.DECREASE:
-        bounds.upper = np.minimum(bounds.upper, x)
-    # np.count_nonzero tests a mask without ndarray.any's Python-level wrapper
-    violated = bounds.lower > bounds.upper
-    if np.count_nonzero(violated):
-        bounds.lower[violated] = -np.inf
-        bounds.upper[violated] = np.inf
     lower, upper = bounds.lower, bounds.upper
+    # the bounds update in place and the candidate goes through np.asarray:
+    # a ufunc of 0-d operands returns a numpy scalar, which masks cannot write
+    if signal is Signal.INCREASE:
+        np.maximum(lower, x, out=lower)
+    elif signal is Signal.DECREASE:
+        np.minimum(upper, x, out=upper)
+    # np.count_nonzero tests a mask without ndarray.any's Python-level wrapper
+    violated = lower > upper
+    if np.count_nonzero(violated):
+        lower[violated] = -np.inf
+        upper[violated] = np.inf
     with np.errstate(invalid="ignore"):
-        candidate = x + delta
+        candidate = np.asarray(x + delta)
         lo_fin = np.isfinite(lower)
         hi_fin = np.isfinite(upper)
         both = lo_fin & hi_fin
-        if np.count_nonzero(both):
-            np.copyto(candidate, 0.5 * (lower + upper), where=both)
+        np.copyto(candidate, 0.5 * (lower + upper), where=both)
         lo_only = lo_fin > hi_fin
         if np.count_nonzero(lo_only):
             margin = 1e-9 * np.maximum(1.0, np.abs(lower))
@@ -391,7 +391,7 @@ def random_fuzz_site(
             signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
             deltas = propagate_signal(graph, site, tape, signal, config.rate)
             # new arrays, so the clip in place leaves the judged steps' inputs intact
-            values = {d.id: values[d.id] + deltas[d.id] for d in graph.inputs}
+            values = {d.id: np.asarray(values[d.id] + deltas[d.id]) for d in graph.inputs}
             _clamp_declared(graph, values)
         if steps:
             rows = oracle_rows(site.kernel, node.params,

@@ -158,6 +158,19 @@ class TestPropagateSignal:
                 delta = propagate_signal(g, site, tape, signal, rate)["x"]
                 assert delta.tobytes() == ((s * rate) / clamped).tobytes()
 
+    def test_clamp_at_rank_zero(self, monkeypatch):
+        g = Graph([InputDecl("x", ())], [Node("y", "exp", ("x",))], "y")
+        site = scan_for_unstable(g).sites[0]
+        tape = forward_eval(g, [np.zeros(())], np.float32, stop_at=site.entry_node)
+        for value in (0.0, -0.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9, -0.25):
+            grad = np.array([value])
+            clamped = np.where(grad < 0, -1.0, 1.0) * np.maximum(np.abs(grad), GRAD_FLOOR)
+            monkeypatch.setattr(fuzzer, "backward", lambda *args: [np.array(value)])
+            for signal, s in ((Signal.INCREASE, 1.0), (Signal.DECREASE, -1.0)):
+                delta = propagate_signal(g, site, tape, signal, 0.37)["x"]
+                assert np.shape(delta) == ()
+                assert np.asarray(delta).tobytes() == ((s * 0.37) / clamped).tobytes()
+
 
 class TestConstrainUpdate:
     def test_interval_midpoint(self):
@@ -229,6 +242,32 @@ class TestConstrainUpdate:
             got = constrain_update(x, delta, got_bounds, signal)
             want = _reference_constrain_update(x.copy(), delta.copy(), want_bounds, signal)
             assert x.tobytes() == x_before.tobytes()
+            assert got.tobytes() == want.tobytes()
+            assert got_bounds.lower.tobytes() == want_bounds.lower.tobytes()
+            assert got_bounds.upper.tobytes() == want_bounds.upper.tobytes()
+            x = got
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rank_zero_matches_one_element_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+
+        def draw(p_special=0.15):
+            if rng.random() < p_special:
+                return rng.choice(special)
+            return rng.uniform(-5, 5) * 10.0 ** rng.integers(-12, 12)
+
+        lower, upper = draw(), draw()
+        got_bounds = Bounds(np.array(lower), np.array(upper))
+        want_bounds = Bounds(np.array([lower]), np.array([upper]))
+        x = np.array(draw(0.05))
+        for _ in range(60):
+            signal = Signal(int(rng.integers(0, 3)))
+            delta = np.array(draw(0.05))
+            got = constrain_update(x, delta, got_bounds, signal)
+            want = _reference_constrain_update(x.reshape(1), delta.reshape(1),
+                                               want_bounds, signal)
+            assert got.shape == got_bounds.lower.shape == got_bounds.upper.shape == ()
             assert got.tobytes() == want.tobytes()
             assert got_bounds.lower.tobytes() == want_bounds.lower.tobytes()
             assert got_bounds.upper.tobytes() == want_bounds.upper.tobytes()
@@ -648,6 +687,70 @@ class TestLoopsMatchReference:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             found += result.found
         assert found > 0
+
+
+class TestRankZeroInput:
+    """A rank-0 input searches as its one-element vector does. Every ufunc
+    of 0-d operands returns a numpy scalar, which no mask or out= can write,
+    so the loops must keep each value and bound a real array."""
+
+    # each entry is the input itself, so a step moves it by the rate. This
+    # forest increases below 2, decreases above 3 and mispredicts between.
+    BAND_LOG = hand_forest("log", band_tree(2.0, 3.0))
+    # this one decreases in (-5, 2] and increases in (2, 6], mispredicting
+    # outside: a decrease run, a reset into (2, 6] and an increase there
+    # leave lower > upper, and the bounds are reset
+    CROSSED_SIGMOID = hand_forest("sigmoid", DecisionTree(
+        feature=np.array([0, -1, 0, -1, 0, -1, -1], dtype=np.int32),
+        threshold=np.array([-5.0, 0.0, 2.0, 0.0, 6.0, 0.0, 0.0]),
+        left=np.array([1, -1, 3, -1, 5, -1, -1], dtype=np.int32),
+        right=np.array([2, -1, 4, -1, 6, -1, -1], dtype=np.int32),
+        counts=np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0],
+                         [0, 0, 1], [1, 0, 0]], dtype=np.int64),
+    ))
+    CASES = [("exp", EXP_FOREST), ("log", LOG_FOREST), ("log", BAND_LOG),
+             ("sigmoid", CROSSED_SIGMOID)]
+
+    @staticmethod
+    def _graph(op, shape, clamp):
+        return Graph([InputDecl("s", shape, bounds=(-10.0, 10.0), clamp=clamp)],
+                     [Node("y", op, ("s",))], "y")
+
+    @staticmethod
+    def _outcome(result):
+        fields = {k: v for k, v in vars(result).items()
+                  if k not in ("wall_time", "site", "failing_input")}
+        failing = result.failing_input
+        if failing is not None:
+            failing = {k: np.ravel(v).tolist() for k, v in failing.items()}
+        return repr(fields), failing
+
+    def _pairs(self):
+        for op, forest in self.CASES:
+            for clamp in (False, True):
+                scalar, vector = self._graph(op, (), clamp), self._graph(op, (1,), clamp)
+                yield (scalar, scan_for_unstable(scalar).sites[0],
+                       vector, scan_for_unstable(vector).sites[0], forest)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fuzz_site(self, seed):
+        config = FuzzConfig(seed=seed, max_iters=300)
+        for scalar, site, vector, vsite, forest in self._pairs():
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            result = fuzz_site(scalar, site, forest, config, rng)
+            expected = _reference_fuzz_site(vector, vsite, forest, config, ref_rng)
+            assert self._outcome(result) == self._outcome(expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_fuzz_site(self, seed):
+        config = FuzzConfig(seed=seed, max_iters=300)
+        for scalar, site, vector, vsite, _ in self._pairs():
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            result = random_fuzz_site(scalar, site, config, rng)
+            expected = _reference_random_fuzz_site(vector, vsite, config, ref_rng)
+            assert self._outcome(result) == self._outcome(expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRandomChunks:

@@ -162,6 +162,21 @@ class TestBackward:
         tape = forward_eval(g, [np.array([1.0])], np.float64)
         assert backward(g, tape, "y", np.array([1.0]))[0].tolist() == [5.0]
 
+    def test_fanout_fault_is_data(self):
+        # y = x + (-x) seeded with inf: the adjoint sum at x is inf + (-inf)
+        g = Graph(
+            [InputDecl("x", (1,))],
+            [
+                Node("a", "scale", ("x",), {"factor": -1.0}),
+                Node("y", "add", ("x", "a")),
+            ],
+            "y",
+        )
+        tape = forward_eval(g, [np.array([1.0])], np.float64)
+        with np.errstate(all="raise"):
+            grad = backward(g, tape, "y", np.array([np.inf]))[0]
+        assert np.isnan(grad).all()
+
 
 class TestFiniteDiff:
     def test_scale(self):
