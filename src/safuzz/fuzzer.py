@@ -155,8 +155,10 @@ def propagate_signal(
     s = 1.0 if signal is Signal.INCREASE else -1.0
     deltas: dict[str, np.ndarray] = {}
     for decl, g in zip(graph.inputs, grads):
-        m = np.maximum(np.abs(g), GRAD_FLOOR)
-        deltas[decl.id] = (s * rate) / np.where(g < 0, -m, m)
+        # out= keeps a 0-d clamp an array, which np.negative can write
+        clamped = np.maximum(np.abs(g), GRAD_FLOOR, out=np.empty(g.shape))
+        np.negative(clamped, out=clamped, where=g < 0)
+        deltas[decl.id] = (s * rate) / clamped
     return deltas
 
 
