@@ -173,7 +173,8 @@ def constrain_update(
     The issued signal first tightens the bounds at the current value; the
     candidate x + delta is replaced by the interval midpoint where both
     bounds are finite and clamped strictly inside one-sided bounds; elements
-    whose bounds contradict are reset to (-inf, +inf).
+    whose bounds contradict are reset to (-inf, +inf). The bound arrays are
+    updated in place.
     """
     lower, upper = bounds.lower, bounds.upper
     # the bounds update in place and the candidate goes through np.asarray:
@@ -392,7 +393,8 @@ def random_fuzz_site(
             operands.append([tape.values[ref] for ref in node.inputs])
             signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
             deltas = propagate_signal(graph, site, tape, signal, config.rate)
-            # new arrays, so the clip in place leaves the judged steps' inputs intact
+            # new arrays, so the clip in place leaves the judged steps' inputs
+            # intact; np.asarray keeps a 0-d sum an array the clip can write
             values = {d.id: np.asarray(values[d.id] + deltas[d.id]) for d in graph.inputs}
             _clamp_declared(graph, values)
         if steps:
