@@ -296,7 +296,8 @@ def _quantile_plan(size: int, feature_len: int) -> tuple:
     above[top] = -1
     below, above = below.astype(np.intp), above.astype(np.intp)
     gamma = virtual - below
-    kth = np.unique(np.concatenate(([0, -1], below, above)))
+    # sorted by hand: np.unique would import numpy.ma on the fuzz path
+    kth = np.array(sorted({0, -1, *below.tolist(), *above.tolist()}), dtype=np.intp)
     plan = (kth, below, above, gamma, 1 - gamma, gamma >= 0.5)
     for column in plan:
         column.flags.writeable = False  # one plan serves every call

@@ -22,15 +22,9 @@ Each Forest compiles its trees once, at construction, into one flat view,
 (`array` "i" and "d") `feature`, `threshold`, `left` and `right` indexed by a
 forest-wide node number. A child `< 0` is a leaf and encodes its majority
 class k as `~k`; `roots` holds each tree's root, itself `~k` for a single-leaf
-tree. One walk, `_vote`, serves every prediction. It runs over Python lists of
-the same columns, because indexing an `array` boxes a new int or float at
-every step, and compares Python floats, whose `<=` matches numpy float64
-exactly (NaN goes right). `predict` builds that list view the first time it
-is called and keeps it on the forest (`Forest.walk`, about 80 bytes per
-internal node). `predict_batch` walks the compact columns themselves, and
-the view is not built at construction: training keeps every forest it
-evaluates with `predict_batch`, and even a list view built per call and
-dropped raised training's peak resident memory by about 0.5 MB.
+tree. One walk, `_vote`, serves every prediction: `predict` and
+`predict_batch` both run it over these compact columns. It compares Python
+floats, whose `<=` matches numpy float64 exactly (NaN goes right).
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -119,12 +112,6 @@ class Forest:
 
     def __post_init__(self):
         self.flat = _compile(self.trees, self.feature_len)
-
-    @cached_property
-    def walk(self) -> tuple:
-        """flat as Python lists, built at the first predict (module docstring)."""
-        feature, threshold, left, right, roots = self.flat
-        return feature.tolist(), threshold.tolist(), left.tolist(), right.tolist(), roots
 
 
 def _grow_tree(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
@@ -280,7 +267,7 @@ def predict(forest: Forest, features: np.ndarray) -> Signal:
         raise UsageError(
             f"feature length {features.size} does not match forest ({forest.feature_len})"
         )
-    return Signal(_vote(forest.walk, features.tolist()))
+    return Signal(_vote(forest.flat, features.tolist()))
 
 
 def predict_batch(forest: Forest, features: np.ndarray) -> np.ndarray:

@@ -6,6 +6,16 @@ the entry values, and either validates a predicted failure with the oracles
 or back-propagates the increase/decrease signal through the tape to mutate
 the program inputs. Interval bounds accumulated from issued signals narrow
 the search (history constraints); contradictory bounds reset element-wise.
+
+Between resets a guided step is a pure function of the input values and the
+interval bounds: it draws nothing from the generator. So once one step leaves
+the bytes of every value and of both bound arrays unchanged, every later step
+repeats it bit for bit, and `fuzz_site` counts the rest of the budget as run
+and stops. Comparing bytes keeps -0.0 apart from 0.0 and NaN states exact;
+the bounds are compared too, because after a contradiction resets an element
+its value may repeat for one step while its bounds move. The wall-clock
+timeout cannot fire inside the tail that is not run, so the result is what
+any machine fast enough to finish the budget would give.
 """
 
 from __future__ import annotations
@@ -272,6 +282,12 @@ def _site_features(tape, site: UnstableSite, forest: Forest) -> np.ndarray:
     return apply_scaling(features, forest.scaling)
 
 
+def _state(graph: Graph, values: dict[str, np.ndarray], bounds: dict[str, Bounds]) -> tuple:
+    """The bytes of every input value and bound array, which fix the next step."""
+    return tuple(a.tobytes() for d in graph.inputs
+                 for a in (values[d.id], bounds[d.id].lower, bounds[d.id].upper))
+
+
 def fuzz_site(
     graph: Graph,
     site: UnstableSite,
@@ -280,7 +296,15 @@ def fuzz_site(
     rng: np.random.Generator,
     registry: Optional[Registry] = None,
 ) -> FuzzResult:
-    """Search for a failure-inducing input at one unstable site."""
+    """Search for a failure-inducing input at one unstable site.
+
+    A step that leaves the values and bounds byte for byte as they were is
+    a fixed point: every later iteration would repeat it, so the rest of
+    the budget is counted in `iterations` and `sa_queries` without being
+    run, and the search ends with "iteration budget exhausted". The outcome
+    and the generator state are those of running every iteration, except
+    that the wall-clock timeout cannot fire in the tail that is not run.
+    """
     if forest.kernel != site.kernel:
         raise UsageError(
             f"forest is for kernel '{forest.kernel}', site is '{site.kernel}'"
@@ -330,11 +354,18 @@ def fuzz_site(
             continue
 
         deltas = propagate_signal(graph, site, tape, signal, config.rate)
+        before = _state(graph, values, bounds)
         for decl in graph.inputs:
             values[decl.id] = constrain_update(
                 values[decl.id], deltas[decl.id], bounds[decl.id], signal
             )
         _clamp_declared(graph, values)
+        if _state(graph, values, bounds) == before:
+            skipped = config.max_iters - result.iterations
+            log.debug("site '%s': fixed point at iteration %d, %d iterations not run",
+                      site.node_id, result.iterations, skipped)
+            result.sa_queries += skipped
+            result.iterations = config.max_iters
 
     result.wall_time = time.perf_counter() - start
     return result

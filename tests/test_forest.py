@@ -379,24 +379,18 @@ class TestPredict:
                 assert int(predict(model, x)) == b == reference_vote(model, x)
 
     def test_batch_only_forest_holds_no_list_view(self):
-        # a list view costs about 80 bytes per internal node; training keeps
-        # every forest it evaluates, so only predict may cache one
+        # a list view costs about 80 bytes per internal node, and training
+        # keeps every forest it evaluates: neither predict nor predict_batch
+        # may leave one on the forest
         forest = model_load(FIXTURE_MODELS / "Softmax.json")
         rng = np.random.default_rng(11)
         xs = rng.normal(size=(60, forest.feature_len)) * 10.0 ** rng.integers(-3, 4, size=(60, 1))
         xs[:3] = np.array([np.nan, np.inf, -np.inf])[:, None]
         batch = predict_batch(forest, xs)
         assert list_columns(forest) == []
-        predict(forest, xs[0])
         for x, b in zip(xs, batch):
             assert int(predict(forest, x)) == b == reference_vote(forest, x)
-
-    def test_predict_caches_one_list_view(self):
-        forest = forest_of([split_tree(0.5), leaf_tree([0, 5, 0])])
-        predict(forest, np.zeros(9))
-        view = forest.walk
-        predict(forest, np.ones(9))
-        assert forest.walk is view and list_columns(forest) == [[0.5]]
+        assert list_columns(forest) == []
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=9, max_size=9))
     @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ tree per kernel) so no training is needed; the acceptance suite exercises the
 real trained models.
 """
 
+import logging
 import time
 from pathlib import Path
 
@@ -687,6 +688,91 @@ class TestLoopsMatchReference:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             found += result.found
         assert found > 0
+
+
+class TestFixedPoint:
+    """Between resets a guided step is a pure function of the input values
+    and the bounds, so fuzz_site stops at the first step that leaves their
+    bytes unchanged. Outcome and generator state must not show it."""
+
+    @staticmethod
+    def _counted_predict(monkeypatch):
+        calls = []
+
+        def counted(forest, features):
+            calls.append(1)
+            return predict(forest, features)
+
+        monkeypatch.setattr(fuzzer, "predict", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stalled_budget_ends_at_the_fixed_point(self, monkeypatch, caplog, seed):
+        reg = default_registry()
+        spec = next(s for s in corpus_manifest(reg) if s.name == "bounded_sigmoid_clean")
+        graph = spec.to_graph(reg)
+        site = scan_for_unstable(graph, reg).sites[0]
+        models = [model_load(p) for p in sorted(FIXTURE_MODELS.glob("sigmoid*.json"))]
+        forest = select_forest(models, site)
+        config = FuzzConfig(seed=seed, max_iters=2000)
+        rng, ref_rng = (np.random.default_rng(np.random.SeedSequence([seed, 0]))
+                        for _ in range(2))
+        expected = _reference_fuzz_site(graph, site, forest, config, ref_rng, reg)
+        calls = self._counted_predict(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="safuzz.fuzzer"):
+            result = fuzz_site(graph, site, forest, config, rng, reg)
+        assert _outcome(result) == _outcome(expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert result.iterations == result.sa_queries == 2000
+        assert result.diagnostics == ["iteration budget exhausted"]
+        assert len(calls) < 100
+        assert [r.getMessage() for r in caplog.records] == [
+            f"site 'y': fixed point at iteration {len(calls)}, "
+            f"{2000 - len(calls)} iterations not run"]
+
+    def test_bounds_that_move_under_a_repeated_value_are_no_fixed_point(self):
+        # A step far below the input's float64 resolution (rate 1e-300)
+        # leaves x + delta == x, so x moves only by the 1e-9 margin of a
+        # one-sided bound. (A step that the declared clamp sends back cannot
+        # meet a contradiction: every bound lies inside the declared range.)
+        # f0 and f1 are the float32 entries at the first two draws. The
+        # forest increases on (t2, f0], decreases on (t1, t2], with t1 just
+        # under f1, and mispredicts NoChange elsewhere.
+        #   1. From the first draw, Increase steps push x up by margins until
+        #      its float32 passes f0; the lower bound ends above f1.
+        #   2. NoChange there passes the oracles: a reset draws the second.
+        #   3. Decrease there sets the upper bound under the lower one: the
+        #      contradiction resets both to (-inf, inf) and x stays. The
+        #      values repeat, the bounds do not.
+        #   4. Decrease again sets a one-sided upper bound at x, so the
+        #      margin moves x below it, and the margins carry x under t1 to
+        #      a second reset.
+        # A check on the values alone stops at step 3 with one reset.
+        graph = Graph([InputDecl("x", (1,), bounds=(0.0, 10.0))],
+                      [Node("y", "sigmoid", ("x",))], "y")
+        site = scan_for_unstable(graph).sites[0]
+        seed = 0
+        draws = np.random.default_rng(seed)
+        f0, f1 = (float(np.float32(draws.uniform(0.0, 10.0, size=(1,))[0]))
+                  for _ in range(2))
+        assert f1 + 1.0 < f0
+        t1 = (float(np.nextafter(np.float32(f1), np.float32(-np.inf))) + f1) / 2
+        t2 = (f0 + f1) / 2
+        forest = hand_forest("sigmoid", DecisionTree(
+            feature=np.array([0, 0, 0, -1, -1, -1, -1], dtype=np.int32),
+            threshold=np.array([t2, t1, f0, 0.0, 0.0, 0.0, 0.0]),
+            left=np.array([1, 3, 5, -1, -1, -1, -1], dtype=np.int32),
+            right=np.array([2, 4, 6, -1, -1, -1, -1], dtype=np.int32),
+            counts=np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0],
+                             [0, 0, 1], [1, 0, 0]], dtype=np.int64),
+        ))
+        config = FuzzConfig(seed=seed, rate=1e-300, max_iters=1000)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = fuzz_site(graph, site, forest, config, rng)
+        expected = _reference_fuzz_site(graph, site, forest, config, ref_rng)
+        assert _outcome(result) == _outcome(expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert result.resets >= 2
 
 
 class TestRankZeroInput:
