@@ -23,9 +23,9 @@ def corpus_manifest(registry: Optional[Registry] = None) -> list[ProgramSpec]:
     return [program_parse(p, reg) for p in sorted(CORPUS_DIR.glob("*.json"))]
 
 
-def corpus_kernels(registry: Optional[Registry] = None) -> list[str]:
-    """Kernels appearing as unstable sites anywhere in the corpus."""
-    reg = registry or default_registry()
+def corpus_kernels() -> list[str]:
+    """Kernels appearing as unstable sites anywhere in the shipped registry's corpus."""
+    reg = default_registry()
     names: set[str] = set()
     for spec in corpus_manifest(reg):
         scan = scan_for_unstable(spec.to_graph(reg), reg)

@@ -1,20 +1,23 @@
 """Labeled-dataset generation by unit-testing unstable kernels.
 
-Base inputs are sampled across configured regions of the input space, then
-mutated step-wise (exponential, random, or sinusoidal step schedules, in both
-directions) until the oracle outcome flips. Each flip turns the trajectory
-into labeled samples: passing points are labeled with the direction that led
-to failure, failing points with "no change". Classes are balanced by
-down-sampling before a dataset ships; running out of the generation budget
-short of the target size is logged as a warning.
+Base inputs are sampled round-robin across the kernel's registry regions (or
+[-100, 100] for a kernel without generation hints), then mutated step-wise
+(exponential, random, or sinusoidal step schedules at each of BASE_RATES, in
+both directions, MAX_STEPS steps at most) until the oracle outcome flips. A
+sinusoidal step is scaled by the base's largest magnitude. Each flip labels
+the trajectory's points up to it: passing points with the direction that led
+to failure, failing points with "no change". The features are scaled once by
+the kernel's zero_epsilon hint, which the dataset records for fuzz time, and
+classes are balanced by down-sampling before a dataset ships; running out of
+the generation budget short of the target size is logged as a warning.
 
 A trajectory is judged as one stack: all of its step budget's points are
-built at once (a running sum of the signed steps, or a clipped step per row
-under pixel bounds), one oracle call judges every row, and the trajectory is
-cut at its first flip. The points and verdicts equal those of mutating and
-judging one step at a time. The random schedule draws its whole budget from
-the generator up front; after a flip the generator is rewound and redraws
-only the steps taken, so every later draw is unchanged.
+built at once (a running sum of the signed steps), one oracle call judges
+every row, and the trajectory is cut at its first flip. The points and
+verdicts equal those of mutating and judging one step at a time. The random
+schedule draws its whole budget from the generator up front; after a flip
+the generator is rewound and redraws only the steps taken, so every later
+draw is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -41,10 +44,10 @@ from safuzz.registry import Registry, default_registry
 
 log = logging.getLogger(__name__)
 
-FEATURE_LENGTHS = (9, 196, 784)
-
 BASE_RATES = (1.0, 2.5)  # the rates of the default mutation schedules
+MAX_STEPS = 100  # mutation steps a trajectory takes at most
 MAX_WAVES = 300  # rounds of base inputs build_dataset draws before it stops
+DEFAULT_REGIONS = ((-100.0, 100.0),)  # base-input regions without registry hints
 
 
 class Signal(enum.IntEnum):
@@ -72,9 +75,8 @@ class Signal(enum.IntEnum):
 class MutationConfig:
     method: str  # exponential | random | sinusoidal
     rate: float = 1.0
-    max_steps: int = 100
+    max_steps: int = MAX_STEPS
     direction: str = "up"  # up | down
-    scale: Optional[float] = None  # sinusoidal step amplitude
 
     def __post_init__(self):
         if self.method not in ("exponential", "random", "sinusoidal"):
@@ -88,28 +90,15 @@ class MutationConfig:
 @dataclass(frozen=True)
 class GenerationConfig:
     n_base: int = 100
-    regions: Optional[tuple[tuple[float, float], ...]] = None  # None: registry hints
     shape: tuple[int, ...] = (3, 3)
-    mutations_per_base: int = 100
     seed: int = 0
-    pixel_bounds: Optional[tuple[float, float]] = None
     target_size: int = 40_000
 
     def __post_init__(self):
-        if min(self.n_base, self.mutations_per_base, self.target_size) < 1:
-            raise UsageError("n_base, mutations_per_base and target_size must be >= 1")
+        if min(self.n_base, self.target_size) < 1:
+            raise UsageError("n_base and target_size must be >= 1")
         if min(self.shape, default=1) < 1:
             raise UsageError(f"shape {self.shape} has a dimension below 1")
-        if self.regions is not None and len(self.regions) == 0:
-            raise UsageError("regions must be non-empty")
-        if self.pixel_bounds is not None and not self.pixel_bounds[0] < self.pixel_bounds[1]:
-            raise UsageError(f"pixel_bounds {self.pixel_bounds} must satisfy lo < hi")
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    features: np.ndarray
-    label: Signal
 
 
 @dataclass
@@ -139,17 +128,10 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def generate_base_inputs(config: GenerationConfig, rng: np.random.Generator,
-                         regions: Optional[Sequence[tuple[float, float]]] = None,
-                         ) -> list[np.ndarray]:
-    regions = tuple(regions if regions is not None else (config.regions or ((-100.0, 100.0),)))
-    out = []
-    for i in range(config.n_base):
-        lo, hi = regions[i % len(regions)]
-        values = rng.uniform(lo, hi, size=config.shape)
-        if config.pixel_bounds is not None:
-            values = np.clip(values, *config.pixel_bounds)
-        out.append(values)
-    return out
+                         regions: tuple[tuple[float, float], ...]) -> list[np.ndarray]:
+    """config.n_base uniform bases, base i drawn from region i mod len(regions)."""
+    return [rng.uniform(*regions[i % len(regions)], size=config.shape)
+            for i in range(config.n_base)]
 
 
 @lru_cache(maxsize=64)
@@ -183,10 +165,7 @@ def step_sizes(mconfig: MutationConfig, rng: np.random.Generator, count: int) ->
     """
     if mconfig.method == "random":
         return rng.uniform(0.0, 1.0, size=count) * mconfig.rate
-    sizes = _schedule(mconfig.method, mconfig.rate, count)
-    if mconfig.method == "exponential":
-        return sizes
-    return sizes * (mconfig.scale if mconfig.scale is not None else 1.0)
+    return _schedule(mconfig.method, mconfig.rate, count)
 
 
 def _overflow(step_index: int) -> OverflowError:
@@ -199,30 +178,28 @@ def _overflow(step_index: int) -> OverflowError:
 
 def run_trajectory(kernel: str, base: np.ndarray, mconfig: MutationConfig,
                    rng: np.random.Generator,
-                   registry: Optional[Registry] = None,
-                   pixel_bounds: Optional[tuple[float, float]] = None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   registry: Optional[Registry] = None) -> tuple[np.ndarray, np.ndarray]:
     """Mutate until the oracle outcome flips or the step budget runs out.
 
-    Returns the points visited, base first, stacked as (n, *shape) float64,
-    and whether each passed the kernel's oracles; when the outcome flips,
-    the last point is the first whose outcome differs from the base's.
+    A sinusoidal step is scaled by the base's largest |value| (1.0 for an
+    all-zero base). Returns the points visited, base first, stacked as
+    (n, *shape) float64, and whether each passed the kernel's oracles; when
+    the outcome flips, the last point is the first whose outcome differs
+    from the base's.
     """
     reg = registry or default_registry()
+    start = np.asarray(base, dtype=np.float64)
     rewind = rng.bit_generator.state if mconfig.method == "random" else None
     steps = step_sizes(mconfig, rng, mconfig.max_steps)
+    if mconfig.method == "sinusoidal":
+        steps = steps * (float(np.max(np.abs(start))) or 1.0)
     if mconfig.direction == "down":
         steps = -steps
 
-    start = np.asarray(base, dtype=np.float64)
     points = np.empty((len(steps) + 1,) + start.shape)
     points[0] = start
-    if pixel_bounds is None:
-        points[1:] = steps.reshape((-1,) + (1,) * start.ndim)
-        points = np.cumsum(points, axis=0)  # sequential adds: x_k = x_{k-1} + step_k
-    else:
-        for k, step in enumerate(steps, 1):
-            points[k] = np.clip(points[k - 1] + step, *pixel_bounds)
+    points[1:] = steps.reshape((-1,) + (1,) * start.ndim)
+    points = np.cumsum(points, axis=0)  # sequential adds: x_k = x_{k-1} + step_k
 
     params = default_params(kernel, start.shape)
     passed = oracle_rows(kernel, params, unit_operand_rows(kernel, points), reg).passed
@@ -245,14 +222,14 @@ def _infer_direction(points: np.ndarray) -> Optional[str]:
     return "up" if deltas[moved[0]] > 0 else "down"
 
 
-def derive_labels(points: np.ndarray, passed: np.ndarray) -> list[LabeledSample]:
-    """Turn a flipped trajectory, given as run_trajectory returns it, into
-    labeled samples.
+def derive_labels(points: np.ndarray, passed: np.ndarray) -> list[Signal]:
+    """Label a flipped trajectory, given as run_trajectory returns it: one
+    label for each of its first len() points, up to and including the flip.
 
     Passing points are labeled with the mutation direction that triggered the
     failure; failing points are labeled no-change. When the mutation moved
     fail -> success, the successful endpoint gets the reverse direction.
-    An unflipped trajectory produces no samples (the caller retries).
+    An unflipped trajectory produces no labels (the caller retries).
     """
     if len(points) < 2:
         raise UsageError("a trajectory needs at least two points")
@@ -263,24 +240,15 @@ def derive_labels(points: np.ndarray, passed: np.ndarray) -> list[LabeledSample]
     direction = _infer_direction(points[: flip + 1])
     if direction is None:
         return []
-    base_passed = bool(passed[0])
-    toward = Signal.INCREASE if direction == "up" else Signal.DECREASE
-    reverse = Signal.DECREASE if direction == "up" else Signal.INCREASE
-    feats = points[: flip + 1].reshape(flip + 1, -1).astype(np.float64)
-    samples = []
-    for row, ok in zip(feats, passed[: flip + 1].tolist()):
-        if not ok:
-            samples.append(LabeledSample(row, Signal.NO_CHANGE))
-        elif base_passed:
-            samples.append(LabeledSample(row, toward))
-        else:
-            # the flip: the input that escaped the failure region
-            samples.append(LabeledSample(row, reverse))
-    return samples
+    if passed[0]:
+        ok_label = Signal.INCREASE if direction == "up" else Signal.DECREASE
+    else:  # the flip is the input that escaped the failure region
+        ok_label = Signal.DECREASE if direction == "up" else Signal.INCREASE
+    return [ok_label if ok else Signal.NO_CHANGE for ok in passed[: flip + 1].tolist()]
 
 
 # ---------------------------------------------------------------------------
-# featurization and preprocessing
+# featurization and scaling
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -319,8 +287,8 @@ def featurize(x: np.ndarray, feature_len: int) -> np.ndarray:
     are partitioned at numpy's own points, so equal values such as 0.0 and
     -0.0 land where numpy puts them.
     """
-    if feature_len not in FEATURE_LENGTHS:
-        raise UsageError(f"feature_len must be one of {FEATURE_LENGTHS}")
+    if feature_len < 1:
+        raise UsageError(f"feature_len must be at least 1, not {feature_len}")
     values = np.array(x, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise UsageError("cannot featurize an empty tensor")
@@ -348,41 +316,33 @@ def apply_scaling(features: np.ndarray, scaling: dict) -> np.ndarray:
     return out
 
 
-def preprocess_scale(dataset: Dataset, epsilon: Optional[float] = None) -> Dataset:
-    """Replace exact zeros by epsilon (kernels undefined at zero; None: no shift).
-
-    The scaling, an identity affine scale plus that shift, is recorded in the
-    dataset metadata so fuzz-time featurization can replay it bit-identically.
-    """
-    scaling = {"scale": 1.0, "offset": 0.0, "zero_epsilon": epsilon}
-    features = apply_scaling(dataset.features, scaling)
-    return Dataset(kernel=dataset.kernel, shape=dataset.shape, features=features,
-                   labels=dataset.labels.copy(), config=dict(dataset.config),
-                   scaling=scaling)
-
-
 # ---------------------------------------------------------------------------
 # dataset assembly
 # ---------------------------------------------------------------------------
 
-def default_mutation_configs(max_steps: int) -> list[MutationConfig]:
+def default_mutation_configs() -> list[MutationConfig]:
     configs = []
     for method in ("exponential", "random", "sinusoidal"):
         for direction in ("up", "down"):
             for rate in BASE_RATES:
                 configs.append(MutationConfig(method=method, rate=rate,
-                                              max_steps=max_steps, direction=direction))
+                                              max_steps=MAX_STEPS, direction=direction))
     return configs
+
+
+def _capped(counts: dict[int, int]) -> dict[int, int]:
+    """Each class's count, capped at 1.5x the minority class's."""
+    cap = int(min(counts.values()) * 1.5)
+    return {c: min(n, cap) for c, n in counts.items()}
 
 
 def _balance(features: np.ndarray, labels: np.ndarray, target: int,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Down-sample over-represented classes to at most 1.5x the minority."""
-    present = np.unique(labels)
-    counts = {int(c): int((labels == c).sum()) for c in present}
-    minority = min(counts.values())
-    cap = max(1, int(minority * 1.5))
-    takes = {c: min(n, cap) for c, n in counts.items()}
+    """Down-sample over-represented classes to at most 1.5x the minority.
+
+    Classes are drawn in ascending order; the order of the draws fixes which
+    rows a dataset keeps."""
+    takes = _capped({int(c): int((labels == c).sum()) for c in np.unique(labels)})
     total = sum(takes.values())
     if total > target:
         shrink = target / total
@@ -397,18 +357,12 @@ def _balance(features: np.ndarray, labels: np.ndarray, target: int,
 
 
 def _balanced_total(counts: dict[int, int]) -> int:
-    if not counts:
-        return 0
-    minority = min(counts.values())
-    cap = int(minority * 1.5)
-    return sum(min(n, cap) for n in counts.values())
+    return sum(_capped(counts).values()) if counts else 0
 
 
 def build_dataset(kernel: str, gconfig: GenerationConfig,
-                  mconfigs: Optional[Sequence[MutationConfig]] = None,
-                  rng: Optional[np.random.Generator] = None,
                   registry: Optional[Registry] = None) -> Dataset:
-    """Generate, label, preprocess and balance a dataset for one kernel."""
+    """Generate, label, scale and balance a dataset for one kernel."""
     reg = registry or default_registry()
     spec = reg.get(kernel)
     if not spec.implemented:
@@ -419,44 +373,34 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
             x.shape[1:] for x in unit_operand_rows(kernel, np.zeros((1,) + shape))))
     except (ValueError, IndexError) as exc:  # IndexError: no last axis to size params by
         raise UsageError(f"kernel '{kernel}' does not take shape {shape}: {exc}") from None
-    rng = rng if rng is not None else np.random.default_rng(gconfig.seed)
-    regions = gconfig.regions
-    if regions is None and spec.generation is not None:
-        regions = spec.generation.regions
-    if regions is None:
-        regions = ((-100.0, 100.0),)
-    base_configs = mconfigs
-    if base_configs is None:
-        base_configs = default_mutation_configs(gconfig.mutations_per_base)
+    rng = np.random.default_rng(gconfig.seed)
+    hints = spec.generation
+    regions = hints.regions if hints is not None else DEFAULT_REGIONS
+    mconfigs = default_mutation_configs()
 
     feats_acc: list[np.ndarray] = []
-    labels_acc: list[int] = []
+    labels_acc: list[Signal] = []
     counts: dict[int, int] = {}
     flips_seen = 0
 
     def run_base(base: np.ndarray):
         nonlocal flips_seen
-        for mc in base_configs:
-            if mc.method == "sinusoidal" and mc.scale is None:
-                amp = float(np.max(np.abs(base))) or 1.0
-                mc = MutationConfig(mc.method, mc.rate, mc.max_steps, mc.direction, amp)
-            points, passed = run_trajectory(kernel, base, mc, rng, reg, gconfig.pixel_bounds)
-            samples = derive_labels(points, passed)
-            if not samples:
+        for mc in mconfigs:
+            points, passed = run_trajectory(kernel, base, mc, rng, reg)
+            labels = derive_labels(points, passed)
+            if not labels:
                 continue
             flips_seen += 1
-            # one block per trajectory: a view per sample would cost more than its row
-            feats_acc.append(np.stack([s.features for s in samples]))
-            for s in samples:
-                labels_acc.append(int(s.label))
-                counts[int(s.label)] = counts.get(int(s.label), 0) + 1
+            # a copy per trajectory: a view would keep its whole step budget alive
+            feats_acc.append(points[:len(labels)].reshape(len(labels), -1).copy())
+            labels_acc.extend(labels)
+            for label in labels:
+                counts[label] = counts.get(label, 0) + 1
 
-    seeds_injected = False
+    if hints is not None:
+        for seed_value in hints.failure_seeds:
+            run_base(np.full(shape, seed_value, dtype=np.float64))
     for wave in range(MAX_WAVES):
-        if not seeds_injected and spec.generation is not None:
-            for seed_value in spec.generation.failure_seeds:
-                run_base(np.full(gconfig.shape, seed_value, dtype=np.float64))
-            seeds_injected = True
         for base in generate_base_inputs(gconfig, rng, regions):
             run_base(base)
         if wave >= 2 and flips_seen == 0:
@@ -470,27 +414,32 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
 
     if not labels_acc:
         raise GenerationFailure(kernel, "no labeled samples produced")
+    # an identity scale plus the kernel's zero shift, recorded for fuzz time to replay
+    scaling = {"scale": 1.0, "offset": 0.0,
+               "zero_epsilon": hints.zero_epsilon if hints is not None else None}
+    features = np.concatenate(feats_acc)
+    feats_acc.clear()  # peak memory stays a few copies of the features
+    features = apply_scaling(features, scaling)  # the unscaled copy dies here, before balancing
+    features, labels = _balance(features, np.asarray(labels_acc, dtype=np.int8),
+                                gconfig.target_size, rng)
     dataset = Dataset(
         kernel=kernel,
-        shape=tuple(gconfig.shape),
-        features=np.concatenate(feats_acc),
-        labels=np.asarray(labels_acc, dtype=np.int8),
+        shape=shape,
+        features=features,
+        labels=labels,
+        # "mutations_per_base" and "pixel_bounds" record retired settings at
+        # their one value, so dataset files stay byte-identical
         config={
             "n_base": gconfig.n_base,
             "regions": [list(r) for r in regions],
-            "shape": list(gconfig.shape),
-            "mutations_per_base": gconfig.mutations_per_base,
+            "shape": list(shape),
+            "mutations_per_base": MAX_STEPS,
             "seed": gconfig.seed,
-            "pixel_bounds": list(gconfig.pixel_bounds) if gconfig.pixel_bounds else None,
+            "pixel_bounds": None,
             "target_size": gconfig.target_size,
         },
+        scaling=scaling,
     )
-    feats_acc.clear()  # copied into the dataset; peak memory is a few copies of it
-    zero_eps = spec.generation.zero_epsilon if spec.generation else None
-    dataset = preprocess_scale(dataset, epsilon=zero_eps)
-    balanced_feats, balanced_labels = _balance(dataset.features, dataset.labels,
-                                               gconfig.target_size, rng)
-    dataset.features, dataset.labels = balanced_feats, balanced_labels
 
     final_counts = dataset.class_counts()
     if min(final_counts.values()) < 100:

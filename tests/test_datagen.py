@@ -1,5 +1,6 @@
 """Training-data generation: trajectories, labels, balancing, persistence."""
 
+import dataclasses
 import logging
 import math
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safuzz import datagen
 from safuzz.datagen import (
-    FEATURE_LENGTHS,
-    Dataset,
+    BASE_RATES,
+    DEFAULT_REGIONS,
     GenerationConfig,
     MutationConfig,
     Signal,
@@ -21,14 +23,13 @@ from safuzz.datagen import (
     derive_labels,
     featurize,
     generate_base_inputs,
-    preprocess_scale,
     run_trajectory,
     step_sizes,
 )
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
 from safuzz.kernels import default_params, unit_operand_rows
 from safuzz.oracles import run_oracles
-from safuzz.registry import default_registry
+from safuzz.registry import Registry, default_registry
 
 
 def trajectory(*points):
@@ -37,13 +38,28 @@ def trajectory(*points):
     return np.array(values, dtype=np.float64).reshape(-1, 1), np.array(passed)
 
 
+def labelled(points, passed):
+    """(value, label) for each point derive_labels labels."""
+    labels = derive_labels(points, passed)
+    return [(float(v), label) for v, label in zip(points[:len(labels), 0], labels)]
+
+
+def with_hints(kernel, hints):
+    """The shipped registry with the kernel's generation hints replaced (None: no hints)."""
+    reg = default_registry()
+    entries = {**reg.entries, kernel: dataclasses.replace(reg.get(kernel), generation=hints)}
+    return Registry(entries=entries, version=reg.version)
+
+
+def hints_of(kernel, **changes):
+    """The kernel's shipped generation hints with some fields changed."""
+    return dataclasses.replace(default_registry().get(kernel).generation, **changes)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        dict(n_base=0), dict(regions=()), dict(shape=(3, 0)), dict(shape=(-1,)),
-        dict(pixel_bounds=(5.0, 1.0)), dict(pixel_bounds=(1.0, float("nan"))),
-        dict(target_size=0), dict(mutations_per_base=0),
-    ], ids=["n_base", "regions", "zero_dim", "negative_dim", "pixel_bounds_reversed",
-            "pixel_bounds_nan", "target_size", "mutations_per_base"])
+        dict(n_base=0), dict(shape=(3, 0)), dict(shape=(-1,)), dict(target_size=0),
+    ], ids=["n_base", "zero_dim", "negative_dim", "target_size"])
     def test_out_of_range_generation_config_rejected(self, kwargs):
         with pytest.raises(UsageError):
             GenerationConfig(**kwargs)
@@ -56,24 +72,17 @@ class TestConfigValidation:
 
 class TestBaseInputs:
     def test_round_robin_regions(self):
-        config = GenerationConfig(n_base=3, regions=((-100, 0), (0, 100), (100, 1e6)),
-                                  shape=(2,))
+        config = GenerationConfig(n_base=3, shape=(2,))
         rng = np.random.default_rng(0)
-        bases = generate_base_inputs(config, rng)
+        bases = generate_base_inputs(config, rng, ((-100, 0), (0, 100), (100, 1e6)))
         assert len(bases) == 3
         assert (bases[0] < 0).all()
         assert ((bases[1] >= 0) & (bases[1] < 100)).all()
         assert (bases[2] >= 100).all()
 
     def test_default_count_is_100(self):
-        config = GenerationConfig(regions=((-1, 1),), shape=(1,))
-        assert len(generate_base_inputs(config, np.random.default_rng(0))) == 100
-
-    def test_pixel_bounds_clamp(self):
-        config = GenerationConfig(n_base=10, regions=((-500, 500),), shape=(3,),
-                                  pixel_bounds=(0.0, 255.0))
-        for base in generate_base_inputs(config, np.random.default_rng(0)):
-            assert (base >= 0).all() and (base <= 255).all()
+        config = GenerationConfig(shape=(1,))
+        assert len(generate_base_inputs(config, np.random.default_rng(0), ((-1, 1),))) == 100
 
 
 class TestMutateStep:
@@ -85,7 +94,7 @@ class TestMutateStep:
         assert sizes.tolist() == pytest.approx([math.e])
 
     def test_sinusoidal_unit_peak(self):
-        mc = MutationConfig("sinusoidal", rate=math.pi / 2, direction="up", scale=1.0)
+        mc = MutationConfig("sinusoidal", rate=math.pi / 2, direction="up")
         sizes = step_sizes(mc, np.random.default_rng(0), 1)
         assert sizes.tolist() == pytest.approx([1.0])
 
@@ -95,44 +104,41 @@ class TestMutateStep:
         assert len(sizes) == 19
         assert ((sizes >= 0.0) & (sizes <= 2.0)).all()
 
-    def test_pixel_bounds_reclamped(self):
-        # exp fails from the base on, so the walk never flips and takes every step
-        mc = MutationConfig("exponential", rate=2.0, max_steps=3, direction="up")
-        points, _ = run_trajectory("exp", np.array([250.0]), mc,
-                                   np.random.default_rng(0), pixel_bounds=(0.0, 255.0))
-        assert len(points) == 4
-        assert (points <= 255.0).all()
+    @pytest.mark.parametrize("base,amplitude", [(np.array([95.0, -120.0]), 120.0),
+                                                (np.zeros(2), 1.0)])
+    def test_sinusoidal_steps_scale_with_the_base(self, base, amplitude):
+        # exp never flips on these walks (it fails above 88.7 and passes below),
+        # so every step is taken
+        direction = "up" if base.any() else "down"
+        mc = MutationConfig("sinusoidal", rate=1.0, max_steps=5, direction=direction)
+        points, _ = run_trajectory("exp", base, mc, np.random.default_rng(0))
+        sizes = np.abs(np.sin(np.arange(1.0, 6.0))) * amplitude
+        assert len(points) == 6
+        np.testing.assert_allclose(np.abs(np.diff(points[:, 0])), sizes, rtol=1e-12)
 
 
 class TestDeriveLabels:
     def test_fail_to_success_reverses_direction(self):
-        # base 10 fails, one up-step to 30 passes -> (30, Decrease), (10, NoChange)
-        samples = derive_labels(*trajectory((10, False), (30, True)))
-        got = {(s.features[0], s.label) for s in samples}
-        assert got == {(10.0, Signal.NO_CHANGE), (30.0, Signal.DECREASE)}
+        # base 10 fails, one up-step to 30 passes -> (10, NoChange), (30, Decrease)
+        got = labelled(*trajectory((10, False), (30, True)))
+        assert got == [(10.0, Signal.NO_CHANGE), (30.0, Signal.DECREASE)]
 
     def test_success_to_fail_keeps_direction(self):
-        samples = derive_labels(*trajectory((-1, True), (5, False)))
-        got = {(s.features[0], s.label) for s in samples}
-        assert got == {(-1.0, Signal.INCREASE), (5.0, Signal.NO_CHANGE)}
+        got = labelled(*trajectory((-1, True), (5, False)))
+        assert got == [(-1.0, Signal.INCREASE), (5.0, Signal.NO_CHANGE)]
 
     def test_multi_step_trajectory(self):
-        samples = derive_labels(
-            *trajectory((10, True), (20, True), (30, True), (40, False))
-        )
-        got = {(s.features[0], s.label) for s in samples}
-        # every passing point carries the mutation direction
-        assert {(20.0, Signal.INCREASE), (30.0, Signal.INCREASE),
-                (40.0, Signal.NO_CHANGE)} <= got
-        assert (10.0, Signal.INCREASE) in got
+        # every passing point carries the mutation direction; the points after
+        # the first flip get no label
+        got = labelled(*trajectory((10, True), (20, True), (30, True), (40, False),
+                                   (50, True)))
+        assert got == [(10.0, Signal.INCREASE), (20.0, Signal.INCREASE),
+                       (30.0, Signal.INCREASE), (40.0, Signal.NO_CHANGE)]
 
     def test_fail_to_success_multi_step(self):
-        samples = derive_labels(
-            *trajectory((100, False), (130, False), (160, True))
-        )
-        got = {(s.features[0], s.label) for s in samples}
-        assert got == {(100.0, Signal.NO_CHANGE), (130.0, Signal.NO_CHANGE),
-                       (160.0, Signal.DECREASE)}
+        got = labelled(*trajectory((100, False), (130, False), (160, True)))
+        assert got == [(100.0, Signal.NO_CHANGE), (130.0, Signal.NO_CHANGE),
+                       (160.0, Signal.DECREASE)]
 
     def test_no_flip_is_empty(self):
         assert derive_labels(*trajectory((1, True), (2, True))) == []
@@ -146,12 +152,10 @@ class TestDeriveLabels:
     @settings(max_examples=100, deadline=None)
     def test_never_both_directions_for_one_value(self, outcomes, up):
         step = 1.0 if up else -1.0
-        samples = derive_labels(
-            *trajectory(*[(i * step, passed) for i, passed in enumerate(outcomes)])
-        )
+        got = labelled(*trajectory(*[(i * step, passed) for i, passed in enumerate(outcomes)]))
         by_value = {}
-        for s in samples:
-            by_value.setdefault(s.features[0], set()).add(s.label)
+        for value, label in got:
+            by_value.setdefault(value, set()).add(label)
         for labels in by_value.values():
             assert not ({Signal.INCREASE, Signal.DECREASE} <= labels)
 
@@ -179,8 +183,16 @@ class TestFeaturize:
             featurize(np.array([]), 9)
 
     def test_unknown_feature_len_rejected(self):
-        with pytest.raises(UsageError):
-            featurize(np.array([1.0]), 7)
+        # a feature length below 1 names no features; any other length is served
+        for feature_len in (0, -1):
+            with pytest.raises(UsageError):
+                featurize(np.array([1.0]), feature_len)
+
+    def test_any_positive_feature_len(self):
+        # a forest trained at any shape serves its own feature length
+        np.testing.assert_array_equal(featurize(np.arange(4.0).reshape(2, 2), 4), [0, 1, 2, 3])
+        np.testing.assert_array_equal(featurize(np.arange(7.0), 4), [0, 2, 4, 6])
+        np.testing.assert_array_equal(featurize(np.arange(3.0), 1), [0])
 
     @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=2,
                     max_size=30).filter(lambda v: len(v) != 9))
@@ -192,7 +204,7 @@ class TestFeaturize:
         assert feats[-1] == max(values)
         assert (np.diff(feats) >= 0).all()
 
-    @pytest.mark.parametrize("feature_len", FEATURE_LENGTHS)
+    @pytest.mark.parametrize("feature_len", [1, 4, 9, 196, 784])
     def test_matches_numpy_quantile_bit_for_bit(self, feature_len):
         rng = np.random.default_rng(feature_len)
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
@@ -229,31 +241,37 @@ def _reference_featurize(values, feature_len):
 
 
 class TestPreprocessScale:
-    def _dataset(self, kernel="log"):
-        return Dataset(kernel=kernel, shape=(3,),
-                       features=np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 5.0]]),
-                       labels=np.array([0, 1], dtype=np.int8))
+    """The scaling build_dataset applies once and records for fuzz time."""
+
+    RAW = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 5.0]])
 
     def test_epsilon_removes_zeros(self):
-        out = preprocess_scale(self._dataset("log"), epsilon=1e-8)
-        assert (out.features != 0.0).all()
-        assert out.scaling["zero_epsilon"] == 1e-8
+        out = apply_scaling(self.RAW, {"scale": 1.0, "offset": 0.0, "zero_epsilon": 1e-8})
+        assert (out != 0.0).all()
+        assert (out == np.where(self.RAW == 0.0, 1e-8, self.RAW)).all()
 
     def test_identity_scale_keeps_values(self):
         # without an epsilon (a kernel defined at zero) no shift applies
-        out = preprocess_scale(self._dataset("exp"))
-        assert out.scaling["zero_epsilon"] is None
-        assert (out.features == self._dataset().features).all()
+        out = apply_scaling(self.RAW, {"scale": 1.0, "offset": 0.0, "zero_epsilon": None})
+        assert out.tobytes() == self.RAW.tobytes()
+        assert out is not self.RAW
 
     def test_replay_is_bit_identical(self):
-        ds = preprocess_scale(self._dataset("log"), epsilon=1e-8)
-        raw = self._dataset("log").features
-        replayed = apply_scaling(raw, ds.scaling)
-        assert replayed.tobytes() == ds.features.tobytes()
+        # log's hint shifts its zeros (the failure seed 0.0 is a base); without
+        # the hint the same rows come out unscaled, and replaying the recorded
+        # scaling on them gives the shipped dataset's bytes
+        config = GenerationConfig(seed=5, n_base=20, target_size=1500)
+        ds = build_dataset("log", config)
+        unshifted = with_hints("log", hints_of("log", zero_epsilon=None))
+        raw = build_dataset("log", config, registry=unshifted)
+        assert ds.scaling == {"scale": 1.0, "offset": 0.0, "zero_epsilon": 1e-8}
+        assert (raw.features == 0.0).any()
+        assert raw.labels.tobytes() == ds.labels.tobytes()
+        assert apply_scaling(raw.features, ds.scaling).tobytes() == ds.features.tobytes()
 
     def test_replay_applies_a_recorded_affine_scale(self):
         # a dataset or model file may record any scale and offset
-        raw = self._dataset("log").features
+        raw = self.RAW
         scaling = {"scale": 2.0, "offset": -2.0, "zero_epsilon": 1e-8}
         want = np.where(raw * 2.0 - 2.0 == 0.0, 1e-8, raw * 2.0 - 2.0)
         assert (want == 1e-8).any()
@@ -261,7 +279,7 @@ class TestPreprocessScale:
 
 
 class TestBuildDataset:
-    SMALL = dict(n_base=30, mutations_per_base=40, target_size=3000)
+    SMALL = dict(n_base=30, target_size=3000)
 
     def test_exp_dataset_balanced(self):
         ds = build_dataset("exp", GenerationConfig(seed=3, **self.SMALL))
@@ -278,13 +296,26 @@ class TestBuildDataset:
         with pytest.raises(UsageError, match=f"kernel '{kernel}' does not take shape"):
             build_dataset(kernel, GenerationConfig(shape=shape, **self.SMALL))
 
-    def test_never_failing_kernel_reports_generation_failure(self):
-        config = GenerationConfig(n_base=5, regions=((0.4, 0.6),), shape=(2,),
-                                  mutations_per_base=3, seed=0, target_size=500)
-        mcs = [MutationConfig("random", rate=0.01, max_steps=3, direction=d)
-               for d in ("up", "down")]
+    def test_never_failing_kernel_reports_generation_failure(self, monkeypatch):
+        config = GenerationConfig(n_base=5, shape=(2,), seed=0, target_size=500)
+        monkeypatch.setattr(datagen, "default_mutation_configs", lambda: [
+            MutationConfig("random", rate=0.01, max_steps=3, direction=d)
+            for d in ("up", "down")])
+        reg = with_hints("sigmoid", hints_of("sigmoid", regions=((0.4, 0.6),)))
         with pytest.raises(GenerationFailure, match="sigmoid"):
-            build_dataset("sigmoid", config, mconfigs=mcs)
+            build_dataset("sigmoid", config, registry=reg)
+
+    def test_regions_from_hints_or_the_default(self):
+        config = GenerationConfig(seed=3, **self.SMALL)
+        hinted = build_dataset("exp", config)
+        assert hinted.config["regions"] == [
+            list(r) for r in default_registry().get("exp").generation.regions]
+        plain = build_dataset("exp", config, registry=with_hints("exp", None))
+        assert plain.config["regions"] == [list(r) for r in DEFAULT_REGIONS]
+        assert plain.features.tobytes() != hinted.features.tobytes()
+        # retired settings stay in the header at their one value
+        assert plain.config["mutations_per_base"] == 100
+        assert plain.config["pixel_bounds"] is None
 
     def test_deterministic_under_seed(self):
         a = build_dataset("log", GenerationConfig(seed=5, **self.SMALL))
@@ -318,10 +349,12 @@ class TestBuildDataset:
             assert not run_oracles("exp", {}, [x]).passed
 
 
-def walk_step_by_step(kernel, base, mc, rng, pixel_bounds=None):
+def walk_step_by_step(kernel, base, mc, rng):
     """Reference trajectory: one mutation step at a time, each point judged
-    alone, stopping at the first flip."""
+    alone, stopping at the first flip. A sinusoidal step is scaled by the
+    base's largest |value|, or 1.0 for an all-zero base."""
     sign = 1.0 if mc.direction == "up" else -1.0
+    amplitude = float(np.max(np.abs(base))) or 1.0
     x = base
 
     def judge(values):
@@ -335,10 +368,8 @@ def walk_step_by_step(kernel, base, mc, rng, pixel_bounds=None):
         elif mc.method == "random":
             step = float(rng.uniform(0.0, 1.0)) * mc.rate
         else:
-            step = abs(math.sin(mc.rate * k)) * (mc.scale if mc.scale is not None else 1.0)
+            step = abs(math.sin(mc.rate * k)) * amplitude
         x = x + sign * step
-        if pixel_bounds is not None:
-            x = np.clip(x, *pixel_bounds)
         points.append(x)
         passed.append(judge(x))
         if passed[-1] != passed[0]:
@@ -363,6 +394,8 @@ class TestTrajectories:
         assert not passed[-1]
         assert passed[:-1].all()
 
+    # pixel_bounds: bases as drawn, or clipped into image bounds first, which
+    # saturates some at 255 and zeroes others (an all-zero base steps at amplitude 1)
     @pytest.mark.parametrize("pixel_bounds", [None, (0.0, 255.0)])
     @pytest.mark.parametrize("direction", ["up", "down"])
     @pytest.mark.parametrize("method", ["exponential", "random", "sinusoidal"])
@@ -371,13 +404,12 @@ class TestTrajectories:
     def test_matches_step_by_step_walk(self, kernel, method, direction, pixel_bounds):
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         for base in trajectory_bases(kernel):
-            amp = float(np.max(np.abs(base))) or 1.0
-            for rate, scale in ((1.0, None), (2.5, amp)):
-                mc = MutationConfig(method, rate, 30, direction, scale)
-                points, passed = run_trajectory(kernel, base, mc, rng,
-                                                pixel_bounds=pixel_bounds)
-                ref_points, ref_passed = walk_step_by_step(kernel, base, mc, ref_rng,
-                                                           pixel_bounds)
+            if pixel_bounds is not None:
+                base = np.clip(base, *pixel_bounds)
+            for rate in BASE_RATES:
+                mc = MutationConfig(method, rate, 30, direction)
+                points, passed = run_trajectory(kernel, base, mc, rng)
+                ref_points, ref_passed = walk_step_by_step(kernel, base, mc, ref_rng)
                 assert points.shape == ref_points.shape
                 assert points.tobytes() == ref_points.tobytes()
                 assert passed.tolist() == ref_passed.tolist()
@@ -402,10 +434,7 @@ class TestTrajectories:
 
 class TestPersistence:
     def _small(self):
-        return build_dataset(
-            "log", GenerationConfig(seed=5, n_base=20, mutations_per_base=30,
-                                    target_size=1500)
-        )
+        return build_dataset("log", GenerationConfig(seed=5, n_base=20, target_size=1500))
 
     def test_round_trip(self, tmp_path):
         ds = self._small()

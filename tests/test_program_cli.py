@@ -267,6 +267,23 @@ class TestCli:
         doc = json.loads(report.read_text())
         assert doc["totals"]["bugs_found"] >= 1
 
+    def test_fuzz_serves_a_forest_trained_at_another_shape(self, tmp_path, capsys):
+        # a 2x2 forest has 4 features; the corpus program's 3x3 entry is served
+        # 4 quantiles of its 9 values
+        data, model_dir = tmp_path / "exp.csv", tmp_path / "models"
+        model_dir.mkdir()
+        assert cli_dispatch(["gen-data", "--function", "exp", "--shape", "2x2",
+                             "--samples", "600", "--seed", "5", "--out", str(data)]) == 0
+        assert cli_dispatch(["train", "--dataset", str(data), "--trees", "5",
+                             "--out", str(model_dir / "exp.json")]) == 0
+        program = Path(__file__).resolve().parents[1] / "src/safuzz/data/corpus/exp_overflow.json"
+        code = cli_dispatch(["fuzz", str(program), "--models", str(model_dir), "--seed", "0",
+                             "--out", str(tmp_path / "report.json")])
+        assert "error" not in capsys.readouterr().err
+        assert code in (0, 1)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert [site["kernel"] for p in doc["programs"] for site in p["sites"]] == ["exp"]
+
     def test_train_without_held_out_samples(self, tmp_path, capsys):
         data = tmp_path / "exp.csv"
         assert cli_dispatch(["gen-data", "--function", "exp", "--shape", "3x3",
