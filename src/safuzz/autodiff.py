@@ -109,7 +109,8 @@ def backward(
     """Reverse accumulation of d(seed_node . seed_adjoint) / d(each input).
 
     Returns one float64 array per graph input. The seed is copied, so no
-    result aliases the caller's array.
+    result aliases the caller's array. A seed on a program input is the
+    gradient of that input, and the others get zeros; no node is visited.
     """
     if not tape.has(seed_node):
         raise UsageError(f"seed node '{seed_node}' is not on the tape")
@@ -120,6 +121,9 @@ def backward(
             f"seed adjoint shape {adjoint.shape} does not match node value "
             f"shape {seed_value.shape}"
         )
+    if any(decl.id == seed_node for decl in graph.inputs):
+        return [adjoint if decl.id == seed_node else np.zeros(decl.shape, dtype=np.float64)
+                for decl in graph.inputs]
     adjoints: dict[str, np.ndarray] = {seed_node: adjoint}
     wide: dict[str, np.ndarray] = {}  # tape values the VJPs read, each cast once
 

@@ -7,6 +7,10 @@ or back-propagates the increase/decrease signal through the tape to mutate
 the program inputs. Interval bounds accumulated from issued signals narrow
 the search (history constraints); contradictory bounds reset element-wise.
 
+Validation, in both loops, evaluates the program only as far as the site's
+operands: the oracles run the site kernel on them, so the site node itself
+is never evaluated on a tape.
+
 Between resets a guided step is a pure function of the input values and the
 interval bounds: it draws nothing from the generator. So once one step leaves
 the bytes of every value and of both bound arrays unchanged, every later step
@@ -31,7 +35,7 @@ from safuzz.autodiff import Tape, backward, extend_tape, forward_eval
 from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import Forest, predict
-from safuzz.graph import Graph
+from safuzz.graph import Graph, Node
 from safuzz.kernels import op_def
 from safuzz.oracles import OracleVerdict, oracle_rows, run_oracles
 from safuzz.registry import Registry, default_registry
@@ -160,14 +164,17 @@ def propagate_signal(
     """
     if signal is Signal.NO_CHANGE:
         raise UsageError("no-change signals do not propagate")
-    seed = np.ones(tape.values[site.entry_node].shape)
+    seed = np.empty(tape.values[site.entry_node].shape)
+    seed.fill(1.0)  # np.ones, without its Python-level wrapper
     grads = backward(graph, tape, site.entry_node, seed)
     s = 1.0 if signal is Signal.INCREASE else -1.0
     deltas: dict[str, np.ndarray] = {}
     for decl, g in zip(graph.inputs, grads):
         # out= keeps a 0-d clamp an array, which np.negative can write
         clamped = np.maximum(np.abs(g), GRAD_FLOOR, out=np.empty(g.shape))
-        np.negative(clamped, out=clamped, where=g < 0)
+        negative = g < 0
+        if np.count_nonzero(negative):  # cheaper than a masked write of nothing
+            np.negative(clamped, out=clamped, where=negative)
         deltas[decl.id] = (s * rate) / clamped
     return deltas
 
@@ -224,6 +231,14 @@ def _needs_shadow(site: UnstableSite, reg: Registry) -> bool:
     return any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings)
 
 
+def _operand_stop(graph: Graph, node: Node) -> str:
+    """The last operand of node in topological order: a tape that reaches
+    it holds every operand. When every operand is a program input, which
+    every tape holds, that is the first operand."""
+    produced = [n.id for n in graph.nodes if n.id in node.inputs]
+    return produced[-1] if produced else node.inputs[0]
+
+
 def validate_failure(
     graph: Graph,
     site: UnstableSite,
@@ -231,29 +246,33 @@ def validate_failure(
     registry: Optional[Registry] = None,
     tape: Optional[Tape] = None,
 ) -> OracleVerdict:
-    """Execute through the site and judge the kernel with its bound oracles.
+    """Execute to the site's operands and judge the kernel with its bound
+    oracles, which run the site kernel on them.
 
     inputs are the program inputs, one array-like per graph input.
     Operands come from the native float32 execution, and the oracles judge
-    the kernel with the node's own params. A caller that already holds a
-    float32 tape of these inputs passes it as tape; it is extended to the
-    site instead of evaluating the prefix again. Without one, a new tape is
-    evaluated. A float64 shadow execution supplies the operands the
-    increased-width oracle compares against; it runs only when that oracle
-    is bound to the kernel, since no other oracle reads it.
+    the kernel with the node's own params. The execution stops at the last
+    operand; the site node itself is not evaluated on the tape. A caller that
+    already holds a float32 tape of these inputs passes it as tape; it is
+    extended to the operands instead of evaluating the prefix again.
+    Without one, a new tape is evaluated. A float64 shadow execution
+    supplies the operands the increased-width oracle compares against; it
+    runs only when that oracle is bound to the kernel, since no other
+    oracle reads it.
     """
     reg = registry or default_registry()
+    node = graph.node(site.node_id)
+    stop = _operand_stop(graph, node)
     if tape is None:
-        tape = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
+        tape = forward_eval(graph, inputs, np.float32, stop_at=stop)
     elif tape.dtype != np.float32:
         raise UsageError("validation extends single-precision tapes only")
     else:
-        extend_tape(tape, site.node_id)
-    node = graph.node(site.node_id)
+        extend_tape(tape, stop)
     operands = [tape.values[ref] for ref in node.inputs]
     wide = None
     if _needs_shadow(site, reg):
-        wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
+        wide_tape = forward_eval(graph, inputs, np.float64, stop_at=stop)
         wide = [wide_tape.values[ref] for ref in node.inputs]
     return run_oracles(site.kernel, node.params, operands, reg, wide_inputs=wide)
 
@@ -384,18 +403,22 @@ def random_fuzz_site(
 
     The walk does not depend on a verdict until the first failure, so the
     iterations run in chunks of 1, 2, 4, ... up to CHUNK_CAP, cut short by
-    the iteration budget. Each step of a chunk does one single-precision
-    forward to the site (plus the double shadow when the width oracle reads
-    it), draws its direction and back-propagates; then one oracle_rows call
-    judges every step of the chunk, and the first failing row is the find.
-    A find at row i rewinds the generator to the start of the chunk and
-    draws the i directions before it again, so the outcome and the
-    generator state are those of judging each iteration before the next.
-    A forward that fails ends the search once the steps before it are
-    judged. The wall-clock timeout is checked between chunks.
+    the iteration budget. A chunk draws all its directions in one call.
+    Each step does one single-precision forward to the site's operands
+    (plus the double shadow when the width oracle reads it) and
+    back-propagates its direction; the site node itself is not evaluated
+    on the tape. Then one oracle_rows call runs the site kernel on
+    the stacked operands of the chunk and judges every step, and the first
+    failing row is the find. A find at row i, or a forward that fails at
+    step i, rewinds the generator to the start of the chunk and draws the
+    i directions before it again, so the outcome and the generator state
+    are those of judging each iteration before the next. A forward that
+    fails ends the search once the steps before it are judged. The
+    wall-clock timeout is checked between chunks.
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
+    stop = _operand_stop(graph, node)
     shadow = _needs_shadow(site, reg)
     result = FuzzResult(site=site, status="Exhausted")
     start = time.perf_counter()
@@ -409,38 +432,42 @@ def random_fuzz_site(
             result.diagnostics.append("wall-clock timeout")
             break
         rewind = rng.bit_generator.state
+        # one call draws the stream that as many scalar draws would
+        draws = rng.uniform(size=min(size, config.max_iters - result.iterations)).tolist()
         steps, operands, wide, error = [], [], [], None
-        for _ in range(min(size, config.max_iters - result.iterations)):
+        for draw in draws:
             inputs = [values[d.id] for d in graph.inputs]
             try:
-                tape = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
+                tape = forward_eval(graph, inputs, np.float32, stop_at=stop)
                 if shadow:
-                    wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
+                    wide_tape = forward_eval(graph, inputs, np.float64, stop_at=stop)
                     wide.append([wide_tape.values[ref] for ref in node.inputs])
             except EvaluationError as exc:
                 error = exc
                 break
             steps.append(values)
             operands.append([tape.values[ref] for ref in node.inputs])
-            signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
+            signal = Signal.INCREASE if draw < 0.5 else Signal.DECREASE
             deltas = propagate_signal(graph, site, tape, signal, config.rate)
             # new arrays, so the clip in place leaves the judged steps' inputs
             # intact; np.asarray keeps a 0-d sum an array the clip can write
             values = {d.id: np.asarray(values[d.id] + deltas[d.id]) for d in graph.inputs}
             _clamp_declared(graph, values)
+        used = len(steps)  # directions a one-at-a-time loop would have drawn
         if steps:
             rows = oracle_rows(site.kernel, node.params,
                                [np.stack(col) for col in zip(*operands)], reg,
                                [np.stack(col) for col in zip(*wide)] if shadow else None)
             failed = np.flatnonzero(~rows.passed)
             if failed.size:
-                i = int(failed[0])
-                steps = steps[:i + 1]
+                used = int(failed[0])
+                steps = steps[:used + 1]
                 result.status = "Found"
-                result.verdict = rows.verdict(i)
-                result.failing_input = {k: v.tolist() for k, v in steps[i].items()}
-                rng.bit_generator.state = rewind
-                rng.uniform(size=i)
+                result.verdict = rows.verdict(used)
+                result.failing_input = {k: v.tolist() for k, v in steps[used].items()}
+        if used < len(draws):
+            rng.bit_generator.state = rewind
+            rng.uniform(size=used)
         result.iterations += len(steps)
         if error is not None and not result.found:
             result.iterations += 1

@@ -20,6 +20,7 @@ kernel fails.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -118,6 +119,11 @@ def _parse_entry(raw: dict) -> KernelSpec:
                           oracle_bindings=bindings, generation=gen)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RegistryError(f"entry '{name}': malformed field ({exc})") from exc
+    # base inputs are drawn round-robin from the regions, uniformly inside each
+    if gen is not None and (not gen.regions or not all(
+            -math.inf < lo < hi < math.inf for lo, hi in gen.regions)):
+        raise RegistryError(f"entry '{name}': generation regions must be a non-empty "
+                            "list of finite [lo, hi] with lo < hi")
     if tier not in (("core", "extended") if spec.implemented else ("metadata",)):
         raise RegistryError(f"entry '{name}': tier {tier!r} but the op table "
                             f"{'has' if spec.implemented else 'has no'} such kernel")

@@ -5,6 +5,7 @@ tree per kernel) so no training is needed; the acceptance suite exercises the
 real trained models.
 """
 
+import dataclasses
 import logging
 import time
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from safuzz import autodiff, fuzzer
+from safuzz import autodiff, fuzzer, kernels, oracles
 from safuzz.autodiff import forward_eval
 from safuzz.corpus import corpus_manifest
 from safuzz.datagen import Signal
@@ -502,7 +503,7 @@ class TestTapeReuse:
                 tape = forward_eval(graph, inputs, np.float32, stop_at=stop)
                 reused = validate_failure(graph, site, inputs, tape=tape)
                 assert reused == fresh, (spec.name, stop)
-                assert tape.has(site.node_id)
+                assert all(tape.has(ref) for ref in graph.node(site.node_id).inputs)
         assert not fresh.passed  # the last case fails at every site
 
     def test_double_tape_rejected(self):
@@ -875,15 +876,50 @@ class TestRandomChunks:
         for seed in range(20):
             self._both(self.LOG_WALK, FuzzConfig(seed=seed, max_iters=max_iters))
 
+    @pytest.mark.parametrize("graph", [
+        CLEAN,
+        # the operand is a node here, so the tape goes one node past the input
+        Graph([InputDecl("x", (3, 3), bounds=(0.0, 1.0), clamp=True)],
+              [Node("s", "scale", ("x",), {"factor": 0.5}), Node("y", "sigmoid", ("s",))], "y"),
+    ], ids=["input-operand", "node-operand"])
+    def test_site_kernel_runs_once_per_chunk_in_the_oracles(self, monkeypatch, graph):
+        site = scan_for_unstable(graph).sites[0]
+        judging = False
+        rows_run = []  # the stack height of each site-kernel forward, and where it ran
+        sigmoid = kernels.op_def("sigmoid")
+
+        def spy_forward(params, x):
+            rows_run.append((len(x), judging))
+            return sigmoid.forward(params, x)
+
+        def spy_oracle_rows(*args, **kwargs):
+            nonlocal judging
+            judging = True
+            try:
+                return oracles.oracle_rows(*args, **kwargs)
+            finally:
+                judging = False
+
+        monkeypatch.setitem(kernels.ALL_OPS, "sigmoid",
+                            dataclasses.replace(sigmoid, forward=spy_forward))
+        monkeypatch.setattr(fuzzer, "oracle_rows", spy_oracle_rows)
+        result = random_fuzz_site(graph, site, FuzzConfig(seed=0, max_iters=200),
+                                  np.random.default_rng(0))
+        assert result.status == "Exhausted" and result.iterations == 200
+        # sigmoid's oracles (NaN/inf, range) share one single-precision forward
+        chunks = [1, 2, 4, 8, 16, 32, 64, 64, 9]
+        assert rows_run == [(n, True) for n in chunks]
+
     @staticmethod
-    def _faulty_forward(site, k):
-        """forward_eval whose k-th single-precision evaluation to the site
-        raises; each loop makes one such evaluation per iteration."""
+    def _faulty_forward(site, stop, k):
+        """forward_eval whose k-th single-precision evaluation to stop
+        raises; a loop whose iterations each make one such evaluation
+        fails at its k-th iteration."""
         calls = 0
 
         def forward(graph, inputs, dtype=np.float32, stop_at=None):
             nonlocal calls
-            if dtype == np.float32 and stop_at == site.node_id:
+            if dtype == np.float32 and stop_at == stop:
                 calls += 1
                 if calls == k:
                     raise EvaluationError(site.node_id, "injected fault")
@@ -894,11 +930,15 @@ class TestRandomChunks:
     def _both_faulty(self, monkeypatch, graph, config, k):
         site = scan_for_unstable(graph).sites[0]
         rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
+        # the loop under test evaluates each iteration to the site's one
+        # operand, the entry; the reference validates through the site first
         with monkeypatch.context() as patch:
-            patch.setattr("safuzz.fuzzer.forward_eval", self._faulty_forward(site, k))
+            patch.setattr("safuzz.fuzzer.forward_eval",
+                          self._faulty_forward(site, site.entry_node, k))
             result = random_fuzz_site(graph, site, config, rng)
         with monkeypatch.context() as patch:
-            patch.setitem(globals(), "forward_eval", self._faulty_forward(site, k))
+            patch.setitem(globals(), "forward_eval",
+                          self._faulty_forward(site, site.node_id, k))
             expected = _reference_random_fuzz_site(graph, site, config, ref_rng)
         assert _outcome(result) == _outcome(expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -1,12 +1,14 @@
 """Kernel catalog and the unstable-function database."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from safuzz.errors import CapabilityError, RegistryError
 from safuzz.kernels import (
+    KERNEL_OPS,
     apply_forward,
     cosine_reference,
     default_params,
@@ -127,6 +129,16 @@ class TestRegistryLoad:
         with pytest.raises(RegistryError, match="exp"):
             registry_load(path)
 
+    @pytest.mark.parametrize("regions", [[], [[1.0, 1.0]], [[2.0, 1.0]],
+                                         [[-1.0, 1.0], [0.0, math.inf]], [[-math.inf, 0.0]],
+                                         [[math.nan, 1.0]]],
+                             ids=["empty", "zero-width", "reversed", "inf-hi", "inf-lo", "nan"])
+    def test_empty_or_degenerate_regions_rejected(self, tmp_path, regions):
+        # an empty list used to load and then divide by zero in build_dataset
+        path = self._write(tmp_path, [self._entry(generation={"regions": regions})])
+        with pytest.raises(RegistryError, match="'exp': generation regions"):
+            registry_load(path)
+
     def test_bad_format_version(self, tmp_path):
         path = tmp_path / "reg.json"
         path.write_text(json.dumps({"format_version": 99, "entries": []}))
@@ -169,6 +181,33 @@ class TestKernelEval:
             b = rng.standard_normal(9) * rng.uniform(1e-3, 1e3)
             val = float(cosine_reference(a[None], b[None])[0])
             assert -1 - 1e-6 <= val <= 1 + 1e-6
+
+
+class TestForwardShapes:
+    """The fuzz loops never put a site on a tape, so extend_tape's shape check
+    does not see a kernel's output: each forward must give the shape its
+    shape rule states, on every stack of samples, in both precisions."""
+
+    SHAPES = [(), (1,), (4,), (3, 3), (2, 3), (2, 2, 2)]
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_OPS))
+    def test_forward_shape_follows_the_shape_rule(self, name):
+        op = op_def(name)
+        checked = 0
+        for shape in self.SHAPES:
+            for batch in (1, 4):
+                xs = np.random.default_rng(batch).uniform(0.5, 2.0, size=(batch,) + shape)
+                try:
+                    params = default_params(name, shape)
+                    operands = unit_operand_rows(name, xs)
+                    rule = op.shape_rule(params, *[x.shape[1:] for x in operands])
+                except (ValueError, IndexError):  # the kernel does not take this shape
+                    continue
+                for dtype in (np.float32, np.float64):
+                    out = apply_forward(op, params, [x.astype(dtype) for x in operands], dtype)
+                    assert out.shape == (batch,) + tuple(rule), (shape, batch, dtype)
+                checked += 1
+        assert checked >= 2
 
 
 class TestDefaultParams:

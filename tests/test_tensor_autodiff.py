@@ -142,6 +142,32 @@ class TestBackward:
         seed[0] = 7.0
         assert grad.tolist() == [1.0]
 
+    def test_input_seed_is_its_own_gradient(self, monkeypatch):
+        # the gradient of a program input's own values needs no reverse pass:
+        # a float64 copy of the seed for that input, zeros for the others
+        g = Graph([InputDecl("v", (2,)), InputDecl("s", ()), InputDecl("m", (2, 2))],
+                  [Node("y", "exp", ("v",))], "y")
+        tape = forward_eval(g, [np.ones(2), np.ones(()), np.ones((2, 2))], np.float32)
+        seeds = {"v": np.array([1.5, -0.0], dtype=np.float32), "s": np.array(-2.5),
+                 "m": np.array([[np.nan, np.inf], [1e-9, 3.0]])}
+
+        def no_reverse_pass(*args, **kwargs):
+            raise AssertionError("an input seed entered the reverse pass")
+
+        monkeypatch.setattr(np, "errstate", no_reverse_pass)
+        for seed_node, seed in seeds.items():
+            before = seed.tobytes()
+            grads = backward(g, tape, seed_node, seed)
+            for decl, grad in zip(g.inputs, grads):
+                assert grad.dtype == np.float64 and grad.shape == decl.shape
+                if decl.id != seed_node:
+                    assert not grad.any()
+                    continue
+                assert grad.tobytes() == seed.astype(np.float64).tobytes()
+                assert not np.shares_memory(grad, seed)
+                grad[...] = 0.0
+            assert seed.tobytes() == before
+
     def test_adjoints_always_double(self):
         g = single_op("exp", (2,))
         tape = forward_eval(g, [np.array([0.5, 1.0], dtype=np.float32)], np.float32)
