@@ -5,11 +5,19 @@ Every value is a numpy array whose dtype, float32 or float64, is its
 precision. forward_eval runs a graph in the requested dtype and records every
 node value on a Tape; extend_tape carries an existing tape further down the
 graph, so a caller that stopped early can reach a later node without
-evaluating the prefix again. backward replays the tape in reverse, always
-accumulating adjoints in float64 regardless of the forward dtype; the
-mutation step divides by these gradients, and single-precision adjoints
-would put noise in the search direction. finite_diff_grad is the independent
-oracle used to cross-check backward.
+evaluating the prefix again. forward_rows evaluates many inputs at once:
+each input is a stack with one row per sample, and so is each node value.
+Both run one node loop; a tape is a stack of one row. A constant node
+depends on no input, so its value is made once per graph and dtype, as one
+read-only row that broadcasts against the others.
+
+backward replays the tape in reverse, always accumulating adjoints in
+float64 regardless of the forward dtype; the mutation step divides by these
+gradients, and single-precision adjoints would put noise in the search
+direction. When every op on the way back from the seed has a VJP that reads
+no operand value (constant_gradient), the result is the same at every input,
+and a caller may compute it once and reuse it. finite_diff_grad is the
+independent oracle used to cross-check backward.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from safuzz.errors import EvaluationError, OracleUnavailable, UsageError
 from safuzz.graph import Graph
-from safuzz.kernels import apply_forward, op_def
+from safuzz.kernels import ALL_OPS, apply_forward, op_def
 
 
 @dataclass
@@ -76,28 +84,98 @@ def extend_tape(tape: Tape, stop_at: Optional[str] = None) -> Tape:
     """
     if stop_at is not None and stop_at in tape.values:
         return tape
-    graph, values, dtype = tape.graph, tape.values, tape.dtype
-    for node in graph.nodes:
-        if node.id in values:
-            continue
-        op = op_def(node.op)  # CapabilityError for registry-only ops
-        args = [values[ref][None] for ref in node.inputs]
-        try:
-            out = apply_forward(op, node.params, args, dtype)[0, ...]
-        except (ValueError, IndexError) as exc:
-            raise EvaluationError(node.id, str(exc)) from exc
-        expected = graph.shape_of(node.id)
-        if expected is not None and tuple(out.shape) != expected:
+    rows = _evaluate(tape.graph, {k: v[None] for k, v in tape.values.items()},
+                     tape.dtype, stop_at)
+    for node_id, value in rows.items():
+        if node_id not in tape.values:
+            value = value[0, ...]  # a 0-d array, never a numpy scalar
+            value.flags.writeable = False
+            tape.values[node_id] = value
+    return tape
+
+
+def forward_rows(
+    graph: Graph,
+    inputs: Sequence[np.ndarray],
+    dtype=np.float32,
+    stop_at: Optional[str] = None,
+) -> dict[str, np.ndarray]:
+    """Evaluate the graph in dtype on stacked inputs, up to stop_at (or the
+    whole graph).
+
+    Each input is a stack (B, *declared shape), one row per sample, cast
+    to dtype. Returns every value evaluated, inputs included, stacked the
+    same way. A row bit for bit equals forward_eval of that sample alone;
+    a constant node's value is one read-only row that broadcasts.
+    """
+    if len(inputs) != len(graph.inputs):
+        raise EvaluationError(
+            "<inputs>", f"expected {len(graph.inputs)} input tensor(s), got {len(inputs)}"
+        )
+    rows = {}
+    for decl, value in zip(graph.inputs, inputs):
+        value = np.asarray(value, dtype=dtype)
+        if value.shape[1:] != tuple(decl.shape):
             raise EvaluationError(
-                node.id, f"produced shape {out.shape}, expected {expected}"
+                decl.id, f"input rows {value.shape[1:]} do not match declared {decl.shape}"
             )
-        out.flags.writeable = False
-        values[node.id] = out
+        rows[decl.id] = value
+    return _evaluate(graph, rows, np.dtype(dtype), stop_at)
+
+
+def _evaluate(graph: Graph, rows: dict[str, np.ndarray], dtype: np.dtype,
+              stop_at: Optional[str]) -> dict[str, np.ndarray]:
+    """The node loop: evaluate the nodes not in rows, up to stop_at (or
+    the whole graph), on values stacked (B, *shape); rows is returned."""
+    if stop_at is not None and stop_at in rows:
+        return rows
+    constants = graph.constants.setdefault(dtype, {})
+    for node in graph.nodes:
+        if node.id in rows:
+            continue
+        out = constants.get(node.id)
+        if out is None:
+            op = op_def(node.op)  # CapabilityError for registry-only ops
+            args = [rows[ref] for ref in node.inputs]
+            try:
+                out = apply_forward(op, node.params, args, dtype)
+            except (ValueError, IndexError) as exc:
+                raise EvaluationError(node.id, str(exc)) from exc
+            expected = graph.shape_of(node.id)
+            if expected is not None and tuple(out.shape[1:]) != expected:
+                raise EvaluationError(
+                    node.id, f"produced shape {out.shape[1:]}, expected {expected}"
+                )
+            if not op.arity:  # depends on no input: one read-only row for every call
+                out.flags.writeable = False
+                constants[node.id] = out
+        rows[node.id] = out
         if node.id == stop_at:
-            return tape
+            return rows
     if stop_at is not None:
         raise UsageError(f"stop node '{stop_at}' does not exist in the graph")
-    return tape
+    return rows
+
+
+def constant_gradient(graph: Graph, seed_node: str) -> bool:
+    """Whether backward from seed_node gives the same gradients at every
+    input: every node it visits has a VJP that reads no operand value
+    (kernels.OpDef.value_free_vjp). A node without a VJP stops the
+    adjoint, and a program input needs no VJP.
+    """
+    reached = {seed_node}
+    for node in reversed(graph.nodes):
+        if node.id not in reached:
+            continue
+        op = ALL_OPS.get(node.op)
+        if op is None:  # a registry-only op: backward cannot run at all
+            return False
+        if op.vjp is None:
+            continue
+        if not op.value_free_vjp:
+            return False
+        reached.update(node.inputs)
+    return True
 
 
 def backward(

@@ -11,6 +11,14 @@ Validation, in both loops, evaluates the program only as far as the site's
 operands: the oracles run the site kernel on them, so the site node itself
 is never evaluated on a tape.
 
+When every op between the program inputs and the site entry has a VJP that
+reads no operand value (autodiff.constant_gradient), the gradient of the
+entry is the same at every input, and so are the deltas of each signal. Both
+loops then compute them once per search, on the first step's tape, and keep
+them read-only. The random baseline then makes no per-step forward or
+backward at all: a step adds its direction's deltas, and each chunk of steps
+is judged through one stacked forward to the site's operands.
+
 Between resets a guided step is a pure function of the input values and the
 interval bounds: it draws nothing from the generator. So once one step leaves
 the bytes of every value and of both bound arrays unchanged, every later step
@@ -31,7 +39,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.autodiff import Tape, backward, extend_tape, forward_eval
+from safuzz.autodiff import (Tape, backward, constant_gradient, extend_tape, forward_eval,
+                             forward_rows)
 from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import Forest, predict
@@ -177,6 +186,31 @@ def propagate_signal(
             np.negative(clamped, out=clamped, where=negative)
         deltas[decl.id] = (s * rate) / clamped
     return deltas
+
+
+def _fixed_deltas(graph: Graph, site: UnstableSite, values: dict[str, np.ndarray],
+                  rate: float) -> Optional[dict[Signal, dict[str, np.ndarray]]]:
+    """The deltas of both signals, read-only, when the gradient of the site
+    entry is the same at every input; propagate_signal runs on the tape of
+    values, the search's first input. None when the gradient depends on
+    the input, or when the program fails before the entry: the first step
+    then evaluates again and reports the failure.
+    """
+    if not constant_gradient(graph, site.entry_node):
+        return None
+    try:
+        tape = forward_eval(graph, [values[d.id] for d in graph.inputs], np.float32,
+                            stop_at=site.entry_node)
+    except EvaluationError:
+        return None
+    fixed = {}
+    for signal in (Signal.INCREASE, Signal.DECREASE):
+        deltas = propagate_signal(graph, site, tape, signal, rate)
+        for key, delta in deltas.items():
+            deltas[key] = delta = np.asarray(delta)  # a 0-d delta is a numpy scalar
+            delta.flags.writeable = False
+        fixed[signal] = deltas
+    return fixed
 
 
 def constrain_update(
@@ -334,6 +368,7 @@ def fuzz_site(
 
     values = _initial_inputs(graph, rng)
     bounds = {d.id: Bounds.unconstrained(tuple(d.shape)) for d in graph.inputs}
+    fixed = _fixed_deltas(graph, site, values, config.rate)
 
     while True:
         if result.iterations >= config.max_iters:
@@ -372,7 +407,10 @@ def fuzz_site(
             values = _initial_inputs(graph, rng)
             continue
 
-        deltas = propagate_signal(graph, site, tape, signal, config.rate)
+        if fixed is None:
+            deltas = propagate_signal(graph, site, tape, signal, config.rate)
+        else:
+            deltas = fixed[signal]
         before = _state(graph, values, bounds)
         for decl in graph.inputs:
             values[decl.id] = constrain_update(
@@ -390,6 +428,36 @@ def fuzz_site(
     return result
 
 
+def _chunk_operands(graph: Graph, node: Node, steps: list[dict[str, np.ndarray]], stop: str,
+                    shadow: bool) -> tuple[list[np.ndarray], Optional[list[np.ndarray]]]:
+    """The site's operands at every step, stacked, from one forward of the
+    stacked step inputs to stop: in single precision, and in double when
+    shadow is set (else None). A constant operand is one row."""
+    inputs = [np.stack([step[d.id] for step in steps]) for d in graph.inputs]
+    rows = forward_rows(graph, inputs, np.float32, stop)
+    operands = [rows[ref] for ref in node.inputs]
+    if not shadow:
+        return operands, None
+    rows = forward_rows(graph, inputs, np.float64, stop)
+    return operands, [rows[ref] for ref in node.inputs]
+
+
+def _first_failing_step(graph: Graph, steps: list[dict[str, np.ndarray]],
+                        stop: str, shadow: bool) -> Optional[tuple[int, EvaluationError]]:
+    """The first step whose forward to stop fails, evaluated one at a
+    time as a search that judges each step before the next would, and its
+    error; None when every step evaluates."""
+    for i, step in enumerate(steps):
+        inputs = [step[d.id] for d in graph.inputs]
+        try:
+            forward_eval(graph, inputs, np.float32, stop_at=stop)
+            if shadow:
+                forward_eval(graph, inputs, np.float64, stop_at=stop)
+        except EvaluationError as exc:
+            return i, exc
+    return None
+
+
 def random_fuzz_site(
     graph: Graph,
     site: UnstableSite,
@@ -404,14 +472,19 @@ def random_fuzz_site(
     The walk does not depend on a verdict until the first failure, so the
     iterations run in chunks of 1, 2, 4, ... up to CHUNK_CAP, cut short by
     the iteration budget. A chunk draws all its directions in one call.
-    Each step does one single-precision forward to the site's operands
-    (plus the double shadow when the width oracle reads it) and
-    back-propagates its direction; the site node itself is not evaluated
-    on the tape. Then one oracle_rows call runs the site kernel on
-    the stacked operands of the chunk and judges every step, and the first
-    failing row is the find. A find at row i, or a forward that fails at
-    step i, rewinds the generator to the start of the chunk and draws the
-    i directions before it again, so the outcome and the generator state
+    When the entry's gradient is the same at every input, a step adds the
+    deltas of its direction, computed once per search on the first step's
+    tape, and makes no forward or backward of its own. Otherwise a step
+    does one single-precision forward to the entry and back-propagates its
+    direction. Then the chunk makes one forward of its stacked step inputs
+    to the site's operands (plus the double shadow when the width oracle
+    reads it), and one oracle_rows call runs the site kernel on the
+    stacked operands and judges every step; the first failing row is the
+    find. The site node itself is never evaluated on a tape. When the
+    stacked forward fails, the steps are evaluated one at a time to find
+    the first that fails. A find at row i, or a forward that fails at step
+    i, rewinds the generator to the start of the chunk and draws the i
+    directions before it again, so the outcome and the generator state
     are those of judging each iteration before the next. A forward that
     fails ends the search once the steps before it are judged. The
     wall-clock timeout is checked between chunks.
@@ -423,6 +496,7 @@ def random_fuzz_site(
     result = FuzzResult(site=site, status="Exhausted")
     start = time.perf_counter()
     values = _initial_inputs(graph, rng)
+    fixed = _fixed_deltas(graph, site, values, config.rate)
     size = 1
     while not result.found:
         if result.iterations >= config.max_iters:
@@ -434,30 +508,39 @@ def random_fuzz_site(
         rewind = rng.bit_generator.state
         # one call draws the stream that as many scalar draws would
         draws = rng.uniform(size=min(size, config.max_iters - result.iterations)).tolist()
-        steps, operands, wide, error = [], [], [], None
+        steps, error = [], None
         for draw in draws:
-            inputs = [values[d.id] for d in graph.inputs]
-            try:
-                tape = forward_eval(graph, inputs, np.float32, stop_at=stop)
-                if shadow:
-                    wide_tape = forward_eval(graph, inputs, np.float64, stop_at=stop)
-                    wide.append([wide_tape.values[ref] for ref in node.inputs])
-            except EvaluationError as exc:
-                error = exc
-                break
-            steps.append(values)
-            operands.append([tape.values[ref] for ref in node.inputs])
             signal = Signal.INCREASE if draw < 0.5 else Signal.DECREASE
-            deltas = propagate_signal(graph, site, tape, signal, config.rate)
+            if fixed is None:
+                try:
+                    tape = forward_eval(graph, [values[d.id] for d in graph.inputs],
+                                        np.float32, stop_at=site.entry_node)
+                except EvaluationError as exc:
+                    error = exc
+                    break
+                deltas = propagate_signal(graph, site, tape, signal, config.rate)
+            else:
+                deltas = fixed[signal]
+            steps.append(values)
             # new arrays, so the clip in place leaves the judged steps' inputs
             # intact; np.asarray keeps a 0-d sum an array the clip can write
             values = {d.id: np.asarray(values[d.id] + deltas[d.id]) for d in graph.inputs}
             _clamp_declared(graph, values)
+        if steps:
+            try:
+                operands, wide = _chunk_operands(graph, node, steps, stop, shadow)
+            except EvaluationError:
+                # a step's forward fails: find it, and judge the steps before it
+                failing = _first_failing_step(graph, steps, stop, shadow)
+                if failing is None:  # no step fails alone: the rows are not independent
+                    raise
+                cut, error = failing
+                steps = steps[:cut]
+                if steps:
+                    operands, wide = _chunk_operands(graph, node, steps, stop, shadow)
         used = len(steps)  # directions a one-at-a-time loop would have drawn
         if steps:
-            rows = oracle_rows(site.kernel, node.params,
-                               [np.stack(col) for col in zip(*operands)], reg,
-                               [np.stack(col) for col in zip(*wide)] if shadow else None)
+            rows = oracle_rows(site.kernel, node.params, operands, reg, wide)
             failed = np.flatnonzero(~rows.passed)
             if failed.size:
                 used = int(failed[0])

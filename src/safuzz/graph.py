@@ -56,6 +56,9 @@ class Graph:
         self.output = output
         self.extra_ops = extra_ops
         self.shapes: dict[str, Optional[tuple[int, ...]]] = {}
+        # dtype -> node id -> the read-only value of a node without operands,
+        # which depends on no input; autodiff makes each once
+        self.constants: dict[np.dtype, dict[str, np.ndarray]] = {}
         self._validate()
 
     def _validate(self) -> None:

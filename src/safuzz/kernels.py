@@ -6,9 +6,10 @@ are handed (float32 or float64) so single-precision rounding is real, never
 simulated. Gradients (vector-Jacobian products) always run in float64.
 
 The op table (OpDef) holds every fact about a kernel that code reads: arity,
-forward, shape rule, gradient, the operand its soft assertion inspects, and
-the counterpart that oracle types 3-5 compare the forward with (a stable
-rewrite, a stable algorithm or an independent reference). Shape rules read
+forward, shape rule, gradient and whether it reads operand values, the
+operand its soft assertion inspects, and the counterpart that oracle types
+3-5 compare the forward with (a stable rewrite, a stable algorithm or an
+independent reference). Shape rules read
 and check the params they need, so a malformed node fails when its graph is
 built; each optional scalar param has its default in one place.
 
@@ -643,14 +644,19 @@ class OpDef:
     # the width oracle (type 6) rounds the double result to float32 and
     # compares absolutely, where it otherwise compares relatively
     width_absolute: bool = False
+    # the VJP reads the params and the operand shapes, never an operand
+    # value, so the gradient through the op is the same at every input
+    value_free_vjp: bool = False
 
 
 HELPER_OPS = {
-    "add": OpDef("add", 2, _fw_add, _same_shape_binary, _vjp_add),
-    "sub": OpDef("sub", 2, _fw_sub, _same_shape_binary, _vjp_sub),
-    "scale": OpDef("scale", 1, _fw_scale, _elementwise_reading("factor"), _vjp_scale),
+    "add": OpDef("add", 2, _fw_add, _same_shape_binary, _vjp_add, value_free_vjp=True),
+    "sub": OpDef("sub", 2, _fw_sub, _same_shape_binary, _vjp_sub, value_free_vjp=True),
+    "scale": OpDef("scale", 1, _fw_scale, _elementwise_reading("factor"), _vjp_scale,
+                   value_free_vjp=True),
     "constant": OpDef("constant", 0, _fw_constant, _shape_constant, None),
-    "reshape": OpDef("reshape", 1, _fw_reshape, _shape_reshape, _vjp_reshape),
+    "reshape": OpDef("reshape", 1, _fw_reshape, _shape_reshape, _vjp_reshape,
+                     value_free_vjp=True),
 }
 
 KERNEL_OPS = {
@@ -668,9 +674,10 @@ KERNEL_OPS = {
                       counterpart=stable_softplus),
     "rSqrt": OpDef("rSqrt", 1, _fw_rsqrt, _elementwise, _vjp_rsqrt),
     "Div": OpDef("Div", 2, _fw_div, _same_shape_binary, _vjp_div, primary=1),
-    "linear": OpDef("linear", 1, _fw_linear, _shape_linear, _vjp_linear),
+    "linear": OpDef("linear", 1, _fw_linear, _shape_linear, _vjp_linear,
+                    value_free_vjp=True),
     "matmul": OpDef("matmul", 2, _fw_matmul, _shape_matmul, _vjp_matmul),
-    "mean": OpDef("mean", 1, _fw_mean, _shape_scalar, _vjp_mean),
+    "mean": OpDef("mean", 1, _fw_mean, _shape_scalar, _vjp_mean, value_free_vjp=True),
     "reciprocal": OpDef("reciprocal", 1, _fw_reciprocal, _elementwise, _vjp_reciprocal),
     "CosineSimilarity": OpDef(
         "CosineSimilarity", 2, _fw_cosine, _shape_cosine, _vjp_cosine,
@@ -680,17 +687,18 @@ KERNEL_OPS = {
     "sinh": OpDef("sinh", 1, _fw_sinh, _elementwise, _vjp_sinh),
     "square": OpDef("square", 1, _fw_square, _elementwise, _vjp_square),
     "pow": OpDef("pow", 1, _fw_pow, _elementwise_reading("exponent"), _vjp_pow),
-    "sum": OpDef("sum", 1, _fw_sum, _shape_scalar, _vjp_sum),
+    "sum": OpDef("sum", 1, _fw_sum, _shape_scalar, _vjp_sum, value_free_vjp=True),
     "CrossEntropy": OpDef(
         "CrossEntropy", 1, _fw_cross_entropy, _shape_cross_entropy, _vjp_cross_entropy
     ),
-    "Conv2d": OpDef("Conv2d", 1, _fw_conv2d, _shape_conv2d, _vjp_conv2d),
+    "Conv2d": OpDef("Conv2d", 1, _fw_conv2d, _shape_conv2d, _vjp_conv2d,
+                    value_free_vjp=True),
     "inverse": OpDef("inverse", 1, _fw_inverse, _shape_square_matrix, _vjp_inverse,
                      counterpart=cholesky_inverse),
     "determinant": OpDef("determinant", 1, _fw_determinant, _shape_det, _vjp_determinant,
                          counterpart=cholesky_determinant),
     "remainder": OpDef("remainder", 1, _fw_remainder, _elementwise_reading("modulus"),
-                       _vjp_remainder, width_absolute=True),
+                       _vjp_remainder, width_absolute=True, value_free_vjp=True),
 }
 
 ALL_OPS = {**HELPER_OPS, **KERNEL_OPS}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from safuzz import autodiff, fuzzer, kernels, oracles
-from safuzz.autodiff import forward_eval
+from safuzz.autodiff import constant_gradient, forward_eval
 from safuzz.corpus import corpus_manifest
 from safuzz.datagen import Signal
 from safuzz.errors import EvaluationError, UsageError
@@ -691,6 +691,98 @@ class TestLoopsMatchReference:
         assert found > 0
 
 
+class TestConstantGradient:
+    """Where the entry's gradient is the same at every input, the loops
+    compute the deltas once per search; elsewhere they back-propagate at
+    every step. Outcomes are pinned by TestLoopsMatchReference."""
+
+    def test_corpus_sites(self):
+        answers = {(spec.name, site.node_id): constant_gradient(graph, site.entry_node)
+                   for spec, graph, site in (p.values for p in _corpus_sites())}
+        assert sum(answers.values()) == 11
+        assert {k for k, constant in answers.items() if not constant} == {
+            ("l2_norm_overflow", "s"), ("l2_norm_overflow", "y")}
+        square_exp = TestLoopsMatchReference.SQUARE_EXP
+        assert not constant_gradient(square_exp, "a")  # the exp site's entry, x * x
+
+    def test_deltas_are_the_same_at_every_input(self):
+        for spec, graph, site in (p.values for p in _corpus_sites()):
+            if not constant_gradient(graph, site.entry_node):
+                continue
+            cases = [_inputs(graph, _initial_inputs(graph, np.random.default_rng(seed)))
+                     for seed in range(3)]
+            cases.append(_failing_inputs(graph, site))
+            tapes = [forward_eval(graph, inputs, np.float32, stop_at=site.entry_node)
+                     for inputs in cases]
+            for signal in (Signal.INCREASE, Signal.DECREASE):
+                deltas = [{k: np.asarray(v).tobytes() for k, v in
+                           propagate_signal(graph, site, tape, signal, 0.5).items()}
+                          for tape in tapes]
+                assert all(d == deltas[0] for d in deltas), (spec.name, site.node_id)
+
+    @staticmethod
+    def _spies(monkeypatch):
+        """Record the loops' forward_eval stops, backward calls and stacked
+        forwards (dtype, rows)."""
+        calls = {"forward_eval": [], "backward": 0, "forward_rows": []}
+
+        def forward(graph, inputs, dtype=np.float32, stop_at=None):
+            calls["forward_eval"].append(stop_at)
+            return autodiff.forward_eval(graph, inputs, dtype, stop_at)
+
+        def backward(*args):
+            calls["backward"] += 1
+            return autodiff.backward(*args)
+
+        def rows(graph, inputs, dtype=np.float32, stop_at=None):
+            calls["forward_rows"].append((dtype, len(inputs[0])))
+            return autodiff.forward_rows(graph, inputs, dtype, stop_at)
+
+        monkeypatch.setattr(fuzzer, "forward_eval", forward)
+        monkeypatch.setattr(fuzzer, "backward", backward)
+        monkeypatch.setattr(fuzzer, "forward_rows", rows)
+        return calls
+
+    CHUNKS = [1, 2, 4, 8, 16, 32] + [64] * 30 + [17]  # 2,000 iterations
+
+    @pytest.mark.parametrize("name", ["exp_overflow", "division_by_cancellation"])
+    def test_random_steps_make_no_forward_or_backward(self, monkeypatch, name):
+        reg = default_registry()
+        graph = next(s for s in corpus_manifest(reg) if s.name == name).to_graph(reg)
+        site = scan_for_unstable(graph, reg).sites[0]
+        calls = self._spies(monkeypatch)
+        result = random_fuzz_site(graph, site, FuzzConfig(seed=0, max_iters=2000),
+                                  np.random.default_rng(0), reg)
+        assert result.status == "Exhausted" and result.iterations == 2000
+        assert calls["forward_eval"] == [site.entry_node]
+        assert calls["backward"] == 2
+        assert calls["forward_rows"] == [(np.float32, n) for n in self.CHUNKS]
+        assert len(self.CHUNKS) == 37
+
+    def test_value_reading_steps_back_propagate(self, monkeypatch):
+        graph = TestLoopsMatchReference.SQUARE_EXP
+        site = scan_for_unstable(graph).sites[-1]
+        calls = self._spies(monkeypatch)
+        result = random_fuzz_site(graph, site, FuzzConfig(seed=2, max_iters=2000),
+                                  np.random.default_rng(2))
+        assert result.status == "Exhausted" and result.iterations == 2000
+        assert calls["forward_eval"] == [site.entry_node] * 2000
+        assert calls["backward"] == 2000
+        assert calls["forward_rows"] == [(np.float32, n) for n in self.CHUNKS]
+
+    def test_guided_steps_reuse_the_deltas(self, monkeypatch):
+        reg = default_registry()
+        graph = next(s for s in corpus_manifest(reg) if s.name == "exp_overflow").to_graph(reg)
+        site = scan_for_unstable(graph, reg).sites[0]
+        forest = model_load(FIXTURE_MODELS / "exp.json")
+        calls = self._spies(monkeypatch)
+        result = fuzz_site(graph, site, forest, FuzzConfig(seed=0, max_iters=300),
+                           np.random.default_rng(0), reg)
+        # one forward for the deltas, then one per iteration for the features
+        assert len(calls["forward_eval"]) == 1 + result.iterations > 2
+        assert calls["backward"] == 2
+
+
 class TestFixedPoint:
     """Between resets a guided step is a pure function of the input values
     and the bounds, so fuzz_site stops at the first step that leaves their
@@ -850,11 +942,20 @@ class TestRandomChunks:
                      [Node("y", "log", ("x",))], "y")
     CLEAN = Graph([InputDecl("x", (3, 3), bounds=(0.0, 1.0), clamp=True)],
                   [Node("y", "sigmoid", ("x",))], "y")
+    # value-reading twins: the entry of the last site is x * x (minus 1 in
+    # the walk, which fails once |x| <= 1), so its gradient reads the input
+    SQUARE_LOG_WALK = Graph([InputDecl("x", (1,), bounds=(-1.0, 2.0))],
+                            [Node("a", "square", ("x",)),
+                             Node("one", "constant", (), {"value": [1.0]}),
+                             Node("d", "sub", ("a", "one")), Node("y", "log", ("d",))], "y")
+    SQUARE_CLEAN = Graph([InputDecl("x", (3, 3), bounds=(0.0, 1.0), clamp=True)],
+                         [Node("a", "square", ("x",)), Node("y", "sigmoid", ("a",))], "y")
 
     @staticmethod
     def _both(graph, config):
-        """The loop under test and the reference, each from its own generator."""
-        site = scan_for_unstable(graph).sites[0]
+        """The loop under test and the reference at the graph's last site,
+        each from its own generator."""
+        site = scan_for_unstable(graph).sites[-1]
         rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
         result = random_fuzz_site(graph, site, config, rng)
         expected = _reference_random_fuzz_site(graph, site, config, ref_rng)
@@ -913,8 +1014,8 @@ class TestRandomChunks:
     @staticmethod
     def _faulty_forward(site, stop, k):
         """forward_eval whose k-th single-precision evaluation to stop
-        raises; a loop whose iterations each make one such evaluation
-        fails at its k-th iteration."""
+        raises; the reference, which validates each iteration through the
+        site first, fails at its k-th iteration."""
         calls = 0
 
         def forward(graph, inputs, dtype=np.float32, stop_at=None):
@@ -927,14 +1028,42 @@ class TestRandomChunks:
 
         return forward
 
+    @staticmethod
+    def _fault_at_step(site, stop, k):
+        """forward_rows and forward_eval as the loop under test calls them,
+        with the single-precision forward of the k-th step to stop failing:
+        in its chunk's stacked forward, and again when the chunk's steps are
+        then evaluated one at a time to find the failing one."""
+        seen = 0  # steps the stacked forwards have covered
+        replay = None  # the step the one-at-a-time search is at
+
+        def rows(graph, inputs, dtype=np.float32, stop_at=None):
+            nonlocal seen, replay
+            if dtype == np.float32:
+                first, seen = seen, seen + len(inputs[0])
+                if first < k <= seen:
+                    replay = first
+                    raise EvaluationError(site.node_id, "injected fault")
+            return autodiff.forward_rows(graph, inputs, dtype, stop_at)
+
+        def forward(graph, inputs, dtype=np.float32, stop_at=None):
+            nonlocal replay
+            if replay is not None and dtype == np.float32 and stop_at == stop:
+                replay += 1
+                if replay == k:
+                    raise EvaluationError(site.node_id, "injected fault")
+            return autodiff.forward_eval(graph, inputs, dtype, stop_at)
+
+        return rows, forward
+
     def _both_faulty(self, monkeypatch, graph, config, k):
-        site = scan_for_unstable(graph).sites[0]
+        site = scan_for_unstable(graph).sites[-1]
         rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
-        # the loop under test evaluates each iteration to the site's one
-        # operand, the entry; the reference validates through the site first
+        rows, forward = self._fault_at_step(site, fuzzer._operand_stop(
+            graph, graph.node(site.node_id)), k)
         with monkeypatch.context() as patch:
-            patch.setattr("safuzz.fuzzer.forward_eval",
-                          self._faulty_forward(site, site.entry_node, k))
+            patch.setattr("safuzz.fuzzer.forward_rows", rows)
+            patch.setattr("safuzz.fuzzer.forward_eval", forward)
             result = random_fuzz_site(graph, site, config, rng)
         with monkeypatch.context() as patch:
             patch.setitem(globals(), "forward_eval",
@@ -947,14 +1076,16 @@ class TestRandomChunks:
     @pytest.mark.parametrize("k", [1, 2, 4, 6, 7])
     def test_fault_without_a_failing_row_before_it(self, monkeypatch, k):
         config = FuzzConfig(seed=0, max_iters=50)
-        result = self._both_faulty(monkeypatch, self.CLEAN, config, k)
-        assert result.iterations == k
         fault = EvaluationError("y", "injected fault")
-        assert result.diagnostics == [f"validation failed: {fault}"]
+        for graph in (self.CLEAN, self.SQUARE_CLEAN):  # constant, value-reading gradient
+            result = self._both_faulty(monkeypatch, graph, config, k)
+            assert result.iterations == k
+            assert result.diagnostics == [f"validation failed: {fault}"]
 
     def test_fault_after_a_failing_row_in_its_chunk(self, monkeypatch):
         # a find on the second row of the 4-7 chunk, a fault on its third
-        seed = next(s for s in range(200)
-                    if self._both(self.LOG_WALK, FuzzConfig(seed=s)).iterations == 5)
-        result = self._both_faulty(monkeypatch, self.LOG_WALK, FuzzConfig(seed=seed), 6)
-        assert result.found and result.iterations == 5
+        for graph in (self.LOG_WALK, self.SQUARE_LOG_WALK):
+            seed = next(s for s in range(200)
+                        if self._both(graph, FuzzConfig(seed=s)).iterations == 5)
+            result = self._both_faulty(monkeypatch, graph, FuzzConfig(seed=seed), 6)
+            assert result.found and result.iterations == 5

@@ -8,6 +8,7 @@ import pytest
 
 from safuzz.errors import CapabilityError, RegistryError
 from safuzz.kernels import (
+    ALL_OPS,
     KERNEL_OPS,
     apply_forward,
     cosine_reference,
@@ -207,6 +208,51 @@ class TestForwardShapes:
                     out = apply_forward(op, params, [x.astype(dtype) for x in operands], dtype)
                     assert out.shape == (batch,) + tuple(rule), (shape, batch, dtype)
                 checked += 1
+        assert checked >= 2
+
+
+class TestValueFreeVjp:
+    """An op marked value_free_vjp lets the fuzz loops compute a gradient
+    once per search: its VJP must not read an operand value."""
+
+    SHAPES = [(), (3,), (2, 3), (4, 4), (2, 2, 2)]
+    # params for the helper ops, whose nodes always state them
+    PARAMS = {"scale": {"factor": -1.5}}
+
+    @staticmethod
+    def _draw(rng, shape):
+        """Operand values, some of them non-finite: a VJP that reads none
+        gives the same result on them."""
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        special = rng.uniform(size=shape) < 0.2
+        return np.where(special, rng.choice([np.nan, np.inf, -np.inf, 0.0], size=shape), x)
+
+    def test_the_marked_ops(self):
+        marked = {name for name, op in ALL_OPS.items() if op.value_free_vjp}
+        assert marked == {"add", "sub", "scale", "reshape", "sum", "mean", "linear",
+                          "Conv2d", "remainder"}
+
+    @pytest.mark.parametrize("name", sorted(n for n, op in ALL_OPS.items() if op.value_free_vjp))
+    def test_vjp_ignores_operand_values(self, name):
+        op = op_def(name)
+        rng = np.random.default_rng(7)
+        checked = 0
+        for shape in self.SHAPES:
+            try:
+                params = self.PARAMS.get(name) or dict(default_params(name, shape))
+                if name == "reshape":
+                    params = {"shape": [int(np.prod(shape))]}
+                out_shape = op.shape_rule(params, *[shape] * op.arity)
+            except (ValueError, IndexError):  # the op does not take this shape
+                continue
+            g = rng.standard_normal(out_shape)
+            grads = [op.vjp(params, g.copy(), [self._draw(rng, shape) for _ in range(op.arity)])
+                     for _ in range(2)]
+            for first, second in zip(*grads):
+                first, second = np.asarray(first), np.asarray(second)
+                assert first.shape == second.shape == shape, (name, shape)
+                assert first.tobytes() == second.tobytes(), (name, shape)
+            checked += 1
         assert checked >= 2
 
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from safuzz.autodiff import backward, extend_tape, finite_diff_grad, forward_eval
+from safuzz.autodiff import backward, extend_tape, finite_diff_grad, forward_eval, forward_rows
+from safuzz.corpus import corpus_manifest
 from safuzz.errors import EvaluationError, GraphParseError, OracleUnavailable, UsageError
 from safuzz.fuzzer import scan_for_unstable, validate_failure
 from safuzz.graph import Graph, InputDecl, Node
-from safuzz.kernels import default_params
+from safuzz.kernels import apply_forward, default_params, op_def
+from safuzz.registry import default_registry
 from safuzz.oracles import FailureClass
 from safuzz.tensor import Tensor
 
@@ -108,6 +110,70 @@ class TestForwardEval:
         for node_id in ("x", "a", "b"):
             with pytest.raises(ValueError):
                 tape.values[node_id][0] = 0.0
+
+
+    def test_constant_is_read_only_and_equals_its_forward(self):
+        value = [[1.5, -2.0, 1e-40], [0.1, 3e38, 7.0], [1, 2, 3]]
+        g = Graph([InputDecl("x", (3, 3))],
+                  [Node("w", "constant", (), {"value": value}),
+                   Node("y", "matmul", ("x", "w"))], "y")
+        for dtype in (np.float32, np.float64):
+            first, second = (forward_eval(g, [np.ones((3, 3))], dtype).values["w"]
+                             for _ in range(2))
+            expected = apply_forward(op_def("constant"), {"value": value}, [], dtype)[0]
+            for tape_value in (first, second):
+                assert not tape_value.flags.writeable
+                assert tape_value.dtype == expected.dtype == dtype
+                assert tape_value.tobytes() == expected.tobytes()
+            assert np.shares_memory(first, second)  # made once per graph and dtype
+
+
+class TestForwardRows:
+    """The stacked forward of the random baseline's chunks: one row per
+    sample, each bit for bit the sample's own forward_eval."""
+
+    @staticmethod
+    def _samples(graph, rng):
+        samples = []
+        for scale in (1.0, 1e20, 1e-20):
+            for _ in range(2):
+                samples.append([rng.uniform(-10.0, 10.0, size=d.shape) * scale
+                                for d in graph.inputs])
+        samples.append([np.full(d.shape, np.inf) for d in graph.inputs])
+        return samples
+
+    def test_rows_equal_the_forward_of_each_sample(self):
+        reg = default_registry()
+        rng = np.random.default_rng(3)
+        for spec in corpus_manifest(reg):
+            graph = spec.to_graph(reg)
+            samples = self._samples(graph, rng)
+            stacked = [np.stack(col) for col in zip(*samples)]
+            for dtype in (np.float32, np.float64):
+                rows = forward_rows(graph, stacked, dtype)
+                for i, sample in enumerate(samples):
+                    tape = forward_eval(graph, sample, dtype)
+                    assert set(rows) == set(tape.values)
+                    for node_id, value in tape.values.items():
+                        row = rows[node_id][i if len(rows[node_id]) > 1 else 0]
+                        assert row.dtype == value.dtype, (spec.name, node_id)
+                        assert row.tobytes() == value.tobytes(), (spec.name, node_id, i)
+
+    def test_constant_is_one_read_only_row(self):
+        g = Graph([InputDecl("x", (2,))],
+                  [Node("k", "constant", (), {"value": [1.0, 2.0]}),
+                   Node("y", "sub", ("x", "k"))], "y")
+        rows = forward_rows(g, [np.zeros((5, 2))], np.float32)
+        assert rows["k"].shape == (1, 2) and not rows["k"].flags.writeable
+        assert rows["y"].tolist() == [[-1.0, -2.0]] * 5
+        assert forward_rows(g, [np.zeros((5, 2))], np.float32, stop_at="k").keys() == {"x", "k"}
+
+    def test_rows_must_match_declared_shape(self):
+        g = single_op("exp", (3,))
+        with pytest.raises(EvaluationError, match="x"):
+            forward_rows(g, [np.ones((4, 2))], np.float64)
+        with pytest.raises(EvaluationError, match="input"):
+            forward_rows(g, [], np.float64)
 
 
 class TestBackward:
