@@ -15,9 +15,18 @@ When every op between the program inputs and the site entry has a VJP that
 reads no operand value (autodiff.constant_gradient), the gradient of the
 entry is the same at every input, and so are the deltas of each signal. Both
 loops then compute them once per search, on the first step's tape, and keep
-them read-only. The random baseline then makes no per-step forward or
-backward at all: a step adds its direction's deltas, and each chunk of steps
-is judged through one stacked forward to the site's operands.
+them read-only.
+
+The random baseline walks a chunk of n steps as one (n + 1, *shape) stack
+per program input: row 0 is the current value, row k the value after k
+steps. With fixed deltas the walk is one running sum over the stack (a row
+loop of add and clip where the input is clamped to its declared bounds),
+with no forward or backward per step, and the chunk's rows are judged
+through one stacked forward to the site's operands. Otherwise each step
+makes one forward to the site's operands, whose tape serves both its
+backward and its judging. Either way one oracle_rows call judges the chunk.
+Values past the range of float32 or float64 are data in both loops, not
+warnings.
 
 Between resets a guided step is a pure function of the input values and the
 interval bounds: it draws nothing from the generator. So once one step leaves
@@ -239,7 +248,7 @@ def constrain_update(
     if np.count_nonzero(violated):
         lower[violated] = -np.inf
         upper[violated] = np.inf
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # a step past float64's range is data
         candidate = np.asarray(x + delta)
         lo_fin = np.isfinite(lower)
         hi_fin = np.isfinite(upper)
@@ -323,9 +332,13 @@ def _initial_inputs(graph: Graph, rng: np.random.Generator) -> dict[str, np.ndar
     return values
 
 
+def _clamps(decl) -> bool:
+    return decl.clamp and decl.bounds is not None
+
+
 def _clamp_declared(graph: Graph, values: dict[str, np.ndarray]) -> None:
     for decl in graph.inputs:
-        if decl.clamp and decl.bounds is not None:
+        if _clamps(decl):
             np.clip(values[decl.id], decl.bounds[0], decl.bounds[1],
                     out=values[decl.id])
 
@@ -341,6 +354,7 @@ def _state(graph: Graph, values: dict[str, np.ndarray], bounds: dict[str, Bounds
                  for a in (values[d.id], bounds[d.id].lower, bounds[d.id].upper))
 
 
+@np.errstate(over="ignore")  # an input past float32's range is data: forward_eval casts it to inf
 def fuzz_site(
     graph: Graph,
     site: UnstableSite,
@@ -428,27 +442,61 @@ def fuzz_site(
     return result
 
 
-def _chunk_operands(graph: Graph, node: Node, steps: list[dict[str, np.ndarray]], stop: str,
-                    shadow: bool) -> tuple[list[np.ndarray], Optional[list[np.ndarray]]]:
-    """The site's operands at every step, stacked, from one forward of the
-    stacked step inputs to stop: in single precision, and in double when
-    shadow is set (else None). A constant operand is one row."""
-    inputs = [np.stack([step[d.id] for step in steps]) for d in graph.inputs]
-    rows = forward_rows(graph, inputs, np.float32, stop)
-    operands = [rows[ref] for ref in node.inputs]
+def _advance(stack: np.ndarray, i: int, decl) -> None:
+    """Row i of a walk from row i - 1, where row i holds the step's deltas:
+    their sum, clipped to the declared bounds where the input is clamped.
+    Slices keep the rows of a rank-0 input arrays that out= can write."""
+    row = stack[i:i + 1]
+    np.add(stack[i - 1:i], row, out=row)
+    if _clamps(decl):
+        np.clip(row, decl.bounds[0], decl.bounds[1], out=row)
+
+
+def _walk(graph: Graph, stacks: dict[str, np.ndarray], up: np.ndarray,
+          fixed: dict[Signal, dict[str, np.ndarray]]) -> None:
+    """Rows 1..n of every input's stack from row 0, by fixed deltas: row k
+    adds the Increase deltas to row k - 1 where up[k - 1], else the Decrease
+    deltas. One cumsum walks an input that is not clamped; numpy
+    accumulates row after row, so its sums are those of adding one step at
+    a time. A clamped input is walked a row at a time."""
+    for decl in graph.inputs:
+        stack = stacks[decl.id]
+        stack[1:] = np.where(up.reshape((-1,) + (1,) * len(decl.shape)),
+                             fixed[Signal.INCREASE][decl.id], fixed[Signal.DECREASE][decl.id])
+        if _clamps(decl):
+            for i in range(1, len(stack)):
+                _advance(stack, i, decl)
+        else:
+            np.cumsum(stack, axis=0, out=stack)
+
+
+def _chunk_operands(graph: Graph, node: Node, stacks: dict[str, np.ndarray], n: int,
+                    stop: str, shadow: bool, tapes: Optional[list[Tape]]
+                    ) -> tuple[list[np.ndarray], Optional[list[np.ndarray]]]:
+    """The site's operands at the first n rows of the walk's stacks,
+    stacked. In single precision they come from the steps' own tapes where
+    the walk made them, else from one forward of the stacked rows to stop;
+    in double, when shadow is set (else None), from one such forward. A
+    constant operand of a stacked forward is one row."""
+    inputs = [stacks[d.id][:n] for d in graph.inputs]
+    if tapes is None:
+        rows = forward_rows(graph, inputs, np.float32, stop)
+        operands = [rows[ref] for ref in node.inputs]
+    else:
+        operands = [np.stack([tape.values[ref] for tape in tapes[:n]]) for ref in node.inputs]
     if not shadow:
         return operands, None
     rows = forward_rows(graph, inputs, np.float64, stop)
     return operands, [rows[ref] for ref in node.inputs]
 
 
-def _first_failing_step(graph: Graph, steps: list[dict[str, np.ndarray]],
+def _first_failing_step(graph: Graph, stacks: dict[str, np.ndarray], n: int,
                         stop: str, shadow: bool) -> Optional[tuple[int, EvaluationError]]:
-    """The first step whose forward to stop fails, evaluated one at a
-    time as a search that judges each step before the next would, and its
-    error; None when every step evaluates."""
-    for i, step in enumerate(steps):
-        inputs = [step[d.id] for d in graph.inputs]
+    """The first of the first n rows of the walk's stacks whose forward to
+    stop fails, evaluated one at a time as a search that judges each step
+    before the next would, and its error; None when every row evaluates."""
+    for i in range(n):
+        inputs = [stacks[d.id][i] for d in graph.inputs]
         try:
             forward_eval(graph, inputs, np.float32, stop_at=stop)
             if shadow:
@@ -458,6 +506,7 @@ def _first_failing_step(graph: Graph, steps: list[dict[str, np.ndarray]],
     return None
 
 
+@np.errstate(over="ignore")  # a walk past float32's range, or float64's, is data
 def random_fuzz_site(
     graph: Graph,
     site: UnstableSite,
@@ -471,23 +520,27 @@ def random_fuzz_site(
 
     The walk does not depend on a verdict until the first failure, so the
     iterations run in chunks of 1, 2, 4, ... up to CHUNK_CAP, cut short by
-    the iteration budget. A chunk draws all its directions in one call.
-    When the entry's gradient is the same at every input, a step adds the
-    deltas of its direction, computed once per search on the first step's
-    tape, and makes no forward or backward of its own. Otherwise a step
-    does one single-precision forward to the entry and back-propagates its
-    direction. Then the chunk makes one forward of its stacked step inputs
-    to the site's operands (plus the double shadow when the width oracle
-    reads it), and one oracle_rows call runs the site kernel on the
-    stacked operands and judges every step; the first failing row is the
-    find. The site node itself is never evaluated on a tape. When the
-    stacked forward fails, the steps are evaluated one at a time to find
-    the first that fails. A find at row i, or a forward that fails at step
-    i, rewinds the generator to the start of the chunk and draws the i
-    directions before it again, so the outcome and the generator state
-    are those of judging each iteration before the next. A forward that
-    fails ends the search once the steps before it are judged. The
-    wall-clock timeout is checked between chunks.
+    the iteration budget. A chunk of n steps draws all its directions in
+    one call and walks them as one (n + 1, *shape) float64 stack per
+    program input: row 0 is the current value, row k the input after k
+    steps, and row n the next chunk's start. When the entry's gradient is
+    the same at every input, the deltas of each direction are computed once
+    per search on the first step's tape, and the walk is their running sum
+    (_walk), with no forward or backward of its own. Otherwise a step does
+    one single-precision forward to the site's operands, back-propagates
+    its direction from the entry on that tape, and writes the next row.
+    Then one oracle_rows call runs the site kernel on the operands of rows
+    0..n-1, stacked from the steps' tapes or from one forward of those rows
+    (plus the double shadow when the width oracle reads it, always one
+    forward), and judges every step; the first failing row is the find,
+    and its failing input is that row. The site node itself is never
+    evaluated on a tape. When a stacked forward fails, the rows are
+    evaluated one at a time to find the first that fails. A find at row i,
+    or a forward that fails at step i, rewinds the generator to the start
+    of the chunk and draws the i directions before it again, so the
+    outcome and the generator state are those of judging each iteration
+    before the next. A forward that fails ends the search once the steps
+    before it are judged. The wall-clock timeout is checked between chunks.
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
@@ -507,55 +560,60 @@ def random_fuzz_site(
             break
         rewind = rng.bit_generator.state
         # one call draws the stream that as many scalar draws would
-        draws = rng.uniform(size=min(size, config.max_iters - result.iterations)).tolist()
-        steps, error = [], None
-        for draw in draws:
-            signal = Signal.INCREASE if draw < 0.5 else Signal.DECREASE
-            if fixed is None:
+        up = rng.uniform(size=min(size, config.max_iters - result.iterations)) < 0.5
+        stacks = {d.id: np.empty((len(up) + 1, *d.shape)) for d in graph.inputs}
+        for key, stack in stacks.items():
+            stack[0] = values[key]
+        tapes, error = None, None
+        if fixed is None:
+            tapes = []
+            for i, increase in enumerate(up.tolist()):
                 try:
-                    tape = forward_eval(graph, [values[d.id] for d in graph.inputs],
-                                        np.float32, stop_at=site.entry_node)
+                    tape = forward_eval(graph, [stacks[d.id][i] for d in graph.inputs],
+                                        np.float32, stop_at=stop)
                 except EvaluationError as exc:
                     error = exc
                     break
-                deltas = propagate_signal(graph, site, tape, signal, config.rate)
-            else:
-                deltas = fixed[signal]
-            steps.append(values)
-            # new arrays, so the clip in place leaves the judged steps' inputs
-            # intact; np.asarray keeps a 0-d sum an array the clip can write
-            values = {d.id: np.asarray(values[d.id] + deltas[d.id]) for d in graph.inputs}
-            _clamp_declared(graph, values)
+                tapes.append(tape)
+                deltas = propagate_signal(graph, site, tape, Signal.INCREASE if increase
+                                          else Signal.DECREASE, config.rate)
+                for decl in graph.inputs:
+                    stacks[decl.id][i + 1] = deltas[decl.id]
+                    _advance(stacks[decl.id], i + 1, decl)
+        else:
+            _walk(graph, stacks, up, fixed)
+        steps = len(up) if tapes is None else len(tapes)
         if steps:
             try:
-                operands, wide = _chunk_operands(graph, node, steps, stop, shadow)
+                operands, wide = _chunk_operands(graph, node, stacks, steps, stop, shadow, tapes)
             except EvaluationError:
                 # a step's forward fails: find it, and judge the steps before it
-                failing = _first_failing_step(graph, steps, stop, shadow)
+                failing = _first_failing_step(graph, stacks, steps, stop, shadow)
                 if failing is None:  # no step fails alone: the rows are not independent
                     raise
-                cut, error = failing
-                steps = steps[:cut]
+                steps, error = failing
                 if steps:
-                    operands, wide = _chunk_operands(graph, node, steps, stop, shadow)
-        used = len(steps)  # directions a one-at-a-time loop would have drawn
+                    operands, wide = _chunk_operands(graph, node, stacks, steps, stop,
+                                                     shadow, tapes)
+        used = steps  # directions a one-at-a-time loop would have drawn
         if steps:
             rows = oracle_rows(site.kernel, node.params, operands, reg, wide)
             failed = np.flatnonzero(~rows.passed)
             if failed.size:
                 used = int(failed[0])
-                steps = steps[:used + 1]
+                steps = used + 1
                 result.status = "Found"
                 result.verdict = rows.verdict(used)
-                result.failing_input = {k: v.tolist() for k, v in steps[used].items()}
-        if used < len(draws):
+                result.failing_input = {k: stack[used].tolist() for k, stack in stacks.items()}
+        if used < len(up):
             rng.bit_generator.state = rewind
             rng.uniform(size=used)
-        result.iterations += len(steps)
+        result.iterations += steps
         if error is not None and not result.found:
             result.iterations += 1
             result.diagnostics.append(f"validation failed: {error}")
             break
+        values = {k: stack[-1] for k, stack in stacks.items()}
         size = min(2 * size, CHUNK_CAP)
     result.wall_time = time.perf_counter() - start
     return result

@@ -649,12 +649,18 @@ class TestLoopsMatchReference:
     # the gradient does not depend on the tape; here the exp entry is x * x
     SQUARE_EXP = Graph([InputDecl("x", (3, 3), bounds=(-3.0, 3.0))],
                        [Node("a", "square", ("x",)), Node("y", "exp", ("a",))], "y")
+    # a value-reading site whose last operand, a constant, comes after its entry
+    SQUARE_DIV = Graph([InputDecl("x", (1,), bounds=(-3.0, 3.0))],
+                       [Node("a", "square", ("x",)),
+                        Node("one", "constant", (), {"value": [1.0]}),
+                        Node("y", "Div", ("one", "a"))], "y")
 
     def _runs(self):
         reg = default_registry()
         programs = [(spec.name, spec.to_graph(reg), spec.rate or 1.0)
                     for spec in corpus_manifest(reg)]
         programs.append(("square_exp", self.SQUARE_EXP, 1.0))
+        programs.append(("square_div", self.SQUARE_DIV, 1.0))
         for name, graph, rate in programs:
             for seed in self.SEEDS:
                 config = FuzzConfig(rate=rate, seed=seed, max_iters=300)
@@ -760,15 +766,19 @@ class TestConstantGradient:
         assert len(self.CHUNKS) == 37
 
     def test_value_reading_steps_back_propagate(self, monkeypatch):
-        graph = TestLoopsMatchReference.SQUARE_EXP
-        site = scan_for_unstable(graph).sites[-1]
-        calls = self._spies(monkeypatch)
-        result = random_fuzz_site(graph, site, FuzzConfig(seed=2, max_iters=2000),
-                                  np.random.default_rng(2))
-        assert result.status == "Exhausted" and result.iterations == 2000
-        assert calls["forward_eval"] == [site.entry_node] * 2000
-        assert calls["backward"] == 2000
-        assert calls["forward_rows"] == [(np.float32, n) for n in self.CHUNKS]
+        # each step's one forward reaches the site's operands, so its tape
+        # serves the backward and the judging, and no stacked forward runs;
+        # the operand stop is the entry at SQUARE_EXP, a later node at SQUARE_DIV
+        for graph in (TestLoopsMatchReference.SQUARE_EXP, TestLoopsMatchReference.SQUARE_DIV):
+            site = scan_for_unstable(graph).sites[-1]
+            stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
+            calls = self._spies(monkeypatch)
+            result = random_fuzz_site(graph, site, FuzzConfig(seed=2, max_iters=2000),
+                                      np.random.default_rng(2))
+            assert result.status == "Exhausted" and result.iterations == 2000
+            assert calls["forward_eval"] == [stop] * 2000
+            assert calls["backward"] == 2000
+            assert calls["forward_rows"] == []
 
     def test_guided_steps_reuse_the_deltas(self, monkeypatch):
         reg = default_registry()
@@ -1029,13 +1039,15 @@ class TestRandomChunks:
         return forward
 
     @staticmethod
-    def _fault_at_step(site, stop, k):
+    def _fault_at_step(site, stop, k, per_step):
         """forward_rows and forward_eval as the loop under test calls them,
-        with the single-precision forward of the k-th step to stop failing:
-        in its chunk's stacked forward, and again when the chunk's steps are
+        with the single-precision forward of the k-th step to stop failing.
+        Where each step makes that forward itself (per_step: a value-reading
+        site), it is the k-th forward_eval to stop. Elsewhere it fails in
+        its chunk's stacked forward, and again when the chunk's steps are
         then evaluated one at a time to find the failing one."""
         seen = 0  # steps the stacked forwards have covered
-        replay = None  # the step the one-at-a-time search is at
+        replay = 0 if per_step else None  # the step the one-at-a-time forwards are at
 
         def rows(graph, inputs, dtype=np.float32, stop_at=None):
             nonlocal seen, replay
@@ -1059,8 +1071,9 @@ class TestRandomChunks:
     def _both_faulty(self, monkeypatch, graph, config, k):
         site = scan_for_unstable(graph).sites[-1]
         rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
-        rows, forward = self._fault_at_step(site, fuzzer._operand_stop(
-            graph, graph.node(site.node_id)), k)
+        rows, forward = self._fault_at_step(
+            site, fuzzer._operand_stop(graph, graph.node(site.node_id)), k,
+            per_step=not constant_gradient(graph, site.entry_node))
         with monkeypatch.context() as patch:
             patch.setattr("safuzz.fuzzer.forward_rows", rows)
             patch.setattr("safuzz.fuzzer.forward_eval", forward)
@@ -1089,3 +1102,121 @@ class TestRandomChunks:
                         if self._both(graph, FuzzConfig(seed=s)).iterations == 5)
             result = self._both_faulty(monkeypatch, graph, FuzzConfig(seed=seed), 6)
             assert result.found and result.iterations == 5
+
+
+def _division_by_cancellation():
+    reg = default_registry()
+    spec = next(s for s in corpus_manifest(reg) if s.name == "division_by_cancellation")
+    graph = spec.to_graph(reg)
+    return graph, scan_for_unstable(graph, reg).sites[0]
+
+
+class TestStackedWalk:
+    """random_fuzz_site walks a chunk as one running sum per input. Pinned
+    against the step loop where the two could part: sums that leave the
+    range of float32 or float64, a clamp that binds on some steps and not
+    others, and declared bounds without a clamp."""
+
+    @staticmethod
+    def _pinned(monkeypatch, graph, config, ref_graph=None):
+        """The loop under test and the step loop at the graph's last site
+        (the step loop on ref_graph, a rank-1 twin of a rank-0 graph, when
+        given): equal outcome and generator state, and each step the step
+        loop judged is the loop under test's row of that step, bit for bit.
+        Returns the result and the step loop's judged inputs."""
+        site = scan_for_unstable(graph).sites[-1]
+        ref_graph = ref_graph or graph
+        ref_site = scan_for_unstable(ref_graph).sites[-1]
+        walked, stepped = [], []
+
+        def rows(g, inputs, dtype=np.float32, stop_at=None):
+            if dtype == np.float32:
+                walked.extend(b"".join(np.asarray(stack[i]).tobytes() for stack in inputs)
+                              for i in range(len(inputs[0])))
+            return autodiff.forward_rows(g, inputs, dtype, stop_at)
+
+        def forward(g, inputs, dtype=np.float32, stop_at=None):
+            if dtype == np.float32 and stop_at == ref_site.node_id:
+                stepped.append(b"".join(np.asarray(x).tobytes() for x in inputs))
+            return autodiff.forward_eval(g, inputs, dtype, stop_at)
+
+        rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
+        with monkeypatch.context() as patch:
+            patch.setattr(fuzzer, "forward_rows", rows)
+            result = random_fuzz_site(graph, site, config, rng)
+        with monkeypatch.context() as patch, np.errstate(over="ignore"):
+            patch.setitem(globals(), "forward_eval", forward)
+            expected = _reference_random_fuzz_site(ref_graph, ref_site, config, ref_rng)
+        outcome = TestRankZeroInput._outcome
+        assert outcome(result) == outcome(expected), config.seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, config.seed
+        assert len(stepped) == expected.iterations
+        assert walked[:len(stepped)] == stepped, config.seed
+        return result, np.frombuffer(b"".join(stepped))
+
+    @staticmethod
+    def _log(shape, clamp):
+        return Graph([InputDecl("p", shape, bounds=(0.0, 1.0), clamp=clamp)],
+                     [Node("y", "log", ("p",))], "y")
+
+    @pytest.mark.parametrize("shape", [(), (3, 3)], ids=["rank-0", "3x3"])
+    @pytest.mark.parametrize("clamp", [True, False], ids=["clamped", "declared-only"])
+    def test_bounded_walks(self, monkeypatch, shape, clamp):
+        # steps of 0.3 on [0, 1]: log fails once a value reaches 0 (clamped)
+        # or drops below it (not clamped)
+        # the step loop keeps a rank-0 sum a numpy scalar, which it cannot clip
+        graph, ref_graph = self._log(shape, clamp), self._log(shape or (1,), clamp)
+        judged, found = [], 0
+        for seed in range(10):
+            result, inputs = self._pinned(monkeypatch, graph,
+                                          FuzzConfig(rate=0.3, seed=seed, max_iters=200),
+                                          ref_graph)
+            judged.append(inputs)
+            found += result.found
+        judged = np.concatenate(judged)
+        assert found
+        if clamp:  # the clamp binds at both bounds on some steps, and not on others
+            assert judged.min() == 0.0 and judged.max() == 1.0
+            assert np.count_nonzero((judged > 0.0) & (judged < 1.0))
+        else:
+            assert judged.min() < 0.0 and judged.max() > 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPastTheFloatRange:
+    """Any positive rate is accepted, so the inputs can leave float32's
+    range (rate 1e300, on the cast to single precision) or float64's (rate
+    1e308, on the step's sum). Both loops take the inf as data: no
+    RuntimeWarning escapes, and the outcome is the step loop's."""
+
+    RATES = [pytest.param(1e300, np.finfo(np.float32).max, id="past-float32"),
+             pytest.param(1e308, np.inf, id="past-float64")]
+
+    @pytest.mark.parametrize("rate, past", RATES)
+    def test_random_fuzz_site(self, monkeypatch, rate, past):
+        graph, _ = _division_by_cancellation()
+        for seed in range(3):
+            _, judged = TestStackedWalk._pinned(monkeypatch, graph,
+                                                FuzzConfig(rate=rate, seed=seed, max_iters=50))
+            assert np.abs(judged).max() >= past
+
+    @pytest.mark.parametrize("rate, past", RATES)
+    def test_fuzz_site(self, monkeypatch, rate, past):
+        graph, site = _division_by_cancellation()
+        forest = model_load(FIXTURE_MODELS / "Div.json")
+        reached = []  # the largest magnitude of each input the loop evaluates
+
+        def forward(g, inputs, dtype=np.float32, stop_at=None):
+            reached.extend(np.abs(x).max() for x in inputs)
+            return autodiff.forward_eval(g, inputs, dtype, stop_at)
+
+        monkeypatch.setattr(fuzzer, "forward_eval", forward)
+        for seed in range(3):
+            config = FuzzConfig(rate=rate, seed=seed, max_iters=50)
+            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+            result = fuzz_site(graph, site, forest, config, rng)
+            with np.errstate(over="ignore"):  # the step loop leaves faults to numpy's default
+                expected = _reference_fuzz_site(graph, site, forest, config, ref_rng)
+            assert _outcome(result) == _outcome(expected), seed
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+        assert max(reached) >= past
