@@ -2,27 +2,25 @@
 differentiation.
 
 Every value is a numpy array whose dtype, float32 or float64, is its
-precision. forward_eval runs a graph in the requested dtype and records every
-node value on a Tape; extend_tape carries an existing tape further down the
-graph, so a caller that stopped early can reach a later node without
-evaluating the prefix again. forward_rows evaluates many inputs at once:
-each input is a stack with one row per sample, and so is each node value.
-Both run one node loop; a tape is a stack of one row. A constant node
-depends on no input, so its value is made once per graph and dtype, as one
-read-only row that broadcasts against the others.
+precision. forward_rows is the one node loop: it evaluates many inputs at
+once, each input a stack with one row per sample, and so is each node value.
+forward_eval is forward_rows on a stack of one, with the values unstacked
+and read-only. A constant node depends on no input, so its value is made
+once per graph and dtype, as one read-only row that broadcasts against the
+others.
 
-backward replays the tape in reverse, always accumulating adjoints in
-float64 regardless of the forward dtype; the mutation step divides by these
-gradients, and single-precision adjoints would put noise in the search
-direction. When every op on the way back from the seed has a VJP that reads
-no operand value (constant_gradient), the result is the same at every input,
-and a caller may compute it once and reuse it. finite_diff_grad is the
-independent oracle used to cross-check backward.
+backward reads the values of one forward_eval in reverse, always
+accumulating adjoints in float64 regardless of the forward dtype; the
+mutation step divides by these gradients, and single-precision adjoints
+would put noise in the search direction. When every op on the way back from
+the seed has a VJP that reads no operand value (constant_gradient), the
+result is the same at every input, and a caller may compute it once and
+reuse it. finite_diff_grad is the independent oracle used to cross-check
+backward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,66 +30,26 @@ from safuzz.graph import Graph
 from safuzz.kernels import ALL_OPS, apply_forward, op_def
 
 
-@dataclass
-class Tape:
-    """Per-node forward values of one evaluation of one set of inputs.
-
-    A tape may be extended to later nodes (extend_tape), never rewritten: a
-    value, once recorded, stays the value of that node for these inputs, and
-    is read-only.
-    """
-
-    graph: Graph
-    dtype: np.dtype
-    values: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def has(self, node_id: str) -> bool:
-        return node_id in self.values
-
-
 def forward_eval(
     graph: Graph,
     inputs: Sequence[np.ndarray],
     dtype=np.float32,
     stop_at: Optional[str] = None,
-) -> Tape:
-    """Evaluate the graph in dtype up to stop_at (or the whole graph).
+) -> dict[str, np.ndarray]:
+    """forward_rows on a stack of one: every value evaluated, inputs
+    included, unstacked and read-only.
 
-    Each input is array-like; the tape records a copy cast to dtype.
-    NaN/inf propagate silently; failing executions must still reach the
-    oracle check point.
+    Each input is array-like and is copied, cast to dtype. NaN/inf
+    propagate silently; failing executions must still reach the oracle
+    check point.
     """
-    if len(inputs) != len(graph.inputs):
-        raise EvaluationError(
-            "<inputs>", f"expected {len(graph.inputs)} input tensor(s), got {len(inputs)}"
-        )
-    tape = Tape(graph=graph, dtype=np.dtype(dtype))
-    for decl, value in zip(graph.inputs, inputs):
-        value = np.array(value, dtype=dtype)
-        if value.shape != tuple(decl.shape):
-            raise EvaluationError(
-                decl.id, f"input shape {value.shape} does not match declared {decl.shape}"
-            )
-        value.flags.writeable = False
-        tape.values[decl.id] = value
-    return extend_tape(tape, stop_at)
-
-
-def extend_tape(tape: Tape, stop_at: Optional[str] = None) -> Tape:
-    """Evaluate the nodes not yet on the tape, up to stop_at (or the whole graph).
-
-    Nodes already on the tape keep their values; the tape is returned.
-    """
-    if stop_at is not None and stop_at in tape.values:
-        return tape
-    rows = _evaluate(tape.graph, {k: v[None] for k, v in tape.values.items()},
-                     tape.dtype, stop_at)
+    rows = forward_rows(graph, [np.array(x, dtype=dtype)[None] for x in inputs], dtype, stop_at)
+    values = {}
     for node_id, value in rows.items():
-        if node_id not in tape.values:
-            value = value[0, ...]  # a 0-d array, never a numpy scalar
-            value.flags.writeable = False
-            tape.values[node_id] = value
-    return tape
+        value = value[0, ...]  # a 0-d array, never a numpy scalar
+        value.flags.writeable = False
+        values[node_id] = value
+    return values
 
 
 def forward_rows(
@@ -105,34 +63,26 @@ def forward_rows(
 
     Each input is a stack (B, *declared shape), one row per sample, cast
     to dtype. Returns every value evaluated, inputs included, stacked the
-    same way. A row bit for bit equals forward_eval of that sample alone;
-    a constant node's value is one read-only row that broadcasts.
+    same way. A row bit for bit equals the forward of that sample alone; a
+    constant node's value is one read-only row that broadcasts.
     """
     if len(inputs) != len(graph.inputs):
         raise EvaluationError(
             "<inputs>", f"expected {len(graph.inputs)} input tensor(s), got {len(inputs)}"
         )
+    dtype = np.dtype(dtype)
     rows = {}
     for decl, value in zip(graph.inputs, inputs):
         value = np.asarray(value, dtype=dtype)
         if value.shape[1:] != tuple(decl.shape):
             raise EvaluationError(
-                decl.id, f"input rows {value.shape[1:]} do not match declared {decl.shape}"
+                decl.id, f"input shape {value.shape[1:]} does not match declared {decl.shape}"
             )
         rows[decl.id] = value
-    return _evaluate(graph, rows, np.dtype(dtype), stop_at)
-
-
-def _evaluate(graph: Graph, rows: dict[str, np.ndarray], dtype: np.dtype,
-              stop_at: Optional[str]) -> dict[str, np.ndarray]:
-    """The node loop: evaluate the nodes not in rows, up to stop_at (or
-    the whole graph), on values stacked (B, *shape); rows is returned."""
     if stop_at is not None and stop_at in rows:
         return rows
     constants = graph.constants.setdefault(dtype, {})
     for node in graph.nodes:
-        if node.id in rows:
-            continue
         out = constants.get(node.id)
         if out is None:
             op = op_def(node.op)  # CapabilityError for registry-only ops
@@ -180,19 +130,20 @@ def constant_gradient(graph: Graph, seed_node: str) -> bool:
 
 def backward(
     graph: Graph,
-    tape: Tape,
+    values: dict[str, np.ndarray],
     seed_node: str,
     seed_adjoint: np.ndarray,
 ) -> list[np.ndarray]:
-    """Reverse accumulation of d(seed_node . seed_adjoint) / d(each input).
+    """Reverse accumulation of d(seed_node . seed_adjoint) / d(each input),
+    over values, the result of forward_eval at the input.
 
     Returns one float64 array per graph input. The seed is copied, so no
     result aliases the caller's array. A seed on a program input is the
     gradient of that input, and the others get zeros; no node is visited.
     """
-    if not tape.has(seed_node):
-        raise UsageError(f"seed node '{seed_node}' is not on the tape")
-    seed_value = tape.values[seed_node]
+    if seed_node not in values:
+        raise UsageError(f"seed node '{seed_node}' was not evaluated")
+    seed_value = values[seed_node]
     adjoint = np.array(seed_adjoint, dtype=np.float64)
     if adjoint.shape != seed_value.shape:
         raise UsageError(
@@ -203,7 +154,7 @@ def backward(
         return [adjoint if decl.id == seed_node else np.zeros(decl.shape, dtype=np.float64)
                 for decl in graph.inputs]
     adjoints: dict[str, np.ndarray] = {seed_node: adjoint}
-    wide: dict[str, np.ndarray] = {}  # tape values the VJPs read, each cast once
+    wide: dict[str, np.ndarray] = {}  # forward values the VJPs read, each cast once
 
     seed_index = -1
     for i, node in enumerate(graph.nodes):
@@ -222,7 +173,7 @@ def backward(
             g = adjoints[node.id]
             for ref in node.inputs:
                 if ref not in wide:
-                    wide[ref] = tape.values[ref].astype(np.float64)
+                    wide[ref] = values[ref].astype(np.float64)
             grads = op.vjp(node.params, g, [wide[ref] for ref in node.inputs])
             for ref, grad in zip(node.inputs, grads):
                 grad = np.asarray(grad, dtype=np.float64)
@@ -251,8 +202,7 @@ def finite_diff_grad(
         raise UsageError("finite differences require double-precision inputs")
 
     def objective(probe: list[np.ndarray]) -> float:
-        tape = forward_eval(graph, probe, np.float64, stop_at=seed_node)
-        value = tape.values[seed_node]
+        value = forward_eval(graph, probe, np.float64, stop_at=seed_node)[seed_node]
         weight = (
             np.asarray(seed_adjoint, dtype=np.float64)
             if seed_adjoint is not None

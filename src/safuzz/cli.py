@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: list-functions, gen-data, train, scan, fuzz, bench.
-Exit codes: 0 success, 1 bugs found (fuzz), 2 usage error.
+Exit codes: 0 success, 1 bugs found (fuzz), 2 usage error, 3 internal
+error, with its traceback on stderr (EXIT_CODES, also in --help).
 The SAF_SEED environment variable supplies a default seed; explicit flags
 always win over the environment.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from safuzz import __version__
@@ -27,6 +29,9 @@ from safuzz.fuzzer import FuzzConfig, fuzz_program, scan_for_unstable
 from safuzz.program import ProgramSpec, program_parse
 from safuzz.registry import default_registry
 from safuzz.report import ProgramReport, Report, report_emit
+
+EXIT_CODES = ("exit codes: 0 success, 1 bugs found (fuzz), 2 usage error, "
+              "3 internal error, with its traceback on stderr")
 
 
 def _env_seed(default: int = 0) -> int:
@@ -185,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="safuzz",
         description="soft-assertion guided fuzzing for numerical instability",
+        epilog=EXIT_CODES,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -247,6 +253,9 @@ def cli_dispatch(argv=None) -> int:
     except SafuzzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault of the program, which must not read as "bugs found"
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

@@ -1,30 +1,29 @@
 """Soft-assertion guided search for failure-inducing inputs.
 
 For each unstable site found in a program graph, the loop executes the
-program to the site entry, asks the site's soft assertion how to transform
-the entry values, and either validates a predicted failure with the oracles
-or back-propagates the increase/decrease signal through the tape to mutate
-the program inputs. Interval bounds accumulated from issued signals narrow
-the search (history constraints); contradictory bounds reset element-wise.
+program to the site's operands, asks the site's soft assertion how to
+transform the entry values, and either judges a predicted failure with the
+oracles or back-propagates the increase/decrease signal from the entry to
+mutate the program inputs. Interval bounds accumulated from issued signals
+narrow the search (history constraints); contradictory bounds reset
+element-wise.
 
-Validation, in both loops, evaluates the program only as far as the site's
-operands: the oracles run the site kernel on them, so the site node itself
-is never evaluated on a tape.
+One judge serves validate_failure and both loops: oracle_rows runs the site
+kernel on the single-precision operands, one row per execution, with a
+double-precision shadow forward only when the increased-width oracle reads
+it. The site node itself is never evaluated in a forward.
 
 When every op between the program inputs and the site entry has a VJP that
 reads no operand value (autodiff.constant_gradient), the gradient of the
 entry is the same at every input, and so are the deltas of each signal. Both
-loops then compute them once per search, on the first step's tape, and keep
-them read-only.
+loops then compute them once per search and keep them read-only.
 
 The random baseline walks a chunk of n steps as one (n + 1, *shape) stack
 per program input: row 0 is the current value, row k the value after k
 steps. With fixed deltas the walk is one running sum over the stack (a row
-loop of add and clip where the input is clamped to its declared bounds),
-with no forward or backward per step, and the chunk's rows are judged
-through one stacked forward to the site's operands. Otherwise each step
-makes one forward to the site's operands, whose tape serves both its
-backward and its judging. Either way one oracle_rows call judges the chunk.
+loop of add and clip where the input is clamped to its declared bounds);
+otherwise each step makes one forward to the site entry for its backward.
+Either way one stacked forward to the site's operands feeds the judge.
 Values past the range of float32 or float64 are data in both loops, not
 warnings.
 
@@ -48,14 +47,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.autodiff import (Tape, backward, constant_gradient, extend_tape, forward_eval,
-                             forward_rows)
+from safuzz.autodiff import backward, constant_gradient, forward_eval, forward_rows
 from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import Forest, predict
 from safuzz.graph import Graph, Node
 from safuzz.kernels import op_def
-from safuzz.oracles import OracleVerdict, oracle_rows, run_oracles
+from safuzz.oracles import OracleRows, OracleVerdict, oracle_rows
 from safuzz.registry import Registry, default_registry
 
 log = logging.getLogger(__name__)
@@ -101,8 +99,8 @@ class FuzzConfig:
     max_iters: int = 5000  # deterministic budget; wall timeout stays the backstop
 
     def __post_init__(self):
-        if not self.timeout > 0 or not self.rate > 0:
-            raise UsageError("timeout and rate must be positive")
+        if not self.timeout > 0 or not 0 < self.rate < np.inf:
+            raise UsageError("timeout must be positive, and rate positive and finite")
         if self.max_iters < 1:
             raise UsageError("max_iters must be at least 1")
 
@@ -171,20 +169,21 @@ def scan_for_unstable(graph: Graph, registry: Optional[Registry] = None) -> Scan
 def propagate_signal(
     graph: Graph,
     site: UnstableSite,
-    tape,
+    values: dict[str, np.ndarray],
     signal: Signal,
     rate: float,
 ) -> dict[str, np.ndarray]:
     """Input adjustment per element: (signal sign * rate) / clamped gradient.
 
-    The gradient is of the sum of the site-entry elements with respect to
-    each program input; clamping keeps |g| >= GRAD_FLOOR with sign(0) := +1.
+    The gradient, at the forward values, is of the sum of the site-entry
+    elements with respect to each program input; clamping keeps
+    |g| >= GRAD_FLOOR with sign(0) := +1.
     """
     if signal is Signal.NO_CHANGE:
         raise UsageError("no-change signals do not propagate")
-    seed = np.empty(tape.values[site.entry_node].shape)
+    seed = np.empty(values[site.entry_node].shape)
     seed.fill(1.0)  # np.ones, without its Python-level wrapper
-    grads = backward(graph, tape, site.entry_node, seed)
+    grads = backward(graph, values, site.entry_node, seed)
     s = 1.0 if signal is Signal.INCREASE else -1.0
     deltas: dict[str, np.ndarray] = {}
     for decl, g in zip(graph.inputs, grads):
@@ -200,7 +199,7 @@ def propagate_signal(
 def _fixed_deltas(graph: Graph, site: UnstableSite, values: dict[str, np.ndarray],
                   rate: float) -> Optional[dict[Signal, dict[str, np.ndarray]]]:
     """The deltas of both signals, read-only, when the gradient of the site
-    entry is the same at every input; propagate_signal runs on the tape of
+    entry is the same at every input; propagate_signal runs on a forward of
     values, the search's first input. None when the gradient depends on
     the input, or when the program fails before the entry: the first step
     then evaluates again and reports the failure.
@@ -208,13 +207,13 @@ def _fixed_deltas(graph: Graph, site: UnstableSite, values: dict[str, np.ndarray
     if not constant_gradient(graph, site.entry_node):
         return None
     try:
-        tape = forward_eval(graph, [values[d.id] for d in graph.inputs], np.float32,
-                            stop_at=site.entry_node)
+        evaluated = forward_eval(graph, [values[d.id] for d in graph.inputs], np.float32,
+                                 stop_at=site.entry_node)
     except EvaluationError:
         return None
     fixed = {}
     for signal in (Signal.INCREASE, Signal.DECREASE):
-        deltas = propagate_signal(graph, site, tape, signal, rate)
+        deltas = propagate_signal(graph, site, evaluated, signal, rate)
         for key, delta in deltas.items():
             deltas[key] = delta = np.asarray(delta)  # a 0-d delta is a numpy scalar
             delta.flags.writeable = False
@@ -275,11 +274,25 @@ def _needs_shadow(site: UnstableSite, reg: Registry) -> bool:
 
 
 def _operand_stop(graph: Graph, node: Node) -> str:
-    """The last operand of node in topological order: a tape that reaches
-    it holds every operand. When every operand is a program input, which
-    every tape holds, that is the first operand."""
+    """The last operand of node in topological order: a forward that
+    reaches it holds every operand. When every operand is a program input,
+    which every forward holds, that is the first operand."""
     produced = [n.id for n in graph.nodes if n.id in node.inputs]
     return produced[-1] if produced else node.inputs[0]
+
+
+def _judge(graph: Graph, site: UnstableSite, node: Node, stop: str,
+           operands: list[np.ndarray], inputs: list[np.ndarray], reg: Registry) -> OracleRows:
+    """The site's bound oracles over executions stacked one row each:
+    operands are the site's single-precision operands, inputs the program
+    inputs that produced them. The double-precision shadow forward of the
+    inputs to stop runs only when the increased-width oracle is bound,
+    since no other oracle reads it."""
+    wide = None
+    if _needs_shadow(site, reg):
+        rows = forward_rows(graph, inputs, np.float64, stop)
+        wide = [rows[ref] for ref in node.inputs]
+    return oracle_rows(site.kernel, node.params, operands, reg, wide)
 
 
 def validate_failure(
@@ -287,37 +300,17 @@ def validate_failure(
     site: UnstableSite,
     inputs: Sequence[np.ndarray],
     registry: Optional[Registry] = None,
-    tape: Optional[Tape] = None,
 ) -> OracleVerdict:
-    """Execute to the site's operands and judge the kernel with its bound
-    oracles, which run the site kernel on them.
-
-    inputs are the program inputs, one array-like per graph input.
-    Operands come from the native float32 execution, and the oracles judge
-    the kernel with the node's own params. The execution stops at the last
-    operand; the site node itself is not evaluated on the tape. A caller that
-    already holds a float32 tape of these inputs passes it as tape; it is
-    extended to the operands instead of evaluating the prefix again.
-    Without one, a new tape is evaluated. A float64 shadow execution
-    supplies the operands the increased-width oracle compares against; it
-    runs only when that oracle is bound to the kernel, since no other
-    oracle reads it.
+    """Execute to the site's operands in native float32 and judge the
+    kernel with its bound oracles, which run it on them with the node's own
+    params; inputs are the program inputs, one array-like per graph input.
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
     stop = _operand_stop(graph, node)
-    if tape is None:
-        tape = forward_eval(graph, inputs, np.float32, stop_at=stop)
-    elif tape.dtype != np.float32:
-        raise UsageError("validation extends single-precision tapes only")
-    else:
-        extend_tape(tape, stop)
-    operands = [tape.values[ref] for ref in node.inputs]
-    wide = None
-    if _needs_shadow(site, reg):
-        wide_tape = forward_eval(graph, inputs, np.float64, stop_at=stop)
-        wide = [wide_tape.values[ref] for ref in node.inputs]
-    return run_oracles(site.kernel, node.params, operands, reg, wide_inputs=wide)
+    values = forward_eval(graph, inputs, np.float32, stop_at=stop)
+    return _judge(graph, site, node, stop, [values[ref][None] for ref in node.inputs],
+                  [np.asarray(x, dtype=np.float64)[None] for x in inputs], reg).verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +336,8 @@ def _clamp_declared(graph: Graph, values: dict[str, np.ndarray]) -> None:
                     out=values[decl.id])
 
 
-def _site_features(tape, site: UnstableSite, forest: Forest) -> np.ndarray:
-    features = featurize(tape.values[site.entry_node], forest.feature_len)
+def _site_features(values, site: UnstableSite, forest: Forest) -> np.ndarray:
+    features = featurize(values[site.entry_node], forest.feature_len)
     return apply_scaling(features, forest.scaling)
 
 
@@ -377,6 +370,8 @@ def fuzz_site(
             f"forest is for kernel '{forest.kernel}', site is '{site.kernel}'"
         )
     reg = registry or default_registry()
+    node = graph.node(site.node_id)
+    stop = _operand_stop(graph, node)
     result = FuzzResult(site=site, status="Exhausted")
     start = time.perf_counter()
 
@@ -394,17 +389,19 @@ def fuzz_site(
         result.iterations += 1
         inputs = [values[d.id] for d in graph.inputs]
         try:
-            tape = forward_eval(graph, inputs, np.float32, stop_at=site.entry_node)
+            evaluated = forward_eval(graph, inputs, np.float32, stop_at=stop)
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
-        feats = _site_features(tape, site, forest)
+        feats = _site_features(evaluated, site, forest)
         signal = predict(forest, feats)
         result.sa_queries += 1
 
         if signal is Signal.NO_CHANGE:
             try:
-                verdict = validate_failure(graph, site, inputs, reg, tape=tape)
+                verdict = _judge(graph, site, node, stop,
+                                 [evaluated[ref][None] for ref in node.inputs],
+                                 [x[None] for x in inputs], reg).verdict(0)
             except EvaluationError as exc:
                 result.diagnostics.append(f"validation failed: {exc}")
                 break
@@ -422,7 +419,7 @@ def fuzz_site(
             continue
 
         if fixed is None:
-            deltas = propagate_signal(graph, site, tape, signal, config.rate)
+            deltas = propagate_signal(graph, site, evaluated, signal, config.rate)
         else:
             deltas = fixed[signal]
         before = _state(graph, values, bounds)
@@ -470,24 +467,13 @@ def _walk(graph: Graph, stacks: dict[str, np.ndarray], up: np.ndarray,
             np.cumsum(stack, axis=0, out=stack)
 
 
-def _chunk_operands(graph: Graph, node: Node, stacks: dict[str, np.ndarray], n: int,
-                    stop: str, shadow: bool, tapes: Optional[list[Tape]]
-                    ) -> tuple[list[np.ndarray], Optional[list[np.ndarray]]]:
-    """The site's operands at the first n rows of the walk's stacks,
-    stacked. In single precision they come from the steps' own tapes where
-    the walk made them, else from one forward of the stacked rows to stop;
-    in double, when shadow is set (else None), from one such forward. A
-    constant operand of a stacked forward is one row."""
+def _judge_chunk(graph: Graph, site: UnstableSite, node: Node, stacks: dict[str, np.ndarray],
+                 n: int, stop: str, reg: Registry) -> OracleRows:
+    """The judge over the first n rows of the walk's stacks, whose operands
+    come from one single-precision forward of those rows to stop."""
     inputs = [stacks[d.id][:n] for d in graph.inputs]
-    if tapes is None:
-        rows = forward_rows(graph, inputs, np.float32, stop)
-        operands = [rows[ref] for ref in node.inputs]
-    else:
-        operands = [np.stack([tape.values[ref] for tape in tapes[:n]]) for ref in node.inputs]
-    if not shadow:
-        return operands, None
-    rows = forward_rows(graph, inputs, np.float64, stop)
-    return operands, [rows[ref] for ref in node.inputs]
+    rows = forward_rows(graph, inputs, np.float32, stop)
+    return _judge(graph, site, node, stop, [rows[ref] for ref in node.inputs], inputs, reg)
 
 
 def _first_failing_step(graph: Graph, stacks: dict[str, np.ndarray], n: int,
@@ -521,26 +507,18 @@ def random_fuzz_site(
     The walk does not depend on a verdict until the first failure, so the
     iterations run in chunks of 1, 2, 4, ... up to CHUNK_CAP, cut short by
     the iteration budget. A chunk of n steps draws all its directions in
-    one call and walks them as one (n + 1, *shape) float64 stack per
-    program input: row 0 is the current value, row k the input after k
-    steps, and row n the next chunk's start. When the entry's gradient is
-    the same at every input, the deltas of each direction are computed once
-    per search on the first step's tape, and the walk is their running sum
-    (_walk), with no forward or backward of its own. Otherwise a step does
-    one single-precision forward to the site's operands, back-propagates
-    its direction from the entry on that tape, and writes the next row.
-    Then one oracle_rows call runs the site kernel on the operands of rows
-    0..n-1, stacked from the steps' tapes or from one forward of those rows
-    (plus the double shadow when the width oracle reads it, always one
-    forward), and judges every step; the first failing row is the find,
-    and its failing input is that row. The site node itself is never
-    evaluated on a tape. When a stacked forward fails, the rows are
-    evaluated one at a time to find the first that fails. A find at row i,
-    or a forward that fails at step i, rewinds the generator to the start
-    of the chunk and draws the i directions before it again, so the
-    outcome and the generator state are those of judging each iteration
-    before the next. A forward that fails ends the search once the steps
-    before it are judged. The wall-clock timeout is checked between chunks.
+    one call and walks them as one float64 stack per program input (see
+    the module docstring); row n is the next chunk's start. The judge then
+    runs the site kernel on the operands of rows 0..n-1, from one stacked
+    forward of those rows, and judges every step; the first failing row is
+    the find, and its failing input is that row. When a stacked forward
+    fails, the rows are evaluated one at a time to find the first that
+    fails. A find at row i, or a forward that fails at step i, rewinds the
+    generator to the start of the chunk and draws the i directions before
+    it again, so the outcome and the generator state are those of judging
+    each iteration before the next. A forward that fails ends the search
+    once the steps before it are judged. The wall-clock timeout is checked
+    between chunks.
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
@@ -564,28 +542,25 @@ def random_fuzz_site(
         stacks = {d.id: np.empty((len(up) + 1, *d.shape)) for d in graph.inputs}
         for key, stack in stacks.items():
             stack[0] = values[key]
-        tapes, error = None, None
+        steps, error = len(up), None
         if fixed is None:
-            tapes = []
             for i, increase in enumerate(up.tolist()):
                 try:
-                    tape = forward_eval(graph, [stacks[d.id][i] for d in graph.inputs],
-                                        np.float32, stop_at=stop)
+                    evaluated = forward_eval(graph, [stacks[d.id][i] for d in graph.inputs],
+                                             np.float32, stop_at=site.entry_node)
                 except EvaluationError as exc:
-                    error = exc
+                    steps, error = i, exc
                     break
-                tapes.append(tape)
-                deltas = propagate_signal(graph, site, tape, Signal.INCREASE if increase
+                deltas = propagate_signal(graph, site, evaluated, Signal.INCREASE if increase
                                           else Signal.DECREASE, config.rate)
                 for decl in graph.inputs:
                     stacks[decl.id][i + 1] = deltas[decl.id]
                     _advance(stacks[decl.id], i + 1, decl)
         else:
             _walk(graph, stacks, up, fixed)
-        steps = len(up) if tapes is None else len(tapes)
         if steps:
             try:
-                operands, wide = _chunk_operands(graph, node, stacks, steps, stop, shadow, tapes)
+                rows = _judge_chunk(graph, site, node, stacks, steps, stop, reg)
             except EvaluationError:
                 # a step's forward fails: find it, and judge the steps before it
                 failing = _first_failing_step(graph, stacks, steps, stop, shadow)
@@ -593,11 +568,9 @@ def random_fuzz_site(
                     raise
                 steps, error = failing
                 if steps:
-                    operands, wide = _chunk_operands(graph, node, stacks, steps, stop,
-                                                     shadow, tapes)
+                    rows = _judge_chunk(graph, site, node, stacks, steps, stop, reg)
         used = steps  # directions a one-at-a-time loop would have drawn
         if steps:
-            rows = oracle_rows(site.kernel, node.params, operands, reg, wide)
             failed = np.flatnonzero(~rows.passed)
             if failed.size:
                 used = int(failed[0])

@@ -15,14 +15,13 @@ differ only in the failure class and the precision: a rewrite runs in
 single precision, a stable algorithm and a reference in double. A
 counterpart with a domain marks the rows outside it, which it does not judge.
 
-A kernel's registry entry binds it to some of these families. The module
-has two entry points: oracle_rows runs a kernel's bound oracles in registry
-order over a stack of executions, one row per sample, and reports for each
-row the first failing oracle and its detail; run_oracles judges a single
-execution as a stack of one. Both take the params the executions ran the
-kernel with, so a verdict judges the computation the program made. The
-families themselves are internal row checks with no entry point of their
-own.
+A kernel's registry entry binds it to some of these families. The one
+entry point, oracle_rows, runs a kernel's bound oracles in registry order
+over a stack of executions, one row per sample, and reports for each row
+the first failing oracle and its detail; a single execution is a stack of
+one. It takes the params the executions ran the kernel with, so a verdict
+judges the computation the program made. The families themselves are
+internal row checks with no entry point of their own.
 """
 
 from __future__ import annotations
@@ -298,16 +297,3 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
     if not every_row_judged and not np.logical_or.reduce([c.judged for c in checks]).all():
         raise CapabilityError(f"no applicable oracle for '{name}' on this input")
     return OracleRows(tuple(checks))
-
-
-def run_oracles(name: str, params: Mapping, inputs: Sequence[np.ndarray],
-                registry: Optional[Registry] = None,
-                wide_inputs: Optional[Sequence[np.ndarray]] = None) -> OracleVerdict:
-    """Judge one kernel execution: oracle_rows over a stack of one.
-
-    params are those the execution ran the kernel with, inputs the operands
-    as the execution under test produced them, wide_inputs those of its
-    double-precision shadow execution (default: inputs).
-    """
-    wide = None if wide_inputs is None else [x[None] for x in wide_inputs]
-    return oracle_rows(name, params, [x[None] for x in inputs], registry, wide).verdict(0)

@@ -28,8 +28,8 @@ from safuzz.datagen import (
 )
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
 from safuzz.kernels import default_params, unit_operand_rows
-from safuzz.oracles import run_oracles
 from safuzz.registry import Registry, default_registry
+from test_oracles import judge_one
 
 
 def trajectory(*points):
@@ -346,7 +346,7 @@ class TestBuildDataset:
         for row in rows:
             raw = (row - scaling["offset"]) / scaling["scale"]
             x = raw.reshape(ds.shape)
-            assert not run_oracles("exp", {}, [x]).passed
+            assert not judge_one("exp", {}, [x]).passed
 
 
 def walk_step_by_step(kernel, base, mc, rng):
@@ -359,7 +359,7 @@ def walk_step_by_step(kernel, base, mc, rng):
 
     def judge(values):
         operands = [a[0] for a in unit_operand_rows(kernel, values[None])]
-        return run_oracles(kernel, default_params(kernel, values.shape), operands).passed
+        return judge_one(kernel, default_params(kernel, values.shape), operands).passed
 
     points, passed = [x], [judge(x)]
     for k in range(1, mc.max_steps + 1):

@@ -39,8 +39,9 @@ from safuzz.fuzzer import (
     validate_failure,
 )
 from safuzz.graph import Graph, InputDecl, Node
-from safuzz.oracles import FailureClass, run_oracles
+from safuzz.oracles import FailureClass, oracle_rows
 from safuzz.registry import default_registry
+from test_oracles import judge_one
 
 FIXTURE_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "models"
 
@@ -120,56 +121,56 @@ class TestScan:
 
 
 class TestPropagateSignal:
-    def _tape_and_site(self, factor):
+    def _forward_and_site(self, factor):
         g = Graph([InputDecl("x", (1,))],
                   [Node("e", "scale", ("x",), {"factor": factor}),
                    Node("y", "exp", ("e",))], "y")
         site = scan_for_unstable(g).sites[0]
-        tape = forward_eval(g, [np.array([1.0])], np.float32, stop_at=site.entry_node)
-        return g, site, tape
+        evaluated = forward_eval(g, [np.array([1.0])], np.float32, stop_at=site.entry_node)
+        return g, site, evaluated
 
     def test_positive_gradient(self):
-        g, site, tape = self._tape_and_site(2.0)
-        delta = propagate_signal(g, site, tape, Signal.INCREASE, rate=1.0)
+        g, site, evaluated = self._forward_and_site(2.0)
+        delta = propagate_signal(g, site, evaluated, Signal.INCREASE, rate=1.0)
         assert delta["x"].tolist() == [0.5]
 
     def test_negative_gradient_flips_sign(self):
-        g, site, tape = self._tape_and_site(-0.5)
-        delta = propagate_signal(g, site, tape, Signal.DECREASE, rate=1.0)
+        g, site, evaluated = self._forward_and_site(-0.5)
+        delta = propagate_signal(g, site, evaluated, Signal.DECREASE, rate=1.0)
         assert delta["x"].tolist() == [2.0]
 
     def test_zero_gradient_clamped(self):
-        g, site, tape = self._tape_and_site(0.0)
-        delta = propagate_signal(g, site, tape, Signal.INCREASE, rate=1.0)
+        g, site, evaluated = self._forward_and_site(0.0)
+        delta = propagate_signal(g, site, evaluated, Signal.INCREASE, rate=1.0)
         assert delta["x"].tolist() == [1e6]
 
     def test_no_change_rejected(self):
-        g, site, tape = self._tape_and_site(1.0)
+        g, site, evaluated = self._forward_and_site(1.0)
         with pytest.raises(UsageError):
-            propagate_signal(g, site, tape, Signal.NO_CHANGE, rate=1.0)
+            propagate_signal(g, site, evaluated, Signal.NO_CHANGE, rate=1.0)
 
     def test_clamp_of_special_gradients_is_bit_identical(self, monkeypatch):
         g = Graph([InputDecl("x", (9,))], [Node("y", "exp", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
-        tape = forward_eval(g, [np.zeros(9)], np.float32, stop_at=site.entry_node)
+        evaluated = forward_eval(g, [np.zeros(9)], np.float32, stop_at=site.entry_node)
         grad = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9, 2.5, -0.25])
         monkeypatch.setattr(fuzzer, "backward", lambda *args: [grad.copy()])
         clamped = np.where(grad < 0, -1.0, 1.0) * np.maximum(np.abs(grad), GRAD_FLOOR)
         for signal, s in ((Signal.INCREASE, 1.0), (Signal.DECREASE, -1.0)):
             for rate in (1.0, 0.37):
-                delta = propagate_signal(g, site, tape, signal, rate)["x"]
+                delta = propagate_signal(g, site, evaluated, signal, rate)["x"]
                 assert delta.tobytes() == ((s * rate) / clamped).tobytes()
 
     def test_clamp_at_rank_zero(self, monkeypatch):
         g = Graph([InputDecl("x", ())], [Node("y", "exp", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
-        tape = forward_eval(g, [np.zeros(())], np.float32, stop_at=site.entry_node)
+        evaluated = forward_eval(g, [np.zeros(())], np.float32, stop_at=site.entry_node)
         for value in (0.0, -0.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9, -0.25):
             grad = np.array([value])
             clamped = np.where(grad < 0, -1.0, 1.0) * np.maximum(np.abs(grad), GRAD_FLOOR)
             monkeypatch.setattr(fuzzer, "backward", lambda *args: [np.array(value)])
             for signal, s in ((Signal.INCREASE, 1.0), (Signal.DECREASE, -1.0)):
-                delta = propagate_signal(g, site, tape, signal, 0.37)["x"]
+                delta = propagate_signal(g, site, evaluated, signal, 0.37)["x"]
                 assert np.shape(delta) == ()
                 assert np.asarray(delta).tobytes() == ((s * 0.37) / clamped).tobytes()
 
@@ -337,7 +338,7 @@ class TestValidateFailure:
         # x ** 2 at 1e13 is a finite 1e26 in single precision; x ** 3 would overflow
         g = Graph([InputDecl("x", (1,))], [Node("y", "pow", ("x",), {"exponent": 2.0})], "y")
         x = [np.array([1e13])]
-        assert np.isfinite(forward_eval(g, x).values["y"]).all()
+        assert np.isfinite(forward_eval(g, x)["y"]).all()
         assert validate_failure(g, scan_for_unstable(g).sites[0], x).passed
 
     def test_linear_judged_with_its_own_weight(self):
@@ -345,7 +346,7 @@ class TestValidateFailure:
         params = {"weight": (1e-30 * np.eye(3)).tolist(), "bias": [0.0, 0.0, 0.0]}
         g = Graph([InputDecl("x", (3,))], [Node("y", "linear", ("x",), params)], "y")
         x = [np.full(3, 3e38)]
-        assert np.isfinite(forward_eval(g, x).values["y"]).all()
+        assert np.isfinite(forward_eval(g, x)["y"]).all()
         assert validate_failure(g, scan_for_unstable(g).sites[0], x).passed
 
 
@@ -358,7 +359,7 @@ class TestFuzzSite:
         assert result.found
         entry = np.asarray(result.failing_input["x"])
         assert entry.max() > 88.72
-        out = forward_eval(g, [entry], np.float32).values["y"]
+        out = forward_eval(g, [entry], np.float32)["y"]
         assert np.isposinf(out).any()
 
     def test_log_found_below_zero(self):
@@ -394,13 +395,18 @@ class TestFuzzSite:
 
     @pytest.mark.parametrize("field", [{"rate": 0.0}, {"rate": -1.0},
                                        {"rate": float("nan")}, {"max_iters": 0},
-                                       {"timeout": 0.0}, {"timeout": float("nan")}],
+                                       {"timeout": 0.0}, {"timeout": float("nan")},
+                                       {"rate": float("inf")}],
                              ids=["zero_rate", "negative_rate", "nan_rate", "no_iterations",
-                                  "zero_timeout", "nan_timeout"])
+                                  "zero_timeout", "nan_timeout", "inf_rate"])
     def test_config_rejects_steps_that_cannot_search(self, field):
-        # a negative rate inverts every signal, a zero rate never moves the input
+        # a negative rate inverts every signal, a zero rate never moves the
+        # input, and an infinite one sends it to infinity in one step
         with pytest.raises(UsageError):
             FuzzConfig(**field)
+
+    def test_config_accepts_an_infinite_timeout(self):
+        assert FuzzConfig(timeout=float("inf")).timeout == float("inf")
 
     def test_reproducible_iteration_counts(self):
         g = exp_graph()
@@ -465,7 +471,7 @@ class TestFuzzProgram:
 
 
 # ---------------------------------------------------------------------------
-# one forward per iteration: tape reuse and the double-shadow rule
+# one judge: validation's verdict, and the double-shadow rule
 # ---------------------------------------------------------------------------
 
 def _corpus_sites():
@@ -492,6 +498,10 @@ def _failing_inputs(graph, site):
 class TestTapeReuse:
     @pytest.mark.parametrize("spec,graph,site", list(_corpus_sites()))
     def test_tape_gives_the_verdict_of_a_fresh_evaluation(self, spec, graph, site):
+        # validate_failure, and the judge on a guided step's one forward to the
+        # operand stop, give the verdict of evaluating through the site
+        node = graph.node(site.node_id)
+        stop = fuzzer._operand_stop(graph, node)
         cases = [_inputs(graph, _initial_inputs(graph, np.random.default_rng(seed)))
                  for seed in range(5)]
         cases.append(_failing_inputs(graph, site))
@@ -499,20 +509,12 @@ class TestTapeReuse:
             # verdicts compare passed, failure_class and detail
             fresh = validate_failure(graph, site, inputs)
             assert fresh == _reference_validate_failure(graph, site, inputs)
-            for stop in (site.entry_node, site.node_id):
-                tape = forward_eval(graph, inputs, np.float32, stop_at=stop)
-                reused = validate_failure(graph, site, inputs, tape=tape)
-                assert reused == fresh, (spec.name, stop)
-                assert all(tape.has(ref) for ref in graph.node(site.node_id).inputs)
+            evaluated = forward_eval(graph, inputs, np.float32, stop_at=stop)
+            judged = fuzzer._judge(graph, site, node, stop,
+                                   [evaluated[ref][None] for ref in node.inputs],
+                                   [x[None] for x in inputs], default_registry())
+            assert judged.verdict(0) == fresh, spec.name
         assert not fresh.passed  # the last case fails at every site
-
-    def test_double_tape_rejected(self):
-        g = exp_graph()
-        site = scan_for_unstable(g).sites[0]
-        inputs = [np.ones((3, 3))]
-        tape = forward_eval(g, inputs, np.float64, stop_at=site.entry_node)
-        with pytest.raises(UsageError):
-            validate_failure(g, site, inputs, tape=tape)
 
     def test_remainder_needs_the_double_shadow(self):
         reg = default_registry()
@@ -521,26 +523,24 @@ class TestTapeReuse:
         site = scan_for_unstable(g, reg).sites[0]
         inputs = [np.array([1234.5678901, 1234.5678901, 1234.5678901])]
         # judged on the single-precision operands alone the input passes
-        tape = forward_eval(g, inputs, np.float32, stop_at=site.node_id)
-        assert run_oracles(site.kernel, g.node(site.node_id).params, [tape.values["x"]],
-                           reg).passed
-        for tape in (None, forward_eval(g, inputs, np.float32, stop_at="x")):
-            verdict = validate_failure(g, site, inputs, reg, tape=tape)
-            assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
+        evaluated = forward_eval(g, inputs, np.float32, stop_at=site.node_id)
+        assert oracle_rows(site.kernel, g.node(site.node_id).params, [evaluated["x"][None]],
+                           reg).passed.all()
+        verdict = validate_failure(g, site, inputs, reg)
+        assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
 
 
 # The search loops as they were before validation reused the iteration's
-# tape: three forwards per random iteration, a fresh prefix per validation.
+# forward: three forwards per random iteration, a fresh prefix per validation.
 # The loops under test must reproduce them exactly.
 
 def _reference_validate_failure(graph, site, inputs, registry=None):
     reg = registry or default_registry()
-    tape = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
     node = graph.node(site.node_id)
-    operands = [tape.values[ref] for ref in node.inputs]
-    wide_tape = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
-    wide = [wide_tape.values[ref] for ref in node.inputs]
-    return run_oracles(site.kernel, node.params, operands, reg, wide_inputs=wide)
+    operands = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
+    wide = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
+    return judge_one(site.kernel, node.params, [operands[ref] for ref in node.inputs], reg,
+                     wide_inputs=[wide[ref] for ref in node.inputs])
 
 
 def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
@@ -560,12 +560,12 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
             break
         result.iterations += 1
         try:
-            tape = forward_eval(graph, _inputs(graph, values), np.float32,
+            evaluated = forward_eval(graph, _inputs(graph, values), np.float32,
                                 stop_at=site.entry_node)
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
-        feats = _site_features(tape, site, forest)
+        feats = _site_features(evaluated, site, forest)
         signal = predict(forest, feats)
         result.sa_queries += 1
 
@@ -588,7 +588,7 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
             values = _initial_inputs(graph, rng)
             continue
 
-        deltas = propagate_signal(graph, site, tape, signal, config.rate)
+        deltas = propagate_signal(graph, site, evaluated, signal, config.rate)
         for decl in graph.inputs:
             values[decl.id] = constrain_update(
                 values[decl.id], deltas[decl.id], bounds[decl.id], signal
@@ -623,13 +623,13 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
             result.failing_input = {k: v.tolist() for k, v in values.items()}
             break
         try:
-            tape = forward_eval(graph, _inputs(graph, values), np.float32,
+            evaluated = forward_eval(graph, _inputs(graph, values), np.float32,
                                 stop_at=site.entry_node)
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
         signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
-        deltas = propagate_signal(graph, site, tape, signal, config.rate)
+        deltas = propagate_signal(graph, site, evaluated, signal, config.rate)
         for decl in graph.inputs:
             values[decl.id] = values[decl.id] + deltas[decl.id]
         _clamp_declared(graph, values)
@@ -646,7 +646,7 @@ class TestLoopsMatchReference:
     SEEDS = (0, 1, 2)
 
     # the corpus sites mostly sit on a program input or a linear prefix, where
-    # the gradient does not depend on the tape; here the exp entry is x * x
+    # the gradient does not depend on the input; here the exp entry is x * x
     SQUARE_EXP = Graph([InputDecl("x", (3, 3), bounds=(-3.0, 3.0))],
                        [Node("a", "square", ("x",)), Node("y", "exp", ("a",))], "y")
     # a value-reading site whose last operand, a constant, comes after its entry
@@ -718,12 +718,12 @@ class TestConstantGradient:
             cases = [_inputs(graph, _initial_inputs(graph, np.random.default_rng(seed)))
                      for seed in range(3)]
             cases.append(_failing_inputs(graph, site))
-            tapes = [forward_eval(graph, inputs, np.float32, stop_at=site.entry_node)
-                     for inputs in cases]
+            forwards = [forward_eval(graph, inputs, np.float32, stop_at=site.entry_node)
+                        for inputs in cases]
             for signal in (Signal.INCREASE, Signal.DECREASE):
                 deltas = [{k: np.asarray(v).tobytes() for k, v in
-                           propagate_signal(graph, site, tape, signal, 0.5).items()}
-                          for tape in tapes]
+                           propagate_signal(graph, site, evaluated, signal, 0.5).items()}
+                          for evaluated in forwards]
                 assert all(d == deltas[0] for d in deltas), (spec.name, site.node_id)
 
     @staticmethod
@@ -766,19 +766,18 @@ class TestConstantGradient:
         assert len(self.CHUNKS) == 37
 
     def test_value_reading_steps_back_propagate(self, monkeypatch):
-        # each step's one forward reaches the site's operands, so its tape
-        # serves the backward and the judging, and no stacked forward runs;
-        # the operand stop is the entry at SQUARE_EXP, a later node at SQUARE_DIV
+        # each step's one forward reaches the entry for its backward, and each
+        # chunk is judged through one stacked forward to the operand stop (the
+        # entry at SQUARE_EXP, a later node at SQUARE_DIV)
         for graph in (TestLoopsMatchReference.SQUARE_EXP, TestLoopsMatchReference.SQUARE_DIV):
             site = scan_for_unstable(graph).sites[-1]
-            stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
             calls = self._spies(monkeypatch)
             result = random_fuzz_site(graph, site, FuzzConfig(seed=2, max_iters=2000),
                                       np.random.default_rng(2))
             assert result.status == "Exhausted" and result.iterations == 2000
-            assert calls["forward_eval"] == [stop] * 2000
+            assert calls["forward_eval"] == [site.entry_node] * 2000
             assert calls["backward"] == 2000
-            assert calls["forward_rows"] == []
+            assert calls["forward_rows"] == [(np.float32, n) for n in self.CHUNKS]
 
     def test_guided_steps_reuse_the_deltas(self, monkeypatch):
         reg = default_registry()
@@ -791,6 +790,38 @@ class TestConstantGradient:
         # one forward for the deltas, then one per iteration for the features
         assert len(calls["forward_eval"]) == 1 + result.iterations > 2
         assert calls["backward"] == 2
+
+    @pytest.mark.parametrize("name, model, seed", [
+        ("exp_overflow", "exp", 3),  # 51 resets: 52 verdicts
+        ("division_by_cancellation", "Div", 0),  # a constant operand after the entry
+        ("cosine_feature_mismatch", "CosineSimilarity", 0),  # the same, with 6 resets
+        ("remainder_width_loss", "remainder", 0),  # the width oracle's double shadow
+    ])
+    def test_guided_steps_make_one_forward(self, monkeypatch, name, model, seed):
+        # an iteration makes one forward_eval, to the operand stop; a NoChange
+        # verdict judges that forward's operands, so it makes no forward of its
+        # own in single precision, and one double shadow where the width oracle reads it
+        reg = default_registry()
+        spec = next(s for s in corpus_manifest(reg) if s.name == name)
+        graph = spec.to_graph(reg)
+        site = scan_for_unstable(graph, reg).sites[0]
+        stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
+        calls = self._spies(monkeypatch)
+        verdicts = []
+
+        def judged(*args):
+            verdicts.append(oracle_rows(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(fuzzer, "oracle_rows", judged)
+        result = fuzz_site(graph, site, model_load(FIXTURE_MODELS / f"{model}.json"),
+                           FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=300),
+                           np.random.default_rng(seed), reg)
+        assert calls["forward_eval"] == [site.entry_node] + [stop] * result.iterations
+        assert len(verdicts) == result.resets + result.found > 0
+        assert all(len(v.passed) == 1 for v in verdicts)
+        shadow = [(np.float64, 1)] if name == "remainder_width_loss" else []
+        assert calls["forward_rows"] == shadow * len(verdicts)
 
 
 class TestFixedPoint:
@@ -989,7 +1020,7 @@ class TestRandomChunks:
 
     @pytest.mark.parametrize("graph", [
         CLEAN,
-        # the operand is a node here, so the tape goes one node past the input
+        # the operand is a node here, so the forward goes one node past the input
         Graph([InputDecl("x", (3, 3), bounds=(0.0, 1.0), clamp=True)],
               [Node("s", "scale", ("x",), {"factor": 0.5}), Node("y", "sigmoid", ("s",))], "y"),
     ], ids=["input-operand", "node-operand"])
@@ -1043,7 +1074,8 @@ class TestRandomChunks:
         """forward_rows and forward_eval as the loop under test calls them,
         with the single-precision forward of the k-th step to stop failing.
         Where each step makes that forward itself (per_step: a value-reading
-        site), it is the k-th forward_eval to stop. Elsewhere it fails in
+        site, whose per-step forward to the entry reaches the stop in these
+        graphs), it is the k-th forward_eval to stop. Elsewhere it fails in
         its chunk's stacked forward, and again when the chunk's steps are
         then evaluated one at a time to find the failing one."""
         seen = 0  # steps the stacked forwards have covered

@@ -16,8 +16,8 @@ from safuzz.kernels import (
     op_def,
     unit_operand_rows,
 )
-from safuzz.oracles import run_oracles
 from safuzz.registry import DEFAULT_REGISTRY_PATH, default_registry, registry_load
+from test_oracles import judge_one
 
 TABLE_KERNELS = [
     "Softmax", "log", "sigmoid", "exp", "logSoftmax", "sqrt", "tanh", "ReLU",
@@ -185,9 +185,10 @@ class TestKernelEval:
 
 
 class TestForwardShapes:
-    """The fuzz loops never put a site on a tape, so extend_tape's shape check
-    does not see a kernel's output: each forward must give the shape its
-    shape rule states, on every stack of samples, in both precisions."""
+    """The fuzz loops never evaluate a site node in a forward, so
+    forward_rows's shape check does not see a kernel's output: each forward
+    must give the shape its shape rule states, on every stack of samples,
+    in both precisions."""
 
     SHAPES = [(), (1,), (4,), (3, 3), (2, 3), (2, 2, 2)]
 
@@ -287,8 +288,8 @@ class TestSafeConditions:
     """The oracles, not a recorded condition, decide where a kernel fails."""
 
     def test_exp_boundary(self):
-        assert run_oracles("exp", {}, [np.array([88.0])]).passed
-        assert not run_oracles("exp", {}, [np.array([89.0])]).passed
+        assert judge_one("exp", {}, [np.array([88.0])]).passed
+        assert not judge_one("exp", {}, [np.array([89.0])]).passed
 
     @pytest.mark.parametrize("kernel", ["exp", "ELU"])
     def test_safe_region_produces_finite_single_outputs(self, kernel):

@@ -1,7 +1,8 @@
 """The six oracle families and the dispatcher.
 
-Each family is reached through oracle_rows or run_oracles: on a shipped
-kernel that binds it, or through a test registry that binds it alone.
+Each family is reached through oracle_rows, on a stack of executions or,
+through judge_one, on one: on a shipped kernel that binds it, or through a
+test registry that binds it alone.
 """
 
 from dataclasses import replace
@@ -13,12 +14,18 @@ from hypothesis import strategies as st
 
 from safuzz.errors import CapabilityError
 from safuzz.kernels import apply_forward, default_params, op_def, unit_operand_rows
-from safuzz.oracles import FailureClass, OracleVerdict, oracle_rows, run_oracles
+from safuzz.oracles import FailureClass, OracleVerdict, oracle_rows
 from safuzz.registry import OracleBinding, Registry, default_registry
 
 FIG1_X = [2606.66824394, 2477.72226966, 3251.84008903]
 FIG1_Y = [2.39482538431398614e-09, 7.39647891389834008e-09, 4.96805019548943425e-09]
 IMPLEMENTED = [n for n, e in default_registry().entries.items() if e.implemented]
+
+
+def judge_one(name, params, inputs, registry=None, wide_inputs=None):
+    """The verdict on one execution: oracle_rows over a stack of one."""
+    wide = None if wide_inputs is None else [x[None] for x in wide_inputs]
+    return oracle_rows(name, params, [x[None] for x in inputs], registry, wide).verdict(0)
 
 
 def bound(kernel, *bindings):
@@ -49,15 +56,15 @@ class TestVerdictInvariants:
 
 class TestNanInf:
     def test_log_zero_fails(self):
-        verdict = run_oracles("log", {}, [np.array([0.0])])
+        verdict = judge_one("log", {}, [np.array([0.0])])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.NAN_OR_INF
 
     def test_softmax_passes(self):
-        assert run_oracles("Softmax", {}, [np.array([0.0, 0.0, 0.0])]).passed
+        assert judge_one("Softmax", {}, [np.array([0.0, 0.0, 0.0])]).passed
 
     def test_subnormal_reciprocal_overflows_single(self):
-        verdict = run_oracles("Div", {}, [np.array([1.0]), np.array([1e-45])])
+        verdict = judge_one("Div", {}, [np.array([1.0]), np.array([1e-45])])
         assert not verdict.passed and verdict.failure_class is FailureClass.NAN_OR_INF
 
 
@@ -65,25 +72,25 @@ class TestRange:
     UNIT = bound("mean", OracleBinding(2, lo=-1.0, hi=1.0))
 
     def test_cosine_above_one_fails(self):
-        verdict = run_oracles("mean", {}, [np.array([1.0000002])], self.UNIT)
+        verdict = judge_one("mean", {}, [np.array([1.0000002])], self.UNIT)
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.OUT_OF_RANGE
 
     def test_bounded_trig_value_passes(self):
-        assert run_oracles("mean", {}, [np.array([0.5])], self.UNIT).passed
+        assert judge_one("mean", {}, [np.array([0.5])], self.UNIT).passed
 
     def test_closed_interval_boundary_passes(self):
-        assert run_oracles("mean", {}, [np.array([-1.0])], self.UNIT).passed
+        assert judge_one("mean", {}, [np.array([-1.0])], self.UNIT).passed
 
     def test_nan_counts_as_out_of_range(self):
-        assert not run_oracles("mean", {}, [np.array([np.nan])], self.UNIT).passed
+        assert not judge_one("mean", {}, [np.array([np.nan])], self.UNIT).passed
 
     # a vector's float32 cosine similarity with itself can round above 1;
     # the shipped entry's NaN/inf oracle passes it, so its range oracle decides
     SELF_PAIR = np.array([0.06369616873214544, 0.026978671376387032, 0.004097352393619469])
 
     def test_cosine_self_similarity_rounds_out_of_range(self):
-        verdict = run_oracles("CosineSimilarity", {}, [self.SELF_PAIR, self.SELF_PAIR])
+        verdict = judge_one("CosineSimilarity", {}, [self.SELF_PAIR, self.SELF_PAIR])
         assert verdict.failure_class is FailureClass.OUT_OF_RANGE
         assert verdict.detail.endswith("(1.0000001192092896) outside [-1.0, 1.0]")
 
@@ -92,7 +99,7 @@ class TestRange:
         a = np.stack([t, self.SELF_PAIR, np.full(3, np.nan)])
         b = np.stack([t, self.SELF_PAIR, t])
         rows = oracle_rows("CosineSimilarity", {}, [a, b])
-        alone = run_oracles("CosineSimilarity", {}, [self.SELF_PAIR, self.SELF_PAIR])
+        alone = judge_one("CosineSimilarity", {}, [self.SELF_PAIR, self.SELF_PAIR])
         assert rows.verdict(1) == alone
         assert [rows.verdict(i).failure_class for i in range(3)] == [
             None, FailureClass.OUT_OF_RANGE, FailureClass.NAN_OR_INF]
@@ -101,24 +108,24 @@ class TestRange:
 class TestRewrite:
     def test_logsoftmax_overflow_fails(self):
         # the shipped entry's NaN/inf oracle would fail this row first
-        verdict = run_oracles("logSoftmax", {}, [np.array([1000.0, 0.0, 0.0])],
+        verdict = judge_one("logSoftmax", {}, [np.array([1000.0, 0.0, 0.0])],
                               bound("logSoftmax", OracleBinding(3)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REWRITE_MISMATCH
 
     def test_missing_rewrite_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("mean", {}, [np.array([1.0])], bound("mean", OracleBinding(3)))
+            judge_one("mean", {}, [np.array([1.0])], bound("mean", OracleBinding(3)))
 
 
 class TestStableAlgorithm:
     def test_identity_inverse_passes(self):
-        assert run_oracles("inverse", {}, [np.eye(3)]).passed
+        assert judge_one("inverse", {}, [np.eye(3)]).passed
 
     def test_spd_diagonal_matches_cholesky(self):
         # both elimination orders are exact on a diagonal SPD matrix, so the
         # frozen expected verdict (computed in double on both paths) is Pass
-        verdict = run_oracles("inverse", {}, [np.diag([1.0, 1e-12, 1.0])])
+        verdict = judge_one("inverse", {}, [np.diag([1.0, 1e-12, 1.0])])
         assert verdict.passed
 
     def test_non_spd_is_unavailable(self):
@@ -135,19 +142,19 @@ class TestStableAlgorithm:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 3))
         spd = a @ a.T + 3 * np.eye(3)
-        assert run_oracles("determinant", {}, [spd]).passed
+        assert judge_one("determinant", {}, [spd]).passed
 
 
 class TestReferenceConsistency:
     def test_fig1_vectors_fail(self):
-        verdict = run_oracles("CosineSimilarity", {}, [np.array(FIG1_Y), np.array(FIG1_X)],
+        verdict = judge_one("CosineSimilarity", {}, [np.array(FIG1_Y), np.array(FIG1_X)],
                               bound("CosineSimilarity", OracleBinding(5)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
     def test_self_similarity_passes(self):
         t = np.array([1.0, 2.0, 3.0])
-        assert run_oracles("CosineSimilarity", {}, [t, t]).passed
+        assert judge_one("CosineSimilarity", {}, [t, t]).passed
 
     def test_unclamped_norms_always_agree(self):
         rng = np.random.default_rng(0)
@@ -165,13 +172,13 @@ class TestReferenceConsistency:
 
     def test_missing_reference_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("mean", {}, [np.array([1.0])], bound("mean", OracleBinding(5)))
+            judge_one("mean", {}, [np.array([1.0])], bound("mean", OracleBinding(5)))
 
 
 class TestIncreasedWidth:
     def test_remainder_width_bug_exact(self):
         x = np.array([1933053808.0])
-        verdict = run_oracles("remainder", {}, [x])
+        verdict = judge_one("remainder", {}, [x])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
         # the exact single/double values behind the mismatch
@@ -179,12 +186,12 @@ class TestIncreasedWidth:
         assert forward("remainder", x, np.float64)[0] == 19.0
 
     def test_small_remainder_agrees(self):
-        assert run_oracles("remainder", {}, [np.array([10.0])]).passed
+        assert judge_one("remainder", {}, [np.array([10.0])]).passed
 
     def test_matmul_overflow_vs_finite_double(self):
         a = np.full((3, 3), 1.1e19)
         b = np.full((3, 3), 1.2e19)
-        verdict = run_oracles("matmul", {}, [a, b], bound("matmul", OracleBinding(6)))
+        verdict = judge_one("matmul", {}, [a, b], bound("matmul", OracleBinding(6)))
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
 
@@ -199,8 +206,8 @@ class TestIncreasedWidth:
         t2 = t1 * (1.0 + factor)
         x = [np.array([value])]
         at = {t: bound("remainder", OracleBinding(6, tolerance=t)) for t in (t1, t2)}
-        if run_oracles("remainder", {}, x, at[t1]).passed:
-            assert run_oracles("remainder", {}, x, at[t2]).passed
+        if judge_one("remainder", {}, x, at[t1]).passed:
+            assert judge_one("remainder", {}, x, at[t2]).passed
 
 
 # input ranges known safe in single precision: exp up to log(FLT_MAX) ~ 88.72,
@@ -210,33 +217,33 @@ SAFE_REGIONS = {"exp": (-200.0, 88.72), "ELU": (-103.972, 3.4e38)}
 
 class TestRunOracles:
     def test_exp_overflow(self):
-        verdict = run_oracles("exp", {}, [np.array([89.0])])
+        verdict = judge_one("exp", {}, [np.array([89.0])])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.NAN_OR_INF
 
     def test_mean_passes(self):
-        assert run_oracles("mean", {}, [np.array([1.0, 2.0, 3.0])]).passed
+        assert judge_one("mean", {}, [np.array([1.0, 2.0, 3.0])]).passed
 
     def test_cosine_fig1_reference_mismatch(self):
-        verdict = run_oracles("CosineSimilarity", {},
+        verdict = judge_one("CosineSimilarity", {},
                               [np.array(FIG1_Y), np.array(FIG1_X)])
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REFERENCE_MISMATCH
 
     def test_unimplemented_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            run_oracles("SVD", {}, [np.array([[1.0]])])
+            judge_one("SVD", {}, [np.array([[1.0]])])
 
     def test_inputs_never_mutated(self):
         t = np.array([1933053808.0])
         before = t.tobytes()
-        run_oracles("remainder", {}, [t])
+        judge_one("remainder", {}, [t])
         assert t.tobytes() == before
 
     def test_deterministic(self):
         t = [np.linspace(-5, 5, 9)]
-        v1 = run_oracles("Softmax", {}, t)
-        v2 = run_oracles("Softmax", {}, t)
+        v1 = judge_one("Softmax", {}, t)
+        v2 = judge_one("Softmax", {}, t)
         assert v1 == v2
 
     @pytest.mark.parametrize("kernel", ["exp", "ELU"])
@@ -245,7 +252,7 @@ class TestRunOracles:
         rng = np.random.default_rng(9)
         for _ in range(1000):
             x = rng.uniform(lo, hi, size=(3,))
-            assert run_oracles(kernel, {}, unit_operands(kernel, x)).passed
+            assert judge_one(kernel, {}, unit_operands(kernel, x)).passed
 
 
 SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-310, 5e-324]
@@ -276,7 +283,7 @@ class TestOracleRows:
         xs = row_stack(kernel)
         params = default_params(kernel, xs.shape[1:])
         stacked = oracle_rows(kernel, params, unit_operand_rows(kernel, xs))
-        verdicts = [run_oracles(kernel, params, unit_operands(kernel, x)) for x in xs]
+        verdicts = [judge_one(kernel, params, unit_operands(kernel, x)) for x in xs]
         assert [stacked.verdict(i) for i in range(len(xs))] == verdicts
         assert stacked.passed.tolist() == [v.passed for v in verdicts]
 
@@ -290,7 +297,7 @@ class TestOracleRows:
         for i in range(n):
             alone = [x[min(i, len(x) - 1)] for x in narrow]
             alone_wide = [x[min(i, len(x) - 1)] for x in wide]
-            assert stacked.verdict(i) == run_oracles(kernel, {}, alone, wide_inputs=alone_wide)
+            assert stacked.verdict(i) == judge_one(kernel, {}, alone, wide_inputs=alone_wide)
 
     def test_spd_mix_skips_only_rows_outside_the_domain(self):
         rng = np.random.default_rng(5)

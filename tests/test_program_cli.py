@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from safuzz import cli
 from safuzz.cli import cli_dispatch
 from safuzz.corpus import corpus_manifest
 from safuzz.errors import GraphParseError
@@ -213,12 +214,13 @@ class TestCli:
         (["train", "--dataset", str(FIXTURES / "datasets" / "square.csv"),
           "--test-split", "1.5"], "test_split"),
         (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--rate", "-1"], "rate"),
+        (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--rate", "inf"], "rate"),
         (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--timeout", "nan"],
          "timeout"),
         (["gen-data", "--function", "inverse", "--shape", "3x4"],
          "kernel 'inverse' does not take shape (3, 4): square matrix required"),
     ], ids=["negative_dim", "zero_dim", "not_a_number", "empty_seed", "split_above_one",
-            "negative_rate", "nan_timeout", "non_square_inverse"])
+            "negative_rate", "infinite_rate", "nan_timeout", "non_square_inverse"])
     def test_bad_values_exit_2_with_error(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         write_program(tmp_path, MINIMAL)
@@ -226,6 +228,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out.json").exists()
+
+    def test_internal_error_exits_3_with_its_traceback(self, monkeypatch, capsys):
+        # exit 1 means "bugs found"; a fault of the program must not read as that
+        def broken(args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "_cmd_list_functions", broken)
+        assert cli_dispatch(["list-functions"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: injected fault" in err
+
+    def test_help_lists_the_exit_codes(self, capsys):
+        assert cli_dispatch(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert ("exit codes: 0 success, 1 bugs found (fuzz), 2 usage error, "
+                "3 internal error, with its traceback on stderr") in out
 
     def test_scan_prints_sites(self, tmp_path, capsys):
         path = write_program(tmp_path, MINIMAL)

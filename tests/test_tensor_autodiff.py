@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from safuzz.autodiff import backward, extend_tape, finite_diff_grad, forward_eval, forward_rows
+from safuzz.autodiff import backward, finite_diff_grad, forward_eval, forward_rows
 from safuzz.corpus import corpus_manifest
 from safuzz.errors import EvaluationError, GraphParseError, OracleUnavailable, UsageError
 from safuzz.fuzzer import scan_for_unstable, validate_failure
@@ -64,19 +64,19 @@ class TestTensor:
 class TestForwardEval:
     def test_scale_linear(self):
         g = single_op("scale", (3,), {"factor": 2.0})
-        tape = forward_eval(g, [np.array([1.0, 2.0, 3.0])], np.float64)
-        assert tape.values["y"].tolist() == [2.0, 4.0, 6.0]
+        values = forward_eval(g, [np.array([1.0, 2.0, 3.0])], np.float64)
+        assert values["y"].tolist() == [2.0, 4.0, 6.0]
 
     def test_exp_overflows_in_single(self):
         g = single_op("exp")
-        tape = forward_eval(g, [np.array([89.0])], np.float32)
-        assert np.isposinf(tape.values["y"][0])
+        values = forward_eval(g, [np.array([89.0])], np.float32)
+        assert np.isposinf(values["y"][0])
 
     def test_exp_finite_in_double(self):
         # high-precision oracle: e^89 = 4.4896128e38
         g = single_op("exp")
-        tape = forward_eval(g, [np.array([89.0])], np.float64)
-        assert tape.values["y"][0] == pytest.approx(4.4896128191743455e38)
+        values = forward_eval(g, [np.array([89.0])], np.float64)
+        assert values["y"][0] == pytest.approx(4.4896128191743455e38)
 
     def test_shape_mismatch_names_input(self):
         g = single_op("exp", (3,))
@@ -85,8 +85,8 @@ class TestForwardEval:
 
     def test_stop_at_skips_downstream(self):
         g = chain([("a", "scale", {"factor": 2.0}), ("b", "exp", {})], (1,))
-        tape = forward_eval(g, [np.array([1.0])], np.float64, stop_at="a")
-        assert tape.has("a") and not tape.has("b")
+        values = forward_eval(g, [np.array([1.0])], np.float64, stop_at="a")
+        assert "a" in values and "b" not in values
 
     def test_unknown_stop_node(self):
         g = single_op("exp")
@@ -96,20 +96,19 @@ class TestForwardEval:
     def test_deterministic_bits(self):
         g = chain([("a", "Softmax", {}), ("b", "log", {})], (4,))
         x = [np.array([0.3, -1.2, 5.0, 0.01])]
-        t1 = forward_eval(g, x, np.float32).values["b"]
-        t2 = forward_eval(g, x, np.float32).values["b"]
+        t1 = forward_eval(g, x, np.float32)["b"]
+        t2 = forward_eval(g, x, np.float32)["b"]
         assert t1.tobytes() == t2.tobytes()
 
     def test_recorded_values_are_read_only_copies(self):
         g = chain([("a", "scale", {"factor": 2.0}), ("b", "exp", {})], (1,))
         x = np.array([1.0])
-        tape = forward_eval(g, [x], np.float64, stop_at="a")
+        values = forward_eval(g, [x], np.float64)
         x[0] = 5.0
-        assert tape.values["x"].tolist() == [1.0]
-        extend_tape(tape)
+        assert values["x"].tolist() == [1.0]
         for node_id in ("x", "a", "b"):
             with pytest.raises(ValueError):
-                tape.values[node_id][0] = 0.0
+                values[node_id][0] = 0.0
 
 
     def test_constant_is_read_only_and_equals_its_forward(self):
@@ -118,13 +117,13 @@ class TestForwardEval:
                   [Node("w", "constant", (), {"value": value}),
                    Node("y", "matmul", ("x", "w"))], "y")
         for dtype in (np.float32, np.float64):
-            first, second = (forward_eval(g, [np.ones((3, 3))], dtype).values["w"]
+            first, second = (forward_eval(g, [np.ones((3, 3))], dtype)["w"]
                              for _ in range(2))
             expected = apply_forward(op_def("constant"), {"value": value}, [], dtype)[0]
-            for tape_value in (first, second):
-                assert not tape_value.flags.writeable
-                assert tape_value.dtype == expected.dtype == dtype
-                assert tape_value.tobytes() == expected.tobytes()
+            for made in (first, second):
+                assert not made.flags.writeable
+                assert made.dtype == expected.dtype == dtype
+                assert made.tobytes() == expected.tobytes()
             assert np.shares_memory(first, second)  # made once per graph and dtype
 
 
@@ -152,9 +151,9 @@ class TestForwardRows:
             for dtype in (np.float32, np.float64):
                 rows = forward_rows(graph, stacked, dtype)
                 for i, sample in enumerate(samples):
-                    tape = forward_eval(graph, sample, dtype)
-                    assert set(rows) == set(tape.values)
-                    for node_id, value in tape.values.items():
+                    values = forward_eval(graph, sample, dtype)
+                    assert set(rows) == set(values)
+                    for node_id, value in values.items():
                         row = rows[node_id][i if len(rows[node_id]) > 1 else 0]
                         assert row.dtype == value.dtype, (spec.name, node_id)
                         assert row.tobytes() == value.tobytes(), (spec.name, node_id, i)
@@ -179,32 +178,32 @@ class TestForwardRows:
 class TestBackward:
     def test_scale_constant_derivative(self):
         g = single_op("scale", (1,), {"factor": 3.0})
-        tape = forward_eval(g, [np.array([5.0])], np.float64)
-        grads = backward(g, tape, "y", np.array([1.0]))
+        values = forward_eval(g, [np.array([5.0])], np.float64)
+        grads = backward(g, values, "y", np.array([1.0]))
         assert grads[0].tolist() == [3.0]
 
     def test_square_derivative(self):
         g = single_op("square")
-        tape = forward_eval(g, [np.array([2.0])], np.float64)
-        assert backward(g, tape, "y", np.array([1.0]))[0].tolist() == [4.0]
+        values = forward_eval(g, [np.array([2.0])], np.float64)
+        assert backward(g, values, "y", np.array([1.0]))[0].tolist() == [4.0]
 
     def test_exp_derivative_matches_central_difference(self):
         g = single_op("exp")
-        tape = forward_eval(g, [np.array([1.5])], np.float64)
-        grad = backward(g, tape, "y", np.array([1.0]))[0][0]
+        values = forward_eval(g, [np.array([1.5])], np.float64)
+        grad = backward(g, values, "y", np.array([1.0]))[0][0]
         assert grad == pytest.approx(4.4816890703, abs=1e-6)
 
     def test_seed_not_on_tape(self):
         g = chain([("a", "scale", {"factor": 2.0}), ("b", "exp", {})], (1,))
-        tape = forward_eval(g, [np.array([1.0])], np.float64, stop_at="a")
+        values = forward_eval(g, [np.array([1.0])], np.float64, stop_at="a")
         with pytest.raises(UsageError):
-            backward(g, tape, "b", np.array([1.0]))
+            backward(g, values, "b", np.array([1.0]))
 
     def test_result_does_not_alias_the_seed(self):
         g = single_op("exp")
-        tape = forward_eval(g, [np.array([1.0])], np.float64)
+        values = forward_eval(g, [np.array([1.0])], np.float64)
         seed = np.array([1.0])
-        grad = backward(g, tape, "x", seed)[0]
+        grad = backward(g, values, "x", seed)[0]
         seed[0] = 7.0
         assert grad.tolist() == [1.0]
 
@@ -213,7 +212,7 @@ class TestBackward:
         # a float64 copy of the seed for that input, zeros for the others
         g = Graph([InputDecl("v", (2,)), InputDecl("s", ()), InputDecl("m", (2, 2))],
                   [Node("y", "exp", ("v",))], "y")
-        tape = forward_eval(g, [np.ones(2), np.ones(()), np.ones((2, 2))], np.float32)
+        values = forward_eval(g, [np.ones(2), np.ones(()), np.ones((2, 2))], np.float32)
         seeds = {"v": np.array([1.5, -0.0], dtype=np.float32), "s": np.array(-2.5),
                  "m": np.array([[np.nan, np.inf], [1e-9, 3.0]])}
 
@@ -223,7 +222,7 @@ class TestBackward:
         monkeypatch.setattr(np, "errstate", no_reverse_pass)
         for seed_node, seed in seeds.items():
             before = seed.tobytes()
-            grads = backward(g, tape, seed_node, seed)
+            grads = backward(g, values, seed_node, seed)
             for decl, grad in zip(g.inputs, grads):
                 assert grad.dtype == np.float64 and grad.shape == decl.shape
                 if decl.id != seed_node:
@@ -236,8 +235,8 @@ class TestBackward:
 
     def test_adjoints_always_double(self):
         g = single_op("exp", (2,))
-        tape = forward_eval(g, [np.array([0.5, 1.0], dtype=np.float32)], np.float32)
-        grads = backward(g, tape, "y", np.array([1.0, 1.0]))
+        values = forward_eval(g, [np.array([0.5, 1.0], dtype=np.float32)], np.float32)
+        grads = backward(g, values, "y", np.array([1.0, 1.0]))
         assert grads[0].dtype == np.float64
 
     def test_fanout_accumulates(self):
@@ -251,8 +250,8 @@ class TestBackward:
             ],
             "y",
         )
-        tape = forward_eval(g, [np.array([1.0])], np.float64)
-        assert backward(g, tape, "y", np.array([1.0]))[0].tolist() == [5.0]
+        values = forward_eval(g, [np.array([1.0])], np.float64)
+        assert backward(g, values, "y", np.array([1.0]))[0].tolist() == [5.0]
 
     def test_fanout_fault_is_data(self):
         # y = x + (-x) seeded with inf: the adjoint sum at x is inf + (-inf)
@@ -264,9 +263,9 @@ class TestBackward:
             ],
             "y",
         )
-        tape = forward_eval(g, [np.array([1.0])], np.float64)
+        values = forward_eval(g, [np.array([1.0])], np.float64)
         with np.errstate(all="raise"):
-            grad = backward(g, tape, "y", np.array([np.inf]))[0]
+            grad = backward(g, values, "y", np.array([np.inf]))[0]
         assert np.isnan(grad).all()
 
 
@@ -322,10 +321,10 @@ def test_gradient_matches_finite_difference(kernel):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.uniform(lo, hi, size=(3, 3))
-        tape = forward_eval(g, [x], np.float64)
+        values = forward_eval(g, [x], np.float64)
         # non-uniform adjoint exercises the full vector-Jacobian product
-        seed = rng.uniform(0.5, 1.5, size=tape.values["y"].shape)
-        bw = backward(g, tape, "y", seed)[0]
+        seed = rng.uniform(0.5, 1.5, size=values["y"].shape)
+        bw = backward(g, values, "y", seed)[0]
         fd = finite_diff_grad(g, [x], "y", seed_adjoint=seed)[0]
         assert relative_error(bw, fd).max() < 1e-4
 
@@ -341,9 +340,9 @@ def test_binary_gradient_matches_finite_difference(kernel):
     rng = np.random.default_rng(13)
     for _ in range(5):
         ts = [rng.uniform(lo, hi, size=(3, 3)) for _ in range(2)]
-        tape = forward_eval(g, ts, np.float64)
-        seed = rng.uniform(0.5, 1.5, size=tape.values["y"].shape)
-        bw = backward(g, tape, "y", seed)
+        values = forward_eval(g, ts, np.float64)
+        seed = rng.uniform(0.5, 1.5, size=values["y"].shape)
+        bw = backward(g, values, "y", seed)
         fd = finite_diff_grad(g, ts, "y", seed_adjoint=seed)
         for got, want in zip(bw, fd):
             assert relative_error(got, want).max() < 1e-4
@@ -355,15 +354,15 @@ def test_extended_kernel_gradients():
     spd = a @ a.T + 3 * np.eye(3)
     for kernel in ("inverse", "determinant"):
         g = single_op(kernel, (3, 3))
-        tape = forward_eval(g, [spd], np.float64)
-        seed = np.ones(tape.values["y"].shape)
-        bw = backward(g, tape, "y", seed)[0]
+        values = forward_eval(g, [spd], np.float64)
+        seed = np.ones(values["y"].shape)
+        bw = backward(g, values, "y", seed)[0]
         fd = finite_diff_grad(g, [spd], "y")[0]
         assert relative_error(bw, fd).max() < 1e-4
     g = single_op("remainder", (3,), {"modulus": 53.0})
     x = rng.uniform(60, 90, size=(3,))
-    tape = forward_eval(g, [x], np.float64)
-    bw = backward(g, tape, "y", np.array([1.0, 1.0, 1.0]))[0]
+    values = forward_eval(g, [x], np.float64)
+    bw = backward(g, values, "y", np.array([1.0, 1.0, 1.0]))[0]
     fd = finite_diff_grad(g, [x], "y")[0]
     assert relative_error(bw, fd).max() < 1e-4
 
@@ -387,8 +386,8 @@ def test_single_double_agreement_at_moderate_inputs(kernel):
         x = rng.uniform(lo, hi, size=(3, 3))
         ys = forward_eval(g, [x.astype(np.float32)], np.float32)
         yd = forward_eval(g, [x], np.float64)
-        s = ys.values["y"].astype(np.float64)
-        d = yd.values["y"]
+        s = ys["y"].astype(np.float64)
+        d = yd["y"]
         finite = np.isfinite(s) & np.isfinite(d)
         err = relative_error(s[finite], d[finite])
         assert err.size == 0 or err.max() < 1e-4
