@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.errors import EvaluationError, OracleUnavailable, UsageError
+from safuzz.errors import CapabilityError, EvaluationError, OracleUnavailable, UsageError
 from safuzz.graph import Graph
 from safuzz.kernels import ALL_OPS, apply_forward, op_def
 
@@ -64,7 +64,9 @@ def forward_rows(
     Each input is a stack (B, *declared shape), one row per sample, cast
     to dtype. Returns every value evaluated, inputs included, stacked the
     same way. A row bit for bit equals the forward of that sample alone; a
-    constant node's value is one read-only row that broadcasts.
+    constant node's value is one read-only row that broadcasts. A node that
+    needs a registry-only op, whose shape is unknown, is skipped; it raises
+    CapabilityError only as stop_at, or in a forward of the whole graph.
     """
     if len(inputs) != len(graph.inputs):
         raise EvaluationError(
@@ -85,14 +87,19 @@ def forward_rows(
     for node in graph.nodes:
         out = constants.get(node.id)
         if out is None:
-            op = op_def(node.op)  # CapabilityError for registry-only ops
+            expected = graph.shape_of(node.id)
+            if expected is None:  # the node needs a registry-only op
+                if stop_at in (None, node.id):
+                    raise CapabilityError(f"node '{node.id}' needs an op with no executable "
+                                          "implementation")
+                continue
+            op = ALL_OPS[node.op]
             args = [rows[ref] for ref in node.inputs]
             try:
                 out = apply_forward(op, node.params, args, dtype)
             except (ValueError, IndexError) as exc:
                 raise EvaluationError(node.id, str(exc)) from exc
-            expected = graph.shape_of(node.id)
-            if expected is not None and tuple(out.shape[1:]) != expected:
+            if tuple(out.shape[1:]) != expected:
                 raise EvaluationError(
                     node.id, f"produced shape {out.shape[1:]}, expected {expected}"
                 )

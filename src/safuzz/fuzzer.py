@@ -27,6 +27,10 @@ Either way one stacked forward to the site's operands feeds the judge.
 Values past the range of float32 or float64 are data in both loops, not
 warnings.
 
+A forward raises EvaluationError for every input or for none: whether it
+does depends on the graph's params and shapes, never on a value or the
+dtype. So each loop has one failure path, taken at its first iteration.
+
 Between resets a guided step is a pure function of the input values and the
 interval bounds: it draws nothing from the generator. So once one step leaves
 the bytes of every value and of both bound arrays unchanged, every later step
@@ -70,7 +74,7 @@ class UnstableSite:
     node_id: str
     kernel: str
     entry_node: str  # producer of the operand the assertion inspects
-    entry_shape: Optional[tuple[int, ...]]
+    entry_shape: tuple[int, ...]
 
 
 @dataclass
@@ -134,8 +138,9 @@ class FuzzResult:
 def scan_for_unstable(graph: Graph, registry: Optional[Registry] = None) -> ScanResult:
     """Every node whose op matches a registry entry, in topological order.
 
-    Registry matches without an executable implementation are reported as
-    diagnostics: they cannot be fuzzed because no soft assertion exists.
+    Registry matches without an executable implementation (no soft
+    assertion exists), or with an operand that depends on such an op, are
+    reported as diagnostics: they cannot be fuzzed.
     """
     reg = registry or default_registry()
     sites: list[UnstableSite] = []
@@ -149,6 +154,9 @@ def scan_for_unstable(graph: Graph, registry: Optional[Registry] = None) -> Scan
                 f"node '{node.id}': unstable function '{node.op}' is in the database "
                 "but has no soft assertion available"
             )
+            continue
+        if any(graph.shape_of(ref) is None for ref in node.inputs):
+            diagnostics.append(f"node '{node.id}': an operand needs an op with no implementation")
             continue
         entry = node.inputs[op_def(node.op).primary]
         sites.append(
@@ -268,11 +276,6 @@ def constrain_update(
 # validation
 # ---------------------------------------------------------------------------
 
-def _needs_shadow(site: UnstableSite, reg: Registry) -> bool:
-    """Whether the site's oracles read a double-precision shadow execution."""
-    return any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings)
-
-
 def _operand_stop(graph: Graph, node: Node) -> str:
     """The last operand of node in topological order: a forward that
     reaches it holds every operand. When every operand is a program input,
@@ -289,7 +292,7 @@ def _judge(graph: Graph, site: UnstableSite, node: Node, stop: str,
     inputs to stop runs only when the increased-width oracle is bound,
     since no other oracle reads it."""
     wide = None
-    if _needs_shadow(site, reg):
+    if any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings):
         rows = forward_rows(graph, inputs, np.float64, stop)
         wide = [rows[ref] for ref in node.inputs]
     return oracle_rows(site.kernel, node.params, operands, reg, wide)
@@ -398,13 +401,8 @@ def fuzz_site(
         result.sa_queries += 1
 
         if signal is Signal.NO_CHANGE:
-            try:
-                verdict = _judge(graph, site, node, stop,
-                                 [evaluated[ref][None] for ref in node.inputs],
-                                 [x[None] for x in inputs], reg).verdict(0)
-            except EvaluationError as exc:
-                result.diagnostics.append(f"validation failed: {exc}")
-                break
+            verdict = _judge(graph, site, node, stop, [evaluated[ref][None] for ref in node.inputs],
+                             [x[None] for x in inputs], reg).verdict(0)
             if not verdict.passed:
                 result.status = "Found"
                 result.verdict = verdict
@@ -476,22 +474,6 @@ def _judge_chunk(graph: Graph, site: UnstableSite, node: Node, stacks: dict[str,
     return _judge(graph, site, node, stop, [rows[ref] for ref in node.inputs], inputs, reg)
 
 
-def _first_failing_step(graph: Graph, stacks: dict[str, np.ndarray], n: int,
-                        stop: str, shadow: bool) -> Optional[tuple[int, EvaluationError]]:
-    """The first of the first n rows of the walk's stacks whose forward to
-    stop fails, evaluated one at a time as a search that judges each step
-    before the next would, and its error; None when every row evaluates."""
-    for i in range(n):
-        inputs = [stacks[d.id][i] for d in graph.inputs]
-        try:
-            forward_eval(graph, inputs, np.float32, stop_at=stop)
-            if shadow:
-                forward_eval(graph, inputs, np.float64, stop_at=stop)
-        except EvaluationError as exc:
-            return i, exc
-    return None
-
-
 @np.errstate(over="ignore")  # a walk past float32's range, or float64's, is data
 def random_fuzz_site(
     graph: Graph,
@@ -511,19 +493,17 @@ def random_fuzz_site(
     the module docstring); row n is the next chunk's start. The judge then
     runs the site kernel on the operands of rows 0..n-1, from one stacked
     forward of those rows, and judges every step; the first failing row is
-    the find, and its failing input is that row. When a stacked forward
-    fails, the rows are evaluated one at a time to find the first that
-    fails. A find at row i, or a forward that fails at step i, rewinds the
-    generator to the start of the chunk and draws the i directions before
-    it again, so the outcome and the generator state are those of judging
-    each iteration before the next. A forward that fails ends the search
-    once the steps before it are judged. The wall-clock timeout is checked
-    between chunks.
+    the find, and its failing input is that row. A find at row i rewinds
+    the generator to the start of the chunk and draws the i directions
+    before it again, so the outcome and the generator state are those of
+    judging each iteration before the next. A forward fails for every input
+    or for none, so one that fails does so on the first chunk's only row:
+    the generator is rewound to the chunk start and the search ends after
+    one iteration. The wall-clock timeout is checked between chunks.
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
     stop = _operand_stop(graph, node)
-    shadow = _needs_shadow(site, reg)
     result = FuzzResult(site=site, status="Exhausted")
     start = time.perf_counter()
     values = _initial_inputs(graph, rng)
@@ -542,50 +522,35 @@ def random_fuzz_site(
         stacks = {d.id: np.empty((len(up) + 1, *d.shape)) for d in graph.inputs}
         for key, stack in stacks.items():
             stack[0] = values[key]
-        steps, error = len(up), None
-        if fixed is None:
-            for i, increase in enumerate(up.tolist()):
-                try:
+        try:
+            if fixed is None:
+                for i, increase in enumerate(up.tolist()):
                     evaluated = forward_eval(graph, [stacks[d.id][i] for d in graph.inputs],
                                              np.float32, stop_at=site.entry_node)
-                except EvaluationError as exc:
-                    steps, error = i, exc
-                    break
-                deltas = propagate_signal(graph, site, evaluated, Signal.INCREASE if increase
-                                          else Signal.DECREASE, config.rate)
-                for decl in graph.inputs:
-                    stacks[decl.id][i + 1] = deltas[decl.id]
-                    _advance(stacks[decl.id], i + 1, decl)
-        else:
-            _walk(graph, stacks, up, fixed)
-        if steps:
-            try:
-                rows = _judge_chunk(graph, site, node, stacks, steps, stop, reg)
-            except EvaluationError:
-                # a step's forward fails: find it, and judge the steps before it
-                failing = _first_failing_step(graph, stacks, steps, stop, shadow)
-                if failing is None:  # no step fails alone: the rows are not independent
-                    raise
-                steps, error = failing
-                if steps:
-                    rows = _judge_chunk(graph, site, node, stacks, steps, stop, reg)
-        used = steps  # directions a one-at-a-time loop would have drawn
-        if steps:
-            failed = np.flatnonzero(~rows.passed)
-            if failed.size:
-                used = int(failed[0])
-                steps = used + 1
-                result.status = "Found"
-                result.verdict = rows.verdict(used)
-                result.failing_input = {k: stack[used].tolist() for k, stack in stacks.items()}
-        if used < len(up):
+                    deltas = propagate_signal(graph, site, evaluated, Signal.INCREASE
+                                              if increase else Signal.DECREASE, config.rate)
+                    for decl in graph.inputs:
+                        stacks[decl.id][i + 1] = deltas[decl.id]
+                        _advance(stacks[decl.id], i + 1, decl)
+            else:
+                _walk(graph, stacks, up, fixed)
+            rows = _judge_chunk(graph, site, node, stacks, len(up), stop, reg)
+        except EvaluationError as exc:
+            rng.bit_generator.state = rewind
+            result.iterations += 1
+            result.diagnostics.append(f"validation failed: {exc}")
+            break
+        steps = len(up)
+        failed = np.flatnonzero(~rows.passed)
+        if failed.size:
+            used = int(failed[0])  # directions a one-at-a-time loop would have drawn
+            steps = used + 1
+            result.status = "Found"
+            result.verdict = rows.verdict(used)
+            result.failing_input = {k: stack[used].tolist() for k, stack in stacks.items()}
             rng.bit_generator.state = rewind
             rng.uniform(size=used)
         result.iterations += steps
-        if error is not None and not result.found:
-            result.iterations += 1
-            result.diagnostics.append(f"validation failed: {error}")
-            break
         values = {k: stack[-1] for k, stack in stacks.items()}
         size = min(2 * size, CHUNK_CAP)
     result.wall_time = time.perf_counter() - start
@@ -602,11 +567,10 @@ def select_forest(models: Sequence[Forest], site: UnstableSite) -> Optional[Fore
     candidates = [f for f in models if f.kernel == site.kernel]
     if not candidates:
         return None
-    if site.entry_shape is not None:
-        size = int(np.prod(site.entry_shape)) if site.entry_shape else 1
-        for f in candidates:
-            if f.feature_len == size:
-                return f
+    size = int(np.prod(site.entry_shape))  # 1 for a rank-0 entry
+    for f in candidates:
+        if f.feature_len == size:
+            return f
     for f in candidates:
         if f.feature_len == 9:
             return f

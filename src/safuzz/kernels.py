@@ -561,8 +561,8 @@ def _shape_constant(params):
 
 def _shape_reshape(params, sa):
     target = params.get("shape")
-    if not isinstance(target, (list, tuple)) or any(type(d) is not int for d in target):
-        raise ValueError(f"param 'shape' must be a list of ints, got {target!r}")
+    if not isinstance(target, (list, tuple)) or any(type(d) is not int or d < 0 for d in target):
+        raise ValueError(f"param 'shape' must be a list of non-negative ints, got {target!r}")
     target = tuple(target)
     if int(np.prod(sa)) != int(np.prod(target)):
         raise ValueError(f"cannot reshape {sa} to {target}")

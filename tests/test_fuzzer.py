@@ -983,12 +983,7 @@ class TestRandomChunks:
                      [Node("y", "log", ("x",))], "y")
     CLEAN = Graph([InputDecl("x", (3, 3), bounds=(0.0, 1.0), clamp=True)],
                   [Node("y", "sigmoid", ("x",))], "y")
-    # value-reading twins: the entry of the last site is x * x (minus 1 in
-    # the walk, which fails once |x| <= 1), so its gradient reads the input
-    SQUARE_LOG_WALK = Graph([InputDecl("x", (1,), bounds=(-1.0, 2.0))],
-                            [Node("a", "square", ("x",)),
-                             Node("one", "constant", (), {"value": [1.0]}),
-                             Node("d", "sub", ("a", "one")), Node("y", "log", ("d",))], "y")
+    # CLEAN's value-reading twin: the site's entry is x * x, so its gradient reads the input
     SQUARE_CLEAN = Graph([InputDecl("x", (3, 3), bounds=(0.0, 1.0), clamp=True)],
                          [Node("a", "square", ("x",)), Node("y", "sigmoid", ("a",))], "y")
 
@@ -1052,88 +1047,25 @@ class TestRandomChunks:
         chunks = [1, 2, 4, 8, 16, 32, 64, 64, 9]
         assert rows_run == [(n, True) for n in chunks]
 
-    @staticmethod
-    def _faulty_forward(site, stop, k):
-        """forward_eval whose k-th single-precision evaluation to stop
-        raises; the reference, which validates each iteration through the
-        site first, fails at its k-th iteration."""
-        calls = 0
+    def test_a_failing_forward_ends_both_loops_at_the_first_iteration(self, monkeypatch):
+        # a forward fails for every input or for none (TestNoForwardRaisesOnValues)
+        def fail(graph, inputs, dtype=np.float32, stop_at=None):
+            raise EvaluationError("y", "injected fault")
 
-        def forward(graph, inputs, dtype=np.float32, stop_at=None):
-            nonlocal calls
-            if dtype == np.float32 and stop_at == stop:
-                calls += 1
-                if calls == k:
-                    raise EvaluationError(site.node_id, "injected fault")
-            return autodiff.forward_eval(graph, inputs, dtype, stop_at)
-
-        return forward
-
-    @staticmethod
-    def _fault_at_step(site, stop, k, per_step):
-        """forward_rows and forward_eval as the loop under test calls them,
-        with the single-precision forward of the k-th step to stop failing.
-        Where each step makes that forward itself (per_step: a value-reading
-        site, whose per-step forward to the entry reaches the stop in these
-        graphs), it is the k-th forward_eval to stop. Elsewhere it fails in
-        its chunk's stacked forward, and again when the chunk's steps are
-        then evaluated one at a time to find the failing one."""
-        seen = 0  # steps the stacked forwards have covered
-        replay = 0 if per_step else None  # the step the one-at-a-time forwards are at
-
-        def rows(graph, inputs, dtype=np.float32, stop_at=None):
-            nonlocal seen, replay
-            if dtype == np.float32:
-                first, seen = seen, seen + len(inputs[0])
-                if first < k <= seen:
-                    replay = first
-                    raise EvaluationError(site.node_id, "injected fault")
-            return autodiff.forward_rows(graph, inputs, dtype, stop_at)
-
-        def forward(graph, inputs, dtype=np.float32, stop_at=None):
-            nonlocal replay
-            if replay is not None and dtype == np.float32 and stop_at == stop:
-                replay += 1
-                if replay == k:
-                    raise EvaluationError(site.node_id, "injected fault")
-            return autodiff.forward_eval(graph, inputs, dtype, stop_at)
-
-        return rows, forward
-
-    def _both_faulty(self, monkeypatch, graph, config, k):
-        site = scan_for_unstable(graph).sites[-1]
-        rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
-        rows, forward = self._fault_at_step(
-            site, fuzzer._operand_stop(graph, graph.node(site.node_id)), k,
-            per_step=not constant_gradient(graph, site.entry_node))
-        with monkeypatch.context() as patch:
-            patch.setattr("safuzz.fuzzer.forward_rows", rows)
-            patch.setattr("safuzz.fuzzer.forward_eval", forward)
-            result = random_fuzz_site(graph, site, config, rng)
-        with monkeypatch.context() as patch:
-            patch.setitem(globals(), "forward_eval",
-                          self._faulty_forward(site, site.node_id, k))
-            expected = _reference_random_fuzz_site(graph, site, config, ref_rng)
-        assert _outcome(result) == _outcome(expected)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        return result
-
-    @pytest.mark.parametrize("k", [1, 2, 4, 6, 7])
-    def test_fault_without_a_failing_row_before_it(self, monkeypatch, k):
+        monkeypatch.setattr(autodiff, "forward_rows", fail)
+        monkeypatch.setattr(fuzzer, "forward_rows", fail)
+        forest = hand_forest("sigmoid", band_tree(0.0, 1.0))
         config = FuzzConfig(seed=0, max_iters=50)
-        fault = EvaluationError("y", "injected fault")
         for graph in (self.CLEAN, self.SQUARE_CLEAN):  # constant, value-reading gradient
-            result = self._both_faulty(monkeypatch, graph, config, k)
-            assert result.iterations == k
-            assert result.diagnostics == [f"validation failed: {fault}"]
-
-    def test_fault_after_a_failing_row_in_its_chunk(self, monkeypatch):
-        # a find on the second row of the 4-7 chunk, a fault on its third
-        for graph in (self.LOG_WALK, self.SQUARE_LOG_WALK):
-            seed = next(s for s in range(200)
-                        if self._both(graph, FuzzConfig(seed=s)).iterations == 5)
-            result = self._both_faulty(monkeypatch, graph, FuzzConfig(seed=seed), 6)
-            assert result.found and result.iterations == 5
+            site = scan_for_unstable(graph).sites[-1]
+            for loop, reference, forests in ((random_fuzz_site, _reference_random_fuzz_site, ()),
+                                             (fuzz_site, _reference_fuzz_site, (forest,))):
+                rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
+                result = loop(graph, site, *forests, config, rng)
+                expected = reference(graph, site, *forests, config, ref_rng)
+                assert _outcome(result) == _outcome(expected)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert result.iterations == 1 and not result.found
 
 
 def _division_by_cancellation():

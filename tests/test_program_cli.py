@@ -72,6 +72,7 @@ class TestProgramParse:
         {"id": "y", "op": "constant", "inputs": []},
         {"id": "y", "op": "reshape", "inputs": ["x"]},
         {"id": "y", "op": "reshape", "inputs": ["x"], "params": {"shape": [2.0]}},
+        {"id": "y", "op": "reshape", "inputs": ["x"], "params": {"shape": [-1, -2]}},
         {"id": "y", "op": "scale", "inputs": ["x"]},
         {"id": "y", "op": "scale", "inputs": ["x"], "params": {"factor": "two"}},
         {"id": "y", "op": "pow", "inputs": ["x"], "params": {"exponent": [2.0]}},
@@ -80,7 +81,7 @@ class TestProgramParse:
          "params": {"weight": [[1.0]], "bias": [0.0]}},
     ], ids=["linear_no_weight", "linear_no_bias", "linear_text_weight",
             "linear_wide_bias", "constant_no_value", "reshape_no_shape",
-            "reshape_float_shape", "scale_no_factor", "scale_text_factor",
+            "reshape_float_shape", "reshape_negative_shape", "scale_no_factor", "scale_text_factor",
             "pow_list_exponent", "params_not_a_mapping", "linear_rank_0_input"])
     def test_missing_or_ill_typed_params_rejected(self, tmp_path, node):
         inputs = [{"id": "x", "shape": [2]}, {"id": "s", "shape": []}]
@@ -244,6 +245,35 @@ class TestCli:
         out = " ".join(capsys.readouterr().out.split())
         assert ("exit codes: 0 success, 1 bugs found (fuzz), 2 usage error, "
                 "3 internal error, with its traceback on stderr") in out
+
+    def test_negative_reshape_dimensions_exit_2(self, tmp_path, capsys):
+        # the sizes agree, 3 * 3 == -1 * -9, but no dimension may be negative
+        program = write_program(tmp_path, {**MINIMAL, "inputs": [{"id": "x", "shape": [3, 3]}],
+                                           "nodes": [{"id": "r", "op": "reshape", "inputs": ["x"],
+                                                      "params": {"shape": [-1, -9]}},
+                                                     {"id": "y", "op": "exp", "inputs": ["r"]}]})
+        for argv in (["scan"], ["fuzz", "--models", str(FIXTURE_MODELS)]):
+            assert cli_dispatch([*argv, str(program)]) == 2
+            assert "error: node 'r': param 'shape'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes, kernels", [
+        ([{"id": "s", "op": "sin", "inputs": ["x"]}, {"id": "t", "op": "tanh", "inputs": ["s"]},
+          {"id": "a", "op": "scale", "inputs": ["x"], "params": {"factor": 2.0}},
+          {"id": "y", "op": "exp", "inputs": ["a"]}], ["exp"]),
+        ([{"id": "s", "op": "sin", "inputs": ["x"]},
+          {"id": "y", "op": "exp", "inputs": ["s"]}], []),
+    ], ids=["beside_the_site", "under_the_site"])
+    def test_fuzz_past_an_op_without_an_implementation(self, tmp_path, capsys, nodes, kernels):
+        # sin is in the database with no executable implementation; tanh reads it
+        program = write_program(tmp_path, {
+            **MINIMAL, "inputs": [{"id": "x", "shape": [3, 3], "bounds": [0, 1], "clamp": True}],
+            "nodes": nodes})
+        report = tmp_path / "report.json"
+        assert cli_dispatch(["fuzz", str(program), "--models", str(FIXTURE_MODELS),
+                             "--max-iters", "300", "--out", str(report)]) == 0
+        assert "error" not in capsys.readouterr().err
+        doc = json.loads(report.read_text())
+        assert [site["kernel"] for p in doc["programs"] for site in p["sites"]] == kernels
 
     def test_scan_prints_sites(self, tmp_path, capsys):
         path = write_program(tmp_path, MINIMAL)

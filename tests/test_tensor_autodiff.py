@@ -5,10 +5,11 @@ import pytest
 
 from safuzz.autodiff import backward, finite_diff_grad, forward_eval, forward_rows
 from safuzz.corpus import corpus_manifest
-from safuzz.errors import EvaluationError, GraphParseError, OracleUnavailable, UsageError
+from safuzz.errors import (CapabilityError, EvaluationError, GraphParseError, OracleUnavailable,
+                           UsageError)
 from safuzz.fuzzer import scan_for_unstable, validate_failure
 from safuzz.graph import Graph, InputDecl, Node
-from safuzz.kernels import apply_forward, default_params, op_def
+from safuzz.kernels import ALL_OPS, apply_forward, default_params, op_def
 from safuzz.registry import default_registry
 from safuzz.oracles import FailureClass
 from safuzz.tensor import Tensor
@@ -167,12 +168,78 @@ class TestForwardRows:
         assert rows["y"].tolist() == [[-1.0, -2.0]] * 5
         assert forward_rows(g, [np.zeros((5, 2))], np.float32, stop_at="k").keys() == {"x", "k"}
 
+    def test_a_registry_only_op_fails_only_where_it_is_needed(self):
+        # sin has no executable implementation; s and t need it, y does not
+        g = Graph([InputDecl("x", (2,))],
+                  [Node("s", "sin", ("x",)), Node("t", "exp", ("s",)), Node("y", "exp", ("x",))],
+                  "y", extra_ops=frozenset({"sin"}))
+        assert forward_rows(g, [np.zeros((3, 2))], np.float32, stop_at="y").keys() == {"x", "y"}
+        for stop in ("s", "t", None):
+            with pytest.raises(CapabilityError, match="no executable implementation"):
+                forward_rows(g, [np.zeros((3, 2))], np.float32, stop_at=stop)
+
     def test_rows_must_match_declared_shape(self):
         g = single_op("exp", (3,))
         with pytest.raises(EvaluationError, match="x"):
             forward_rows(g, [np.ones((4, 2))], np.float64)
         with pytest.raises(EvaluationError, match="input"):
             forward_rows(g, [], np.float64)
+
+
+class TestNoForwardRaisesOnValues:
+    """Whether a forward raises depends on the graph, never on the values.
+    The random baseline rests on it: it judges a chunk of steps with one
+    stacked forward, and when that forward fails it ends the search at its
+    first iteration, with no replay to find the step that failed. A kernel
+    that raised on some values, as np.linalg.inv raises LinAlgError on a
+    singular matrix, would need that per-step replay back."""
+
+    SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 3.4e38, -3.4e38,
+               1e300, -1e300, 1.0, -1.0]
+    SHAPES = [(), (3,), (3, 3), (2, 2, 2)]
+    # params for the helper ops, whose nodes always state them
+    PARAMS = {"scale": {"factor": -1.5}, "constant": {"value": [1.0, -2.0]}}
+
+    @classmethod
+    def _stacks(cls, shape, rng):
+        """Stacks of height 1 and 64 drawn from the special values: each
+        value alone, then a mixture of all of them, per row and element."""
+        fills = [np.full((1,) + shape, v) for v in cls.SPECIAL]
+        mixed = rng.choice(cls.SPECIAL, size=(64 - len(fills),) + shape)
+        return [*fills, rng.choice(cls.SPECIAL, size=(1,) + shape),
+                np.concatenate([*fills, mixed])]
+
+    @pytest.mark.parametrize("name", sorted(ALL_OPS))
+    def test_no_op_raises(self, name):
+        op = op_def(name)
+        rng = np.random.default_rng(5)
+        checked = 0
+        for shape in self.SHAPES:
+            try:
+                params = self.PARAMS.get(name) or dict(default_params(name, shape))
+                if name == "reshape":
+                    params = {"shape": [int(np.prod(shape))]}
+                op.shape_rule(params, *[shape] * op.arity)
+            except (ValueError, IndexError):  # the op does not take this shape
+                continue
+            for stack in self._stacks(shape, rng):
+                for dtype in (np.float32, np.float64):
+                    with np.errstate(over="ignore"):  # 1e300 is inf in float32
+                        args = [stack.astype(dtype) for _ in range(op.arity)]
+                    apply_forward(op, params, args, dtype)
+            checked += 1
+        assert checked >= 1
+
+    def test_no_corpus_forward_raises(self):
+        reg = default_registry()
+        rng = np.random.default_rng(5)
+        for spec in corpus_manifest(reg):
+            graph = spec.to_graph(reg)
+            stacks = [self._stacks(tuple(d.shape), rng) for d in graph.inputs]
+            for inputs in zip(*stacks):
+                for dtype in (np.float32, np.float64):
+                    with np.errstate(over="ignore"):
+                        forward_rows(graph, list(inputs), dtype)
 
 
 class TestBackward:
