@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Compare assertion-guided search with the random-mutation baseline.
 
-Runs every buggy corpus program under both strategies for a set of seeds and
-prints median iterations-to-found per program (exhausted runs count as the
-iteration budget). A program whose site has no model is skipped with one
-line. A models directory that is missing or holds no model, a malformed
-seed list and an out-of-range value exit with 2 and an error line.
+Runs every buggy corpus program under both whole-program drivers,
+fuzz_program and random_fuzz_program, for a set of seeds, with the seeding
+`safuzz bench` uses: each site's generator comes from the seed and the
+site's index, so both searches of a site start from the same input. Prints
+per program the median iterations-to-first-find of each strategy over every
+(seed, site) pair the guided driver ran; an exhausted run counts as the
+iteration budget. A site with no model is skipped with the driver's
+diagnostic line, and a program with no modelled site is not compared. A
+models directory that is missing or holds no model, a malformed seed list
+and an out-of-range value exit with 2 and an error line.
 """
 
 import argparse
@@ -13,20 +18,12 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from safuzz.cli import load_models, parse_ints
 from safuzz.corpus import corpus_manifest
 from safuzz.errors import SafuzzError
-from safuzz.fuzzer import (
-    FuzzConfig,
-    fuzz_site,
-    random_fuzz_site,
-    scan_for_unstable,
-    select_forest,
-)
+from safuzz.fuzzer import FuzzConfig, fuzz_program, random_fuzz_program
 from safuzz.registry import default_registry
 
 
@@ -35,26 +32,28 @@ def compare(args) -> None:
     models = load_models(args.models)
     seeds = parse_ints(args.seeds, ",", "seed list", "0,1,2")
 
+    def iterations(result) -> int:
+        return result.iterations if result.found else args.max_iters
+
     wins = compared = 0
     programs = [p for p in corpus_manifest(reg) if p.expected_failure_class]
     for spec in programs:
         graph = spec.to_graph(reg)
-        site = scan_for_unstable(graph, reg).sites[0]
-        forest = select_forest(models, site)
-        if forest is None:
-            print(f"{spec.name:28s} site '{site.node_id}' ({site.kernel}): "
-                  "no trained model; skipped")
-            continue
         guided, baseline = [], []
         for seed in seeds:
             config = FuzzConfig(timeout=args.timeout, rate=spec.rate or 1.0,
                                 seed=seed, max_iters=args.max_iters)
-            res = fuzz_site(graph, site, forest, config,
-                            np.random.default_rng(seed), reg)
-            guided.append(res.iterations if res.found else args.max_iters)
-            res = random_fuzz_site(graph, site, config,
-                                   np.random.default_rng(seed), reg)
-            baseline.append(res.iterations if res.found else args.max_iters)
+            results, diagnostics = fuzz_program(graph, reg, models, config)
+            if not results:
+                continue  # no guided search to compare the baseline with
+            baseline_at = {r.site: r for r in random_fuzz_program(graph, reg, config)}
+            for r in results:
+                guided.append(iterations(r))
+                baseline.append(iterations(baseline_at[r.site]))
+        for line in diagnostics:  # they depend on the models, not the seed
+            print(f"{spec.name:28s} {line}")
+        if not guided:
+            continue
         g, b = statistics.median(guided), statistics.median(baseline)
         wins += int(g <= b)
         compared += 1

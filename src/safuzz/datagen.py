@@ -213,38 +213,22 @@ def run_trajectory(kernel: str, base: np.ndarray, mconfig: MutationConfig,
     return points[:end], passed[:end]
 
 
-def _infer_direction(points: np.ndarray) -> Optional[str]:
-    rows = points.reshape(len(points), -1)
-    deltas = (rows[1:] - rows[0]).sum(axis=1)
-    moved = np.flatnonzero((deltas > 0) | (deltas < 0))  # a NaN delta moves nowhere
-    if not moved.size:
-        return None
-    return "up" if deltas[moved[0]] > 0 else "down"
-
-
-def derive_labels(points: np.ndarray, passed: np.ndarray) -> list[Signal]:
-    """Label a flipped trajectory, given as run_trajectory returns it: one
-    label for each of its first len() points, up to and including the flip.
+def derive_labels(passed: np.ndarray, direction: str) -> list[Signal]:
+    """Label a trajectory, cut at its first flip as run_trajectory cuts it,
+    by its MutationConfig.direction: one label per point if it flipped, none
+    if it did not (the caller retries).
 
     Passing points are labeled with the mutation direction that triggered the
     failure; failing points are labeled no-change. When the mutation moved
     fail -> success, the successful endpoint gets the reverse direction.
-    An unflipped trajectory produces no labels (the caller retries).
     """
-    if len(points) < 2:
+    if len(passed) < 2:
         raise UsageError("a trajectory needs at least two points")
-    flips = np.flatnonzero(passed != passed[0])
-    if not flips.size:
+    if passed[-1] == passed[0]:
         return []
-    flip = int(flips[0])
-    direction = _infer_direction(points[: flip + 1])
-    if direction is None:
-        return []
-    if passed[0]:
-        ok_label = Signal.INCREASE if direction == "up" else Signal.DECREASE
-    else:  # the flip is the input that escaped the failure region
-        ok_label = Signal.DECREASE if direction == "up" else Signal.INCREASE
-    return [ok_label if ok else Signal.NO_CHANGE for ok in passed[: flip + 1].tolist()]
+    # toward the failure: the mutation's direction from a passing start, else its reverse
+    ok_label = Signal.INCREASE if bool(passed[0]) == (direction == "up") else Signal.DECREASE
+    return [ok_label if ok else Signal.NO_CHANGE for ok in passed.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +371,12 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
         nonlocal flips_seen
         for mc in mconfigs:
             points, passed = run_trajectory(kernel, base, mc, rng, reg)
-            labels = derive_labels(points, passed)
+            labels = derive_labels(passed, mc.direction)
             if not labels:
                 continue
             flips_seen += 1
             # a copy per trajectory: a view would keep its whole step budget alive
-            feats_acc.append(points[:len(labels)].reshape(len(labels), -1).copy())
+            feats_acc.append(points.reshape(len(points), -1).copy())
             labels_acc.extend(labels)
             for label in labels:
                 counts[label] = counts.get(label, 0) + 1

@@ -1,5 +1,9 @@
 """Soft-assertion guided search for failure-inducing inputs.
 
+Two drivers walk a program's unstable sites in scan order and seed each from
+(config.seed, its index) alone: fuzz_program searches the sites that have a
+trained model, random_fuzz_program runs the random baseline at every site.
+
 For each unstable site found in a program graph, the loop executes the
 program to the site's operands, asks the site's soft assertion how to
 transform the entry values, and either judges a predicted failure with the
@@ -57,13 +61,12 @@ from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import Forest, predict
 from safuzz.graph import Graph, Node
 from safuzz.kernels import op_def
-from safuzz.oracles import OracleRows, OracleVerdict, oracle_rows
+from safuzz.oracles import WIDTH_ORACLE, OracleRows, OracleVerdict, oracle_rows
 from safuzz.registry import Registry, default_registry
 
 log = logging.getLogger(__name__)
 
 DEFAULT_INPUT_RANGE = (-10.0, 10.0)
-WIDTH_ORACLE = 6  # the increased-width oracle, the only reader of the double shadow
 GRAD_FLOOR = 1e-6  # smallest gradient magnitude a mutation step divides by
 MAX_RESETS = 50  # mispredictions fuzz_site tolerates before giving up
 CHUNK_CAP = 64  # most iterations random_fuzz_site judges in one oracle call
@@ -558,7 +561,7 @@ def random_fuzz_site(
 
 
 # ---------------------------------------------------------------------------
-# whole-program driver
+# whole-program drivers
 # ---------------------------------------------------------------------------
 
 def select_forest(models: Sequence[Forest], site: UnstableSite) -> Optional[Forest]:
@@ -577,13 +580,15 @@ def select_forest(models: Sequence[Forest], site: UnstableSite) -> Optional[Fore
     return candidates[0]
 
 
-def fuzz_program(
-    graph: Graph,
-    registry: Optional[Registry],
-    models: Sequence[Forest],
-    config: FuzzConfig,
-) -> tuple[list[FuzzResult], list[str]]:
-    """Fuzz every unstable site sequentially in scan order."""
+def _site_rng(config: FuzzConfig, index: int) -> np.random.Generator:
+    """The generator of the site at index in scan order. It depends on no
+    other site, and both drivers' searches of a site start from one input."""
+    return np.random.default_rng(np.random.SeedSequence([config.seed, index]))
+
+
+def fuzz_program(graph: Graph, registry: Optional[Registry], models: Sequence[Forest],
+                 config: FuzzConfig) -> tuple[list[FuzzResult], list[str]]:
+    """Fuzz every unstable site that has a trained model, in scan order."""
     reg = registry or default_registry()
     scan = scan_for_unstable(graph, reg)
     diagnostics = list(scan.diagnostics)
@@ -595,6 +600,14 @@ def fuzz_program(
                 f"site '{site.node_id}' ({site.kernel}): no trained model; skipped"
             )
             continue
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
-        results.append(fuzz_site(graph, site, forest, config, rng, reg))
+        results.append(fuzz_site(graph, site, forest, config, _site_rng(config, index), reg))
     return results, diagnostics
+
+
+def random_fuzz_program(graph: Graph, registry: Optional[Registry],
+                        config: FuzzConfig) -> list[FuzzResult]:
+    """The random baseline at every unstable site in scan order, a site
+    with no trained model included, each seeded as fuzz_program seeds it."""
+    reg = registry or default_registry()
+    return [random_fuzz_site(graph, site, config, _site_rng(config, index), reg)
+            for index, site in enumerate(scan_for_unstable(graph, reg).sites)]

@@ -211,6 +211,9 @@ def _counterpart_rows(kind: int, op: OpDef, params: Mapping,
 # oracle type 6: increased floating-point width
 # ---------------------------------------------------------------------------
 
+WIDTH_ORACLE = 6  # the one oracle that reads operands from a double-precision shadow
+
+
 def _width_rows(op: OpDef, params: Mapping, inputs: Sequence[np.ndarray],
                 tolerance: float) -> _CheckRows:
     single = apply_forward(op, params, _cast(inputs, np.float32), np.float32)
@@ -283,7 +286,7 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
             rows = _nan_inf_rows(single_out)
         elif kind == 2:
             rows = _range_rows(single_out, binding.lo, binding.hi)
-        elif kind == 6:
+        elif kind == WIDTH_ORACLE:
             rows = _width_rows(op, params, inputs if wide_inputs is None else wide_inputs,
                                binding.tolerance)
         else:

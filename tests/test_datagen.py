@@ -29,7 +29,7 @@ from safuzz.datagen import (
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
 from safuzz.kernels import default_params, unit_operand_rows
 from safuzz.registry import Registry, default_registry
-from test_oracles import judge_one
+from test_oracles import IMPLEMENTED, judge_one
 
 
 def trajectory(*points):
@@ -38,9 +38,9 @@ def trajectory(*points):
     return np.array(values, dtype=np.float64).reshape(-1, 1), np.array(passed)
 
 
-def labelled(points, passed):
+def labelled(points, passed, direction="up"):
     """(value, label) for each point derive_labels labels."""
-    labels = derive_labels(points, passed)
+    labels = derive_labels(passed, direction)
     return [(float(v), label) for v, label in zip(points[:len(labels), 0], labels)]
 
 
@@ -128,10 +128,8 @@ class TestDeriveLabels:
         assert got == [(-1.0, Signal.INCREASE), (5.0, Signal.NO_CHANGE)]
 
     def test_multi_step_trajectory(self):
-        # every passing point carries the mutation direction; the points after
-        # the first flip get no label
-        got = labelled(*trajectory((10, True), (20, True), (30, True), (40, False),
-                                   (50, True)))
+        # every passing point carries the mutation direction
+        got = labelled(*trajectory((10, True), (20, True), (30, True), (40, False)))
         assert got == [(10.0, Signal.INCREASE), (20.0, Signal.INCREASE),
                        (30.0, Signal.INCREASE), (40.0, Signal.NO_CHANGE)]
 
@@ -140,19 +138,29 @@ class TestDeriveLabels:
         assert got == [(100.0, Signal.NO_CHANGE), (130.0, Signal.NO_CHANGE),
                        (160.0, Signal.DECREASE)]
 
+    def test_down_trajectory_takes_its_configured_direction(self):
+        got = labelled(*trajectory((5, True), (-1, False)), "down")
+        assert got == [(5.0, Signal.DECREASE), (-1.0, Signal.NO_CHANGE)]
+        got = labelled(*trajectory((30, False), (10, True)), "down")
+        assert got == [(30.0, Signal.NO_CHANGE), (10.0, Signal.INCREASE)]
+
     def test_no_flip_is_empty(self):
-        assert derive_labels(*trajectory((1, True), (2, True))) == []
+        assert derive_labels(np.array([True, True]), "up") == []
 
     def test_short_trajectory_rejected(self):
         with pytest.raises(UsageError):
-            derive_labels(*trajectory((1, True)))
+            derive_labels(np.array([True]), "up")
 
     @given(st.lists(st.booleans(), min_size=2, max_size=12),
            st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_never_both_directions_for_one_value(self, outcomes, up):
         step = 1.0 if up else -1.0
-        got = labelled(*trajectory(*[(i * step, passed) for i, passed in enumerate(outcomes)]))
+        flips = [i for i, passed in enumerate(outcomes) if passed != outcomes[0]]
+        if flips:  # cut at the first flip, as run_trajectory cuts
+            outcomes = outcomes[:flips[0] + 1]
+        got = labelled(*trajectory(*[(i * step, passed) for i, passed in enumerate(outcomes)]),
+                       "up" if up else "down")
         by_value = {}
         for value, label in got:
             by_value.setdefault(value, set()).add(label)
@@ -333,6 +341,27 @@ class TestBuildDataset:
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert [r.getMessage() for r in warnings] == [
             "remainder: generation budget exhausted at 395 of the 600 samples targeted"]
+
+    @pytest.mark.parametrize("kernel", IMPLEMENTED)
+    def test_flipped_trajectories_first_move_in_their_configured_direction(
+            self, kernel, monkeypatch):
+        # derive_labels labels by the configured direction, not by the points
+        seen = []
+
+        def recording(kernel, base, mconfig, rng, registry=None):
+            points, passed = run_trajectory(kernel, base, mconfig, rng, registry)
+            seen.append((mconfig.direction, points, passed))
+            return points, passed
+
+        monkeypatch.setattr(datagen, "run_trajectory", recording)
+        build_dataset(kernel, GenerationConfig(n_base=10, seed=1, target_size=1000))
+        flipped = [(d, points) for d, points, passed in seen if passed[-1] != passed[0]]
+        assert flipped
+        for direction, points in flipped:
+            rows = points.reshape(len(points), -1)
+            moves = (rows[1:] - rows[0]).sum(axis=1)
+            moved = moves[(moves > 0) | (moves < 0)]  # a NaN sum moves nowhere
+            assert moved.size and (moved[0] > 0) == (direction == "up")
 
     def test_no_warning_when_target_reached(self, caplog):
         with caplog.at_level(logging.WARNING, logger="safuzz.datagen"):

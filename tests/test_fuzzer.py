@@ -33,6 +33,7 @@ from safuzz.fuzzer import (
     fuzz_program,
     fuzz_site,
     propagate_signal,
+    random_fuzz_program,
     random_fuzz_site,
     scan_for_unstable,
     select_forest,
@@ -468,6 +469,27 @@ class TestFuzzProgram:
                                       FuzzConfig(seed=0, max_iters=10))
         assert results == []
         assert any("no trained model" in d for d in diags)
+
+
+class TestRandomFuzzProgram:
+    def test_every_site_seeded_as_the_guided_driver_seeds_it(self):
+        g = Graph([InputDecl("x", (3, 3))],
+                  [Node("a", "exp", ("x",)), Node("b", "sinh", ("x",))], "b")
+        config = FuzzConfig(seed=1, rate=5.0, max_iters=2000)
+        guided, diags = fuzz_program(g, None, [EXP_FOREST], config)
+        assert [r.site.node_id for r in guided] == ["a"]
+        assert diags == ["site 'b' (sinh): no trained model; skipped"]
+
+        results = random_fuzz_program(g, None, config)
+        sites = scan_for_unstable(g).sites
+        assert [r.site for r in results] == sites
+        assert all(r.found for r in results)  # the site with no model included
+        for index, (site, got) in enumerate(zip(sites, results)):
+            rng = np.random.default_rng(np.random.SeedSequence([1, index]))
+            want = random_fuzz_site(g, site, config, rng)
+            # repr: a failing input may hold NaN, which never compares equal
+            assert repr(dataclasses.replace(got, wall_time=0.0)) == \
+                repr(dataclasses.replace(want, wall_time=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ import importlib.util
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from safuzz.cli import cli_dispatch
 from safuzz.corpus import corpus_manifest
 from safuzz.datagen import GenerationConfig, build_dataset, dataset_save
 from safuzz.forest import model_save, train_forest
-from safuzz.fuzzer import FuzzConfig, random_fuzz_site, scan_for_unstable
+from safuzz.fuzzer import FuzzConfig, random_fuzz_program
 from safuzz.registry import default_registry
 from safuzz.report import strip_time_fields
 
@@ -76,25 +75,19 @@ def test_bench_report_matches_golden(tmp_path, capsys):
 
 
 def random_baseline_outcomes(seeds=(0, 1, 2), max_iters=2000) -> dict:
-    """random_fuzz_site at every corpus site, seeded per (seed, site index)
-    as fuzz_program seeds its sites, keyed by program@seed."""
+    """random_fuzz_program on every corpus program, keyed by program@seed."""
     reg = default_registry()
     outcomes = {}
     for spec in corpus_manifest(reg):
         graph = spec.to_graph(reg)
         for seed in seeds:
             config = FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=max_iters)
-            sites = []
-            for index, site in enumerate(scan_for_unstable(graph, reg).sites):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-                r = random_fuzz_site(graph, site, config, rng, reg)
-                sites.append({
-                    "node": site.node_id, "status": r.status, "iterations": r.iterations,
-                    "failure_class": r.verdict.failure_class.value if r.found else None,
-                    "detail": r.verdict.detail if r.found else "",
-                    "failing_input": r.failing_input, "diagnostics": r.diagnostics,
-                })
-            outcomes[f"{spec.name}@{seed}"] = sites
+            outcomes[f"{spec.name}@{seed}"] = [{
+                "node": r.site.node_id, "status": r.status, "iterations": r.iterations,
+                "failure_class": r.verdict.failure_class.value if r.found else None,
+                "detail": r.verdict.detail if r.found else "",
+                "failing_input": r.failing_input, "diagnostics": r.diagnostics,
+            } for r in random_fuzz_program(graph, reg, config)]
     return outcomes
 
 
