@@ -3,7 +3,8 @@
 Base inputs are sampled round-robin across the kernel's registry regions (or
 [-100, 100] for a kernel without generation hints), then mutated step-wise
 (exponential, random, or sinusoidal step schedules at each of BASE_RATES, in
-both directions, MAX_STEPS steps at most) until the oracle outcome flips. A
+both directions, MAX_STEPS steps each) until the oracle outcome flips; an
+exponential rate whose last step overflows a double is rejected up front. A
 sinusoidal step is scaled by the base's largest magnitude. Each flip labels
 the trajectory's points up to it: passing points with the direction that led
 to failure, failing points with "no change". The features are scaled once by
@@ -46,6 +47,7 @@ log = logging.getLogger(__name__)
 
 BASE_RATES = (1.0, 2.5)  # the rates of the default mutation schedules
 MAX_STEPS = 100  # mutation steps a trajectory takes at most
+_LOG_DOUBLE_MAX = math.log(np.finfo(np.float64).max)  # exp of more overflows a double
 MAX_WAVES = 300  # rounds of base inputs build_dataset draws before it stops
 DEFAULT_REGIONS = ((-100.0, 100.0),)  # base-input regions without registry hints
 
@@ -75,7 +77,6 @@ class Signal(enum.IntEnum):
 class MutationConfig:
     method: str  # exponential | random | sinusoidal
     rate: float = 1.0
-    max_steps: int = MAX_STEPS
     direction: str = "up"  # up | down
 
     def __post_init__(self):
@@ -83,8 +84,11 @@ class MutationConfig:
             raise UsageError(f"unknown mutation method {self.method!r}")
         if self.direction not in ("up", "down"):
             raise UsageError(f"unknown direction {self.direction!r}")
-        if not self.rate > 0 or self.max_steps < 1:
-            raise UsageError("rate must be positive and max_steps >= 1")
+        if not 0 < self.rate < math.inf:  # sin(inf) raises a bare ValueError
+            raise UsageError("rate must be positive and finite")
+        if self.method == "exponential" and self.rate * MAX_STEPS > _LOG_DOUBLE_MAX:
+            raise UsageError(f"exponential rate {self.rate} overflows a double "
+                             f"within {MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -137,18 +141,10 @@ def generate_base_inputs(config: GenerationConfig, rng: np.random.Generator,
 @lru_cache(maxsize=64)
 def _schedule(method: str, rate: float, count: int) -> np.ndarray:
     """exp(rate * k), or |sin(rate * k)|, for k = 1, 2, ..., count.
-
-    Shared between calls, so read-only. An exponential schedule ends before
-    its first step that overflows a double.
-    """
+    Shared between calls, so read-only."""
     ks = range(1, count + 1)
     if method == "exponential":
-        sizes = []
-        try:
-            for k in ks:
-                sizes.append(math.exp(rate * k))
-        except OverflowError:
-            pass
+        sizes = [math.exp(rate * k) for k in ks]
     else:
         sizes = [abs(math.sin(rate * k)) for k in ks]
     out = np.array(sizes, dtype=np.float64)
@@ -157,19 +153,11 @@ def _schedule(method: str, rate: float, count: int) -> np.ndarray:
 
 
 def step_sizes(mconfig: MutationConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Sizes of mutation steps 1, 2, ..., count.
-
-    The random schedule draws one uniform [0, 1) sample per step from rng.
-    An exponential schedule ends before its first step that overflows a
-    double, so fewer than count sizes can come back.
-    """
+    """Sizes of mutation steps 1, 2, ..., count. The random schedule draws
+    one uniform [0, 1) sample per step from rng."""
     if mconfig.method == "random":
         return rng.uniform(0.0, 1.0, size=count) * mconfig.rate
     return _schedule(mconfig.method, mconfig.rate, count)
-
-
-def _overflow(step_index: int) -> OverflowError:
-    return OverflowError(f"exponential mutation step {step_index} overflows a double")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +178,7 @@ def run_trajectory(kernel: str, base: np.ndarray, mconfig: MutationConfig,
     reg = registry or default_registry()
     start = np.asarray(base, dtype=np.float64)
     rewind = rng.bit_generator.state if mconfig.method == "random" else None
-    steps = step_sizes(mconfig, rng, mconfig.max_steps)
+    steps = step_sizes(mconfig, rng, MAX_STEPS)
     if mconfig.method == "sinusoidal":
         steps = steps * (float(np.max(np.abs(start))) or 1.0)
     if mconfig.direction == "down":
@@ -199,14 +187,13 @@ def run_trajectory(kernel: str, base: np.ndarray, mconfig: MutationConfig,
     points = np.empty((len(steps) + 1,) + start.shape)
     points[0] = start
     points[1:] = steps.reshape((-1,) + (1,) * start.ndim)
-    points = np.cumsum(points, axis=0)  # sequential adds: x_k = x_{k-1} + step_k
+    with np.errstate(over="ignore"):  # a sum past float64's range is data, as in the fuzzer
+        points = np.cumsum(points, axis=0)  # sequential adds: x_k = x_{k-1} + step_k
 
     params = default_params(kernel, start.shape)
     passed = oracle_rows(kernel, params, unit_operand_rows(kernel, points), reg).passed
     flips = np.flatnonzero(passed != passed[0])
     end = int(flips[0]) + 1 if flips.size else len(points)
-    if end == len(points) and len(steps) < mconfig.max_steps:
-        raise _overflow(end)  # the walk reached the overflowing step
     if rewind is not None and end < len(points):
         rng.bit_generator.state = rewind
         rng.uniform(0.0, 1.0, size=end - 1)
@@ -309,8 +296,7 @@ def default_mutation_configs() -> list[MutationConfig]:
     for method in ("exponential", "random", "sinusoidal"):
         for direction in ("up", "down"):
             for rate in BASE_RATES:
-                configs.append(MutationConfig(method=method, rate=rate,
-                                              max_steps=MAX_STEPS, direction=direction))
+                configs.append(MutationConfig(method=method, rate=rate, direction=direction))
     return configs
 
 
@@ -365,16 +351,13 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
     feats_acc: list[np.ndarray] = []
     labels_acc: list[Signal] = []
     counts: dict[int, int] = {}
-    flips_seen = 0
 
     def run_base(base: np.ndarray):
-        nonlocal flips_seen
         for mc in mconfigs:
             points, passed = run_trajectory(kernel, base, mc, rng, reg)
             labels = derive_labels(passed, mc.direction)
             if not labels:
                 continue
-            flips_seen += 1
             # a copy per trajectory: a view would keep its whole step budget alive
             feats_acc.append(points.reshape(len(points), -1).copy())
             labels_acc.extend(labels)
@@ -387,7 +370,7 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
     for wave in range(MAX_WAVES):
         for base in generate_base_inputs(gconfig, rng, regions):
             run_base(base)
-        if wave >= 2 and flips_seen == 0:
+        if wave >= 2 and not labels_acc:  # only a flipped trajectory adds labels
             raise GenerationFailure(
                 kernel, "oracle outcome never flipped on the configured regions"
             )

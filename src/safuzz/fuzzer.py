@@ -1,8 +1,9 @@
 """Soft-assertion guided search for failure-inducing inputs.
 
 Two drivers walk a program's unstable sites in scan order and seed each from
-(config.seed, its index) alone: fuzz_program searches the sites that have a
-trained model, random_fuzz_program runs the random baseline at every site.
+(config.seed, its index) alone. fuzz_program searches the sites that have a
+trained model, one forest per kernel serving every entry size;
+random_fuzz_program runs the random baseline at every site.
 
 For each unstable site found in a program graph, the loop executes the
 program to the site's operands, asks the site's soft assertion how to
@@ -24,10 +25,11 @@ loops then compute them once per search and keep them read-only.
 
 The random baseline walks a chunk of n steps as one (n + 1, *shape) stack
 per program input: row 0 is the current value, row k the value after k
-steps. With fixed deltas the walk is one running sum over the stack (a row
-loop of add and clip where the input is clamped to its declared bounds);
-otherwise each step makes one forward to the site entry for its backward.
-Either way one stacked forward to the site's operands feeds the judge.
+steps. With fixed deltas and no input clamped to its declared bounds, the
+walk is one running sum over each stack; otherwise one row loop adds each
+step and clips the clamped inputs, and without fixed deltas each step makes
+one forward to the site entry for its backward. Either way one stacked
+forward to the site's operands feeds the judge.
 Values past the range of float32 or float64 are data in both loops, not
 warnings.
 
@@ -77,7 +79,6 @@ class UnstableSite:
     node_id: str
     kernel: str
     entry_node: str  # producer of the operand the assertion inspects
-    entry_shape: tuple[int, ...]
 
 
 @dataclass
@@ -161,15 +162,8 @@ def scan_for_unstable(graph: Graph, registry: Optional[Registry] = None) -> Scan
         if any(graph.shape_of(ref) is None for ref in node.inputs):
             diagnostics.append(f"node '{node.id}': an operand needs an op with no implementation")
             continue
-        entry = node.inputs[op_def(node.op).primary]
-        sites.append(
-            UnstableSite(
-                node_id=node.id,
-                kernel=node.op,
-                entry_node=entry,
-                entry_shape=graph.shape_of(entry),
-            )
-        )
+        sites.append(UnstableSite(node_id=node.id, kernel=node.op,
+                                  entry_node=node.inputs[op_def(node.op).primary]))
     return ScanResult(sites=sites, diagnostics=diagnostics)
 
 
@@ -440,41 +434,39 @@ def fuzz_site(
     return result
 
 
-def _advance(stack: np.ndarray, i: int, decl) -> None:
-    """Row i of a walk from row i - 1, where row i holds the step's deltas:
-    their sum, clipped to the declared bounds where the input is clamped.
+def _walk(graph: Graph, site: UnstableSite, stacks: dict[str, np.ndarray], up: np.ndarray,
+          fixed: Optional[dict[Signal, dict[str, np.ndarray]]], rate: float) -> None:
+    """Rows 1..n of every input's stack from row 0: row k adds the Increase
+    deltas to row k - 1 where up[k - 1], else the Decrease deltas, clipped
+    to the declared bounds where the input is clamped. Fixed deltas fill
+    rows 1..n first, and with no input clamped one cumsum per input walks
+    them; numpy accumulates row after row, so its sums are those of adding
+    one step at a time. Otherwise one row loop adds each step, and without
+    fixed deltas each step back-propagates from a forward of row k - 1.
     Slices keep the rows of a rank-0 input arrays that out= can write."""
-    row = stack[i:i + 1]
-    np.add(stack[i - 1:i], row, out=row)
-    if _clamps(decl):
-        np.clip(row, decl.bounds[0], decl.bounds[1], out=row)
-
-
-def _walk(graph: Graph, stacks: dict[str, np.ndarray], up: np.ndarray,
-          fixed: dict[Signal, dict[str, np.ndarray]]) -> None:
-    """Rows 1..n of every input's stack from row 0, by fixed deltas: row k
-    adds the Increase deltas to row k - 1 where up[k - 1], else the Decrease
-    deltas. One cumsum walks an input that is not clamped; numpy
-    accumulates row after row, so its sums are those of adding one step at
-    a time. A clamped input is walked a row at a time."""
-    for decl in graph.inputs:
-        stack = stacks[decl.id]
-        stack[1:] = np.where(up.reshape((-1,) + (1,) * len(decl.shape)),
-                             fixed[Signal.INCREASE][decl.id], fixed[Signal.DECREASE][decl.id])
-        if _clamps(decl):
-            for i in range(1, len(stack)):
-                _advance(stack, i, decl)
-        else:
-            np.cumsum(stack, axis=0, out=stack)
-
-
-def _judge_chunk(graph: Graph, site: UnstableSite, node: Node, stacks: dict[str, np.ndarray],
-                 n: int, stop: str, reg: Registry) -> OracleRows:
-    """The judge over the first n rows of the walk's stacks, whose operands
-    come from one single-precision forward of those rows to stop."""
-    inputs = [stacks[d.id][:n] for d in graph.inputs]
-    rows = forward_rows(graph, inputs, np.float32, stop)
-    return _judge(graph, site, node, stop, [rows[ref] for ref in node.inputs], inputs, reg)
+    if fixed is not None:
+        for decl in graph.inputs:
+            stacks[decl.id][1:] = np.where(up.reshape((-1,) + (1,) * len(decl.shape)),
+                                           fixed[Signal.INCREASE][decl.id],
+                                           fixed[Signal.DECREASE][decl.id])
+        if not any(_clamps(d) for d in graph.inputs):
+            for stack in stacks.values():
+                np.cumsum(stack, axis=0, out=stack)
+            return
+    for i, increase in enumerate(up.tolist(), start=1):
+        if fixed is None:
+            evaluated = forward_eval(graph, [stacks[d.id][i - 1] for d in graph.inputs],
+                                     np.float32, stop_at=site.entry_node)
+            deltas = propagate_signal(graph, site, evaluated, Signal.INCREASE
+                                      if increase else Signal.DECREASE, rate)
+            for decl in graph.inputs:
+                stacks[decl.id][i] = deltas[decl.id]
+        for decl in graph.inputs:
+            stack = stacks[decl.id]
+            row = stack[i:i + 1]
+            np.add(stack[i - 1:i], row, out=row)
+            if _clamps(decl):
+                np.clip(row, decl.bounds[0], decl.bounds[1], out=row)
 
 
 @np.errstate(over="ignore")  # a walk past float32's range, or float64's, is data
@@ -526,18 +518,11 @@ def random_fuzz_site(
         for key, stack in stacks.items():
             stack[0] = values[key]
         try:
-            if fixed is None:
-                for i, increase in enumerate(up.tolist()):
-                    evaluated = forward_eval(graph, [stacks[d.id][i] for d in graph.inputs],
-                                             np.float32, stop_at=site.entry_node)
-                    deltas = propagate_signal(graph, site, evaluated, Signal.INCREASE
-                                              if increase else Signal.DECREASE, config.rate)
-                    for decl in graph.inputs:
-                        stacks[decl.id][i + 1] = deltas[decl.id]
-                        _advance(stacks[decl.id], i + 1, decl)
-            else:
-                _walk(graph, stacks, up, fixed)
-            rows = _judge_chunk(graph, site, node, stacks, len(up), stop, reg)
+            _walk(graph, site, stacks, up, fixed, config.rate)
+            inputs = [stacks[d.id][:-1] for d in graph.inputs]
+            operands = forward_rows(graph, inputs, np.float32, stop)
+            rows = _judge(graph, site, node, stop, [operands[ref] for ref in node.inputs],
+                          inputs, reg)
         except EvaluationError as exc:
             rng.bit_generator.state = rewind
             result.iterations += 1
@@ -564,22 +549,6 @@ def random_fuzz_site(
 # whole-program drivers
 # ---------------------------------------------------------------------------
 
-def select_forest(models: Sequence[Forest], site: UnstableSite) -> Optional[Forest]:
-    """Prefer the forest whose shape class matches the site entry; fall back
-    to the 9-feature forest, which accepts any entry via quantile features."""
-    candidates = [f for f in models if f.kernel == site.kernel]
-    if not candidates:
-        return None
-    size = int(np.prod(site.entry_shape))  # 1 for a rank-0 entry
-    for f in candidates:
-        if f.feature_len == size:
-            return f
-    for f in candidates:
-        if f.feature_len == 9:
-            return f
-    return candidates[0]
-
-
 def _site_rng(config: FuzzConfig, index: int) -> np.random.Generator:
     """The generator of the site at index in scan order. It depends on no
     other site, and both drivers' searches of a site start from one input."""
@@ -588,13 +557,19 @@ def _site_rng(config: FuzzConfig, index: int) -> np.random.Generator:
 
 def fuzz_program(graph: Graph, registry: Optional[Registry], models: Sequence[Forest],
                  config: FuzzConfig) -> tuple[list[FuzzResult], list[str]]:
-    """Fuzz every unstable site that has a trained model, in scan order."""
+    """Fuzz every unstable site that has a trained model, in scan order;
+    models holds at most one forest per kernel, which serves any entry size."""
+    forests: dict[str, Forest] = {}
+    for forest in models:
+        if forest.kernel in forests:
+            raise UsageError(f"more than one model for kernel '{forest.kernel}'")
+        forests[forest.kernel] = forest
     reg = registry or default_registry()
     scan = scan_for_unstable(graph, reg)
     diagnostics = list(scan.diagnostics)
     results: list[FuzzResult] = []
     for index, site in enumerate(scan.sites):
-        forest = select_forest(models, site)
+        forest = forests.get(site.kernel)
         if forest is None:
             diagnostics.append(
                 f"site '{site.node_id}' ({site.kernel}): no trained model; skipped"

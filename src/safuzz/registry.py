@@ -94,8 +94,8 @@ def _parse_binding(raw: dict, name: str) -> OracleBinding:
         if lo is None or hi is None or not lo < hi:
             raise RegistryError(f"entry '{name}': range oracle needs lo < hi")
     tol = float(raw.get("tolerance", 1e-6))
-    if tol <= 0:
-        raise RegistryError(f"entry '{name}': tolerance must be positive")
+    if not 0 < tol < math.inf:  # NaN fails every comparison, inf none
+        raise RegistryError(f"entry '{name}': tolerance must be positive and finite")
     return OracleBinding(type=int(otype), lo=lo, hi=hi, tolerance=tol)
 
 
@@ -110,10 +110,11 @@ def _parse_entry(raw: dict) -> KernelSpec:
         gen_raw = raw.get("generation")
         gen = None
         if gen_raw:
+            eps = gen_raw.get("zero_epsilon")
             gen = GenerationHints(
                 regions=tuple((float(lo), float(hi)) for lo, hi in gen_raw["regions"]),
                 failure_seeds=tuple(float(s) for s in gen_raw.get("failure_seeds", [])),
-                zero_epsilon=gen_raw.get("zero_epsilon"),
+                zero_epsilon=None if eps is None else float(eps),
             )
         spec = KernelSpec(name=name, category=category, tier=tier,
                           oracle_bindings=bindings, generation=gen)
@@ -124,6 +125,9 @@ def _parse_entry(raw: dict) -> KernelSpec:
             -math.inf < lo < hi < math.inf for lo, hi in gen.regions)):
         raise RegistryError(f"entry '{name}': generation regions must be a non-empty "
                             "list of finite [lo, hi] with lo < hi")
+    # a NaN shift would turn every zero feature into NaN
+    if gen is not None and gen.zero_epsilon is not None and not 0 < gen.zero_epsilon < math.inf:
+        raise RegistryError(f"entry '{name}': zero_epsilon must be positive and finite")
     if tier not in (("core", "extended") if spec.implemented else ("metadata",)):
         raise RegistryError(f"entry '{name}': tier {tier!r} but the op table "
                             f"{'has' if spec.implemented else 'has no'} such kernel")

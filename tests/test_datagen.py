@@ -13,6 +13,7 @@ from safuzz import datagen
 from safuzz.datagen import (
     BASE_RATES,
     DEFAULT_REGIONS,
+    MAX_STEPS,
     GenerationConfig,
     MutationConfig,
     Signal,
@@ -64,10 +65,36 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             GenerationConfig(**kwargs)
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
-    def test_non_positive_mutation_rate_rejected(self, rate):
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("method", ["random", "sinusoidal"])
+    def test_mutation_rate_not_positive_and_finite_rejected(self, method, rate):
+        # an infinite sinusoidal rate used to load, and its schedule raised a bare ValueError
+        with pytest.raises(UsageError, match="rate must be positive and finite"):
+            MutationConfig(method, rate=rate)
+
+    def test_exponential_rate_whose_last_step_overflows_rejected(self):
+        # exp(7.2 * MAX_STEPS) overflows a double; exp(7.0 * MAX_STEPS) does not.
+        # It used to load, and a walk that reached the overflowing step raised
+        # a bare OverflowError
+        with pytest.raises(UsageError, match="exponential rate 7.2 overflows a double"):
+            MutationConfig("exponential", rate=7.2)
+        MutationConfig("exponential", rate=7.0)
+        MutationConfig("random", rate=10.0)  # only the exponential schedule grows
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_accepted_exponential_rate_walks_its_whole_budget(self):
+        # the largest rate whose last step fits a double, and the next one
+        largest = math.log(np.finfo(np.float64).max) / MAX_STEPS
         with pytest.raises(UsageError):
-            MutationConfig("random", rate=rate)
+            MutationConfig("exponential", rate=float(np.nextafter(largest, np.inf)))
+        # exp never fails going down, so the walk takes every step. At the
+        # largest rate the running sum leaves float64's range: inf is data
+        for rate, finite in ((7.0, True), (largest, False)):
+            mc = MutationConfig("exponential", rate=rate, direction="down")
+            points, passed = run_trajectory("exp", np.full((3, 3), -80.0), mc,
+                                            np.random.default_rng(0))
+            assert len(points) == MAX_STEPS + 1 and passed.all()
+            assert np.isfinite(points).all() == finite
 
 
 class TestBaseInputs:
@@ -110,10 +137,10 @@ class TestMutateStep:
         # exp never flips on these walks (it fails above 88.7 and passes below),
         # so every step is taken
         direction = "up" if base.any() else "down"
-        mc = MutationConfig("sinusoidal", rate=1.0, max_steps=5, direction=direction)
+        mc = MutationConfig("sinusoidal", rate=1.0, direction=direction)
         points, _ = run_trajectory("exp", base, mc, np.random.default_rng(0))
-        sizes = np.abs(np.sin(np.arange(1.0, 6.0))) * amplitude
-        assert len(points) == 6
+        sizes = np.abs(np.sin(np.arange(1.0, MAX_STEPS + 1.0))) * amplitude
+        assert len(points) == MAX_STEPS + 1
         np.testing.assert_allclose(np.abs(np.diff(points[:, 0])), sizes, rtol=1e-12)
 
 
@@ -307,7 +334,7 @@ class TestBuildDataset:
     def test_never_failing_kernel_reports_generation_failure(self, monkeypatch):
         config = GenerationConfig(n_base=5, shape=(2,), seed=0, target_size=500)
         monkeypatch.setattr(datagen, "default_mutation_configs", lambda: [
-            MutationConfig("random", rate=0.01, max_steps=3, direction=d)
+            MutationConfig("random", rate=0.01, direction=d)
             for d in ("up", "down")])
         reg = with_hints("sigmoid", hints_of("sigmoid", regions=((0.4, 0.6),)))
         with pytest.raises(GenerationFailure, match="sigmoid"):
@@ -391,7 +418,7 @@ def walk_step_by_step(kernel, base, mc, rng):
         return judge_one(kernel, default_params(kernel, values.shape), operands).passed
 
     points, passed = [x], [judge(x)]
-    for k in range(1, mc.max_steps + 1):
+    for k in range(1, MAX_STEPS + 1):
         if mc.method == "exponential":
             step = math.exp(mc.rate * k)
         elif mc.method == "random":
@@ -416,7 +443,7 @@ def trajectory_bases(kernel):
 
 class TestTrajectories:
     def test_trajectory_stops_at_flip(self):
-        mc = MutationConfig("exponential", rate=1.0, max_steps=50, direction="up")
+        mc = MutationConfig("exponential", rate=1.0, direction="up")
         _, passed = run_trajectory("exp", np.full((3, 3), 80.0), mc,
                                    np.random.default_rng(0))
         assert passed[0]
@@ -436,29 +463,13 @@ class TestTrajectories:
             if pixel_bounds is not None:
                 base = np.clip(base, *pixel_bounds)
             for rate in BASE_RATES:
-                mc = MutationConfig(method, rate, 30, direction)
+                mc = MutationConfig(method, rate, direction)
                 points, passed = run_trajectory(kernel, base, mc, rng)
                 ref_points, ref_passed = walk_step_by_step(kernel, base, mc, ref_rng)
                 assert points.shape == ref_points.shape
                 assert points.tobytes() == ref_points.tobytes()
                 assert passed.tolist() == ref_passed.tolist()
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_unreached_overflowing_step_does_not_raise(self):
-        # exp(10 * 71) overflows a double, but the walk flips at step 1
-        mc = MutationConfig("exponential", rate=10.0, max_steps=100, direction="up")
-        points, passed = run_trajectory("exp", np.full((3, 3), 80.0), mc,
-                                        np.random.default_rng(0))
-        assert len(points) == 2 and passed.tolist() == [True, False]
-
-    def test_reached_overflowing_step_raises(self):
-        # exp never fails going down, so the walk reaches the overflowing step
-        mc = MutationConfig("exponential", rate=10.0, max_steps=100, direction="down")
-        base = np.full((3, 3), -80.0)
-        with pytest.raises(OverflowError):
-            walk_step_by_step("exp", base, mc, np.random.default_rng(0))
-        with pytest.raises(OverflowError):
-            run_trajectory("exp", base, mc, np.random.default_rng(0))
 
 
 class TestPersistence:

@@ -36,7 +36,6 @@ from safuzz.fuzzer import (
     random_fuzz_program,
     random_fuzz_site,
     scan_for_unstable,
-    select_forest,
     validate_failure,
 )
 from safuzz.graph import Graph, InputDecl, Node
@@ -91,7 +90,7 @@ class TestScan:
         assert len(scan.sites) == 1
         site = scan.sites[0]
         assert site.kernel == "exp" and site.node_id == "y"
-        assert site.entry_node == "x" and site.entry_shape == (3, 3)
+        assert site.entry_node == "x"
 
     def test_stable_helpers_are_not_sites(self):
         g = Graph([InputDecl("x", (2,))],
@@ -470,6 +469,14 @@ class TestFuzzProgram:
         assert results == []
         assert any("no trained model" in d for d in diags)
 
+    def test_two_models_of_one_kernel_is_usage_error(self):
+        # one forest serves every entry size; a second one used to be picked
+        # silently by its feature length
+        wide = dataclasses.replace(EXP_FOREST, shape=(4, 4), feature_len=16)
+        for models in ([EXP_FOREST, wide], [LOG_FOREST, EXP_FOREST, EXP_FOREST]):
+            with pytest.raises(UsageError, match="more than one model for kernel 'exp'"):
+                fuzz_program(exp_graph(), None, models, FuzzConfig(seed=0, max_iters=10))
+
 
 class TestRandomFuzzProgram:
     def test_every_site_seeded_as_the_guided_driver_seeds_it(self):
@@ -706,10 +713,10 @@ class TestLoopsMatchReference:
         assert found > 0
 
     def test_fuzz_site(self):
-        models = [model_load(p) for p in sorted(FIXTURE_MODELS.glob("*.json"))]
+        forests = {f.kernel: f for f in map(model_load, FIXTURE_MODELS.glob("*.json"))}
         found = 0
         for name, graph, site, config, index, reg in self._runs():
-            forest = select_forest(models, site)
+            forest = forests[site.kernel]
             rng, ref_rng = self._rngs(config.seed, index)
             result = fuzz_site(graph, site, forest, config, rng, reg)
             expected = _reference_fuzz_site(graph, site, forest, config, ref_rng, reg)
@@ -868,8 +875,7 @@ class TestFixedPoint:
         spec = next(s for s in corpus_manifest(reg) if s.name == "bounded_sigmoid_clean")
         graph = spec.to_graph(reg)
         site = scan_for_unstable(graph, reg).sites[0]
-        models = [model_load(p) for p in sorted(FIXTURE_MODELS.glob("sigmoid*.json"))]
-        forest = select_forest(models, site)
+        forest = model_load(FIXTURE_MODELS / "sigmoid.json")
         config = FuzzConfig(seed=seed, max_iters=2000)
         rng, ref_rng = (np.random.default_rng(np.random.SeedSequence([seed, 0]))
                         for _ in range(2))
@@ -1101,7 +1107,7 @@ class TestStackedWalk:
     """random_fuzz_site walks a chunk as one running sum per input. Pinned
     against the step loop where the two could part: sums that leave the
     range of float32 or float64, a clamp that binds on some steps and not
-    others, and declared bounds without a clamp."""
+    others, declared bounds without a clamp, and both in one program."""
 
     @staticmethod
     def _pinned(monkeypatch, graph, config, ref_graph=None):
@@ -1166,6 +1172,34 @@ class TestStackedWalk:
             assert np.count_nonzero((judged > 0.0) & (judged < 1.0))
         else:
             assert judged.min() < 0.0 and judged.max() > 1.0
+
+    @staticmethod
+    def _mixed(site_nodes):
+        # p is clamped to [0, 1], q only declares [-1, 1]; the entry reads both
+        return Graph([InputDecl("p", (3,), bounds=(0.0, 1.0), clamp=True),
+                      InputDecl("q", (3,), bounds=(-1.0, 1.0))],
+                     [Node("s", "add", ("p", "q")), *site_nodes], "y")
+
+    @pytest.mark.parametrize("site_nodes, rate, constant", [
+        ([Node("y", "log", ("s",))], 0.3, True),
+        ([Node("a", "square", ("s",)), Node("y", "exp", ("a",))], 1.0, False),
+    ], ids=["constant-gradient", "value-reading"])
+    def test_clamped_beside_unclamped_input(self, monkeypatch, site_nodes, rate, constant):
+        # both walk row by row, with fixed deltas or not: the clamp binds on
+        # some steps and not on others, and the unclamped input leaves its
+        # declared bounds
+        graph = self._mixed(site_nodes)
+        site = scan_for_unstable(graph).sites[-1]
+        assert constant_gradient(graph, site.entry_node) == constant
+        judged = []
+        for seed in range(10):
+            _, inputs = self._pinned(monkeypatch, graph,
+                                     FuzzConfig(rate=rate, seed=seed, max_iters=200))
+            judged.append(inputs.reshape(-1, 6))
+        p, q = np.split(np.concatenate(judged), 2, axis=1)
+        assert p.min() == 0.0 and p.max() == 1.0
+        assert np.count_nonzero((p > 0.0) & (p < 1.0))
+        assert q.min() < -1.0 and q.max() > 1.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -140,6 +140,29 @@ class TestRegistryLoad:
         with pytest.raises(RegistryError, match="'exp': generation regions"):
             registry_load(path)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf])
+    def test_tolerance_not_positive_and_finite_rejected(self, tmp_path, tolerance):
+        # NaN and inf used to load: NaN fails every inexact comparison, inf passes all
+        path = self._write(tmp_path, [self._entry(
+            oracle_bindings=[{"type": 1, "tolerance": tolerance}])])
+        with pytest.raises(RegistryError, match="'exp': tolerance must be positive and finite"):
+            registry_load(path)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan, math.inf])
+    def test_zero_epsilon_not_positive_and_finite_rejected(self, tmp_path, eps):
+        # unchecked before: a NaN shift made every zero feature NaN in apply_scaling
+        path = self._write(tmp_path, [self._entry(
+            generation={"regions": [[-1, 1]], "zero_epsilon": eps})])
+        with pytest.raises(RegistryError, match="'exp': zero_epsilon must be positive and finite"):
+            registry_load(path)
+
+    @pytest.mark.parametrize("eps", [None, 1e-8, 1e-6])
+    def test_positive_finite_zero_epsilon_loads(self, tmp_path, eps):
+        path = self._write(tmp_path, [self._entry(
+            oracle_bindings=[{"type": 1, "tolerance": 1e-6}],
+            generation={"regions": [[-1, 1]], "zero_epsilon": eps})])
+        assert registry_load(path).get("exp").generation.zero_epsilon == eps
+
     def test_bad_format_version(self, tmp_path):
         path = tmp_path / "reg.json"
         path.write_text(json.dumps({"format_version": 99, "entries": []}))

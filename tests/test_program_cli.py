@@ -126,7 +126,7 @@ class TestCorpus:
 
 class TestReport:
     def _report(self):
-        site = UnstableSite("y", "exp", "x", (1,))
+        site = UnstableSite("y", "exp", "x")
         found = FuzzResult(
             site=site, status="Found",
             verdict=OracleVerdict(False, FailureClass.NAN_OR_INF, "inf"),
@@ -166,7 +166,7 @@ class TestReport:
 
 
 class TestFoundAtInit:
-    SITE = UnstableSite("y", "exp", "x", (1,))
+    SITE = UnstableSite("y", "exp", "x")
     FAIL = OracleVerdict(False, FailureClass.NAN_OR_INF, "inf")
 
     def test_only_a_find_on_the_first_iteration(self):
@@ -331,6 +331,16 @@ class TestCli:
         assert code in (0, 1)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert [site["kernel"] for p in doc["programs"] for site in p["sites"]] == ["exp"]
+
+    def test_fuzz_with_two_models_of_one_kernel_exits_2(self, tmp_path, capsys):
+        # the forest used to be picked silently by the site entry's size
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        for name in ("exp.json", "exp_again.json"):
+            (model_dir / name).write_bytes((FIXTURE_MODELS / "exp.json").read_bytes())
+        program = Path(__file__).resolve().parents[1] / "src/safuzz/data/corpus/exp_overflow.json"
+        assert cli_dispatch(["fuzz", str(program), "--models", str(model_dir)]) == 2
+        assert "error: more than one model for kernel 'exp'" in capsys.readouterr().err
 
     def test_train_without_held_out_samples(self, tmp_path, capsys):
         data = tmp_path / "exp.csv"
