@@ -1,16 +1,16 @@
 """Labeled-dataset generation by unit-testing unstable kernels.
 
-Base inputs are sampled round-robin across the kernel's registry regions (or
-[-100, 100] for a kernel without generation hints), then mutated step-wise
-(exponential, random, or sinusoidal step schedules at each of BASE_RATES, in
-both directions, MAX_STEPS steps each) until the oracle outcome flips; an
-exponential rate whose last step overflows a double is rejected up front. A
-sinusoidal step is scaled by the base's largest magnitude. Each flip labels
-the trajectory's points up to it: passing points with the direction that led
-to failure, failing points with "no change". The features are scaled once by
-the kernel's zero_epsilon hint, which the dataset records for fuzz time, and
-classes are balanced by down-sampling before a dataset ships; running out of
-the generation budget short of the target size is logged as a warning.
+Base inputs are sampled round-robin across the kernel's registry regions,
+then mutated step-wise (exponential, random, or sinusoidal step schedules at
+each of BASE_RATES, in both directions, MAX_STEPS steps each) until the
+oracle outcome flips; an exponential rate whose last step overflows a double
+is rejected up front. A sinusoidal step is scaled by the base's largest
+magnitude. Each flip labels the trajectory's points up to it: passing points
+with the direction that led to failure, failing points with "no change". The
+features are scaled once by the kernel's zero_epsilon hint (exact zeros
+become it), which the dataset records for fuzz time, and classes are
+balanced by down-sampling before a dataset ships; running out of the
+generation budget short of the target size is logged as a warning.
 
 A trajectory is judged as one stack: all of its step budget's points are
 built at once (a running sum of the signed steps), one oracle call judges
@@ -49,7 +49,7 @@ BASE_RATES = (1.0, 2.5)  # the rates of the default mutation schedules
 MAX_STEPS = 100  # mutation steps a trajectory takes at most
 _LOG_DOUBLE_MAX = math.log(np.finfo(np.float64).max)  # exp of more overflows a double
 MAX_WAVES = 300  # rounds of base inputs build_dataset draws before it stops
-DEFAULT_REGIONS = ((-100.0, 100.0),)  # base-input regions without registry hints
+CLASS_NAMES = ("NoChange", "Decrease", "Increase")  # by Signal value, in every file
 
 
 class Signal(enum.IntEnum):
@@ -61,16 +61,7 @@ class Signal(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return {0: "NoChange", 1: "Decrease", 2: "Increase"}[int(self)]
-
-    @staticmethod
-    def from_label(label: str) -> "Signal":
-        try:
-            return {"NoChange": Signal.NO_CHANGE,
-                    "Decrease": Signal.DECREASE,
-                    "Increase": Signal.INCREASE}[label]
-        except KeyError:
-            raise UsageError(f"unknown signal label {label!r}") from None
+        return CLASS_NAMES[self]
 
 
 @dataclass(frozen=True)
@@ -112,8 +103,7 @@ class Dataset:
     features: np.ndarray  # (n, feature_len) float64
     labels: np.ndarray  # (n,) int8 Signal values
     config: dict = field(default_factory=dict)
-    scaling: dict = field(default_factory=lambda: {"scale": 1.0, "offset": 0.0,
-                                                   "zero_epsilon": None})
+    zero_epsilon: Optional[float] = None  # the shift apply_scaling gave exact zeros
 
     @property
     def feature_len(self) -> int:
@@ -258,8 +248,6 @@ def featurize(x: np.ndarray, feature_len: int) -> np.ndarray:
     are partitioned at numpy's own points, so equal values such as 0.0 and
     -0.0 land where numpy puts them.
     """
-    if feature_len < 1:
-        raise UsageError(f"feature_len must be at least 1, not {feature_len}")
     values = np.array(x, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise UsageError("cannot featurize an empty tensor")
@@ -277,14 +265,30 @@ def featurize(x: np.ndarray, feature_len: int) -> np.ndarray:
     return out
 
 
-def apply_scaling(features: np.ndarray, scaling: dict) -> np.ndarray:
-    """Replay a dataset's recorded preprocessing on a feature vector/matrix."""
-    out = features * float(scaling.get("scale", 1.0))
-    out += float(scaling.get("offset", 0.0))  # in place: one array the size of features
-    zero_eps = scaling.get("zero_epsilon")
-    if zero_eps:
-        out = np.where(out == 0.0, float(zero_eps), out)
-    return out
+def apply_scaling(features: np.ndarray, zero_epsilon: Optional[float]) -> np.ndarray:
+    """Replay a dataset's recorded preprocessing on a feature vector/matrix:
+    exact zeros become zero_epsilon; without one, features come back as is."""
+    if zero_epsilon is None:
+        return features
+    return np.where(features == 0.0, zero_epsilon, features)
+
+
+def scaling_field(zero_epsilon: Optional[float]) -> dict:
+    """A file's "scaling" record: a retired identity scale and offset, and the zero shift."""
+    return {"offset": 0.0, "scale": 1.0, "zero_epsilon": zero_epsilon}
+
+
+def read_preprocessing(doc: dict) -> tuple[int, Optional[float]]:
+    """The feature_len and zero_epsilon of a dataset header or model file;
+    a ValueError names a field that differs from what every file writes."""
+    feature_len, scaling = int(doc["feature_len"]), doc["scaling"]
+    eps = scaling["zero_epsilon"]
+    if feature_len < 1:
+        raise ValueError(f"feature_len must be at least 1, not {feature_len}")
+    if scaling != scaling_field(eps) or not (eps is None or 0 < float(eps) < math.inf):
+        raise ValueError(f"scaling {scaling!r} is not an identity scale and offset with "
+                         "a null or positive finite zero_epsilon")
+    return feature_len, None if eps is None else float(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +348,7 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
     except (ValueError, IndexError) as exc:  # IndexError: no last axis to size params by
         raise UsageError(f"kernel '{kernel}' does not take shape {shape}: {exc}") from None
     rng = np.random.default_rng(gconfig.seed)
-    hints = spec.generation
-    regions = hints.regions if hints is not None else DEFAULT_REGIONS
+    hints = spec.generation  # the registry gives every executable kernel hints
     mconfigs = default_mutation_configs()
 
     feats_acc: list[np.ndarray] = []
@@ -364,11 +367,10 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
             for label in labels:
                 counts[label] = counts.get(label, 0) + 1
 
-    if hints is not None:
-        for seed_value in hints.failure_seeds:
-            run_base(np.full(shape, seed_value, dtype=np.float64))
+    for seed_value in hints.failure_seeds:
+        run_base(np.full(shape, seed_value, dtype=np.float64))
     for wave in range(MAX_WAVES):
-        for base in generate_base_inputs(gconfig, rng, regions):
+        for base in generate_base_inputs(gconfig, rng, hints.regions):
             run_base(base)
         if wave >= 2 and not labels_acc:  # only a flipped trajectory adds labels
             raise GenerationFailure(
@@ -381,12 +383,10 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
 
     if not labels_acc:
         raise GenerationFailure(kernel, "no labeled samples produced")
-    # an identity scale plus the kernel's zero shift, recorded for fuzz time to replay
-    scaling = {"scale": 1.0, "offset": 0.0,
-               "zero_epsilon": hints.zero_epsilon if hints is not None else None}
     features = np.concatenate(feats_acc)
     feats_acc.clear()  # peak memory stays a few copies of the features
-    features = apply_scaling(features, scaling)  # the unscaled copy dies here, before balancing
+    # the kernel's zero shift, recorded for fuzz time; the unshifted copy dies here
+    features = apply_scaling(features, hints.zero_epsilon)
     features, labels = _balance(features, np.asarray(labels_acc, dtype=np.int8),
                                 gconfig.target_size, rng)
     dataset = Dataset(
@@ -398,14 +398,14 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
         # their one value, so dataset files stay byte-identical
         config={
             "n_base": gconfig.n_base,
-            "regions": [list(r) for r in regions],
+            "regions": [list(r) for r in hints.regions],
             "shape": list(shape),
             "mutations_per_base": MAX_STEPS,
             "seed": gconfig.seed,
             "pixel_bounds": None,
             "target_size": gconfig.target_size,
         },
-        scaling=scaling,
+        zero_epsilon=hints.zero_epsilon,
     )
 
     final_counts = dataset.class_counts()
@@ -438,29 +438,31 @@ def dataset_save(dataset: Dataset, path) -> None:
         "feature_len": dataset.feature_len,
         "n_samples": len(dataset),
         "config": dataset.config,
-        "scaling": dataset.scaling,
+        "scaling": scaling_field(dataset.zero_epsilon),
         "class_counts": dataset.class_counts(),
     }
     with path.open("w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for row, lab in zip(dataset.features, dataset.labels):
-            fh.write(Signal(int(lab)).label + "," +
+            fh.write(CLASS_NAMES[lab] + "," +
                      ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def dataset_load(path) -> Dataset:
     path = Path(path)
+    signal_of = {name: value for value, name in enumerate(CLASS_NAMES)}
     try:
         with path.open() as fh:
-            header_line = fh.readline()
-            header = json.loads(header_line)
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict):
+                raise FileFormatError(f"dataset {path}: the header is not a JSON object")
             if header.get("format_version") != DATASET_FORMAT_VERSION:
                 raise FileFormatError(
                     f"dataset format_version {header.get('format_version')!r} "
                     f"unsupported (expected {DATASET_FORMAT_VERSION})"
                 )
             n = int(header["n_samples"])
-            d = int(header["feature_len"])
+            d, zero_epsilon = read_preprocessing(header)
             features = np.empty((n, d), dtype=np.float64)
             labels = np.empty(n, dtype=np.int8)
             for i in range(n):
@@ -470,15 +472,13 @@ def dataset_load(path) -> Dataset:
                 parts = line.rstrip("\n").split(",")
                 if len(parts) != d + 1:
                     raise FileFormatError(f"record {i} has {len(parts) - 1} features, expected {d}")
-                labels[i] = int(Signal.from_label(parts[0]))
+                if parts[0] not in signal_of:
+                    raise FileFormatError(f"record {i} has unknown label {parts[0]!r}")
+                labels[i] = signal_of[parts[0]]
                 features[i] = [float(v) for v in parts[1:]]
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return Dataset(kernel=header["kernel"], shape=tuple(header["shape"]),
+                       features=features, labels=labels, config=header.get("config", {}),
+                       zero_epsilon=zero_epsilon)
+    # JSONDecodeError is a ValueError; KeyError and TypeError: a header field missing or mistyped
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"cannot load dataset {path}: {exc}") from exc
-    return Dataset(
-        kernel=header["kernel"],
-        shape=tuple(header["shape"]),
-        features=features,
-        labels=labels,
-        config=header.get("config", {}),
-        scaling=header.get("scaling", {"scale": 1.0, "offset": 0.0, "zero_epsilon": None}),
-    )

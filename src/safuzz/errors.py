@@ -30,10 +30,7 @@ class UsageError(SafuzzError):
 
 
 class OracleUnavailable(SafuzzError):
-    """An oracle cannot judge this input (domain violated, non-finite probe).
-
-    Callers skip the oracle or the sample point; this is a signal, not a bug.
-    """
+    """finite_diff_grad met a non-finite value, so it cannot judge this input."""
 
 
 class GenerationFailure(SafuzzError):

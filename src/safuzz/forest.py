@@ -25,6 +25,11 @@ class k as `~k`; `roots` holds each tree's root, itself `~k` for a single-leaf
 tree. One walk, `_vote`, serves every prediction: `predict` and
 `predict_batch` both run it over these compact columns. It compares Python
 floats, whose `<=` matches numpy float64 exactly (NaN goes right).
+
+A model file records "classes" (Signal order) and "scaling" (an identity
+scale and offset, and the dataset's zero_epsilon) as every model has them.
+model_load refuses others, a zero_epsilon that is not null or positive and
+finite, and a model with no feature or no tree.
 """
 
 from __future__ import annotations
@@ -35,11 +40,11 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.datagen import Dataset, Signal
+from safuzz.datagen import CLASS_NAMES, Dataset, Signal, read_preprocessing, scaling_field
 from safuzz.errors import FileFormatError, TrainingError, UsageError
 
 N_CLASSES = 3
@@ -70,8 +75,6 @@ def _compile(trees: Sequence[DecisionTree], feature_len: int) -> tuple:
     past: each internal node's children must come after it in its tree (so
     no cycle), and its feature must lie inside the feature vector.
     """
-    if not trees:
-        return array("i"), array("d"), array("i"), array("i"), []
     sizes = [len(t.feature) for t in trees]
     if min(sizes) < 1 or any(len(getattr(t, name)) != n
                              for t, n in zip(trees, sizes) for name in TREE_KEYS):
@@ -105,9 +108,7 @@ class Forest:
     shape: tuple[int, ...]
     feature_len: int
     seed: int
-    scaling: dict = field(default_factory=lambda: {"scale": 1.0, "offset": 0.0,
-                                                   "zero_epsilon": None})
-    classes: tuple[str, ...] = ("NoChange", "Decrease", "Increase")
+    zero_epsilon: Optional[float] = None  # the dataset's zero shift, replayed at fuzz time
     flat: tuple = field(init=False, repr=False, compare=False)  # see the module docstring
 
     def __post_init__(self):
@@ -235,7 +236,7 @@ def train_forest(
         shape=tuple(dataset.shape),
         feature_len=dataset.feature_len,
         seed=seed,
-        scaling=dict(dataset.scaling),
+        zero_epsilon=dataset.zero_epsilon,
     )
     metrics: dict = {"train_time_seconds": train_time, "train_size": int(train_idx.size),
                      "test_size": int(test_idx.size)}
@@ -328,8 +329,8 @@ def model_save(forest: Forest, path) -> None:
         "shape": list(forest.shape),
         "feature_len": forest.feature_len,
         "seed": forest.seed,
-        "classes": list(forest.classes),
-        "scaling": forest.scaling,
+        "classes": list(CLASS_NAMES),
+        "scaling": scaling_field(forest.zero_epsilon),
         "trees": [],
     }, sort_keys=True)
     assert head.endswith('"trees": []}')  # "trees" sorts last
@@ -349,23 +350,20 @@ def model_load(path) -> Forest:
     # JSONDecodeError is a ValueError; an index beyond int32 is an OverflowError
     except (OSError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"cannot load model {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"model file {path} is not a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise FileFormatError(
-            f"model format_version {doc.get('format_version')!r} unsupported"
-        )
+        raise FileFormatError(f"model format_version {doc.get('format_version')!r} unsupported")
     try:
         trees = list(doc["trees"])
+        if not trees:
+            raise ValueError("a model needs at least one tree")
         if not all(isinstance(t, DecisionTree) for t in trees):
             raise TypeError("every tree needs the columns " + ", ".join(sorted(TREE_KEYS)))
-        forest = Forest(
-            trees=trees,
-            kernel=doc["kernel"],
-            shape=tuple(doc["shape"]),
-            feature_len=int(doc["feature_len"]),
-            seed=int(doc["seed"]),
-            scaling=doc["scaling"],
-            classes=tuple(doc["classes"]),
-        )
+        if doc["classes"] != list(CLASS_NAMES):
+            raise ValueError(f"classes {doc['classes']!r} are not {list(CLASS_NAMES)!r}")
+        feature_len, zero_epsilon = read_preprocessing(doc)
+        return Forest(trees=trees, kernel=doc["kernel"], shape=tuple(doc["shape"]),
+                      feature_len=feature_len, seed=int(doc["seed"]), zero_epsilon=zero_epsilon)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"model file {path} is corrupt: {exc}") from exc
-    return forest

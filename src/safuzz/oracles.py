@@ -13,7 +13,7 @@ Types 3-5 are one check: the kernel's forward against the counterpart its
 op table row names (kernels.OpDef.counterpart), on the same operands. They
 differ only in the failure class and the precision: a rewrite runs in
 single precision, a stable algorithm and a reference in double. A
-counterpart with a domain marks the rows outside it, which it does not judge.
+counterpart with a domain marks the rows outside it, which pass that oracle.
 
 A kernel's registry entry binds it to some of these families. The one
 entry point, oracle_rows, runs a kernel's bound oracles in registry order
@@ -21,7 +21,8 @@ over a stack of executions, one row per sample, and reports for each row
 the first failing oracle and its detail; a single execution is a stack of
 one. It takes the params the executions ran the kernel with, so a verdict
 judges the computation the program made. The families themselves are
-internal row checks with no entry point of their own.
+internal row checks with no entry point of their own. The registry makes
+every executable kernel bind some oracle that judges every row.
 """
 
 from __future__ import annotations
@@ -70,17 +71,12 @@ PASS = OracleVerdict(passed=True)
 
 
 class _CheckRows(NamedTuple):
-    """One oracle's outcome over a stack of executions.
-
-    passed marks the rows the oracle does not fail; judged, when set, marks
-    the rows inside the oracle's domain (None: every row), and a row outside
-    it passes. describe(row) renders the detail of a failed row.
-    """
+    """One oracle's outcome over a stack of executions: passed marks the rows
+    it does not fail, and describe(row) renders the detail of a failed row."""
 
     failure_class: FailureClass
     passed: np.ndarray
     describe: Callable[[int], str]
-    judged: Optional[np.ndarray] = None
 
     def verdict(self, row: int) -> OracleVerdict:
         if self.passed[row]:
@@ -157,8 +153,6 @@ def _nan_inf_rows(output: np.ndarray) -> _CheckRows:
 # ---------------------------------------------------------------------------
 
 def _range_rows(output: np.ndarray, lo: float, hi: float) -> _CheckRows:
-    if not lo < hi:
-        raise ValueError("range oracle requires lo < hi")
     values = _as_rows(output)
     inside = (values >= lo) & (values <= hi)  # NaN lands outside
 
@@ -189,22 +183,23 @@ def _counterpart_rows(kind: int, op: OpDef, params: Mapping,
     """Compare the kernel's forward with op.counterpart on the same operands.
 
     A counterpart with a domain (Cholesky's SPD matrices) returns its mask
-    with the values; the rows outside it are not judged.
+    with the values; a row outside it passes (logged).
     """
     failure_class, dtype = COUNTERPART_CHECKS[kind]
-    if op.counterpart is None:
-        raise CapabilityError(f"no counterpart registered for '{op.name}'")
     inputs = _cast(inputs, dtype)
     with np.errstate(all="ignore"):
         b = op.counterpart(*inputs)
-    judged = None
-    if isinstance(b, tuple):
-        b, judged = b
-        if not judged.any():  # nothing to compare; the forward may not take the shape
-            return _CheckRows(failure_class, ~judged, str, judged)
+    if not isinstance(b, tuple):
+        return _CheckRows(failure_class, *_compare(
+            apply_forward(op, params, inputs, dtype), b, tolerance))
+    b, inside = b
+    if not inside.all():
+        log.debug("oracle %d unavailable for %s on %d of %d rows", kind, op.name,
+                  np.count_nonzero(~inside), len(inside))
+        if not inside.any():  # nothing to compare: skip the forward
+            return _CheckRows(failure_class, ~inside, str)
     agree, describe = _compare(apply_forward(op, params, inputs, dtype), b, tolerance)
-    return _CheckRows(failure_class, agree if judged is None else agree | ~judged,
-                      describe, judged)
+    return _CheckRows(failure_class, agree | ~inside, describe)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +256,8 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
     broadcasts against the others. The increased-width oracle instead
     uses wide_inputs, the operands as a double-precision shadow execution
     carries them (they default to inputs, which is exact when inputs are
-    already double). A row outside an oracle's domain skips that oracle
-    (logged); a row that no oracle can judge is a capability error. Once
-    every row has failed, the remaining oracles do not run.
+    already double). A row outside an oracle's domain passes that oracle
+    (logged). Once every row has failed, the remaining oracles do not run.
     """
     reg = registry or default_registry()
     spec = reg.get(name)
@@ -272,7 +266,6 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
     op = op_def(name)
     checks = []
     passing = None  # rows no oracle has failed so far
-    every_row_judged = False
     single_out = None
     for binding in spec.oracle_bindings:
         if checks:
@@ -292,11 +285,4 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
         else:
             rows = _counterpart_rows(kind, op, params, inputs, binding.tolerance)
         checks.append(rows)
-        if rows.judged is None:
-            every_row_judged = True
-        elif not rows.judged.all():
-            log.debug("oracle %d unavailable for %s on %d of %d rows", kind, name,
-                      np.count_nonzero(~rows.judged), len(rows.judged))
-    if not every_row_judged and not np.logical_or.reduce([c.judged for c in checks]).all():
-        raise CapabilityError(f"no applicable oracle for '{name}' on this input")
     return OracleRows(tuple(checks))

@@ -4,12 +4,13 @@ A program file declares named inputs (shape, optional element bounds, an
 optional clamp flag that keeps mutations inside those bounds, mirroring pixel
 constraints), a topologically ordered node list, the output id, and free-form
 metadata. Corpus entries carry their expected failure class and a suggested
-mutation rate in metadata.
+mutation rate (a positive finite number, read as a float) in metadata.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -40,8 +41,7 @@ class ProgramSpec:
 
     @property
     def rate(self) -> Optional[float]:
-        value = self.metadata.get("rate")
-        return float(value) if value is not None else None
+        return self.metadata.get("rate")
 
 
 def _parse_input(raw: dict) -> InputDecl:
@@ -53,7 +53,7 @@ def _parse_input(raw: dict) -> InputDecl:
             bounds=(float(bounds[0]), float(bounds[1])) if bounds else None,
             clamp=bool(raw.get("clamp", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise GraphParseError(f"malformed input declaration {raw!r}: {exc}") from exc
 
 
@@ -65,11 +65,22 @@ def _parse_node(raw: dict) -> Node:
             inputs=tuple(raw.get("inputs", [])),
             params=dict(raw.get("params", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise GraphParseError(f"malformed node {raw!r}: {exc}") from exc
 
 
+def _parse_metadata(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise GraphParseError(f"metadata {raw!r} is not an object")
+    rate = raw.get("rate")
+    if rate is not None and not (type(rate) in (int, float) and 0 < rate < math.inf):
+        raise GraphParseError(f"metadata rate {rate!r} is not a positive finite number")
+    return dict(raw) if rate is None else {**raw, "rate": float(rate)}
+
+
 def program_from_dict(doc: dict, registry: Optional[Registry] = None) -> ProgramSpec:
+    if not isinstance(doc, dict):
+        raise GraphParseError(f"a program is a JSON object, not {type(doc).__name__}")
     if doc.get("format_version") != PROGRAM_FORMAT_VERSION:
         raise GraphParseError(
             f"unsupported program format_version {doc.get('format_version')!r}"
@@ -79,7 +90,7 @@ def program_from_dict(doc: dict, registry: Optional[Registry] = None) -> Program
         inputs=[_parse_input(r) for r in doc.get("inputs", [])],
         nodes=[_parse_node(r) for r in doc.get("nodes", [])],
         output=doc.get("output", ""),
-        metadata=dict(doc.get("metadata", {})),
+        metadata=_parse_metadata(doc.get("metadata", {})),
     )
     spec.to_graph(registry)  # validates ops, ordering, shapes
     return spec

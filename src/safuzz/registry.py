@@ -11,7 +11,9 @@ and generation hints. Whether a kernel is executable, its arity, params,
 counterpart and the operand its soft assertion inspects belong to the op
 table (kernels.op_def), and loading checks that an entry agrees with it: the
 tier is metadata exactly when the op table has no such kernel, and an
-executable kernel bound to oracle type 3, 4 or 5 has a counterpart. Params
+executable kernel bound to oracle type 3, 4 or 5 has a counterpart. It also
+has generation hints and an oracle other than type 4, which judges only
+symmetric positive-definite rows, so some oracle judges every row. Params
 come from the call site that runs a kernel, never from its entry. Entries
 carry no hand-written safe condition: the bound oracles define where a
 kernel fails.
@@ -137,10 +139,14 @@ def _parse_entry(raw: dict) -> KernelSpec:
             raise RegistryError(f"entry '{name}': implemented kernel without oracle")
         if op.vjp is None:
             raise RegistryError(f"entry '{name}': implemented kernel without gradient")
+        if gen is None:
+            raise RegistryError(f"entry '{name}': implemented kernel without generation hints")
         for binding in spec.oracle_bindings:
             if binding.type in COUNTERPART_ORACLES and op.counterpart is None:
                 raise RegistryError(f"entry '{name}': oracle type {binding.type} "
                                     "needs a counterpart the kernel does not have")
+        if all(binding.type == 4 for binding in spec.oracle_bindings):
+            raise RegistryError(f"entry '{name}': oracle type 4 alone leaves non-SPD rows unjudged")
     return spec
 
 

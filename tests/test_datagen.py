@@ -1,8 +1,10 @@
 """Training-data generation: trajectories, labels, balancing, persistence."""
 
 import dataclasses
+import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 from safuzz import datagen
 from safuzz.datagen import (
     BASE_RATES,
-    DEFAULT_REGIONS,
     MAX_STEPS,
     GenerationConfig,
     MutationConfig,
@@ -32,6 +33,19 @@ from safuzz.kernels import default_params, unit_operand_rows
 from safuzz.registry import Registry, default_registry
 from test_oracles import IMPLEMENTED, judge_one
 
+FIXTURE_DATASET = Path(__file__).resolve().parents[1] / "perfbench/fixtures/datasets/square.csv"
+# "scaling" records that dataset and model files must not carry: a scale or
+# offset no program writes, or a zero_epsilon that is not null or positive and finite
+BAD_SCALINGS = {
+    "scale": {"offset": 0.0, "scale": 2.0, "zero_epsilon": None},
+    "offset": {"offset": -1.0, "scale": 1.0, "zero_epsilon": None},
+    "nan_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": math.nan},
+    "zero_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": 0.0},
+    "negative_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": -1e-8},
+    "infinite_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": math.inf},
+    "no_epsilon": {"offset": 0.0, "scale": 1.0},
+}
+
 
 def trajectory(*points):
     """(value, passed) pairs as the arrays run_trajectory returns."""
@@ -46,7 +60,7 @@ def labelled(points, passed, direction="up"):
 
 
 def with_hints(kernel, hints):
-    """The shipped registry with the kernel's generation hints replaced (None: no hints)."""
+    """The shipped registry with the kernel's generation hints replaced."""
     reg = default_registry()
     entries = {**reg.entries, kernel: dataclasses.replace(reg.get(kernel), generation=hints)}
     return Registry(entries=entries, version=reg.version)
@@ -217,12 +231,6 @@ class TestFeaturize:
         with pytest.raises(UsageError):
             featurize(np.array([]), 9)
 
-    def test_unknown_feature_len_rejected(self):
-        # a feature length below 1 names no features; any other length is served
-        for feature_len in (0, -1):
-            with pytest.raises(UsageError):
-                featurize(np.array([1.0]), feature_len)
-
     def test_any_positive_feature_len(self):
         # a forest trained at any shape serves its own feature length
         np.testing.assert_array_equal(featurize(np.arange(4.0).reshape(2, 2), 4), [0, 1, 2, 3])
@@ -281,36 +289,27 @@ class TestPreprocessScale:
     RAW = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 5.0]])
 
     def test_epsilon_removes_zeros(self):
-        out = apply_scaling(self.RAW, {"scale": 1.0, "offset": 0.0, "zero_epsilon": 1e-8})
+        out = apply_scaling(self.RAW, 1e-8)
         assert (out != 0.0).all()
         assert (out == np.where(self.RAW == 0.0, 1e-8, self.RAW)).all()
 
     def test_identity_scale_keeps_values(self):
         # without an epsilon (a kernel defined at zero) no shift applies
-        out = apply_scaling(self.RAW, {"scale": 1.0, "offset": 0.0, "zero_epsilon": None})
+        out = apply_scaling(self.RAW, None)
         assert out.tobytes() == self.RAW.tobytes()
-        assert out is not self.RAW
 
     def test_replay_is_bit_identical(self):
         # log's hint shifts its zeros (the failure seed 0.0 is a base); without
-        # the hint the same rows come out unscaled, and replaying the recorded
-        # scaling on them gives the shipped dataset's bytes
+        # the hint the same rows come out unshifted, and replaying the recorded
+        # zero_epsilon on them gives the shipped dataset's bytes
         config = GenerationConfig(seed=5, n_base=20, target_size=1500)
         ds = build_dataset("log", config)
         unshifted = with_hints("log", hints_of("log", zero_epsilon=None))
         raw = build_dataset("log", config, registry=unshifted)
-        assert ds.scaling == {"scale": 1.0, "offset": 0.0, "zero_epsilon": 1e-8}
+        assert ds.zero_epsilon == 1e-8 and raw.zero_epsilon is None
         assert (raw.features == 0.0).any()
         assert raw.labels.tobytes() == ds.labels.tobytes()
-        assert apply_scaling(raw.features, ds.scaling).tobytes() == ds.features.tobytes()
-
-    def test_replay_applies_a_recorded_affine_scale(self):
-        # a dataset or model file may record any scale and offset
-        raw = self.RAW
-        scaling = {"scale": 2.0, "offset": -2.0, "zero_epsilon": 1e-8}
-        want = np.where(raw * 2.0 - 2.0 == 0.0, 1e-8, raw * 2.0 - 2.0)
-        assert (want == 1e-8).any()
-        assert apply_scaling(raw, scaling).tobytes() == want.tobytes()
+        assert apply_scaling(raw.features, ds.zero_epsilon).tobytes() == ds.features.tobytes()
 
 
 class TestBuildDataset:
@@ -321,7 +320,7 @@ class TestBuildDataset:
         counts = ds.class_counts()
         # exp's failure region is one-sided: increase and no-change only
         assert set(counts) == {"NoChange", "Increase"}
-        assert ds.scaling["zero_epsilon"] is None  # exp is defined at zero
+        assert ds.zero_epsilon is None  # exp is defined at zero
         assert min(counts.values()) / max(counts.values()) >= 0.5
         assert min(counts.values()) / len(ds) >= 0.2
 
@@ -340,22 +339,18 @@ class TestBuildDataset:
         with pytest.raises(GenerationFailure, match="sigmoid"):
             build_dataset("sigmoid", config, registry=reg)
 
-    def test_regions_from_hints_or_the_default(self):
-        config = GenerationConfig(seed=3, **self.SMALL)
-        hinted = build_dataset("exp", config)
+    def test_regions_from_hints(self):
+        hinted = build_dataset("exp", GenerationConfig(seed=3, **self.SMALL))
         assert hinted.config["regions"] == [
             list(r) for r in default_registry().get("exp").generation.regions]
-        plain = build_dataset("exp", config, registry=with_hints("exp", None))
-        assert plain.config["regions"] == [list(r) for r in DEFAULT_REGIONS]
-        assert plain.features.tobytes() != hinted.features.tobytes()
         # retired settings stay in the header at their one value
-        assert plain.config["mutations_per_base"] == 100
-        assert plain.config["pixel_bounds"] is None
+        assert hinted.config["mutations_per_base"] == 100
+        assert hinted.config["pixel_bounds"] is None
 
     def test_deterministic_under_seed(self):
         a = build_dataset("log", GenerationConfig(seed=5, **self.SMALL))
         b = build_dataset("log", GenerationConfig(seed=5, **self.SMALL))
-        assert a.scaling["zero_epsilon"] == 1e-8  # the registry's hint for log
+        assert a.zero_epsilon == 1e-8  # the registry's hint for log
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
 
@@ -397,11 +392,9 @@ class TestBuildDataset:
 
     def test_nochange_labels_replay_as_failures(self):
         ds = build_dataset("exp", GenerationConfig(seed=3, **self.SMALL))
-        scaling = ds.scaling
         rows = ds.features[ds.labels == int(Signal.NO_CHANGE)][:50]
         for row in rows:
-            raw = (row - scaling["offset"]) / scaling["scale"]
-            x = raw.reshape(ds.shape)
+            x = row.reshape(ds.shape)  # exp records no zero shift to undo
             assert not judge_one("exp", {}, [x]).passed
 
 
@@ -485,7 +478,7 @@ class TestPersistence:
         assert back.shape == ds.shape
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.labels.tobytes() == ds.labels.tobytes()
-        assert back.scaling == ds.scaling
+        assert back.zero_epsilon == ds.zero_epsilon == 1e-8
 
     def test_truncated_file_rejected(self, tmp_path):
         ds = self._small()
@@ -504,4 +497,48 @@ class TestPersistence:
         lines[0] = lines[0].replace('"format_version": 1', '"format_version": 9')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match="format_version"):
+            dataset_load(path)
+
+
+class TestLoadChecksFixedFields:
+    """dataset_load refuses a header that differs from what every dataset file
+    writes; each of these loaded, or failed untyped, before the checks."""
+
+    def _write(self, tmp_path, records=None, drop=None, **changes):
+        header, *rows = FIXTURE_DATASET.read_text().splitlines(keepends=True)
+        doc = {**json.loads(header), **changes}
+        doc.pop(drop, None)
+        path = tmp_path / "square.csv"
+        path.write_text(json.dumps(doc) + "\n" + "".join(rows if records is None else records))
+        return path
+
+    def test_unchanged_copy_loads(self, tmp_path):
+        ds = dataset_load(self._write(tmp_path))
+        assert ds.zero_epsilon is None and ds.features.shape == (1998, 9)
+
+    @pytest.mark.parametrize("scaling", BAD_SCALINGS.values(), ids=BAD_SCALINGS.keys())
+    def test_scaling_rejected(self, tmp_path, scaling):
+        with pytest.raises(FileFormatError, match="scaling|zero_epsilon"):
+            dataset_load(self._write(tmp_path, scaling=scaling))
+
+    def test_missing_scaling_rejected(self, tmp_path):
+        # it used to default to an identity scale with no zero shift
+        with pytest.raises(FileFormatError, match="'scaling'"):
+            dataset_load(self._write(tmp_path, drop="scaling"))
+
+    def test_feature_len_below_one_rejected(self, tmp_path):
+        # moved from featurize, whose callers now only hold checked lengths
+        path = self._write(tmp_path, records=[], n_samples=0, feature_len=0)
+        with pytest.raises(FileFormatError, match="feature_len must be at least 1, not 0"):
+            dataset_load(path)
+
+    def test_unknown_label_rejected(self, tmp_path):
+        path = self._write(tmp_path, records=["Sideways" + ",1.0" * 9 + "\n"], n_samples=1)
+        with pytest.raises(FileFormatError, match="record 0 has unknown label 'Sideways'"):
+            dataset_load(path)
+
+    def test_top_level_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "list.csv"
+        path.write_text("[1]\n")
+        with pytest.raises(FileFormatError, match="not a JSON object"):
             dataset_load(path)

@@ -24,6 +24,7 @@ from safuzz.forest import (
     predict_batch,
     train_forest,
 )
+from test_datagen import BAD_SCALINGS
 
 FIXTURE_MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "models"
 
@@ -513,3 +514,49 @@ class TestPersistence:
         out = tmp_path / path.name
         model_save(model, out)
         assert out.read_bytes() == path.read_bytes()
+
+
+class TestModelFileChecks:
+    """model_load refuses a model file whose fixed fields differ from what
+    every model file writes; each of these loaded, or failed untyped, before
+    the checks."""
+
+    def _write(self, tmp_path, **changes):
+        doc = {**json.loads((FIXTURE_MODELS / "exp.json").read_text()), **changes}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_reordered_classes_rejected(self, tmp_path):
+        # a reversed list used to load and be ignored: votes read Signal order
+        path = self._write(tmp_path, classes=["Increase", "Decrease", "NoChange"])
+        with pytest.raises(FileFormatError, match="classes"):
+            model_load(path)
+
+    @pytest.mark.parametrize("scaling", BAD_SCALINGS.values(), ids=BAD_SCALINGS.keys())
+    def test_scaling_rejected(self, tmp_path, scaling):
+        with pytest.raises(FileFormatError, match="scaling|zero_epsilon"):
+            model_load(self._write(tmp_path, scaling=scaling))
+
+    def test_recorded_epsilon_loads(self, tmp_path):
+        scaling = {"offset": 0.0, "scale": 1.0, "zero_epsilon": 1e-8}
+        assert model_load(self._write(tmp_path, scaling=scaling)).zero_epsilon == 1e-8
+
+    def test_no_trees_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="at least one tree"):
+            model_load(self._write(tmp_path, trees=[]))
+
+    @pytest.mark.parametrize("feature_len", [0, -1])
+    def test_feature_len_below_one_rejected(self, tmp_path, feature_len):
+        # a single-leaf tree reads no feature, so nothing else refused these;
+        # moved from featurize, whose callers now only hold checked lengths
+        leaf = {name: getattr(leaf_tree([1, 0, 0]), name).tolist() for name, _ in TREE_COLUMNS}
+        path = self._write(tmp_path, trees=[leaf], feature_len=feature_len)
+        with pytest.raises(FileFormatError, match="feature_len must be at least 1"):
+            model_load(path)
+
+    def test_top_level_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        with pytest.raises(FileFormatError, match="not a JSON object"):
+            model_load(path)

@@ -121,6 +121,30 @@ class TestRegistryLoad:
         with pytest.raises(RegistryError, match=f"'exp': oracle type {otype} needs a counterpart"):
             registry_load(path)
 
+    @pytest.mark.parametrize("generation", [None, {}], ids=["absent", "empty"])
+    def test_implemented_without_generation_hints_rejected(self, tmp_path, generation):
+        # build_dataset used to fall back to [-100, 100] for such a kernel
+        entry = self._entry(generation=generation)
+        with pytest.raises(RegistryError, match="'exp': implemented kernel without generation"):
+            registry_load(self._write(tmp_path, [entry]))
+        # a metadata entry is never generated for, so it needs no hints
+        metadata = {**entry, "name": "SVD", "tier": "metadata"}
+        assert not registry_load(self._write(tmp_path, [metadata])).get("SVD").implemented
+
+    @pytest.mark.parametrize("bindings", [[4], [4, 4]])
+    def test_stable_algorithm_oracle_alone_rejected(self, tmp_path, bindings):
+        # Cholesky judges only SPD rows; every other row used to raise
+        # CapabilityError in oracle_rows at fuzz time
+        path = self._write(tmp_path, [self._entry(
+            name="inverse", oracle_bindings=[{"type": t} for t in bindings])])
+        with pytest.raises(RegistryError, match="'inverse': oracle type 4 alone"):
+            registry_load(path)
+
+    def test_stable_algorithm_oracle_beside_another_loads(self, tmp_path):
+        path = self._write(tmp_path, [self._entry(
+            name="inverse", oracle_bindings=[{"type": 4}, {"type": 1}])])
+        assert [b.type for b in registry_load(path).get("inverse").oracle_bindings] == [4, 1]
+
     def test_shipped_file_restates_no_op_table_fact(self):
         raw = json.loads(DEFAULT_REGISTRY_PATH.read_text())
         assert not any({"implemented", "params"} & set(e) for e in raw["entries"])

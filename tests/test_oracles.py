@@ -5,6 +5,7 @@ through judge_one, on one: on a shipped kernel that binds it, or through a
 test registry that binds it alone.
 """
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -113,10 +114,6 @@ class TestRewrite:
         assert not verdict.passed
         assert verdict.failure_class is FailureClass.REWRITE_MISMATCH
 
-    def test_missing_rewrite_is_capability_error(self):
-        with pytest.raises(CapabilityError):
-            judge_one("mean", {}, [np.array([1.0])], bound("mean", OracleBinding(3)))
-
 
 class TestStableAlgorithm:
     def test_identity_inverse_passes(self):
@@ -129,14 +126,10 @@ class TestStableAlgorithm:
         assert verdict.passed
 
     def test_non_spd_is_unavailable(self):
+        # outside Cholesky's domain the row passes the stable-algorithm oracle
         checks = oracle_rows("inverse", {}, [np.array([[[0.0, 1.0], [1.0, 0.0]]])]).checks
         assert checks[1].failure_class is FailureClass.STABLE_ALGO_MISMATCH
-        assert checks[1].judged.tolist() == [False]
-
-    def test_non_square_is_unavailable(self):
-        checks = oracle_rows("inverse", {}, [np.array([[[1.0, 2.0, 3.0]]])]).checks
-        assert checks[1].failure_class is FailureClass.STABLE_ALGO_MISMATCH
-        assert checks[1].judged.tolist() == [False]
+        assert checks[1].passed.tolist() == [True]
 
     def test_determinant_pass_on_well_conditioned(self):
         rng = np.random.default_rng(2)
@@ -169,10 +162,6 @@ class TestReferenceConsistency:
         checks = oracle_rows("CosineSimilarity", {}, [a, b]).checks
         assert checks[2].failure_class is FailureClass.REFERENCE_MISMATCH
         assert checks[2].passed.all()
-
-    def test_missing_reference_is_capability_error(self):
-        with pytest.raises(CapabilityError):
-            judge_one("mean", {}, [np.array([1.0])], bound("mean", OracleBinding(5)))
 
 
 class TestIncreasedWidth:
@@ -299,9 +288,14 @@ class TestOracleRows:
             alone_wide = [x[min(i, len(x) - 1)] for x in wide]
             assert stacked.verdict(i) == judge_one(kernel, {}, alone, wide_inputs=alone_wide)
 
-    def test_spd_mix_skips_only_rows_outside_the_domain(self):
+    def test_spd_mix_skips_only_rows_outside_the_domain(self, caplog):
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((3, 3))
-        xs = np.stack([a @ a.T + np.eye(3), a])  # SPD, then asymmetric
-        checks = oracle_rows("inverse", {}, [xs]).checks
-        assert checks[1].judged.tolist() == [True, False]
+        a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
+        # SPD, ill-conditioned SPD, then asymmetric: its Cholesky factor is NaN,
+        # so comparing it would fail; outside the domain it passes
+        xs = np.stack([a @ a.T + np.eye(3), b @ b.T + 1e-9 * np.eye(3), a])
+        with caplog.at_level(logging.DEBUG, logger="safuzz.oracles"):
+            checks = oracle_rows("inverse", {}, [xs]).checks
+        assert checks[1].passed.tolist() == [True, False, True]
+        assert [r.getMessage() for r in caplog.records] == [
+            "oracle 4 unavailable for inverse on 1 of 3 rows"]

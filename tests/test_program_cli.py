@@ -3,6 +3,7 @@ the end-to-end scripts."""
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -36,6 +37,15 @@ MINIMAL = {
     "nodes": [{"id": "y", "op": "exp", "inputs": ["x"]}],
     "output": "y",
     "metadata": {},
+}
+
+# program files that exited 3 with a traceback under `scan` and `fuzz`
+BAD_PROGRAMS = {
+    "top_level_list": [1],
+    "one_bound": {**MINIMAL, "inputs": [{"id": "x", "shape": [2], "bounds": [1.0]}]},
+    "input_not_object": {**MINIMAL, "inputs": [[1]]},
+    "metadata_list": {**MINIMAL, "metadata": [1]},
+    "text_rate": {**MINIMAL, "metadata": {"rate": "fast"}},
 }
 
 
@@ -88,6 +98,30 @@ class TestProgramParse:
         doc = dict(MINIMAL, inputs=inputs, nodes=[node])
         with pytest.raises(GraphParseError, match="'y'|malformed node"):
             program_parse(write_program(tmp_path, doc))
+
+    @pytest.mark.parametrize("doc, message", [
+        (BAD_PROGRAMS["top_level_list"], "a program is a JSON object, not list"),
+        (BAD_PROGRAMS["one_bound"], "malformed input declaration"),
+        (BAD_PROGRAMS["input_not_object"], "malformed input declaration"),
+        ({**MINIMAL, "nodes": [[1]]}, "malformed node"),
+        (BAD_PROGRAMS["metadata_list"], "metadata [1] is not an object"),
+        (BAD_PROGRAMS["text_rate"], "metadata rate 'fast' is not a positive finite number"),
+        ({**MINIMAL, "metadata": {"rate": 0}}, "metadata rate 0 is not"),
+        ({**MINIMAL, "metadata": {"rate": -1.0}}, "metadata rate -1.0 is not"),
+        ({**MINIMAL, "metadata": {"rate": float("inf")}}, "metadata rate inf is not"),
+        ({**MINIMAL, "metadata": {"rate": float("nan")}}, "metadata rate nan is not"),
+        ({**MINIMAL, "metadata": {"rate": True}}, "metadata rate True is not"),
+    ], ids=["top_level_list", "one_bound", "input_not_object", "node_not_object",
+            "metadata_list", "text_rate", "zero_rate", "negative_rate", "infinite_rate",
+            "nan_rate", "boolean_rate"])
+    def test_malformed_program_file_rejected(self, tmp_path, doc, message):
+        # each used to escape as an untyped error or load and fail later
+        with pytest.raises(GraphParseError, match=re.escape(message)):
+            program_parse(write_program(tmp_path, doc))
+
+    def test_rate_read_as_a_float_once(self, tmp_path):
+        spec = program_parse(write_program(tmp_path, {**MINIMAL, "metadata": {"rate": 2}}))
+        assert type(spec.metadata["rate"]) is float and spec.rate == 2.0
 
     def test_shape_mismatch_points_at_node(self, tmp_path):
         doc = dict(MINIMAL)
@@ -341,6 +375,38 @@ class TestCli:
         program = Path(__file__).resolve().parents[1] / "src/safuzz/data/corpus/exp_overflow.json"
         assert cli_dispatch(["fuzz", str(program), "--models", str(model_dir)]) == 2
         assert "error: more than one model for kernel 'exp'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "fuzz"])
+    @pytest.mark.parametrize("name", BAD_PROGRAMS)
+    def test_malformed_program_file_exits_2(self, tmp_path, capsys, command, name):
+        program = write_program(tmp_path, BAD_PROGRAMS[name])
+        models = ["--models", str(FIXTURE_MODELS)] if command == "fuzz" else []
+        assert cli_dispatch([command, str(program), *models]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_fuzz_with_reordered_model_classes_exits_2(self, tmp_path, capsys):
+        # the list used to load and be ignored: votes are read in Signal order
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        doc = json.loads((FIXTURE_MODELS / "exp.json").read_text())
+        doc["classes"].reverse()
+        (model_dir / "exp.json").write_text(json.dumps(doc))
+        program = Path(__file__).resolve().parents[1] / "src/safuzz/data/corpus/exp_overflow.json"
+        assert cli_dispatch(["fuzz", str(program), "--models", str(model_dir)]) == 2
+        assert "classes ['Increase', 'Decrease', 'NoChange']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fuzz", "train"])
+    def test_model_or_dataset_file_that_is_a_list_exits_2(self, tmp_path, capsys, command):
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        (model_dir / "list.json").write_text("[1]\n")
+        program = write_program(tmp_path, MINIMAL)
+        argv = (["fuzz", str(program), "--models", str(model_dir)] if command == "fuzz"
+                else ["train", "--dataset", str(model_dir / "list.json"),
+                      "--out", str(tmp_path / "model.json")])
+        assert cli_dispatch(argv) == 2
+        assert "not a JSON object" in capsys.readouterr().err
 
     def test_train_without_held_out_samples(self, tmp_path, capsys):
         data = tmp_path / "exp.csv"
