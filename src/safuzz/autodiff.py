@@ -157,9 +157,6 @@ def backward(
             f"seed adjoint shape {adjoint.shape} does not match node value "
             f"shape {seed_value.shape}"
         )
-    if any(decl.id == seed_node for decl in graph.inputs):
-        return [adjoint if decl.id == seed_node else np.zeros(decl.shape, dtype=np.float64)
-                for decl in graph.inputs]
     adjoints: dict[str, np.ndarray] = {seed_node: adjoint}
     wide: dict[str, np.ndarray] = {}  # forward values the VJPs read, each cast once
 

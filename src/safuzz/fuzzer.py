@@ -325,22 +325,6 @@ def _initial_inputs(graph: Graph, rng: np.random.Generator) -> dict[str, np.ndar
     return values
 
 
-def _clamps(decl) -> bool:
-    return decl.clamp and decl.bounds is not None
-
-
-def _clamp_declared(graph: Graph, values: dict[str, np.ndarray]) -> None:
-    for decl in graph.inputs:
-        if _clamps(decl):
-            np.clip(values[decl.id], decl.bounds[0], decl.bounds[1],
-                    out=values[decl.id])
-
-
-def _site_features(values, site: UnstableSite, forest: Forest) -> np.ndarray:
-    features = featurize(values[site.entry_node], forest.feature_len)
-    return apply_scaling(features, forest.zero_epsilon)
-
-
 def _state(graph: Graph, values: dict[str, np.ndarray], bounds: dict[str, Bounds]) -> tuple:
     """The bytes of every input value and bound array, which fix the next step."""
     return tuple(a.tobytes() for d in graph.inputs
@@ -393,8 +377,8 @@ def fuzz_site(
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
-        feats = _site_features(evaluated, site, forest)
-        signal = predict(forest, feats)
+        features = featurize(evaluated[site.entry_node], forest.feature_len)
+        signal = predict(forest, apply_scaling(features, forest.zero_epsilon))
         result.sa_queries += 1
 
         if signal is Signal.NO_CHANGE:
@@ -422,7 +406,8 @@ def fuzz_site(
             values[decl.id] = constrain_update(
                 values[decl.id], deltas[decl.id], bounds[decl.id], signal
             )
-        _clamp_declared(graph, values)
+            if decl.clamp:
+                np.clip(values[decl.id], *decl.bounds, out=values[decl.id])
         if _state(graph, values, bounds) == before:
             skipped = config.max_iters - result.iterations
             log.debug("site '%s': fixed point at iteration %d, %d iterations not run",
@@ -449,7 +434,7 @@ def _walk(graph: Graph, site: UnstableSite, stacks: dict[str, np.ndarray], up: n
             stacks[decl.id][1:] = np.where(up.reshape((-1,) + (1,) * len(decl.shape)),
                                            fixed[Signal.INCREASE][decl.id],
                                            fixed[Signal.DECREASE][decl.id])
-        if not any(_clamps(d) for d in graph.inputs):
+        if not any(d.clamp for d in graph.inputs):
             for stack in stacks.values():
                 np.cumsum(stack, axis=0, out=stack)
             return
@@ -465,8 +450,8 @@ def _walk(graph: Graph, site: UnstableSite, stacks: dict[str, np.ndarray], up: n
             stack = stacks[decl.id]
             row = stack[i:i + 1]
             np.add(stack[i - 1:i], row, out=row)
-            if _clamps(decl):
-                np.clip(row, decl.bounds[0], decl.bounds[1], out=row)
+            if decl.clamp:
+                np.clip(row, *decl.bounds, out=row)
 
 
 @np.errstate(over="ignore")  # a walk past float32's range, or float64's, is data
@@ -488,12 +473,12 @@ def random_fuzz_site(
     the module docstring); row n is the next chunk's start. The judge then
     runs the site kernel on the operands of rows 0..n-1, from one stacked
     forward of those rows, and judges every step; the first failing row is
-    the find, and its failing input is that row. A find at row i rewinds
-    the generator to the start of the chunk and draws the i directions
-    before it again, so the outcome and the generator state are those of
-    judging each iteration before the next. A forward fails for every input
-    or for none, so one that fails does so on the first chunk's only row:
-    the generator is rewound to the chunk start and the search ends after
+    the find, and its failing input is that row. The outcome is that of
+    judging each iteration before the next. The generator serves this
+    search alone, so the directions a chunk drew past a find are not given
+    back: its state is that of the step loop only when the search runs out
+    its budget. A forward fails for every input or for none, so one that
+    fails does so on the first chunk's only row, and the search ends after
     one iteration. The wall-clock timeout is checked between chunks.
     """
     reg = registry or default_registry()
@@ -511,7 +496,6 @@ def random_fuzz_site(
         if time.perf_counter() - start > config.timeout:
             result.diagnostics.append("wall-clock timeout")
             break
-        rewind = rng.bit_generator.state
         # one call draws the stream that as many scalar draws would
         up = rng.uniform(size=min(size, config.max_iters - result.iterations)) < 0.5
         stacks = {d.id: np.empty((len(up) + 1, *d.shape)) for d in graph.inputs}
@@ -524,20 +508,17 @@ def random_fuzz_site(
             rows = _judge(graph, site, node, stop, [operands[ref] for ref in node.inputs],
                           inputs, reg)
         except EvaluationError as exc:
-            rng.bit_generator.state = rewind
             result.iterations += 1
             result.diagnostics.append(f"validation failed: {exc}")
             break
         steps = len(up)
         failed = np.flatnonzero(~rows.passed)
         if failed.size:
-            used = int(failed[0])  # directions a one-at-a-time loop would have drawn
-            steps = used + 1
+            row = int(failed[0])
+            steps = row + 1
             result.status = "Found"
-            result.verdict = rows.verdict(used)
-            result.failing_input = {k: stack[used].tolist() for k, stack in stacks.items()}
-            rng.bit_generator.state = rewind
-            rng.uniform(size=used)
+            result.verdict = rows.verdict(row)
+            result.failing_input = {k: stack[row].tolist() for k, stack in stacks.items()}
         result.iterations += steps
         values = {k: stack[-1] for k, stack in stacks.items()}
         size = min(2 * size, CHUNK_CAP)

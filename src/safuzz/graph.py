@@ -29,8 +29,15 @@ class InputDecl:
     def __post_init__(self):
         if len(self.shape) > MAX_RANK:
             raise GraphParseError(f"input '{self.id}': rank exceeds {MAX_RANK}")
-        if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
-            raise GraphParseError(f"input '{self.id}': bounds must satisfy lo < hi")
+        if not all(d >= 1 for d in self.shape):
+            raise GraphParseError(f"input '{self.id}': every dimension must be at least 1")
+        if self.clamp and self.bounds is None:
+            raise GraphParseError(f"input '{self.id}': a clamp needs bounds")
+        # the search draws uniformly from [lo, hi], which needs a finite hi - lo
+        if self.bounds is not None and not (-np.inf < self.bounds[0] < self.bounds[1]
+                                            and self.bounds[1] - self.bounds[0] < np.inf):
+            raise GraphParseError(f"input '{self.id}': bounds must be finite with lo < hi "
+                                  "and a finite width")
 
 
 @dataclass(frozen=True, eq=False)

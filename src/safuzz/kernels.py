@@ -554,7 +554,10 @@ def _elementwise_reading(key: str) -> Callable:
 
 
 def _shape_constant(params):
-    return _param_array(params, "value").shape
+    value = _param_array(params, "value")
+    if not value.size:
+        raise ValueError("param 'value' is empty")
+    return value.shape
 
 
 def _shape_reshape(params, sa):

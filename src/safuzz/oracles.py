@@ -78,11 +78,6 @@ class _CheckRows(NamedTuple):
     passed: np.ndarray
     describe: Callable[[int], str]
 
-    def verdict(self, row: int) -> OracleVerdict:
-        if self.passed[row]:
-            return PASS
-        return OracleVerdict(False, self.failure_class, self.describe(row))
-
 
 def _cast(inputs: Sequence[np.ndarray], dtype) -> Sequence[np.ndarray]:
     for x in inputs:
@@ -240,7 +235,7 @@ class OracleRows(NamedTuple):
     def verdict(self, row: int) -> OracleVerdict:
         for check in self.checks:
             if not check.passed[row]:
-                return check.verdict(row)
+                return OracleVerdict(False, check.failure_class, check.describe(row))
         return PASS
 
 

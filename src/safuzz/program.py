@@ -5,6 +5,13 @@ optional clamp flag that keeps mutations inside those bounds, mirroring pixel
 constraints), a topologically ordered node list, the output id, and free-form
 metadata. Corpus entries carry their expected failure class and a suggested
 mutation rate (a positive finite number, read as a float) in metadata.
+
+Loading checks, so no search meets a malformed program: ids, ops and the
+output are strings; an input's shape is a list of ints of at least 1, its
+bounds, when given, are [lo, hi], two finite numbers with lo < hi and a
+finite hi - lo, and its clamp is a bool, true only with bounds. A node's
+inputs are a list of ids defined before it, its params an object that its
+op accepts, and a constant's value is not empty.
 """
 
 from __future__ import annotations
@@ -46,25 +53,32 @@ class ProgramSpec:
 
 def _parse_input(raw: dict) -> InputDecl:
     try:
-        bounds = raw.get("bounds")
-        return InputDecl(
-            id=raw["id"],
-            shape=tuple(int(d) for d in raw["shape"]),
-            bounds=(float(bounds[0]), float(bounds[1])) if bounds else None,
-            clamp=bool(raw.get("clamp", False)),
-        )
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        shape, bounds, clamp = raw["shape"], raw.get("bounds"), raw.get("clamp", False)
+        if not isinstance(raw["id"], str):
+            raise ValueError("id must be a string")
+        if not isinstance(shape, list) or not all(type(d) is int for d in shape):
+            raise ValueError("shape must be a list of ints")
+        numbers = isinstance(bounds, list) and all(type(b) in (int, float) for b in bounds)
+        if bounds is not None and not (numbers and len(bounds) == 2):  # a bool is no number
+            raise ValueError("bounds must be [lo, hi], two numbers")
+        if type(clamp) is not bool:
+            raise ValueError("clamp must be true or false")
+        return InputDecl(id=raw["id"], shape=tuple(shape), clamp=clamp,
+                         bounds=None if bounds is None else tuple(map(float, bounds)))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise GraphParseError(f"malformed input declaration {raw!r}: {exc}") from exc
 
 
 def _parse_node(raw: dict) -> Node:
     try:
-        return Node(
-            id=raw["id"],
-            op=raw["op"],
-            inputs=tuple(raw.get("inputs", [])),
-            params=dict(raw.get("params", {})),
-        )
+        inputs, params = raw.get("inputs", []), raw.get("params", {})
+        if not isinstance(raw["id"], str) or not isinstance(raw["op"], str):
+            raise ValueError("id and op must be strings")
+        if not isinstance(inputs, list) or not all(isinstance(r, str) for r in inputs):
+            raise ValueError("inputs must be a list of ids")
+        if not isinstance(params, dict):
+            raise ValueError("params must be an object")
+        return Node(id=raw["id"], op=raw["op"], inputs=tuple(inputs), params=dict(params))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise GraphParseError(f"malformed node {raw!r}: {exc}") from exc
 
@@ -85,11 +99,13 @@ def program_from_dict(doc: dict, registry: Optional[Registry] = None) -> Program
         raise GraphParseError(
             f"unsupported program format_version {doc.get('format_version')!r}"
         )
+    if not isinstance(doc.get("output"), str):
+        raise GraphParseError(f"output {doc.get('output')!r} is not a node id")
     spec = ProgramSpec(
         name=doc.get("name", "<unnamed>"),
         inputs=[_parse_input(r) for r in doc.get("inputs", [])],
         nodes=[_parse_node(r) for r in doc.get("nodes", [])],
-        output=doc.get("output", ""),
+        output=doc["output"],
         metadata=_parse_metadata(doc.get("metadata", {})),
     )
     spec.to_graph(registry)  # validates ops, ordering, shapes

@@ -124,9 +124,9 @@ def _parse_entry(raw: dict) -> KernelSpec:
         raise RegistryError(f"entry '{name}': malformed field ({exc})") from exc
     # base inputs are drawn round-robin from the regions, uniformly inside each
     if gen is not None and (not gen.regions or not all(
-            -math.inf < lo < hi < math.inf for lo, hi in gen.regions)):
+            -math.inf < lo < hi < math.inf and hi - lo < math.inf for lo, hi in gen.regions)):
         raise RegistryError(f"entry '{name}': generation regions must be a non-empty "
-                            "list of finite [lo, hi] with lo < hi")
+                            "list of finite [lo, hi] with lo < hi and a finite width")
     # a NaN shift would turn every zero feature into NaN
     if gen is not None and gen.zero_epsilon is not None and not 0 < gen.zero_epsilon < math.inf:
         raise RegistryError(f"entry '{name}': zero_epsilon must be positive and finite")

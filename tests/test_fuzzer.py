@@ -16,7 +16,7 @@ import pytest
 from safuzz import autodiff, fuzzer, kernels, oracles
 from safuzz.autodiff import constant_gradient, forward_eval
 from safuzz.corpus import corpus_manifest
-from safuzz.datagen import Signal
+from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import EvaluationError, UsageError
 from safuzz.forest import DecisionTree, Forest, model_load, predict
 from safuzz.fuzzer import (
@@ -26,9 +26,7 @@ from safuzz.fuzzer import (
     MAX_RESETS,
     GRAD_FLOOR,
     FuzzResult,
-    _clamp_declared,
     _initial_inputs,
-    _site_features,
     constrain_update,
     fuzz_program,
     fuzz_site,
@@ -594,8 +592,8 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
         except EvaluationError as exc:
             result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
             break
-        feats = _site_features(evaluated, site, forest)
-        signal = predict(forest, feats)
+        features = featurize(evaluated[site.entry_node], forest.feature_len)
+        signal = predict(forest, apply_scaling(features, forest.zero_epsilon))
         result.sa_queries += 1
 
         if signal is Signal.NO_CHANGE:
@@ -622,7 +620,9 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
             values[decl.id] = constrain_update(
                 values[decl.id], deltas[decl.id], bounds[decl.id], signal
             )
-        _clamp_declared(graph, values)
+        for decl in graph.inputs:
+            if decl.clamp:
+                values[decl.id] = np.clip(values[decl.id], *decl.bounds)
 
     result.wall_time = time.perf_counter() - start
     return result
@@ -661,7 +661,9 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
         deltas = propagate_signal(graph, site, evaluated, signal, config.rate)
         for decl in graph.inputs:
             values[decl.id] = values[decl.id] + deltas[decl.id]
-        _clamp_declared(graph, values)
+        for decl in graph.inputs:
+            if decl.clamp:
+                values[decl.id] = np.clip(values[decl.id], *decl.bounds)
     result.wall_time = time.perf_counter() - start
     return result
 
@@ -669,6 +671,12 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
 def _outcome(result):
     """Every FuzzResult field but wall_time; repr keeps NaN inputs comparable."""
     return repr({k: v for k, v in vars(result).items() if k != "wall_time"})
+
+
+def _ran_out(result):
+    """Whether a search ended at its iteration budget: only then has the
+    random loop drawn the directions of exactly the steps it judged."""
+    return result.diagnostics == ["iteration budget exhausted"]
 
 
 class TestLoopsMatchReference:
@@ -708,7 +716,8 @@ class TestLoopsMatchReference:
             result = random_fuzz_site(graph, site, config, rng, reg)
             expected = _reference_random_fuzz_site(graph, site, config, ref_rng, reg)
             assert _outcome(result) == _outcome(expected), (name, config.seed)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if _ran_out(result):
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
             found += result.found
         assert found > 0
 
@@ -998,7 +1007,8 @@ class TestRankZeroInput:
             result = random_fuzz_site(scalar, site, config, rng)
             expected = _reference_random_fuzz_site(vector, vsite, config, ref_rng)
             assert self._outcome(result) == self._outcome(expected)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if _ran_out(result):
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRandomChunks:
@@ -1024,7 +1034,8 @@ class TestRandomChunks:
         result = random_fuzz_site(graph, site, config, rng)
         expected = _reference_random_fuzz_site(graph, site, config, ref_rng)
         assert _outcome(result) == _outcome(expected), config.seed
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, config.seed
+        if _ran_out(result):
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, config.seed
         return result
 
     def test_finds_on_the_first_and_last_rows_of_chunks(self):
@@ -1092,7 +1103,8 @@ class TestRandomChunks:
                 result = loop(graph, site, *forests, config, rng)
                 expected = reference(graph, site, *forests, config, ref_rng)
                 assert _outcome(result) == _outcome(expected)
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                if loop is fuzz_site:  # the random loop keeps the failed chunk's draw
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
                 assert result.iterations == 1 and not result.found
 
 
@@ -1141,7 +1153,8 @@ class TestStackedWalk:
             expected = _reference_random_fuzz_site(ref_graph, ref_site, config, ref_rng)
         outcome = TestRankZeroInput._outcome
         assert outcome(result) == outcome(expected), config.seed
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, config.seed
+        if _ran_out(result):
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, config.seed
         assert len(stepped) == expected.iterations
         assert walked[:len(stepped)] == stepped, config.seed
         return result, np.frombuffer(b"".join(stepped))

@@ -156,8 +156,9 @@ class TestRegistryLoad:
 
     @pytest.mark.parametrize("regions", [[], [[1.0, 1.0]], [[2.0, 1.0]],
                                          [[-1.0, 1.0], [0.0, math.inf]], [[-math.inf, 0.0]],
-                                         [[math.nan, 1.0]]],
-                             ids=["empty", "zero-width", "reversed", "inf-hi", "inf-lo", "nan"])
+                                         [[math.nan, 1.0]], [[-1e308, 1e308]]],
+                             ids=["empty", "zero-width", "reversed", "inf-hi", "inf-lo", "nan",
+                                  "inf-width"])
     def test_empty_or_degenerate_regions_rejected(self, tmp_path, regions):
         # an empty list used to load and then divide by zero in build_dataset
         path = self._write(tmp_path, [self._entry(generation={"regions": regions})])

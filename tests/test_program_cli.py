@@ -3,6 +3,7 @@ the end-to-end scripts."""
 
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -39,13 +40,42 @@ MINIMAL = {
     "metadata": {},
 }
 
-# program files that exited 3 with a traceback under `scan` and `fuzz`
+
+def _input(**fields):
+    return {**MINIMAL, "inputs": [{"id": "x", "shape": [2], **fields}]}
+
+
+def _node(**fields):
+    return {**MINIMAL, "nodes": [{"id": "y", "op": "exp", "inputs": ["x"], **fields}]}
+
+
+# program files that exited 3 with a traceback under `scan` and `fuzz`, or
+# loaded misread and failed mid-search, or were silently misread
 BAD_PROGRAMS = {
     "top_level_list": [1],
-    "one_bound": {**MINIMAL, "inputs": [{"id": "x", "shape": [2], "bounds": [1.0]}]},
+    "one_bound": _input(bounds=[1.0]),
     "input_not_object": {**MINIMAL, "inputs": [[1]]},
     "metadata_list": {**MINIMAL, "metadata": [1]},
     "text_rate": {**MINIMAL, "metadata": {"rate": "fast"}},
+    "three_bounds": _input(bounds=[0, 1, 99]),
+    "empty_bounds": _input(bounds=[]),
+    "boolean_bound": _input(bounds=[False, 1]),
+    "infinite_bound": _input(bounds=[0, math.inf]),
+    "infinite_width": _input(bounds=[-1e308, 1e308]),
+    "negative_dimension": _input(shape=[-1]),
+    "zero_dimension": _input(shape=[0]),
+    "float_dimension": _input(shape=[2.7]),
+    "boolean_dimension": _input(shape=[True, 2]),
+    "text_clamp": _input(bounds=[0, 1], clamp="no"),
+    "clamp_without_bounds": _input(clamp=True),
+    "text_node_inputs": _node(inputs="x"),
+    "listed_params": _node(op="pow", params=[["exponent", 5]]),
+    "empty_constant": {**MINIMAL, "nodes": [
+        {"id": "c", "op": "constant", "params": {"value": []}},
+        {"id": "y", "op": "exp", "inputs": ["c"]}]},
+    "listed_input_id": _input(id=["x"]),
+    "listed_op": _node(op=["exp"]),
+    "listed_output": {**MINIMAL, "output": ["y"]},
 }
 
 
@@ -111,9 +141,35 @@ class TestProgramParse:
         ({**MINIMAL, "metadata": {"rate": float("inf")}}, "metadata rate inf is not"),
         ({**MINIMAL, "metadata": {"rate": float("nan")}}, "metadata rate nan is not"),
         ({**MINIMAL, "metadata": {"rate": True}}, "metadata rate True is not"),
+        (BAD_PROGRAMS["three_bounds"], "bounds must be [lo, hi], two numbers"),
+        (BAD_PROGRAMS["empty_bounds"], "bounds must be [lo, hi], two numbers"),
+        (BAD_PROGRAMS["boolean_bound"], "bounds must be [lo, hi], two numbers"),
+        (BAD_PROGRAMS["infinite_bound"], "input 'x': bounds must be finite with lo < hi"),
+        (BAD_PROGRAMS["infinite_width"], "input 'x': bounds must be finite with lo < hi "
+                                         "and a finite width"),
+        (BAD_PROGRAMS["negative_dimension"], "input 'x': every dimension must be at least 1"),
+        (BAD_PROGRAMS["zero_dimension"], "input 'x': every dimension must be at least 1"),
+        (BAD_PROGRAMS["float_dimension"], "shape must be a list of ints"),
+        (BAD_PROGRAMS["boolean_dimension"], "shape must be a list of ints"),
+        (_input(shape="2"), "shape must be a list of ints"),
+        (BAD_PROGRAMS["text_clamp"], "clamp must be true or false"),
+        (BAD_PROGRAMS["clamp_without_bounds"], "input 'x': a clamp needs bounds"),
+        (BAD_PROGRAMS["text_node_inputs"], "inputs must be a list of ids"),
+        (_node(inputs=[1]), "inputs must be a list of ids"),
+        (BAD_PROGRAMS["listed_params"], "params must be an object"),
+        (BAD_PROGRAMS["empty_constant"], "node 'c': param 'value' is empty"),
+        (BAD_PROGRAMS["listed_input_id"], "id must be a string"),
+        (BAD_PROGRAMS["listed_op"], "id and op must be strings"),
+        (_node(id=5), "id and op must be strings"),
+        (BAD_PROGRAMS["listed_output"], "output ['y'] is not a node id"),
     ], ids=["top_level_list", "one_bound", "input_not_object", "node_not_object",
             "metadata_list", "text_rate", "zero_rate", "negative_rate", "infinite_rate",
-            "nan_rate", "boolean_rate"])
+            "nan_rate", "boolean_rate", "three_bounds", "empty_bounds", "boolean_bound",
+            "infinite_bound", "infinite_width", "negative_dimension", "zero_dimension",
+            "float_dimension", "boolean_dimension", "text_shape", "text_clamp",
+            "clamp_without_bounds", "text_node_inputs", "numeric_node_input", "listed_params",
+            "empty_constant", "listed_input_id", "listed_op", "numeric_node_id",
+            "listed_output"])
     def test_malformed_program_file_rejected(self, tmp_path, doc, message):
         # each used to escape as an untyped error or load and fail later
         with pytest.raises(GraphParseError, match=re.escape(message)):
