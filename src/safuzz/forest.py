@@ -29,7 +29,8 @@ floats, whose `<=` matches numpy float64 exactly (NaN goes right).
 A model file records "classes" (Signal order) and "scaling" (an identity
 scale and offset, and the dataset's zero_epsilon) as every model has them.
 model_load refuses others, a zero_epsilon that is not null or positive and
-finite, and a model with no feature or no tree.
+finite, a kernel that is not a string, and a model with no feature or no
+tree.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.datagen import CLASS_NAMES, Dataset, Signal, read_preprocessing, scaling_field
+from safuzz.datagen import CLASS_NAMES, Dataset, Signal, read_fixed_fields, scaling_field
 from safuzz.errors import FileFormatError, TrainingError, UsageError
 
 N_CLASSES = 3
@@ -261,13 +262,9 @@ def predict(forest: Forest, features: np.ndarray) -> Signal:
     """Majority vote over tree leaf-histogram argmaxes.
 
     Ties break by the fixed class order NoChange > Decrease > Increase
-    (the first maximum wins, and Signal values are ordered so).
+    (the first maximum wins, and Signal values are ordered so). features
+    is a float64 vector of forest.feature_len values, as featurize makes.
     """
-    features = np.asarray(features, dtype=np.float64).reshape(-1)
-    if features.size != forest.feature_len:
-        raise UsageError(
-            f"feature length {features.size} does not match forest ({forest.feature_len})"
-        )
     return Signal(_vote(forest.flat, features.tolist()))
 
 
@@ -362,8 +359,8 @@ def model_load(path) -> Forest:
             raise TypeError("every tree needs the columns " + ", ".join(sorted(TREE_KEYS)))
         if doc["classes"] != list(CLASS_NAMES):
             raise ValueError(f"classes {doc['classes']!r} are not {list(CLASS_NAMES)!r}")
-        feature_len, zero_epsilon = read_preprocessing(doc)
-        return Forest(trees=trees, kernel=doc["kernel"], shape=tuple(doc["shape"]),
+        kernel, feature_len, zero_epsilon = read_fixed_fields(doc)
+        return Forest(trees=trees, kernel=kernel, shape=tuple(doc["shape"]),
                       feature_len=feature_len, seed=int(doc["seed"]), zero_epsilon=zero_epsilon)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"model file {path} is corrupt: {exc}") from exc

@@ -33,9 +33,9 @@ forward to the site's operands feeds the judge.
 Values past the range of float32 or float64 are data in both loops, not
 warnings.
 
-A forward raises EvaluationError for every input or for none: whether it
-does depends on the graph's params and shapes, never on a value or the
-dtype. So each loop has one failure path, taken at its first iteration.
+Neither loop has a failure path: a graph that builds has params its ops
+accept and shapes with dimensions of at least 1, and no forward of it raises
+on any value, in either dtype.
 
 Between resets a guided step is a pure function of the input values and the
 interval bounds: it draws nothing from the generator. So once one step leaves
@@ -59,7 +59,7 @@ import numpy as np
 
 from safuzz.autodiff import backward, constant_gradient, forward_eval, forward_rows
 from safuzz.datagen import Signal, apply_scaling, featurize
-from safuzz.errors import EvaluationError, UsageError
+from safuzz.errors import UsageError
 from safuzz.forest import Forest, predict
 from safuzz.graph import Graph, Node
 from safuzz.kernels import op_def
@@ -184,8 +184,6 @@ def propagate_signal(
     elements with respect to each program input; clamping keeps
     |g| >= GRAD_FLOOR with sign(0) := +1.
     """
-    if signal is Signal.NO_CHANGE:
-        raise UsageError("no-change signals do not propagate")
     seed = np.empty(values[site.entry_node].shape)
     seed.fill(1.0)  # np.ones, without its Python-level wrapper
     grads = backward(graph, values, site.entry_node, seed)
@@ -204,18 +202,13 @@ def propagate_signal(
 def _fixed_deltas(graph: Graph, site: UnstableSite, values: dict[str, np.ndarray],
                   rate: float) -> Optional[dict[Signal, dict[str, np.ndarray]]]:
     """The deltas of both signals, read-only, when the gradient of the site
-    entry is the same at every input; propagate_signal runs on a forward of
-    values, the search's first input. None when the gradient depends on
-    the input, or when the program fails before the entry: the first step
-    then evaluates again and reports the failure.
+    entry is the same at every input, else None; propagate_signal runs on a
+    forward of values, the search's first input, which cannot raise.
     """
     if not constant_gradient(graph, site.entry_node):
         return None
-    try:
-        evaluated = forward_eval(graph, [values[d.id] for d in graph.inputs], np.float32,
-                                 stop_at=site.entry_node)
-    except EvaluationError:
-        return None
+    evaluated = forward_eval(graph, [values[d.id] for d in graph.inputs], np.float32,
+                             stop_at=site.entry_node)
     fixed = {}
     for signal in (Signal.INCREASE, Signal.DECREASE):
         deltas = propagate_signal(graph, site, evaluated, signal, rate)
@@ -348,11 +341,8 @@ def fuzz_site(
     run, and the search ends with "iteration budget exhausted". The outcome
     and the generator state are those of running every iteration, except
     that the wall-clock timeout cannot fire in the tail that is not run.
+    The forest is the site kernel's (fuzz_program picks it by kernel).
     """
-    if forest.kernel != site.kernel:
-        raise UsageError(
-            f"forest is for kernel '{forest.kernel}', site is '{site.kernel}'"
-        )
     reg = registry or default_registry()
     node = graph.node(site.node_id)
     stop = _operand_stop(graph, node)
@@ -372,11 +362,7 @@ def fuzz_site(
             break
         result.iterations += 1
         inputs = [values[d.id] for d in graph.inputs]
-        try:
-            evaluated = forward_eval(graph, inputs, np.float32, stop_at=stop)
-        except EvaluationError as exc:
-            result.diagnostics.append(f"evaluation failed upstream of the site: {exc}")
-            break
+        evaluated = forward_eval(graph, inputs, np.float32, stop_at=stop)
         features = featurize(evaluated[site.entry_node], forest.feature_len)
         signal = predict(forest, apply_scaling(features, forest.zero_epsilon))
         result.sa_queries += 1
@@ -477,9 +463,8 @@ def random_fuzz_site(
     judging each iteration before the next. The generator serves this
     search alone, so the directions a chunk drew past a find are not given
     back: its state is that of the step loop only when the search runs out
-    its budget. A forward fails for every input or for none, so one that
-    fails does so on the first chunk's only row, and the search ends after
-    one iteration. The wall-clock timeout is checked between chunks.
+    its budget. No forward raises, so neither the walk nor the judge ends a
+    search. The wall-clock timeout is checked between chunks.
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
@@ -501,16 +486,11 @@ def random_fuzz_site(
         stacks = {d.id: np.empty((len(up) + 1, *d.shape)) for d in graph.inputs}
         for key, stack in stacks.items():
             stack[0] = values[key]
-        try:
-            _walk(graph, site, stacks, up, fixed, config.rate)
-            inputs = [stacks[d.id][:-1] for d in graph.inputs]
-            operands = forward_rows(graph, inputs, np.float32, stop)
-            rows = _judge(graph, site, node, stop, [operands[ref] for ref in node.inputs],
-                          inputs, reg)
-        except EvaluationError as exc:
-            result.iterations += 1
-            result.diagnostics.append(f"validation failed: {exc}")
-            break
+        _walk(graph, site, stacks, up, fixed, config.rate)
+        inputs = [stacks[d.id][:-1] for d in graph.inputs]
+        operands = forward_rows(graph, inputs, np.float32, stop)
+        rows = _judge(graph, site, node, stop, [operands[ref] for ref in node.inputs],
+                      inputs, reg)
         steps = len(up)
         failed = np.flatnonzero(~rows.passed)
         if failed.size:

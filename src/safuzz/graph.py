@@ -4,7 +4,8 @@ Graphs are declarative and topologically ordered by construction: every node
 may only reference inputs or nodes that appear before it. Ops resolve either
 in the executable catalog or in a caller-supplied set of known-but-unbacked
 names (registry entries without an implementation); shapes are inferred where
-a shape rule exists.
+a shape rule exists, and every shape, an input's included, has dimensions of
+at least 1.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ class InputDecl:
     def __post_init__(self):
         if len(self.shape) > MAX_RANK:
             raise GraphParseError(f"input '{self.id}': rank exceeds {MAX_RANK}")
-        if not all(d >= 1 for d in self.shape):
-            raise GraphParseError(f"input '{self.id}': every dimension must be at least 1")
         if self.clamp and self.bounds is None:
             raise GraphParseError(f"input '{self.id}': a clamp needs bounds")
         # the search draws uniformly from [lo, hi], which needs a finite hi - lo
@@ -38,6 +37,13 @@ class InputDecl:
                                             and self.bounds[1] - self.bounds[0] < np.inf):
             raise GraphParseError(f"input '{self.id}': bounds must be finite with lo < hi "
                                   "and a finite width")
+
+
+def _sized(what: str, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """shape, if every dimension is at least 1: an empty value has nothing to search."""
+    if min(shape, default=1) < 1:
+        raise GraphParseError(f"{what}: every dimension must be at least 1, got {list(shape)}")
+    return shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +80,7 @@ class Graph:
             if decl.id in seen:
                 raise GraphParseError(f"duplicate id '{decl.id}'")
             seen.add(decl.id)
-            self.shapes[decl.id] = tuple(decl.shape)
+            self.shapes[decl.id] = _sized(f"input '{decl.id}'", tuple(decl.shape))
         for node in self.nodes:
             if node.id in seen:
                 raise GraphParseError(f"duplicate id '{node.id}'")
@@ -101,7 +107,7 @@ class Graph:
                         shape = op.shape_rule(node.params, *in_shapes)
                     except ValueError as exc:
                         raise GraphParseError(f"node '{node.id}': {exc}") from exc
-                    self.shapes[node.id] = tuple(int(d) for d in shape)
+                    self.shapes[node.id] = _sized(f"node '{node.id}'", tuple(map(int, shape)))
             else:
                 self.shapes[node.id] = None
             seen.add(node.id)

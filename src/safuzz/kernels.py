@@ -48,7 +48,7 @@ def _param_array(params: Mapping, key: str, dtype=np.float64) -> np.ndarray:
         raise ValueError(f"missing param '{key}'")
     try:
         return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past a double
         raise ValueError(f"param '{key}' is not numeric: {value!r}") from None
 
 
@@ -65,7 +65,10 @@ def _param_number(params: Mapping, key: str) -> float:
         raise ValueError(f"missing param '{key}'")
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"param '{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past a double's range
+        raise ValueError(f"param '{key}' is beyond a double's range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +557,7 @@ def _elementwise_reading(key: str) -> Callable:
 
 
 def _shape_constant(params):
-    value = _param_array(params, "value")
-    if not value.size:
-        raise ValueError("param 'value' is empty")
-    return value.shape
+    return _param_array(params, "value").shape
 
 
 def _shape_reshape(params, sa):

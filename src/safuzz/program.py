@@ -7,11 +7,11 @@ metadata. Corpus entries carry their expected failure class and a suggested
 mutation rate (a positive finite number, read as a float) in metadata.
 
 Loading checks, so no search meets a malformed program: ids, ops and the
-output are strings; an input's shape is a list of ints of at least 1, its
-bounds, when given, are [lo, hi], two finite numbers with lo < hi and a
-finite hi - lo, and its clamp is a bool, true only with bounds. A node's
-inputs are a list of ids defined before it, its params an object that its
-op accepts, and a constant's value is not empty.
+output are strings; an input's shape is a list of ints, its bounds, when
+given, are [lo, hi], two finite numbers with lo < hi and a finite hi - lo,
+and its clamp is a bool, true only with bounds. A node's inputs are a list
+of ids defined before it, and its params an object that its op accepts.
+Every shape, declared or inferred, has dimensions of at least 1.
 """
 
 from __future__ import annotations
@@ -116,6 +116,7 @@ def program_parse(path, registry: Optional[Registry] = None) -> ProgramSpec:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # JSONDecodeError is a ValueError, and so is an int of more digits than Python converts
+    except (OSError, ValueError) as exc:
         raise GraphParseError(f"cannot read program file {path}: {exc}") from exc
     return program_from_dict(doc, registry)

@@ -1,6 +1,7 @@
 """Decision-forest soft assertions: training, prediction, persistence."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -316,11 +317,6 @@ class TestPredict:
         trees = [leaf_tree([0, 0, 5]), leaf_tree([0, 5, 0])]
         assert predict(forest_of(trees), np.zeros(9)) is Signal.DECREASE
 
-    def test_feature_length_checked(self):
-        forest = forest_of([leaf_tree([1, 0, 0])])
-        with pytest.raises(UsageError):
-            predict(forest, np.zeros(4))
-
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308])
     @pytest.mark.parametrize("threshold", [0.0, np.inf, -np.inf, 1e308])
     def test_non_finite_features_route_like_numpy(self, value, threshold):
@@ -560,3 +556,10 @@ class TestModelFileChecks:
         path.write_text("[1]")
         with pytest.raises(FileFormatError, match="not a JSON object"):
             model_load(path)
+
+    @pytest.mark.parametrize("kernel", [["exp"], 5, None], ids=["list", "number", "null"])
+    def test_kernel_that_is_no_string_rejected(self, tmp_path, kernel):
+        # a list used to load and crash fuzz with an unhashable-type error;
+        # a number loaded and its site was skipped
+        with pytest.raises(FileFormatError, match=re.escape(f"kernel {kernel!r} is not a string")):
+            model_load(self._write(tmp_path, kernel=kernel))

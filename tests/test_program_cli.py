@@ -73,6 +73,12 @@ BAD_PROGRAMS = {
     "empty_constant": {**MINIMAL, "nodes": [
         {"id": "c", "op": "constant", "params": {"value": []}},
         {"id": "y", "op": "exp", "inputs": ["c"]}]},
+    "zero_column_linear": {**MINIMAL, "nodes": [
+        {"id": "l", "op": "linear", "inputs": ["x"], "params": {"weight": [[], []], "bias": []}},
+        {"id": "y", "op": "exp", "inputs": ["l"]}]},
+    "huge_int_param": {**MINIMAL, "nodes": [
+        {"id": "s", "op": "scale", "inputs": ["x"], "params": {"factor": 10 ** 400}},
+        {"id": "y", "op": "exp", "inputs": ["s"]}]},
     "listed_input_id": _input(id=["x"]),
     "listed_op": _node(op=["exp"]),
     "listed_output": {**MINIMAL, "output": ["y"]},
@@ -147,8 +153,9 @@ class TestProgramParse:
         (BAD_PROGRAMS["infinite_bound"], "input 'x': bounds must be finite with lo < hi"),
         (BAD_PROGRAMS["infinite_width"], "input 'x': bounds must be finite with lo < hi "
                                          "and a finite width"),
-        (BAD_PROGRAMS["negative_dimension"], "input 'x': every dimension must be at least 1"),
-        (BAD_PROGRAMS["zero_dimension"], "input 'x': every dimension must be at least 1"),
+        (BAD_PROGRAMS["negative_dimension"],
+         "input 'x': every dimension must be at least 1, got [-1]"),
+        (BAD_PROGRAMS["zero_dimension"], "input 'x': every dimension must be at least 1, got [0]"),
         (BAD_PROGRAMS["float_dimension"], "shape must be a list of ints"),
         (BAD_PROGRAMS["boolean_dimension"], "shape must be a list of ints"),
         (_input(shape="2"), "shape must be a list of ints"),
@@ -157,7 +164,10 @@ class TestProgramParse:
         (BAD_PROGRAMS["text_node_inputs"], "inputs must be a list of ids"),
         (_node(inputs=[1]), "inputs must be a list of ids"),
         (BAD_PROGRAMS["listed_params"], "params must be an object"),
-        (BAD_PROGRAMS["empty_constant"], "node 'c': param 'value' is empty"),
+        (BAD_PROGRAMS["empty_constant"], "node 'c': every dimension must be at least 1, got [0]"),
+        (BAD_PROGRAMS["zero_column_linear"],
+         "node 'l': every dimension must be at least 1, got [0]"),
+        (BAD_PROGRAMS["huge_int_param"], "node 's': param 'factor' is beyond a double's range"),
         (BAD_PROGRAMS["listed_input_id"], "id must be a string"),
         (BAD_PROGRAMS["listed_op"], "id and op must be strings"),
         (_node(id=5), "id and op must be strings"),
@@ -168,12 +178,21 @@ class TestProgramParse:
             "infinite_bound", "infinite_width", "negative_dimension", "zero_dimension",
             "float_dimension", "boolean_dimension", "text_shape", "text_clamp",
             "clamp_without_bounds", "text_node_inputs", "numeric_node_input", "listed_params",
-            "empty_constant", "listed_input_id", "listed_op", "numeric_node_id",
+            "empty_constant", "zero_column_linear", "huge_int_param", "listed_input_id", "listed_op", "numeric_node_id",
             "listed_output"])
     def test_malformed_program_file_rejected(self, tmp_path, doc, message):
         # each used to escape as an untyped error or load and fail later
         with pytest.raises(GraphParseError, match=re.escape(message)):
             program_parse(write_program(tmp_path, doc))
+
+    def test_int_of_more_digits_than_python_converts_rejected(self, tmp_path):
+        # it used to escape as a bare ValueError: exit 3 with a traceback
+        path = tmp_path / "prog.json"
+        path.write_text(json.dumps(_node(op="pow", params={"exponent": 0})).replace(
+            '"exponent": 0', '"exponent": ' + "9" * 5000))
+        with pytest.raises(GraphParseError, match="cannot read program file"):
+            program_parse(path)
+        assert cli_dispatch(["scan", str(path)]) == 2
 
     def test_rate_read_as_a_float_once(self, tmp_path):
         spec = program_parse(write_program(tmp_path, {**MINIMAL, "metadata": {"rate": 2}}))
@@ -451,6 +470,18 @@ class TestCli:
         program = Path(__file__).resolve().parents[1] / "src/safuzz/data/corpus/exp_overflow.json"
         assert cli_dispatch(["fuzz", str(program), "--models", str(model_dir)]) == 2
         assert "classes ['Increase', 'Decrease', 'NoChange']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kernel", [["exp"], 5], ids=["list", "number"])
+    def test_fuzz_with_a_model_whose_kernel_is_no_string_exits_2(self, tmp_path, capsys, kernel):
+        # a list used to load and then crash fuzz with exit 3; a number
+        # loaded and its site was skipped without a word
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        doc = json.loads((FIXTURE_MODELS / "exp.json").read_text())
+        (model_dir / "exp.json").write_text(json.dumps({**doc, "kernel": kernel}))
+        program = Path(__file__).resolve().parents[1] / "src/safuzz/data/corpus/exp_overflow.json"
+        assert cli_dispatch(["fuzz", str(program), "--models", str(model_dir)]) == 2
+        assert f"kernel {kernel!r} is not a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fuzz", "train"])
     def test_model_or_dataset_file_that_is_a_list_exits_2(self, tmp_path, capsys, command):
