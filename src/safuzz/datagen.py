@@ -13,13 +13,15 @@ passing points with the direction that led to failure, failing points with
 classes are balanced by down-sampling before a dataset ships; running out
 of the generation budget short of the target size is logged as a warning.
 
-A trajectory is judged as one stack: all of its step budget's points are
+A base's trajectories are judged in stacks. Each schedule's step budget is
 built at once (a running sum of the signed steps), one oracle call judges
-every row, and the trajectory is cut at its first flip. The points and
-verdicts equal those of mutating and judging one step at a time. The random
-schedule draws its whole budget from the generator up front; after a flip
-the generator is rewound and redraws only the steps taken, so every later
-draw is unchanged.
+every row of a stack, and each trajectory is cut at its first flip. The
+points and verdicts equal those of mutating and judging one step at a time.
+The random schedule draws its whole budget from the generator up front;
+after a flip the generator is rewound and redraws only the steps taken, so
+every later draw is unchanged. That makes the next random schedule's steps
+known only once the last one is judged, so a stack closes before a second
+random schedule: the default schedules take four oracle calls per base.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -143,44 +145,66 @@ def step_sizes(mconfig: MutationConfig, rng: np.random.Generator, count: int) ->
 # trajectories and labels
 # ---------------------------------------------------------------------------
 
-def run_trajectory(kernel: str, base: np.ndarray, mconfig: MutationConfig,
-                   rng: np.random.Generator,
-                   registry: Optional[Registry] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Mutate until the oracle outcome flips or the step budget runs out.
+def _stacks(mconfigs: Sequence[MutationConfig]) -> list[list[MutationConfig]]:
+    """The schedules in order, split before each random schedule that would
+    be its stack's second: it draws where the first is cut, which is known
+    only once that one is judged."""
+    stacks: list[list[MutationConfig]] = []
+    for mc in mconfigs:
+        if not stacks or (mc.method == "random"
+                          and any(m.method == "random" for m in stacks[-1])):
+            stacks.append([])
+        stacks[-1].append(mc)
+    return stacks
+
+
+def run_trajectories(kernel: str, base: np.ndarray, mconfigs: Sequence[MutationConfig],
+                     rng: np.random.Generator,
+                     registry: Optional[Registry] = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Mutate base under each schedule until the oracle outcome flips or the
+    step budget runs out, judging the trajectories in stacks (see _stacks)
+    with one oracle call per stack.
 
     A sinusoidal step is scaled by the base's largest |value| (1.0 for an
-    all-zero base). Returns the points visited, base first, stacked as
-    (n, *shape) float64, and whether each passed the kernel's oracles; when
-    the outcome flips, the last point is the first whose outcome differs
-    from the base's.
+    all-zero base). Returns, per schedule in order, the points visited, base
+    first, stacked as (n, *shape) float64, and whether each passed the
+    kernel's oracles; when the outcome flips, the last point is the first
+    whose outcome differs from the base's.
     """
     reg = registry or default_registry()
     start = np.asarray(base, dtype=np.float64)
-    rewind = rng.bit_generator.state if mconfig.method == "random" else None
-    steps = step_sizes(mconfig, rng, MAX_STEPS)
-    if mconfig.method == "sinusoidal":
-        steps = steps * (float(np.max(np.abs(start))) or 1.0)
-    if mconfig.direction == "down":
-        steps = -steps
-
-    points = np.empty((len(steps) + 1,) + start.shape)
-    points[0] = start
-    points[1:] = steps.reshape((-1,) + (1,) * start.ndim)
-    with np.errstate(over="ignore"):  # a sum past float64's range is data, as in the fuzzer
-        points = np.cumsum(points, axis=0)  # sequential adds: x_k = x_{k-1} + step_k
-
     params = default_params(kernel, start.shape)
-    passed = oracle_rows(kernel, params, unit_operand_rows(kernel, points), reg).passed
-    flips = np.flatnonzero(passed != passed[0])
-    end = int(flips[0]) + 1 if flips.size else len(points)
-    if rewind is not None and end < len(points):
-        rng.bit_generator.state = rewind
-        rng.uniform(0.0, 1.0, size=end - 1)
-    return points[:end], passed[:end]
+    amplitude = float(np.max(np.abs(start))) or 1.0
+    trajectories = []
+    for stack in _stacks(mconfigs):
+        points = np.empty((len(stack), MAX_STEPS + 1) + start.shape)
+        points[:, 0] = start
+        for walk, mc in zip(points, stack):
+            if mc.method == "random":
+                rewind = rng.bit_generator.state
+            steps = step_sizes(mc, rng, MAX_STEPS)
+            if mc.method == "sinusoidal":
+                steps = steps * amplitude
+            if mc.direction == "down":
+                steps = -steps
+            walk[1:] = steps.reshape((-1,) + (1,) * start.ndim)
+        with np.errstate(over="ignore"):  # a sum past float64's range is data, as in the fuzzer
+            points = np.cumsum(points, axis=1)  # sequential adds: x_k = x_{k-1} + step_k
+        rows = points.reshape((-1,) + start.shape)
+        passed = oracle_rows(kernel, params, unit_operand_rows(kernel, rows), reg).passed
+        for mc, walk, walk_passed in zip(stack, points, passed.reshape(len(stack), -1)):
+            flip = int((walk_passed != walk_passed[0]).argmax())  # 0: no flip
+            end = flip + 1 if flip else len(walk_passed)
+            if mc.method == "random" and end < len(walk_passed):
+                # the schedules after it in its stack draw nothing
+                rng.bit_generator.state = rewind
+                rng.uniform(0.0, 1.0, size=end - 1)
+            trajectories.append((walk[:end], walk_passed[:end]))
+    return trajectories
 
 
 def derive_labels(passed: np.ndarray, direction: str) -> list[Signal]:
-    """Label a trajectory, cut at its first flip as run_trajectory cuts it,
+    """Label a trajectory, cut at its first flip as run_trajectories cuts it,
     by its MutationConfig.direction: one label per point if it flipped, none
     if it did not (the caller retries).
 
@@ -343,8 +367,8 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
     counts: dict[int, int] = {}
 
     def run_base(base: np.ndarray):
-        for mc in mconfigs:
-            points, passed = run_trajectory(kernel, base, mc, rng, reg)
+        for mc, (points, passed) in zip(mconfigs, run_trajectories(kernel, base, mconfigs,
+                                                                    rng, reg)):
             labels = derive_labels(passed, mc.direction)
             if not labels:
                 continue

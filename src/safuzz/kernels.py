@@ -604,6 +604,8 @@ def _shape_conv2d(params, sa):
     k = _param_array(params, "kernel")
     if len(sa) != 2 or k.ndim != 2:
         raise ValueError("conv2d expects a 2-d image and a 2-d kernel")
+    if min(k.shape) < 1:
+        raise ValueError(f"conv2d kernel {k.shape} has a dimension below 1")
     if sa[0] < k.shape[0] or sa[1] < k.shape[1]:
         raise ValueError(f"image {sa} smaller than kernel {k.shape}")
     return (sa[0] - k.shape[0] + 1, sa[1] - k.shape[1] + 1)

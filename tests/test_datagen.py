@@ -26,11 +26,12 @@ from safuzz.datagen import (
     derive_labels,
     featurize,
     generate_base_inputs,
-    run_trajectory,
+    run_trajectories,
     step_sizes,
 )
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
 from safuzz.kernels import default_params, unit_operand_rows
+from safuzz.oracles import oracle_rows
 from safuzz.registry import Registry, default_registry
 from test_oracles import IMPLEMENTED, judge_one
 
@@ -49,7 +50,7 @@ BAD_SCALINGS = {
 
 
 def trajectory(*points):
-    """(value, passed) pairs as the arrays run_trajectory returns."""
+    """(value, passed) pairs as the arrays run_trajectories returns per schedule."""
     values, passed = zip(*points)
     return np.array(values, dtype=np.float64).reshape(-1, 1), np.array(passed)
 
@@ -58,6 +59,11 @@ def labelled(points, passed, direction="up"):
     """(value, label) for each point derive_labels labels."""
     labels = derive_labels(passed, direction)
     return [(float(v), label) for v, label in zip(points[:len(labels), 0], labels)]
+
+
+def run_one(kernel, base, mc, rng):
+    """The trajectory of a single schedule: a stack of one walk."""
+    return run_trajectories(kernel, base, [mc], rng)[0]
 
 
 def with_hints(kernel, hints):
@@ -90,8 +96,8 @@ class TestConfigValidation:
         # largest rate the running sum leaves float64's range: inf is data
         for rate, finite in ((7.0, True), (largest, False)):
             mc = MutationConfig("exponential", rate=rate, direction="down")
-            points, passed = run_trajectory("exp", np.full((3, 3), -80.0), mc,
-                                            np.random.default_rng(0))
+            points, passed = run_one("exp", np.full((3, 3), -80.0), mc,
+                                     np.random.default_rng(0))
             assert len(points) == MAX_STEPS + 1 and passed.all()
             assert np.isfinite(points).all() == finite
 
@@ -120,7 +126,7 @@ class TestBaseInputs:
 
 
 class TestMutateStep:
-    """Step sizes, and the steps run_trajectory takes with them."""
+    """Step sizes, and the steps run_trajectories takes with them."""
 
     def test_exponential_formula(self):
         mc = MutationConfig("exponential", rate=1.0, direction="up")
@@ -145,7 +151,7 @@ class TestMutateStep:
         # so every step is taken
         direction = "up" if base.any() else "down"
         mc = MutationConfig("sinusoidal", rate=1.0, direction=direction)
-        points, _ = run_trajectory("exp", base, mc, np.random.default_rng(0))
+        points, _ = run_one("exp", base, mc, np.random.default_rng(0))
         sizes = np.abs(np.sin(np.arange(1.0, MAX_STEPS + 1.0))) * amplitude
         assert len(points) == MAX_STEPS + 1
         np.testing.assert_allclose(np.abs(np.diff(points[:, 0])), sizes, rtol=1e-12)
@@ -187,7 +193,7 @@ class TestDeriveLabels:
     def test_never_both_directions_for_one_value(self, outcomes, up):
         step = 1.0 if up else -1.0
         flips = [i for i, passed in enumerate(outcomes) if passed != outcomes[0]]
-        if flips:  # cut at the first flip, as run_trajectory cuts
+        if flips:  # cut at the first flip, as run_trajectories cuts
             outcomes = outcomes[:flips[0] + 1]
         got = labelled(*trajectory(*[(i * step, passed) for i, passed in enumerate(outcomes)]),
                        "up" if up else "down")
@@ -360,16 +366,27 @@ class TestBuildDataset:
     @pytest.mark.parametrize("kernel", IMPLEMENTED)
     def test_flipped_trajectories_first_move_in_their_configured_direction(
             self, kernel, monkeypatch):
-        # derive_labels labels by the configured direction, not by the points
-        seen = []
+        # derive_labels labels by the configured direction, not by the points;
+        # and a base's twelve trajectories take at most four oracle calls
+        seen, judged, calls_per_base = [], [], []
 
-        def recording(kernel, base, mconfig, rng, registry=None):
-            points, passed = run_trajectory(kernel, base, mconfig, rng, registry)
-            seen.append((mconfig.direction, points, passed))
-            return points, passed
+        def recording(kernel, base, mconfigs, rng, registry=None):
+            before = len(judged)
+            trajectories = run_trajectories(kernel, base, mconfigs, rng, registry)
+            calls_per_base.append(len(judged) - before)
+            seen.extend((mc.direction, points, passed)
+                        for mc, (points, passed) in zip(mconfigs, trajectories))
+            return trajectories
 
-        monkeypatch.setattr(datagen, "run_trajectory", recording)
+        def counting(*args, **kwargs):
+            judged.append(args[0])
+            return oracle_rows(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, "run_trajectories", recording)
+        monkeypatch.setattr(datagen, "oracle_rows", counting)
         build_dataset(kernel, GenerationConfig(n_base=10, seed=1, target_size=1000))
+        assert calls_per_base and max(calls_per_base) <= 4
+        assert len(seen) == 12 * len(calls_per_base)
         flipped = [(d, points) for d, points, passed in seen if passed[-1] != passed[0]]
         assert flipped
         for direction, points in flipped:
@@ -427,11 +444,24 @@ def trajectory_bases(kernel):
     return bases
 
 
+def assert_walked_step_by_step(kernel, base, mconfigs, rng, ref_rng):
+    """run_trajectories gives each schedule the points and verdicts of
+    walking it alone, one step at a time, and leaves the generator where
+    those walks leave it."""
+    trajectories = run_trajectories(kernel, base, mconfigs, rng)
+    assert len(trajectories) == len(mconfigs)
+    for mc, (points, passed) in zip(mconfigs, trajectories):
+        ref_points, ref_passed = walk_step_by_step(kernel, base, mc, ref_rng)
+        assert points.shape == ref_points.shape
+        assert points.tobytes() == ref_points.tobytes()
+        assert passed.tolist() == ref_passed.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestTrajectories:
     def test_trajectory_stops_at_flip(self):
         mc = MutationConfig("exponential", rate=1.0, direction="up")
-        _, passed = run_trajectory("exp", np.full((3, 3), 80.0), mc,
-                                   np.random.default_rng(0))
+        _, passed = run_one("exp", np.full((3, 3), 80.0), mc, np.random.default_rng(0))
         assert passed[0]
         assert not passed[-1]
         assert passed[:-1].all()
@@ -448,25 +478,82 @@ class TestTrajectories:
         for base in trajectory_bases(kernel):
             if pixel_bounds is not None:
                 base = np.clip(base, *pixel_bounds)
-            for rate in BASE_RATES:
-                mc = MutationConfig(method, rate, direction)
-                points, passed = run_trajectory(kernel, base, mc, rng)
-                ref_points, ref_passed = walk_step_by_step(kernel, base, mc, ref_rng)
-                assert points.shape == ref_points.shape
-                assert points.tobytes() == ref_points.tobytes()
-                assert passed.tolist() == ref_passed.tolist()
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            mconfigs = [MutationConfig(method, rate, direction) for rate in BASE_RATES]
+            assert_walked_step_by_step(kernel, base, mconfigs, rng, ref_rng)
+
+    @pytest.mark.parametrize("kernel", ["exp", "Softmax", "CosineSimilarity", "remainder",
+                                        "logSoftmax", "inverse", "Div"])
+    def test_default_schedules_match_step_by_step_walks(self, kernel):
+        # all twelve schedules at once: four stacks, each random one cut
+        # while the schedules stacked after it are judged with it
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for base in trajectory_bases(kernel):
+            assert_walked_step_by_step(kernel, base, datagen.default_mutation_configs(),
+                                       rng, ref_rng)
+
+    def test_a_stack_holds_at_most_one_random_schedule(self):
+        stacks = datagen._stacks(datagen.default_mutation_configs())
+        assert [[mc.method for mc in stack] for stack in stacks] == [
+            ["exponential"] * 4 + ["random"], ["random"], ["random"],
+            ["random"] + ["sinusoidal"] * 4]
 
     @pytest.mark.parametrize("kernel", ["exp", "log", "Softmax", "remainder"])
     def test_every_trajectory_has_at_least_two_points(self, kernel):
         # derive_labels compares the first and last point without a length check
         rng = np.random.default_rng(6)
         for base in trajectory_bases(kernel):
-            for mc in datagen.default_mutation_configs():
-                points, passed = run_trajectory(kernel, base, mc, rng)
+            mconfigs = datagen.default_mutation_configs()
+            for mc, (points, passed) in zip(mconfigs, run_trajectories(kernel, base, mconfigs,
+                                                                        rng)):
                 assert len(points) == len(passed) >= 2
                 labels = derive_labels(passed, mc.direction)
                 assert len(labels) in (0, len(passed))
+
+
+def _reference_run_trajectory(kernel, base, mconfig, rng, registry=None):
+    """One schedule judged with one oracle call, the loop run_trajectories
+    replaced; build_dataset must give the same datasets either way."""
+    reg = registry or default_registry()
+    start = np.asarray(base, dtype=np.float64)
+    rewind = rng.bit_generator.state if mconfig.method == "random" else None
+    steps = step_sizes(mconfig, rng, MAX_STEPS)
+    if mconfig.method == "sinusoidal":
+        steps = steps * (float(np.max(np.abs(start))) or 1.0)
+    if mconfig.direction == "down":
+        steps = -steps
+    points = np.empty((len(steps) + 1,) + start.shape)
+    points[0] = start
+    points[1:] = steps.reshape((-1,) + (1,) * start.ndim)
+    with np.errstate(over="ignore"):
+        points = np.cumsum(points, axis=0)
+    params = default_params(kernel, start.shape)
+    passed = oracle_rows(kernel, params, unit_operand_rows(kernel, points), reg).passed
+    flips = np.flatnonzero(passed != passed[0])
+    end = int(flips[0]) + 1 if flips.size else len(points)
+    if rewind is not None and end < len(points):
+        rng.bit_generator.state = rewind
+        rng.uniform(0.0, 1.0, size=end - 1)
+    return points[:end], passed[:end]
+
+
+class TestStackedJudging:
+    @pytest.mark.parametrize("kernel", IMPLEMENTED)
+    def test_dataset_matches_one_oracle_call_per_trajectory(self, kernel, monkeypatch):
+        # remainder's flips are rare: it needs a 100-base wave to reach the
+        # 100-sample floor of every class
+        config = GenerationConfig(n_base=100 if kernel == "remainder" else 20, seed=5,
+                                  target_size=600)
+        got = build_dataset(kernel, config)
+
+        def one_call_per_trajectory(kernel, base, mconfigs, rng, registry=None):
+            return [_reference_run_trajectory(kernel, base, mc, rng, registry)
+                    for mc in mconfigs]
+
+        monkeypatch.setattr(datagen, "run_trajectories", one_call_per_trajectory)
+        want = build_dataset(kernel, config)
+        assert len(got) == len(want) > 0
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
 
 
 class TestPersistence:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safuzz.datagen import MAX_STEPS, default_mutation_configs, step_sizes
 from safuzz.errors import CapabilityError
 from safuzz.kernels import apply_forward, default_params, op_def, unit_operand_rows
 from safuzz.oracles import FailureClass, oracle_rows
@@ -305,3 +306,76 @@ class TestOracleRows:
         assert checks[1].passed.tolist() == [True, False, True]
         assert [r.getMessage() for r in caplog.records] == [
             "oracle 4 unavailable for inverse on 1 of 3 rows"]
+
+
+def walks(base):
+    """One uncut walk of MAX_STEPS steps from base per default schedule, built
+    as datagen builds its trajectories: (12, MAX_STEPS + 1, *base.shape)."""
+    rng = np.random.default_rng(8)
+    amplitude = float(np.max(np.abs(base))) or 1.0
+    out = []
+    for mc in default_mutation_configs():
+        steps = step_sizes(mc, rng, MAX_STEPS) * (amplitude if mc.method == "sinusoidal" else 1.0)
+        steps = (steps if mc.direction == "up" else -steps).reshape((-1,) + (1,) * base.ndim)
+        rows = np.concatenate([base[None], np.broadcast_to(steps, (MAX_STEPS,) + base.shape)])
+        with np.errstate(over="ignore"):
+            out.append(np.cumsum(rows, axis=0))
+    return np.stack(out)
+
+
+def judge_stacked_and_alone(kernel, stack):
+    """Judge a (walks, steps, *shape) stack in one oracle_rows call and each
+    walk alone; every row must get the verdict its walk alone gives it."""
+    params = default_params(kernel, stack.shape[2:])
+    stacked = oracle_rows(kernel, params, unit_operand_rows(
+        kernel, stack.reshape((-1,) + stack.shape[2:])))
+    alone = [oracle_rows(kernel, params, unit_operand_rows(kernel, walk)) for walk in stack]
+    n = stack.shape[1]
+    for w, rows in enumerate(alone):
+        assert stacked.passed[w * n:(w + 1) * n].tolist() == rows.passed.tolist()
+        assert [stacked.verdict(w * n + i) for i in range(n)] == [
+            rows.verdict(i) for i in range(n)]
+    return stacked, alone
+
+
+class TestStackedTrajectories:
+    """datagen judges a base's trajectories in stacks: stacking must not
+    change any row's verdict."""
+
+    @pytest.mark.parametrize("kernel", IMPLEMENTED)
+    def test_every_row_judged_as_its_walk_alone(self, kernel):
+        # walks from every failure seed and a base in every region, in one stack
+        hints = default_registry().get(kernel).generation
+        rng = np.random.default_rng(4)
+        bases = [np.full((3, 3), s) for s in hints.failure_seeds]
+        bases += [rng.uniform(lo, hi, size=(3, 3)) for lo, hi in hints.regions]
+        stacked, _ = judge_stacked_and_alone(kernel, np.concatenate([walks(b) for b in bases]))
+        assert stacked.passed.any() and not stacked.passed.all()
+
+    def test_walk_that_ends_the_oracles_early_alone(self):
+        # alone, a walk up from 100 fails NaN/inf at every row, so the range
+        # oracle never runs; stacked with a passing walk it runs for both
+        failing = walks(np.full((3, 3), 100.0))[0]  # exponential, up
+        passing = walks(np.zeros((3, 3)))[8]  # sinusoidal, up
+        stacked, alone = judge_stacked_and_alone("Softmax", np.stack([failing, passing]))
+        assert not alone[0].passed.any() and alone[1].passed.all()
+        assert [len(rows.checks) for rows in alone] == [1, 2]
+        assert len(stacked.checks) == 2
+
+    @pytest.mark.parametrize("kernel", ["inverse", "determinant"])
+    def test_walk_outside_the_cholesky_domain_alone(self, kernel, caplog):
+        # alone, an asymmetric walk is outside the SPD domain at every row and
+        # the kernel's forward is skipped; stacked with a walk from an
+        # ill-conditioned SPD base, which fails the comparison at some rows,
+        # its rows are masked out of the comparison instead
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
+        asymmetric = walks(a)[8]  # sinusoidal, up: finite and still asymmetric
+        spd = walks(b @ b.T + 1e-9 * np.eye(3))[0]  # exponential, up
+        with caplog.at_level(logging.DEBUG, logger="safuzz.oracles"):
+            _, alone = judge_stacked_and_alone(kernel, np.stack([asymmetric, spd]))
+        assert alone[0].checks[1].passed.all()
+        assert f"oracle 4 unavailable for {kernel} on 101 of 101 rows" in [
+            r.getMessage() for r in caplog.records]
+        assert FailureClass.STABLE_ALGO_MISMATCH in [
+            alone[1].verdict(i).failure_class for i in range(len(spd))]

@@ -76,6 +76,9 @@ BAD_PROGRAMS = {
     "zero_column_linear": {**MINIMAL, "nodes": [
         {"id": "l", "op": "linear", "inputs": ["x"], "params": {"weight": [[], []], "bias": []}},
         {"id": "y", "op": "exp", "inputs": ["l"]}]},
+    "zero_width_conv_kernel": {**MINIMAL, "inputs": [{"id": "x", "shape": [3, 3]}], "nodes": [
+        {"id": "c", "op": "Conv2d", "inputs": ["x"], "params": {"kernel": [[]]}},
+        {"id": "y", "op": "exp", "inputs": ["c"]}]},
     "huge_int_param": {**MINIMAL, "nodes": [
         {"id": "s", "op": "scale", "inputs": ["x"], "params": {"factor": 10 ** 400}},
         {"id": "y", "op": "exp", "inputs": ["s"]}]},
@@ -167,6 +170,9 @@ class TestProgramParse:
         (BAD_PROGRAMS["empty_constant"], "node 'c': every dimension must be at least 1, got [0]"),
         (BAD_PROGRAMS["zero_column_linear"],
          "node 'l': every dimension must be at least 1, got [0]"),
+        # it used to load with an inferred (3, 4) shape, larger than its input
+        (BAD_PROGRAMS["zero_width_conv_kernel"],
+         "node 'c': conv2d kernel (1, 0) has a dimension below 1"),
         (BAD_PROGRAMS["huge_int_param"], "node 's': param 'factor' is beyond a double's range"),
         (BAD_PROGRAMS["listed_input_id"], "id must be a string"),
         (BAD_PROGRAMS["listed_op"], "id and op must be strings"),
@@ -178,7 +184,7 @@ class TestProgramParse:
             "infinite_bound", "infinite_width", "negative_dimension", "zero_dimension",
             "float_dimension", "boolean_dimension", "text_shape", "text_clamp",
             "clamp_without_bounds", "text_node_inputs", "numeric_node_input", "listed_params",
-            "empty_constant", "zero_column_linear", "huge_int_param", "listed_input_id", "listed_op", "numeric_node_id",
+            "empty_constant", "zero_column_linear", "zero_width_conv_kernel", "huge_int_param", "listed_input_id", "listed_op", "numeric_node_id",
             "listed_output"])
     def test_malformed_program_file_rejected(self, tmp_path, doc, message):
         # each used to escape as an untyped error or load and fail later
