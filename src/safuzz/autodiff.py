@@ -2,14 +2,13 @@
 differentiation.
 
 Every value is a numpy array whose dtype, float32 or float64, is its
-precision. forward_rows is the one node loop: it evaluates many inputs at
-once, each input a stack with one row per sample, and so is each node value.
-forward_eval is forward_rows on a stack of one, with the values unstacked
-and read-only. A constant node depends on no input, so its value is made
-once per graph and dtype, as one read-only row that broadcasts against the
-others.
+precision. forward_rows is the one forward: it evaluates many inputs at
+once, each input a stack with one row per sample, and so is each node value;
+one sample is a stack of one. A constant node depends on no input, so its
+value is made once per graph and dtype, as one read-only row that
+broadcasts against the others.
 
-backward reads the values of one forward_eval in reverse, always
+backward reads row 0 of a forward's values in reverse, always
 accumulating adjoints in float64 regardless of the forward dtype; the
 mutation step divides by these gradients, and single-precision adjoints
 would put noise in the search direction. When every op on the way back from
@@ -28,28 +27,6 @@ import numpy as np
 from safuzz.errors import CapabilityError, EvaluationError, OracleUnavailable, UsageError
 from safuzz.graph import Graph
 from safuzz.kernels import ALL_OPS, apply_forward, op_def
-
-
-def forward_eval(
-    graph: Graph,
-    inputs: Sequence[np.ndarray],
-    dtype=np.float32,
-    stop_at: Optional[str] = None,
-) -> dict[str, np.ndarray]:
-    """forward_rows on a stack of one: every value evaluated, inputs
-    included, unstacked and read-only.
-
-    Each input is array-like and is copied, cast to dtype. NaN/inf
-    propagate silently; failing executions must still reach the oracle
-    check point.
-    """
-    rows = forward_rows(graph, [np.array(x, dtype=dtype)[None] for x in inputs], dtype, stop_at)
-    values = {}
-    for node_id, value in rows.items():
-        value = value[0, ...]  # a 0-d array, never a numpy scalar
-        value.flags.writeable = False
-        values[node_id] = value
-    return values
 
 
 def forward_rows(
@@ -128,12 +105,13 @@ def backward(
     seed_adjoint: np.ndarray,
 ) -> list[np.ndarray]:
     """Reverse accumulation of d(seed_node . seed_adjoint) / d(each input),
-    over values, the result of forward_eval at the input.
+    over row 0 of values, the rows forward_rows returns with the input as
+    row 0.
 
-    values holds seed_node, and seed_adjoint has its shape. Returns one
-    float64 array per graph input. The seed is copied, so no result aliases
-    the caller's array. A seed on a program input is the gradient of that
-    input, and the others get zeros; no node is visited.
+    values holds seed_node, and seed_adjoint has the shape of its row.
+    Returns one float64 array per graph input. The seed is copied, so no
+    result aliases the caller's array. A seed on a program input is the
+    gradient of that input, and the others get zeros; no node is visited.
     """
     adjoints: dict[str, np.ndarray] = {seed_node: np.array(seed_adjoint, dtype=np.float64)}
     wide: dict[str, np.ndarray] = {}  # forward values the VJPs read, each cast once
@@ -155,7 +133,7 @@ def backward(
             g = adjoints[node.id]
             for ref in node.inputs:
                 if ref not in wide:
-                    wide[ref] = values[ref].astype(np.float64)
+                    wide[ref] = values[ref][0, ...].astype(np.float64)
             grads = op.vjp(node.params, g, [wide[ref] for ref in node.inputs])
             for ref, grad in zip(node.inputs, grads):
                 grad = np.asarray(grad, dtype=np.float64)
@@ -184,7 +162,7 @@ def finite_diff_grad(
         raise UsageError("finite differences require double-precision inputs")
 
     def objective(probe: list[np.ndarray]) -> float:
-        value = forward_eval(graph, probe, np.float64, stop_at=seed_node)[seed_node]
+        value = forward_rows(graph, [x[None] for x in probe], np.float64, seed_node)[seed_node][0]
         weight = (
             np.asarray(seed_adjoint, dtype=np.float64)
             if seed_adjoint is not None

@@ -81,8 +81,8 @@ class GenerationConfig:
     target_size: int = 40_000
 
     def __post_init__(self):
-        if min(self.n_base, self.target_size) < 1:
-            raise UsageError("n_base and target_size must be >= 1")
+        if min(self.n_base, self.target_size) < 1 or self.seed < 0:
+            raise UsageError("n_base and target_size must be >= 1, and seed >= 0")
         if min(self.shape, default=1) < 1:
             raise UsageError(f"shape {self.shape} has a dimension below 1")
 

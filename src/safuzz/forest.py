@@ -206,8 +206,9 @@ def train_forest(
     Hyperparameters beyond count/seed are pinned: sqrt(feature_len) candidate
     features per split, unlimited depth, minimum leaf size 1.
     """
-    if not 0 <= test_split < 1 or tree_count < 1:
-        raise UsageError("test_split must lie in [0, 1) and tree_count be at least 1")
+    if not 0 <= test_split < 1 or tree_count < 1 or seed < 0:
+        raise UsageError("test_split must lie in [0, 1), tree_count be at least 1 "
+                         "and seed at least 0")
     if len(dataset) == 0:
         raise TrainingError("dataset is empty")
     labels_present = np.unique(dataset.labels)

@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.autodiff import backward, constant_gradient, forward_eval, forward_rows
+from safuzz.autodiff import backward, constant_gradient, forward_rows
 from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import UsageError
 from safuzz.forest import Forest, predict
@@ -109,8 +109,8 @@ class FuzzConfig:
     def __post_init__(self):
         if not self.timeout > 0 or not 0 < self.rate < np.inf:
             raise UsageError("timeout must be positive, and rate positive and finite")
-        if self.max_iters < 1:
-            raise UsageError("max_iters must be at least 1")
+        if self.max_iters < 1 or self.seed < 0:
+            raise UsageError("max_iters must be at least 1 and seed at least 0")
 
 
 @dataclass
@@ -121,7 +121,6 @@ class FuzzResult:
     verdict: Optional[OracleVerdict] = None
     iterations: int = 0
     wall_time: float = 0.0
-    sa_queries: int = 0
     resets: int = 0
     diagnostics: list[str] = field(default_factory=list)
 
@@ -180,11 +179,11 @@ def propagate_signal(
 ) -> dict[str, np.ndarray]:
     """Input adjustment per element: (signal sign * rate) / clamped gradient.
 
-    The gradient, at the forward values, is of the sum of the site-entry
-    elements with respect to each program input; clamping keeps
+    The gradient, at row 0 of the forward values, is of the sum of the
+    site-entry elements with respect to each program input; clamping keeps
     |g| >= GRAD_FLOOR with sign(0) := +1.
     """
-    seed = np.empty(values[site.entry_node].shape)
+    seed = np.empty(values[site.entry_node].shape[1:])
     seed.fill(1.0)  # np.ones, without its Python-level wrapper
     grads = backward(graph, values, site.entry_node, seed)
     s = 1.0 if signal is Signal.INCREASE else -1.0
@@ -207,8 +206,8 @@ def _fixed_deltas(graph: Graph, site: UnstableSite, values: dict[str, np.ndarray
     """
     if not constant_gradient(graph, site.entry_node):
         return None
-    evaluated = forward_eval(graph, [values[d.id] for d in graph.inputs], np.float32,
-                             stop_at=site.entry_node)
+    evaluated = forward_rows(graph, [values[d.id][None] for d in graph.inputs], np.float32,
+                             site.entry_node)
     fixed = {}
     for signal in (Signal.INCREASE, Signal.DECREASE):
         deltas = propagate_signal(graph, site, evaluated, signal, rate)
@@ -301,9 +300,10 @@ def validate_failure(
     reg = registry or default_registry()
     node = graph.node(site.node_id)
     stop = _operand_stop(graph, node)
-    values = forward_eval(graph, inputs, np.float32, stop_at=stop)
-    return _judge(graph, site, node, stop, [values[ref][None] for ref in node.inputs],
-                  [np.asarray(x, dtype=np.float64)[None] for x in inputs], reg).verdict(0)
+    stacks = [np.asarray(x, dtype=np.float64)[None] for x in inputs]
+    rows = forward_rows(graph, stacks, np.float32, stop)
+    return _judge(graph, site, node, stop, [rows[ref] for ref in node.inputs], stacks,
+                  reg).verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def _state(graph: Graph, values: dict[str, np.ndarray], bounds: dict[str, Bounds
                  for a in (values[d.id], bounds[d.id].lower, bounds[d.id].upper))
 
 
-@np.errstate(over="ignore")  # an input past float32's range is data: forward_eval casts it to inf
+@np.errstate(over="ignore")  # an input past float32's range is data: forward_rows casts it to inf
 def fuzz_site(
     graph: Graph,
     site: UnstableSite,
@@ -337,10 +337,10 @@ def fuzz_site(
 
     A step that leaves the values and bounds byte for byte as they were is
     a fixed point: every later iteration would repeat it, so the rest of
-    the budget is counted in `iterations` and `sa_queries` without being
-    run, and the search ends with "iteration budget exhausted". The outcome
-    and the generator state are those of running every iteration, except
-    that the wall-clock timeout cannot fire in the tail that is not run.
+    the budget is counted in `iterations` without being run, and the
+    search ends with "iteration budget exhausted". The outcome and the
+    generator state are those of running every iteration, except that the
+    wall-clock timeout cannot fire in the tail that is not run.
     The forest is the site kernel's (fuzz_program picks it by kernel).
     """
     reg = registry or default_registry()
@@ -361,15 +361,14 @@ def fuzz_site(
             result.diagnostics.append("wall-clock timeout")
             break
         result.iterations += 1
-        inputs = [values[d.id] for d in graph.inputs]
-        evaluated = forward_eval(graph, inputs, np.float32, stop_at=stop)
+        inputs = [values[d.id][None] for d in graph.inputs]
+        evaluated = forward_rows(graph, inputs, np.float32, stop)
         features = featurize(evaluated[site.entry_node], forest.feature_len)
         signal = predict(forest, apply_scaling(features, forest.zero_epsilon))
-        result.sa_queries += 1
 
         if signal is Signal.NO_CHANGE:
-            verdict = _judge(graph, site, node, stop, [evaluated[ref][None] for ref in node.inputs],
-                             [x[None] for x in inputs], reg).verdict(0)
+            verdict = _judge(graph, site, node, stop, [evaluated[ref] for ref in node.inputs],
+                             inputs, reg).verdict(0)
             if not verdict.passed:
                 result.status = "Found"
                 result.verdict = verdict
@@ -398,7 +397,6 @@ def fuzz_site(
             skipped = config.max_iters - result.iterations
             log.debug("site '%s': fixed point at iteration %d, %d iterations not run",
                       site.node_id, result.iterations, skipped)
-            result.sa_queries += skipped
             result.iterations = config.max_iters
 
     result.wall_time = time.perf_counter() - start
@@ -426,8 +424,8 @@ def _walk(graph: Graph, site: UnstableSite, stacks: dict[str, np.ndarray], up: n
             return
     for i, increase in enumerate(up.tolist(), start=1):
         if fixed is None:
-            evaluated = forward_eval(graph, [stacks[d.id][i - 1] for d in graph.inputs],
-                                     np.float32, stop_at=site.entry_node)
+            evaluated = forward_rows(graph, [stacks[d.id][i - 1:i] for d in graph.inputs],
+                                     np.float32, site.entry_node)
             deltas = propagate_signal(graph, site, evaluated, Signal.INCREASE
                                       if increase else Signal.DECREASE, rate)
             for decl in graph.inputs:

@@ -217,13 +217,7 @@ class OracleRows(NamedTuple):
     """Verdicts of a kernel's oracles over a stack of executions, by row."""
 
     checks: tuple[_CheckRows, ...]  # each oracle that ran, in registry order
-
-    @property
-    def passed(self) -> np.ndarray:
-        passed = self.checks[0].passed
-        for check in self.checks[1:]:
-            passed = passed & check.passed
-        return passed
+    passed: np.ndarray  # the rows every check passed
 
     def verdict(self, row: int) -> OracleVerdict:
         for check in self.checks:
@@ -252,13 +246,11 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
     spec = reg.get(name)
     op = op_def(name)
     checks = []
-    passing = None  # rows no oracle has failed so far
+    passed = None  # rows no oracle has failed so far
     single_out = None
     for binding in spec.oracle_bindings:
-        if checks:
-            passing = checks[-1].passed if passing is None else passing & checks[-1].passed
-            if not np.count_nonzero(passing):  # cheaper than passing.any()
-                break
+        if passed is not None and not np.count_nonzero(passed):  # cheaper than passed.any()
+            break
         kind = binding.type
         if kind <= 2 and single_out is None:
             single_out = apply_forward(op, params, _cast(inputs, np.float32), np.float32)
@@ -272,4 +264,5 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
         else:
             rows = _counterpart_rows(kind, op, params, inputs, binding.tolerance)
         checks.append(rows)
-    return OracleRows(tuple(checks))
+        passed = rows.passed if passed is None else passed & rows.passed
+    return OracleRows(tuple(checks), passed)

@@ -57,7 +57,7 @@ def _result_dict(result: FuzzResult) -> dict:
                           if result.verdict and result.verdict.failure_class else None),
         "detail": result.verdict.detail if result.verdict else "",
         "iterations": result.iterations,
-        "sa_queries": result.sa_queries,
+        "sa_queries": result.iterations,  # guided results: one forest query an iteration
         "resets": result.resets,
         "wall_time_seconds": result.wall_time,
         "failing_input": result.failing_input,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from safuzz import autodiff, fuzzer, kernels, oracles
-from safuzz.autodiff import constant_gradient, forward_eval
+from safuzz.autodiff import constant_gradient, forward_rows
 from safuzz.corpus import corpus_manifest
 from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import UsageError
@@ -39,7 +39,6 @@ from safuzz.fuzzer import (
 from safuzz.graph import Graph, InputDecl, Node
 from safuzz.oracles import FailureClass, oracle_rows
 from safuzz.registry import default_registry
-from test_oracles import judge_one
 
 FIXTURE_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "models"
 
@@ -124,7 +123,7 @@ class TestPropagateSignal:
                   [Node("e", "scale", ("x",), {"factor": factor}),
                    Node("y", "exp", ("e",))], "y")
         site = scan_for_unstable(g).sites[0]
-        evaluated = forward_eval(g, [np.array([1.0])], np.float32, stop_at=site.entry_node)
+        evaluated = forward_rows(g, [np.array([[1.0]])], np.float32, site.entry_node)
         return g, site, evaluated
 
     def test_positive_gradient(self):
@@ -145,7 +144,7 @@ class TestPropagateSignal:
     def test_clamp_of_special_gradients_is_bit_identical(self, monkeypatch):
         g = Graph([InputDecl("x", (9,))], [Node("y", "exp", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
-        evaluated = forward_eval(g, [np.zeros(9)], np.float32, stop_at=site.entry_node)
+        evaluated = forward_rows(g, [np.zeros((1, 9))], np.float32, site.entry_node)
         grad = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9, 2.5, -0.25])
         monkeypatch.setattr(fuzzer, "backward", lambda *args: [grad.copy()])
         clamped = np.where(grad < 0, -1.0, 1.0) * np.maximum(np.abs(grad), GRAD_FLOOR)
@@ -157,7 +156,7 @@ class TestPropagateSignal:
     def test_clamp_at_rank_zero(self, monkeypatch):
         g = Graph([InputDecl("x", ())], [Node("y", "exp", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
-        evaluated = forward_eval(g, [np.zeros(())], np.float32, stop_at=site.entry_node)
+        evaluated = forward_rows(g, [np.zeros(1)], np.float32, site.entry_node)
         for value in (0.0, -0.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9, -0.25):
             grad = np.array([value])
             clamped = np.where(grad < 0, -1.0, 1.0) * np.maximum(np.abs(grad), GRAD_FLOOR)
@@ -331,7 +330,7 @@ class TestValidateFailure:
         # x ** 2 at 1e13 is a finite 1e26 in single precision; x ** 3 would overflow
         g = Graph([InputDecl("x", (1,))], [Node("y", "pow", ("x",), {"exponent": 2.0})], "y")
         x = [np.array([1e13])]
-        assert np.isfinite(forward_eval(g, x)["y"]).all()
+        assert np.isfinite(forward_rows(g, [x[0][None]])["y"]).all()
         assert validate_failure(g, scan_for_unstable(g).sites[0], x).passed
 
     def test_linear_judged_with_its_own_weight(self):
@@ -339,7 +338,7 @@ class TestValidateFailure:
         params = {"weight": (1e-30 * np.eye(3)).tolist(), "bias": [0.0, 0.0, 0.0]}
         g = Graph([InputDecl("x", (3,))], [Node("y", "linear", ("x",), params)], "y")
         x = [np.full(3, 3e38)]
-        assert np.isfinite(forward_eval(g, x)["y"]).all()
+        assert np.isfinite(forward_rows(g, [x[0][None]])["y"]).all()
         assert validate_failure(g, scan_for_unstable(g).sites[0], x).passed
 
 
@@ -352,7 +351,7 @@ class TestFuzzSite:
         assert result.found
         entry = np.asarray(result.failing_input["x"])
         assert entry.max() > 88.72
-        out = forward_eval(g, [entry], np.float32)["y"]
+        out = forward_rows(g, [entry[None]], np.float32)["y"]
         assert np.isposinf(out).any()
 
     def test_log_found_below_zero(self):
@@ -405,7 +404,7 @@ class TestFuzzSite:
         ]
         assert runs[0].iterations == runs[1].iterations
         assert runs[0].failing_input == runs[1].failing_input
-        assert runs[0].sa_queries == runs[1].sa_queries
+        assert runs[0].resets == runs[1].resets
 
 
 class TestRandomBaseline:
@@ -524,10 +523,11 @@ class TestTapeReuse:
             # verdicts compare passed, failure_class and detail
             fresh = validate_failure(graph, site, inputs)
             assert fresh == _reference_validate_failure(graph, site, inputs)
-            evaluated = forward_eval(graph, inputs, np.float32, stop_at=stop)
+            stacks = [x[None] for x in inputs]
+            evaluated = forward_rows(graph, stacks, np.float32, stop)
             judged = fuzzer._judge(graph, site, node, stop,
-                                   [evaluated[ref][None] for ref in node.inputs],
-                                   [x[None] for x in inputs], default_registry())
+                                   [evaluated[ref] for ref in node.inputs], stacks,
+                                   default_registry())
             assert judged.verdict(0) == fresh, spec.name
         assert not fresh.passed  # the last case fails at every site
 
@@ -538,8 +538,8 @@ class TestTapeReuse:
         site = scan_for_unstable(g, reg).sites[0]
         inputs = [np.array([1234.5678901, 1234.5678901, 1234.5678901])]
         # judged on the single-precision operands alone the input passes
-        evaluated = forward_eval(g, inputs, np.float32, stop_at=site.node_id)
-        assert oracle_rows(site.kernel, g.node(site.node_id).params, [evaluated["x"][None]],
+        evaluated = forward_rows(g, [inputs[0][None]], np.float32, site.node_id)
+        assert oracle_rows(site.kernel, g.node(site.node_id).params, [evaluated["x"]],
                            reg).passed.all()
         verdict = validate_failure(g, site, inputs, reg)
         assert verdict.failure_class is FailureClass.WIDTH_MISMATCH
@@ -552,10 +552,11 @@ class TestTapeReuse:
 def _reference_validate_failure(graph, site, inputs, registry=None):
     reg = registry or default_registry()
     node = graph.node(site.node_id)
-    operands = forward_eval(graph, inputs, np.float32, stop_at=site.node_id)
-    wide = forward_eval(graph, inputs, np.float64, stop_at=site.node_id)
-    return judge_one(site.kernel, node.params, [operands[ref] for ref in node.inputs], reg,
-                     wide_inputs=[wide[ref] for ref in node.inputs])
+    stacks = [np.asarray(x)[None] for x in inputs]
+    operands = forward_rows(graph, stacks, np.float32, site.node_id)
+    wide = forward_rows(graph, stacks, np.float64, site.node_id)
+    return oracle_rows(site.kernel, node.params, [operands[ref] for ref in node.inputs], reg,
+                       [wide[ref] for ref in node.inputs]).verdict(0)
 
 
 def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
@@ -574,11 +575,10 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
             result.diagnostics.append("wall-clock timeout")
             break
         result.iterations += 1
-        evaluated = forward_eval(graph, _inputs(graph, values), np.float32,
-                                 stop_at=site.entry_node)
+        evaluated = forward_rows(graph, [x[None] for x in _inputs(graph, values)], np.float32,
+                                 site.entry_node)
         features = featurize(evaluated[site.entry_node], forest.feature_len)
         signal = predict(forest, apply_scaling(features, forest.zero_epsilon))
-        result.sa_queries += 1
 
         if signal is Signal.NO_CHANGE:
             verdict = _reference_validate_failure(graph, site, _inputs(graph, values), reg)
@@ -626,8 +626,8 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
             result.verdict = verdict
             result.failing_input = {k: v.tolist() for k, v in values.items()}
             break
-        evaluated = forward_eval(graph, _inputs(graph, values), np.float32,
-                                 stop_at=site.entry_node)
+        evaluated = forward_rows(graph, [x[None] for x in _inputs(graph, values)], np.float32,
+                                 site.entry_node)
         signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
         deltas = propagate_signal(graph, site, evaluated, signal, config.rate)
         for decl in graph.inputs:
@@ -727,8 +727,8 @@ class TestConstantGradient:
             cases = [_inputs(graph, _initial_inputs(graph, np.random.default_rng(seed)))
                      for seed in range(3)]
             cases.append(_failing_inputs(graph, site))
-            forwards = [forward_eval(graph, inputs, np.float32, stop_at=site.entry_node)
-                        for inputs in cases]
+            forwards = [forward_rows(graph, [x[None] for x in inputs], np.float32,
+                                     site.entry_node) for inputs in cases]
             for signal in (Signal.INCREASE, Signal.DECREASE):
                 deltas = [{k: np.asarray(v).tobytes() for k, v in
                            propagate_signal(graph, site, evaluated, signal, 0.5).items()}
@@ -737,23 +737,17 @@ class TestConstantGradient:
 
     @staticmethod
     def _spies(monkeypatch):
-        """Record the loops' forward_eval stops, backward calls and stacked
-        forwards (dtype, rows)."""
-        calls = {"forward_eval": [], "backward": 0, "forward_rows": []}
-
-        def forward(graph, inputs, dtype=np.float32, stop_at=None):
-            calls["forward_eval"].append(stop_at)
-            return autodiff.forward_eval(graph, inputs, dtype, stop_at)
+        """Record the loops' forwards (dtype, rows, stop) and backward calls."""
+        calls = {"backward": 0, "forward_rows": []}
 
         def backward(*args):
             calls["backward"] += 1
             return autodiff.backward(*args)
 
         def rows(graph, inputs, dtype=np.float32, stop_at=None):
-            calls["forward_rows"].append((dtype, len(inputs[0])))
+            calls["forward_rows"].append((dtype, len(inputs[0]), stop_at))
             return autodiff.forward_rows(graph, inputs, dtype, stop_at)
 
-        monkeypatch.setattr(fuzzer, "forward_eval", forward)
         monkeypatch.setattr(fuzzer, "backward", backward)
         monkeypatch.setattr(fuzzer, "forward_rows", rows)
         return calls
@@ -765,13 +759,15 @@ class TestConstantGradient:
         reg = default_registry()
         graph = next(s for s in corpus_manifest(reg) if s.name == name).to_graph(reg)
         site = scan_for_unstable(graph, reg).sites[0]
+        stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
         calls = self._spies(monkeypatch)
         result = random_fuzz_site(graph, site, FuzzConfig(seed=0, max_iters=2000),
                                   np.random.default_rng(0), reg)
         assert result.status == "Exhausted" and result.iterations == 2000
-        assert calls["forward_eval"] == [site.entry_node]
+        # one forward of the first input for the deltas, then one per chunk
+        assert calls["forward_rows"] == [(np.float32, 1, site.entry_node)] + [
+            (np.float32, n, stop) for n in self.CHUNKS]
         assert calls["backward"] == 2
-        assert calls["forward_rows"] == [(np.float32, n) for n in self.CHUNKS]
         assert len(self.CHUNKS) == 37
 
     def test_value_reading_steps_back_propagate(self, monkeypatch):
@@ -780,25 +776,29 @@ class TestConstantGradient:
         # entry at SQUARE_EXP, a later node at SQUARE_DIV)
         for graph in (TestLoopsMatchReference.SQUARE_EXP, TestLoopsMatchReference.SQUARE_DIV):
             site = scan_for_unstable(graph).sites[-1]
+            stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
             calls = self._spies(monkeypatch)
             result = random_fuzz_site(graph, site, FuzzConfig(seed=2, max_iters=2000),
                                       np.random.default_rng(2))
             assert result.status == "Exhausted" and result.iterations == 2000
-            assert calls["forward_eval"] == [site.entry_node] * 2000
+            assert calls["forward_rows"] == [
+                call for n in self.CHUNKS
+                for call in [(np.float32, 1, site.entry_node)] * n + [(np.float32, n, stop)]]
             assert calls["backward"] == 2000
-            assert calls["forward_rows"] == [(np.float32, n) for n in self.CHUNKS]
 
     def test_guided_steps_reuse_the_deltas(self, monkeypatch):
         reg = default_registry()
         graph = next(s for s in corpus_manifest(reg) if s.name == "exp_overflow").to_graph(reg)
         site = scan_for_unstable(graph, reg).sites[0]
         forest = model_load(FIXTURE_MODELS / "exp.json")
+        stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
         calls = self._spies(monkeypatch)
         result = fuzz_site(graph, site, forest, FuzzConfig(seed=0, max_iters=300),
                            np.random.default_rng(0), reg)
         # one forward for the deltas, then one per iteration for the features
-        assert len(calls["forward_eval"]) == 1 + result.iterations > 2
-        assert calls["backward"] == 2
+        assert calls["forward_rows"] == [(np.float32, 1, site.entry_node)] + [
+            (np.float32, 1, stop)] * result.iterations
+        assert result.iterations > 2 and calls["backward"] == 2
 
     @pytest.mark.parametrize("name, model, seed", [
         ("exp_overflow", "exp", 3),  # 51 resets: 52 verdicts
@@ -807,7 +807,7 @@ class TestConstantGradient:
         ("remainder_width_loss", "remainder", 0),  # the width oracle's double shadow
     ])
     def test_guided_steps_make_one_forward(self, monkeypatch, name, model, seed):
-        # an iteration makes one forward_eval, to the operand stop; a NoChange
+        # an iteration makes one forward of one row, to the operand stop; a NoChange
         # verdict judges that forward's operands, so it makes no forward of its
         # own in single precision, and one double shadow where the width oracle reads it
         reg = default_registry()
@@ -826,11 +826,14 @@ class TestConstantGradient:
         result = fuzz_site(graph, site, model_load(FIXTURE_MODELS / f"{model}.json"),
                            FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=300),
                            np.random.default_rng(seed), reg)
-        assert calls["forward_eval"] == [site.entry_node] + [stop] * result.iterations
+        single, double = ([c for c in calls["forward_rows"] if c[0] == dtype]
+                          for dtype in (np.float32, np.float64))
+        assert single == [(np.float32, 1, site.entry_node)] + [
+            (np.float32, 1, stop)] * result.iterations
         assert len(verdicts) == result.resets + result.found > 0
         assert all(len(v.passed) == 1 for v in verdicts)
-        shadow = [(np.float64, 1)] if name == "remainder_width_loss" else []
-        assert calls["forward_rows"] == shadow * len(verdicts)
+        shadow = [(np.float64, 1, stop)] if name == "remainder_width_loss" else []
+        assert double == shadow * len(verdicts)
 
 
 class TestFixedPoint:
@@ -865,7 +868,7 @@ class TestFixedPoint:
             result = fuzz_site(graph, site, forest, config, rng, reg)
         assert _outcome(result) == _outcome(expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert result.iterations == result.sa_queries == 2000
+        assert result.iterations == 2000
         assert result.diagnostics == ["iteration budget exhausted"]
         assert len(calls) < 100
         assert [r.getMessage() for r in caplog.records] == [
@@ -1079,24 +1082,24 @@ class TestStackedWalk:
         ref_graph = ref_graph or graph
         ref_site = scan_for_unstable(ref_graph).sites[-1]
         walked, stepped = [], []
+        judge = fuzzer._judge
 
-        def rows(g, inputs, dtype=np.float32, stop_at=None):
-            if dtype == np.float32:
-                walked.extend(b"".join(np.asarray(stack[i]).tobytes() for stack in inputs)
-                              for i in range(len(inputs[0])))
-            return autodiff.forward_rows(g, inputs, dtype, stop_at)
+        def judged(g, s, node, stop, operands, inputs, reg):
+            walked.extend(b"".join(stack[i].tobytes() for stack in inputs)
+                          for i in range(len(inputs[0])))
+            return judge(g, s, node, stop, operands, inputs, reg)
 
         def forward(g, inputs, dtype=np.float32, stop_at=None):
             if dtype == np.float32 and stop_at == ref_site.node_id:
                 stepped.append(b"".join(np.asarray(x).tobytes() for x in inputs))
-            return autodiff.forward_eval(g, inputs, dtype, stop_at)
+            return autodiff.forward_rows(g, inputs, dtype, stop_at)
 
         rng, ref_rng = (np.random.default_rng(config.seed) for _ in range(2))
         with monkeypatch.context() as patch:
-            patch.setattr(fuzzer, "forward_rows", rows)
+            patch.setattr(fuzzer, "_judge", judged)
             result = random_fuzz_site(graph, site, config, rng)
         with monkeypatch.context() as patch, np.errstate(over="ignore"):
-            patch.setitem(globals(), "forward_eval", forward)
+            patch.setitem(globals(), "forward_rows", forward)
             expected = _reference_random_fuzz_site(ref_graph, ref_site, config, ref_rng)
         outcome = TestRankZeroInput._outcome
         assert outcome(result) == outcome(expected), config.seed
@@ -1188,9 +1191,9 @@ class TestPastTheFloatRange:
 
         def forward(g, inputs, dtype=np.float32, stop_at=None):
             reached.extend(np.abs(x).max() for x in inputs)
-            return autodiff.forward_eval(g, inputs, dtype, stop_at)
+            return autodiff.forward_rows(g, inputs, dtype, stop_at)
 
-        monkeypatch.setattr(fuzzer, "forward_eval", forward)
+        monkeypatch.setattr(fuzzer, "forward_rows", forward)
         for seed in range(3):
             config = FuzzConfig(rate=rate, seed=seed, max_iters=50)
             rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))

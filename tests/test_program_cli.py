@@ -345,6 +345,26 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "SAF_SEED"])
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--function", "exp"],
+        ["train", "--dataset", str(FIXTURES / "datasets" / "square.csv")],
+        ["fuzz", "prog.json", "--models", str(FIXTURE_MODELS)],
+        ["bench", "--models", str(FIXTURE_MODELS)],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2_with_error(self, tmp_path, monkeypatch, capsys, argv, source):
+        # numpy's seeding rejects a negative seed: it exited 3 with a traceback
+        monkeypatch.chdir(tmp_path)
+        write_program(tmp_path, MINIMAL)
+        if source == "flag":
+            argv = [*argv, "--seeds=-1" if argv[0] == "bench" else "--seed=-1"]
+        else:
+            monkeypatch.setenv("SAF_SEED", "-2")
+        assert cli_dispatch([*argv, "--out", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_internal_error_exits_3_with_its_traceback(self, monkeypatch, capsys):
         # exit 1 means "bugs found"; a fault of the program must not read as that
         def broken(args):
@@ -546,7 +566,8 @@ class TestTrainModels:
     @pytest.mark.parametrize("args, message", [
         (["--kernels", "exp", "--samples", "0"], "target_size"),
         (["--kernels", "SVD"], "not implemented"),
-    ], ids=["zero_samples", "metadata_kernel"])
+        (["--kernels", "exp", "--data-seed", "-1"], "seed"),
+    ], ids=["zero_samples", "metadata_kernel", "negative_data_seed"])
     def test_usage_errors_exit_2(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.setattr(sys, "argv", ["train_models.py", "--out", str(tmp_path), *args])
         assert _script_main("train_models")() == 2
@@ -569,7 +590,8 @@ class TestCompareGuidance:
         (["--models", "."], "no model files"),
         (["--models", str(FIXTURE_MODELS), "--max-iters", "0"], "max_iters"),
         (["--models", str(FIXTURE_MODELS), "--seeds", "1,,2"], "cannot parse seed list"),
-    ], ids=["missing_dir", "empty_dir", "zero_iters", "empty_seed"])
+        (["--models", str(FIXTURE_MODELS), "--seeds=-1"], "seed"),
+    ], ids=["missing_dir", "empty_dir", "zero_iters", "empty_seed", "negative_seed"])
     def test_usage_errors_exit_2(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["compare_guidance.py", *args])

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from safuzz.autodiff import backward, finite_diff_grad, forward_eval, forward_rows
+from safuzz.autodiff import backward, finite_diff_grad, forward_rows
 from safuzz.corpus import corpus_manifest
 from safuzz.errors import CapabilityError, GraphParseError, OracleUnavailable, UsageError
 from safuzz.fuzzer import scan_for_unstable, validate_failure
@@ -64,45 +64,36 @@ class TestTensor:
         assert validate_failure(g, site, [Tensor(np.asarray([1.0]))]).passed
 
 
-class TestForwardEval:
+class TestForwardOfOne:
+    """forward_rows on a stack of one sample."""
+
     def test_scale_linear(self):
         g = single_op("scale", (3,), {"factor": 2.0})
-        values = forward_eval(g, [np.array([1.0, 2.0, 3.0])], np.float64)
-        assert values["y"].tolist() == [2.0, 4.0, 6.0]
+        values = forward_rows(g, [np.array([[1.0, 2.0, 3.0]])], np.float64)
+        assert values["y"].tolist() == [[2.0, 4.0, 6.0]]
 
     def test_exp_overflows_in_single(self):
         g = single_op("exp")
-        values = forward_eval(g, [np.array([89.0])], np.float32)
-        assert np.isposinf(values["y"][0])
+        values = forward_rows(g, [np.array([[89.0]])], np.float32)
+        assert np.isposinf(values["y"][0, 0])
 
     def test_exp_finite_in_double(self):
         # high-precision oracle: e^89 = 4.4896128e38
         g = single_op("exp")
-        values = forward_eval(g, [np.array([89.0])], np.float64)
-        assert values["y"][0] == pytest.approx(4.4896128191743455e38)
+        values = forward_rows(g, [np.array([[89.0]])], np.float64)
+        assert values["y"][0, 0] == pytest.approx(4.4896128191743455e38)
 
     def test_stop_at_skips_downstream(self):
         g = chain([("a", "scale", {"factor": 2.0}), ("b", "exp", {})], (1,))
-        values = forward_eval(g, [np.array([1.0])], np.float64, stop_at="a")
+        values = forward_rows(g, [np.array([[1.0]])], np.float64, "a")
         assert "a" in values and "b" not in values
 
     def test_deterministic_bits(self):
         g = chain([("a", "Softmax", {}), ("b", "log", {})], (4,))
-        x = [np.array([0.3, -1.2, 5.0, 0.01])]
-        t1 = forward_eval(g, x, np.float32)["b"]
-        t2 = forward_eval(g, x, np.float32)["b"]
+        x = [np.array([[0.3, -1.2, 5.0, 0.01]])]
+        t1 = forward_rows(g, x, np.float32)["b"]
+        t2 = forward_rows(g, x, np.float32)["b"]
         assert t1.tobytes() == t2.tobytes()
-
-    def test_recorded_values_are_read_only_copies(self):
-        g = chain([("a", "scale", {"factor": 2.0}), ("b", "exp", {})], (1,))
-        x = np.array([1.0])
-        values = forward_eval(g, [x], np.float64)
-        x[0] = 5.0
-        assert values["x"].tolist() == [1.0]
-        for node_id in ("x", "a", "b"):
-            with pytest.raises(ValueError):
-                values[node_id][0] = 0.0
-
 
     def test_constant_is_read_only_and_equals_its_forward(self):
         value = [[1.5, -2.0, 1e-40], [0.1, 3e38, 7.0], [1, 2, 3]]
@@ -110,9 +101,9 @@ class TestForwardEval:
                   [Node("w", "constant", (), {"value": value}),
                    Node("y", "matmul", ("x", "w"))], "y")
         for dtype in (np.float32, np.float64):
-            first, second = (forward_eval(g, [np.ones((3, 3))], dtype)["w"]
+            first, second = (forward_rows(g, [np.ones((1, 3, 3))], dtype)["w"]
                              for _ in range(2))
-            expected = apply_forward(op_def("constant"), {"value": value}, [], dtype)[0]
+            expected = apply_forward(op_def("constant"), {"value": value}, [], dtype)
             for made in (first, second):
                 assert not made.flags.writeable
                 assert made.dtype == expected.dtype == dtype
@@ -122,7 +113,7 @@ class TestForwardEval:
 
 class TestForwardRows:
     """The stacked forward of the random baseline's chunks: one row per
-    sample, each bit for bit the sample's own forward_eval."""
+    sample, each bit for bit the forward of the sample alone."""
 
     @staticmethod
     def _samples(graph, rng):
@@ -144,12 +135,42 @@ class TestForwardRows:
             for dtype in (np.float32, np.float64):
                 rows = forward_rows(graph, stacked, dtype)
                 for i, sample in enumerate(samples):
-                    values = forward_eval(graph, sample, dtype)
+                    values = forward_rows(graph, [x[None] for x in sample], dtype)
                     assert set(rows) == set(values)
                     for node_id, value in values.items():
                         row = rows[node_id][i if len(rows[node_id]) > 1 else 0]
+                        value = value[0]
                         assert row.dtype == value.dtype, (spec.name, node_id)
                         assert row.tobytes() == value.tobytes(), (spec.name, node_id, i)
+
+    @pytest.mark.parametrize("name", sorted(ALL_OPS))
+    def test_no_forward_writes_an_operand(self, name):
+        # forward_rows returns input stacks of its dtype as the input rows,
+        # so every kernel reads the caller's own arrays: made read-only here,
+        # a write raises, and the stacks must hold their bytes afterwards
+        cls = TestNoForwardRaisesOnValues
+        arity = op_def(name).arity
+        rng = np.random.default_rng(9)
+        checked = 0
+        for shape in cls.SHAPES:
+            # a constant reads no input, but a graph declares at least one
+            inputs = [InputDecl(f"x{i}", shape) for i in range(max(arity, 1))]
+            operands = tuple(d.id for d in inputs[:arity])
+            try:
+                graph = Graph(inputs, [Node("y", name, operands, cls._params(name, shape))], "y")
+            except GraphParseError:  # the op does not take this shape
+                continue
+            for dtype in (np.float32, np.float64):
+                with np.errstate(over="ignore"):  # 1e300 is inf in float32
+                    stacks = [cls._stacks(shape, rng)[-1].astype(dtype) for _ in inputs]
+                before = [s.tobytes() for s in stacks]
+                for stack in stacks:
+                    stack.flags.writeable = False
+                rows = forward_rows(graph, stacks, dtype)
+                assert all(rows[d.id] is s for d, s in zip(inputs, stacks))
+                assert [s.tobytes() for s in stacks] == before, (name, shape, dtype)
+            checked += 1
+        assert checked >= 1
 
     def test_constant_is_one_read_only_row(self):
         g = Graph([InputDecl("x", (2,))],
@@ -301,24 +322,24 @@ class TestNoForwardRaisesOnValues:
 class TestBackward:
     def test_scale_constant_derivative(self):
         g = single_op("scale", (1,), {"factor": 3.0})
-        values = forward_eval(g, [np.array([5.0])], np.float64)
+        values = forward_rows(g, [np.array([[5.0]])], np.float64)
         grads = backward(g, values, "y", np.array([1.0]))
         assert grads[0].tolist() == [3.0]
 
     def test_square_derivative(self):
         g = single_op("square")
-        values = forward_eval(g, [np.array([2.0])], np.float64)
+        values = forward_rows(g, [np.array([[2.0]])], np.float64)
         assert backward(g, values, "y", np.array([1.0]))[0].tolist() == [4.0]
 
     def test_exp_derivative_matches_central_difference(self):
         g = single_op("exp")
-        values = forward_eval(g, [np.array([1.5])], np.float64)
+        values = forward_rows(g, [np.array([[1.5]])], np.float64)
         grad = backward(g, values, "y", np.array([1.0]))[0][0]
         assert grad == pytest.approx(4.4816890703, abs=1e-6)
 
     def test_result_does_not_alias_the_seed(self):
         g = single_op("exp")
-        values = forward_eval(g, [np.array([1.0])], np.float64)
+        values = forward_rows(g, [np.array([[1.0]])], np.float64)
         seed = np.array([1.0])
         grad = backward(g, values, "x", seed)[0]
         seed[0] = 7.0
@@ -329,7 +350,7 @@ class TestBackward:
         # the seed for that input, zeros for the others
         g = Graph([InputDecl("v", (2,)), InputDecl("s", ()), InputDecl("m", (2, 2))],
                   [Node("y", "exp", ("v",))], "y")
-        values = forward_eval(g, [np.ones(2), np.ones(()), np.ones((2, 2))], np.float32)
+        values = forward_rows(g, [np.ones((1, 2)), np.ones(1), np.ones((1, 2, 2))], np.float32)
         seeds = {"v": np.array([1.5, -0.0], dtype=np.float32), "s": np.array(-2.5),
                  "m": np.array([[np.nan, np.inf], [1e-9, 3.0]])}
         for seed_node, seed in seeds.items():
@@ -347,7 +368,7 @@ class TestBackward:
 
     def test_adjoints_always_double(self):
         g = single_op("exp", (2,))
-        values = forward_eval(g, [np.array([0.5, 1.0], dtype=np.float32)], np.float32)
+        values = forward_rows(g, [np.array([[0.5, 1.0]], dtype=np.float32)], np.float32)
         grads = backward(g, values, "y", np.array([1.0, 1.0]))
         assert grads[0].dtype == np.float64
 
@@ -362,7 +383,7 @@ class TestBackward:
             ],
             "y",
         )
-        values = forward_eval(g, [np.array([1.0])], np.float64)
+        values = forward_rows(g, [np.array([[1.0]])], np.float64)
         assert backward(g, values, "y", np.array([1.0]))[0].tolist() == [5.0]
 
     def test_fanout_fault_is_data(self):
@@ -375,7 +396,7 @@ class TestBackward:
             ],
             "y",
         )
-        values = forward_eval(g, [np.array([1.0])], np.float64)
+        values = forward_rows(g, [np.array([[1.0]])], np.float64)
         with np.errstate(all="raise"):
             grad = backward(g, values, "y", np.array([np.inf]))[0]
         assert np.isnan(grad).all()
@@ -433,9 +454,9 @@ def test_gradient_matches_finite_difference(kernel):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.uniform(lo, hi, size=(3, 3))
-        values = forward_eval(g, [x], np.float64)
+        values = forward_rows(g, [x[None]], np.float64)
         # non-uniform adjoint exercises the full vector-Jacobian product
-        seed = rng.uniform(0.5, 1.5, size=values["y"].shape)
+        seed = rng.uniform(0.5, 1.5, size=values["y"].shape[1:])
         bw = backward(g, values, "y", seed)[0]
         fd = finite_diff_grad(g, [x], "y", seed_adjoint=seed)[0]
         assert relative_error(bw, fd).max() < 1e-4
@@ -452,8 +473,8 @@ def test_binary_gradient_matches_finite_difference(kernel):
     rng = np.random.default_rng(13)
     for _ in range(5):
         ts = [rng.uniform(lo, hi, size=(3, 3)) for _ in range(2)]
-        values = forward_eval(g, ts, np.float64)
-        seed = rng.uniform(0.5, 1.5, size=values["y"].shape)
+        values = forward_rows(g, [t[None] for t in ts], np.float64)
+        seed = rng.uniform(0.5, 1.5, size=values["y"].shape[1:])
         bw = backward(g, values, "y", seed)
         fd = finite_diff_grad(g, ts, "y", seed_adjoint=seed)
         for got, want in zip(bw, fd):
@@ -466,14 +487,14 @@ def test_extended_kernel_gradients():
     spd = a @ a.T + 3 * np.eye(3)
     for kernel in ("inverse", "determinant"):
         g = single_op(kernel, (3, 3))
-        values = forward_eval(g, [spd], np.float64)
-        seed = np.ones(values["y"].shape)
+        values = forward_rows(g, [spd[None]], np.float64)
+        seed = np.ones(values["y"].shape[1:])
         bw = backward(g, values, "y", seed)[0]
         fd = finite_diff_grad(g, [spd], "y")[0]
         assert relative_error(bw, fd).max() < 1e-4
     g = single_op("remainder", (3,), {"modulus": 53.0})
     x = rng.uniform(60, 90, size=(3,))
-    values = forward_eval(g, [x], np.float64)
+    values = forward_rows(g, [x[None]], np.float64)
     bw = backward(g, values, "y", np.array([1.0, 1.0, 1.0]))[0]
     fd = finite_diff_grad(g, [x], "y")[0]
     assert relative_error(bw, fd).max() < 1e-4
@@ -496,8 +517,8 @@ def test_single_double_agreement_at_moderate_inputs(kernel):
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(lo, hi, size=(3, 3))
-        ys = forward_eval(g, [x.astype(np.float32)], np.float32)
-        yd = forward_eval(g, [x], np.float64)
+        ys = forward_rows(g, [x[None].astype(np.float32)], np.float32)
+        yd = forward_rows(g, [x[None]], np.float64)
         s = ys["y"].astype(np.float64)
         d = yd["y"]
         finite = np.isfinite(s) & np.isfinite(d)
