@@ -4,9 +4,11 @@ differentiation.
 Every value is a numpy array whose dtype, float32 or float64, is its
 precision. forward_rows is the one forward: it evaluates many inputs at
 once, each input a stack with one row per sample, and so is each node value;
-one sample is a stack of one. A constant node depends on no input, so its
-value is made once per graph and dtype, as one read-only row that
-broadcasts against the others.
+one sample is a stack of one. It runs to a stop that scan_for_unstable gave,
+a site's entry or operand stop, and skips the nodes that need a
+registry-only op: the scan puts no site downstream of one. A constant node
+depends on no input, so its value is made once per graph and dtype, as one
+read-only row that broadcasts against the others.
 
 backward reads row 0 of a forward's values in reverse, always
 accumulating adjoints in float64 regardless of the forward dtype; the
@@ -24,56 +26,40 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.errors import CapabilityError, EvaluationError, OracleUnavailable, UsageError
+from safuzz.errors import OracleUnavailable, UsageError
 from safuzz.graph import Graph
 from safuzz.kernels import ALL_OPS, apply_forward, op_def
 
 
-def forward_rows(
-    graph: Graph,
-    inputs: Sequence[np.ndarray],
-    dtype=np.float32,
-    stop_at: Optional[str] = None,
-) -> dict[str, np.ndarray]:
-    """Evaluate the graph in dtype on stacked inputs, up to stop_at (or the
-    whole graph).
+def forward_rows(graph: Graph, inputs: Sequence[np.ndarray], dtype,
+                 stop_at: str) -> dict[str, np.ndarray]:
+    """Evaluate the graph in dtype on stacked inputs, up to stop_at.
 
     Takes one stack (B, *declared shape) per graph input, one row per
-    sample, cast to dtype, and a stop_at in the graph. Returns every value
-    evaluated, inputs included, stacked the same way. A row bit for bit
-    equals the forward of that sample alone; a constant node's value is one
-    read-only row that broadcasts. A node that needs a registry-only op,
-    whose shape is unknown, is skipped; it raises CapabilityError only as
-    stop_at, or in a forward of the whole graph. Building the graph checked
-    its params and shapes, so no kernel raises on a value; only a node whose
-    output disagrees with its own shape rule raises EvaluationError.
+    sample, cast to dtype, and a stop the scan gave (an unstable site's
+    entry or operand stop), which depends on no registry-only op. Returns
+    every value evaluated, inputs included, stacked the same way. A row bit
+    for bit equals the forward of that sample alone; a constant node's value
+    is one read-only row that broadcasts. A node that needs a registry-only
+    op, whose shape is unknown, is skipped. Building the graph checked its
+    params and shapes, so no kernel raises on a value.
     """
     dtype = np.dtype(dtype)
     rows = {decl.id: np.asarray(value, dtype=dtype) for decl, value in zip(graph.inputs, inputs)}
-    if stop_at in rows:
-        return rows
     constants = graph.constants.setdefault(dtype, {})
     for node in graph.nodes:
+        if stop_at in rows:
+            break
         out = constants.get(node.id)
         if out is None:
-            expected = graph.shape_of(node.id)
-            if expected is None:  # the node needs a registry-only op
-                if stop_at in (None, node.id):
-                    raise CapabilityError(f"node '{node.id}' needs an op with no executable "
-                                          "implementation")
+            if graph.shape_of(node.id) is None:  # the node needs a registry-only op
                 continue
             op = ALL_OPS[node.op]
             out = apply_forward(op, node.params, [rows[ref] for ref in node.inputs], dtype)
-            if tuple(out.shape[1:]) != expected:
-                raise EvaluationError(
-                    node.id, f"produced shape {out.shape[1:]}, expected {expected}"
-                )
             if not op.arity:  # depends on no input: one read-only row for every call
                 out.flags.writeable = False
                 constants[node.id] = out
         rows[node.id] = out
-        if node.id == stop_at:
-            return rows
     return rows
 
 
@@ -81,15 +67,14 @@ def constant_gradient(graph: Graph, seed_node: str) -> bool:
     """Whether backward from seed_node gives the same gradients at every
     input: every node it visits has a VJP that reads no operand value
     (kernels.OpDef.value_free_vjp). A node without a VJP stops the
-    adjoint, and a program input needs no VJP.
+    adjoint, and a program input needs no VJP. seed_node is a site entry,
+    so no node it reaches needs a registry-only op.
     """
     reached = {seed_node}
     for node in reversed(graph.nodes):
         if node.id not in reached:
             continue
-        op = ALL_OPS.get(node.op)
-        if op is None:  # a registry-only op: backward cannot run at all
-            return False
+        op = ALL_OPS[node.op]
         if op.vjp is None:
             continue
         if not op.value_free_vjp:

@@ -287,19 +287,22 @@ def scaling_field(zero_epsilon: Optional[float]) -> dict:
     return {"offset": 0.0, "scale": 1.0, "zero_epsilon": zero_epsilon}
 
 
-def read_fixed_fields(doc: dict) -> tuple[str, int, Optional[float]]:
-    """The kernel, feature_len and zero_epsilon of a dataset header or model
-    file; a ValueError names a field that differs from what every file writes."""
-    kernel, feature_len, scaling = doc["kernel"], int(doc["feature_len"]), doc["scaling"]
-    eps = scaling["zero_epsilon"]
+def read_fixed_fields(doc: dict) -> tuple[str, tuple[int, ...], int, Optional[float]]:
+    """The kernel, shape, feature_len and zero_epsilon of a dataset header or
+    model file; a ValueError names a field that differs from what every file
+    writes."""
+    kernel, shape, scaling = doc["kernel"], doc["shape"], doc["scaling"]
+    feature_len, eps = int(doc["feature_len"]), scaling["zero_epsilon"]
     if not isinstance(kernel, str):
         raise ValueError(f"kernel {kernel!r} is not a string")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
+        raise ValueError(f"shape {shape!r} is not a list of ints of at least 1")
     if feature_len < 1:
         raise ValueError(f"feature_len must be at least 1, not {feature_len}")
     if scaling != scaling_field(eps) or not (eps is None or 0 < float(eps) < math.inf):
         raise ValueError(f"scaling {scaling!r} is not an identity scale and offset with "
                          "a null or positive finite zero_epsilon")
-    return kernel, feature_len, None if eps is None else float(eps)
+    return kernel, tuple(shape), feature_len, None if eps is None else float(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +435,7 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
 
 
 # ---------------------------------------------------------------------------
-# persistence: JSON header line + one CSV record per sample
+# persistence: JSON header line + exactly one CSV record per sample
 # ---------------------------------------------------------------------------
 
 DATASET_FORMAT_VERSION = 1
@@ -471,7 +474,7 @@ def dataset_load(path) -> Dataset:
                     f"unsupported (expected {DATASET_FORMAT_VERSION})"
                 )
             n = int(header["n_samples"])
-            kernel, d, zero_epsilon = read_fixed_fields(header)
+            kernel, shape, d, zero_epsilon = read_fixed_fields(header)
             features = np.empty((n, d), dtype=np.float64)
             labels = np.empty(n, dtype=np.int8)
             for i in range(n):
@@ -485,7 +488,9 @@ def dataset_load(path) -> Dataset:
                     raise FileFormatError(f"record {i} has unknown label {parts[0]!r}")
                 labels[i] = signal_of[parts[0]]
                 features[i] = [float(v) for v in parts[1:]]
-        return Dataset(kernel=kernel, shape=tuple(header["shape"]),
+            if fh.read().strip():
+                raise FileFormatError(f"dataset has records past its {n} samples")
+        return Dataset(kernel=kernel, shape=shape,
                        features=features, labels=labels, config=header.get("config", {}),
                        zero_epsilon=zero_epsilon)
     # JSONDecodeError is a ValueError; KeyError and TypeError: a header field missing or mistyped

@@ -5,14 +5,6 @@ class SafuzzError(Exception):
     """Base class for all package errors."""
 
 
-class EvaluationError(SafuzzError):
-    """A graph node could not be evaluated (shape mismatch, bad operand)."""
-
-    def __init__(self, node_id: str, message: str):
-        super().__init__(f"node '{node_id}': {message}")
-        self.node_id = node_id
-
-
 class GraphParseError(SafuzzError):
     """A program/graph definition is structurally invalid."""
 

@@ -29,8 +29,8 @@ floats, whose `<=` matches numpy float64 exactly (NaN goes right).
 A model file records "classes" (Signal order) and "scaling" (an identity
 scale and offset, and the dataset's zero_epsilon) as every model has them.
 model_load refuses others, a zero_epsilon that is not null or positive and
-finite, a kernel that is not a string, and a model with no feature or no
-tree.
+finite, a kernel that is not a string, a shape that is not a list of ints
+of at least 1, and a model with no feature or no tree.
 """
 
 from __future__ import annotations
@@ -360,8 +360,8 @@ def model_load(path) -> Forest:
             raise TypeError("every tree needs the columns " + ", ".join(sorted(TREE_KEYS)))
         if doc["classes"] != list(CLASS_NAMES):
             raise ValueError(f"classes {doc['classes']!r} are not {list(CLASS_NAMES)!r}")
-        kernel, feature_len, zero_epsilon = read_fixed_fields(doc)
-        return Forest(trees=trees, kernel=kernel, shape=tuple(doc["shape"]),
+        kernel, shape, feature_len, zero_epsilon = read_fixed_fields(doc)
+        return Forest(trees=trees, kernel=kernel, shape=shape,
                       feature_len=feature_len, seed=int(doc["seed"]), zero_epsilon=zero_epsilon)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"model file {path} is corrupt: {exc}") from exc

@@ -11,7 +11,15 @@ transform the entry values, and either judges a predicted failure with the
 oracles or back-propagates the increase/decrease signal from the entry to
 mutate the program inputs. Interval bounds accumulated from issued signals
 narrow the search (history constraints); contradictory bounds reset
-element-wise.
+element-wise. scan_for_unstable fixes where that forward stops
+(UnstableSite.stop), once per site.
+
+Each search also judges its initial input, from the rows its first step
+computes anyway: the guided loop judges iteration 1 whatever the vote, and
+the random baseline reads row 0 of its first chunk (FuzzResult.failed_at_init).
+A find counts as found at init (FuzzResult.found_at_init) when that input
+already fails, even where the search found a failure some steps later, and
+as found by search otherwise.
 
 One judge serves validate_failure and both loops: oracle_rows runs the site
 kernel on the single-precision operands, one row per execution, with a
@@ -79,6 +87,7 @@ class UnstableSite:
     node_id: str
     kernel: str
     entry_node: str  # producer of the operand the assertion inspects
+    stop: str  # the forward to it holds every operand of the site
 
 
 @dataclass
@@ -122,6 +131,7 @@ class FuzzResult:
     iterations: int = 0
     wall_time: float = 0.0
     resets: int = 0
+    failed_at_init: bool = False  # the initial input fails the oracles
     diagnostics: list[str] = field(default_factory=list)
 
     @property
@@ -130,8 +140,8 @@ class FuzzResult:
 
     @property
     def found_at_init(self) -> bool:
-        """Found on the initial input, before any search step."""
-        return self.found and self.iterations == 1
+        """Found where the initial input already fails: not by search."""
+        return self.found and self.failed_at_init
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +153,17 @@ def scan_for_unstable(graph: Graph, registry: Optional[Registry] = None) -> Scan
 
     Registry matches without an executable implementation (no soft
     assertion exists), or with an operand that depends on such an op, are
-    reported as diagnostics: they cannot be fuzzed.
+    reported as diagnostics: they cannot be fuzzed. So no forward to a
+    site's entry or stop meets a registry-only op. A site's stop is its last
+    operand in topological order, or its first when every operand is a
+    program input, which every forward holds.
     """
     reg = registry or default_registry()
     sites: list[UnstableSite] = []
     diagnostics: list[str] = []
-    for node in graph.nodes:
+    position: dict[str, int] = {}  # node id -> index in graph.nodes
+    for index, node in enumerate(graph.nodes):
+        position[node.id] = index
         if node.op not in reg:
             continue
         spec = reg.get(node.op)
@@ -162,7 +177,8 @@ def scan_for_unstable(graph: Graph, registry: Optional[Registry] = None) -> Scan
             diagnostics.append(f"node '{node.id}': an operand needs an op with no implementation")
             continue
         sites.append(UnstableSite(node_id=node.id, kernel=node.op,
-                                  entry_node=node.inputs[op_def(node.op).primary]))
+                                  entry_node=node.inputs[op_def(node.op).primary],
+                                  stop=max(node.inputs, key=lambda ref: position.get(ref, -1))))
     return ScanResult(sites=sites, diagnostics=diagnostics)
 
 
@@ -265,24 +281,16 @@ def constrain_update(
 # validation
 # ---------------------------------------------------------------------------
 
-def _operand_stop(graph: Graph, node: Node) -> str:
-    """The last operand of node in topological order: a forward that
-    reaches it holds every operand. When every operand is a program input,
-    which every forward holds, that is the first operand."""
-    produced = [n.id for n in graph.nodes if n.id in node.inputs]
-    return produced[-1] if produced else node.inputs[0]
-
-
-def _judge(graph: Graph, site: UnstableSite, node: Node, stop: str,
-           operands: list[np.ndarray], inputs: list[np.ndarray], reg: Registry) -> OracleRows:
+def _judge(graph: Graph, site: UnstableSite, node: Node, operands: list[np.ndarray],
+           inputs: list[np.ndarray], reg: Registry) -> OracleRows:
     """The site's bound oracles over executions stacked one row each:
     operands are the site's single-precision operands, inputs the program
     inputs that produced them. The double-precision shadow forward of the
-    inputs to stop runs only when the increased-width oracle is bound,
-    since no other oracle reads it."""
+    inputs to the site's stop runs only when the increased-width oracle is
+    bound, since no other oracle reads it."""
     wide = None
     if any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings):
-        rows = forward_rows(graph, inputs, np.float64, stop)
+        rows = forward_rows(graph, inputs, np.float64, site.stop)
         wide = [rows[ref] for ref in node.inputs]
     return oracle_rows(site.kernel, node.params, operands, reg, wide)
 
@@ -299,11 +307,9 @@ def validate_failure(
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
-    stop = _operand_stop(graph, node)
     stacks = [np.asarray(x, dtype=np.float64)[None] for x in inputs]
-    rows = forward_rows(graph, stacks, np.float32, stop)
-    return _judge(graph, site, node, stop, [rows[ref] for ref in node.inputs], stacks,
-                  reg).verdict(0)
+    rows = forward_rows(graph, stacks, np.float32, site.stop)
+    return _judge(graph, site, node, [rows[ref] for ref in node.inputs], stacks, reg).verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +351,6 @@ def fuzz_site(
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
-    stop = _operand_stop(graph, node)
     result = FuzzResult(site=site, status="Exhausted")
     start = time.perf_counter()
 
@@ -362,13 +367,17 @@ def fuzz_site(
             break
         result.iterations += 1
         inputs = [values[d.id][None] for d in graph.inputs]
-        evaluated = forward_rows(graph, inputs, np.float32, stop)
+        evaluated = forward_rows(graph, inputs, np.float32, site.stop)
         features = featurize(evaluated[site.entry_node], forest.feature_len)
         signal = predict(forest, apply_scaling(features, forest.zero_epsilon))
 
-        if signal is Signal.NO_CHANGE:
-            verdict = _judge(graph, site, node, stop, [evaluated[ref] for ref in node.inputs],
+        first = result.iterations == 1
+        if first or signal is Signal.NO_CHANGE:
+            verdict = _judge(graph, site, node, [evaluated[ref] for ref in node.inputs],
                              inputs, reg).verdict(0)
+            if first:
+                result.failed_at_init = not verdict.passed
+        if signal is Signal.NO_CHANGE:
             if not verdict.passed:
                 result.status = "Found"
                 result.verdict = verdict
@@ -466,7 +475,6 @@ def random_fuzz_site(
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
-    stop = _operand_stop(graph, node)
     result = FuzzResult(site=site, status="Exhausted")
     start = time.perf_counter()
     values = _initial_inputs(graph, rng)
@@ -486,9 +494,10 @@ def random_fuzz_site(
             stack[0] = values[key]
         _walk(graph, site, stacks, up, fixed, config.rate)
         inputs = [stacks[d.id][:-1] for d in graph.inputs]
-        operands = forward_rows(graph, inputs, np.float32, stop)
-        rows = _judge(graph, site, node, stop, [operands[ref] for ref in node.inputs],
-                      inputs, reg)
+        operands = forward_rows(graph, inputs, np.float32, site.stop)
+        rows = _judge(graph, site, node, [operands[ref] for ref in node.inputs], inputs, reg)
+        if not result.iterations:  # row 0 of the first chunk is the initial input
+            result.failed_at_init = not rows.passed[0]
         steps = len(up)
         failed = np.flatnonzero(~rows.passed)
         if failed.size:

@@ -47,6 +47,9 @@ BAD_SCALINGS = {
     "infinite_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": math.inf},
     "no_epsilon": {"offset": 0.0, "scale": 1.0},
 }
+# "shape" records that dataset and model files must not carry; each used to load
+BAD_SHAPES = {"string": "abc", "zero": [3, 0], "negative": [-3], "float": [3.0, 3],
+              "bool": [True, 3]}
 
 
 def trajectory(*points):
@@ -639,3 +642,16 @@ class TestLoadChecksFixedFields:
         # a list used to load and train a model that then crashed fuzz
         with pytest.raises(FileFormatError, match=re.escape(f"kernel {kernel!r} is not a string")):
             dataset_load(self._write(tmp_path, kernel=kernel))
+
+    def test_records_past_n_samples_rejected(self, tmp_path):
+        # they used to be ignored: the garbage line below loaded as 1,998 rows
+        rows = FIXTURE_DATASET.read_text().splitlines(keepends=True)[1:]
+        path = self._write(tmp_path, records=rows + [rows[0], "garbage,not,a,row\n"])
+        with pytest.raises(FileFormatError, match="records past its 1998 samples"):
+            dataset_load(path)
+
+    @pytest.mark.parametrize("shape", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+    def test_shape_that_is_no_list_of_sizes_rejected(self, tmp_path, shape):
+        # "abc" used to load as ('a', 'b', 'c'), and train wrote it into the model
+        with pytest.raises(FileFormatError, match="is not a list of ints of at least 1"):
+            dataset_load(self._write(tmp_path, shape=shape))

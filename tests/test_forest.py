@@ -25,7 +25,7 @@ from safuzz.forest import (
     predict_batch,
     train_forest,
 )
-from test_datagen import BAD_SCALINGS
+from test_datagen import BAD_SCALINGS, BAD_SHAPES
 
 FIXTURE_MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "models"
 
@@ -563,3 +563,8 @@ class TestModelFileChecks:
         # a number loaded and its site was skipped
         with pytest.raises(FileFormatError, match=re.escape(f"kernel {kernel!r} is not a string")):
             model_load(self._write(tmp_path, kernel=kernel))
+
+    @pytest.mark.parametrize("shape", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+    def test_shape_that_is_no_list_of_sizes_rejected(self, tmp_path, shape):
+        with pytest.raises(FileFormatError, match="is not a list of ints of at least 1"):
+            model_load(self._write(tmp_path, shape=shape))

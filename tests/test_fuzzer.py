@@ -116,6 +116,16 @@ class TestScan:
                   [Node("y", "Div", ("n", "d"))], "y")
         assert scan_for_unstable(g).sites[0].entry_node == "d"
 
+    def test_stop_is_the_last_operand_in_topological_order(self):
+        # or the first operand, when every operand is a program input
+        g = Graph([InputDecl("n", (2,)), InputDecl("d", (2,))],
+                  [Node("y", "Div", ("n", "d")), Node("a", "square", ("n",)),
+                   Node("z", "Div", ("a", "d"))], "z")
+        assert [s.stop for s in scan_for_unstable(g).sites] == ["n", "n", "a"]
+        # Div(one, a), where a comes before the constant one
+        square_div = TestLoopsMatchReference.SQUARE_DIV
+        assert [s.stop for s in scan_for_unstable(square_div).sites] == ["x", "one"]
+
 
 class TestPropagateSignal:
     def _forward_and_site(self, factor):
@@ -330,7 +340,7 @@ class TestValidateFailure:
         # x ** 2 at 1e13 is a finite 1e26 in single precision; x ** 3 would overflow
         g = Graph([InputDecl("x", (1,))], [Node("y", "pow", ("x",), {"exponent": 2.0})], "y")
         x = [np.array([1e13])]
-        assert np.isfinite(forward_rows(g, [x[0][None]])["y"]).all()
+        assert np.isfinite(forward_rows(g, [x[0][None]], np.float32, "y")["y"]).all()
         assert validate_failure(g, scan_for_unstable(g).sites[0], x).passed
 
     def test_linear_judged_with_its_own_weight(self):
@@ -338,7 +348,7 @@ class TestValidateFailure:
         params = {"weight": (1e-30 * np.eye(3)).tolist(), "bias": [0.0, 0.0, 0.0]}
         g = Graph([InputDecl("x", (3,))], [Node("y", "linear", ("x",), params)], "y")
         x = [np.full(3, 3e38)]
-        assert np.isfinite(forward_rows(g, [x[0][None]])["y"]).all()
+        assert np.isfinite(forward_rows(g, [x[0][None]], np.float32, "y")["y"]).all()
         assert validate_failure(g, scan_for_unstable(g).sites[0], x).passed
 
 
@@ -351,7 +361,7 @@ class TestFuzzSite:
         assert result.found
         entry = np.asarray(result.failing_input["x"])
         assert entry.max() > 88.72
-        out = forward_rows(g, [entry[None]], np.float32)["y"]
+        out = forward_rows(g, [entry[None]], np.float32, "y")["y"]
         assert np.isposinf(out).any()
 
     def test_log_found_below_zero(self):
@@ -462,6 +472,33 @@ class TestFuzzProgram:
             with pytest.raises(UsageError, match="more than one model for kernel 'exp'"):
                 fuzz_program(exp_graph(), None, models, FuzzConfig(seed=0, max_iters=10))
 
+    def test_a_forward_skips_a_registry_only_op(self, monkeypatch):
+        # sin is in the database with no executable implementation, so the exp
+        # it feeds is no site; every forward to the other exp's stop, scale,
+        # passes both of them by
+        reg = default_registry()
+        g = Graph([InputDecl("x", (3, 3))],
+                  [Node("s", "sin", ("x",)), Node("t", "exp", ("s",)),
+                   Node("a", "scale", ("x",), {"factor": 4.0}), Node("y", "exp", ("a",))],
+                  "y", extra_ops=frozenset(reg.names()))
+        evaluated = []
+
+        def forward(*args):
+            rows = autodiff.forward_rows(*args)
+            evaluated.append(set(rows))
+            return rows
+
+        monkeypatch.setattr(fuzzer, "forward_rows", forward)
+        results, diags = fuzz_program(g, reg, [model_load(FIXTURE_MODELS / "exp.json")],
+                                      FuzzConfig(seed=0, max_iters=2000))
+        assert [(r.site.node_id, r.site.stop) for r in results] == [("y", "a")]
+        assert results[0].found and not results[0].found_at_init
+        assert results[0].verdict.failure_class is FailureClass.NAN_OR_INF
+        assert diags == ["node 's': unstable function 'sin' is in the database but has no "
+                         "soft assertion available",
+                         "node 't': an operand needs an op with no implementation"]
+        assert evaluated and all(keys == {"x", "a"} for keys in evaluated)
+
 
 class TestRandomFuzzProgram:
     def test_every_site_seeded_as_the_guided_driver_seeds_it(self):
@@ -515,7 +552,6 @@ class TestTapeReuse:
         # validate_failure, and the judge on a guided step's one forward to the
         # operand stop, give the verdict of evaluating through the site
         node = graph.node(site.node_id)
-        stop = fuzzer._operand_stop(graph, node)
         cases = [_inputs(graph, _initial_inputs(graph, np.random.default_rng(seed)))
                  for seed in range(5)]
         cases.append(_failing_inputs(graph, site))
@@ -524,10 +560,9 @@ class TestTapeReuse:
             fresh = validate_failure(graph, site, inputs)
             assert fresh == _reference_validate_failure(graph, site, inputs)
             stacks = [x[None] for x in inputs]
-            evaluated = forward_rows(graph, stacks, np.float32, stop)
-            judged = fuzzer._judge(graph, site, node, stop,
-                                   [evaluated[ref] for ref in node.inputs], stacks,
-                                   default_registry())
+            evaluated = forward_rows(graph, stacks, np.float32, site.stop)
+            judged = fuzzer._judge(graph, site, node, [evaluated[ref] for ref in node.inputs],
+                                   stacks, default_registry())
             assert judged.verdict(0) == fresh, spec.name
         assert not fresh.passed  # the last case fails at every site
 
@@ -575,6 +610,9 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
             result.diagnostics.append("wall-clock timeout")
             break
         result.iterations += 1
+        if result.iterations == 1:  # the initial input, judged whatever the vote
+            result.failed_at_init = not _reference_validate_failure(
+                graph, site, _inputs(graph, values), reg).passed
         evaluated = forward_rows(graph, [x[None] for x in _inputs(graph, values)], np.float32,
                                  site.entry_node)
         features = featurize(evaluated[site.entry_node], forest.feature_len)
@@ -621,6 +659,8 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
             break
         result.iterations += 1
         verdict = _reference_validate_failure(graph, site, _inputs(graph, values), reg)
+        if result.iterations == 1:
+            result.failed_at_init = not verdict.passed
         if not verdict.passed:
             result.status = "Found"
             result.verdict = verdict
@@ -744,7 +784,7 @@ class TestConstantGradient:
             calls["backward"] += 1
             return autodiff.backward(*args)
 
-        def rows(graph, inputs, dtype=np.float32, stop_at=None):
+        def rows(graph, inputs, dtype, stop_at):
             calls["forward_rows"].append((dtype, len(inputs[0]), stop_at))
             return autodiff.forward_rows(graph, inputs, dtype, stop_at)
 
@@ -759,14 +799,13 @@ class TestConstantGradient:
         reg = default_registry()
         graph = next(s for s in corpus_manifest(reg) if s.name == name).to_graph(reg)
         site = scan_for_unstable(graph, reg).sites[0]
-        stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
         calls = self._spies(monkeypatch)
         result = random_fuzz_site(graph, site, FuzzConfig(seed=0, max_iters=2000),
                                   np.random.default_rng(0), reg)
         assert result.status == "Exhausted" and result.iterations == 2000
         # one forward of the first input for the deltas, then one per chunk
         assert calls["forward_rows"] == [(np.float32, 1, site.entry_node)] + [
-            (np.float32, n, stop) for n in self.CHUNKS]
+            (np.float32, n, site.stop) for n in self.CHUNKS]
         assert calls["backward"] == 2
         assert len(self.CHUNKS) == 37
 
@@ -776,14 +815,13 @@ class TestConstantGradient:
         # entry at SQUARE_EXP, a later node at SQUARE_DIV)
         for graph in (TestLoopsMatchReference.SQUARE_EXP, TestLoopsMatchReference.SQUARE_DIV):
             site = scan_for_unstable(graph).sites[-1]
-            stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
             calls = self._spies(monkeypatch)
             result = random_fuzz_site(graph, site, FuzzConfig(seed=2, max_iters=2000),
                                       np.random.default_rng(2))
             assert result.status == "Exhausted" and result.iterations == 2000
             assert calls["forward_rows"] == [
                 call for n in self.CHUNKS
-                for call in [(np.float32, 1, site.entry_node)] * n + [(np.float32, n, stop)]]
+                for call in [(np.float32, 1, site.entry_node)] * n + [(np.float32, n, site.stop)]]
             assert calls["backward"] == 2000
 
     def test_guided_steps_reuse_the_deltas(self, monkeypatch):
@@ -791,13 +829,12 @@ class TestConstantGradient:
         graph = next(s for s in corpus_manifest(reg) if s.name == "exp_overflow").to_graph(reg)
         site = scan_for_unstable(graph, reg).sites[0]
         forest = model_load(FIXTURE_MODELS / "exp.json")
-        stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
         calls = self._spies(monkeypatch)
         result = fuzz_site(graph, site, forest, FuzzConfig(seed=0, max_iters=300),
                            np.random.default_rng(0), reg)
         # one forward for the deltas, then one per iteration for the features
         assert calls["forward_rows"] == [(np.float32, 1, site.entry_node)] + [
-            (np.float32, 1, stop)] * result.iterations
+            (np.float32, 1, site.stop)] * result.iterations
         assert result.iterations > 2 and calls["backward"] == 2
 
     @pytest.mark.parametrize("name, model, seed", [
@@ -808,31 +845,37 @@ class TestConstantGradient:
     ])
     def test_guided_steps_make_one_forward(self, monkeypatch, name, model, seed):
         # an iteration makes one forward of one row, to the operand stop; a NoChange
-        # verdict judges that forward's operands, so it makes no forward of its
-        # own in single precision, and one double shadow where the width oracle reads it
+        # verdict, and iteration 1 whatever its vote, judges that forward's operands,
+        # so it makes no forward of its own in single precision, and one double
+        # shadow where the width oracle reads it
         reg = default_registry()
         spec = next(s for s in corpus_manifest(reg) if s.name == name)
         graph = spec.to_graph(reg)
         site = scan_for_unstable(graph, reg).sites[0]
-        stop = fuzzer._operand_stop(graph, graph.node(site.node_id))
         calls = self._spies(monkeypatch)
-        verdicts = []
+        verdicts, votes = [], []
 
         def judged(*args):
             verdicts.append(oracle_rows(*args))
             return verdicts[-1]
 
+        def voted(*args):
+            votes.append(predict(*args))
+            return votes[-1]
+
         monkeypatch.setattr(fuzzer, "oracle_rows", judged)
+        monkeypatch.setattr(fuzzer, "predict", voted)
         result = fuzz_site(graph, site, model_load(FIXTURE_MODELS / f"{model}.json"),
                            FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=300),
                            np.random.default_rng(seed), reg)
         single, double = ([c for c in calls["forward_rows"] if c[0] == dtype]
                           for dtype in (np.float32, np.float64))
         assert single == [(np.float32, 1, site.entry_node)] + [
-            (np.float32, 1, stop)] * result.iterations
-        assert len(verdicts) == result.resets + result.found > 0
+            (np.float32, 1, site.stop)] * result.iterations
+        moved_first = votes[0] is not Signal.NO_CHANGE
+        assert len(verdicts) == result.resets + result.found + moved_first > 0
         assert all(len(v.passed) == 1 for v in verdicts)
-        shadow = [(np.float64, 1, stop)] if name == "remainder_width_loss" else []
+        shadow = [(np.float64, 1, site.stop)] if name == "remainder_width_loss" else []
         assert double == shadow * len(verdicts)
 
 
@@ -1084,12 +1127,12 @@ class TestStackedWalk:
         walked, stepped = [], []
         judge = fuzzer._judge
 
-        def judged(g, s, node, stop, operands, inputs, reg):
+        def judged(g, s, node, operands, inputs, reg):
             walked.extend(b"".join(stack[i].tobytes() for stack in inputs)
                           for i in range(len(inputs[0])))
-            return judge(g, s, node, stop, operands, inputs, reg)
+            return judge(g, s, node, operands, inputs, reg)
 
-        def forward(g, inputs, dtype=np.float32, stop_at=None):
+        def forward(g, inputs, dtype, stop_at):
             if dtype == np.float32 and stop_at == ref_site.node_id:
                 stepped.append(b"".join(np.asarray(x).tobytes() for x in inputs))
             return autodiff.forward_rows(g, inputs, dtype, stop_at)
@@ -1189,7 +1232,7 @@ class TestPastTheFloatRange:
         forest = model_load(FIXTURE_MODELS / "Div.json")
         reached = []  # the largest magnitude of each input the loop evaluates
 
-        def forward(g, inputs, dtype=np.float32, stop_at=None):
+        def forward(g, inputs, dtype, stop_at):
             reached.extend(np.abs(x).max() for x in inputs)
             return autodiff.forward_rows(g, inputs, dtype, stop_at)
 

@@ -233,10 +233,9 @@ class TestKernelEval:
 
 
 class TestForwardShapes:
-    """The fuzz loops never evaluate a site node in a forward, so
-    forward_rows's shape check does not see a kernel's output: each forward
-    must give the shape its shape rule states, on every stack of samples,
-    in both precisions."""
+    """The fuzz loops never evaluate a site node in a forward, and
+    forward_rows checks no shape: each kernel's forward must give the shape
+    its shape rule states, on every stack of samples, in both precisions."""
 
     SHAPES = [(), (1,), (4,), (3, 3), (2, 3), (2, 2, 2)]
 

@@ -15,9 +15,11 @@ from safuzz import cli
 from safuzz.cli import cli_dispatch
 from safuzz.corpus import corpus_manifest
 from safuzz.errors import GraphParseError
-from safuzz.fuzzer import FuzzResult, UnstableSite, scan_for_unstable
+from safuzz.forest import model_load
+from safuzz.fuzzer import FuzzConfig, FuzzResult, UnstableSite, fuzz_program, scan_for_unstable
 from safuzz.oracles import FailureClass, OracleVerdict
 from safuzz.program import program_parse
+from safuzz.registry import default_registry
 from safuzz.report import ProgramReport, Report, report_emit, strip_time_fields
 
 
@@ -241,7 +243,7 @@ class TestCorpus:
 
 class TestReport:
     def _report(self):
-        site = UnstableSite("y", "exp", "x")
+        site = UnstableSite("y", "exp", "x", "x")
         found = FuzzResult(
             site=site, status="Found",
             verdict=OracleVerdict(False, FailureClass.NAN_OR_INF, "inf"),
@@ -281,14 +283,35 @@ class TestReport:
 
 
 class TestFoundAtInit:
-    SITE = UnstableSite("y", "exp", "x")
+    SITE = UnstableSite("y", "exp", "x", "x")
     FAIL = OracleVerdict(False, FailureClass.NAN_OR_INF, "inf")
 
-    def test_only_a_find_on_the_first_iteration(self):
-        assert FuzzResult(self.SITE, "Found", verdict=self.FAIL, iterations=1).found_at_init
+    def test_a_find_whose_initial_input_fails(self):
+        # at whatever iteration the search then found a failure
+        for iterations in (1, 20):
+            assert FuzzResult(self.SITE, "Found", verdict=self.FAIL, iterations=iterations,
+                              failed_at_init=True).found_at_init
         assert not FuzzResult(self.SITE, "Found", verdict=self.FAIL,
                               iterations=2).found_at_init
-        assert not FuzzResult(self.SITE, "Exhausted", iterations=1).found_at_init
+        assert not FuzzResult(self.SITE, "Exhausted", iterations=2000,
+                              failed_at_init=True).found_at_init
+
+    @pytest.mark.parametrize("name, seed, outcome", [
+        # the forest votes a direction at a failing initial input, and NoChange
+        # some steps later: this counted as found by search
+        ("fig1_cosine_transport", 5, ("Found", 19, True, True)),
+        ("power_overflow", 15, ("Found", 2, True, True)),
+        # the initial input fails, and the search never judges a failing input
+        ("power_overflow", 16, ("Exhausted", 2000, True, False)),
+    ])
+    def test_a_failing_initial_input_is_not_found_by_search(self, name, seed, outcome):
+        reg = default_registry()
+        spec = next(s for s in corpus_manifest(reg) if s.name == name)
+        models = [model_load(path) for path in sorted(FIXTURE_MODELS.glob("*.json"))]
+        config = FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=2000)
+        first = fuzz_program(spec.to_graph(reg), reg, models, config)[0][0]
+        assert (first.status, first.iterations, first.failed_at_init,
+                first.found_at_init) == outcome
 
     def test_bench_separates_init_from_search(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -8,7 +8,7 @@ import pytest
 
 from safuzz.autodiff import backward, finite_diff_grad, forward_rows
 from safuzz.corpus import corpus_manifest
-from safuzz.errors import CapabilityError, GraphParseError, OracleUnavailable, UsageError
+from safuzz.errors import GraphParseError, OracleUnavailable, UsageError
 from safuzz.fuzzer import scan_for_unstable, validate_failure
 from safuzz.graph import Graph, InputDecl, Node
 from safuzz.kernels import ALL_OPS, apply_forward, default_params, op_def
@@ -69,18 +69,18 @@ class TestForwardOfOne:
 
     def test_scale_linear(self):
         g = single_op("scale", (3,), {"factor": 2.0})
-        values = forward_rows(g, [np.array([[1.0, 2.0, 3.0]])], np.float64)
+        values = forward_rows(g, [np.array([[1.0, 2.0, 3.0]])], np.float64, "y")
         assert values["y"].tolist() == [[2.0, 4.0, 6.0]]
 
     def test_exp_overflows_in_single(self):
         g = single_op("exp")
-        values = forward_rows(g, [np.array([[89.0]])], np.float32)
+        values = forward_rows(g, [np.array([[89.0]])], np.float32, "y")
         assert np.isposinf(values["y"][0, 0])
 
     def test_exp_finite_in_double(self):
         # high-precision oracle: e^89 = 4.4896128e38
         g = single_op("exp")
-        values = forward_rows(g, [np.array([[89.0]])], np.float64)
+        values = forward_rows(g, [np.array([[89.0]])], np.float64, "y")
         assert values["y"][0, 0] == pytest.approx(4.4896128191743455e38)
 
     def test_stop_at_skips_downstream(self):
@@ -91,8 +91,8 @@ class TestForwardOfOne:
     def test_deterministic_bits(self):
         g = chain([("a", "Softmax", {}), ("b", "log", {})], (4,))
         x = [np.array([[0.3, -1.2, 5.0, 0.01]])]
-        t1 = forward_rows(g, x, np.float32)["b"]
-        t2 = forward_rows(g, x, np.float32)["b"]
+        t1 = forward_rows(g, x, np.float32, "b")["b"]
+        t2 = forward_rows(g, x, np.float32, "b")["b"]
         assert t1.tobytes() == t2.tobytes()
 
     def test_constant_is_read_only_and_equals_its_forward(self):
@@ -101,7 +101,7 @@ class TestForwardOfOne:
                   [Node("w", "constant", (), {"value": value}),
                    Node("y", "matmul", ("x", "w"))], "y")
         for dtype in (np.float32, np.float64):
-            first, second = (forward_rows(g, [np.ones((1, 3, 3))], dtype)["w"]
+            first, second = (forward_rows(g, [np.ones((1, 3, 3))], dtype, "y")["w"]
                              for _ in range(2))
             expected = apply_forward(op_def("constant"), {"value": value}, [], dtype)
             for made in (first, second):
@@ -133,9 +133,9 @@ class TestForwardRows:
             samples = self._samples(graph, rng)
             stacked = [np.stack(col) for col in zip(*samples)]
             for dtype in (np.float32, np.float64):
-                rows = forward_rows(graph, stacked, dtype)
+                rows = forward_rows(graph, stacked, dtype, graph.output)
                 for i, sample in enumerate(samples):
-                    values = forward_rows(graph, [x[None] for x in sample], dtype)
+                    values = forward_rows(graph, [x[None] for x in sample], dtype, graph.output)
                     assert set(rows) == set(values)
                     for node_id, value in values.items():
                         row = rows[node_id][i if len(rows[node_id]) > 1 else 0]
@@ -166,7 +166,7 @@ class TestForwardRows:
                 before = [s.tobytes() for s in stacks]
                 for stack in stacks:
                     stack.flags.writeable = False
-                rows = forward_rows(graph, stacks, dtype)
+                rows = forward_rows(graph, stacks, dtype, "y")
                 assert all(rows[d.id] is s for d, s in zip(inputs, stacks))
                 assert [s.tobytes() for s in stacks] == before, (name, shape, dtype)
             checked += 1
@@ -176,20 +176,17 @@ class TestForwardRows:
         g = Graph([InputDecl("x", (2,))],
                   [Node("k", "constant", (), {"value": [1.0, 2.0]}),
                    Node("y", "sub", ("x", "k"))], "y")
-        rows = forward_rows(g, [np.zeros((5, 2))], np.float32)
+        rows = forward_rows(g, [np.zeros((5, 2))], np.float32, "y")
         assert rows["k"].shape == (1, 2) and not rows["k"].flags.writeable
         assert rows["y"].tolist() == [[-1.0, -2.0]] * 5
         assert forward_rows(g, [np.zeros((5, 2))], np.float32, stop_at="k").keys() == {"x", "k"}
 
-    def test_a_registry_only_op_fails_only_where_it_is_needed(self):
+    def test_a_registry_only_op_is_skipped(self):
         # sin has no executable implementation; s and t need it, y does not
         g = Graph([InputDecl("x", (2,))],
                   [Node("s", "sin", ("x",)), Node("t", "exp", ("s",)), Node("y", "exp", ("x",))],
                   "y", extra_ops=frozenset({"sin"}))
         assert forward_rows(g, [np.zeros((3, 2))], np.float32, stop_at="y").keys() == {"x", "y"}
-        for stop in ("s", "t", None):
-            with pytest.raises(CapabilityError, match="no executable implementation"):
-                forward_rows(g, [np.zeros((3, 2))], np.float32, stop_at=stop)
 
 
 class _Reads(dict):
@@ -303,11 +300,13 @@ class TestNoForwardRaisesOnValues:
                     for rows in (1, 64):
                         for dtype in (np.float32, np.float64):
                             with np.errstate(over="ignore"):  # 1e300 is inf in float32
-                                out = forward_rows(graph, [s[:rows] for s in stacks], dtype)["y"]
+                                out = forward_rows(graph, [s[:rows] for s in stacks], dtype,
+                                                   "y")["y"]
                             assert out.shape[1:] == graph.shape_of("y"), (name, params)
         assert built > len(ALL_OPS)
 
     def test_no_corpus_forward_raises(self):
+        # and every value it evaluates has the shape the graph inferred
         reg = default_registry()
         rng = np.random.default_rng(5)
         for spec in corpus_manifest(reg):
@@ -316,30 +315,33 @@ class TestNoForwardRaisesOnValues:
             for inputs in zip(*stacks):
                 for dtype in (np.float32, np.float64):
                     with np.errstate(over="ignore"):
-                        forward_rows(graph, list(inputs), dtype)
+                        rows = forward_rows(graph, list(inputs), dtype, graph.output)
+                    assert graph.output in rows
+                    for node_id, value in rows.items():
+                        assert value.shape[1:] == graph.shape_of(node_id), (spec.name, node_id)
 
 
 class TestBackward:
     def test_scale_constant_derivative(self):
         g = single_op("scale", (1,), {"factor": 3.0})
-        values = forward_rows(g, [np.array([[5.0]])], np.float64)
+        values = forward_rows(g, [np.array([[5.0]])], np.float64, "y")
         grads = backward(g, values, "y", np.array([1.0]))
         assert grads[0].tolist() == [3.0]
 
     def test_square_derivative(self):
         g = single_op("square")
-        values = forward_rows(g, [np.array([[2.0]])], np.float64)
+        values = forward_rows(g, [np.array([[2.0]])], np.float64, "y")
         assert backward(g, values, "y", np.array([1.0]))[0].tolist() == [4.0]
 
     def test_exp_derivative_matches_central_difference(self):
         g = single_op("exp")
-        values = forward_rows(g, [np.array([[1.5]])], np.float64)
+        values = forward_rows(g, [np.array([[1.5]])], np.float64, "y")
         grad = backward(g, values, "y", np.array([1.0]))[0][0]
         assert grad == pytest.approx(4.4816890703, abs=1e-6)
 
     def test_result_does_not_alias_the_seed(self):
         g = single_op("exp")
-        values = forward_rows(g, [np.array([[1.0]])], np.float64)
+        values = forward_rows(g, [np.array([[1.0]])], np.float64, "y")
         seed = np.array([1.0])
         grad = backward(g, values, "x", seed)[0]
         seed[0] = 7.0
@@ -350,7 +352,8 @@ class TestBackward:
         # the seed for that input, zeros for the others
         g = Graph([InputDecl("v", (2,)), InputDecl("s", ()), InputDecl("m", (2, 2))],
                   [Node("y", "exp", ("v",))], "y")
-        values = forward_rows(g, [np.ones((1, 2)), np.ones(1), np.ones((1, 2, 2))], np.float32)
+        values = forward_rows(g, [np.ones((1, 2)), np.ones(1), np.ones((1, 2, 2))], np.float32,
+                              "y")
         seeds = {"v": np.array([1.5, -0.0], dtype=np.float32), "s": np.array(-2.5),
                  "m": np.array([[np.nan, np.inf], [1e-9, 3.0]])}
         for seed_node, seed in seeds.items():
@@ -368,7 +371,7 @@ class TestBackward:
 
     def test_adjoints_always_double(self):
         g = single_op("exp", (2,))
-        values = forward_rows(g, [np.array([[0.5, 1.0]], dtype=np.float32)], np.float32)
+        values = forward_rows(g, [np.array([[0.5, 1.0]], dtype=np.float32)], np.float32, "y")
         grads = backward(g, values, "y", np.array([1.0, 1.0]))
         assert grads[0].dtype == np.float64
 
@@ -383,7 +386,7 @@ class TestBackward:
             ],
             "y",
         )
-        values = forward_rows(g, [np.array([[1.0]])], np.float64)
+        values = forward_rows(g, [np.array([[1.0]])], np.float64, "y")
         assert backward(g, values, "y", np.array([1.0]))[0].tolist() == [5.0]
 
     def test_fanout_fault_is_data(self):
@@ -396,7 +399,7 @@ class TestBackward:
             ],
             "y",
         )
-        values = forward_rows(g, [np.array([[1.0]])], np.float64)
+        values = forward_rows(g, [np.array([[1.0]])], np.float64, "y")
         with np.errstate(all="raise"):
             grad = backward(g, values, "y", np.array([np.inf]))[0]
         assert np.isnan(grad).all()
@@ -454,7 +457,7 @@ def test_gradient_matches_finite_difference(kernel):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.uniform(lo, hi, size=(3, 3))
-        values = forward_rows(g, [x[None]], np.float64)
+        values = forward_rows(g, [x[None]], np.float64, "y")
         # non-uniform adjoint exercises the full vector-Jacobian product
         seed = rng.uniform(0.5, 1.5, size=values["y"].shape[1:])
         bw = backward(g, values, "y", seed)[0]
@@ -473,7 +476,7 @@ def test_binary_gradient_matches_finite_difference(kernel):
     rng = np.random.default_rng(13)
     for _ in range(5):
         ts = [rng.uniform(lo, hi, size=(3, 3)) for _ in range(2)]
-        values = forward_rows(g, [t[None] for t in ts], np.float64)
+        values = forward_rows(g, [t[None] for t in ts], np.float64, "y")
         seed = rng.uniform(0.5, 1.5, size=values["y"].shape[1:])
         bw = backward(g, values, "y", seed)
         fd = finite_diff_grad(g, ts, "y", seed_adjoint=seed)
@@ -487,14 +490,14 @@ def test_extended_kernel_gradients():
     spd = a @ a.T + 3 * np.eye(3)
     for kernel in ("inverse", "determinant"):
         g = single_op(kernel, (3, 3))
-        values = forward_rows(g, [spd[None]], np.float64)
+        values = forward_rows(g, [spd[None]], np.float64, "y")
         seed = np.ones(values["y"].shape[1:])
         bw = backward(g, values, "y", seed)[0]
         fd = finite_diff_grad(g, [spd], "y")[0]
         assert relative_error(bw, fd).max() < 1e-4
     g = single_op("remainder", (3,), {"modulus": 53.0})
     x = rng.uniform(60, 90, size=(3,))
-    values = forward_rows(g, [x[None]], np.float64)
+    values = forward_rows(g, [x[None]], np.float64, "y")
     bw = backward(g, values, "y", np.array([1.0, 1.0, 1.0]))[0]
     fd = finite_diff_grad(g, [x], "y")[0]
     assert relative_error(bw, fd).max() < 1e-4
@@ -517,8 +520,8 @@ def test_single_double_agreement_at_moderate_inputs(kernel):
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(lo, hi, size=(3, 3))
-        ys = forward_rows(g, [x[None].astype(np.float32)], np.float32)
-        yd = forward_rows(g, [x[None]], np.float64)
+        ys = forward_rows(g, [x[None].astype(np.float32)], np.float32, "y")
+        yd = forward_rows(g, [x[None]], np.float64, "y")
         s = ys["y"].astype(np.float64)
         d = yd["y"]
         finite = np.isfinite(s) & np.isfinite(d)
