@@ -101,15 +101,11 @@ def backward(
     adjoints: dict[str, np.ndarray] = {seed_node: np.array(seed_adjoint, dtype=np.float64)}
     wide: dict[str, np.ndarray] = {}  # forward values the VJPs read, each cast once
 
-    seed_index = -1
-    for i, node in enumerate(graph.nodes):
-        if node.id == seed_node:
-            seed_index = i
-            break
     # entered once per call, not per node; an inf - inf in the adjoint sums
     # is gradient data like the VJPs' own faults
     with np.errstate(all="ignore"):
-        for node in reversed(graph.nodes[: seed_index + 1]):
+        # a node after the seed in topological order never holds an adjoint
+        for node in reversed(graph.nodes):
             if node.id not in adjoints:
                 continue
             op = op_def(node.op)

@@ -287,12 +287,19 @@ def scaling_field(zero_epsilon: Optional[float]) -> dict:
     return {"offset": 0.0, "scale": 1.0, "zero_epsilon": zero_epsilon}
 
 
+def read_int(doc: dict, key: str) -> int:
+    """doc[key], which every file writes as a JSON int: a string, float or bool is a ValueError."""
+    if type(doc[key]) is not int:
+        raise ValueError(f"{key} {doc[key]!r} is not an int")
+    return doc[key]
+
+
 def read_fixed_fields(doc: dict) -> tuple[str, tuple[int, ...], int, Optional[float]]:
     """The kernel, shape, feature_len and zero_epsilon of a dataset header or
     model file; a ValueError names a field that differs from what every file
     writes."""
     kernel, shape, scaling = doc["kernel"], doc["shape"], doc["scaling"]
-    feature_len, eps = int(doc["feature_len"]), scaling["zero_epsilon"]
+    feature_len, eps = read_int(doc, "feature_len"), scaling["zero_epsilon"]
     if not isinstance(kernel, str):
         raise ValueError(f"kernel {kernel!r} is not a string")
     if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
@@ -468,12 +475,11 @@ def dataset_load(path) -> Dataset:
             header = json.loads(fh.readline())
             if not isinstance(header, dict):
                 raise FileFormatError(f"dataset {path}: the header is not a JSON object")
-            if header.get("format_version") != DATASET_FORMAT_VERSION:
-                raise FileFormatError(
-                    f"dataset format_version {header.get('format_version')!r} "
-                    f"unsupported (expected {DATASET_FORMAT_VERSION})"
-                )
-            n = int(header["n_samples"])
+            version = header.get("format_version")
+            if type(version) is not int or version != DATASET_FORMAT_VERSION:
+                raise FileFormatError(f"dataset format_version {version!r} "
+                                      f"unsupported (expected {DATASET_FORMAT_VERSION})")
+            n = read_int(header, "n_samples")
             kernel, shape, d, zero_epsilon = read_fixed_fields(header)
             features = np.empty((n, d), dtype=np.float64)
             labels = np.empty(n, dtype=np.int8)

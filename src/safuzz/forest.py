@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.datagen import CLASS_NAMES, Dataset, Signal, read_fixed_fields, scaling_field
+from safuzz.datagen import CLASS_NAMES, Dataset, Signal, read_fixed_fields, read_int, scaling_field
 from safuzz.errors import FileFormatError, TrainingError, UsageError
 
 N_CLASSES = 3
@@ -350,8 +350,9 @@ def model_load(path) -> Forest:
         raise FileFormatError(f"cannot load model {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"model file {path} is not a JSON object")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise FileFormatError(f"model format_version {doc.get('format_version')!r} unsupported")
+    version = doc.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise FileFormatError(f"model format_version {version!r} unsupported")
     try:
         trees = list(doc["trees"])
         if not trees:
@@ -361,7 +362,7 @@ def model_load(path) -> Forest:
         if doc["classes"] != list(CLASS_NAMES):
             raise ValueError(f"classes {doc['classes']!r} are not {list(CLASS_NAMES)!r}")
         kernel, shape, feature_len, zero_epsilon = read_fixed_fields(doc)
-        return Forest(trees=trees, kernel=kernel, shape=shape,
-                      feature_len=feature_len, seed=int(doc["seed"]), zero_epsilon=zero_epsilon)
+        return Forest(trees=trees, kernel=kernel, shape=shape, feature_len=feature_len,
+                      seed=read_int(doc, "seed"), zero_epsilon=zero_epsilon)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"model file {path} is corrupt: {exc}") from exc

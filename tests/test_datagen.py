@@ -583,12 +583,14 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match="truncated"):
             dataset_load(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    # true and 1.0 used to pass the != 1 test
+    @pytest.mark.parametrize("version", ["9", "true", "1.0", '"1"'])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         ds = self._small()
         path = tmp_path / "log.csv"
         dataset_save(ds, path)
         lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace('"format_version": 1', '"format_version": 9')
+        lines[0] = lines[0].replace('"format_version": 1', '"format_version": ' + version)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match="format_version"):
             dataset_load(path)
@@ -625,6 +627,14 @@ class TestLoadChecksFixedFields:
         path = self._write(tmp_path, records=[], n_samples=0, feature_len=0)
         with pytest.raises(FileFormatError, match="feature_len must be at least 1, not 0"):
             dataset_load(path)
+
+    @pytest.mark.parametrize("field,value", [("feature_len", "9"), ("feature_len", 9.7),
+                                             ("feature_len", True), ("n_samples", 1998.9),
+                                             ("n_samples", "1998")])
+    def test_count_that_is_no_int_rejected(self, tmp_path, field, value):
+        # int() used to convert or truncate each of these, and 1,998 rows loaded
+        with pytest.raises(FileFormatError, match=re.escape(f"{field} {value!r} is not an int")):
+            dataset_load(self._write(tmp_path, **{field: value}))
 
     def test_unknown_label_rejected(self, tmp_path):
         path = self._write(tmp_path, records=["Sideways" + ",1.0" * 9 + "\n"], n_samples=1)

@@ -496,9 +496,11 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match=message):
             model_load(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    # true and 1.0 used to pass the != 1 test
+    @pytest.mark.parametrize("version", ["42", "true", "1.0", '"1"'])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         path = tmp_path / "model.json"
-        path.write_text('{"format_version": 42}')
+        path.write_text('{"format_version": %s}' % version)
         with pytest.raises(FileFormatError, match="format_version"):
             model_load(path)
 
@@ -550,6 +552,13 @@ class TestModelFileChecks:
         path = self._write(tmp_path, trees=[leaf], feature_len=feature_len)
         with pytest.raises(FileFormatError, match="feature_len must be at least 1"):
             model_load(path)
+
+    @pytest.mark.parametrize("field,value", [("seed", "7"), ("seed", 7.9), ("seed", True),
+                                             ("feature_len", "9"), ("feature_len", 9.0)])
+    def test_int_field_that_is_no_int_rejected(self, tmp_path, field, value):
+        # int() used to load these as seed 7, 7 and 1, and feature_len 9
+        with pytest.raises(FileFormatError, match=re.escape(f"{field} {value!r} is not an int")):
+            model_load(self._write(tmp_path, **{field: value}))
 
     def test_top_level_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "list.json"

@@ -52,24 +52,23 @@ class TestShippedRegistry:
         reg = default_registry()
         assert len(reg.entries) == 61
 
-    def test_core_25_match_published_list(self):
+    def test_executable_entries_are_the_op_table(self):
+        # the op table alone says which entries execute: the paper's 25 kernels
+        # and the three this tool adds
         reg = default_registry()
-        assert sorted(reg.core_names()) == sorted(TABLE_KERNELS)
-
-    def test_extended_kernels_also_implemented(self):
-        reg = default_registry()
-        assert {"inverse", "determinant", "remainder"} <= implemented(reg)
-        assert len(implemented(reg)) >= 25
+        assert implemented(reg) == set(KERNEL_OPS) and len(KERNEL_OPS) == 28
+        assert implemented(reg) == set(TABLE_KERNELS) | {"inverse", "determinant", "remainder"}
 
     def test_names_unique_by_construction(self):
         reg = default_registry()
         assert len(set(reg.names())) == 61
 
     def test_every_implemented_kernel_has_oracle_and_grad(self):
-        # enforced at load time; re-assert on the shipped file
+        # oracles are enforced at load time; the VJP is a fact of the op table
         reg = default_registry()
         for name in implemented(reg):
             assert reg.get(name).oracle_bindings
+            assert KERNEL_OPS[name].vjp is not None
 
 
 class TestRegistryLoad:
@@ -81,7 +80,7 @@ class TestRegistryLoad:
 
     def _entry(self, name="exp", **over):
         entry = {
-            "name": name, "category": "elementwise", "tier": "core",
+            "name": name, "category": "elementwise",
             "oracle_bindings": [{"type": 1}],
             "generation": {"regions": [[-1, 1]], "failure_seeds": []},
         }
@@ -93,26 +92,20 @@ class TestRegistryLoad:
         with pytest.raises(RegistryError, match="duplicate"):
             registry_load(path)
 
-    def test_unknown_oracle_tag_rejected(self, tmp_path):
-        path = self._write(tmp_path, [self._entry(oracle_bindings=[{"type": 9}])])
+    # true and 1.0 used to load as type 1
+    @pytest.mark.parametrize("otype", [9, True, 1.0, "1"])
+    def test_unknown_oracle_tag_rejected(self, tmp_path, otype):
+        path = self._write(tmp_path, [self._entry(oracle_bindings=[{"type": otype}])])
         with pytest.raises(RegistryError, match="oracle type"):
             registry_load(path)
 
-    def test_implemented_without_kernel_rejected(self, tmp_path):
+    def test_name_outside_op_table_is_metadata(self, tmp_path):
+        # hints and bindings do not make an entry executable; the op table does
         path = self._write(tmp_path, [self._entry(name="NotAKernel")])
-        with pytest.raises(RegistryError, match="NotAKernel"):
-            registry_load(path)
-
-    @pytest.mark.parametrize("name,tier", [("exp", "metadata"), ("NotAKernel", "extended"),
-                                           ("exp", "experimental")])
-    def test_tier_disagreeing_with_op_table_rejected(self, tmp_path, name, tier):
-        path = self._write(tmp_path, [self._entry(name=name, tier=tier)])
-        with pytest.raises(RegistryError, match=f"'{name}': tier '{tier}'"):
-            registry_load(path)
+        assert not registry_load(path).get("NotAKernel").implemented
 
     def test_metadata_entry_loads_and_is_not_implemented(self, tmp_path):
-        path = self._write(tmp_path, [self._entry(name="SVD", tier="metadata",
-                                                  oracle_bindings=[{"type": 5}])])
+        path = self._write(tmp_path, [self._entry(name="SVD", oracle_bindings=[{"type": 5}])])
         assert not registry_load(path).get("SVD").implemented
 
     @pytest.mark.parametrize("otype", [3, 4, 5])
@@ -128,7 +121,7 @@ class TestRegistryLoad:
         with pytest.raises(RegistryError, match="'exp': implemented kernel without generation"):
             registry_load(self._write(tmp_path, [entry]))
         # a metadata entry is never generated for, so it needs no hints
-        metadata = {**entry, "name": "SVD", "tier": "metadata"}
+        metadata = {**entry, "name": "SVD"}
         assert not registry_load(self._write(tmp_path, [metadata])).get("SVD").implemented
 
     @pytest.mark.parametrize("bindings", [[4], [4, 4]])
@@ -147,7 +140,28 @@ class TestRegistryLoad:
 
     def test_shipped_file_restates_no_op_table_fact(self):
         raw = json.loads(DEFAULT_REGISTRY_PATH.read_text())
-        assert not any({"implemented", "params"} & set(e) for e in raw["entries"])
+        assert not any({"implemented", "params", "tier"} & set(e) for e in raw["entries"])
+
+    @pytest.mark.parametrize("lo,hi", [("0", "1"), (False, True), ([0], [1]), (0.0, "1")],
+                             ids=["strings", "bools", "lists", "one-string"])
+    def test_range_bounds_that_are_no_numbers_rejected(self, tmp_path, lo, hi):
+        # strings used to load, and oracle_rows then raised numpy's UFuncNoLoopError
+        path = self._write(tmp_path, [self._entry(
+            name="sigmoid", oracle_bindings=[{"type": 2, "lo": lo, "hi": hi}])])
+        with pytest.raises(RegistryError, match="'sigmoid': oracle bounds lo and hi must be"):
+            registry_load(path)
+
+    @pytest.mark.parametrize("category", [None, 5, ["elementwise"]], ids=["null", "number", "list"])
+    def test_category_that_is_no_string_rejected(self, tmp_path, category):
+        path = self._write(tmp_path, [self._entry(category=category)])
+        with pytest.raises(RegistryError, match="'exp': category must be a string"):
+            registry_load(path)
+
+    def test_integer_bounds_and_tolerance_load(self, tmp_path):
+        path = self._write(tmp_path, [self._entry(name="sigmoid", oracle_bindings=[
+            {"type": 1, "tolerance": 1}, {"type": 2, "lo": 0, "hi": 1}])])
+        nan_inf, unit = registry_load(path).get("sigmoid").oracle_bindings
+        assert nan_inf.tolerance == 1.0 and (unit.lo, unit.hi) == (0, 1)
 
     def test_malformed_entry_cites_name(self, tmp_path):
         path = self._write(tmp_path, [self._entry(oracle_bindings="oops")])
@@ -165,9 +179,10 @@ class TestRegistryLoad:
         with pytest.raises(RegistryError, match="'exp': generation regions"):
             registry_load(path)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf])
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf, True, "1e-6", [1e-6]])
     def test_tolerance_not_positive_and_finite_rejected(self, tmp_path, tolerance):
-        # NaN and inf used to load: NaN fails every inexact comparison, inf passes all
+        # NaN and inf used to load: NaN fails every inexact comparison, inf passes all;
+        # so did true as a tolerance of 1.0 and "1e-6" as 1e-06
         path = self._write(tmp_path, [self._entry(
             oracle_bindings=[{"type": 1, "tolerance": tolerance}])])
         with pytest.raises(RegistryError, match="'exp': tolerance must be positive and finite"):
