@@ -17,12 +17,7 @@ from pathlib import Path
 
 from safuzz import __version__
 from safuzz.corpus import corpus_manifest
-from safuzz.datagen import (
-    GenerationConfig,
-    build_dataset,
-    dataset_load,
-    dataset_save,
-)
+from safuzz.datagen import GenerationConfig, build_dataset, dataset_load, dataset_save
 from safuzz.errors import SafuzzError
 from safuzz.forest import describe_scores, model_load, model_save, train_forest
 from safuzz.fuzzer import FuzzConfig, fuzz_program, scan_for_unstable

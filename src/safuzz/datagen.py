@@ -37,11 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.errors import (
-    FileFormatError,
-    GenerationFailure,
-    UsageError,
-)
+from safuzz.errors import FileFormatError, GenerationFailure, UsageError
 from safuzz.kernels import default_params, op_def, unit_operand_rows
 from safuzz.oracles import oracle_rows
 from safuzz.registry import Registry, default_registry
@@ -306,7 +302,8 @@ def read_fixed_fields(doc: dict) -> tuple[str, tuple[int, ...], int, Optional[fl
         raise ValueError(f"shape {shape!r} is not a list of ints of at least 1")
     if feature_len < 1:
         raise ValueError(f"feature_len must be at least 1, not {feature_len}")
-    if scaling != scaling_field(eps) or not (eps is None or 0 < float(eps) < math.inf):
+    numeric = type(eps) in (int, float)  # a JSON true or false is a bool, not a number
+    if scaling != scaling_field(eps) or not (eps is None or numeric and 0 < eps < math.inf):
         raise ValueError(f"scaling {scaling!r} is not an identity scale and offset with "
                          "a null or positive finite zero_epsilon")
     return kernel, tuple(shape), feature_len, None if eps is None else float(eps)

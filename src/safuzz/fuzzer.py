@@ -26,16 +26,18 @@ kernel on the single-precision operands, one row per execution, with a
 double-precision shadow forward only when the increased-width oracle reads
 it. The site node itself is never evaluated in a forward.
 
-When every op between the program inputs and the site entry has a VJP that
-reads no operand value (autodiff.constant_gradient), the gradient of the
-entry is the same at every input, and so are the deltas of each signal. Both
-loops then compute them once per search and keep them read-only.
+A vote is a direction: propagate_signal gives one step per program input,
+and a signal's delta is that step times +1.0 or -1.0 (a negation would flip
+a NaN's sign bit). When every op between the program inputs and the site
+entry has a VJP that reads no operand value (autodiff.constant_gradient),
+the gradient of the entry is the same at every input, and so is the step:
+both loops then compute it once per search and keep it read-only.
 
 The random baseline walks a chunk of n steps as one (n + 1, *shape) stack
 per program input: row 0 is the current value, row k the value after k
-steps. With fixed deltas and no input clamped to its declared bounds, the
+steps. With fixed steps and no input clamped to its declared bounds, the
 walk is one running sum over each stack; otherwise one row loop adds each
-step and clips the clamped inputs, and without fixed deltas each step makes
+step and clips the clamped inputs, and without fixed steps each step makes
 one forward to the site entry for its backward. Either way one stacked
 forward to the site's operands feeds the judge.
 Values past the range of float32 or float64 are data in both loops, not
@@ -190,10 +192,10 @@ def propagate_signal(
     graph: Graph,
     site: UnstableSite,
     values: dict[str, np.ndarray],
-    signal: Signal,
     rate: float,
 ) -> dict[str, np.ndarray]:
-    """Input adjustment per element: (signal sign * rate) / clamped gradient.
+    """The Increase step per input element, rate / clamped gradient; a
+    signal's delta is this step times its sign, +1.0 or -1.0.
 
     The gradient, at row 0 of the forward values, is of the sum of the
     site-entry elements with respect to each program input; clamping keeps
@@ -202,36 +204,29 @@ def propagate_signal(
     seed = np.empty(values[site.entry_node].shape[1:])
     seed.fill(1.0)  # np.ones, without its Python-level wrapper
     grads = backward(graph, values, site.entry_node, seed)
-    s = 1.0 if signal is Signal.INCREASE else -1.0
-    deltas: dict[str, np.ndarray] = {}
+    steps: dict[str, np.ndarray] = {}
     for decl, g in zip(graph.inputs, grads):
-        # out= keeps a 0-d clamp an array, which np.negative can write
+        # out= keeps a 0-d clamp an array, which np.negative and np.divide can write
         clamped = np.maximum(np.abs(g), GRAD_FLOOR, out=np.empty(g.shape))
         negative = g < 0
         if np.count_nonzero(negative):  # cheaper than a masked write of nothing
             np.negative(clamped, out=clamped, where=negative)
-        deltas[decl.id] = (s * rate) / clamped
-    return deltas
+        steps[decl.id] = np.divide(rate, clamped, out=clamped)
+    return steps
 
 
-def _fixed_deltas(graph: Graph, site: UnstableSite, values: dict[str, np.ndarray],
-                  rate: float) -> Optional[dict[Signal, dict[str, np.ndarray]]]:
-    """The deltas of both signals, read-only, when the gradient of the site
-    entry is the same at every input, else None; propagate_signal runs on a
-    forward of values, the search's first input, which cannot raise.
-    """
+def _fixed_steps(graph: Graph, site: UnstableSite, values: dict[str, np.ndarray],
+                 rate: float) -> Optional[dict[str, np.ndarray]]:
+    """propagate_signal's steps at values, the search's first input, read-only,
+    when the gradient of the site entry is the same at every input, else None."""
     if not constant_gradient(graph, site.entry_node):
         return None
     evaluated = forward_rows(graph, [values[d.id][None] for d in graph.inputs], np.float32,
                              site.entry_node)
-    fixed = {}
-    for signal in (Signal.INCREASE, Signal.DECREASE):
-        deltas = propagate_signal(graph, site, evaluated, signal, rate)
-        for key, delta in deltas.items():
-            deltas[key] = delta = np.asarray(delta)  # a 0-d delta is a numpy scalar
-            delta.flags.writeable = False
-        fixed[signal] = deltas
-    return fixed
+    steps = propagate_signal(graph, site, evaluated, rate)
+    for step in steps.values():
+        step.flags.writeable = False
+    return steps
 
 
 def constrain_update(
@@ -356,7 +351,7 @@ def fuzz_site(
 
     values = _initial_inputs(graph, rng)
     bounds = {d.id: Bounds.unconstrained(tuple(d.shape)) for d in graph.inputs}
-    fixed = _fixed_deltas(graph, site, values, config.rate)
+    fixed = _fixed_steps(graph, site, values, config.rate)
 
     while True:
         if result.iterations >= config.max_iters:
@@ -391,15 +386,12 @@ def fuzz_site(
             values = _initial_inputs(graph, rng)
             continue
 
-        if fixed is None:
-            deltas = propagate_signal(graph, site, evaluated, signal, config.rate)
-        else:
-            deltas = fixed[signal]
+        steps = propagate_signal(graph, site, evaluated, config.rate) if fixed is None else fixed
+        sign = 1.0 if signal is Signal.INCREASE else -1.0
         before = _state(graph, values, bounds)
         for decl in graph.inputs:
-            values[decl.id] = constrain_update(
-                values[decl.id], deltas[decl.id], bounds[decl.id], signal
-            )
+            values[decl.id] = constrain_update(values[decl.id], steps[decl.id] * sign,
+                                               bounds[decl.id], signal)
             if decl.clamp:
                 np.clip(values[decl.id], *decl.bounds, out=values[decl.id])
         if _state(graph, values, bounds) == before:
@@ -413,32 +405,29 @@ def fuzz_site(
 
 
 def _walk(graph: Graph, site: UnstableSite, stacks: dict[str, np.ndarray], up: np.ndarray,
-          fixed: Optional[dict[Signal, dict[str, np.ndarray]]], rate: float) -> None:
-    """Rows 1..n of every input's stack from row 0: row k adds the Increase
-    deltas to row k - 1 where up[k - 1], else the Decrease deltas, clipped
-    to the declared bounds where the input is clamped. Fixed deltas fill
-    rows 1..n first, and with no input clamped one cumsum per input walks
-    them; numpy accumulates row after row, so its sums are those of adding
-    one step at a time. Otherwise one row loop adds each step, and without
-    fixed deltas each step back-propagates from a forward of row k - 1.
+          fixed: Optional[dict[str, np.ndarray]], rate: float) -> None:
+    """Rows 1..n of every input's stack from row 0: row k adds the step
+    times +1.0 to row k - 1 where up[k - 1], else times -1.0, clipped to the
+    declared bounds where the input is clamped. Fixed steps times the signs
+    fill rows 1..n first, and with no input clamped one cumsum per input
+    walks them; numpy accumulates row after row, so its sums are those of
+    adding one step at a time. Otherwise one row loop adds each step, and
+    without fixed steps each step back-propagates from a forward of row k - 1.
     Slices keep the rows of a rank-0 input arrays that out= can write."""
+    signs = np.where(up, 1.0, -1.0)
     if fixed is not None:
         for decl in graph.inputs:
-            stacks[decl.id][1:] = np.where(up.reshape((-1,) + (1,) * len(decl.shape)),
-                                           fixed[Signal.INCREASE][decl.id],
-                                           fixed[Signal.DECREASE][decl.id])
+            np.multiply.outer(signs, fixed[decl.id], out=stacks[decl.id][1:])
         if not any(d.clamp for d in graph.inputs):
             for stack in stacks.values():
                 np.cumsum(stack, axis=0, out=stack)
             return
-    for i, increase in enumerate(up.tolist(), start=1):
+    for i, sign in enumerate(signs.tolist(), start=1):
         if fixed is None:
             evaluated = forward_rows(graph, [stacks[d.id][i - 1:i] for d in graph.inputs],
                                      np.float32, site.entry_node)
-            deltas = propagate_signal(graph, site, evaluated, Signal.INCREASE
-                                      if increase else Signal.DECREASE, rate)
-            for decl in graph.inputs:
-                stacks[decl.id][i] = deltas[decl.id]
+            for key, step in propagate_signal(graph, site, evaluated, rate).items():
+                np.multiply(step, sign, out=stacks[key][i:i + 1])
         for decl in graph.inputs:
             stack = stacks[decl.id]
             row = stack[i:i + 1]
@@ -478,7 +467,7 @@ def random_fuzz_site(
     result = FuzzResult(site=site, status="Exhausted")
     start = time.perf_counter()
     values = _initial_inputs(graph, rng)
-    fixed = _fixed_deltas(graph, site, values, config.rate)
+    fixed = _fixed_steps(graph, site, values, config.rate)
     size = 1
     while not result.found:
         if result.iterations >= config.max_iters:

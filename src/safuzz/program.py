@@ -3,11 +3,13 @@
 A program file declares named inputs (shape, optional element bounds, an
 optional clamp flag that keeps mutations inside those bounds, mirroring pixel
 constraints), a topologically ordered node list, the output id, and free-form
-metadata. Corpus entries carry their expected failure class and a suggested
-mutation rate (a positive finite number, read as a float) in metadata.
+metadata. Corpus entries carry their expected failure class (null or a
+FailureClass value) and a suggested mutation rate (a positive finite number,
+read as a float) in metadata.
 
-Loading checks, so no search meets a malformed program: ids, ops and the
-output are strings; an input's shape is a list of ints, its bounds, when
+Loading checks, so no search meets a malformed program: format_version is
+the JSON int 1; the name, ids, ops and the output are strings; inputs and
+nodes are lists; an input's shape is a list of ints, its bounds, when
 given, are [lo, hi], two finite numbers with lo < hi and a finite hi - lo,
 and its clamp is a bool, true only with bounds. A node's inputs are a list
 of ids defined before it, and its params an object that its op accepts.
@@ -24,6 +26,7 @@ from typing import Optional
 
 from safuzz.errors import GraphParseError
 from safuzz.graph import Graph, InputDecl, Node
+from safuzz.oracles import FailureClass
 from safuzz.registry import Registry, default_registry
 
 PROGRAM_FORMAT_VERSION = 1
@@ -86,28 +89,30 @@ def _parse_node(raw: dict) -> Node:
 def _parse_metadata(raw) -> dict:
     if not isinstance(raw, dict):
         raise GraphParseError(f"metadata {raw!r} is not an object")
-    rate = raw.get("rate")
+    rate, expected = raw.get("rate"), raw.get("expected_failure_class")
     if rate is not None and not (type(rate) in (int, float) and 0 < rate < math.inf):
         raise GraphParseError(f"metadata rate {rate!r} is not a positive finite number")
+    if expected is not None and expected not in [c.value for c in FailureClass]:
+        raise GraphParseError(f"metadata expected_failure_class {expected!r} is no failure class")
     return dict(raw) if rate is None else {**raw, "rate": float(rate)}
 
 
 def program_from_dict(doc: dict, registry: Optional[Registry] = None) -> ProgramSpec:
     if not isinstance(doc, dict):
         raise GraphParseError(f"a program is a JSON object, not {type(doc).__name__}")
-    if doc.get("format_version") != PROGRAM_FORMAT_VERSION:
-        raise GraphParseError(
-            f"unsupported program format_version {doc.get('format_version')!r}"
-        )
+    version, name = doc.get("format_version"), doc.get("name", "<unnamed>")
+    if type(version) is not int or version != PROGRAM_FORMAT_VERSION:
+        raise GraphParseError(f"unsupported program format_version {version!r}")
+    if not isinstance(name, str):
+        raise GraphParseError(f"name {name!r} is not a string")
     if not isinstance(doc.get("output"), str):
         raise GraphParseError(f"output {doc.get('output')!r} is not a node id")
-    spec = ProgramSpec(
-        name=doc.get("name", "<unnamed>"),
-        inputs=[_parse_input(r) for r in doc.get("inputs", [])],
-        nodes=[_parse_node(r) for r in doc.get("nodes", [])],
-        output=doc["output"],
-        metadata=_parse_metadata(doc.get("metadata", {})),
-    )
+    inputs, nodes = doc.get("inputs", []), doc.get("nodes", [])
+    if not isinstance(inputs, list) or not isinstance(nodes, list):
+        raise GraphParseError(f"inputs and nodes must be lists, not {type(inputs).__name__} "
+                              f"and {type(nodes).__name__}")
+    spec = ProgramSpec(name, [_parse_input(r) for r in inputs], [_parse_node(r) for r in nodes],
+                       doc["output"], _parse_metadata(doc.get("metadata", {})))
     spec.to_graph(registry)  # validates ops, ordering, shapes
     return spec
 

@@ -81,6 +81,13 @@ class Registry:
         return list(self.entries.keys())
 
 
+def _number(value) -> float:
+    """A JSON number as a float: a string, or a JSON true or false (a bool), is a TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _parse_binding(raw: dict, name: str) -> OracleBinding:
     otype = raw.get("type")
     if type(otype) is not int or otype not in ORACLE_TYPES:
@@ -111,12 +118,13 @@ def _parse_entry(raw: dict) -> KernelSpec:
         if gen_raw:
             eps = gen_raw.get("zero_epsilon")
             gen = GenerationHints(
-                regions=tuple((float(lo), float(hi)) for lo, hi in gen_raw["regions"]),
-                failure_seeds=tuple(float(s) for s in gen_raw.get("failure_seeds", [])),
-                zero_epsilon=None if eps is None else float(eps),
+                regions=tuple((_number(lo), _number(hi)) for lo, hi in gen_raw["regions"]),
+                failure_seeds=tuple(map(_number, gen_raw.get("failure_seeds", []))),
+                zero_epsilon=None if eps is None else _number(eps),
             )
         spec = KernelSpec(name=name, category=category, oracle_bindings=bindings, generation=gen)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    # float() of an int past a double's range is an OverflowError
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise RegistryError(f"entry '{name}': malformed field ({exc})") from exc
     # base inputs are drawn round-robin from the regions, uniformly inside each
     if gen is not None and (not gen.regions or not all(
@@ -146,12 +154,17 @@ def registry_load(path) -> Registry:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise RegistryError(f"cannot read registry file {path}: {exc}") from exc
-    if raw.get("format_version") != 1:
-        raise RegistryError(f"unsupported registry format_version {raw.get('format_version')!r}")
+    if not isinstance(raw, dict):
+        raise RegistryError(f"a registry is a JSON object, not {type(raw).__name__}")
+    version, raw_entries = raw.get("format_version"), raw.get("entries", [])
+    if type(version) is not int or version != 1:
+        raise RegistryError(f"unsupported registry format_version {version!r}")
+    if not isinstance(raw_entries, list) or not all(isinstance(e, dict) for e in raw_entries):
+        raise RegistryError("registry entries must be a list of objects")
     entries: dict[str, KernelSpec] = {}
-    for raw_entry in raw.get("entries", []):
+    for raw_entry in raw_entries:
         spec = _parse_entry(raw_entry)
         if spec.name in entries:
             raise RegistryError(f"entry '{spec.name}': duplicate name")

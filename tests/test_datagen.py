@@ -46,6 +46,9 @@ BAD_SCALINGS = {
     "negative_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": -1e-8},
     "infinite_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": math.inf},
     "no_epsilon": {"offset": 0.0, "scale": 1.0},
+    # float() used to read these as 0.001 and 1.0
+    "string_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": "0.001"},
+    "bool_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": True},
 }
 # "shape" records that dataset and model files must not carry; each used to load
 BAD_SHAPES = {"string": "abc", "zero": [3, 0], "negative": [-3], "float": [3.0, 3],

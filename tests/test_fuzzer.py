@@ -138,43 +138,52 @@ class TestPropagateSignal:
 
     def test_positive_gradient(self):
         g, site, evaluated = self._forward_and_site(2.0)
-        delta = propagate_signal(g, site, evaluated, Signal.INCREASE, rate=1.0)
-        assert delta["x"].tolist() == [0.5]
+        step = propagate_signal(g, site, evaluated, rate=1.0)
+        assert step["x"].tolist() == [0.5]
 
     def test_negative_gradient_flips_sign(self):
+        # the Decrease delta is the step times -1.0
         g, site, evaluated = self._forward_and_site(-0.5)
-        delta = propagate_signal(g, site, evaluated, Signal.DECREASE, rate=1.0)
-        assert delta["x"].tolist() == [2.0]
+        step = propagate_signal(g, site, evaluated, rate=1.0)
+        assert step["x"].tolist() == [-2.0] and (step["x"] * -1.0).tolist() == [2.0]
 
     def test_zero_gradient_clamped(self):
         g, site, evaluated = self._forward_and_site(0.0)
-        delta = propagate_signal(g, site, evaluated, Signal.INCREASE, rate=1.0)
-        assert delta["x"].tolist() == [1e6]
+        step = propagate_signal(g, site, evaluated, rate=1.0)
+        assert step["x"].tolist() == [1e6]
+
+    # the step times a sign has the bits of (sign * rate) / clamped, a NaN's sign bit
+    # included: a negated step would flip it
+    GRADS = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-9, -1e-9, 2.5, -0.25, 1e-300,
+             3e300)
+    RATES = (1.0, 0.37, 1e37, 1e-300)
 
     def test_clamp_of_special_gradients_is_bit_identical(self, monkeypatch):
-        g = Graph([InputDecl("x", (9,))], [Node("y", "exp", ("x",))], "y")
+        n = len(self.GRADS)
+        g = Graph([InputDecl("x", (n,))], [Node("y", "exp", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
-        evaluated = forward_rows(g, [np.zeros((1, 9))], np.float32, site.entry_node)
-        grad = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9, 2.5, -0.25])
+        evaluated = forward_rows(g, [np.zeros((1, n))], np.float32, site.entry_node)
+        grad = np.array(self.GRADS)
         monkeypatch.setattr(fuzzer, "backward", lambda *args: [grad.copy()])
         clamped = np.where(grad < 0, -1.0, 1.0) * np.maximum(np.abs(grad), GRAD_FLOOR)
-        for signal, s in ((Signal.INCREASE, 1.0), (Signal.DECREASE, -1.0)):
-            for rate in (1.0, 0.37):
-                delta = propagate_signal(g, site, evaluated, signal, rate)["x"]
-                assert delta.tobytes() == ((s * rate) / clamped).tobytes()
+        for rate in self.RATES:
+            step = propagate_signal(g, site, evaluated, rate)["x"]
+            for s in (1.0, -1.0):
+                assert (step * s).tobytes() == ((s * rate) / clamped).tobytes()
 
     def test_clamp_at_rank_zero(self, monkeypatch):
         g = Graph([InputDecl("x", ())], [Node("y", "exp", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
         evaluated = forward_rows(g, [np.zeros(1)], np.float32, site.entry_node)
-        for value in (0.0, -0.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9, -0.25):
+        for value in self.GRADS:
             grad = np.array([value])
             clamped = np.where(grad < 0, -1.0, 1.0) * np.maximum(np.abs(grad), GRAD_FLOOR)
             monkeypatch.setattr(fuzzer, "backward", lambda *args: [np.array(value)])
-            for signal, s in ((Signal.INCREASE, 1.0), (Signal.DECREASE, -1.0)):
-                delta = propagate_signal(g, site, evaluated, signal, 0.37)["x"]
-                assert np.shape(delta) == ()
-                assert np.asarray(delta).tobytes() == ((s * 0.37) / clamped).tobytes()
+            for rate in self.RATES:
+                step = propagate_signal(g, site, evaluated, rate)["x"]
+                assert np.shape(step) == ()
+                for s in (1.0, -1.0):
+                    assert np.asarray(step * s).tobytes() == ((s * rate) / clamped).tobytes()
 
 
 class TestConstrainUpdate:
@@ -632,10 +641,11 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
             values = _initial_inputs(graph, rng)
             continue
 
-        deltas = propagate_signal(graph, site, evaluated, signal, config.rate)
+        sign = 1.0 if signal is Signal.INCREASE else -1.0
+        steps = propagate_signal(graph, site, evaluated, config.rate)
         for decl in graph.inputs:
             values[decl.id] = constrain_update(
-                values[decl.id], deltas[decl.id], bounds[decl.id], signal
+                values[decl.id], steps[decl.id] * sign, bounds[decl.id], signal
             )
         for decl in graph.inputs:
             if decl.clamp:
@@ -668,10 +678,10 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
             break
         evaluated = forward_rows(graph, [x[None] for x in _inputs(graph, values)], np.float32,
                                  site.entry_node)
-        signal = Signal.INCREASE if rng.uniform() < 0.5 else Signal.DECREASE
-        deltas = propagate_signal(graph, site, evaluated, signal, config.rate)
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        steps = propagate_signal(graph, site, evaluated, config.rate)
         for decl in graph.inputs:
-            values[decl.id] = values[decl.id] + deltas[decl.id]
+            values[decl.id] = values[decl.id] + steps[decl.id] * sign
         for decl in graph.inputs:
             if decl.clamp:
                 values[decl.id] = np.clip(values[decl.id], *decl.bounds)
@@ -748,7 +758,7 @@ class TestLoopsMatchReference:
 
 class TestConstantGradient:
     """Where the entry's gradient is the same at every input, the loops
-    compute the deltas once per search; elsewhere they back-propagate at
+    compute the step once per search; elsewhere they back-propagate at
     every step. Outcomes are pinned by TestLoopsMatchReference."""
 
     def test_corpus_sites(self):
@@ -769,11 +779,10 @@ class TestConstantGradient:
             cases.append(_failing_inputs(graph, site))
             forwards = [forward_rows(graph, [x[None] for x in inputs], np.float32,
                                      site.entry_node) for inputs in cases]
-            for signal in (Signal.INCREASE, Signal.DECREASE):
-                deltas = [{k: np.asarray(v).tobytes() for k, v in
-                           propagate_signal(graph, site, evaluated, signal, 0.5).items()}
-                          for evaluated in forwards]
-                assert all(d == deltas[0] for d in deltas), (spec.name, site.node_id)
+            steps = [{k: v.tobytes() for k, v in
+                      propagate_signal(graph, site, evaluated, 0.5).items()}
+                     for evaluated in forwards]
+            assert all(d == steps[0] for d in steps), (spec.name, site.node_id)
 
     @staticmethod
     def _spies(monkeypatch):
@@ -803,10 +812,10 @@ class TestConstantGradient:
         result = random_fuzz_site(graph, site, FuzzConfig(seed=0, max_iters=2000),
                                   np.random.default_rng(0), reg)
         assert result.status == "Exhausted" and result.iterations == 2000
-        # one forward of the first input for the deltas, then one per chunk
+        # one forward of the first input for the steps, then one per chunk
         assert calls["forward_rows"] == [(np.float32, 1, site.entry_node)] + [
             (np.float32, n, site.stop) for n in self.CHUNKS]
-        assert calls["backward"] == 2
+        assert calls["backward"] == 1
         assert len(self.CHUNKS) == 37
 
     def test_value_reading_steps_back_propagate(self, monkeypatch):
@@ -832,10 +841,10 @@ class TestConstantGradient:
         calls = self._spies(monkeypatch)
         result = fuzz_site(graph, site, forest, FuzzConfig(seed=0, max_iters=300),
                            np.random.default_rng(0), reg)
-        # one forward for the deltas, then one per iteration for the features
+        # one forward for the steps, then one per iteration for the features
         assert calls["forward_rows"] == [(np.float32, 1, site.entry_node)] + [
             (np.float32, 1, site.stop)] * result.iterations
-        assert result.iterations > 2 and calls["backward"] == 2
+        assert result.iterations > 2 and calls["backward"] == 1
 
     @pytest.mark.parametrize("name, model, seed", [
         ("exp_overflow", "exp", 3),  # 51 resets: 52 verdicts
@@ -1191,7 +1200,7 @@ class TestStackedWalk:
         ([Node("a", "square", ("s",)), Node("y", "exp", ("a",))], 1.0, False),
     ], ids=["constant-gradient", "value-reading"])
     def test_clamped_beside_unclamped_input(self, monkeypatch, site_nodes, rate, constant):
-        # both walk row by row, with fixed deltas or not: the clamp binds on
+        # both walk row by row, with fixed steps or not: the clamp binds on
         # some steps and not on others, and the unclamped input leaves its
         # declared bounds
         graph = self._mixed(site_nodes)

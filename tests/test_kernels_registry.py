@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,10 +204,47 @@ class TestRegistryLoad:
             generation={"regions": [[-1, 1]], "zero_epsilon": eps})])
         assert registry_load(path).get("exp").generation.zero_epsilon == eps
 
-    def test_bad_format_version(self, tmp_path):
+    # true and 1.0 used to load as version 1
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1", None])
+    def test_bad_format_version(self, tmp_path, version):
         path = tmp_path / "reg.json"
-        path.write_text(json.dumps({"format_version": 99, "entries": []}))
+        path.write_text(json.dumps({"format_version": version, "entries": []}))
         with pytest.raises(RegistryError, match="format_version"):
+            registry_load(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "a registry is a JSON object, not list"),
+        ({"format_version": 1, "entries": 5}, "registry entries must be a list of objects"),
+        ({"format_version": 1, "entries": [5]}, "registry entries must be a list of objects"),
+    ], ids=["top_level_list", "numeric_entries", "numeric_entry"])
+    def test_malformed_registry_file_rejected(self, tmp_path, doc, message):
+        # each used to escape as a raw AttributeError or TypeError
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RegistryError, match=re.escape(message)):
+            registry_load(path)
+
+    def test_int_of_more_digits_than_python_converts_rejected(self, tmp_path):
+        # it used to escape as a bare ValueError
+        path = tmp_path / "reg.json"
+        path.write_text('{"format_version": ' + "9" * 5000 + "}")
+        with pytest.raises(RegistryError, match="cannot read registry file"):
+            registry_load(path)
+
+    @pytest.mark.parametrize("generation", [
+        {"regions": [["-1", "1"]]},
+        {"regions": [[True, 2]]},
+        {"regions": [[-1, 10 ** 400]]},
+        {"regions": [[-1, 1]], "failure_seeds": ["88"]},
+        {"regions": [[-1, 1]], "failure_seeds": [True]},
+        {"regions": [[-1, 1]], "zero_epsilon": "1e-3"},
+        {"regions": [[-1, 1]], "zero_epsilon": True},
+    ], ids=["text_region", "boolean_region", "int_region_past_double", "text_seed",
+            "boolean_seed", "text_epsilon", "boolean_epsilon"])
+    def test_generation_hints_that_are_no_numbers_rejected(self, tmp_path, generation):
+        # float() used to read each (an int past a double's range raised OverflowError)
+        path = self._write(tmp_path, [self._entry(generation=generation)])
+        with pytest.raises(RegistryError, match="'exp': malformed field"):
             registry_load(path)
 
 

@@ -87,6 +87,14 @@ BAD_PROGRAMS = {
     "listed_input_id": _input(id=["x"]),
     "listed_op": _node(op=["exp"]),
     "listed_output": {**MINIMAL, "output": ["y"]},
+    "numeric_inputs": {**MINIMAL, "inputs": 5},
+    "numeric_nodes": {**MINIMAL, "nodes": 5},
+    "null_nodes": {**MINIMAL, "nodes": None},
+    "boolean_version": {**MINIMAL, "format_version": True},
+    "float_version": {**MINIMAL, "format_version": 1.0},
+    "listed_name": {**MINIMAL, "name": [1]},
+    "numeric_failure_class": {**MINIMAL, "metadata": {"expected_failure_class": 7}},
+    "unknown_failure_class": {**MINIMAL, "metadata": {"expected_failure_class": "Overflow"}},
 }
 
 
@@ -180,6 +188,16 @@ class TestProgramParse:
         (BAD_PROGRAMS["listed_op"], "id and op must be strings"),
         (_node(id=5), "id and op must be strings"),
         (BAD_PROGRAMS["listed_output"], "output ['y'] is not a node id"),
+        (BAD_PROGRAMS["numeric_inputs"], "inputs and nodes must be lists, not int and list"),
+        (BAD_PROGRAMS["numeric_nodes"], "inputs and nodes must be lists, not list and int"),
+        (BAD_PROGRAMS["null_nodes"], "inputs and nodes must be lists, not list and NoneType"),
+        (BAD_PROGRAMS["boolean_version"], "unsupported program format_version True"),
+        (BAD_PROGRAMS["float_version"], "unsupported program format_version 1.0"),
+        (BAD_PROGRAMS["listed_name"], "name [1] is not a string"),
+        (BAD_PROGRAMS["numeric_failure_class"],
+         "metadata expected_failure_class 7 is no failure class"),
+        (BAD_PROGRAMS["unknown_failure_class"],
+         "metadata expected_failure_class 'Overflow' is no failure class"),
     ], ids=["top_level_list", "one_bound", "input_not_object", "node_not_object",
             "metadata_list", "text_rate", "zero_rate", "negative_rate", "infinite_rate",
             "nan_rate", "boolean_rate", "three_bounds", "empty_bounds", "boolean_bound",
@@ -187,7 +205,8 @@ class TestProgramParse:
             "float_dimension", "boolean_dimension", "text_shape", "text_clamp",
             "clamp_without_bounds", "text_node_inputs", "numeric_node_input", "listed_params",
             "empty_constant", "zero_column_linear", "zero_width_conv_kernel", "huge_int_param", "listed_input_id", "listed_op", "numeric_node_id",
-            "listed_output"])
+            "listed_output", "numeric_inputs", "numeric_nodes", "null_nodes", "boolean_version",
+            "float_version", "listed_name", "numeric_failure_class", "unknown_failure_class"])
     def test_malformed_program_file_rejected(self, tmp_path, doc, message):
         # each used to escape as an untyped error or load and fail later
         with pytest.raises(GraphParseError, match=re.escape(message)):
