@@ -38,6 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
+from safuzz.jsonfields import dimensions, document, positive, typed
 from safuzz.kernels import default_params, op_def, unit_operand_rows
 from safuzz.oracles import oracle_rows
 from safuzz.registry import Registry, default_registry
@@ -283,30 +284,19 @@ def scaling_field(zero_epsilon: Optional[float]) -> dict:
     return {"offset": 0.0, "scale": 1.0, "zero_epsilon": zero_epsilon}
 
 
-def read_int(doc: dict, key: str) -> int:
-    """doc[key], which every file writes as a JSON int: a string, float or bool is a ValueError."""
-    if type(doc[key]) is not int:
-        raise ValueError(f"{key} {doc[key]!r} is not an int")
-    return doc[key]
-
-
 def read_fixed_fields(doc: dict) -> tuple[str, tuple[int, ...], int, Optional[float]]:
     """The kernel, shape, feature_len and zero_epsilon of a dataset header or
     model file; a ValueError names a field that differs from what every file
     writes."""
-    kernel, shape, scaling = doc["kernel"], doc["shape"], doc["scaling"]
-    feature_len, eps = read_int(doc, "feature_len"), scaling["zero_epsilon"]
-    if not isinstance(kernel, str):
-        raise ValueError(f"kernel {kernel!r} is not a string")
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 1 for d in shape):
-        raise ValueError(f"shape {shape!r} is not a list of ints of at least 1")
+    feature_len, scaling = typed(doc["feature_len"], int, "feature_len"), doc["scaling"]
     if feature_len < 1:
         raise ValueError(f"feature_len must be at least 1, not {feature_len}")
-    numeric = type(eps) in (int, float)  # a JSON true or false is a bool, not a number
-    if scaling != scaling_field(eps) or not (eps is None or numeric and 0 < eps < math.inf):
-        raise ValueError(f"scaling {scaling!r} is not an identity scale and offset with "
-                         "a null or positive finite zero_epsilon")
-    return kernel, tuple(shape), feature_len, None if eps is None else float(eps)
+    eps = typed(scaling, dict, "scaling").get("zero_epsilon")
+    eps = None if eps is None else positive(eps, "scaling zero_epsilon")
+    if scaling != scaling_field(eps):
+        raise ValueError(f"scaling {scaling!r} is not an identity scale and offset "
+                         "and a zero_epsilon")
+    return typed(doc["kernel"], str, "kernel"), dimensions(doc["shape"], "shape"), feature_len, eps
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +459,8 @@ def dataset_load(path) -> Dataset:
     signal_of = {name: value for value, name in enumerate(CLASS_NAMES)}
     try:
         with path.open() as fh:
-            header = json.loads(fh.readline())
-            if not isinstance(header, dict):
-                raise FileFormatError(f"dataset {path}: the header is not a JSON object")
-            version = header.get("format_version")
-            if type(version) is not int or version != DATASET_FORMAT_VERSION:
-                raise FileFormatError(f"dataset format_version {version!r} "
-                                      f"unsupported (expected {DATASET_FORMAT_VERSION})")
-            n = read_int(header, "n_samples")
+            header = document(json.loads(fh.readline()), DATASET_FORMAT_VERSION, "dataset")
+            n = typed(header["n_samples"], int, "n_samples")
             kernel, shape, d, zero_epsilon = read_fixed_fields(header)
             features = np.empty((n, d), dtype=np.float64)
             labels = np.empty(n, dtype=np.int8)

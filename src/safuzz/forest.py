@@ -28,9 +28,8 @@ floats, whose `<=` matches numpy float64 exactly (NaN goes right).
 
 A model file records "classes" (Signal order) and "scaling" (an identity
 scale and offset, and the dataset's zero_epsilon) as every model has them.
-model_load refuses others, a zero_epsilon that is not null or positive and
-finite, a kernel that is not a string, a shape that is not a list of ints
-of at least 1, and a model with no feature or no tree.
+model_load refuses others, and a model with no feature or no tree; the
+readers of safuzz.jsonfields decide every field's JSON type.
 """
 
 from __future__ import annotations
@@ -45,8 +44,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from safuzz.datagen import CLASS_NAMES, Dataset, Signal, read_fixed_fields, read_int, scaling_field
+from safuzz.datagen import CLASS_NAMES, Dataset, Signal, read_fixed_fields, scaling_field
 from safuzz.errors import FileFormatError, TrainingError, UsageError
+from safuzz.jsonfields import document, numeric_array, typed
 
 N_CLASSES = 3
 MODEL_FORMAT_VERSION = 1
@@ -314,7 +314,7 @@ def _tree_from_json(obj: dict):
     """json.loads `object_hook`: a tree's lists become arrays once it is parsed."""
     if not TREE_KEYS <= obj.keys():
         return obj
-    return DecisionTree(**{name: np.asarray(obj[name], dtype=dtype)
+    return DecisionTree(**{name: numeric_array(obj[name], dtype, f"tree {name}")
                            for name, dtype in TREE_COLUMNS})
 
 
@@ -344,25 +344,18 @@ def model_save(forest: Forest, path) -> None:
 def model_load(path) -> Forest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(), object_hook=_tree_from_json)
-    # JSONDecodeError is a ValueError; an index beyond int32 is an OverflowError
-    except (OSError, TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"cannot load model {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"model file {path} is not a JSON object")
-    version = doc.get("format_version")
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:
-        raise FileFormatError(f"model format_version {version!r} unsupported")
-    try:
-        trees = list(doc["trees"])
+        doc = document(json.loads(path.read_text(), object_hook=_tree_from_json),
+                       MODEL_FORMAT_VERSION, "model")
+        trees = typed(doc["trees"], list, "trees")
         if not trees:
             raise ValueError("a model needs at least one tree")
         if not all(isinstance(t, DecisionTree) for t in trees):
-            raise TypeError("every tree needs the columns " + ", ".join(sorted(TREE_KEYS)))
+            raise ValueError("every tree needs the columns " + ", ".join(sorted(TREE_KEYS)))
         if doc["classes"] != list(CLASS_NAMES):
             raise ValueError(f"classes {doc['classes']!r} are not {list(CLASS_NAMES)!r}")
         kernel, shape, feature_len, zero_epsilon = read_fixed_fields(doc)
         return Forest(trees=trees, kernel=kernel, shape=shape, feature_len=feature_len,
-                      seed=read_int(doc, "seed"), zero_epsilon=zero_epsilon)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"model file {path} is corrupt: {exc}") from exc
+                      seed=typed(doc["seed"], int, "seed"), zero_epsilon=zero_epsilon)
+    # JSONDecodeError is a ValueError; TypeError: a tree column that is one number, no list
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"cannot load model {path}: {exc}") from exc

@@ -9,9 +9,10 @@ The op table (OpDef) holds every fact about a kernel that code reads: arity,
 forward, shape rule, gradient and whether it reads operand values, the
 operand its soft assertion inspects, and the counterpart that oracle types
 3-5 compare the forward with (a stable rewrite, a stable algorithm or an
-independent reference). Shape rules read
-and check the params they need, so a malformed node fails when its graph is
-built; each optional scalar param has its default in one place.
+independent reference). Shape rules read the params they need through
+safuzz.jsonfields, so a malformed node fails when its graph is built and
+forwards and gradients read array params unchecked; each optional scalar
+param has its default in one place.
 
 Forwards and the stable counterparts take a leading batch axis: each operand
 is a stack shaped (B, *shape), one row per sample, and the result is stacked
@@ -34,6 +35,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from safuzz.errors import CapabilityError
+from safuzz.jsonfields import dimensions, number, numeric_array
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -41,15 +43,9 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), -1)
 
 
-def _param_array(params: Mapping, key: str, dtype=np.float64) -> np.ndarray:
-    """A required array param; a missing or non-numeric one is a ValueError."""
-    value = params.get(key)
-    if value is None:
-        raise ValueError(f"missing param '{key}'")
-    try:
-        return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past a double
-        raise ValueError(f"param '{key}' is not numeric: {value!r}") from None
+def _param_array(params: Mapping, key: str) -> np.ndarray:
+    """A required array param as float64; a missing or non-numeric one is a ValueError."""
+    return numeric_array(params.get(key), np.float64, f"param '{key}'")
 
 
 # the optional scalar params (pow, remainder, CosineSimilarity) and the value
@@ -60,15 +56,7 @@ _SCALAR_DEFAULTS = {"exponent": 3.0, "modulus": 53.0, "eps": 1e-8}
 def _param_number(params: Mapping, key: str) -> float:
     """A scalar param as a float; a missing required one or a non-number is
     a ValueError."""
-    value = params.get(key, _SCALAR_DEFAULTS.get(key))
-    if value is None:
-        raise ValueError(f"missing param '{key}'")
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"param '{key}' must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past a double's range
-        raise ValueError(f"param '{key}' is beyond a double's range") from None
+    return number(params.get(key, _SCALAR_DEFAULTS.get(key)), f"param '{key}'")
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +173,8 @@ def _fw_matmul(params, a, b):
 
 
 def _fw_linear(params, a):
-    w = _param_array(params, "weight", a.dtype)
-    b = _param_array(params, "bias", a.dtype)
+    w = np.asarray(params["weight"], dtype=a.dtype)
+    b = np.asarray(params["bias"], dtype=a.dtype)
     if a.ndim == 2:
         # a vector sample stays a vector-matrix product (the same BLAS call
         # as for one sample); a (B, n) @ (n, n) product would round differently
@@ -195,7 +183,7 @@ def _fw_linear(params, a):
 
 
 def _fw_conv2d(params, a):
-    k = _param_array(params, "kernel", a.dtype)
+    k = np.asarray(params["kernel"], dtype=a.dtype)
     kh, kw = k.shape
     oh, ow = a.shape[1] - kh + 1, a.shape[2] - kw + 1
     out = np.zeros((len(a), oh, ow), dtype=a.dtype)
@@ -206,7 +194,7 @@ def _fw_conv2d(params, a):
 
 
 def _fw_cross_entropy(params, a):
-    t = _param_array(params, "target", a.dtype)
+    t = np.asarray(params["target"], dtype=a.dtype)
     return -(t.reshape(-1) * np.log(_rows(a))).sum(axis=1)
 
 
@@ -481,14 +469,14 @@ def _vjp_matmul(params, g, xs):
 
 
 def _vjp_linear(params, g, xs):
-    w = _param_array(params, "weight")
+    w = np.asarray(params["weight"], dtype=np.float64)
     if xs[0].ndim == 1:
         return (w @ g,)
     return (g @ w.T,)
 
 
 def _vjp_conv2d(params, g, xs):
-    k = _param_array(params, "kernel")
+    k = np.asarray(params["kernel"], dtype=np.float64)
     kh, kw = k.shape
     oh, ow = g.shape
     gx = np.zeros_like(xs[0])
@@ -499,7 +487,7 @@ def _vjp_conv2d(params, g, xs):
 
 
 def _vjp_cross_entropy(params, g, xs):
-    t = _param_array(params, "target")
+    t = np.asarray(params["target"], dtype=np.float64)
     return (-float(g) * t / xs[0],)
 
 
@@ -561,10 +549,7 @@ def _shape_constant(params):
 
 
 def _shape_reshape(params, sa):
-    target = params.get("shape")
-    if not isinstance(target, (list, tuple)) or any(type(d) is not int or d < 0 for d in target):
-        raise ValueError(f"param 'shape' must be a list of non-negative ints, got {target!r}")
-    target = tuple(target)
+    target = dimensions(params.get("shape"), "param 'shape'")
     if int(np.prod(sa)) != int(np.prod(target)):
         raise ValueError(f"cannot reshape {sa} to {target}")
     return target

@@ -7,25 +7,24 @@ metadata. Corpus entries carry their expected failure class (null or a
 FailureClass value) and a suggested mutation rate (a positive finite number,
 read as a float) in metadata.
 
-Loading checks, so no search meets a malformed program: format_version is
-the JSON int 1; the name, ids, ops and the output are strings; inputs and
-nodes are lists; an input's shape is a list of ints, its bounds, when
-given, are [lo, hi], two finite numbers with lo < hi and a finite hi - lo,
-and its clamp is a bool, true only with bounds. A node's inputs are a list
-of ids defined before it, and its params an object that its op accepts.
-Every shape, declared or inferred, has dimensions of at least 1.
+Loading checks, so no search meets a malformed program; the readers of
+safuzz.jsonfields decide every field's JSON type. An input's bounds, when
+given, are [lo, hi] with lo < hi and a finite hi - lo, and its clamp is true
+only with bounds. A node's inputs are ids defined before it, and its params
+ones its op accepts. Every shape, declared or inferred, has dimensions of
+at least 1.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from safuzz.errors import GraphParseError
 from safuzz.graph import Graph, InputDecl, Node
+from safuzz.jsonfields import dimensions, document, number, positive, typed
 from safuzz.oracles import FailureClass
 from safuzz.registry import Registry, default_registry
 
@@ -54,65 +53,48 @@ class ProgramSpec:
         return self.metadata.get("rate")
 
 
-def _parse_input(raw: dict) -> InputDecl:
-    try:
-        shape, bounds, clamp = raw["shape"], raw.get("bounds"), raw.get("clamp", False)
-        if not isinstance(raw["id"], str):
-            raise ValueError("id must be a string")
-        if not isinstance(shape, list) or not all(type(d) is int for d in shape):
-            raise ValueError("shape must be a list of ints")
-        numbers = isinstance(bounds, list) and all(type(b) in (int, float) for b in bounds)
-        if bounds is not None and not (numbers and len(bounds) == 2):  # a bool is no number
-            raise ValueError("bounds must be [lo, hi], two numbers")
-        if type(clamp) is not bool:
-            raise ValueError("clamp must be true or false")
-        return InputDecl(id=raw["id"], shape=tuple(shape), clamp=clamp,
-                         bounds=None if bounds is None else tuple(map(float, bounds)))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise GraphParseError(f"malformed input declaration {raw!r}: {exc}") from exc
+def _parse_input(raw) -> InputDecl:
+    raw = typed(raw, dict, "input")
+    name = typed(raw.get("id"), str, "input id")
+    what, bounds = f"input '{name}'", raw.get("bounds")
+    if bounds is not None and len(typed(bounds, list, f"{what} bounds")) != 2:
+        raise ValueError(f"{what} bounds {bounds!r} are not [lo, hi]")
+    return InputDecl(id=name, shape=dimensions(raw.get("shape"), f"{what} shape"),
+                     clamp=typed(raw.get("clamp", False), bool, f"{what} clamp"),
+                     bounds=None if bounds is None else
+                     tuple(number(b, f"{what} bound") for b in bounds))
 
 
-def _parse_node(raw: dict) -> Node:
-    try:
-        inputs, params = raw.get("inputs", []), raw.get("params", {})
-        if not isinstance(raw["id"], str) or not isinstance(raw["op"], str):
-            raise ValueError("id and op must be strings")
-        if not isinstance(inputs, list) or not all(isinstance(r, str) for r in inputs):
-            raise ValueError("inputs must be a list of ids")
-        if not isinstance(params, dict):
-            raise ValueError("params must be an object")
-        return Node(id=raw["id"], op=raw["op"], inputs=tuple(inputs), params=dict(params))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise GraphParseError(f"malformed node {raw!r}: {exc}") from exc
+def _parse_node(raw) -> Node:
+    raw = typed(raw, dict, "node")
+    name = typed(raw.get("id"), str, "node id")
+    what = f"node '{name}'"
+    inputs = typed(raw.get("inputs", []), list, f"{what} inputs")
+    return Node(id=name, op=typed(raw.get("op"), str, f"{what} op"),
+                inputs=tuple(typed(r, str, f"{what} input") for r in inputs),
+                params=dict(typed(raw.get("params", {}), dict, f"{what} params")))
 
 
 def _parse_metadata(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise GraphParseError(f"metadata {raw!r} is not an object")
-    rate, expected = raw.get("rate"), raw.get("expected_failure_class")
-    if rate is not None and not (type(rate) in (int, float) and 0 < rate < math.inf):
-        raise GraphParseError(f"metadata rate {rate!r} is not a positive finite number")
+    meta = dict(typed(raw, dict, "metadata"))
+    if meta.get("rate") is not None:
+        meta["rate"] = positive(meta["rate"], "metadata rate")
+    expected = meta.get("expected_failure_class")
     if expected is not None and expected not in [c.value for c in FailureClass]:
-        raise GraphParseError(f"metadata expected_failure_class {expected!r} is no failure class")
-    return dict(raw) if rate is None else {**raw, "rate": float(rate)}
+        raise ValueError(f"metadata expected_failure_class {expected!r} is no failure class")
+    return meta
 
 
-def program_from_dict(doc: dict, registry: Optional[Registry] = None) -> ProgramSpec:
-    if not isinstance(doc, dict):
-        raise GraphParseError(f"a program is a JSON object, not {type(doc).__name__}")
-    version, name = doc.get("format_version"), doc.get("name", "<unnamed>")
-    if type(version) is not int or version != PROGRAM_FORMAT_VERSION:
-        raise GraphParseError(f"unsupported program format_version {version!r}")
-    if not isinstance(name, str):
-        raise GraphParseError(f"name {name!r} is not a string")
-    if not isinstance(doc.get("output"), str):
-        raise GraphParseError(f"output {doc.get('output')!r} is not a node id")
-    inputs, nodes = doc.get("inputs", []), doc.get("nodes", [])
-    if not isinstance(inputs, list) or not isinstance(nodes, list):
-        raise GraphParseError(f"inputs and nodes must be lists, not {type(inputs).__name__} "
-                              f"and {type(nodes).__name__}")
-    spec = ProgramSpec(name, [_parse_input(r) for r in inputs], [_parse_node(r) for r in nodes],
-                       doc["output"], _parse_metadata(doc.get("metadata", {})))
+def program_from_dict(doc, registry: Optional[Registry] = None) -> ProgramSpec:
+    try:
+        doc = document(doc, PROGRAM_FORMAT_VERSION, "program")
+        spec = ProgramSpec(typed(doc.get("name", "<unnamed>"), str, "name"),
+                           [_parse_input(r) for r in typed(doc.get("inputs", []), list, "inputs")],
+                           [_parse_node(r) for r in typed(doc.get("nodes", []), list, "nodes")],
+                           typed(doc.get("output"), str, "output"),
+                           _parse_metadata(doc.get("metadata", {})))
+    except ValueError as exc:
+        raise GraphParseError(str(exc)) from exc
     spec.to_graph(registry)  # validates ops, ordering, shapes
     return spec
 

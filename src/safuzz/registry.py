@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from safuzz.errors import CapabilityError, RegistryError
+from safuzz.jsonfields import document, number, positive, typed
 from safuzz.kernels import KERNEL_OPS
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -81,71 +82,57 @@ class Registry:
         return list(self.entries.keys())
 
 
-def _number(value) -> float:
-    """A JSON number as a float: a string, or a JSON true or false (a bool), is a TypeError."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _parse_binding(raw: dict, name: str) -> OracleBinding:
-    otype = raw.get("type")
-    if type(otype) is not int or otype not in ORACLE_TYPES:
-        raise RegistryError(f"entry '{name}': unknown oracle type tag {otype!r}")
-    # type(), not isinstance: a JSON true or false is a bool, not a number
-    lo, hi = raw.get("lo"), raw.get("hi")
-    if any(bound is not None and type(bound) not in (int, float) for bound in (lo, hi)):
-        raise RegistryError(f"entry '{name}': oracle bounds lo and hi must be numbers")
+def _parse_binding(raw, what: str) -> OracleBinding:
+    raw = typed(raw, dict, f"{what} oracle binding")
+    otype = typed(raw.get("type"), int, f"{what} oracle type")
+    if otype not in ORACLE_TYPES:
+        raise ValueError(f"{what} oracle type {otype} is unknown")
+    lo, hi = (None if raw.get(key) is None else number(raw[key], f"{what} oracle {key}")
+              for key in ("lo", "hi"))
     if otype == 2 and (lo is None or hi is None or not lo < hi):
-        raise RegistryError(f"entry '{name}': range oracle needs lo < hi")
-    tol = raw.get("tolerance", 1e-6)
-    if type(tol) not in (int, float) or not 0 < tol < math.inf:  # NaN fails both, inf one
-        raise RegistryError(f"entry '{name}': tolerance must be positive and finite")
-    return OracleBinding(type=otype, lo=lo, hi=hi, tolerance=float(tol))
+        raise ValueError(f"{what} range oracle needs lo < hi")
+    return OracleBinding(type=otype, lo=lo, hi=hi,
+                         tolerance=positive(raw.get("tolerance", 1e-6), f"{what} tolerance"))
 
 
-def _parse_entry(raw: dict) -> KernelSpec:
-    name = raw.get("name")
-    if not name or not isinstance(name, str):
-        raise RegistryError(f"entry with missing name: {raw!r}")
-    try:
-        category = raw["category"]
-        if not isinstance(category, str):
-            raise RegistryError(f"entry '{name}': category must be a string")
-        bindings = tuple(_parse_binding(b, name) for b in raw["oracle_bindings"])
-        gen_raw = raw.get("generation")
-        gen = None
-        if gen_raw:
-            eps = gen_raw.get("zero_epsilon")
-            gen = GenerationHints(
-                regions=tuple((_number(lo), _number(hi)) for lo, hi in gen_raw["regions"]),
-                failure_seeds=tuple(map(_number, gen_raw.get("failure_seeds", []))),
-                zero_epsilon=None if eps is None else _number(eps),
-            )
-        spec = KernelSpec(name=name, category=category, oracle_bindings=bindings, generation=gen)
-    # float() of an int past a double's range is an OverflowError
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise RegistryError(f"entry '{name}': malformed field ({exc})") from exc
+def _parse_generation(raw, what: str) -> GenerationHints:
+    raw = typed(raw, dict, f"{what} generation")
+    regions = tuple(
+        tuple(number(b, f"{what} region bound") for b in typed(r, list, f"{what} region"))
+        for r in typed(raw.get("regions"), list, f"{what} regions"))
     # base inputs are drawn round-robin from the regions, uniformly inside each
-    if gen is not None and (not gen.regions or not all(
-            -math.inf < lo < hi < math.inf and hi - lo < math.inf for lo, hi in gen.regions)):
-        raise RegistryError(f"entry '{name}': generation regions must be a non-empty "
-                            "list of finite [lo, hi] with lo < hi and a finite width")
-    # a NaN shift would turn every zero feature into NaN
-    if gen is not None and gen.zero_epsilon is not None and not 0 < gen.zero_epsilon < math.inf:
-        raise RegistryError(f"entry '{name}': zero_epsilon must be positive and finite")
+    if not regions or not all(len(r) == 2 and -math.inf < r[0] < r[1] < math.inf
+                              and r[1] - r[0] < math.inf for r in regions):
+        raise ValueError(f"{what} generation regions must be a non-empty list of finite "
+                         "[lo, hi] with lo < hi and a finite width")
+    seeds = typed(raw.get("failure_seeds", []), list, f"{what} failure_seeds")
+    eps = raw.get("zero_epsilon")  # a NaN shift would turn every zero feature into NaN
+    return GenerationHints(regions, tuple(number(x, f"{what} failure seed") for x in seeds),
+                           None if eps is None else positive(eps, f"{what} zero_epsilon"))
+
+
+def _parse_entry(raw) -> KernelSpec:
+    name = typed(typed(raw, dict, "registry entry").get("name"), str, "registry entry name")
+    if not name:
+        raise ValueError("a registry entry has an empty name")
+    what = f"entry '{name}':"
+    spec = KernelSpec(
+        name=name, category=typed(raw.get("category"), str, f"{what} category"),
+        oracle_bindings=tuple(_parse_binding(b, what) for b in
+                              typed(raw.get("oracle_bindings"), list, f"{what} oracle_bindings")),
+        generation=_parse_generation(raw["generation"], what) if raw.get("generation") else None)
     if spec.implemented:
         op = KERNEL_OPS[name]
         if not spec.oracle_bindings:
-            raise RegistryError(f"entry '{name}': implemented kernel without oracle")
-        if gen is None:
-            raise RegistryError(f"entry '{name}': implemented kernel without generation hints")
+            raise ValueError(f"{what} implemented kernel without oracle")
+        if spec.generation is None:
+            raise ValueError(f"{what} implemented kernel without generation hints")
         for binding in spec.oracle_bindings:
             if binding.type in COUNTERPART_ORACLES and op.counterpart is None:
-                raise RegistryError(f"entry '{name}': oracle type {binding.type} "
-                                    "needs a counterpart the kernel does not have")
+                raise ValueError(f"{what} oracle type {binding.type} "
+                                 "needs a counterpart the kernel does not have")
         if all(binding.type == 4 for binding in spec.oracle_bindings):
-            raise RegistryError(f"entry '{name}': oracle type 4 alone leaves non-SPD rows unjudged")
+            raise ValueError(f"{what} oracle type 4 alone leaves non-SPD rows unjudged")
     return spec
 
 
@@ -153,23 +140,17 @@ def registry_load(path) -> Registry:
     """Load and validate a registry file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = document(json.loads(path.read_text()), 1, "registry")
+        version = typed(raw.get("version", ""), str, "registry version")
+        entries: dict[str, KernelSpec] = {}
+        for raw_entry in typed(raw.get("entries", []), list, "registry entries"):
+            spec = _parse_entry(raw_entry)
+            if spec.name in entries:
+                raise ValueError(f"entry '{spec.name}': duplicate name")
+            entries[spec.name] = spec
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise RegistryError(f"cannot read registry file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise RegistryError(f"a registry is a JSON object, not {type(raw).__name__}")
-    version, raw_entries = raw.get("format_version"), raw.get("entries", [])
-    if type(version) is not int or version != 1:
-        raise RegistryError(f"unsupported registry format_version {version!r}")
-    if not isinstance(raw_entries, list) or not all(isinstance(e, dict) for e in raw_entries):
-        raise RegistryError("registry entries must be a list of objects")
-    entries: dict[str, KernelSpec] = {}
-    for raw_entry in raw_entries:
-        spec = _parse_entry(raw_entry)
-        if spec.name in entries:
-            raise RegistryError(f"entry '{spec.name}': duplicate name")
-        entries[spec.name] = spec
-    return Registry(entries=entries, version=str(raw.get("version", "")))
+    return Registry(entries=entries, version=version)
 
 
 @lru_cache(maxsize=1)

@@ -49,6 +49,8 @@ BAD_SCALINGS = {
     # float() used to read these as 0.001 and 1.0
     "string_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": "0.001"},
     "bool_epsilon": {"offset": 0.0, "scale": 1.0, "zero_epsilon": True},
+    # float() of it used to raise a raw OverflowError
+    "epsilon_past_double": {"offset": 0.0, "scale": 1.0, "zero_epsilon": 10 ** 400},
 }
 # "shape" records that dataset and model files must not carry; each used to load
 BAD_SHAPES = {"string": "abc", "zero": [3, 0], "negative": [-3], "float": [3.0, 3],

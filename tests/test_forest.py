@@ -573,6 +573,21 @@ class TestModelFileChecks:
         with pytest.raises(FileFormatError, match=re.escape(f"kernel {kernel!r} is not a string")):
             model_load(self._write(tmp_path, kernel=kernel))
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("threshold", lambda t: str(t), "tree threshold"),
+        ("feature", lambda f: True if f >= 0 else f, "tree feature"),
+        ("counts", lambda c: [float(n) for n in c], "tree counts"),
+        ("feature", lambda f: f + 0.7 if f >= 0 else f, "tree feature"),
+    ], ids=["text_thresholds", "boolean_features", "float_counts", "float_feature"])
+    def test_tree_column_of_other_numbers_rejected(self, tmp_path, column, value, message):
+        # np.asarray cast each to the column's type: "0.5" read as 0.5, true
+        # as feature 1, and a feature 5.7 was truncated to 5
+        doc = json.loads((FIXTURE_MODELS / "exp.json").read_text())
+        tree = doc["trees"][0]
+        tree[column] = [value(v) for v in tree[column]]
+        with pytest.raises(FileFormatError, match=message):
+            model_load(self._write(tmp_path, trees=doc["trees"]))
+
     @pytest.mark.parametrize("shape", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
     def test_shape_that_is_no_list_of_sizes_rejected(self, tmp_path, shape):
         with pytest.raises(FileFormatError, match="is not a list of ints of at least 1"):

@@ -143,19 +143,22 @@ class TestRegistryLoad:
         raw = json.loads(DEFAULT_REGISTRY_PATH.read_text())
         assert not any({"implemented", "params", "tier"} & set(e) for e in raw["entries"])
 
-    @pytest.mark.parametrize("lo,hi", [("0", "1"), (False, True), ([0], [1]), (0.0, "1")],
-                             ids=["strings", "bools", "lists", "one-string"])
+    @pytest.mark.parametrize("lo,hi", [("0", "1"), (False, True), ([0], [1]), (0.0, "1"),
+                                       (0.0, 10 ** 400)],
+                             ids=["strings", "bools", "lists", "one-string", "past-a-double"])
     def test_range_bounds_that_are_no_numbers_rejected(self, tmp_path, lo, hi):
-        # strings used to load, and oracle_rows then raised numpy's UFuncNoLoopError
+        # strings used to load, and oracle_rows then raised numpy's UFuncNoLoopError;
+        # an int past a double's range loaded, and oracle_rows raised OverflowError
         path = self._write(tmp_path, [self._entry(
             name="sigmoid", oracle_bindings=[{"type": 2, "lo": lo, "hi": hi}])])
-        with pytest.raises(RegistryError, match="'sigmoid': oracle bounds lo and hi must be"):
+        with pytest.raises(RegistryError, match="'sigmoid': oracle (lo|hi) .* is (not a number|"
+                                                "beyond a double's range)"):
             registry_load(path)
 
     @pytest.mark.parametrize("category", [None, 5, ["elementwise"]], ids=["null", "number", "list"])
     def test_category_that_is_no_string_rejected(self, tmp_path, category):
         path = self._write(tmp_path, [self._entry(category=category)])
-        with pytest.raises(RegistryError, match="'exp': category must be a string"):
+        with pytest.raises(RegistryError, match="'exp': category .* is not a string"):
             registry_load(path)
 
     def test_integer_bounds_and_tolerance_load(self, tmp_path):
@@ -163,6 +166,7 @@ class TestRegistryLoad:
             {"type": 1, "tolerance": 1}, {"type": 2, "lo": 0, "hi": 1}])])
         nan_inf, unit = registry_load(path).get("sigmoid").oracle_bindings
         assert nan_inf.tolerance == 1.0 and (unit.lo, unit.hi) == (0, 1)
+        assert type(unit.lo) is float and type(unit.hi) is float
 
     def test_malformed_entry_cites_name(self, tmp_path):
         path = self._write(tmp_path, [self._entry(oracle_bindings="oops")])
@@ -186,7 +190,8 @@ class TestRegistryLoad:
         # so did true as a tolerance of 1.0 and "1e-6" as 1e-06
         path = self._write(tmp_path, [self._entry(
             oracle_bindings=[{"type": 1, "tolerance": tolerance}])])
-        with pytest.raises(RegistryError, match="'exp': tolerance must be positive and finite"):
+        with pytest.raises(RegistryError,
+                           match="'exp': tolerance .* is not a positive finite number"):
             registry_load(path)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan, math.inf])
@@ -194,7 +199,8 @@ class TestRegistryLoad:
         # unchecked before: a NaN shift made every zero feature NaN in apply_scaling
         path = self._write(tmp_path, [self._entry(
             generation={"regions": [[-1, 1]], "zero_epsilon": eps})])
-        with pytest.raises(RegistryError, match="'exp': zero_epsilon must be positive and finite"):
+        with pytest.raises(RegistryError,
+                           match="'exp': zero_epsilon .* is not a positive finite number"):
             registry_load(path)
 
     @pytest.mark.parametrize("eps", [None, 1e-8, 1e-6])
@@ -213,10 +219,12 @@ class TestRegistryLoad:
             registry_load(path)
 
     @pytest.mark.parametrize("doc, message", [
-        ([], "a registry is a JSON object, not list"),
-        ({"format_version": 1, "entries": 5}, "registry entries must be a list of objects"),
-        ({"format_version": 1, "entries": [5]}, "registry entries must be a list of objects"),
-    ], ids=["top_level_list", "numeric_entries", "numeric_entry"])
+        ([], "registry [] is not a JSON object"),
+        ({"format_version": 1, "entries": 5}, "registry entries 5 is not a JSON list"),
+        ({"format_version": 1, "entries": [5]}, "registry entry 5 is not a JSON object"),
+        # str() used to load it as "5", which reports then carried
+        ({"format_version": 1, "version": 5, "entries": []}, "registry version 5 is not a string"),
+    ], ids=["top_level_list", "numeric_entries", "numeric_entry", "numeric_version"])
     def test_malformed_registry_file_rejected(self, tmp_path, doc, message):
         # each used to escape as a raw AttributeError or TypeError
         path = tmp_path / "reg.json"
@@ -231,20 +239,23 @@ class TestRegistryLoad:
         with pytest.raises(RegistryError, match="cannot read registry file"):
             registry_load(path)
 
-    @pytest.mark.parametrize("generation", [
-        {"regions": [["-1", "1"]]},
-        {"regions": [[True, 2]]},
-        {"regions": [[-1, 10 ** 400]]},
-        {"regions": [[-1, 1]], "failure_seeds": ["88"]},
-        {"regions": [[-1, 1]], "failure_seeds": [True]},
-        {"regions": [[-1, 1]], "zero_epsilon": "1e-3"},
-        {"regions": [[-1, 1]], "zero_epsilon": True},
+    @pytest.mark.parametrize("generation, message", [
+        ({"regions": [["-1", "1"]]}, "region bound '-1' is not a number"),
+        ({"regions": [[True, 2]]}, "region bound True is not a number"),
+        ({"regions": [[-1, 10 ** 400]]}, "region bound 100000000000000000...0000000000000000000 "
+                                         "is beyond a double's range"),
+        ({"regions": [[-1, 1]], "failure_seeds": ["88"]}, "failure seed '88' is not a number"),
+        ({"regions": [[-1, 1]], "failure_seeds": [True]}, "failure seed True is not a number"),
+        ({"regions": [[-1, 1]], "zero_epsilon": "1e-3"},
+         "zero_epsilon '1e-3' is not a positive finite number"),
+        ({"regions": [[-1, 1]], "zero_epsilon": True},
+         "zero_epsilon True is not a positive finite number"),
     ], ids=["text_region", "boolean_region", "int_region_past_double", "text_seed",
             "boolean_seed", "text_epsilon", "boolean_epsilon"])
-    def test_generation_hints_that_are_no_numbers_rejected(self, tmp_path, generation):
+    def test_generation_hints_that_are_no_numbers_rejected(self, tmp_path, generation, message):
         # float() used to read each (an int past a double's range raised OverflowError)
         path = self._write(tmp_path, [self._entry(generation=generation)])
-        with pytest.raises(RegistryError, match="'exp': malformed field"):
+        with pytest.raises(RegistryError, match=re.escape("'exp': " + message)):
             registry_load(path)
 
 

@@ -81,6 +81,9 @@ BAD_PROGRAMS = {
     "zero_width_conv_kernel": {**MINIMAL, "inputs": [{"id": "x", "shape": [3, 3]}], "nodes": [
         {"id": "c", "op": "Conv2d", "inputs": ["x"], "params": {"kernel": [[]]}},
         {"id": "y", "op": "exp", "inputs": ["c"]}]},
+    # float() of these raised a raw OverflowError: exit 3 with a traceback
+    "huge_bound": _input(bounds=[0, 10 ** 400]),
+    "huge_rate": {**MINIMAL, "metadata": {"rate": 10 ** 400}},
     "huge_int_param": {**MINIMAL, "nodes": [
         {"id": "s", "op": "scale", "inputs": ["x"], "params": {"factor": 10 ** 400}},
         {"id": "y", "op": "exp", "inputs": ["s"]}]},
@@ -138,59 +141,80 @@ class TestProgramParse:
         {"id": "y", "op": "exp", "inputs": ["x"], "params": "none"},
         {"id": "y", "op": "linear", "inputs": ["s"],
          "params": {"weight": [[1.0]], "bias": [0.0]}},
+        # array params that np.asarray used to read as numbers
+        {"id": "y", "op": "linear", "inputs": ["x"],
+         "params": {"weight": [["1", "0"], ["0", "1"]], "bias": [0.0, 0.0]}},
+        {"id": "y", "op": "linear", "inputs": ["x"],
+         "params": {"weight": [[True, False], [False, True]], "bias": [0.0, 0.0]}},
+        {"id": "y", "op": "linear", "inputs": ["x"],
+         "params": {"weight": [[1.0, 0.0], [0.0, 1.0]], "bias": [False, 1]}},
+        {"id": "y", "op": "Conv2d", "inputs": ["m"], "params": {"kernel": [["1", "1"]]}},
+        {"id": "y", "op": "CrossEntropy", "inputs": ["x"], "params": {"target": [True, False]}},
+        {"id": "y", "op": "constant", "inputs": [], "params": {"value": ["1", "2"]}},
     ], ids=["linear_no_weight", "linear_no_bias", "linear_text_weight",
             "linear_wide_bias", "constant_no_value", "reshape_no_shape",
             "reshape_float_shape", "reshape_negative_shape", "scale_no_factor", "scale_text_factor",
-            "pow_list_exponent", "params_not_a_mapping", "linear_rank_0_input"])
+            "pow_list_exponent", "params_not_a_mapping", "linear_rank_0_input",
+            "linear_text_weights", "linear_boolean_weights", "linear_boolean_bias",
+            "conv2d_text_kernel", "cross_entropy_boolean_target", "constant_text_value"])
     def test_missing_or_ill_typed_params_rejected(self, tmp_path, node):
-        inputs = [{"id": "x", "shape": [2]}, {"id": "s", "shape": []}]
+        inputs = [{"id": "x", "shape": [2]}, {"id": "s", "shape": []}, {"id": "m", "shape": [2, 2]}]
         doc = dict(MINIMAL, inputs=inputs, nodes=[node])
         with pytest.raises(GraphParseError, match="'y'|malformed node"):
             program_parse(write_program(tmp_path, doc))
 
     @pytest.mark.parametrize("doc, message", [
-        (BAD_PROGRAMS["top_level_list"], "a program is a JSON object, not list"),
-        (BAD_PROGRAMS["one_bound"], "malformed input declaration"),
-        (BAD_PROGRAMS["input_not_object"], "malformed input declaration"),
-        ({**MINIMAL, "nodes": [[1]]}, "malformed node"),
-        (BAD_PROGRAMS["metadata_list"], "metadata [1] is not an object"),
+        (BAD_PROGRAMS["top_level_list"], "program [1] is not a JSON object"),
+        (BAD_PROGRAMS["one_bound"], "input 'x' bounds [1.0] are not [lo, hi]"),
+        (BAD_PROGRAMS["input_not_object"], "input [1] is not a JSON object"),
+        ({**MINIMAL, "nodes": [[1]]}, "node [1] is not a JSON object"),
+        (BAD_PROGRAMS["metadata_list"], "metadata [1] is not a JSON object"),
         (BAD_PROGRAMS["text_rate"], "metadata rate 'fast' is not a positive finite number"),
         ({**MINIMAL, "metadata": {"rate": 0}}, "metadata rate 0 is not"),
         ({**MINIMAL, "metadata": {"rate": -1.0}}, "metadata rate -1.0 is not"),
         ({**MINIMAL, "metadata": {"rate": float("inf")}}, "metadata rate inf is not"),
         ({**MINIMAL, "metadata": {"rate": float("nan")}}, "metadata rate nan is not"),
         ({**MINIMAL, "metadata": {"rate": True}}, "metadata rate True is not"),
-        (BAD_PROGRAMS["three_bounds"], "bounds must be [lo, hi], two numbers"),
-        (BAD_PROGRAMS["empty_bounds"], "bounds must be [lo, hi], two numbers"),
-        (BAD_PROGRAMS["boolean_bound"], "bounds must be [lo, hi], two numbers"),
+        (BAD_PROGRAMS["three_bounds"], "input 'x' bounds [0, 1, 99] are not [lo, hi]"),
+        (BAD_PROGRAMS["empty_bounds"], "input 'x' bounds [] are not [lo, hi]"),
+        (BAD_PROGRAMS["boolean_bound"], "input 'x' bound False is not a number"),
         (BAD_PROGRAMS["infinite_bound"], "input 'x': bounds must be finite with lo < hi"),
         (BAD_PROGRAMS["infinite_width"], "input 'x': bounds must be finite with lo < hi "
                                          "and a finite width"),
         (BAD_PROGRAMS["negative_dimension"],
-         "input 'x': every dimension must be at least 1, got [-1]"),
-        (BAD_PROGRAMS["zero_dimension"], "input 'x': every dimension must be at least 1, got [0]"),
-        (BAD_PROGRAMS["float_dimension"], "shape must be a list of ints"),
-        (BAD_PROGRAMS["boolean_dimension"], "shape must be a list of ints"),
-        (_input(shape="2"), "shape must be a list of ints"),
-        (BAD_PROGRAMS["text_clamp"], "clamp must be true or false"),
+         "input 'x' shape [-1] is not a list of ints of at least 1"),
+        (BAD_PROGRAMS["zero_dimension"], "input 'x' shape [0] is not a list of ints of at least 1"),
+        (BAD_PROGRAMS["float_dimension"],
+         "input 'x' shape [2.7] is not a list of ints of at least 1"),
+        (BAD_PROGRAMS["boolean_dimension"],
+         "input 'x' shape [True, 2] is not a list of ints of at least 1"),
+        (_input(shape="2"), "input 'x' shape '2' is not a list of ints of at least 1"),
+        (BAD_PROGRAMS["text_clamp"], "input 'x' clamp 'no' is not true or false"),
         (BAD_PROGRAMS["clamp_without_bounds"], "input 'x': a clamp needs bounds"),
-        (BAD_PROGRAMS["text_node_inputs"], "inputs must be a list of ids"),
-        (_node(inputs=[1]), "inputs must be a list of ids"),
-        (BAD_PROGRAMS["listed_params"], "params must be an object"),
+        (BAD_PROGRAMS["text_node_inputs"], "node 'y' inputs 'x' is not a JSON list"),
+        (_node(inputs=[1]), "node 'y' input 1 is not a string"),
+        (BAD_PROGRAMS["listed_params"],
+         "node 'y' params [['exponent', 5]] is not a JSON object"),
         (BAD_PROGRAMS["empty_constant"], "node 'c': every dimension must be at least 1, got [0]"),
         (BAD_PROGRAMS["zero_column_linear"],
          "node 'l': every dimension must be at least 1, got [0]"),
         # it used to load with an inferred (3, 4) shape, larger than its input
         (BAD_PROGRAMS["zero_width_conv_kernel"],
          "node 'c': conv2d kernel (1, 0) has a dimension below 1"),
-        (BAD_PROGRAMS["huge_int_param"], "node 's': param 'factor' is beyond a double's range"),
-        (BAD_PROGRAMS["listed_input_id"], "id must be a string"),
-        (BAD_PROGRAMS["listed_op"], "id and op must be strings"),
-        (_node(id=5), "id and op must be strings"),
-        (BAD_PROGRAMS["listed_output"], "output ['y'] is not a node id"),
-        (BAD_PROGRAMS["numeric_inputs"], "inputs and nodes must be lists, not int and list"),
-        (BAD_PROGRAMS["numeric_nodes"], "inputs and nodes must be lists, not list and int"),
-        (BAD_PROGRAMS["null_nodes"], "inputs and nodes must be lists, not list and NoneType"),
+        (BAD_PROGRAMS["huge_bound"], "input 'x' bound 100000000000000000...0000000000000000000 "
+                                     "is beyond a double's range"),
+        (BAD_PROGRAMS["huge_rate"], "metadata rate 100000000000000000...0000000000000000000 "
+                                    "is beyond a double's range"),
+        (BAD_PROGRAMS["huge_int_param"], "node 's': param 'factor' "
+                                         "100000000000000000...0000000000000000000 "
+                                         "is beyond a double's range"),
+        (BAD_PROGRAMS["listed_input_id"], "input id ['x'] is not a string"),
+        (BAD_PROGRAMS["listed_op"], "node 'y' op ['exp'] is not a string"),
+        (_node(id=5), "node id 5 is not a string"),
+        (BAD_PROGRAMS["listed_output"], "output ['y'] is not a string"),
+        (BAD_PROGRAMS["numeric_inputs"], "inputs 5 is not a JSON list"),
+        (BAD_PROGRAMS["numeric_nodes"], "nodes 5 is not a JSON list"),
+        (BAD_PROGRAMS["null_nodes"], "nodes None is not a JSON list"),
         (BAD_PROGRAMS["boolean_version"], "unsupported program format_version True"),
         (BAD_PROGRAMS["float_version"], "unsupported program format_version 1.0"),
         (BAD_PROGRAMS["listed_name"], "name [1] is not a string"),
@@ -204,7 +228,8 @@ class TestProgramParse:
             "infinite_bound", "infinite_width", "negative_dimension", "zero_dimension",
             "float_dimension", "boolean_dimension", "text_shape", "text_clamp",
             "clamp_without_bounds", "text_node_inputs", "numeric_node_input", "listed_params",
-            "empty_constant", "zero_column_linear", "zero_width_conv_kernel", "huge_int_param", "listed_input_id", "listed_op", "numeric_node_id",
+            "empty_constant", "zero_column_linear", "zero_width_conv_kernel", "huge_bound",
+            "huge_rate", "huge_int_param", "listed_input_id", "listed_op", "numeric_node_id",
             "listed_output", "numeric_inputs", "numeric_nodes", "null_nodes", "boolean_version",
             "float_version", "listed_name", "numeric_failure_class", "unknown_failure_class"])
     def test_malformed_program_file_rejected(self, tmp_path, doc, message):
