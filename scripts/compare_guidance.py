@@ -41,7 +41,7 @@ def compare(args) -> None:
         graph = spec.to_graph(reg)
         guided, baseline = [], []
         for seed in seeds:
-            config = FuzzConfig(timeout=args.timeout, rate=spec.rate or 1.0,
+            config = FuzzConfig(timeout=args.timeout, rate=spec.rate,
                                 seed=seed, max_iters=args.max_iters)
             results, diagnostics = fuzz_program(graph, reg, models, config)
             if not results:

@@ -3,14 +3,11 @@
 Subcommands: list-functions, gen-data, train, scan, fuzz, bench.
 Exit codes: 0 success, 1 bugs found (fuzz), 2 usage error, 3 internal
 error, with its traceback on stderr (EXIT_CODES, also in --help).
-The SAF_SEED environment variable supplies a default seed; explicit flags
-always win over the environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -27,16 +24,6 @@ from safuzz.report import ProgramReport, Report, report_emit
 
 EXIT_CODES = ("exit codes: 0 success, 1 bugs found (fuzz), 2 usage error, "
               "3 internal error, with its traceback on stderr")
-
-
-def _env_seed(default: int = 0) -> int:
-    raw = os.environ.get("SAF_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SafuzzError(f"SAF_SEED must be an integer, got {raw!r}") from None
 
 
 def parse_ints(text: str, sep: str, what: str, example: str) -> list[int]:
@@ -70,11 +57,8 @@ def _cmd_list_functions(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    config = GenerationConfig(
-        shape=_parse_shape(args.shape),
-        seed=args.seed if args.seed is not None else _env_seed(),
-        target_size=args.samples,
-    )
+    config = GenerationConfig(shape=_parse_shape(args.shape), seed=args.seed,
+                              target_size=args.samples)
     dataset = build_dataset(args.function, config)
     dataset_save(dataset, args.out)
     counts = dataset.class_counts()
@@ -85,11 +69,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = dataset_load(args.dataset)
-    forest, metrics = train_forest(
-        dataset, tree_count=args.trees,
-        seed=args.seed if args.seed is not None else _env_seed(42),
-        test_split=args.test_split,
-    )
+    forest, metrics = train_forest(dataset, tree_count=args.trees, seed=args.seed,
+                                   test_split=args.test_split)
     model_save(forest, args.out)
     print(
         f"{dataset.kernel}: {describe_scores(metrics)}, "
@@ -111,38 +92,39 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _program_config(spec: ProgramSpec, args, seed: int) -> FuzzConfig:
-    rate = args.rate if args.rate is not None else (spec.rate or 1.0)
-    return FuzzConfig(timeout=args.timeout, rate=rate, seed=seed,
-                      max_iters=args.max_iters)
+def _runs(reg, models, specs: list[ProgramSpec], seeds: list[int], args):
+    """Each program searched at each seed, seed-major, one ProgramReport per run."""
+    for seed in seeds:
+        for spec in specs:
+            config = FuzzConfig(timeout=args.timeout, rate=spec.rate, seed=seed,
+                                max_iters=args.max_iters)
+            results, diagnostics = fuzz_program(spec.to_graph(reg), reg, models, config)
+            yield ProgramReport(program=spec.name, seed=seed,
+                                expected_failure_class=spec.expected_failure_class,
+                                results=results, diagnostics=diagnostics)
 
 
 def _cmd_fuzz(args) -> int:
     reg = default_registry()
     spec = program_parse(args.program, reg)
-    models = load_models(args.models)
-    seed = args.seed if args.seed is not None else _env_seed()
-    config = _program_config(spec, args, seed)
-    results, diagnostics = fuzz_program(spec.to_graph(reg), reg, models, config)
+    run, = _runs(reg, load_models(args.models), [spec], [args.seed], args)
     report = Report(
         registry_version=reg.version,
-        config={"timeout": config.timeout, "rate": config.rate, "seed": seed,
-                "max_iters": config.max_iters},
-        programs=[ProgramReport(program=spec.name, seed=seed,
-                                expected_failure_class=spec.expected_failure_class,
-                                results=results, diagnostics=diagnostics)],
+        config={"timeout": args.timeout, "rate": spec.rate, "seed": args.seed,
+                "max_iters": args.max_iters},
+        programs=[run],
     )
     if args.out:
         report_emit(report, args.out)
     bugs = 0
-    for result in results:
+    for result in run.results:
         cls = (result.verdict.failure_class.value
                if result.found and result.verdict.failure_class else "-")
         print(f"{spec.name}/{result.site.node_id} [{result.site.kernel}]: "
               f"{result.status} class={cls} iterations={result.iterations} "
               f"time={result.wall_time:.3f}s")
         bugs += int(result.found)
-    for diag in diagnostics:
+    for diag in run.diagnostics:
         print(f"diagnostic: {diag}")
     return 1 if bugs else 0
 
@@ -150,28 +132,19 @@ def _cmd_fuzz(args) -> int:
 def _cmd_bench(args) -> int:
     reg = default_registry()
     models = load_models(args.models)
-    seeds = parse_ints(args.seeds, ",", "seed list", "0,1,2") if args.seeds else [_env_seed()]
-    programs = corpus_manifest(reg)
+    seeds = parse_ints(args.seeds, ",", "seed list", "0,1,2")
     report = Report(
         registry_version=reg.version,
-        config={"timeout": args.timeout, "seeds": seeds, "max_iters": args.max_iters,
-                "rate_override": args.rate},
+        config={"timeout": args.timeout, "seeds": seeds, "max_iters": args.max_iters},
     )
-    for seed in seeds:
-        for spec in programs:
-            config = _program_config(spec, args, seed)
-            results, diagnostics = fuzz_program(spec.to_graph(reg), reg, models, config)
-            report.programs.append(
-                ProgramReport(program=spec.name, seed=seed,
-                              expected_failure_class=spec.expected_failure_class,
-                              results=results, diagnostics=diagnostics)
-            )
-            found = [r for r in results if r.found]
-            classes = {r.verdict.failure_class.value for r in found
-                       if r.verdict and r.verdict.failure_class}
-            status = "found " + "/".join(sorted(classes)) if found else "exhausted"
-            print(f"seed {seed} {spec.name}: {status} "
-                  f"(expected {spec.expected_failure_class or 'none'})")
+    for run in _runs(reg, models, corpus_manifest(reg), seeds, args):
+        report.programs.append(run)
+        found = [r for r in run.results if r.found]
+        classes = {r.verdict.failure_class.value for r in found
+                   if r.verdict and r.verdict.failure_class}
+        status = "found " + "/".join(sorted(classes)) if found else "exhausted"
+        print(f"seed {run.seed} {run.program}: {status} "
+              f"(expected {run.expected_failure_class or 'none'})")
     totals = report.totals()
     print(f"total bugs: {totals['bugs_found']} "
           f"({totals['bugs_found_by_search']} by search), "
@@ -196,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--shape", default="3x3")
     p.add_argument("--samples", type=int, default=40_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a soft assertion from a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--test-split", type=float, default=0.3)
     p.add_argument("--out", required=True)
 
@@ -213,16 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("--models", required=True)
     p.add_argument("--timeout", type=float, default=1800.0)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bench", help="run the shipped corpus and emit a summary")
     p.add_argument("--models", required=True)
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
+    p.add_argument("--seeds", default="0", help="comma-separated seed list")
     p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--rate", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--out", default=None)
 

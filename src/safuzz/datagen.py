@@ -477,9 +477,13 @@ def dataset_load(path) -> Dataset:
                 features[i] = [float(v) for v in parts[1:]]
             if fh.read().strip():
                 raise FileFormatError(f"dataset has records past its {n} samples")
-        return Dataset(kernel=kernel, shape=shape,
-                       features=features, labels=labels, config=header.get("config", {}),
-                       zero_epsilon=zero_epsilon)
+        dataset = Dataset(kernel=kernel, shape=shape, features=features, labels=labels,
+                          config=typed(header.get("config", {}), dict, "config"),
+                          zero_epsilon=zero_epsilon)
+        if header["class_counts"] != dataset.class_counts():
+            raise FileFormatError(f"header class_counts {header['class_counts']} differ from "
+                                  f"the records' {dataset.class_counts()}")
+        return dataset
     # JSONDecodeError is a ValueError; KeyError and TypeError: a header field missing or mistyped
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"cannot load dataset {path}: {exc}") from exc

@@ -5,7 +5,7 @@ optional clamp flag that keeps mutations inside those bounds, mirroring pixel
 constraints), a topologically ordered node list, the output id, and free-form
 metadata. Corpus entries carry their expected failure class (null or a
 FailureClass value) and a suggested mutation rate (a positive finite number,
-read as a float) in metadata.
+read as a float; 1.0 where none is given) in metadata.
 
 Loading checks, so no search meets a malformed program; the readers of
 safuzz.jsonfields decide every field's JSON type. An input's bounds, when
@@ -49,8 +49,8 @@ class ProgramSpec:
         return self.metadata.get("expected_failure_class")
 
     @property
-    def rate(self) -> Optional[float]:
-        return self.metadata.get("rate")
+    def rate(self) -> float:
+        return self.metadata.get("rate") or 1.0
 
 
 def _parse_input(raw) -> InputDecl:

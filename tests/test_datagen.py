@@ -670,3 +670,16 @@ class TestLoadChecksFixedFields:
         # "abc" used to load as ('a', 'b', 'c'), and train wrote it into the model
         with pytest.raises(FileFormatError, match="is not a list of ints of at least 1"):
             dataset_load(self._write(tmp_path, shape=shape))
+
+    def test_config_that_is_no_object_rejected(self, tmp_path):
+        # it used to load as Dataset.config == 5
+        with pytest.raises(FileFormatError, match="config 5 is not a JSON object"):
+            dataset_load(self._write(tmp_path, config=5))
+
+    def test_class_counts_that_differ_from_the_records_rejected(self, tmp_path):
+        # the header was never read: the records still counted 500/749/749
+        path = self._write(tmp_path, class_counts={"NoChange": 1})
+        with pytest.raises(FileFormatError, match=re.escape(
+                "class_counts {'NoChange': 1} differ from the records' "
+                "{'NoChange': 500, 'Decrease': 749, 'Increase': 749}")):
+            dataset_load(path)

@@ -715,7 +715,7 @@ class TestLoopsMatchReference:
 
     def _runs(self):
         reg = default_registry()
-        programs = [(spec.name, spec.to_graph(reg), spec.rate or 1.0)
+        programs = [(spec.name, spec.to_graph(reg), spec.rate)
                     for spec in corpus_manifest(reg)]
         programs.append(("square_exp", self.SQUARE_EXP, 1.0))
         programs.append(("square_div", self.SQUARE_DIV, 1.0))
@@ -875,7 +875,7 @@ class TestConstantGradient:
         monkeypatch.setattr(fuzzer, "oracle_rows", judged)
         monkeypatch.setattr(fuzzer, "predict", voted)
         result = fuzz_site(graph, site, model_load(FIXTURE_MODELS / f"{model}.json"),
-                           FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=300),
+                           FuzzConfig(rate=spec.rate, seed=seed, max_iters=300),
                            np.random.default_rng(seed), reg)
         single, double = ([c for c in calls["forward_rows"] if c[0] == dtype]
                           for dtype in (np.float32, np.float64))

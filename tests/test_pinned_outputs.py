@@ -81,7 +81,7 @@ def random_baseline_outcomes(seeds=(0, 1, 2), max_iters=2000) -> dict:
     for spec in corpus_manifest(reg):
         graph = spec.to_graph(reg)
         for seed in seeds:
-            config = FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=max_iters)
+            config = FuzzConfig(rate=spec.rate, seed=seed, max_iters=max_iters)
             outcomes[f"{spec.name}@{seed}"] = [{
                 "node": r.site.node_id, "status": r.status, "iterations": r.iterations,
                 "failure_class": r.verdict.failure_class.value if r.found else None,

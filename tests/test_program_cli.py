@@ -13,7 +13,7 @@ import pytest
 
 from safuzz import cli
 from safuzz.cli import cli_dispatch
-from safuzz.corpus import corpus_manifest
+from safuzz.corpus import CORPUS_DIR, corpus_manifest
 from safuzz.errors import GraphParseError
 from safuzz.forest import model_load
 from safuzz.fuzzer import FuzzConfig, FuzzResult, UnstableSite, fuzz_program, scan_for_unstable
@@ -246,6 +246,9 @@ class TestProgramParse:
             program_parse(path)
         assert cli_dispatch(["scan", str(path)]) == 2
 
+    def test_rate_defaults_to_1(self, tmp_path):
+        assert program_parse(write_program(tmp_path, MINIMAL)).rate == 1.0
+
     def test_rate_read_as_a_float_once(self, tmp_path):
         spec = program_parse(write_program(tmp_path, {**MINIMAL, "metadata": {"rate": 2}}))
         assert type(spec.metadata["rate"]) is float and spec.rate == 2.0
@@ -352,7 +355,7 @@ class TestFoundAtInit:
         reg = default_registry()
         spec = next(s for s in corpus_manifest(reg) if s.name == name)
         models = [model_load(path) for path in sorted(FIXTURE_MODELS.glob("*.json"))]
-        config = FuzzConfig(rate=spec.rate or 1.0, seed=seed, max_iters=2000)
+        config = FuzzConfig(rate=spec.rate, seed=seed, max_iters=2000)
         first = fuzz_program(spec.to_graph(reg), reg, models, config)[0][0]
         assert (first.status, first.iterations, first.failed_at_init,
                 first.found_at_init) == outcome
@@ -396,14 +399,12 @@ class TestCli:
          "cannot parse seed list"),
         (["train", "--dataset", str(FIXTURES / "datasets" / "square.csv"),
           "--test-split", "1.5"], "test_split"),
-        (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--rate", "-1"], "rate"),
-        (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--rate", "inf"], "rate"),
         (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--timeout", "nan"],
          "timeout"),
         (["gen-data", "--function", "inverse", "--shape", "3x4"],
          "kernel 'inverse' does not take shape (3, 4): square matrix required"),
     ], ids=["negative_dim", "zero_dim", "not_a_number", "empty_seed", "split_above_one",
-            "negative_rate", "infinite_rate", "nan_timeout", "non_square_inverse"])
+            "nan_timeout", "non_square_inverse"])
     def test_bad_values_exit_2_with_error(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         write_program(tmp_path, MINIMAL)
@@ -412,22 +413,18 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out.json").exists()
 
-    @pytest.mark.parametrize("source", ["flag", "SAF_SEED"])
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--function", "exp"],
         ["train", "--dataset", str(FIXTURES / "datasets" / "square.csv")],
         ["fuzz", "prog.json", "--models", str(FIXTURE_MODELS)],
         ["bench", "--models", str(FIXTURE_MODELS)],
     ], ids=lambda argv: argv[0])
-    def test_negative_seed_exits_2_with_error(self, tmp_path, monkeypatch, capsys, argv, source):
+    def test_negative_seed_exits_2_with_error(self, tmp_path, monkeypatch, capsys, argv):
         # numpy's seeding rejects a negative seed: it exited 3 with a traceback
         monkeypatch.chdir(tmp_path)
         write_program(tmp_path, MINIMAL)
-        if source == "flag":
-            argv = [*argv, "--seeds=-1" if argv[0] == "bench" else "--seed=-1"]
-        else:
-            monkeypatch.setenv("SAF_SEED", "-2")
-        assert cli_dispatch([*argv, "--out", "out.json"]) == 2
+        seed = "--seeds=-1" if argv[0] == "bench" else "--seed=-1"
+        assert cli_dispatch([*argv, seed, "--out", "out.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed" in err
         assert not (tmp_path / "out.json").exists()
@@ -604,21 +601,46 @@ class TestCli:
         assert code == 0
         assert "remainder: 395 of 600 samples" in capsys.readouterr().out
 
-    def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SAF_SEED", "123")
-        data = tmp_path / "log.csv"
-        assert cli_dispatch(["gen-data", "--function", "log", "--samples", "1500",
-                             "--out", str(data)]) == 0
-        header = json.loads(data.read_text().splitlines()[0])
-        assert header["config"]["seed"] == 123
+    @pytest.mark.parametrize("argv, seed", [
+        (["gen-data", "--function", "log", "--samples", "1500"], 0),
+        (["train", "--dataset", str(FIXTURES / "datasets" / "square.csv"), "--trees", "2"], 42),
+        (["fuzz", "prog.json", "--models", str(FIXTURE_MODELS), "--max-iters", "50"], 0),
+        (["bench", "--models", str(FIXTURE_MODELS), "--max-iters", "50"], 0),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_seed_defaults_without_flag(self, tmp_path, monkeypatch, capsys, argv, seed):
+        # with no seed flag each command records and runs its default seed
+        monkeypatch.chdir(tmp_path)
+        write_program(tmp_path, MINIMAL)
+        assert cli_dispatch([*argv, "--out", "out.txt"]) in (0, 1)
+        text = (tmp_path / "out.txt").read_text()
+        if argv[0] == "gen-data":
+            assert json.loads(text.splitlines()[0])["config"]["seed"] == seed
+        elif argv[0] == "train":
+            assert json.loads(text)["seed"] == seed
+        else:
+            doc = json.loads(text)
+            recorded = doc["config"]["seeds"] if argv[0] == "bench" else [doc["config"]["seed"]]
+            assert recorded == [seed]
+            assert {p["seed"] for p in doc["programs"]} == {seed}
 
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SAF_SEED", "123")
-        data = tmp_path / "log.csv"
-        assert cli_dispatch(["gen-data", "--function", "log", "--samples", "1500",
-                             "--seed", "9", "--out", str(data)]) == 0
-        header = json.loads(data.read_text().splitlines()[0])
-        assert header["config"]["seed"] == 9
+    @pytest.mark.parametrize("name", ["exp_overflow", "fig1_cosine_transport"])
+    def test_fuzz_entry_equals_bench_entry(self, tmp_path, bench_seed_1, name):
+        # both commands run one loop: a program's entry depends only on its seed
+        fuzzed = tmp_path / f"{name}.json"
+        assert cli_dispatch(["fuzz", str(CORPUS_DIR / f"{name}.json"),
+                             "--models", str(FIXTURE_MODELS), "--seed", "1",
+                             "--max-iters", "300", "--out", str(fuzzed)]) == 1
+        entry, = strip_time_fields(json.loads(fuzzed.read_text()))["programs"]
+        assert entry == next(e for e in bench_seed_1 if e["program"] == name)
+
+
+@pytest.fixture(scope="module")
+def bench_seed_1(tmp_path_factory):
+    """The program entries of `safuzz bench --seeds 1 --max-iters 300`, times stripped."""
+    benched = tmp_path_factory.mktemp("bench") / "bench.json"
+    assert cli_dispatch(["bench", "--models", str(FIXTURE_MODELS), "--seeds", "1",
+                         "--max-iters", "300", "--out", str(benched)]) == 0
+    return strip_time_fields(json.loads(benched.read_text()))["programs"]
 
 
 def _script_main(name):
