@@ -4,8 +4,8 @@
 Writes <out>/datasets/<kernel>.csv and <out>/models/<kernel>.json plus a
 summary table (macro-F1 over all and over present classes, per-class F1 and
 training time per kernel). Intended as the one-shot preparation step before
-`safuzz fuzz` / `safuzz bench`. An out-of-range value or an unknown kernel
-exits with 2 and an error line.
+`safuzz fuzz` / `safuzz bench`. An out-of-range value, an unknown kernel or
+an --out directory that cannot be created exits with 2 and an error line.
 """
 
 import argparse
@@ -17,15 +17,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from safuzz.corpus import corpus_kernels
 from safuzz.datagen import GenerationConfig, build_dataset, dataset_save
-from safuzz.errors import SafuzzError
+from safuzz.errors import FileFormatError, SafuzzError
 from safuzz.forest import describe_scores, model_save, train_forest
 
 
 def train(args) -> None:
     kernels = (args.kernels.split(",") if args.kernels else corpus_kernels())
     out = Path(args.out)
-    (out / "datasets").mkdir(parents=True, exist_ok=True)
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    try:
+        (out / "datasets").mkdir(parents=True, exist_ok=True)
+        (out / "models").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FileFormatError(f"cannot create {out}: {exc}") from exc
 
     rows = []
     for kernel in kernels:

@@ -447,11 +447,14 @@ def dataset_save(dataset: Dataset, path) -> None:
         "scaling": scaling_field(dataset.zero_epsilon),
         "class_counts": dataset.class_counts(),
     }
-    with path.open("w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row, lab in zip(dataset.features, dataset.labels):
-            fh.write(CLASS_NAMES[lab] + "," +
-                     ",".join(repr(float(v)) for v in row) + "\n")
+    try:
+        with path.open("w") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for row, lab in zip(dataset.features, dataset.labels):
+                fh.write(CLASS_NAMES[lab] + "," +
+                         ",".join(repr(float(v)) for v in row) + "\n")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write dataset {path}: {exc}") from exc
 
 
 def dataset_load(path) -> Dataset:

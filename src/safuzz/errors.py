@@ -38,4 +38,4 @@ class TrainingError(SafuzzError):
 
 
 class FileFormatError(SafuzzError):
-    """A dataset/model/report file failed to load (version or corruption)."""
+    """A dataset/model/report file failed to load (version or corruption) or to save."""

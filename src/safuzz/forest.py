@@ -6,16 +6,19 @@ reload bit-identically. Training is deterministic under a fixed seed:
 bootstrap samples and per-split feature subsets come from per-tree RNG
 streams spawned from the master seed.
 
-Growth is presorted CART (as in SLIQ): each tree argsorts every feature once,
-stably, and each node carries an (F, m) block of its row ids in (value, row
-id) order per feature. A split marks its left rows in one boolean array and
-gathers both children's blocks through it, which keeps that order, so every
-block equals a stable argsort of the node's rows. A node scores its k
-candidate features as one (k, m - 1) array of weighted Gini impurities with
-the float64 operations of a per-feature loop, class sums added left to right
-like numpy's three-element sum. Trees are therefore bit-identical to sorting
-at every node: the first best position wins per feature, and the first drawn
-feature wins a tie between features.
+Growth is presorted CART (as in SLIQ): train_forest ranks every feature once
+(`_ranks`), and a stable argsort of its bootstrap rows' ranks, numpy's radix
+sort, gives each tree the order of a stable float argsort. Each node carries
+an (F, m) int32 block of its row ids in (value, row id) order per feature. A
+split marks its left rows in one boolean array and gathers both children's
+blocks through it, which keeps that order, so every block equals a stable
+argsort of the node's rows. A node scores its k candidate features as one
+(k, m - 1) array of weighted Gini impurities with the float64 operations of a
+per-feature loop, class sums added left to right as numpy sums three values.
+Trees are therefore bit-identical to sorting at every node: the first best
+position wins per feature, and the first drawn feature wins a tie between
+features. The candidates are those `rng.choice` would draw: `_candidate_draws`
+makes them in blocks and rewinds rng once the tree is grown.
 
 Each Forest compiles its trees once, at construction, into one flat view,
 `Forest.flat`. It holds internal nodes only, as compact typed columns
@@ -116,43 +119,78 @@ class Forest:
         self.flat = _compile(self.trees, self.feature_len)
 
 
-def _grow_tree(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
+def _ranks(xs: np.ndarray) -> np.ndarray:
+    """Dense per-column ranks of xs, ordered as a stable float argsort orders
+    its values: equal values (-0.0 and 0.0 too) share a rank, and every NaN
+    shares the highest. uint16 up to 65,536 rows, so sorts take numpy's radix sort."""
+    order = np.argsort(xs, axis=0, kind="stable")
+    vs = np.take_along_axis(xs, order, axis=0)
+    ranks = np.zeros(xs.shape, dtype=np.uint16 if len(xs) <= 1 << 16 else np.uint32)
+    ranks[1:] = (vs[:-1] != vs[1:]) & ~np.isnan(vs[:-1])  # a NaN is followed by NaNs only
+    np.put_along_axis(ranks, order, ranks.cumsum(axis=0, dtype=ranks.dtype), axis=0)
+    return ranks
+
+
+def _candidate_draws(rng: np.random.Generator, n: int, k: int):
+    """Yields what successive `rng.choice(n, k, replace=False)` calls return. Each
+    runs Floyd's sampling: k draws with highs n - k + 1 .. n (a value drawn before
+    becomes high - 1), then a shuffle swapping position i with a draw of high i + 1,
+    i = k - 1 .. 1. One `rng.integers` call draws 16, 32, 64, ... calls' worth; on
+    close, rng rewinds to the last block and redraws the calls yielded from it."""
+    highs = np.concatenate((np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)))
+    size = 16
+    try:
+        while True:
+            snapshot = rng.bit_generator.state
+            draws = rng.integers(0, np.tile(highs, size)).reshape(size, len(highs))
+            cand, rows = draws[:, :k].copy(), np.arange(size)
+            for i in range(1, k):
+                cand[(cand[:, :i] == cand[:, i:i + 1]).any(axis=1), i] = n - k + i
+            for i, j in zip(range(k - 1, 0, -1), draws[:, k:].T):
+                cand[rows, j], cand[:, i] = cand[:, i], cand[rows, j]
+            for used, row in enumerate(cand, 1):
+                yield row
+            size *= 2
+    finally:
+        rng.bit_generator.state = snapshot
+        rng.integers(0, np.tile(highs, used))
+
+
+def _grow_tree(xs: np.ndarray, ys: np.ndarray, ranks: np.ndarray, rng: np.random.Generator,
                n_candidates: int) -> DecisionTree:
-    """Grow one tree depth first (left child first); see the module docstring."""
+    """Grow one tree depth first (left child first); see the module docstring.
+    ranks orders each column of xs as `_ranks` does."""
     n, n_features = xs.shape
     k = min(n_candidates, n_features)
     xt = np.ascontiguousarray(xs.T).ravel()  # feature f, row r at f * n + r
+    onehot = (ys == np.arange(N_CLASSES)[:, None]).astype(np.float64)  # (3, n)
     steps = np.arange(1.0, n)  # rows left of each split position
-    classes = np.arange(N_CLASSES)[:, None, None]
     go_left = np.zeros(n, dtype=bool)  # set at a node's rows before each read
-    feature: list[int] = [-1]
-    threshold: list[float] = [0.0]
-    left: list[int] = [-1]
-    right: list[int] = [-1]
-    counts: list = [None]
+    columns = feature, threshold, left, right, counts = [-1], [0.0], [-1], [-1], [None]
+    draws = _candidate_draws(rng, n_features, k)
 
     # (node, (F, m) row ids sorted per feature, class histogram)
-    stack = [(0, np.ascontiguousarray(np.argsort(xs, axis=0, kind="stable").T),
+    stack = [(0, np.ascontiguousarray(np.argsort(ranks, axis=0, kind="stable").T, dtype=np.int32),
               np.bincount(ys, minlength=N_CLASSES).tolist())]
     while stack:
         node, s, hist = stack.pop()
         counts[node] = hist
         m = s.shape[1]
-        if m < 2 or sum(h > 0 for h in hist) < 2:
+        if m < 2 or hist.count(0) >= N_CLASSES - 1:  # one class or none
             continue
         node_gini = 1.0 - sum(h / m * (h / m) for h in hist)
-        cand = rng.choice(n_features, size=k, replace=False)
+        cand = next(draws)
         rows = s[cand]
         vs = xt.take(rows + (cand * n)[:, None])  # (k, m) sorted values
         # class counts left (sides[0]) and right (sides[1]) of each position
         n_left, n_right = steps[:m - 1], steps[m - 2::-1]
         sides = np.empty((2, N_CLASSES, k, m - 1))
-        np.cumsum(ys.take(rows[:, :-1]) == classes, axis=2, dtype=np.float64, out=sides[0])
+        np.cumsum(onehot.take(rows[:, :-1], axis=1), axis=2, out=sides[0])
         np.subtract(np.array(hist, dtype=np.float64)[:, None, None], sides[0], out=sides[1])
         sides[0] /= n_left
         sides[1] /= n_right
         sides *= sides
-        gini = 1.0 - (sides[:, 0] + sides[:, 1] + sides[:, 2])
+        gini = 1.0 - sides.sum(axis=1)
         weighted = (n_left * gini[0] + n_right * gini[1]) / m
         # cut only between distinct neighbours; `>=` would let a NaN neighbour in
         np.copyto(weighted, np.inf, where=~(vs[:, :-1] < vs[:, 1:]))
@@ -175,24 +213,17 @@ def _grow_tree(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
         feature[node] = int(cand[c])
         threshold[node] = thr
         left[node], right[node] = len(feature), len(feature) + 1
-        feature += [-1, -1]
-        threshold += [0.0, 0.0]
-        left += [-1, -1]
-        right += [-1, -1]
-        counts += [None, None]
+        for column, blank in zip(columns, (-1, 0.0, -1, -1, None)):
+            column += [blank, blank]  # the children, leaves until they split
         s_left = s[mask].reshape(n_features, n_go)
         hist_left = np.bincount(ys.take(s_left[0]), minlength=N_CLASSES).tolist()
         stack.append((right[node], s[~mask].reshape(n_features, m - n_go),
                       [h - hl for h, hl in zip(hist, hist_left)]))
         stack.append((left[node], s_left, hist_left))
+    draws.close()  # rng ends where one choice call per split search leaves it
 
-    return DecisionTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        counts=np.asarray(counts, dtype=np.int32),
-    )
+    return DecisionTree(*(np.asarray(column, dtype=dtype)
+                          for column, (_, dtype) in zip(columns, TREE_COLUMNS)))
 
 
 def train_forest(
@@ -222,6 +253,7 @@ def train_forest(
     n_test = min(int(round(len(ys) * test_split)), len(ys) - 1)  # keep a training row
     test_idx, train_idx = order[:n_test], order[n_test:]
     x_train, y_train = xs[train_idx], ys[train_idx]
+    ranks = _ranks(x_train)
 
     n_candidates = max(1, int(math.sqrt(dataset.feature_len)))
     t0 = time.perf_counter()
@@ -229,7 +261,8 @@ def train_forest(
     for t in range(tree_count):
         tree_rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         boot = tree_rng.integers(0, x_train.shape[0], size=x_train.shape[0])
-        trees.append(_grow_tree(x_train[boot], y_train[boot], tree_rng, n_candidates))
+        trees.append(_grow_tree(x_train[boot], y_train[boot], ranks[boot], tree_rng,
+                                n_candidates))
     train_time = time.perf_counter() - t0
 
     forest = Forest(
@@ -332,13 +365,16 @@ def model_save(forest: Forest, path) -> None:
         "trees": [],
     }, sort_keys=True)
     assert head.endswith('"trees": []}')  # "trees" sorts last
-    with open(path, "w") as out:
-        out.write(head[:-2])
-        for i, tree in enumerate(forest.trees):
-            out.write(", " if i else "")
-            out.write(json.dumps({name: getattr(tree, name).tolist() for name in TREE_KEYS},
-                                 sort_keys=True))
-        out.write("]}")
+    try:
+        with open(path, "w") as out:
+            out.write(head[:-2])
+            for i, tree in enumerate(forest.trees):
+                out.write(", " if i else "")
+                out.write(json.dumps({name: getattr(tree, name).tolist() for name in TREE_KEYS},
+                                     sort_keys=True))
+            out.write("]}")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write model {path}: {exc}") from exc
 
 
 def model_load(path) -> Forest:

@@ -1,6 +1,7 @@
 """Decision-forest soft assertions: training, prediction, persistence."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from safuzz.forest import (
     TREE_COLUMNS,
     DecisionTree,
     Forest,
+    _candidate_draws,
     _grow_tree,
+    _ranks,
     evaluate_f1_arrays,
     model_load,
     model_save,
@@ -182,7 +185,7 @@ def grow_both(xs, ys, n_candidates, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _reference_grow_tree(xs, ys, ref_rng, n_candidates)
-    tree = _grow_tree(xs, ys, rng, n_candidates)
+    tree = _grow_tree(xs, ys, _ranks(xs), rng, n_candidates)
     assert_same_tree(tree, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     return tree
@@ -292,11 +295,46 @@ class TestPresortedGrowth:
             first = np.random.default_rng(seed).choice(3, size=3, replace=False)[0]
             assert tree.feature[0] == first
 
+    @pytest.mark.parametrize("n", [*range(1, 41), 900])
+    def test_block_draws_are_generator_choice(self, n):
+        # 100 to 154 draws span the blocks of 16, 32 and 64 rows; 112 ends one exactly
+        for k in sorted({int(math.sqrt(n)), 1, n}):
+            for seed in range(10):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                draws = _candidate_draws(rng, n, k)
+                for _ in range(100 + 6 * seed):
+                    assert next(draws).tolist() == ref.choice(n, size=k, replace=False).tolist()
+                draws.close()
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_ranks_order_like_the_floats(self):
+        data = np.random.default_rng(0)
+        values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.7e308, -1.7e308, 1.0, -1.0, 2.5]
+        xs = data.choice(values, size=(300, 4))
+        xs[:, 3] = data.integers(-2, 3, size=300)  # ties only
+        ranks = _ranks(xs)
+        for x, r in zip(xs.T, ranks.T):
+            # dense: one rank per value, -0.0 and 0.0 alike, every NaN at the top
+            assert sorted(set(r.tolist())) == list(range(len(np.unique(x))))
+            assert len(set(r[x == 0].tolist())) <= 1
+            assert (r[np.isnan(x)] == r.max()).all()
+        for _ in range(100):
+            boot = data.integers(0, len(xs), size=len(xs))
+            assert np.array_equal(np.argsort(ranks[boot], axis=0, kind="stable"),
+                                  np.argsort(xs[boot], axis=0, kind="stable"))
+
+    @pytest.mark.parametrize("rows, dtype", [(65_536, np.uint16), (65_537, np.uint32)])
+    def test_rank_dtype_holds_every_row(self, rows, dtype):
+        ranks = _ranks(np.arange(rows, 0, -1, dtype=np.float64)[:, None])
+        assert ranks.dtype == dtype
+        assert ranks[:, 0].tolist() == list(range(rows - 1, -1, -1))
+
     def test_train_forest_matches_reference(self, monkeypatch):
         ds = threshold_dataset(n=300)
         ds.features[::7, 2] = np.nan
         forest, _ = train_forest(ds, tree_count=8, seed=11)
-        monkeypatch.setattr(forest_module, "_grow_tree", _reference_grow_tree)
+        monkeypatch.setattr(forest_module, "_grow_tree",
+                            lambda xs, ys, ranks, rng, k: _reference_grow_tree(xs, ys, rng, k))
         want, _ = train_forest(ds, tree_count=8, seed=11)
         assert len(forest.trees) == len(want.trees) == 8
         for tree, ref in zip(forest.trees, want.trees):

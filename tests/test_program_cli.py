@@ -429,6 +429,18 @@ class TestCli:
         assert err.startswith("error: ") and "seed" in err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("argv, what", [
+        (["gen-data", "--function", "exp", "--samples", "300", "--seed", "5"], "dataset"),
+        (["train", "--dataset", str(FIXTURES / "datasets" / "square.csv"), "--trees", "2"],
+         "model"),
+    ], ids=["gen-data", "train"])
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys, argv, what):
+        # opening --out in a missing directory exited 3 with a FileNotFoundError traceback
+        out = tmp_path / "missing" / "out"
+        assert cli_dispatch([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"cannot write {what} {out}" in err
+
     def test_internal_error_exits_3_with_its_traceback(self, monkeypatch, capsys):
         # exit 1 means "bugs found"; a fault of the program must not read as that
         def broken(args):
@@ -662,6 +674,16 @@ class TestTrainModels:
         assert _script_main("train_models")() == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a file where the --out directory must go: mkdir raised out of main with a traceback
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "build"
+        monkeypatch.setattr(sys, "argv", ["train_models.py", "--out", str(out), "--kernels", "exp"])
+        assert _script_main("train_models")() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"cannot create {out}" in err
 
 
 class TestCompareGuidance:
