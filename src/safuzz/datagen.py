@@ -30,6 +30,7 @@ import enum
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from safuzz.errors import FileFormatError, GenerationFailure, UsageError
-from safuzz.jsonfields import dimensions, document, positive, typed
+from safuzz.jsonfields import FORMAT_VERSION, dimensions, document, positive, typed
 from safuzz.kernels import default_params, op_def, unit_operand_rows
 from safuzz.oracles import oracle_rows
 from safuzz.registry import Registry, default_registry
@@ -296,7 +297,10 @@ def read_fixed_fields(doc: dict) -> tuple[str, tuple[int, ...], int, Optional[fl
     if scaling != scaling_field(eps):
         raise ValueError(f"scaling {scaling!r} is not an identity scale and offset "
                          "and a zero_epsilon")
-    return typed(doc["kernel"], str, "kernel"), dimensions(doc["shape"], "shape"), feature_len, eps
+    kernel, shape = typed(doc["kernel"], str, "kernel"), dimensions(doc["shape"], "shape")
+    if feature_len != math.prod(shape):  # every file's rows are a sample's raw entries
+        raise ValueError(f"feature_len {feature_len} is not the size of shape {list(shape)}")
+    return kernel, shape, feature_len, eps
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +436,10 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
 # persistence: JSON header line + exactly one CSV record per sample
 # ---------------------------------------------------------------------------
 
-DATASET_FORMAT_VERSION = 1
-
-
 def dataset_save(dataset: Dataset, path) -> None:
     path = Path(path)
     header = {
-        "format_version": DATASET_FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "kernel": dataset.kernel,
         "shape": list(dataset.shape),
         "feature_len": dataset.feature_len,
@@ -462,11 +463,13 @@ def dataset_load(path) -> Dataset:
     signal_of = {name: value for value, name in enumerate(CLASS_NAMES)}
     try:
         with path.open() as fh:
-            header = document(json.loads(fh.readline()), DATASET_FORMAT_VERSION, "dataset")
+            header = document(json.loads(fh.readline()), "dataset")
             n = typed(header["n_samples"], int, "n_samples")
+            if n < 0:
+                raise ValueError(f"n_samples must be at least 0, not {n}")
             kernel, shape, d, zero_epsilon = read_fixed_fields(header)
-            features = np.empty((n, d), dtype=np.float64)
-            labels = np.empty(n, dtype=np.int8)
+            # sized by the records read, never by the header's counts
+            labels, values = array("b"), array("d")
             for i in range(n):
                 line = fh.readline()
                 if not line:
@@ -476,11 +479,12 @@ def dataset_load(path) -> Dataset:
                     raise FileFormatError(f"record {i} has {len(parts) - 1} features, expected {d}")
                 if parts[0] not in signal_of:
                     raise FileFormatError(f"record {i} has unknown label {parts[0]!r}")
-                labels[i] = signal_of[parts[0]]
-                features[i] = [float(v) for v in parts[1:]]
+                labels.append(signal_of[parts[0]])
+                values.extend(map(float, parts[1:]))
             if fh.read().strip():
                 raise FileFormatError(f"dataset has records past its {n} samples")
-        dataset = Dataset(kernel=kernel, shape=shape, features=features, labels=labels,
+        dataset = Dataset(kernel=kernel, shape=shape, features=np.reshape(values, (n, d)),
+                          labels=np.asarray(labels, dtype=np.int8),
                           config=typed(header.get("config", {}), dict, "config"),
                           zero_epsilon=zero_epsilon)
         if header["class_counts"] != dataset.class_counts():

@@ -49,10 +49,9 @@ import numpy as np
 
 from safuzz.datagen import CLASS_NAMES, Dataset, Signal, read_fixed_fields, scaling_field
 from safuzz.errors import FileFormatError, TrainingError, UsageError
-from safuzz.jsonfields import document, numeric_array, typed
+from safuzz.jsonfields import FORMAT_VERSION, document, numeric_array, typed
 
 N_CLASSES = 3
-MODEL_FORMAT_VERSION = 1
 TREE_COLUMNS = (("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
                 ("right", np.int32), ("counts", np.int32))
 TREE_KEYS = frozenset(name for name, _ in TREE_COLUMNS)
@@ -355,7 +354,7 @@ def model_save(forest: Forest, path) -> None:
     """Write the model as sorted-key JSON. Trees are encoded one at a time, so
     only one tree's columns exist as Python lists at once."""
     head = json.dumps({
-        "format_version": MODEL_FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "kernel": forest.kernel,
         "shape": list(forest.shape),
         "feature_len": forest.feature_len,
@@ -380,8 +379,7 @@ def model_save(forest: Forest, path) -> None:
 def model_load(path) -> Forest:
     path = Path(path)
     try:
-        doc = document(json.loads(path.read_text(), object_hook=_tree_from_json),
-                       MODEL_FORMAT_VERSION, "model")
+        doc = document(json.loads(path.read_text(), object_hook=_tree_from_json), "model")
         trees = typed(doc["trees"], list, "trees")
         if not trees:
             raise ValueError("a model needs at least one tree")

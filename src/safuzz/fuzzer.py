@@ -22,9 +22,9 @@ already fails, even where the search found a failure some steps later, and
 as found by search otherwise.
 
 One judge serves validate_failure and both loops: oracle_rows runs the site
-kernel on the single-precision operands, one row per execution, with a
-double-precision shadow forward only when the increased-width oracle reads
-it. The site node itself is never evaluated in a forward.
+kernel on the single-precision operands, one row per execution, and decides
+itself when to call the double-precision shadow forward the judge hands it.
+The site node itself is never evaluated in a forward.
 
 A vote is a direction: propagate_signal gives one step per program input,
 and a signal's delta is that step times +1.0 or -1.0 (a negation would flip
@@ -73,7 +73,7 @@ from safuzz.errors import UsageError
 from safuzz.forest import Forest, predict
 from safuzz.graph import Graph, Node
 from safuzz.kernels import op_def
-from safuzz.oracles import WIDTH_ORACLE, OracleRows, OracleVerdict, oracle_rows
+from safuzz.oracles import OracleRows, OracleVerdict, oracle_rows
 from safuzz.registry import Registry, default_registry
 
 log = logging.getLogger(__name__)
@@ -281,12 +281,10 @@ def _judge(graph: Graph, site: UnstableSite, node: Node, operands: list[np.ndarr
     """The site's bound oracles over executions stacked one row each:
     operands are the site's single-precision operands, inputs the program
     inputs that produced them. The double-precision shadow forward of the
-    inputs to the site's stop runs only when the increased-width oracle is
-    bound, since no other oracle reads it."""
-    wide = None
-    if any(b.type == WIDTH_ORACLE for b in reg.get(site.kernel).oracle_bindings):
+    inputs to the site's stop runs when the oracles call for it."""
+    def wide() -> list[np.ndarray]:
         rows = forward_rows(graph, inputs, np.float64, site.stop)
-        wide = [rows[ref] for ref in node.inputs]
+        return [rows[ref] for ref in node.inputs]
     return oracle_rows(site.kernel, node.params, operands, reg, wide)
 
 

@@ -67,14 +67,13 @@ class Graph:
         self.inputs = tuple(inputs)
         self.nodes = tuple(nodes)
         self.output = output
-        self.extra_ops = extra_ops
         self.shapes: dict[str, Optional[tuple[int, ...]]] = {}
         # dtype -> node id -> the read-only value of a node without operands,
         # which depends on no input; autodiff makes each once
         self.constants: dict[np.dtype, dict[str, np.ndarray]] = {}
-        self._validate()
+        self._validate(extra_ops)
 
-    def _validate(self) -> None:
+    def _validate(self, extra_ops: frozenset[str]) -> None:
         seen: set[str] = set()
         for decl in self.inputs:
             if decl.id in seen:
@@ -91,7 +90,7 @@ class Graph:
                         "(cycle or unknown id)"
                     )
             op = ALL_OPS.get(node.op)
-            if op is None and node.op not in self.extra_ops:
+            if op is None and node.op not in extra_ops:
                 raise GraphParseError(f"node '{node.id}': unknown op '{node.op}'")
             if op is not None:
                 if len(node.inputs) != op.arity:

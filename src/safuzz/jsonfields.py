@@ -4,7 +4,8 @@ Every loader reads its fields through these readers. Each takes a value as
 `json` parsed it and `what`, the field's name, and returns the value as the
 program uses it, or raises a ValueError that names the field and the value
 (abbreviated). A JSON true or false is a bool, never an int or a number, and
-a number must fit an IEEE 754 double, as RFC 8259 section 6 advises.
+a number must fit an IEEE 754 double, as RFC 8259 section 6 advises. Every
+file the program reads or writes carries one format_version, FORMAT_VERSION.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from reprlib import repr as brief
 
 import numpy as np
 
+FORMAT_VERSION = 1
 _KINDS = {bool: "true or false", int: "an int", str: "a string", list: "a JSON list",
           dict: "a JSON object"}
 
@@ -50,9 +52,8 @@ def dimensions(value, what: str) -> tuple[int, ...]:
 
 
 def numeric_array(value, dtype, what: str) -> np.ndarray:
-    """Nested lists of numbers (or the nested tuples of kernels.default_params)
-    as an array of dtype. Every element is an int, or a float where dtype
-    holds floats, and fits dtype."""
+    """Nested lists of numbers as an array of dtype. Every element is an int,
+    or a float where dtype holds floats, and fits dtype."""
     numbers = {int} if np.dtype(dtype).kind in "iu" else {int, float}
     try:
         cells = np.asarray(value, dtype=object)  # a ragged list holds lists
@@ -63,9 +64,10 @@ def numeric_array(value, dtype, what: str) -> np.ndarray:
     raise ValueError(f"{what} {brief(value)} is not an array of {np.dtype(dtype).name}")
 
 
-def document(doc, version: int, what: str) -> dict:
-    """A file's top-level JSON object, whose format_version is the JSON int version."""
+def document(doc, what: str) -> dict:
+    """A file's top-level JSON object, whose format_version is the int FORMAT_VERSION."""
     found = typed(doc, dict, what).get("format_version")
-    if type(found) is not int or found != version:
-        raise ValueError(f"unsupported {what} format_version {brief(found)} (expected {version})")
+    if type(found) is not int or found != FORMAT_VERSION:
+        raise ValueError(f"unsupported {what} format_version {brief(found)} "
+                         f"(expected {FORMAT_VERSION})")
     return doc

@@ -29,7 +29,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -704,7 +703,7 @@ def apply_forward(op: OpDef, params: dict, args: Sequence[np.ndarray], dtype) ->
     (B, *shape), result stacked the same way. Floating-point faults are data
     here, not warnings."""
     with np.errstate(all="ignore"):
-        out = op.forward(params or {}, *args)
+        out = op.forward(params, *args)
     return np.asarray(out, dtype=dtype)
 
 
@@ -716,21 +715,8 @@ def _name_rng(name: str, salt: str = "") -> np.random.Generator:
     return np.random.default_rng(zlib.crc32((name + ":" + salt).encode()))
 
 
-def _frozen(value):
-    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
-
-
-@lru_cache(maxsize=None)
-def default_params(name: str, shape: tuple[int, ...]) -> Mapping:
-    """Fixed parameter bundle used when a call site does not supply one.
-
-    Cached per (name, shape), so it is read-only: a mapping proxy whose
-    array-valued entries are nested tuples.
-    """
-    return MappingProxyType({k: _frozen(v) for k, v in _param_bundle(name, shape).items()})
-
-
-def _param_bundle(name: str, shape: tuple[int, ...]) -> dict:
+def default_params(name: str, shape: tuple[int, ...]) -> dict:
+    """Fixed parameter bundle used when a call site does not supply one; a new dict per call."""
     if name == "linear":
         n = shape[-1]
         rng = _name_rng(name, "weight")

@@ -228,7 +228,7 @@ class OracleRows(NamedTuple):
 
 def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
                 registry: Optional[Registry] = None,
-                wide_inputs: Optional[Sequence[np.ndarray]] = None) -> OracleRows:
+                wide_inputs: Optional[Callable[[], Sequence[np.ndarray]]] = None) -> OracleRows:
     """Run the kernel's bound oracles in registry order over a stack of
     executions; in each row the first Fail wins. name is an implemented
     kernel: a scanned site's, or one build_dataset checked.
@@ -237,9 +237,9 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
     operands stacked as (B, *shape), one row per execution, as the
     executions under test produced them; an operand with a single row
     broadcasts against the others. The increased-width oracle instead
-    uses wide_inputs, the operands as a double-precision shadow execution
-    carries them (they default to inputs, which is exact when inputs are
-    already double). A row outside an oracle's domain passes that oracle
+    uses wide_inputs(), called only when that oracle runs: the operands as
+    a double-precision shadow carries them (by default inputs, exact when
+    they are double). A row outside an oracle's domain passes that oracle
     (logged). Once every row has failed, the remaining oracles do not run.
     """
     reg = registry or default_registry()
@@ -259,7 +259,7 @@ def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],
         elif kind == 2:
             rows = _range_rows(single_out, binding.lo, binding.hi)
         elif kind == WIDTH_ORACLE:
-            rows = _width_rows(op, params, inputs if wide_inputs is None else wide_inputs,
+            rows = _width_rows(op, params, inputs if wide_inputs is None else wide_inputs(),
                                binding.tolerance)
         else:
             rows = _counterpart_rows(kind, op, params, inputs, binding.tolerance)

@@ -28,8 +28,6 @@ from safuzz.jsonfields import dimensions, document, number, positive, typed
 from safuzz.oracles import FailureClass
 from safuzz.registry import Registry, default_registry
 
-PROGRAM_FORMAT_VERSION = 1
-
 
 @dataclass
 class ProgramSpec:
@@ -87,7 +85,7 @@ def _parse_metadata(raw) -> dict:
 
 def program_from_dict(doc, registry: Optional[Registry] = None) -> ProgramSpec:
     try:
-        doc = document(doc, PROGRAM_FORMAT_VERSION, "program")
+        doc = document(doc, "program")
         spec = ProgramSpec(typed(doc.get("name", "<unnamed>"), str, "name"),
                            [_parse_input(r) for r in typed(doc.get("inputs", []), list, "inputs")],
                            [_parse_node(r) for r in typed(doc.get("nodes", []), list, "nodes")],

@@ -140,7 +140,7 @@ def registry_load(path) -> Registry:
     """Load and validate a registry file."""
     path = Path(path)
     try:
-        raw = document(json.loads(path.read_text()), 1, "registry")
+        raw = document(json.loads(path.read_text()), "registry")
         version = typed(raw.get("version", ""), str, "registry version")
         entries: dict[str, KernelSpec] = {}
         for raw_entry in typed(raw.get("entries", []), list, "registry entries"):

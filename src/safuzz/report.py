@@ -17,8 +17,7 @@ from typing import Optional
 from safuzz import __version__
 from safuzz.errors import FileFormatError
 from safuzz.fuzzer import FuzzResult
-
-REPORT_FORMAT_VERSION = 1
+from safuzz.jsonfields import FORMAT_VERSION
 
 TIME_KEYS = ("timestamp",)
 TIME_KEY_SUFFIX = "_seconds"
@@ -68,7 +67,7 @@ def _result_dict(result: FuzzResult) -> dict:
 
 def report_to_dict(report: Report) -> dict:
     return {
-        "format_version": REPORT_FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "tool_version": __version__,
         "registry_version": report.registry_version,
         "timestamp": datetime.now(timezone.utc).isoformat(),

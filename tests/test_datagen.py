@@ -633,6 +633,28 @@ class TestLoadChecksFixedFields:
         with pytest.raises(FileFormatError, match="feature_len must be at least 1, not 0"):
             dataset_load(path)
 
+    def test_n_samples_past_any_address_space_is_read_not_allocated(self, tmp_path):
+        # the arrays used to be sized from the header before a record was read,
+        # and numpy's MemoryError escaped the loader: the CLI exited 3
+        path = self._write(tmp_path, n_samples=10**15)
+        with pytest.raises(FileFormatError, match=f"truncated at record 1998 of {10**15}"):
+            dataset_load(path)
+
+    def test_negative_n_samples_rejected(self, tmp_path):
+        path = self._write(tmp_path, records=[], n_samples=-1)
+        with pytest.raises(FileFormatError, match="n_samples must be at least 0, not -1"):
+            dataset_load(path)
+
+    @pytest.mark.parametrize("shape,feature_len", [([3, 4], 9), ([3, 3], 10**12)])
+    def test_feature_len_other_than_the_size_of_shape_rejected(self, tmp_path, shape,
+                                                               feature_len):
+        # both loaded: the records of the first have 9 entries, as its feature_len
+        # says, and the second asked for the header's 10**12 columns at once
+        path = self._write(tmp_path, shape=shape, feature_len=feature_len)
+        message = f"feature_len {feature_len} is not the size of shape {shape}"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            dataset_load(path)
+
     @pytest.mark.parametrize("field,value", [("feature_len", "9"), ("feature_len", 9.7),
                                              ("feature_len", True), ("n_samples", 1998.9),
                                              ("n_samples", "1998")])

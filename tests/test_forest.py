@@ -591,6 +591,12 @@ class TestModelFileChecks:
         with pytest.raises(FileFormatError, match="feature_len must be at least 1"):
             model_load(path)
 
+    def test_feature_len_other_than_the_size_of_shape_rejected(self, tmp_path):
+        # it used to load, and fuzz then asked _quantile_plan for terabytes: exit 3
+        message = f"feature_len {10**12} is not the size of shape [3, 3]"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            model_load(self._write(tmp_path, feature_len=10**12))
+
     @pytest.mark.parametrize("field,value", [("seed", "7"), ("seed", 7.9), ("seed", True),
                                              ("feature_len", "9"), ("feature_len", 9.0)])
     def test_int_field_that_is_no_int_rejected(self, tmp_path, field, value):

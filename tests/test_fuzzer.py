@@ -600,7 +600,7 @@ def _reference_validate_failure(graph, site, inputs, registry=None):
     operands = forward_rows(graph, stacks, np.float32, site.node_id)
     wide = forward_rows(graph, stacks, np.float64, site.node_id)
     return oracle_rows(site.kernel, node.params, [operands[ref] for ref in node.inputs], reg,
-                       [wide[ref] for ref in node.inputs]).verdict(0)
+                       lambda: [wide[ref] for ref in node.inputs]).verdict(0)
 
 
 def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):

@@ -35,12 +35,11 @@ FIG1_X = [2606.66824394, 2477.72226966, 3251.84008903]
 FIG1_Y = [2.39482538431398614e-09, 7.39647891389834008e-09, 4.96805019548943425e-09]
 
 
-def forward(name, operands, dtype=np.float32, params=None):
+def forward(name, operands, dtype=np.float32):
     """One execution of a kernel on unstacked operands, as a stack of one."""
     op = op_def(name)
     operands = [np.asarray(x, dtype=dtype) for x in operands]
-    if params is None:
-        params = default_params(name, operands[op.primary].shape)
+    params = default_params(name, operands[op.primary].shape)
     return apply_forward(op, params, [x[None] for x in operands], dtype)[0]
 
 
@@ -369,25 +368,15 @@ class TestValueFreeVjp:
 
 
 class TestDefaultParams:
-    def test_cached_bundle_cannot_be_poisoned(self):
+    def test_bundle_cannot_be_poisoned(self):
+        # every call builds its own dict, so a caller's edits reach no other caller
         first = default_params("linear", (3,))
-        weight = np.asarray(first["weight"])
-        with pytest.raises(TypeError):
-            first["weight"] = [[0.0] * 3] * 3
-        with pytest.raises(TypeError):
-            first["weight"][0][0] = 99.0
-        with pytest.raises(TypeError):
-            first["bias"][0] = 99.0
+        weight, bias = np.array(first["weight"]), list(first["bias"])
+        first["weight"][0][0] = 99.0
+        first["bias"] = [0.0] * 3
         second = default_params("linear", (3,))
         assert np.array_equal(np.asarray(second["weight"]), weight)
-        assert second["bias"] == first["bias"]
-
-    def test_frozen_params_evaluate_like_lists(self):
-        x = [0.5, -1.0, 2.0]
-        frozen = default_params("linear", (3,))
-        as_lists = {k: np.asarray(v).tolist() for k, v in frozen.items()}
-        out = forward("linear", [x], np.float64)
-        assert np.array_equal(out, forward("linear", [x], np.float64, params=as_lists))
+        assert second["bias"] == bias
 
 
 # input ranges known safe in single precision: exp up to log(FLT_MAX) ~ 88.72,

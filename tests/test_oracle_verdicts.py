@@ -35,7 +35,7 @@ def verdict_rows(kernel: str, variant: str) -> list[list]:
     else:
         with np.errstate(over="ignore"):
             narrow = [x.astype(np.float32) for x in wide]
-        rows = oracle_rows(kernel, params, narrow, wide_inputs=wide)
+        rows = oracle_rows(kernel, params, narrow, wide_inputs=lambda: wide)
     n = max(len(x) for x in wide)
     verdicts = [rows.verdict(i) for i in range(n)]
     return [[v.passed, v.failure_class and v.failure_class.value, v.detail]

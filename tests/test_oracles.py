@@ -26,7 +26,7 @@ IMPLEMENTED = [n for n, e in default_registry().entries.items() if e.implemented
 
 def judge_one(name, params, inputs, registry=None, wide_inputs=None):
     """The verdict on one execution: oracle_rows over a stack of one."""
-    wide = None if wide_inputs is None else [x[None] for x in wide_inputs]
+    wide = None if wide_inputs is None else lambda: [x[None] for x in wide_inputs]
     return oracle_rows(name, params, [x[None] for x in inputs], registry, wide).verdict(0)
 
 
@@ -168,6 +168,22 @@ class TestIncreasedWidth:
     def test_small_remainder_agrees(self):
         assert judge_one("remainder", {}, [np.array([10.0])]).passed
 
+    def test_wide_inputs_called_only_when_the_width_oracle_runs(self):
+        # the oracle layer alone decides whether a caller's double shadow is made
+        xs = np.full((4, 3), np.inf)  # inf mod 53 is NaN: every row fails type 1
+        calls = []
+
+        def wide():
+            calls.append(len(calls))
+            return [xs]
+
+        narrow = [xs.astype(np.float32)]
+        first = bound("remainder", OracleBinding(1), OracleBinding(6))
+        assert not oracle_rows("remainder", {}, narrow, first, wide).passed.any()
+        assert calls == []  # type 6 never ran: no row was left to judge
+        oracle_rows("remainder", {}, narrow, bound("remainder", OracleBinding(6)), wide)
+        assert calls == [0]
+
     def test_matmul_overflow_vs_finite_double(self):
         a = np.full((3, 3), 1.1e19)
         b = np.full((3, 3), 1.2e19)
@@ -272,7 +288,7 @@ class TestOracleRows:
         # single-precision operands with a double shadow, as the fuzzer passes them
         wide = unit_operand_rows(kernel, row_stack(kernel))
         narrow = [x.astype(np.float32) for x in wide]
-        stacked = oracle_rows(kernel, {}, narrow, wide_inputs=wide)
+        stacked = oracle_rows(kernel, {}, narrow, wide_inputs=lambda: wide)
         n = max(len(x) for x in wide)
         for i in range(n):
             alone = [x[min(i, len(x) - 1)] for x in narrow]

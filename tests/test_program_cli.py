@@ -586,6 +586,26 @@ class TestCli:
         assert f"kernel {kernel!r} is not a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fuzz", "train"])
+    def test_header_count_past_memory_exits_2(self, tmp_path, capsys, command):
+        # a model's feature_len of 10**12 and a dataset's n_samples of 10**15
+        # were each taken at their word, and numpy's MemoryError exited 3
+        (tmp_path / "models").mkdir()
+        if command == "fuzz":
+            doc = json.loads((FIXTURE_MODELS / "exp.json").read_text())
+            (tmp_path / "models" / "exp.json").write_text(json.dumps({**doc, "feature_len": 10**12}))
+            program = CORPUS_DIR / "exp_overflow.json"
+            argv = ["fuzz", str(program), "--models", str(tmp_path / "models")]
+        else:
+            header, records = (FIXTURES / "datasets" / "square.csv").read_text().split("\n", 1)
+            dataset = tmp_path / "square.csv"
+            dataset.write_text(json.dumps({**json.loads(header), "n_samples": 10**15}) + "\n"
+                               + records)
+            argv = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "model.json")]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fuzz", "train"])
     def test_model_or_dataset_file_that_is_a_list_exits_2(self, tmp_path, capsys, command):
         model_dir = tmp_path / "models"
         model_dir.mkdir()
