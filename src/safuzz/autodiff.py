@@ -52,7 +52,7 @@ def forward_rows(graph: Graph, inputs: Sequence[np.ndarray], dtype,
             break
         out = constants.get(node.id)
         if out is None:
-            if graph.shape_of(node.id) is None:  # the node needs a registry-only op
+            if graph.shapes[node.id] is None:  # the node needs a registry-only op
                 continue
             op = ALL_OPS[node.op]
             out = apply_forward(op, node.params, [rows[ref] for ref in node.inputs], dtype)

@@ -33,14 +33,11 @@ def parse_ints(text: str, sep: str, what: str, example: str) -> list[int]:
         raise SafuzzError(f"cannot parse {what} {text!r}; use forms like {example}") from None
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
-    return tuple(parse_ints(text.lower(), "x", "shape", "3x3"))
-
-
 def load_models(models_dir: str):
     path = Path(models_dir)
     if not path.is_dir():
-        raise SafuzzError(f"models directory {models_dir!r} does not exist")
+        problem = "is not a directory" if path.exists() else "does not exist"
+        raise SafuzzError(f"models directory {models_dir!r} {problem}")
     models = [model_load(p) for p in sorted(path.glob("*.json"))]
     if not models:
         raise SafuzzError(f"no model files found under {models_dir!r}")
@@ -49,16 +46,15 @@ def load_models(models_dir: str):
 
 def _cmd_list_functions(args) -> int:
     reg = default_registry()
-    for name in reg.names():
-        spec = reg.entries[name]
+    for name, spec in reg.entries.items():
         marker = "implemented" if spec.implemented else "metadata-only"
         print(f"{name}\t{spec.category}\t{marker}")
     return 0
 
 
 def _cmd_gen_data(args) -> int:
-    config = GenerationConfig(shape=_parse_shape(args.shape), seed=args.seed,
-                              target_size=args.samples)
+    shape = tuple(parse_ints(args.shape.lower(), "x", "shape", "3x3"))
+    config = GenerationConfig(shape=shape, seed=args.seed, target_size=args.samples)
     dataset = build_dataset(args.function, config)
     dataset_save(dataset, args.out)
     counts = dataset.class_counts()
@@ -118,8 +114,7 @@ def _cmd_fuzz(args) -> int:
         report_emit(report, args.out)
     bugs = 0
     for result in run.results:
-        cls = (result.verdict.failure_class.value
-               if result.found and result.verdict.failure_class else "-")
+        cls = result.verdict.failure_class.value if result.found else "-"
         print(f"{spec.name}/{result.site.node_id} [{result.site.kernel}]: "
               f"{result.status} class={cls} iterations={result.iterations} "
               f"time={result.wall_time:.3f}s")
@@ -140,8 +135,7 @@ def _cmd_bench(args) -> int:
     for run in _runs(reg, models, corpus_manifest(reg), seeds, args):
         report.programs.append(run)
         found = [r for r in run.results if r.found]
-        classes = {r.verdict.failure_class.value for r in found
-                   if r.verdict and r.verdict.failure_class}
+        classes = {r.verdict.failure_class.value for r in found}
         status = "found " + "/".join(sorted(classes)) if found else "exhausted"
         print(f"seed {run.seed} {run.program}: {status} "
               f"(expected {run.expected_failure_class or 'none'})")

@@ -352,7 +352,7 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
     reg = registry or default_registry()
     spec = reg.get(kernel)
     if not spec.implemented:
-        raise GenerationFailure(kernel, "kernel is not implemented")
+        raise GenerationFailure(f"kernel '{kernel}': kernel is not implemented")
     shape = tuple(gconfig.shape)
     try:  # the unit-test operands must fit the kernel's shape rule
         op_def(kernel).shape_rule(default_params(kernel, shape), *(
@@ -386,8 +386,7 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
             run_base(base)
         if wave >= 2 and not labels_acc:  # only a flipped trajectory adds labels
             raise GenerationFailure(
-                kernel, "oracle outcome never flipped on the configured regions"
-            )
+                f"kernel '{kernel}': oracle outcome never flipped on the configured regions")
         if _balanced_total(counts) >= gconfig.target_size:
             break
         if len(labels_acc) > 12 * gconfig.target_size:
@@ -421,10 +420,8 @@ def build_dataset(kernel: str, gconfig: GenerationConfig,
     final_counts = dataset.class_counts()
     if min(final_counts.values()) < 100:
         raise GenerationFailure(
-            kernel,
-            f"class counts {final_counts} below the 100-sample floor after "
-            f"exhausting the generation budget",
-        )
+            f"kernel '{kernel}': class counts {final_counts} below the 100-sample floor "
+            "after exhausting the generation budget")
     if _balanced_total(counts) < gconfig.target_size:
         # the budget ran out; balancing's rounding alone loses < 1 sample per class
         log.warning("%s: generation budget exhausted at %d of the %d samples targeted",
@@ -473,23 +470,23 @@ def dataset_load(path) -> Dataset:
             for i in range(n):
                 line = fh.readline()
                 if not line:
-                    raise FileFormatError(f"dataset truncated at record {i} of {n}")
+                    raise ValueError(f"dataset truncated at record {i} of {n}")
                 parts = line.rstrip("\n").split(",")
                 if len(parts) != d + 1:
-                    raise FileFormatError(f"record {i} has {len(parts) - 1} features, expected {d}")
+                    raise ValueError(f"record {i} has {len(parts) - 1} features, expected {d}")
                 if parts[0] not in signal_of:
-                    raise FileFormatError(f"record {i} has unknown label {parts[0]!r}")
+                    raise ValueError(f"record {i} has unknown label {parts[0]!r}")
                 labels.append(signal_of[parts[0]])
                 values.extend(map(float, parts[1:]))
             if fh.read().strip():
-                raise FileFormatError(f"dataset has records past its {n} samples")
+                raise ValueError(f"dataset has records past its {n} samples")
         dataset = Dataset(kernel=kernel, shape=shape, features=np.reshape(values, (n, d)),
                           labels=np.asarray(labels, dtype=np.int8),
                           config=typed(header.get("config", {}), dict, "config"),
                           zero_epsilon=zero_epsilon)
         if header["class_counts"] != dataset.class_counts():
-            raise FileFormatError(f"header class_counts {header['class_counts']} differ from "
-                                  f"the records' {dataset.class_counts()}")
+            raise ValueError(f"header class_counts {header['class_counts']} differ from "
+                             f"the records' {dataset.class_counts()}")
         return dataset
     # JSONDecodeError is a ValueError; KeyError and TypeError: a header field missing or mistyped
     except (OSError, KeyError, TypeError, ValueError) as exc:

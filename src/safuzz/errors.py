@@ -28,10 +28,6 @@ class OracleUnavailable(SafuzzError):
 class GenerationFailure(SafuzzError):
     """Dataset generation could not produce enough samples of every class."""
 
-    def __init__(self, kernel: str, message: str):
-        super().__init__(f"kernel '{kernel}': {message}")
-        self.kernel = kernel
-
 
 class TrainingError(SafuzzError):
     """The training set cannot produce a usable classifier."""

@@ -18,7 +18,8 @@ per-feature loop, class sums added left to right as numpy sums three values.
 Trees are therefore bit-identical to sorting at every node: the first best
 position wins per feature, and the first drawn feature wins a tie between
 features. The candidates are those `rng.choice` would draw: `_candidate_draws`
-makes them in blocks and rewinds rng once the tree is grown.
+makes them in blocks from the tree's own generator, which nothing reads after
+the tree is grown.
 
 Each Forest compiles its trees once, at construction, into one flat view,
 `Forest.flat`. It holds internal nodes only, as compact typed columns
@@ -134,25 +135,19 @@ def _candidate_draws(rng: np.random.Generator, n: int, k: int):
     """Yields what successive `rng.choice(n, k, replace=False)` calls return. Each
     runs Floyd's sampling: k draws with highs n - k + 1 .. n (a value drawn before
     becomes high - 1), then a shuffle swapping position i with a draw of high i + 1,
-    i = k - 1 .. 1. One `rng.integers` call draws 16, 32, 64, ... calls' worth; on
-    close, rng rewinds to the last block and redraws the calls yielded from it."""
+    i = k - 1 .. 1. One `rng.integers` call draws 16, 32, 64, ... calls' worth, so
+    rng ends after the whole last block, not after the last call yielded."""
     highs = np.concatenate((np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)))
     size = 16
-    try:
-        while True:
-            snapshot = rng.bit_generator.state
-            draws = rng.integers(0, np.tile(highs, size)).reshape(size, len(highs))
-            cand, rows = draws[:, :k].copy(), np.arange(size)
-            for i in range(1, k):
-                cand[(cand[:, :i] == cand[:, i:i + 1]).any(axis=1), i] = n - k + i
-            for i, j in zip(range(k - 1, 0, -1), draws[:, k:].T):
-                cand[rows, j], cand[:, i] = cand[:, i], cand[rows, j]
-            for used, row in enumerate(cand, 1):
-                yield row
-            size *= 2
-    finally:
-        rng.bit_generator.state = snapshot
-        rng.integers(0, np.tile(highs, used))
+    while True:
+        draws = rng.integers(0, np.tile(highs, size)).reshape(size, len(highs))
+        cand, rows = draws[:, :k].copy(), np.arange(size)
+        for i in range(1, k):
+            cand[(cand[:, :i] == cand[:, i:i + 1]).any(axis=1), i] = n - k + i
+        for i, j in zip(range(k - 1, 0, -1), draws[:, k:].T):
+            cand[rows, j], cand[:, i] = cand[:, i], cand[rows, j]
+        yield from cand
+        size *= 2
 
 
 def _grow_tree(xs: np.ndarray, ys: np.ndarray, ranks: np.ndarray, rng: np.random.Generator,
@@ -219,7 +214,6 @@ def _grow_tree(xs: np.ndarray, ys: np.ndarray, ranks: np.ndarray, rng: np.random
         stack.append((right[node], s[~mask].reshape(n_features, m - n_go),
                       [h - hl for h, hl in zip(hist, hist_left)]))
         stack.append((left[node], s_left, hist_left))
-    draws.close()  # rng ends where one choice call per split search leaves it
 
     return DecisionTree(*(np.asarray(column, dtype=dtype)
                           for column, (_, dtype) in zip(columns, TREE_COLUMNS)))

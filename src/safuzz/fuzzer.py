@@ -127,9 +127,8 @@ class FuzzConfig:
 @dataclass
 class FuzzResult:
     site: UnstableSite
-    status: str  # Found | Exhausted
     failing_input: Optional[dict[str, list]] = None
-    verdict: Optional[OracleVerdict] = None
+    verdict: Optional[OracleVerdict] = None  # the failing verdict of a find, else None
     iterations: int = 0
     wall_time: float = 0.0
     resets: int = 0
@@ -138,7 +137,11 @@ class FuzzResult:
 
     @property
     def found(self) -> bool:
-        return self.status == "Found"
+        return self.verdict is not None
+
+    @property
+    def status(self) -> str:
+        return "Found" if self.found else "Exhausted"
 
     @property
     def found_at_init(self) -> bool:
@@ -175,7 +178,7 @@ def scan_for_unstable(graph: Graph, registry: Optional[Registry] = None) -> Scan
                 "but has no soft assertion available"
             )
             continue
-        if any(graph.shape_of(ref) is None for ref in node.inputs):
+        if any(graph.shapes[ref] is None for ref in node.inputs):
             diagnostics.append(f"node '{node.id}': an operand needs an op with no implementation")
             continue
         sites.append(UnstableSite(node_id=node.id, kernel=node.op,
@@ -344,7 +347,7 @@ def fuzz_site(
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
-    result = FuzzResult(site=site, status="Exhausted")
+    result = FuzzResult(site=site)
     start = time.perf_counter()
 
     values = _initial_inputs(graph, rng)
@@ -372,7 +375,6 @@ def fuzz_site(
                 result.failed_at_init = not verdict.passed
         if signal is Signal.NO_CHANGE:
             if not verdict.passed:
-                result.status = "Found"
                 result.verdict = verdict
                 result.failing_input = {k: v.tolist() for k, v in values.items()}
                 break
@@ -462,7 +464,7 @@ def random_fuzz_site(
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
-    result = FuzzResult(site=site, status="Exhausted")
+    result = FuzzResult(site=site)
     start = time.perf_counter()
     values = _initial_inputs(graph, rng)
     fixed = _fixed_steps(graph, site, values, config.rate)
@@ -490,7 +492,6 @@ def random_fuzz_site(
         if failed.size:
             row = int(failed[0])
             steps = row + 1
-            result.status = "Found"
             result.verdict = rows.verdict(row)
             result.failing_input = {k: stack[row].tolist() for k, stack in stacks.items()}
         result.iterations += steps

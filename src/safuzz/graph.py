@@ -118,6 +118,3 @@ class Graph:
             if n.id == node_id:
                 return n
         raise KeyError(node_id)
-
-    def shape_of(self, node_id: str) -> Optional[tuple[int, ...]]:
-        return self.shapes[node_id]

@@ -51,16 +51,19 @@ class FailureClass(enum.Enum):
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    passed: bool
-    failure_class: Optional[FailureClass] = None  # set exactly when not passed
+    """One execution's verdict: the class of the first failing oracle, None
+    when every oracle passed, and that failure's detail."""
+
+    failure_class: Optional[FailureClass] = None
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.failure_class is None
 
     @property
     def status(self) -> str:
         return "Pass" if self.passed else "Fail"
-
-
-PASS = OracleVerdict(passed=True)
 
 
 class _CheckRows(NamedTuple):
@@ -222,8 +225,8 @@ class OracleRows(NamedTuple):
     def verdict(self, row: int) -> OracleVerdict:
         for check in self.checks:
             if not check.passed[row]:
-                return OracleVerdict(False, check.failure_class, check.describe(row))
-        return PASS
+                return OracleVerdict(check.failure_class, check.describe(row))
+        return OracleVerdict()
 
 
 def oracle_rows(name: str, params: Mapping, inputs: Sequence[np.ndarray],

@@ -40,7 +40,7 @@ class ProgramSpec:
     def to_graph(self, registry: Optional[Registry] = None) -> Graph:
         reg = registry or default_registry()
         return Graph(self.inputs, self.nodes, self.output,
-                     extra_ops=frozenset(reg.names()))
+                     extra_ops=frozenset(reg.entries))
 
     @property
     def expected_failure_class(self) -> Optional[str]:

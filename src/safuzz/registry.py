@@ -78,9 +78,6 @@ class Registry:
             raise CapabilityError(f"kernel '{name}' is not in the registry")
         return self.entries[name]
 
-    def names(self) -> list[str]:
-        return list(self.entries.keys())
-
 
 def _parse_binding(raw, what: str) -> OracleBinding:
     raw = typed(raw, dict, f"{what} oracle binding")

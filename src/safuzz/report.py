@@ -52,9 +52,8 @@ def _result_dict(result: FuzzResult) -> dict:
         "kernel": result.site.kernel,
         "status": result.status,
         "found_at_init": result.found_at_init,
-        "failure_class": (result.verdict.failure_class.value
-                          if result.verdict and result.verdict.failure_class else None),
-        "detail": result.verdict.detail if result.verdict else "",
+        "failure_class": result.verdict.failure_class.value if result.found else None,
+        "detail": result.verdict.detail if result.found else "",
         "iterations": result.iterations,
         "sa_queries": result.iterations,  # guided results: one forest query an iteration
         "resets": result.resets,

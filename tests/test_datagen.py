@@ -698,6 +698,20 @@ class TestLoadChecksFixedFields:
         with pytest.raises(FileFormatError, match="config 5 is not a JSON object"):
             dataset_load(self._write(tmp_path, config=5))
 
+    @pytest.mark.parametrize("records, changes", [
+        (["NoChange" + ",1.0" * 9 + "\n"], {"n_samples": 2}),
+        (["NoChange" + ",1.0" * 8 + "\n"], {"n_samples": 1}),
+        (["Sideways" + ",1.0" * 9 + "\n"], {"n_samples": 1}),
+        (["NoChange" + ",1.0" * 9 + "\n"] * 2, {"n_samples": 1}),
+        (None, {"class_counts": {"NoChange": 1}}),
+    ], ids=["truncated", "feature_count", "unknown_label", "past_n_samples", "class_counts"])
+    def test_record_errors_name_the_file(self, tmp_path, records, changes):
+        # these five were raised past the clause that names the file, so
+        # `safuzz train` printed e.g. "error: record 4 has unknown label 'Bogus'"
+        path = self._write(tmp_path, records=records, **changes)
+        with pytest.raises(FileFormatError, match=re.escape(f"cannot load dataset {path}: ")):
+            dataset_load(path)
+
     def test_class_counts_that_differ_from_the_records_rejected(self, tmp_path):
         # the header was never read: the records still counted 500/749/749
         path = self._write(tmp_path, class_counts={"NoChange": 1})

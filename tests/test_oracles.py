@@ -6,7 +6,7 @@ test registry that binds it alone.
 """
 
 import logging
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from safuzz.datagen import MAX_STEPS, default_mutation_configs, step_sizes
 from safuzz.errors import CapabilityError
 from safuzz.kernels import apply_forward, default_params, op_def, unit_operand_rows
-from safuzz.oracles import FailureClass, oracle_rows
+from safuzz.oracles import FailureClass, OracleVerdict, oracle_rows
 from safuzz.registry import OracleBinding, Registry, default_registry
 
 FIG1_X = [2606.66824394, 2477.72226966, 3251.84008903]
@@ -295,9 +295,16 @@ class TestOracleRows:
             alone_wide = [x[min(i, len(x) - 1)] for x in wide]
             assert stacked.verdict(i) == judge_one(kernel, {}, alone, wide_inputs=alone_wide)
 
+    def test_a_verdict_holds_its_failure_class_and_detail_only(self):
+        assert [f.name for f in fields(OracleVerdict)] == ["failure_class", "detail"]
+        assert (OracleVerdict().passed, OracleVerdict().status) == (True, "Pass")
+        failed = OracleVerdict(FailureClass.NAN_OR_INF, "inf")
+        assert (failed.passed, failed.status) == (False, "Fail")
+
     def test_a_verdict_names_a_failure_class_exactly_when_it_fails(self):
-        # OracleVerdict checks nothing itself: OracleRows.verdict is its only
-        # builder besides PASS, and this is the invariant it keeps
+        # a verdict stores only its failure class, None for a pass, so "failed
+        # with no class" cannot be built; OracleRows.verdict must agree with
+        # the rows' mask and name a FailureClass for every failed row
         failed = 0
         for kernel in IMPLEMENTED:
             xs = row_stack(kernel)

@@ -106,7 +106,7 @@ class TestProgramParse:
         spec = program_parse(write_program(tmp_path, MINIMAL))
         assert spec.name == "minimal"
         graph = spec.to_graph()
-        assert graph.shape_of("y") == (2,)
+        assert graph.shapes["y"] == (2,)
 
     def test_cycle_rejected(self, tmp_path):
         doc = dict(MINIMAL)
@@ -292,8 +292,7 @@ class TestReport:
     def _report(self):
         site = UnstableSite("y", "exp", "x", "x")
         found = FuzzResult(
-            site=site, status="Found",
-            verdict=OracleVerdict(False, FailureClass.NAN_OR_INF, "inf"),
+            site=site, verdict=OracleVerdict(FailureClass.NAN_OR_INF, "inf"),
             failing_input={"x": [89.0]}, iterations=10, wall_time=0.5,
         )
         return Report(
@@ -331,17 +330,21 @@ class TestReport:
 
 class TestFoundAtInit:
     SITE = UnstableSite("y", "exp", "x", "x")
-    FAIL = OracleVerdict(False, FailureClass.NAN_OR_INF, "inf")
+    FAIL = OracleVerdict(FailureClass.NAN_OR_INF, "inf")
 
     def test_a_find_whose_initial_input_fails(self):
         # at whatever iteration the search then found a failure
         for iterations in (1, 20):
-            assert FuzzResult(self.SITE, "Found", verdict=self.FAIL, iterations=iterations,
+            assert FuzzResult(self.SITE, verdict=self.FAIL, iterations=iterations,
                               failed_at_init=True).found_at_init
-        assert not FuzzResult(self.SITE, "Found", verdict=self.FAIL,
-                              iterations=2).found_at_init
-        assert not FuzzResult(self.SITE, "Exhausted", iterations=2000,
-                              failed_at_init=True).found_at_init
+        assert not FuzzResult(self.SITE, verdict=self.FAIL, iterations=2).found_at_init
+        assert not FuzzResult(self.SITE, iterations=2000, failed_at_init=True).found_at_init
+
+    def test_a_search_is_found_exactly_when_it_holds_a_verdict(self):
+        # the status is read from the verdict, never stored beside it
+        exhausted, found = FuzzResult(self.SITE), FuzzResult(self.SITE, verdict=self.FAIL)
+        assert (exhausted.found, exhausted.status) == (False, "Exhausted")
+        assert (found.found, found.status) == (True, "Found")
 
     @pytest.mark.parametrize("name, seed, outcome", [
         # the forest votes a direction at a failing initial input, and NoChange
@@ -718,11 +721,13 @@ class TestCompareGuidance:
 
     @pytest.mark.parametrize("args, message", [
         (["--models", "missing"], "does not exist"),
+        # a model file used to be called a models directory that does not exist
+        (["--models", str(FIXTURE_MODELS / "exp.json")], "exp.json' is not a directory"),
         (["--models", "."], "no model files"),
         (["--models", str(FIXTURE_MODELS), "--max-iters", "0"], "max_iters"),
         (["--models", str(FIXTURE_MODELS), "--seeds", "1,,2"], "cannot parse seed list"),
         (["--models", str(FIXTURE_MODELS), "--seeds=-1"], "seed"),
-    ], ids=["missing_dir", "empty_dir", "zero_iters", "empty_seed", "negative_seed"])
+    ], ids=["missing_dir", "model_file", "empty_dir", "zero_iters", "empty_seed", "negative_seed"])
     def test_usage_errors_exit_2(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["compare_guidance.py", *args])

@@ -302,7 +302,7 @@ class TestNoForwardRaisesOnValues:
                             with np.errstate(over="ignore"):  # 1e300 is inf in float32
                                 out = forward_rows(graph, [s[:rows] for s in stacks], dtype,
                                                    "y")["y"]
-                            assert out.shape[1:] == graph.shape_of("y"), (name, params)
+                            assert out.shape[1:] == graph.shapes["y"], (name, params)
         assert built > len(ALL_OPS)
 
     def test_no_corpus_forward_raises(self):
@@ -318,7 +318,7 @@ class TestNoForwardRaisesOnValues:
                         rows = forward_rows(graph, list(inputs), dtype, graph.output)
                     assert graph.output in rows
                     for node_id, value in rows.items():
-                        assert value.shape[1:] == graph.shape_of(node_id), (spec.name, node_id)
+                        assert value.shape[1:] == graph.shapes[node_id], (spec.name, node_id)
 
 
 class TestBackward:
@@ -574,4 +574,4 @@ class TestGraphValidation:
     def test_registry_only_op_allowed_with_extra_ops(self):
         g = Graph([InputDecl("x", (2, 2))], [Node("y", "SVD", ("x",))], "y",
                   extra_ops=frozenset({"SVD"}))
-        assert g.shape_of("y") is None
+        assert g.shapes["y"] is None
