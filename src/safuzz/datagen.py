@@ -477,7 +477,10 @@ def dataset_load(path) -> Dataset:
                 if parts[0] not in signal_of:
                     raise ValueError(f"record {i} has unknown label {parts[0]!r}")
                 labels.append(signal_of[parts[0]])
-                values.extend(map(float, parts[1:]))
+                try:
+                    values.extend(map(float, parts[1:]))
+                except ValueError as exc:
+                    raise ValueError(f"record {i}: {exc}") from None
             if fh.read().strip():
                 raise ValueError(f"dataset has records past its {n} samples")
         dataset = Dataset(kernel=kernel, shape=shape, features=np.reshape(values, (n, d)),

@@ -6,7 +6,8 @@ trained model, one forest per kernel serving every entry size;
 random_fuzz_program runs the random baseline at every site.
 
 For each unstable site found in a program graph, the loop executes the
-program to the site's operands, asks the site's soft assertion how to
+program to the site's operands, asks a direction source (any function of the
+entry row that returns a Signal; soft_assertion is the paper's) how to
 transform the entry values, and either judges a predicted failure with the
 oracles or back-propagates the increase/decrease signal from the entry to
 mutate the program inputs. Interval bounds accumulated from issued signals
@@ -63,7 +64,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -312,6 +313,14 @@ def validate_failure(
 # the per-site search loop
 # ---------------------------------------------------------------------------
 
+def soft_assertion(forest: Forest) -> Callable[[np.ndarray], Signal]:
+    """The paper's direction source: the forest's vote on the entry row."""
+    def direction(entry: np.ndarray) -> Signal:
+        return predict(forest, apply_scaling(featurize(entry, forest.feature_len),
+                                             forest.zero_epsilon))
+    return direction
+
+
 def _initial_inputs(graph: Graph, rng: np.random.Generator) -> dict[str, np.ndarray]:
     values = {}
     for decl in graph.inputs:
@@ -330,7 +339,7 @@ def _state(graph: Graph, values: dict[str, np.ndarray], bounds: dict[str, Bounds
 def fuzz_site(
     graph: Graph,
     site: UnstableSite,
-    forest: Forest,
+    direction: Callable[[np.ndarray], Signal],
     config: FuzzConfig,
     rng: np.random.Generator,
     registry: Optional[Registry] = None,
@@ -343,7 +352,8 @@ def fuzz_site(
     search ends with "iteration budget exhausted". The outcome and the
     generator state are those of running every iteration, except that the
     wall-clock timeout cannot fire in the tail that is not run.
-    The forest is the site kernel's (fuzz_program picks it by kernel).
+    direction maps each step's float32 (1, *entry shape) entry row to its
+    Signal, reading nothing else; fuzz_program passes soft_assertion(forest).
     """
     reg = registry or default_registry()
     node = graph.node(site.node_id)
@@ -364,8 +374,7 @@ def fuzz_site(
         result.iterations += 1
         inputs = [values[d.id][None] for d in graph.inputs]
         evaluated = forward_rows(graph, inputs, np.float32, site.stop)
-        features = featurize(evaluated[site.entry_node], forest.feature_len)
-        signal = predict(forest, apply_scaling(features, forest.zero_epsilon))
+        signal = direction(evaluated[site.entry_node])
 
         first = result.iterations == 1
         if first or signal is Signal.NO_CHANGE:
@@ -515,23 +524,23 @@ def fuzz_program(graph: Graph, registry: Optional[Registry], models: Sequence[Fo
                  config: FuzzConfig) -> tuple[list[FuzzResult], list[str]]:
     """Fuzz every unstable site that has a trained model, in scan order;
     models holds at most one forest per kernel, which serves any entry size."""
-    forests: dict[str, Forest] = {}
+    directions: dict[str, Callable[[np.ndarray], Signal]] = {}
     for forest in models:
-        if forest.kernel in forests:
+        if forest.kernel in directions:
             raise UsageError(f"more than one model for kernel '{forest.kernel}'")
-        forests[forest.kernel] = forest
+        directions[forest.kernel] = soft_assertion(forest)
     reg = registry or default_registry()
     scan = scan_for_unstable(graph, reg)
     diagnostics = list(scan.diagnostics)
     results: list[FuzzResult] = []
     for index, site in enumerate(scan.sites):
-        forest = forests.get(site.kernel)
-        if forest is None:
+        direction = directions.get(site.kernel)
+        if direction is None:
             diagnostics.append(
                 f"site '{site.node_id}' ({site.kernel}): no trained model; skipped"
             )
             continue
-        results.append(fuzz_site(graph, site, forest, config, _site_rng(config, index), reg))
+        results.append(fuzz_site(graph, site, direction, config, _site_rng(config, index), reg))
     return results, diagnostics
 
 

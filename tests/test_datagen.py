@@ -712,6 +712,16 @@ class TestLoadChecksFixedFields:
         with pytest.raises(FileFormatError, match=re.escape(f"cannot load dataset {path}: ")):
             dataset_load(path)
 
+    def test_a_feature_that_is_no_number_names_its_record(self, tmp_path):
+        # the message used to be "could not convert string to float: 'abc'" alone
+        rows = FIXTURE_DATASET.read_text().splitlines(keepends=True)[1:]
+        label, *features = rows[4].split(",")
+        rows[4] = ",".join([label, features[0], "abc", *features[2:]])
+        path = self._write(tmp_path, records=rows)
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"cannot load dataset {path}: record 4: could not convert string to float: 'abc'")):
+            dataset_load(path)
+
     def test_class_counts_that_differ_from_the_records_rejected(self, tmp_path):
         # the header was never read: the records still counted 500/749/749
         path = self._write(tmp_path, class_counts={"NoChange": 1})

@@ -1,8 +1,8 @@
 """The guided search: scanning, signal propagation, constraints, site loops.
 
-Unit tests drive the loop with small hand-built forests (a single threshold
-tree per kernel) so no training is needed; the acceptance suite exercises the
-real trained models.
+Unit tests steer fuzz_site with small direction functions of the entry row
+(thresholds on one feature, as a one-tree forest cuts it) so no training is
+needed; fuzz_program and the loops' reference checks use the fixture forests.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ from safuzz.autodiff import constant_gradient, forward_rows
 from safuzz.corpus import corpus_manifest
 from safuzz.datagen import Signal, apply_scaling, featurize
 from safuzz.errors import UsageError
-from safuzz.forest import DecisionTree, Forest, model_load, predict
+from safuzz.forest import model_load, predict
 from safuzz.fuzzer import (
     CHUNK_CAP,
     Bounds,
@@ -34,6 +34,7 @@ from safuzz.fuzzer import (
     random_fuzz_program,
     random_fuzz_site,
     scan_for_unstable,
+    soft_assertion,
     validate_failure,
 )
 from safuzz.graph import Graph, InputDecl, Node
@@ -43,27 +44,19 @@ from safuzz.registry import default_registry
 FIXTURE_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "models"
 
 
-def band_tree(lo, hi, inside=Signal.NO_CHANGE, below=Signal.INCREASE,
-              above=Signal.DECREASE, feature=0):
-    """Tree emitting `below` under lo, `inside` in [lo, hi], `above` over hi."""
-
-    def hist(sig):
-        h = [0, 0, 0]
-        h[int(sig)] = 1
-        return h
-
-    return DecisionTree(
-        feature=np.array([feature, -1, feature, -1, -1], dtype=np.int32),
-        threshold=np.array([lo, 0.0, hi, 0.0, 0.0]),
-        left=np.array([1, -1, 3, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, 4, -1, -1], dtype=np.int32),
-        counts=np.array([hist(inside), hist(below), hist(inside), hist(inside),
-                         hist(above)], dtype=np.int64),
-    )
+def fixture_forest(kernel):
+    return model_load(FIXTURE_MODELS / f"{kernel}.json")
 
 
-def hand_forest(kernel, tree):
-    return Forest(trees=[tree], kernel=kernel, shape=(3, 3), feature_len=9, seed=0)
+def asking(direction):
+    """direction, and the entry rows it is asked about."""
+    entries = []
+
+    def asked(entry):
+        entries.append(entry)
+        return direction(entry)
+
+    return asked, entries
 
 
 def exp_graph(shape=(3, 3)):
@@ -71,14 +64,29 @@ def exp_graph(shape=(3, 3)):
                  [Node("y", "exp", ("x",))], "y")
 
 
-# a forest that says increase below the exp overflow bound, no-change above
-EXP_FOREST = hand_forest(
-    "exp", band_tree(88.7229, 1e308, below=Signal.INCREASE, above=Signal.NO_CHANGE)
-)
-LOG_FOREST = hand_forest(
-    "log", band_tree(0.0, 1e308, below=Signal.NO_CHANGE, inside=Signal.DECREASE,
-                     above=Signal.DECREASE, feature=8)
-)
+def first(entry):
+    """Feature 0 of featurize(entry, 9): a 9-element entry's first element, else its minimum."""
+    return float(entry.flat[0] if entry.size == 9 else entry.min())
+
+
+def last(entry):
+    """Feature 8: a 9-element entry's last element, else its maximum."""
+    return float(entry.flat[-1] if entry.size == 9 else entry.max())
+
+
+def piecewise(*pieces, otherwise=Signal.NO_CHANGE, feature=first):
+    """The direction of a one-tree forest cut at ascending bounds: the signal
+    of the first (bound, signal) piece whose bound the feature is at or
+    under, else `otherwise` (past every bound, or NaN)."""
+    def direction(entry):
+        x = feature(entry)
+        return next((signal for bound, signal in pieces if x <= bound), otherwise)
+    return direction
+
+
+# increase up to the exp overflow bound, no-change above
+EXP = piecewise((88.7229, Signal.INCREASE))
+LOG = piecewise((0.0, Signal.NO_CHANGE), otherwise=Signal.DECREASE, feature=last)
 
 
 class TestScan:
@@ -366,7 +374,7 @@ class TestFuzzSite:
         g = exp_graph()
         site = scan_for_unstable(g).sites[0]
         config = FuzzConfig(seed=0, timeout=30.0)
-        result = fuzz_site(g, site, EXP_FOREST, config, np.random.default_rng(0))
+        result = fuzz_site(g, site, EXP, config, np.random.default_rng(0))
         assert result.found
         entry = np.asarray(result.failing_input["x"])
         assert entry.max() > 88.72
@@ -377,7 +385,7 @@ class TestFuzzSite:
         g = Graph([InputDecl("x", (3, 3), bounds=(4.0, 6.0))],
                   [Node("y", "log", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
-        result = fuzz_site(g, site, LOG_FOREST, FuzzConfig(seed=1, timeout=30.0),
+        result = fuzz_site(g, site, LOG, FuzzConfig(seed=1, timeout=30.0),
                            np.random.default_rng(1))
         assert result.found
         assert result.verdict.failure_class is FailureClass.NAN_OR_INF
@@ -389,13 +397,10 @@ class TestFuzzSite:
         g = Graph([InputDecl("x", (3, 3), bounds=(0.0, 1.0), clamp=True)],
                   [Node("y", "sigmoid", ("x",))], "y")
         site = scan_for_unstable(g).sites[0]
-        forest = hand_forest("sigmoid", band_tree(88.7229, 1e308,
-                                                  below=Signal.INCREASE,
-                                                  above=Signal.NO_CHANGE))
+        # the clamp keeps the entry under 88.7229, where EXP says increase
         config = FuzzConfig(seed=0, timeout=30.0, max_iters=200)
-        result = fuzz_site(g, site, forest, config, np.random.default_rng(0))
-        assert result.status == "Exhausted"
-        assert result.iterations == 200
+        result = fuzz_site(g, site, EXP, config, np.random.default_rng(0))
+        assert result.status == "Exhausted" and result.iterations == 200
 
     @pytest.mark.parametrize("field", [{"rate": 0.0}, {"rate": -1.0},
                                        {"rate": float("nan")}, {"max_iters": 0},
@@ -416,14 +421,52 @@ class TestFuzzSite:
         g = exp_graph()
         site = scan_for_unstable(g).sites[0]
         config = FuzzConfig(seed=7, timeout=30.0)
-        runs = [
-            fuzz_site(g, site, EXP_FOREST, config,
-                      np.random.default_rng(np.random.SeedSequence([7, 0])))
-            for _ in range(2)
-        ]
+        runs = [fuzz_site(g, site, EXP, config, rng) for rng in TestLoopsMatchReference._rngs(7, 0)]
         assert runs[0].iterations == runs[1].iterations
         assert runs[0].failing_input == runs[1].failing_input
         assert runs[0].resets == runs[1].resets
+
+
+class TestDirection:
+    """fuzz_site asks its direction once per step it runs; soft_assertion,
+    the paper's direction, is the forest's vote on the entry's features."""
+
+    @pytest.mark.parametrize("kernel", sorted(path.stem for path in FIXTURE_MODELS.glob("*.json")))
+    def test_soft_assertion_is_the_vote_on_the_scaled_features(self, kernel):
+        forest, rng, votes = fixture_forest(kernel), np.random.default_rng(0), set()
+        for size in ((1, *forest.shape), (1, 1), (1, 4), (1, 30)):
+            for k in range(20):  # about k / 20 of entry k's values are 0.0, -0.0, inf or NaN
+                entry = rng.uniform(-5, 5, size) * 10.0 ** rng.integers(-30, 31, size)
+                hit = rng.random(size) < k / 20
+                entry[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], np.count_nonzero(hit))
+                entry = entry.astype(np.float32)
+                want = predict(forest, apply_scaling(featurize(entry, forest.feature_len),
+                                                     forest.zero_epsilon))
+                assert soft_assertion(forest)(entry) is want, (size, k)
+                votes.add(want)
+        assert len(votes) > 1
+
+    @pytest.mark.parametrize("name, model, seed, tail", [
+        ("bounded_sigmoid_clean", "sigmoid", 0, True),  # a fixed point: the tail is not run
+        ("exp_overflow", "exp", 3, False),  # 51 resets
+    ])
+    def test_asked_once_per_step_run(self, monkeypatch, name, model, seed, tail):
+        # about the float32 entry row the step's forward computed
+        _, graph, site = _corpus_program(name)
+        forwards = []  # the steps' forward of the first input, then one per step run
+
+        def forward(*args):
+            forwards.append(autodiff.forward_rows(*args))
+            return forwards[-1]
+
+        monkeypatch.setattr(fuzzer, "forward_rows", forward)
+        asked, entries = asking(soft_assertion(fixture_forest(model)))
+        result = fuzz_site(graph, site, asked, FuzzConfig(seed=seed, max_iters=2000),
+                           np.random.default_rng(seed))
+        assert all(entry is rows[site.entry_node]
+                   for entry, rows in zip(entries, forwards[1:], strict=True))
+        assert {(e.dtype, e.shape) for e in entries} == {(np.dtype(np.float32), (1, 3, 3))}
+        assert (len(entries) < result.iterations) is tail
 
 
 class TestRandomBaseline:
@@ -446,7 +489,7 @@ class TestRandomBaseline:
 
 class TestFuzzProgram:
     def test_one_site_program(self):
-        results, diags = fuzz_program(exp_graph(), None, [EXP_FOREST],
+        results, diags = fuzz_program(exp_graph(), None, [fixture_forest("exp")],
                                       FuzzConfig(seed=0, timeout=30.0))
         assert len(results) == 1 and results[0].found
 
@@ -454,21 +497,13 @@ class TestFuzzProgram:
         g = Graph([InputDecl("x", (3, 3), bounds=(0.5, 2.0))],
                   [Node("a", "square", ("x",)), Node("b", "sum", ("a",)),
                    Node("c", "sqrt", ("b",))], "c")
-        forests = [
-            hand_forest("square", band_tree(1e308, 2e308, below=Signal.DECREASE,
-                                            above=Signal.NO_CHANGE)),
-            hand_forest("sum", band_tree(1e308, 2e308, below=Signal.DECREASE,
-                                         above=Signal.NO_CHANGE)),
-            hand_forest("sqrt", band_tree(0.0, 1e308, below=Signal.NO_CHANGE,
-                                          inside=Signal.DECREASE,
-                                          above=Signal.DECREASE, feature=8)),
-        ]
+        forests = [fixture_forest(kernel) for kernel in ("sqrt", "square", "sum")]
         config = FuzzConfig(seed=0, timeout=5.0, max_iters=50)
         results, _ = fuzz_program(g, None, forests, config)
         assert [r.site.node_id for r in results] == ["a", "b", "c"]
 
     def test_missing_model_is_diagnostic(self):
-        results, diags = fuzz_program(exp_graph(), None, [LOG_FOREST],
+        results, diags = fuzz_program(exp_graph(), None, [fixture_forest("log")],
                                       FuzzConfig(seed=0, max_iters=10))
         assert results == []
         assert any("no trained model" in d for d in diags)
@@ -476,8 +511,9 @@ class TestFuzzProgram:
     def test_two_models_of_one_kernel_is_usage_error(self):
         # one forest serves every entry size; a second one used to be picked
         # silently by its feature length
-        wide = dataclasses.replace(EXP_FOREST, shape=(4, 4), feature_len=16)
-        for models in ([EXP_FOREST, wide], [LOG_FOREST, EXP_FOREST, EXP_FOREST]):
+        exp, log = fixture_forest("exp"), fixture_forest("log")
+        wide = dataclasses.replace(exp, shape=(4, 4), feature_len=16)
+        for models in ([exp, wide], [log, exp, exp]):
             with pytest.raises(UsageError, match="more than one model for kernel 'exp'"):
                 fuzz_program(exp_graph(), None, models, FuzzConfig(seed=0, max_iters=10))
 
@@ -498,7 +534,7 @@ class TestFuzzProgram:
             return rows
 
         monkeypatch.setattr(fuzzer, "forward_rows", forward)
-        results, diags = fuzz_program(g, reg, [model_load(FIXTURE_MODELS / "exp.json")],
+        results, diags = fuzz_program(g, reg, [fixture_forest("exp")],
                                       FuzzConfig(seed=0, max_iters=2000))
         assert [(r.site.node_id, r.site.stop) for r in results] == [("y", "a")]
         assert results[0].found and not results[0].found_at_init
@@ -514,7 +550,7 @@ class TestRandomFuzzProgram:
         g = Graph([InputDecl("x", (3, 3))],
                   [Node("a", "exp", ("x",)), Node("b", "sinh", ("x",))], "b")
         config = FuzzConfig(seed=1, rate=5.0, max_iters=2000)
-        guided, diags = fuzz_program(g, None, [EXP_FOREST], config)
+        guided, diags = fuzz_program(g, None, [fixture_forest("exp")], config)
         assert [r.site.node_id for r in guided] == ["a"]
         assert diags == ["site 'b' (sinh): no trained model; skipped"]
 
@@ -540,6 +576,14 @@ def _corpus_sites():
         graph = spec.to_graph(reg)
         for site in scan_for_unstable(graph, reg).sites:
             yield pytest.param(spec, graph, site, id=f"{spec.name}-{site.node_id}")
+
+
+def _corpus_program(name):
+    """The spec, graph and first site of the corpus program of that name."""
+    reg = default_registry()
+    spec = next(s for s in corpus_manifest(reg) if s.name == name)
+    graph = spec.to_graph(reg)
+    return spec, graph, scan_for_unstable(graph, reg).sites[0]
 
 
 def _inputs(graph, values):
@@ -577,9 +621,7 @@ class TestTapeReuse:
 
     def test_remainder_needs_the_double_shadow(self):
         reg = default_registry()
-        spec = next(s for s in corpus_manifest(reg) if s.name == "remainder_width_loss")
-        g = spec.to_graph(reg)
-        site = scan_for_unstable(g, reg).sites[0]
+        _, g, site = _corpus_program("remainder_width_loss")
         inputs = [np.array([1234.5678901, 1234.5678901, 1234.5678901])]
         # judged on the single-precision operands alone the input passes
         evaluated = forward_rows(g, [inputs[0][None]], np.float32, site.node_id)
@@ -603,7 +645,7 @@ def _reference_validate_failure(graph, site, inputs, registry=None):
                        lambda: [wide[ref] for ref in node.inputs]).verdict(0)
 
 
-def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
+def _reference_fuzz_site(graph, site, direction, config, rng, registry=None):
     reg = registry or default_registry()
     result = FuzzResult(site=site)
     start = time.perf_counter()
@@ -624,8 +666,7 @@ def _reference_fuzz_site(graph, site, forest, config, rng, registry=None):
                 graph, site, _inputs(graph, values), reg).passed
         evaluated = forward_rows(graph, [x[None] for x in _inputs(graph, values)], np.float32,
                                  site.entry_node)
-        features = featurize(evaluated[site.entry_node], forest.feature_len)
-        signal = predict(forest, apply_scaling(features, forest.zero_epsilon))
+        signal = direction(evaluated[site.entry_node])
 
         if signal is Signal.NO_CHANGE:
             verdict = _reference_validate_failure(graph, site, _inputs(graph, values), reg)
@@ -741,13 +782,14 @@ class TestLoopsMatchReference:
         assert found > 0
 
     def test_fuzz_site(self):
-        forests = {f.kernel: f for f in map(model_load, FIXTURE_MODELS.glob("*.json"))}
+        directions = {f.kernel: soft_assertion(f)
+                      for f in map(model_load, FIXTURE_MODELS.glob("*.json"))}
         found = 0
         for name, graph, site, config, index, reg in self._runs():
-            forest = forests[site.kernel]
+            direction = directions[site.kernel]
             rng, ref_rng = self._rngs(config.seed, index)
-            result = fuzz_site(graph, site, forest, config, rng, reg)
-            expected = _reference_fuzz_site(graph, site, forest, config, ref_rng, reg)
+            result = fuzz_site(graph, site, direction, config, rng, reg)
+            expected = _reference_fuzz_site(graph, site, direction, config, ref_rng, reg)
             assert _outcome(result) == _outcome(expected), (name, config.seed)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             found += result.found
@@ -803,12 +845,10 @@ class TestConstantGradient:
 
     @pytest.mark.parametrize("name", ["exp_overflow", "division_by_cancellation"])
     def test_random_steps_make_no_forward_or_backward(self, monkeypatch, name):
-        reg = default_registry()
-        graph = next(s for s in corpus_manifest(reg) if s.name == name).to_graph(reg)
-        site = scan_for_unstable(graph, reg).sites[0]
+        _, graph, site = _corpus_program(name)
         calls = self._spies(monkeypatch)
         result = random_fuzz_site(graph, site, FuzzConfig(seed=0, max_iters=2000),
-                                  np.random.default_rng(0), reg)
+                                  np.random.default_rng(0))
         assert result.status == "Exhausted" and result.iterations == 2000
         # one forward of the first input for the steps, then one per chunk
         assert calls["forward_rows"] == [(np.float32, 1, site.entry_node)] + [
@@ -832,13 +872,11 @@ class TestConstantGradient:
             assert calls["backward"] == 2000
 
     def test_guided_steps_reuse_the_deltas(self, monkeypatch):
-        reg = default_registry()
-        graph = next(s for s in corpus_manifest(reg) if s.name == "exp_overflow").to_graph(reg)
-        site = scan_for_unstable(graph, reg).sites[0]
-        forest = model_load(FIXTURE_MODELS / "exp.json")
+        _, graph, site = _corpus_program("exp_overflow")
+        direction = soft_assertion(fixture_forest("exp"))
         calls = self._spies(monkeypatch)
-        result = fuzz_site(graph, site, forest, FuzzConfig(seed=0, max_iters=300),
-                           np.random.default_rng(0), reg)
+        result = fuzz_site(graph, site, direction, FuzzConfig(seed=0, max_iters=300),
+                           np.random.default_rng(0))
         # one forward for the steps, then one per iteration for the features
         assert calls["forward_rows"] == [(np.float32, 1, site.entry_node)] + [
             (np.float32, 1, site.stop)] * result.iterations
@@ -855,31 +893,24 @@ class TestConstantGradient:
         # verdict, and iteration 1 whatever its vote, judges that forward's operands,
         # so it makes no forward of its own in single precision, and one double
         # shadow where the width oracle reads it
-        reg = default_registry()
-        spec = next(s for s in corpus_manifest(reg) if s.name == name)
-        graph = spec.to_graph(reg)
-        site = scan_for_unstable(graph, reg).sites[0]
+        spec, graph, site = _corpus_program(name)
         calls = self._spies(monkeypatch)
-        verdicts, votes = [], []
+        verdicts = []
 
         def judged(*args):
             verdicts.append(oracle_rows(*args))
             return verdicts[-1]
 
-        def voted(*args):
-            votes.append(predict(*args))
-            return votes[-1]
-
         monkeypatch.setattr(fuzzer, "oracle_rows", judged)
-        monkeypatch.setattr(fuzzer, "predict", voted)
-        result = fuzz_site(graph, site, model_load(FIXTURE_MODELS / f"{model}.json"),
-                           FuzzConfig(rate=spec.rate, seed=seed, max_iters=300),
-                           np.random.default_rng(seed), reg)
+        direction = soft_assertion(fixture_forest(model))
+        asked, entries = asking(direction)
+        result = fuzz_site(graph, site, asked, FuzzConfig(rate=spec.rate, seed=seed, max_iters=300),
+                           np.random.default_rng(seed))
         single, double = ([c for c in calls["forward_rows"] if c[0] == dtype]
                           for dtype in (np.float32, np.float64))
         assert single == [(np.float32, 1, site.entry_node)] + [
             (np.float32, 1, site.stop)] * result.iterations
-        moved_first = votes[0] is not Signal.NO_CHANGE
+        moved_first = direction(entries[0]) is not Signal.NO_CHANGE
         assert len(verdicts) == result.resets + result.found + moved_first > 0
         assert all(len(v.passed) == 1 for v in verdicts)
         shadow = [(np.float64, 1, site.stop)] if name == "remainder_width_loss" else []
@@ -891,31 +922,16 @@ class TestFixedPoint:
     and the bounds, so fuzz_site stops at the first step that leaves their
     bytes unchanged. Outcome and generator state must not show it."""
 
-    @staticmethod
-    def _counted_predict(monkeypatch):
-        calls = []
-
-        def counted(forest, features):
-            calls.append(1)
-            return predict(forest, features)
-
-        monkeypatch.setattr(fuzzer, "predict", counted)
-        return calls
-
     @pytest.mark.parametrize("seed", range(3))
-    def test_stalled_budget_ends_at_the_fixed_point(self, monkeypatch, caplog, seed):
-        reg = default_registry()
-        spec = next(s for s in corpus_manifest(reg) if s.name == "bounded_sigmoid_clean")
-        graph = spec.to_graph(reg)
-        site = scan_for_unstable(graph, reg).sites[0]
-        forest = model_load(FIXTURE_MODELS / "sigmoid.json")
+    def test_stalled_budget_ends_at_the_fixed_point(self, caplog, seed):
+        _, graph, site = _corpus_program("bounded_sigmoid_clean")
+        direction = soft_assertion(fixture_forest("sigmoid"))
         config = FuzzConfig(seed=seed, max_iters=2000)
-        rng, ref_rng = (np.random.default_rng(np.random.SeedSequence([seed, 0]))
-                        for _ in range(2))
-        expected = _reference_fuzz_site(graph, site, forest, config, ref_rng, reg)
-        calls = self._counted_predict(monkeypatch)
+        rng, ref_rng = TestLoopsMatchReference._rngs(seed, 0)
+        expected = _reference_fuzz_site(graph, site, direction, config, ref_rng)
+        asked, calls = asking(direction)
         with caplog.at_level(logging.DEBUG, logger="safuzz.fuzzer"):
-            result = fuzz_site(graph, site, forest, config, rng, reg)
+            result = fuzz_site(graph, site, asked, config, rng)
         assert _outcome(result) == _outcome(expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert result.iterations == 2000
@@ -931,8 +947,8 @@ class TestFixedPoint:
         # one-sided bound. (A step that the declared clamp sends back cannot
         # meet a contradiction: every bound lies inside the declared range.)
         # f0 and f1 are the float32 entries at the first two draws. The
-        # forest increases on (t2, f0], decreases on (t1, t2], with t1 just
-        # under f1, and mispredicts NoChange elsewhere.
+        # direction increases on (t2, f0], decreases on (t1, t2], with t1
+        # just under f1, and mispredicts NoChange elsewhere.
         #   1. From the first draw, Increase steps push x up by margins until
         #      its float32 passes f0; the lower bound ends above f1.
         #   2. NoChange there passes the oracles: a reset draws the second.
@@ -953,18 +969,12 @@ class TestFixedPoint:
         assert f1 + 1.0 < f0
         t1 = (float(np.nextafter(np.float32(f1), np.float32(-np.inf))) + f1) / 2
         t2 = (f0 + f1) / 2
-        forest = hand_forest("sigmoid", DecisionTree(
-            feature=np.array([0, 0, 0, -1, -1, -1, -1], dtype=np.int32),
-            threshold=np.array([t2, t1, f0, 0.0, 0.0, 0.0, 0.0]),
-            left=np.array([1, 3, 5, -1, -1, -1, -1], dtype=np.int32),
-            right=np.array([2, 4, 6, -1, -1, -1, -1], dtype=np.int32),
-            counts=np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0],
-                             [0, 0, 1], [1, 0, 0]], dtype=np.int64),
-        ))
+        direction = piecewise((t1, Signal.NO_CHANGE), (t2, Signal.DECREASE),
+                              (f0, Signal.INCREASE))
         config = FuzzConfig(seed=seed, rate=1e-300, max_iters=1000)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        result = fuzz_site(graph, site, forest, config, rng)
-        expected = _reference_fuzz_site(graph, site, forest, config, ref_rng)
+        result = fuzz_site(graph, site, direction, config, rng)
+        expected = _reference_fuzz_site(graph, site, direction, config, ref_rng)
         assert _outcome(result) == _outcome(expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert result.resets >= 2
@@ -976,21 +986,15 @@ class TestRankZeroInput:
     so the loops must keep each value and bound a real array."""
 
     # each entry is the input itself, so a step moves it by the rate. This
-    # forest increases below 2, decreases above 3 and mispredicts between.
-    BAND_LOG = hand_forest("log", band_tree(2.0, 3.0))
+    # direction increases below 2, decreases above 3 and mispredicts between.
+    BAND_LOG = piecewise((2.0, Signal.INCREASE), (3.0, Signal.NO_CHANGE),
+                         otherwise=Signal.DECREASE)
     # this one decreases in (-5, 2] and increases in (2, 6], mispredicting
     # outside: a decrease run, a reset into (2, 6] and an increase there
     # leave lower > upper, and the bounds are reset
-    CROSSED_SIGMOID = hand_forest("sigmoid", DecisionTree(
-        feature=np.array([0, -1, 0, -1, 0, -1, -1], dtype=np.int32),
-        threshold=np.array([-5.0, 0.0, 2.0, 0.0, 6.0, 0.0, 0.0]),
-        left=np.array([1, -1, 3, -1, 5, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, 4, -1, 6, -1, -1], dtype=np.int32),
-        counts=np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0],
-                         [0, 0, 1], [1, 0, 0]], dtype=np.int64),
-    ))
-    CASES = [("exp", EXP_FOREST), ("log", LOG_FOREST), ("log", BAND_LOG),
-             ("sigmoid", CROSSED_SIGMOID)]
+    CROSSED_SIGMOID = piecewise((-5.0, Signal.NO_CHANGE), (2.0, Signal.DECREASE),
+                                (6.0, Signal.INCREASE))
+    CASES = [("exp", EXP), ("log", LOG), ("log", BAND_LOG), ("sigmoid", CROSSED_SIGMOID)]
 
     @staticmethod
     def _graph(op, shape, clamp):
@@ -1007,19 +1011,19 @@ class TestRankZeroInput:
         return repr(fields), failing
 
     def _pairs(self):
-        for op, forest in self.CASES:
+        for op, direction in self.CASES:
             for clamp in (False, True):
                 scalar, vector = self._graph(op, (), clamp), self._graph(op, (1,), clamp)
                 yield (scalar, scan_for_unstable(scalar).sites[0],
-                       vector, scan_for_unstable(vector).sites[0], forest)
+                       vector, scan_for_unstable(vector).sites[0], direction)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fuzz_site(self, seed):
         config = FuzzConfig(seed=seed, max_iters=300)
-        for scalar, site, vector, vsite, forest in self._pairs():
+        for scalar, site, vector, vsite, direction in self._pairs():
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            result = fuzz_site(scalar, site, forest, config, rng)
-            expected = _reference_fuzz_site(vector, vsite, forest, config, ref_rng)
+            result = fuzz_site(scalar, site, direction, config, rng)
+            expected = _reference_fuzz_site(vector, vsite, direction, config, ref_rng)
             assert self._outcome(result) == self._outcome(expected)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -1106,13 +1110,6 @@ class TestRandomChunks:
         # sigmoid's oracles (NaN/inf, range) share one single-precision forward
         chunks = [1, 2, 4, 8, 16, 32, 64, 64, 9]
         assert rows_run == [(n, True) for n in chunks]
-
-
-def _division_by_cancellation():
-    reg = default_registry()
-    spec = next(s for s in corpus_manifest(reg) if s.name == "division_by_cancellation")
-    graph = spec.to_graph(reg)
-    return graph, scan_for_unstable(graph, reg).sites[0]
 
 
 class TestStackedWalk:
@@ -1227,7 +1224,7 @@ class TestPastTheFloatRange:
 
     @pytest.mark.parametrize("rate, past", RATES)
     def test_random_fuzz_site(self, monkeypatch, rate, past):
-        graph, _ = _division_by_cancellation()
+        _, graph, _ = _corpus_program("division_by_cancellation")
         for seed in range(3):
             _, judged = TestStackedWalk._pinned(monkeypatch, graph,
                                                 FuzzConfig(rate=rate, seed=seed, max_iters=50))
@@ -1235,8 +1232,8 @@ class TestPastTheFloatRange:
 
     @pytest.mark.parametrize("rate, past", RATES)
     def test_fuzz_site(self, monkeypatch, rate, past):
-        graph, site = _division_by_cancellation()
-        forest = model_load(FIXTURE_MODELS / "Div.json")
+        _, graph, site = _corpus_program("division_by_cancellation")
+        direction = soft_assertion(fixture_forest("Div"))
         reached = []  # the largest magnitude of each input the loop evaluates
 
         def forward(g, inputs, dtype, stop_at):
@@ -1247,9 +1244,9 @@ class TestPastTheFloatRange:
         for seed in range(3):
             config = FuzzConfig(rate=rate, seed=seed, max_iters=50)
             rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-            result = fuzz_site(graph, site, forest, config, rng)
+            result = fuzz_site(graph, site, direction, config, rng)
             with np.errstate(over="ignore"):  # the step loop leaves faults to numpy's default
-                expected = _reference_fuzz_site(graph, site, forest, config, ref_rng)
+                expected = _reference_fuzz_site(graph, site, direction, config, ref_rng)
             assert _outcome(result) == _outcome(expected), seed
             assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
         assert max(reached) >= past

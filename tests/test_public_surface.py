@@ -9,6 +9,8 @@ that only tests call is surface the pipeline does not need.
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,3 +104,21 @@ def test_strings_and_self_references_do_not_count():
         "x = used()\n"
     )
     assert _unused(_definitions("m", tree), _references(tree)) == ["m.lonely"]
+
+
+# hooks whose function is already gone: the tracer notes each as "not found"
+STALE_HOOKS = {"safuzz.datagen.run_trajectory", "safuzz.datagen.run_oracles",
+               "safuzz.fuzzer.forward_eval", "safuzz.fuzzer.run_oracles"}
+
+
+def test_every_benchmark_hook_finds_its_function(monkeypatch):
+    # perfbench's tracer wraps each hook at the name its caller looks it up by and
+    # skips a name that is gone, so its metrics read 0; a rename must fail here
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # @dataclass looks its module up
+    spec.loader.exec_module(tracing)
+    missing = {f"{hook.module}.{hook.attr}" for hook in tracing.HOOKS
+               if not hasattr(importlib.import_module(hook.module), hook.attr)}
+    assert missing <= STALE_HOOKS
