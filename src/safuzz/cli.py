@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: list-functions, gen-data, train, scan, fuzz, bench.
+Subcommands: list-functions, gen-data, train, scan, fuzz, bench. One loop
+over (seed, program), _runs, serves fuzz, bench and compare_guidance.py.
 Exit codes: 0 success, 1 bugs found (fuzz), 2 usage error, 3 internal
 error, with its traceback on stderr (EXIT_CODES, also in --help).
 """
@@ -88,13 +89,20 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _runs(reg, models, specs: list[ProgramSpec], seeds: list[int], args):
-    """Each program searched at each seed, seed-major, one ProgramReport per run."""
+def _guided(reg, models_dir: str):
+    """The paper's strategy: fuzz_program with the models under models_dir."""
+    models = load_models(models_dir)
+    return lambda graph, config: fuzz_program(graph, reg, models, config)
+
+
+def _runs(reg, strategy, specs: list[ProgramSpec], seeds: list[int], args):
+    """Each program searched at each seed, seed-major, one ProgramReport per
+    run; strategy(graph, config) returns a driver's (results, diagnostics)."""
     for seed in seeds:
         for spec in specs:
             config = FuzzConfig(timeout=args.timeout, rate=spec.rate, seed=seed,
                                 max_iters=args.max_iters)
-            results, diagnostics = fuzz_program(spec.to_graph(reg), reg, models, config)
+            results, diagnostics = strategy(spec.to_graph(reg), config)
             yield ProgramReport(program=spec.name, seed=seed,
                                 expected_failure_class=spec.expected_failure_class,
                                 results=results, diagnostics=diagnostics)
@@ -103,7 +111,7 @@ def _runs(reg, models, specs: list[ProgramSpec], seeds: list[int], args):
 def _cmd_fuzz(args) -> int:
     reg = default_registry()
     spec = program_parse(args.program, reg)
-    run, = _runs(reg, load_models(args.models), [spec], [args.seed], args)
+    run, = _runs(reg, _guided(reg, args.models), [spec], [args.seed], args)
     report = Report(
         registry_version=reg.version,
         config={"timeout": args.timeout, "rate": spec.rate, "seed": args.seed,
@@ -126,13 +134,13 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_bench(args) -> int:
     reg = default_registry()
-    models = load_models(args.models)
+    guided = _guided(reg, args.models)
     seeds = parse_ints(args.seeds, ",", "seed list", "0,1,2")
     report = Report(
         registry_version=reg.version,
         config={"timeout": args.timeout, "seeds": seeds, "max_iters": args.max_iters},
     )
-    for run in _runs(reg, models, corpus_manifest(reg), seeds, args):
+    for run in _runs(reg, guided, corpus_manifest(reg), seeds, args):
         report.programs.append(run)
         found = [r for r in run.results if r.found]
         classes = {r.verdict.failure_class.value for r in found}

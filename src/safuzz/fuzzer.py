@@ -545,9 +545,10 @@ def fuzz_program(graph: Graph, registry: Optional[Registry], models: Sequence[Fo
 
 
 def random_fuzz_program(graph: Graph, registry: Optional[Registry],
-                        config: FuzzConfig) -> list[FuzzResult]:
+                        config: FuzzConfig) -> tuple[list[FuzzResult], list[str]]:
     """The random baseline at every unstable site in scan order, a site
     with no trained model included, each seeded as fuzz_program seeds it."""
     reg = registry or default_registry()
+    scan = scan_for_unstable(graph, reg)
     return [random_fuzz_site(graph, site, config, _site_rng(config, index), reg)
-            for index, site in enumerate(scan_for_unstable(graph, reg).sites)]
+            for index, site in enumerate(scan.sites)], scan.diagnostics

@@ -46,6 +46,27 @@ class Report:
                 "average_time_seconds": avg}
 
 
+def quality_table(runs: dict[str, list[ProgramReport]]) -> list[dict]:
+    """Each strategy's outcomes per (program, site node, strategy), sorted; an
+    exhausted run counts in runs, never in iterations_to_found or its median."""
+    outcomes: dict[tuple, list[FuzzResult]] = {}
+    for strategy, reports in runs.items():
+        for report in reports:
+            for r in report.results:
+                outcomes.setdefault((report.program, r.site.node_id, strategy), []).append(r)
+    rows = []
+    for (program, node, strategy), results in sorted(outcomes.items()):
+        found = sorted(r.iterations for r in results if r.found)
+        mid = len(found) // 2
+        rows.append({
+            "program": program, "node": node, "strategy": strategy, "runs": len(results),
+            "found": len(found), "found_at_init": sum(r.found_at_init for r in results),
+            "failed_at_init": sum(r.failed_at_init for r in results),
+            "iterations_to_found": found,
+            "median_iterations_to_found": (found[~mid] + found[mid]) / 2 if found else None})
+    return rows
+
+
 def _result_dict(result: FuzzResult) -> dict:
     doc = {
         "node": result.site.node_id,

@@ -543,6 +543,8 @@ class TestFuzzProgram:
                          "soft assertion available",
                          "node 't': an operand needs an op with no implementation"]
         assert evaluated and all(keys == {"x", "a"} for keys in evaluated)
+        # the random baseline reports the same scan diagnostics
+        assert random_fuzz_program(g, reg, FuzzConfig(seed=0, max_iters=10))[1] == diags
 
 
 class TestRandomFuzzProgram:
@@ -554,7 +556,8 @@ class TestRandomFuzzProgram:
         assert [r.site.node_id for r in guided] == ["a"]
         assert diags == ["site 'b' (sinh): no trained model; skipped"]
 
-        results = random_fuzz_program(g, None, config)
+        results, diags = random_fuzz_program(g, None, config)
+        assert diags == []  # it skips no site
         sites = scan_for_unstable(g).sites
         assert [r.site for r in results] == sites
         assert all(r.found for r in results)  # the site with no model included

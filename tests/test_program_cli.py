@@ -20,7 +20,7 @@ from safuzz.fuzzer import FuzzConfig, FuzzResult, UnstableSite, fuzz_program, sc
 from safuzz.oracles import FailureClass, OracleVerdict
 from safuzz.program import program_parse
 from safuzz.registry import default_registry
-from safuzz.report import ProgramReport, Report, report_emit, strip_time_fields
+from safuzz.report import ProgramReport, Report, quality_table, report_emit, strip_time_fields
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -326,6 +326,58 @@ class TestReport:
         doc = {"timestamp": "t", "wall_time_seconds": 1.0,
                "nested": [{"average_time_seconds": 2.0, "keep": 1}], "keep": 2}
         assert strip_time_fields(doc) == {"nested": [{"keep": 1}], "keep": 2}
+
+
+class TestQualityTable:
+    FAIL = OracleVerdict(FailureClass.NAN_OR_INF, "inf")
+
+    @staticmethod
+    def _runs(program, *seeds_results):
+        return [ProgramReport(program=program, seed=seed, expected_failure_class="NaNorINF",
+                              results=results) for seed, results in enumerate(seeds_results)]
+
+    def test_an_exhausted_run_counts_only_in_runs(self):
+        site = UnstableSite("y", "exp", "x", "x")
+        runs = self._runs("p", [FuzzResult(site, verdict=self.FAIL, iterations=40)],
+                          [FuzzResult(site, iterations=2000)],
+                          [FuzzResult(site, verdict=self.FAIL, iterations=10)])
+        row, = quality_table({"guided": runs})
+        # the budget of the exhausted run is no iteration to found: the median
+        # of (10, 40, 2000) would be 40
+        assert row == {"program": "p", "node": "y", "strategy": "guided", "runs": 3,
+                       "found": 2, "found_at_init": 0, "failed_at_init": 0,
+                       "iterations_to_found": [10, 40], "median_iterations_to_found": 25.0}
+        odd = self._runs("p", *[[FuzzResult(site, verdict=self.FAIL, iterations=i)]
+                                for i in (3, 1, 2)])
+        assert quality_table({"guided": odd})[0]["median_iterations_to_found"] == 2.0
+        nothing = quality_table({"random": self._runs("p", [FuzzResult(site)])})
+        assert nothing[0]["median_iterations_to_found"] is None
+
+    def test_a_failing_initial_input_that_ends_exhausted(self):
+        # power_overflow's guided search at seed 16: the initial input fails, and the
+        # search never judges a failing input
+        site = UnstableSite("y", "pow", "x", "x")
+        runs = self._runs("power_overflow",
+                          [FuzzResult(site, iterations=2000, failed_at_init=True)],
+                          [FuzzResult(site, verdict=self.FAIL, iterations=1,
+                                      failed_at_init=True)])
+        row, = quality_table({"guided": runs})
+        assert (row["found"], row["found_at_init"], row["failed_at_init"]) == (1, 1, 2)
+        assert row["iterations_to_found"] == [1]
+
+    def test_one_row_per_site_strategy_and_program_sorted(self):
+        sites = [UnstableSite(node, kernel, "x", "x")
+                 for node, kernel in (("sq", "square"), ("s", "sum"), ("y", "sqrt"))]
+        l2 = self._runs("l2_norm_overflow", [FuzzResult(site, verdict=self.FAIL, iterations=1,
+                                                        failed_at_init=True) for site in sites])
+        exp = self._runs("exp_overflow", [FuzzResult(UnstableSite("y", "exp", "x", "x"))])
+        table = quality_table({"random": l2 + exp, "guided": l2})
+        assert [(r["program"], r["node"], r["strategy"]) for r in table] == [
+            ("exp_overflow", "y", "random"),
+            *[("l2_norm_overflow", node, strategy)
+              for node in ("s", "sq", "y") for strategy in ("guided", "random")],
+        ]
+        assert all(r["runs"] == r["found"] == r["found_at_init"] == 1 for r in table[1:])
 
 
 class TestFoundAtInit:
@@ -715,9 +767,13 @@ class TestCompareGuidance:
         monkeypatch.setattr(sys, "argv", ["compare_guidance.py", "--models", str(tmp_path),
                                           "--seeds", "0", "--max-iters", "20"])
         assert _script_main("compare_guidance")() == 0
-        out = capsys.readouterr().out
-        assert "softmax_logit_blowup         site 'y' (Softmax): no trained model; skipped" in out
-        assert "guided wins or ties on 1/1 programs" in out
+        captured = capsys.readouterr()
+        assert "softmax_logit_blowup         site 'y' (Softmax): no trained model; skipped" \
+            in captured.err.splitlines()
+        rows = {(r["program"], r["strategy"]) for r in json.loads(captured.out)}
+        assert ("softmax_logit_blowup", "random") in rows
+        assert ("softmax_logit_blowup", "guided") not in rows
+        assert ("exp_overflow", "guided") in rows
 
     @pytest.mark.parametrize("args, message", [
         (["--models", "missing"], "does not exist"),
@@ -732,5 +788,6 @@ class TestCompareGuidance:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["compare_guidance.py", *args])
         assert _script_main("compare_guidance")() == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""  # no partial table
