@@ -28,7 +28,11 @@ forest-wide node number. A child `< 0` is a leaf and encodes its majority
 class k as `~k`; `roots` holds each tree's root, itself `~k` for a single-leaf
 tree. One walk, `_vote`, serves every prediction: `predict` and
 `predict_batch` both run it over these compact columns. It compares Python
-floats, whose `<=` matches numpy float64 exactly (NaN goes right).
+floats, whose `<=` matches numpy float64 exactly (NaN goes right). It walks
+the trees in order and stops once the trees still to walk cannot change the
+winner, even if every one of them voted for the same other class; the tie
+order (NoChange, then Decrease, then Increase) is part of that test, so the
+answer is exactly that of walking every tree.
 
 A model file records "classes" (Signal order) and "scaling" (an identity
 scale and offset, and the dataset's zero_epsilon) as every model has them.
@@ -53,6 +57,7 @@ from safuzz.errors import FileFormatError, TrainingError, UsageError
 from safuzz.jsonfields import FORMAT_VERSION, document, numeric_array, typed
 
 N_CLASSES = 3
+SIGNALS = tuple(Signal)  # by vote index; indexing is cheaper than calling the enum
 TREE_COLUMNS = (("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
                 ("right", np.int32), ("counts", np.int32))
 TREE_KEYS = frozenset(name for name, _ in TREE_COLUMNS)
@@ -275,14 +280,31 @@ def train_forest(
 
 
 def _vote(walk: tuple, x: list) -> int:
-    """Majority vote of the trees' leaf classes; the first maximum wins."""
+    """Majority vote of the trees' leaf classes; the first maximum wins.
+
+    The walk stops after the first tree at which one class leads so far that
+    the trees still to walk, all voting for any one other class, could not
+    take the win from it: it leads an earlier class (which wins a tie) by
+    more than their number, and a later class by at least it. Spread over
+    both other classes those trees catch up less, so the class returned is
+    the full vote's. After the last tree the first maximum passes the test,
+    so a forest, which has a tree, always returns from the loop.
+    """
     feature, threshold, left, right, roots = walk
     votes = [0] * N_CLASSES
+    to_walk = len(roots)
     for i in roots:
         while i >= 0:
             i = left[i] if x[feature[i]] <= threshold[i] else right[i]
         votes[~i] += 1
-    return votes.index(max(votes))
+        to_walk -= 1
+        no_change, decrease, increase = votes  # in Signal order
+        if no_change >= decrease + to_walk and no_change >= increase + to_walk:
+            return 0
+        if decrease > no_change + to_walk and decrease >= increase + to_walk:
+            return 1
+        if increase > no_change + to_walk and increase > decrease + to_walk:
+            return 2
 
 
 def predict(forest: Forest, features: np.ndarray) -> Signal:
@@ -292,7 +314,7 @@ def predict(forest: Forest, features: np.ndarray) -> Signal:
     (the first maximum wins, and Signal values are ordered so). features
     is a float64 vector of forest.feature_len values, as featurize makes.
     """
-    return Signal(_vote(forest.flat, features.tolist()))
+    return SIGNALS[_vote(forest.flat, features.tolist())]
 
 
 def predict_batch(forest: Forest, features: np.ndarray) -> np.ndarray:

@@ -264,7 +264,8 @@ def constrain_update(
         lo_fin = np.isfinite(lower)
         hi_fin = np.isfinite(upper)
         both = lo_fin & hi_fin
-        np.copyto(candidate, 0.5 * (lower + upper), where=both)
+        if np.count_nonzero(both):
+            np.copyto(candidate, 0.5 * (lower + upper), where=both)
         lo_only = lo_fin > hi_fin
         if np.count_nonzero(lo_only):
             margin = 1e-9 * np.maximum(1.0, np.abs(lower))
@@ -314,10 +315,25 @@ def validate_failure(
 # ---------------------------------------------------------------------------
 
 def soft_assertion(forest: Forest) -> Callable[[np.ndarray], Signal]:
-    """The paper's direction source: the forest's vote on the entry row."""
+    """The paper's direction source: the forest's vote on the entry row.
+
+    The direction records each answer under the bytes of the featurized,
+    zero-shifted float64 vector that predict reads, and answers a repeated
+    vector from that record without walking the forest. The vote is a pure
+    function of those values, and equal bytes are equal values (-0.0 and
+    0.0, or two NaN payloads, are only kept apart), so every answer is the
+    vote's. The record lives as long as the direction: fuzz_program builds
+    one per kernel per call, so it holds at most one vector per step run.
+    """
+    answers: dict[bytes, Signal] = {}
+
     def direction(entry: np.ndarray) -> Signal:
-        return predict(forest, apply_scaling(featurize(entry, forest.feature_len),
-                                             forest.zero_epsilon))
+        features = apply_scaling(featurize(entry, forest.feature_len), forest.zero_epsilon)
+        key = features.tobytes()
+        signal = answers.get(key)
+        if signal is None:
+            signal = answers[key] = predict(forest, features)
+        return signal
     return direction
 
 

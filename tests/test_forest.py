@@ -1,5 +1,6 @@
 """Decision-forest soft assertions: training, prediction, persistence."""
 
+import itertools
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from safuzz.forest import (
     _candidate_draws,
     _grow_tree,
     _ranks,
+    _vote,
     evaluate_f1_arrays,
     model_load,
     model_save,
@@ -76,15 +78,87 @@ def split_tree(threshold):
     )
 
 
-def reference_vote(forest, x):
-    """Walk each DecisionTree's own arrays; first maximum of the votes wins."""
-    votes = np.zeros(3, dtype=np.int64)
+def reference_leaves(forest, x):
+    """Each tree's leaf class for x, walking every DecisionTree's own arrays."""
+    classes = []
     for tree in forest.trees:
         i = 0
         while tree.feature[i] >= 0:
             i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-        votes[np.argmax(tree.counts[i])] += 1
-    return int(np.argmax(votes))
+        classes.append(int(np.argmax(tree.counts[i])))
+    return classes
+
+
+def reference_vote(forest, x):
+    """The first maximum of every tree's vote."""
+    return int(np.argmax(np.bincount(reference_leaves(forest, x), minlength=N_CLASSES)))
+
+
+def decided_after(classes):
+    """The fewest leading votes of classes that fix the winner (the first
+    maximum) whatever classes the remaining trees vote."""
+    n = len(classes)
+    for t in range(1, n + 1):
+        head, rest = [classes[:t].count(c) for c in range(N_CLASSES)], n - t
+        winners = set()
+        for a in range(rest + 1):  # every split of the rest's votes over the classes
+            for b in range(rest - a + 1):
+                votes = [head[0] + a, head[1] + b, head[2] + rest - a - b]
+                winners.add(votes.index(max(votes)))
+        if len(winners) == 1:
+            return t
+
+
+class CountingRoots(list):
+    """A roots column that counts the trees a walk starts."""
+
+    walked = 0
+
+    def __iter__(self):
+        for root in super().__iter__():
+            self.walked += 1
+            yield root
+
+
+def counted_vote(forest, x):
+    """_vote's class for x, and the number of trees it walked."""
+    *columns, roots = forest.flat
+    counted = CountingRoots(roots)
+    return _vote((*columns, counted), np.asarray(x, dtype=np.float64).tolist()), counted.walked
+
+
+def class_tree(cls):
+    """A single leaf voting cls."""
+    return leaf_tree(np.eye(N_CLASSES, dtype=int)[cls] * 5)
+
+
+def preorder_tree(node):
+    """A DecisionTree from nested (feature, threshold, left, right) tuples with
+    leaf class-count lists, numbered in preorder so children follow their node."""
+    rows = []
+
+    def add(node):
+        i = len(rows)
+        rows.append(None)
+        if isinstance(node, list):
+            rows[i] = (-1, 0.0, -1, -1, node)
+        else:
+            f, t, lo, hi = node
+            rows[i] = (f, t, add(lo), add(hi), [1, 1, 1])
+        return i
+
+    add(node)
+    return DecisionTree(*(np.asarray(column, dtype=dtype)
+                          for column, (_, dtype) in zip(zip(*rows), TREE_COLUMNS)))
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+tree_shapes = st.recursive(
+    st.lists(st.integers(0, 3), min_size=N_CLASSES, max_size=N_CLASSES),  # leaf counts
+    lambda sub: st.tuples(st.integers(0, 8),
+                          st.one_of(st.sampled_from(SPECIAL_VALUES[1:]), st.floats(-2, 2)),
+                          sub, sub),
+    max_leaves=4)
 
 
 def list_columns(forest):
@@ -393,9 +467,45 @@ class TestPredict:
         ((2, 2, 1, 1, 0), Signal.DECREASE),
     ])
     def test_ties_break_nochange_decrease_increase(self, classes, winner):
-        forest = forest_of([leaf_tree(np.eye(3, dtype=int)[c] * 5) for c in classes])
+        forest = forest_of([class_tree(c) for c in classes])
         assert predict(forest, np.zeros(9)) is winner
         assert predict_batch(forest, np.zeros((1, 9))).tolist() == [int(winner)]
+
+    @given(st.lists(tree_shapes, min_size=1, max_size=8),
+           st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(-3, 3)),
+                    min_size=9, max_size=9))
+    @settings(max_examples=150, deadline=None)
+    def test_early_decided_vote_is_the_full_vote(self, shapes, values):
+        # the walk stops at the first tree after which no votes of the rest
+        # could change the winner, and answers what walking every tree does
+        forest, x = forest_of([preorder_tree(shape) for shape in shapes]), np.array(values)
+        classes = reference_leaves(forest, x)
+        want = reference_vote(forest, x)
+        assert counted_vote(forest, x) == (want, decided_after(classes))
+        assert predict(forest, x) is Signal(want)
+        assert predict_batch(forest, x[None]).tolist() == [want]
+
+    def test_every_vote_sequence_stops_when_decided(self):
+        # every sequence of up to 6 leaf votes: each tie pattern, in each order
+        for n in range(1, 7):
+            for classes in itertools.product(range(N_CLASSES), repeat=n):
+                forest = forest_of([class_tree(c) for c in classes])
+                want = int(np.argmax(np.bincount(classes, minlength=N_CLASSES)))
+                assert counted_vote(forest, np.zeros(9)) == (want, decided_after(list(classes)))
+
+    @pytest.mark.parametrize("classes, winner, walked", [
+        ((Signal.NO_CHANGE,) * 20, Signal.NO_CHANGE, 10),  # 10 of 20 already win a tie
+        ((Signal.DECREASE,) * 20, Signal.DECREASE, 11),  # a 10-10 tie would go to NoChange
+        ((Signal.INCREASE,) * 20, Signal.INCREASE, 11),
+        ((Signal.INCREASE, Signal.DECREASE), Signal.DECREASE, 2),  # a 1-1 tie
+        # Increase leads 2-1 with one tree to walk, but would lose a 2-2 tie
+        ((Signal.DECREASE, Signal.INCREASE, Signal.INCREASE, Signal.DECREASE), Signal.DECREASE, 4),
+        ((Signal.DECREASE, Signal.NO_CHANGE), Signal.NO_CHANGE, 2),
+        ((Signal.NO_CHANGE, Signal.INCREASE), Signal.NO_CHANGE, 1),
+    ])
+    def test_walk_stops_once_the_rest_cannot_win(self, classes, winner, walked):
+        forest = forest_of([class_tree(c) for c in classes])
+        assert counted_vote(forest, np.zeros(9)) == (winner, walked)
 
     def test_single_batch_and_reference_walk_agree(self, tmp_path):
         forest, _ = train_forest(threshold_dataset(), tree_count=20, seed=42)

@@ -468,6 +468,54 @@ class TestDirection:
         assert {(e.dtype, e.shape) for e in entries} == {(np.dtype(np.float32), (1, 3, 3))}
         assert (len(entries) < result.iterations) is tail
 
+    @pytest.mark.parametrize("kernel, distinct", [
+        ("exp", 10),  # no zero shift: -0.0 and 0.0 are two questions
+        ("log", 9),  # its zero shift makes them one
+    ])
+    def test_walks_once_per_distinct_features(self, monkeypatch, kernel, distinct):
+        forest, rng = fixture_forest(kernel), np.random.default_rng(3)
+        zero = np.zeros((1, 3, 3), np.float32)
+        signed = zero.copy()
+        signed.flat[4] = -0.0
+        nans = np.ones((2, 1, 3, 3), np.float32)
+        nans.view(np.uint32)[:, 0, 0, 0] = [0x7fc00000, 0x7fc00001]  # two NaN payloads
+        entries = [*(rng.uniform(-5, 5, (6, 1, 3, 3)) * 10.0 ** rng.integers(-3, 3, (6, 1, 1, 1))
+                     ).astype(np.float32), zero, signed, *nans]
+        asked = entries + [entries[i] for i in rng.integers(0, len(entries), 60)]
+        want = [soft_assertion(forest)(entry) for entry in asked]  # a fresh direction each
+        walked = []
+
+        def spy(forest_, features):
+            walked.append(features.tobytes())
+            return predict(forest_, features)
+
+        monkeypatch.setattr(fuzzer, "predict", spy)
+        direction = soft_assertion(forest)
+        assert [direction(entry) for entry in asked] == want
+        assert len(set(want)) > 1
+        assert len(walked) == len(set(walked)) == distinct
+
+    def test_no_answer_outlives_a_fuzz_program_call(self, monkeypatch):
+        # exp_overflow at seed 3 asks 231 questions, 94 of them repeats
+        _, graph, _ = _corpus_program("exp_overflow")
+        models, calls = [fixture_forest("exp")], {"predict": 0, "featurize": 0}
+
+        def spy(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(fuzzer, name, spy(name, getattr(fuzzer, name)))
+        counts = []
+        for _ in range(2):
+            fuzz_program(graph, None, models, FuzzConfig(seed=3, max_iters=300))
+            counts.append(dict(calls))
+            calls.update(predict=0, featurize=0)
+        assert counts[0] == counts[1]
+        assert 0 < counts[0]["predict"] < counts[0]["featurize"]
+
 
 class TestRandomBaseline:
     def test_finds_log_quickly(self):
